@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,6 +25,20 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
 
 
 def build_parser():
@@ -60,10 +75,10 @@ def build_parser():
         "verify-example", parents=[common], help="run one bundled example"
     )
     v.add_argument("name")
-    v.add_argument("--samples", type=int, default=50)
+    v.add_argument("--samples", type=_positive_int, default=50)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=1e-6)
-    v.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
+    v.add_argument("--tol", type=_positive_float, default=1e-6)
+    v.add_argument("--fd-step", type=_positive_float, default=1e-4, dest="fd_step")
 
     sub.add_parser("list-examples", parents=[common], help="list example names")
     return p
@@ -310,3 +325,7 @@ def run(argv=None, out=None, err=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

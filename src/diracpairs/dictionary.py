@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import rational as rat
 from .exact_linear import (
@@ -28,7 +27,7 @@ from .exact_linear import (
     is_lagrangian,
 )
 from .morphism import HamiltonianFiber, extract_action
-from .quadratic_lie import ManinPairPoint, QuadraticLieAlgebra
+from .quadratic_lie import ManinPairPoint, abstract_double
 
 
 @dataclass(frozen=True)
@@ -153,24 +152,6 @@ def identification_from_anchor(pair, rho):
     corr = rat.mat_mul(rat.mat_mul(rat.invert(gram), rat.transpose(rho)), b)
     s = rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), corr))
     return ExactIdentification(pair, rho, s)
-
-
-@lru_cache(maxsize=32)
-def abstract_double(a_dim):
-    """Abelian pair on A plus its dual with the duality pairing."""
-    dim = 2 * a_dim
-    structure = tuple(
-        tuple((Fraction(0),) * dim for _ in range(dim)) for _ in range(dim)
-    )
-    d = QuadraticLieAlgebra(dim, structure, SplitForm.standard_double(a_dim))
-    half = canonicalize(
-        [
-            tuple(Fraction(1 if j == i else 0) for j in range(dim))
-            for i in range(a_dim)
-        ],
-        dim,
-    )
-    return ManinPairPoint(d, half)
 
 
 def _unit(n, k):
@@ -440,15 +421,6 @@ def backward_dirac(l, f):
         for s in sols
     ]
     return canonicalize(rows, 2 * qd)
-
-
-def f_and_b_maps(l, f, direction="forward"):
-    """Directional wrapper over the two transported-Lagrangian maps."""
-    if direction == "forward":
-        return forward_dirac(l, f)
-    if direction == "backward":
-        return backward_dirac(l, f)
-    raise ValueError("direction must be 'forward' or 'backward'")
 
 
 # ---------------------------------------------------------------------------

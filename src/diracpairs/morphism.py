@@ -3,9 +3,11 @@
 A morphism between pairs is a Lagrangian relation between the ambient
 algebras, taken with the pairing negated on the target side, whose readout
 into the two dual spaces is the graph of a linear map.  A Hamiltonian fiber
-couples a tangent space (with its standard even pairing on T plus T*) to a
-pair fiber; it stores the sum-pairing Lagrangian and reaches the morphism
-predicates through the sign flip on the covector slot, which exchanges the
+couples a tangent space to a pair fiber.  It stores the sum-pairing
+Lagrangian in (T + T*) + E.  Its underlying morphism starts at the abelian
+double of the tangent space (`quadratic_lie.abstract_double`: T plus T*
+with the evaluation pairing and T as the half).  The morphism predicates
+are reached through the sign flip on the covector slot, which exchanges the
 sum and difference conventions without moving anything else.
 """
 
@@ -25,7 +27,12 @@ from .exact_linear import (
     is_graph_over_factor,
     is_lagrangian,
 )
-from .quadratic_lie import ManinPairPoint, QuadraticLieAlgebra
+from .quadratic_lie import (
+    ManinPairPoint,
+    QuadraticLieAlgebra,
+    abstract_double,
+    first_unclosed_pair,
+)
 
 
 @lru_cache(maxsize=64)
@@ -79,11 +86,8 @@ class MorphismFiber:
         prod = product_algebra(self.source.d, self.target.d)
         if not is_lagrangian(prod.form, self.K):
             raise ValueError("relation is not Lagrangian for the difference pairing")
-        if self.check_bracket:
-            for i, u in enumerate(self.K.basis):
-                for v in self.K.basis[i + 1 :]:
-                    if not self.K.contains_vector(prod.bracket(u, v)):
-                        raise ValueError("relation is not closed under the bracket")
+        if self.check_bracket and first_unclosed_pair(prod.bracket, self.K) is not None:
+            raise ValueError("relation is not closed under the bracket")
 
     @property
     def source_dim(self):
@@ -167,25 +171,6 @@ def compose_morphisms(m12, m23):
 # Hamiltonian fibers
 
 
-@lru_cache(maxsize=16)
-def tangent_pair(t_dim):
-    """Abelian pair on T plus T* with the evaluation pairing and the tangent
-    half; the source of every Hamiltonian fiber's underlying morphism."""
-    dim = 2 * t_dim
-    structure = tuple(
-        tuple((Fraction(0),) * dim for _ in range(dim)) for _ in range(dim)
-    )
-    d = QuadraticLieAlgebra(dim, structure, SplitForm.standard_double(t_dim))
-    half = canonicalize(
-        [
-            tuple(Fraction(1 if j == i else 0) for j in range(dim))
-            for i in range(t_dim)
-        ],
-        dim,
-    )
-    return ManinPairPoint(d, half)
-
-
 @dataclass(frozen=True)
 class HamiltonianFiber:
     """Pointwise Hamiltonian data: a Lagrangian in (T + T*) + E for the sum
@@ -226,15 +211,15 @@ class HamiltonianFiber:
         return 2 * self.t_dim + self.pair.d.dim
 
     def morphism_fiber(self):
-        """Underlying morphism from the tangent pair, in the difference
-        convention: flip the sign of the covector block."""
+        """Underlying morphism from the abelian double of T, in the
+        difference convention: flip the sign of the covector block."""
         t = self.t_dim
         rows = [
             row[:t] + tuple(-x for x in row[t : 2 * t]) + row[2 * t :]
             for row in self.K.basis
         ]
         return MorphismFiber(
-            tangent_pair(t),
+            abstract_double(t),
             self.pair,
             canonicalize(rows, self.ambient_dim),
             check_bracket=False,
@@ -271,35 +256,3 @@ def extract_action(h):
                 raise ValueError("tangent lift is not unique")
         columns.append(u)
     return rat.transpose(columns)
-
-
-def action_tangents(h):
-    """Subspace of tangents hit by the induced action."""
-    act = extract_action(h)
-    return canonicalize(rat.transpose(act), h.t_dim)
-
-
-def cotangent_surjective(h):
-    """True iff every covector occurs in the Lagrangian."""
-    t = h.t_dim
-    proj = h.K.project(tuple(range(t, 2 * t)))
-    return proj.dim == t
-
-
-def covectors_with_half_witness(h):
-    """Covectors whose Lagrangian witness can be chosen with pair component
-    in the half."""
-    t, n = h.t_dim, h.pair.d.dim
-    half_slab = (
-        Subspace.full(2 * t).embed(tuple(range(2 * t)), h.ambient_dim)
-        + h.pair.g.embed(tuple(range(2 * t, 2 * t + n)), h.ambient_dim)
-    )
-    return h.K.intersection(half_slab).project(tuple(range(t, 2 * t)))
-
-
-def transversal_to_complement(h, splitting):
-    """True iff the Lagrangian meets the embedded isotropic complement only
-    at zero."""
-    t, n = h.t_dim, h.pair.d.dim
-    comp = splitting.dual_image().embed(tuple(range(2 * t, 2 * t + n)), h.ambient_dim)
-    return h.K.intersection(comp).dim == 0

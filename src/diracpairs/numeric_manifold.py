@@ -24,9 +24,9 @@ import numpy as np
 
 from . import rational as rat
 from . import so3
-from .exact_linear import Subspace, canonicalize
+from .exact_linear import canonicalize
 from .morphism import HamiltonianFiber
-from .quadratic_lie import ManinPairPoint, QuadraticLieAlgebra, catalog
+from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
@@ -163,7 +163,11 @@ def exterior_derivative(form, degree, x, dim, h=DEFAULT_STEP):
 @dataclass
 class CourantNumeric:
     """An ambient bracket bundle in a fixed trivialization: constant gram,
-    anchor matrix field, and a bracket evaluator on section fields."""
+    anchor matrix field, and a bracket evaluator on section fields.
+
+    ``pair`` is the Manin pair every fiber carries (the fiber algebra with
+    its Lagrangian half), when the bundle has one; ``exact_anchor`` freezes
+    the anchor at a point to a rational matrix."""
 
     chart: Chart
     rank: int
@@ -171,8 +175,7 @@ class CourantNumeric:
     anchor: object
     bracket_at: object
     exact_anchor: object = None
-    algebra: QuadraticLieAlgebra = None
-    half: Subspace = None
+    pair: ManinPairPoint = None
     step: float = DEFAULT_STEP
     label: str = ""
 
@@ -337,9 +340,6 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         [[[float(v) for v in row] for row in plane] for plane in d.structure]
     )
 
-    def anchor(x):
-        return rotation_double_anchor(x)
-
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
         rho = rotation_double_anchor(x)
@@ -356,11 +356,10 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         chart=chart,
         rank=6,
         gram=gram,
-        anchor=anchor,
+        anchor=rotation_double_anchor,
         bracket_at=bracket_at,
         exact_anchor=rotation_double_exact_anchor,
-        algebra=d,
-        half=g,
+        pair=ManinPairPoint(d, g),
         step=h,
         label="dressing-rotation-double",
     )
@@ -594,10 +593,6 @@ def splitting_residuals(c, s, points=None):
     return {"composition": comp, "isotropy": iso}
 
 
-def eval_three_form(t, u, v, w):
-    return float(np.einsum("ijk,i,j,k->", np.asarray(t, float), u, v, w))
-
-
 @dataclass
 class DiracField:
     """Half-subalgebra Dirac structure, pointwise: rows (rho(a), s*(a))."""
@@ -649,16 +644,13 @@ class DiracField:
 def dirac_of_pair(c, half, s):
     """Dirac field of a Lagrangian subalgebra through a pointwise splitting.
 
-    ``half`` is the exact subspace of the fiber algebra; its closure under
-    the algebra bracket is required (checked exactly when the bundle
-    carries its algebra)."""
+    ``half`` is the exact subspace of the fiber algebra (or a float row
+    matrix); its closure under the algebra bracket is required, and checked
+    exactly when the bundle carries its Manin pair."""
     rows = subspace_rows(half) if hasattr(half, "basis") else np.asarray(half, float)
-    if c.algebra is not None and hasattr(half, "basis"):
-        for i, u in enumerate(half.basis):
-            for v in half.basis[i + 1 :]:
-                w = c.algebra.bracket(u, v)
-                if not half.contains_vector(w):
-                    raise ValueError("half is not closed under the algebra bracket")
+    if c.pair is not None and hasattr(half, "basis"):
+        if first_unclosed_pair(c.pair.d.bracket, half) is not None:
+            raise ValueError("half is not closed under the algebra bracket")
     return DiracField(courant=c, half_rows=rows, s=s)
 
 
@@ -693,9 +685,9 @@ class CanonicalSpace:
     phi: object
 
     def __post_init__(self):
-        if self.courant.half is None:
-            raise ValueError("canonical space needs the bundle's half subalgebra")
-        self.half_rows = subspace_rows(self.courant.half)
+        if self.courant.pair is None:
+            raise ValueError("canonical space needs the bundle's Manin pair")
+        self.half_rows = subspace_rows(self.courant.pair.g)
 
     def fiber_rows(self, x):
         n = self.courant.chart.dim
@@ -716,7 +708,7 @@ class CanonicalSpace:
         if self.courant.exact_anchor is None:
             raise ValueError("bundle has no exact anchor to freeze")
         n = self.courant.chart.dim
-        pair = ManinPairPoint(self.courant.algebra, self.courant.half)
+        pair = self.courant.pair
         rho_q = self.courant.exact_anchor(np.asarray(x, float), max_denominator)
         gram_inv = rat.invert(pair.d.form.gram)
         rho_star_q = rat.mat_mul(gram_inv, rat.transpose(rho_q))
@@ -776,16 +768,8 @@ class CanonicalSpace:
         return out
 
 
-def canonical_hamiltonian(c, half=None):
+def canonical_hamiltonian(c):
     """Canonical moment geometry over the whole base (identity map)."""
-    if half is not None and c.half is not None and half != c.half:
-        raise ValueError("half subalgebra disagrees with the bundle's")
-    if c.half is None and half is not None:
-        c = CourantNumeric(
-            chart=c.chart, rank=c.rank, gram=c.gram, anchor=c.anchor,
-            bracket_at=c.bracket_at, exact_anchor=c.exact_anchor,
-            algebra=c.algebra, half=half, step=c.step, label=c.label,
-        )
     s, phi = make_exact_splitting(c)
     return CanonicalSpace(courant=c, s=s, phi=phi)
 
@@ -799,9 +783,9 @@ class OrbitCanonicalSpace:
     radius: float
 
     def __post_init__(self):
-        if self.courant.half is None:
-            raise ValueError("orbit space needs the bundle's half subalgebra")
-        self.half_rows = subspace_rows(self.courant.half)
+        if self.courant.pair is None:
+            raise ValueError("orbit space needs the bundle's Manin pair")
+        self.half_rows = subspace_rows(self.courant.pair.g)
 
     def project(self, p):
         p = np.asarray(p, dtype=float)
@@ -865,13 +849,7 @@ class OrbitCanonicalSpace:
         return {"isotropy": iso, "dim": dim, "tangency": self.tangency_residual(x)}
 
 
-def canonical_orbit_hamiltonian(c, radius, half=None):
-    if half is not None and c.half is None:
-        c = CourantNumeric(
-            chart=c.chart, rank=c.rank, gram=c.gram, anchor=c.anchor,
-            bracket_at=c.bracket_at, exact_anchor=c.exact_anchor,
-            algebra=c.algebra, half=half, step=c.step, label=c.label,
-        )
+def canonical_orbit_hamiltonian(c, radius):
     return OrbitCanonicalSpace(courant=c, radius=float(radius))
 
 
@@ -1026,9 +1004,9 @@ def make_quasi_pi_field(c, j_cols):
     compatibility identity).  The bivector comes out antisymmetric exactly
     as the anchor's coisotropy defect vanishes.
     """
-    if c.half is None:
-        raise ValueError("bundle carries no half subalgebra")
-    a_cols = subspace_rows(c.half).T
+    if c.pair is None:
+        raise ValueError("bundle carries no Manin pair")
+    a_cols = subspace_rows(c.pair.g).T
     j_f = np.array([[float(v) for v in row] for row in j_cols])
     proj = a_cols @ (j_f.T @ c.gram)
 
@@ -1051,10 +1029,11 @@ def make_exact_quasi_pi(c, j_cols, max_denominator=10**8):
     exact arithmetic."""
     if c.exact_anchor is None:
         raise ValueError("bundle has no exact anchor to freeze")
-    a_cols = rat.transpose(list(c.half.basis))
+    gram = c.pair.d.form.gram
+    a_cols = rat.transpose(list(c.pair.g.basis))
     j_q = rat.matrix(j_cols)
-    gram_inv = rat.invert(c.algebra.form.gram)
-    proj = rat.mat_mul(a_cols, rat.mat_mul(rat.transpose(j_q), c.algebra.form.gram))
+    gram_inv = rat.invert(gram)
+    proj = rat.mat_mul(a_cols, rat.mat_mul(rat.transpose(j_q), gram))
 
     def fibers(x):
         rho = c.exact_anchor(np.asarray(x, float), max_denominator)
@@ -1224,15 +1203,6 @@ def so3_linear_poisson(x):
             [x[1], -x[0], 0.0],
         ]
     )
-
-
-def left_invariant_frame(x):
-    """Columns: the left-translation frame in exponential coordinates."""
-    return so3.left_jacobian_inv(x) @ so3.exp_rotation(x)
-
-
-def right_invariant_frame(x):
-    return so3.left_jacobian_inv(x)
 
 
 def group_trace_function(x):

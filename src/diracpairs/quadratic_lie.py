@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import rational as rat
 from .exact_linear import (
@@ -155,16 +156,21 @@ def check_quadratic_lie(d):
     )
 
 
+def first_unclosed_pair(bracket, space):
+    """Indices ``(i, j)``, i < j, of the first basis pair of ``space`` whose
+    bracket leaves it, or None when the subspace is closed."""
+    basis = space.basis
+    for i, u in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            if not space.contains_vector(bracket(u, basis[j])):
+                return i, j
+    return None
+
+
 def is_manin_pair(d, g):
     """True iff ``g`` is Lagrangian for the pairing and closed under the
     bracket.  Raises `SplitSignatureError` when the pairing is not split."""
-    if not is_lagrangian(d.form, g):
-        return False
-    for i, u in enumerate(g.basis):
-        for v in g.basis[i + 1 :]:
-            if not g.contains_vector(d.bracket(u, v)):
-                return False
-    return True
+    return is_lagrangian(d.form, g) and first_unclosed_pair(d.bracket, g) is None
 
 
 @dataclass(frozen=True)
@@ -186,36 +192,19 @@ class ManinPairPoint:
         return self.g.dim
 
 
-def _kappa_invariant(constants, kappa):
-    n = len(kappa)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = sum(
-                    constants[i][j][m] * kappa[m][k]
-                    + constants[i][k][m] * kappa[j][m]
-                    for m in range(n)
-                )
-                if s != 0:
-                    return False
-    return True
-
-
 def make_group_pair_double(g_constants, kappa):
     """Double a Lie algebra with invariant pairing ``kappa`` into the sum of
     two copies carrying the difference pairing, with the diagonal subalgebra.
+
+    The pair's own validation rejects a degenerate or non-invariant
+    ``kappa``: the difference pairing is degenerate exactly when ``kappa``
+    is, and its ad-invariance on the first copy is ``kappa``'s.
     """
     g_constants = tuple(
         tuple(tuple(rat.scalar(x) for x in r) for r in p) for p in g_constants
     )
     kappa = rat.matrix(kappa)
     n = len(kappa)
-    kform = SplitForm(n, kappa)
-    if not kform.nondegenerate:
-        raise ValueError("kappa is degenerate")
-    if not _kappa_invariant(g_constants, kappa):
-        raise ValueError("kappa is not invariant under the bracket")
-
     dim = 2 * n
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
@@ -307,6 +296,14 @@ def make_cotangent_double(constants):
         dim,
     )
     return ManinPairPoint(d, g)
+
+
+@lru_cache(maxsize=32)
+def abstract_double(n):
+    """Abelian pair on A plus its dual with the duality pairing and A as the
+    half: the cotangent double of the n-dimensional abelian algebra."""
+    zero = (Fraction(0),) * n
+    return make_cotangent_double(((zero,) * n,) * n)
 
 
 def solvable_constants():

@@ -24,6 +24,7 @@ from .quadratic_lie import (
     ManinPairPoint,
     QuadraticLieAlgebra,
     check_quadratic_lie,
+    first_unclosed_pair,
     structure_from_table,
 )
 from .splitting import (
@@ -886,13 +887,8 @@ def validate_scene(ir, example_registry=None):
             alg = algebras[sub_algebra[target]]
 
             def run():
-                for i, u in enumerate(sub.basis):
-                    for j, v in enumerate(sub.basis):
-                        if j <= i:
-                            continue
-                        if not sub.contains_vector(alg.bracket(u, v)):
-                            return _passfail(False, witness=f"basis pair ({i}, {j})")
-                return _passfail(True)
+                bad = first_unclosed_pair(alg.bracket, sub)
+                return _passfail(bad is None, witness=f"basis pair {bad}")
 
         elif check.kind == "quadratic":
             alg = algebras[target]

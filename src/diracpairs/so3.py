@@ -1,7 +1,7 @@
 """Rotation-group helpers for the numeric tier.
 
-Exponential-chart plumbing (Rodrigues formula, left Jacobian and its
-inverse, with series fallbacks near zero) plus the Cayley bridge used to
+Exponential-chart plumbing (Rodrigues formula and the inverse left
+Jacobian, with series fallbacks near zero) plus the Cayley bridge used to
 freeze floating rotations into exactly orthogonal rational matrices.
 """
 
@@ -33,17 +33,6 @@ def exp_rotation(x):
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / theta**2
     return np.eye(3) + a * h + b * (h @ h)
-
-
-def left_jacobian(x):
-    x = np.asarray(x, dtype=float)
-    theta = float(np.linalg.norm(x))
-    h = hat(x)
-    if theta < 1e-6:
-        return np.eye(3) + 0.5 * h + (h @ h) / 6.0
-    b = (1.0 - np.cos(theta)) / theta**2
-    c = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + b * h + c * (h @ h)
 
 
 def left_jacobian_inv(x):

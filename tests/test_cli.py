@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from diracpairs import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -195,6 +199,24 @@ def test_verify_example_json_is_deterministic():
     assert rep1["samples"] == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--fd-step", "0"),
+        ("--tol", "inf"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+    ],
+)
+def test_verify_example_rejects_bad_numeric_arguments(flag, value, capsys):
+    code, out, _ = run_cli("verify-example", "planar_symplectic_reduction", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_verify_example_rejects_unknown_names():
     code, _, err = run_cli("verify-example", "no_such_example")
     assert code == 2
@@ -214,6 +236,29 @@ def test_list_examples_names_the_registry():
     payload = json.loads(out)
     assert payload["schema"] == 1
     assert payload["examples"] == names
+
+
+def test_module_entry_point_lists_examples():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracpairs.cli", "list-examples"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "flat_twisted_axioms",
+        "planar_symplectic_reduction",
+        "rotation_canonical_fibers",
+        "rotation_dressing_axioms",
+        "rotation_quasi_poisson",
+        "rotation_strong_section",
+    ]
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -16,7 +16,6 @@ from diracpairs.dictionary import (
     dirac_from_k,
     dirac_is_form_graph,
     dirac_to_dict,
-    f_and_b_maps,
     forward_dirac,
     identification_from_anchor,
     k_from_dirac,
@@ -231,17 +230,6 @@ def test_backward_then_forward_moves_unsupported_lagrangians():
         assert round_ != lag
         moved += 1
     assert moved == 10
-
-
-def test_directional_wrapper():
-    rng = helpers.rng_for(83)
-    f = helpers.random_injective(rng, 3, 2)
-    lag = helpers.random_lagrangian(rng, 2)
-    assert f_and_b_maps(lag, f, "forward") == forward_dirac(lag, f)
-    pushed = forward_dirac(lag, f)
-    assert f_and_b_maps(pushed, f, "backward") == backward_dirac(pushed, f)
-    with pytest.raises(ValueError):
-        f_and_b_maps(lag, f, "sideways")
 
 
 def test_identity_map_fixes_fibers():

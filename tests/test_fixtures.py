@@ -1,19 +1,40 @@
-"""Generate canonical-format scene fixtures and CLI fiber fixtures."""
+"""The committed fixtures are reproducible from the sources below.
+
+`write_fixtures` is the generator of everything in ``tests/fixtures``: the
+golden scenes in canonical printed form, one malformed scene, and the fiber
+records of the ``dict`` subcommand.  To change a fixture, edit its source
+here and rewrite the committed files with ``write_fixtures(FIXTURES)``.
+"""
 
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, "/root/pkg/src")
-
 from diracpairs import dictionary as dc
 from diracpairs import scene_dsl as sd
-from diracpairs import verify
 from diracpairs.exact_linear import canonicalize
 
-FIX = Path("/root/pkg/tests/fixtures")
-FIX.mkdir(exist_ok=True)
+FIXTURES = Path(__file__).parent / "fixtures"
+
+ROTATION_ALGEBRA = """
+algebra dd {
+  dim 6;
+  basis e1 e2 e3 f1 f2 f3;
+  bracket [e1, e2] = e3;
+  bracket [e2, e3] = e1;
+  bracket [e3, e1] = e2;
+  bracket [f1, f2] = f3;
+  bracket [f2, f3] = f1;
+  bracket [f3, f1] = f2;
+  pairing diag(1, 1, 1, -1, -1, -1);
+}
+subspace diag_half in dd {
+  span e1 + f1;
+  span e2 + f2;
+  span e3 + f3;
+}
+maninpair rot (dd, diag_half);
+"""
 
 SOURCES = {
     "minimal-abelian": """
@@ -23,48 +44,16 @@ maninpair p (a, l);
 check lagrangian l;
 check subalgebra l;
 """,
-    "rotation-double": """
-algebra dd {
-  dim 6;
-  basis e1 e2 e3 f1 f2 f3;
-  bracket [e1, e2] = e3;
-  bracket [e2, e3] = e1;
-  bracket [e3, e1] = e2;
-  bracket [f1, f2] = f3;
-  bracket [f2, f3] = f1;
-  bracket [f3, f1] = f2;
-  pairing diag(1, 1, 1, -1, -1, -1);
-}
-subspace diag_half in dd {
-  span e1 + f1;
-  span e2 + f2;
-  span e3 + f3;
-}
-maninpair rot (dd, diag_half);
+    "rotation-double": ROTATION_ALGEBRA
+    + """
 splitting s for rot { auto; }
 check quadratic dd;
 check lagrangian diag_half;
 check subalgebra diag_half;
 check splitting s;
 """,
-    "rotation-images": """
-algebra dd {
-  dim 6;
-  basis e1 e2 e3 f1 f2 f3;
-  bracket [e1, e2] = e3;
-  bracket [e2, e3] = e1;
-  bracket [e3, e1] = e2;
-  bracket [f1, f2] = f3;
-  bracket [f2, f3] = f1;
-  bracket [f3, f1] = f2;
-  pairing diag(1, 1, 1, -1, -1, -1);
-}
-subspace diag_half in dd {
-  span e1 + f1;
-  span e2 + f2;
-  span e3 + f3;
-}
-maninpair rot (dd, diag_half);
+    "rotation-images": ROTATION_ALGEBRA
+    + """
 splitting explicit for rot {
   images 1/2 e1 - 1/2 f1, 1/2 e2 - 1/2 f2, 1/2 e3 - 1/2 f3;
 }
@@ -152,50 +141,48 @@ check subalgebra graph12;
 """,
 }
 
-for name, src in SOURCES.items():
-    ir = sd.parse_scene(src)
-    canonical = sd.print_scene(ir)
-    assert sd.parse_scene(canonical) == ir, name
-    assert sd.print_scene(sd.parse_scene(canonical)) == canonical, name
-    scene = sd.validate_scene(ir, example_registry=verify.EXAMPLES)
-    for step in scene.plan:
-        out = step.run()
-        assert out.status == "pass", (name, step.name, out)
-    (FIX / f"{name}.mp").write_text(canonical)
-    print(f"{name}: {len(scene.plan)} checks pass, {len(canonical)} bytes")
 
-# deliberately malformed scene for the CLI input-error path (raw text)
-(FIX / "broken.mp").write_text("algebra a { dim 2; pairing diag(1, -1); \n")
+def _record(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
-# fiber records for the conversion subcommand
-planar = dc.QuasiPoissonPointData(
-    t_dim=2,
-    a_dim=0,
-    Pi=((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))),
-    rho_X=((), ()),
-)
-(FIX / "planar-quasi.json").write_text(
-    json.dumps(dc.quasi_to_dict(planar), sort_keys=True, indent=2) + "\n"
-)
 
-covector = dc.DiracPointData(canonicalize([(0, 0, 1, 0), (0, 0, 0, 1)], 4))
-(FIX / "covector-dirac.json").write_text(
-    json.dumps(dc.dirac_to_dict(covector), sort_keys=True, indent=2) + "\n"
-)
+def write_fixtures(directory):
+    """Write every fixture file into ``directory``."""
+    for name, src in SOURCES.items():
+        ir = sd.parse_scene(src)
+        canonical = sd.print_scene(ir)
+        assert sd.parse_scene(canonical) == ir, name
+        (directory / f"{name}.mp").write_text(canonical)
 
-tangent = dc.DiracPointData(canonicalize([(1, 0, 0, 0), (0, 1, 0, 0)], 4))
-(FIX / "tangent-dirac.json").write_text(
-    json.dumps(dc.dirac_to_dict(tangent), sort_keys=True, indent=2) + "\n"
-)
+    # deliberately malformed scene for the CLI input-error path
+    (directory / "broken.mp").write_text("algebra a { dim 2; pairing diag(1, -1); \n")
 
-acted = dc.QuasiPoissonPointData(
-    t_dim=1, a_dim=1, Pi=((Fraction(0),),), rho_X=((Fraction(2),),)
-)
-(FIX / "action-quasi.json").write_text(
-    json.dumps(dc.quasi_to_dict(acted), sort_keys=True, indent=2) + "\n"
-)
+    planar = dc.QuasiPoissonPointData(
+        t_dim=2,
+        a_dim=0,
+        Pi=((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))),
+        rho_X=((), ()),
+    )
+    acted = dc.QuasiPoissonPointData(
+        t_dim=1, a_dim=1, Pi=((Fraction(0),),), rho_X=((Fraction(2),),)
+    )
+    covector = dc.DiracPointData(canonicalize([(0, 0, 1, 0), (0, 0, 0, 1)], 4))
+    tangent = dc.DiracPointData(canonicalize([(1, 0, 0, 0), (0, 1, 0, 0)], 4))
+    records = {
+        "planar-quasi.json": _record(dc.quasi_to_dict(planar)),
+        "action-quasi.json": _record(dc.quasi_to_dict(acted)),
+        "covector-dirac.json": _record(dc.dirac_to_dict(covector)),
+        "tangent-dirac.json": _record(dc.dirac_to_dict(tangent)),
+        "bad-kind.json": '{"kind": "nope"}\n',
+        "garbage.json": "{not json\n",
+    }
+    for name, text in records.items():
+        (directory / name).write_text(text)
 
-(FIX / "bad-kind.json").write_text('{"kind": "nope"}\n')
-(FIX / "garbage.json").write_text("{not json\n")
 
-print("fixtures written to", FIX)
+def test_fixtures_regenerate_byte_for_byte(tmp_path):
+    write_fixtures(tmp_path)
+    made = sorted(p.name for p in tmp_path.iterdir())
+    assert made == sorted(p.name for p in FIXTURES.iterdir())
+    for name in made:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

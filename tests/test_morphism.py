@@ -19,7 +19,6 @@ from diracpairs.morphism import (
     graph_morphism,
     identity_morphism,
     product_algebra,
-    tangent_pair,
 )
 from diracpairs.quadratic_lie import catalog
 
@@ -94,19 +93,18 @@ def test_composition_of_two_graphs_is_the_graph_of_the_composite():
     assert check_morphism_def(comp)
 
 
-def test_tangent_pair_shape():
-    tp = tangent_pair(3)
-    assert tp.d.dim == 6
-    assert tp.g.dim == 3
-    assert tangent_pair(3) is tp
-
-
 def test_hamiltonian_fiber_zero_data():
     rng = helpers.rng_for(2)
     q = helpers.random_quasi(rng, 3, 0)
     h = k_from_quasi(q)
     rep = check_hamiltonian_fiber(h)
     assert rep["definition"] and rep["equivalent"] and rep["agree"]
+    # the underlying morphism starts at the cached abelian double of T
+    tp = abstract_double(3)
+    assert tp.d.dim == 6
+    assert tp.g.dim == 3
+    assert abstract_double(3) is tp
+    assert h.morphism_fiber().source is tp
 
 
 def test_hamiltonian_fiber_validation_errors():

@@ -113,10 +113,14 @@ def test_group_pair_double_of_rotations():
 
 
 def test_group_pair_double_rejects_non_invariant_form():
-    with pytest.raises(ValueError):
-        make_group_pair_double(
-            so3_constants(), rat.matrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-        )
+    indefinite = rat.matrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    # the zero form is invariant, so only the degeneracy check rejects it
+    for kappa, reason in (
+        (indefinite, "'ad_invariance': False"),
+        (rat.zeros(3, 3), "'nondegenerate': False"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            make_group_pair_double(so3_constants(), kappa)
 
 
 def test_special_linear_double():
