@@ -4,8 +4,9 @@ Two tiers share one vocabulary.  The exact tier (`exact_linear`,
 `quadratic_lie`, `splitting`, `morphism`, `dictionary`) does rational linear
 algebra on subspaces, pairings, and relation fibers.  The numeric tier
 (`numeric_manifold`, `reduction`) samples charts and verifies the bracket
-axioms and compatibility identities by finite differences.  `scene_dsl` and
-`cli` wrap both in a text format and a command line.
+axioms and compatibility identities by finite differences.  Every check in
+either tier returns a `report.Report`.  `scene_dsl` and `cli` wrap both in a
+text format and a command line.
 """
 
 __version__ = "0.1.0"
@@ -19,6 +20,7 @@ __all__ = [
     "dictionary",
     "numeric_manifold",
     "reduction",
+    "report",
     "scene_dsl",
     "cli",
     "verify",

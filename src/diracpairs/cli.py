@@ -140,26 +140,31 @@ def _emit(report, checks, args, out):
         )
 
 
+def _check_entry(name, report, t0):
+    """Schema-1 check entry of a report; ``t0`` is when the check started."""
+    return {
+        "name": name,
+        "status": "pass" if report.passed else "fail",
+        "residual": report.residual,
+        "witness": None if report.passed else report.describe(),
+        "elapsed_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+    }
+
+
 def _run_plan(plan):
     checks = []
     for step in plan:
         t0 = time.perf_counter()
         try:
-            out = step.run()
-            entry = {
-                "name": step.name,
-                "status": out.status,
-                "residual": out.residual,
-                "witness": out.witness,
-            }
+            entry = _check_entry(step.name, step.run(), t0)
         except Exception as e:
             entry = {
                 "name": step.name,
                 "status": "error",
                 "residual": None,
                 "witness": str(e),
+                "elapsed_ms": round(1000.0 * (time.perf_counter() - t0), 3),
             }
-        entry["elapsed_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
         checks.append(entry)
     return checks
 
@@ -268,16 +273,13 @@ def run_verify_example(args, out, err):
             tol=args.tol,
             step=args.fd_step,
         )
+    except ValueError as e:
+        print(f"example {args.name} rejected its arguments: {e}", file=err)
+        return EXIT_INPUT
     except Exception as e:
         print(f"example {args.name} raised: {e}", file=err)
         return EXIT_INTERNAL
-    check = {
-        "name": f"example {args.name}",
-        "status": "pass" if result.get("passed") else "fail",
-        "residual": result.get("residual"),
-        "witness": None if result.get("passed") else str(result.get("detail", "")),
-        "elapsed_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-    }
+    check = _check_entry(f"example {args.name}", result, t0)
     report = _report_skeleton(
         example=args.name,
         seed=args.seed,

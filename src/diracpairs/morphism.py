@@ -33,6 +33,7 @@ from .quadratic_lie import (
     abstract_double,
     first_unclosed_pair,
 )
+from .report import Report
 
 
 @lru_cache(maxsize=64)
@@ -227,12 +228,16 @@ class HamiltonianFiber:
 
 
 def check_hamiltonian_fiber(h):
-    """Both morphism predicates on the underlying morphism; they must agree
-    (and the constructor has already enforced the Lagrangian and support
+    """Both morphism predicates on the underlying morphism, as exact
+    quantities that are 0 when the predicate holds; the two must agree (and
+    the constructor has already enforced the Lagrangian and support
     conditions)."""
     m = h.morphism_fiber()
     d, e = check_morphism_def(m), check_morphism_equiv(m)
-    return {"definition": d, "equivalent": e, "agree": d == e}
+    return Report(
+        {"definition": 0 if d else 1, "equivalent": 0 if e else 1},
+        exact={"definition", "equivalent"},
+    )
 
 
 def extract_action(h):

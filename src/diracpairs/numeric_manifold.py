@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from . import so3
 from .exact_linear import canonicalize
 from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
+from .report import Report, worse
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
@@ -212,7 +214,7 @@ class CourantNumeric:
         worst = 0.0
         for x in pts:
             m = self.anchor_matrix(x)
-            worst = max(worst, float(np.max(np.abs(m @ self.gram_inv @ m.T))))
+            worst = worse(worst, float(np.max(np.abs(m @ self.gram_inv @ m.T))))
         return worst
 
 
@@ -258,7 +260,7 @@ def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True, cl
     if check_closed:
         for x in chart.sample_points:
             d = exterior_derivative(phi_field, 3, x, n, h)
-            if d.size and float(np.max(np.abs(d))) > closed_tol:
+            if d.size and not float(np.max(np.abs(d))) <= closed_tol:
                 raise ValueError("twist three-form is not closed at a sample point")
 
     gram = np.zeros((2 * n, 2 * n))
@@ -368,20 +370,20 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         pts = chart.sample_points[: min(3, len(chart.sample_points))]
         basis = [SectionField.constant(np.eye(6)[i]) for i in range(6)]
         coiso = cn.anchor_coisotropy_residual(pts)
-        if coiso > 1e-10:
+        if not coiso <= 1e-10:
             raise ValueError("anchor fails coisotropy on the gate points")
         for x in pts:
             for i in (0, 3):
                 for j in (1, 4):
                     got = bracket_at(basis[i], basis[j], x)
                     want = np.array([float(v) for v in d.basis_bracket(i, j)])
-                    if float(np.max(np.abs(got - want))) > gate_tol:
+                    if not float(np.max(np.abs(got - want))) <= gate_tol:
                         raise ValueError("constant sections do not bracket to the algebra")
             lhs = cn.anchor_matrix(x) @ bracket_at(basis[0], basis[1], x)
             rhs = vector_commutator(
                 cn.anchor_vector_field(basis[0]), cn.anchor_vector_field(basis[1]), x, 3, h
             )
-            if float(np.max(np.abs(lhs - rhs))) > gate_tol:
+            if not float(np.max(np.abs(lhs - rhs))) <= gate_tol:
                 raise ValueError("anchor is not bracket-compatible on the gate points")
     return cn
 
@@ -408,27 +410,10 @@ def scalar_library(dim):
     return funcs
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    residuals: dict
-    tol: float
-    step: float
-
-    @property
-    def passed(self):
-        return all(v < self.tol for v in self.residuals.values())
-
-    def as_dict(self):
-        return {
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "tol": self.tol,
-            "step": self.step,
-            "passed": self.passed,
-        }
-
-
 def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
-    """Residual report for the five bracket axioms over the section library.
+    """Worst residual of each of the five bracket axioms, and of anchor
+    coisotropy, over the section library at the points; ``data["step"]`` is
+    the finite-difference step used.
 
     Nested-bracket terms make the Jacobi axiom the expensive one, so it
     runs over a thin deterministic triple set; the single-bracket axioms
@@ -462,14 +447,14 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
             e1, e2, e3 = lib[i], lib[j], lib[k]
             lhs = c.bracket_at(e1, c.bracket(e2, e3), x)
             rhs = c.bracket_at(c.bracket(e1, e2), e3, x) + c.bracket_at(e2, c.bracket(e1, e3), x)
-            res["c1_jacobi"] = max(res["c1_jacobi"], float(np.max(np.abs(lhs - rhs))))
+            res["c1_jacobi"] = worse(res["c1_jacobi"], float(np.max(np.abs(lhs - rhs))))
 
         pair_probes = lib[: min(len(lib), c.rank + 2)] + [lib[-1]]
         for e in pair_probes:
             sq = c.bracket_at(e, e, x)
             norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
             want = 0.5 * (c.rho_star(x) @ gradient(norm, x, n, h))
-            res["c2_selfpairing"] = max(res["c2_selfpairing"], float(np.max(np.abs(sq - want))))
+            res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq - want))))
 
         for a in range(0, len(lib), 2):
             e1 = lib[a]
@@ -479,11 +464,11 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
             v = c.anchor_matrix(x) @ e1(x)
             lhs = float(directional_derivative(lambda y: np.array([scalar(y)]), x, v, h)[0]) if np.any(v) else 0.0
             rhs = float(c.bracket_at(e1, e2, x) @ c.gram @ e3(x)) + float(e2(x) @ c.gram @ c.bracket_at(e1, e3, x))
-            res["c3_metric"] = max(res["c3_metric"], abs(lhs - rhs))
+            res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
 
             lhs4 = c.anchor_matrix(x) @ c.bracket_at(e1, e2, x)
             rhs4 = vector_commutator(c.anchor_vector_field(e1), c.anchor_vector_field(e2), x, n, h)
-            res["c4_anchor"] = max(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
+            res["c4_anchor"] = worse(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
 
         for fi, f in enumerate(funcs):
             e1 = lib[fi % c.rank]
@@ -493,9 +478,9 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
             v = c.anchor_matrix(x) @ e1(x)
             df = float(gradient(f, x, n, h) @ v)
             rhs5 = f(x) * c.bracket_at(e1, e2, x) + df * e2(x)
-            res["c5_leibniz"] = max(res["c5_leibniz"], float(np.max(np.abs(lhs5 - rhs5))))
+            res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5 - rhs5))))
 
-    return AxiomReport(residuals=res, tol=tol, step=h)
+    return Report(res, tol=tol, data={"step": h})
 
 
 def fd_convergence_probe(factory, x, h, factor=8.0):
@@ -588,8 +573,8 @@ def splitting_residuals(c, s, points=None):
     iso = 0.0
     for x in pts:
         sx = s(x)
-        comp = max(comp, float(np.max(np.abs(c.anchor_matrix(x) @ sx - np.eye(c.chart.dim)))))
-        iso = max(iso, float(np.max(np.abs(sx.T @ c.gram @ sx))))
+        comp = worse(comp, float(np.max(np.abs(c.anchor_matrix(x) @ sx - np.eye(c.chart.dim)))))
+        iso = worse(iso, float(np.max(np.abs(sx.T @ c.gram @ sx))))
     return {"composition": comp, "isotropy": iso}
 
 
@@ -637,7 +622,7 @@ class DiracField:
         for i in range(len(self.half_rows)):
             for j in range(i + 1, len(self.half_rows)):
                 w = std.bracket_at(self.section(i), self.section(j), x)
-                worst = max(worst, lstsq_distance(rows, w))
+                worst = worse(worst, lstsq_distance(rows, w))
         return worst
 
 
@@ -754,7 +739,7 @@ class CanonicalSpace:
         def membership(tx1, e1, tx2, e2, key):
             w_tx = std.bracket_at(tx1, tx2, x)
             w_e = c.bracket_at(e1, e2, x)
-            out[key] = max(out[key], lstsq_distance(rows, np.concatenate([w_tx, w_e])))
+            out[key] = worse(out[key], lstsq_distance(rows, np.concatenate([w_tx, w_e])))
 
         for i in range(len(lifted)):
             for j in range(i + 1, len(lifted)):
@@ -820,7 +805,7 @@ class OrbitCanonicalSpace:
         nrm = x / np.linalg.norm(x)
         worst = 0.0
         for a in self.half_rows:
-            worst = max(worst, abs(float((rho @ a) @ nrm)))
+            worst = worse(worst, abs(float((rho @ a) @ nrm)))
         return worst
 
     def fiber_rows(self, x):
@@ -853,29 +838,6 @@ def canonical_orbit_hamiltonian(c, radius):
     return OrbitCanonicalSpace(courant=c, radius=float(radius))
 
 
-@dataclass(frozen=True)
-class StrongDiracReport:
-    inclusion: bool
-    transversality: bool
-    integrability_residual: float
-    inclusion_residual: float
-    exact: bool
-
-    @property
-    def passed(self):
-        return self.inclusion and self.transversality
-
-    def as_dict(self):
-        return {
-            "inclusion": self.inclusion,
-            "transversality": self.transversality,
-            "integrability_residual": self.integrability_residual,
-            "inclusion_residual": self.inclusion_residual,
-            "exact": self.exact,
-            "passed": self.passed,
-        }
-
-
 def check_strong_dirac(
     jmap,
     l_x,
@@ -887,7 +849,9 @@ def check_strong_dirac(
     rank_tol=1e-8,
     exact_fibers=None,
 ):
-    """Per-point strong-map report for a Dirac field along a chart map.
+    """Strong-map report for a Dirac field along a chart map, worst over
+    the points: ``inclusion``, ``transversality`` and the ``integrability``
+    defect of the source frame.
 
     ``l_x`` and ``l_s`` are smooth float row-basis suppliers over the
     source and target charts; they drive the FD integrability probe (when
@@ -895,13 +859,14 @@ def check_strong_dirac(
     inclusion/transversality ranks.  ``exact_fibers`` optionally maps a
     point to ``(l_x_rows, l_s_rows, dj)`` as rational matrices; when
     present, inclusion and transversality are decided by exact rank
-    arithmetic on those frozen fibers instead.
+    arithmetic on those frozen fibers instead, and both are exact 0/1
+    quantities; otherwise only transversality is.
     """
     from . import dictionary as dict_mod
 
     q = jmap.source_dim
     m = jmap.target_dim
-    reports = []
+    res = {"inclusion": 0.0, "transversality": 0, "integrability": 0.0}
     for x in points:
         x = np.asarray(x, dtype=float)
         if exact_fibers is not None:
@@ -910,8 +875,7 @@ def check_strong_dirac(
             image = dict_mod.forward_dirac(fiber, rat.matrix(dj_q))
             target = canonicalize(list(ls_q), 2 * m)
             stacked = canonicalize(list(image.basis) + list(target.basis), 2 * m)
-            inclusion = stacked.dim == image.dim
-            incl_res = 0.0 if inclusion else 1.0
+            incl_res = 0.0 if stacked.dim == image.dim else 1.0
             # coefficient kernel of the covector block gives L cap T exactly
             cov_cols = [row[q:] for row in fiber.basis]
             coefs = rat.kernel(rat.transpose(rat.matrix(cov_cols)), ncols=len(cov_cols)) if cov_cols else ()
@@ -925,7 +889,6 @@ def check_strong_dirac(
                 transversal = rat.rank(pushed) == rat.rank(tangent)
             else:
                 transversal = True
-            exact = True
         else:
             lxr = np.asarray(l_x(x), dtype=float)
             lsr = np.asarray(l_s(jmap.value(x)), dtype=float)
@@ -941,8 +904,7 @@ def check_strong_dirac(
                 beta, coef = z[:m], z[m:]
                 u = lxr.T[:q] @ coef
                 fwd.append(np.concatenate([djr @ u, beta]))
-            incl_res = max((lstsq_distance(fwd, v) for v in lsr), default=0.0)
-            inclusion = incl_res < tol
+            incl_res = reduce(worse, (lstsq_distance(fwd, v) for v in lsr), 0.0)
             # L_X intersect TX, pushed through the differential
             cov = lxr.T[q:]
             cvt = np.linalg.svd(cov)[2]
@@ -957,9 +919,9 @@ def check_strong_dirac(
                 transversal = rk_pushed == rk
             else:
                 transversal = True
-            exact = False
+        res["inclusion"] = worse(res["inclusion"], incl_res)
+        res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
 
-        integ = 0.0
         if phi is not None:
             phi_field = _phi_as_field(phi, m)
 
@@ -980,18 +942,11 @@ def check_strong_dirac(
                     sec_i = SectionField(2 * q, lambda y, i=i: np.asarray(l_x(y), float)[i])
                     sec_j = SectionField(2 * q, lambda y, j=j: np.asarray(l_x(y), float)[j])
                     w = std.bracket_at(sec_i, sec_j, x)
-                    integ = max(integ, lstsq_distance(rows_f, w))
-
-        reports.append(
-            StrongDiracReport(
-                inclusion=bool(inclusion),
-                transversality=bool(transversal),
-                integrability_residual=float(integ),
-                inclusion_residual=float(incl_res),
-                exact=bool(exact),
-            )
-        )
-    return reports
+                    res["integrability"] = worse(
+                        res["integrability"], lstsq_distance(rows_f, w)
+                    )
+    exact = {"transversality"} if exact_fibers is None else {"inclusion", "transversality"}
+    return Report(res, tol=tol, exact=exact)
 
 
 def make_quasi_pi_field(c, j_cols):
@@ -1061,33 +1016,6 @@ def poisson_bracket_field(pi, f, g, dim, h=DEFAULT_STEP):
     return value
 
 
-@dataclass(frozen=True)
-class QuasiPoissonReport:
-    jacobiator: float
-    lie_compat: float
-    sharp_compat: float
-    sharp_exact: bool
-    tol: float
-
-    @property
-    def passed(self):
-        return (
-            self.jacobiator < self.tol
-            and self.lie_compat < self.tol
-            and (self.sharp_exact or self.sharp_compat < self.tol)
-        )
-
-    def as_dict(self):
-        return {
-            "jacobiator": self.jacobiator,
-            "lie_compat": self.lie_compat,
-            "sharp_compat": self.sharp_compat,
-            "sharp_exact": self.sharp_exact,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
 def check_quasi_poisson(
     pi,
     rho_x,
@@ -1102,16 +1030,17 @@ def check_quasi_poisson(
     tol=1e-4,
     sign=None,
 ):
-    """Residuals of the three bivector compatibility identities.
+    """Worst residuals of the three bivector compatibility identities:
+    ``jacobiator``, ``lie_compat`` and ``sharp_compat``.
 
     The Jacobiator identity compares the cyclic nested bracket sum with
     the anchored trivector term (scaled by the frozen module sign); the
     derivative identity compares Lie derivatives of the bivector along
     anchored constant sections with the pushed cobracket; the sharp-map
     identity is algebraic and runs exactly whenever frozen fibers are
-    supplied.  ``chi`` and ``cobracket`` use the exact splitting module's
-    component conventions (nested tuples, possibly empty for the ordinary
-    Poisson case).
+    supplied, which makes ``sharp_compat`` an exact quantity.  ``chi`` and
+    ``cobracket`` use the exact splitting module's component conventions
+    (nested tuples, possibly empty for the ordinary Poisson case).
     """
     sign = JACOBIATOR_SIGN if sign is None else sign
     dim = jmap.source_dim
@@ -1125,10 +1054,7 @@ def check_quasi_poisson(
         else None
     )
 
-    res_jac = 0.0
-    res_lie = 0.0
-    res_sharp = 0.0
-    sharp_exact = False
+    res = {"jacobiator": 0.0, "lie_compat": 0.0, "sharp_compat": 0.0}
 
     from itertools import combinations
 
@@ -1148,7 +1074,7 @@ def check_quasi_poisson(
                 vg = rxt @ gradient(g, x, dim, h)
                 vk = rxt @ gradient(k, x, dim, h)
                 rhs = sign * float(np.einsum("ijk,i,j,k->", chi_f, vf, vg, vk))
-            res_jac = max(res_jac, abs(total - rhs))
+            res["jacobiator"] = worse(res["jacobiator"], abs(total - rhs))
 
         if cob_f is not None and cob_f.size:
             r = cob_f.shape[0]
@@ -1166,30 +1092,21 @@ def check_quasi_poisson(
                 lie -= np.einsum("km,lm->kl", px, vt)
                 fa = np.einsum("ikl,i->kl", cob_f, a)
                 want = rx @ fa @ rx.T
-                res_lie = max(res_lie, float(np.max(np.abs(lie - want))))
+                res["lie_compat"] = worse(res["lie_compat"], float(np.max(np.abs(lie - want))))
 
         if exact_fibers is not None:
             fb = exact_fibers(x)
             lhs = rat.mat_mul(rat.transpose(fb["pi"]), rat.transpose(fb["dj"]))
             rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
-            if lhs != rhs_m:
-                diff = rat.mat_sub(lhs, rhs_m)
-                res_sharp = max(
-                    res_sharp, max(abs(float(v)) for row in diff for v in row)
-                )
-            sharp_exact = True
+            diff = (abs(v) for row in rat.mat_sub(lhs, rhs_m) for v in row)
+            res["sharp_compat"] = reduce(worse, diff, res["sharp_compat"])
         elif rho_astar is not None:
             lhs = np.asarray(pi(x), float).T @ np.asarray(jmap.jacobian(x), float).T
             rhs_m = np.asarray(rho_x(x), float) @ np.asarray(rho_astar(x), float).T
-            res_sharp = max(res_sharp, float(np.max(np.abs(lhs - rhs_m))))
+            res["sharp_compat"] = worse(res["sharp_compat"], float(np.max(np.abs(lhs - rhs_m))))
 
-    return QuasiPoissonReport(
-        jacobiator=res_jac,
-        lie_compat=res_lie,
-        sharp_compat=res_sharp,
-        sharp_exact=sharp_exact,
-        tol=tol,
-    )
+    exact = () if exact_fibers is None else ("sharp_compat",)
+    return Report(res, tol=tol, exact=exact)
 
 
 def so3_linear_poisson(x):

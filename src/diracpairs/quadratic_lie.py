@@ -8,7 +8,7 @@ the small instances the rest of the package (and its tests) lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +20,7 @@ from .exact_linear import (
     canonicalize,
     is_lagrangian,
 )
+from .report import Report
 
 
 def structure_from_table(dim, table):
@@ -81,50 +82,24 @@ class QuadraticLieAlgebra:
         return self.form.pairing(u, v)
 
 
-@dataclass(frozen=True)
-class QuadraticCheckReport:
-    antisymmetry: bool
-    jacobi: bool
-    ad_invariance: bool
-    nondegenerate: bool
-    signature: tuple
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return (
-            self.antisymmetry
-            and self.jacobi
-            and self.ad_invariance
-            and self.nondegenerate
-        )
-
-    def as_dict(self):
-        return {
-            "antisymmetry": self.antisymmetry,
-            "jacobi": self.jacobi,
-            "ad_invariance": self.ad_invariance,
-            "nondegenerate": self.nondegenerate,
-            "signature": list(self.signature),
-            "witness": {k: str(v) for k, v in self.witness.items()},
-            "passed": self.passed,
-        }
-
-
 def check_quadratic_lie(d):
-    """Exact pass/fail report for the point-case bracket axioms."""
+    """Exact report on the point-case bracket axioms: each quantity counts
+    the basis pairs or triples violating its axiom, and ``degeneracy`` is
+    the nullity of the pairing."""
     n = d.dim
     c = d.structure
+    bad = {"antisymmetry": 0, "jacobi": 0, "ad_invariance": 0}
     witness = {}
 
-    antisym = True
+    def violated(name, idx):
+        bad[name] += 1
+        witness.setdefault(name, idx)
+
     for i in range(n):
         for j in range(n):
             if any(c[i][j][k] != -c[j][i][k] for k in range(n)):
-                antisym = False
-                witness.setdefault("antisymmetry", (i, j))
+                violated("antisymmetry", (i, j))
 
-    jacobi = True
     basis = rat.identity(n)
     for i in range(n):
         for j in range(n):
@@ -133,26 +108,21 @@ def check_quadratic_lie(d):
                 rhs1 = d.bracket(c[i][j], basis[k])
                 rhs2 = d.bracket(basis[j], c[i][k])
                 if any(a != b + e for a, b, e in zip(lhs, rhs1, rhs2)):
-                    jacobi = False
-                    witness.setdefault("jacobi", (i, j, k))
+                    violated("jacobi", (i, j, k))
 
-    ad_inv = True
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 s = d.pairing(c[i][j], basis[k]) + d.pairing(basis[j], c[i][k])
                 if s != 0:
-                    ad_inv = False
-                    witness.setdefault("ad_invariance", (i, j, k))
+                    violated("ad_invariance", (i, j, k))
 
     plus, minus, null = d.form.signature()
-    return QuadraticCheckReport(
-        antisymmetry=antisym,
-        jacobi=jacobi,
-        ad_invariance=ad_inv,
-        nondegenerate=(null == 0),
-        signature=(plus, minus),
+    return Report(
+        {**bad, "degeneracy": null},
+        exact=(*bad, "degeneracy"),
         witness=witness,
+        data={"signature": (plus, minus)},
     )
 
 
@@ -183,7 +153,7 @@ class ManinPairPoint:
     def __post_init__(self):
         report = check_quadratic_lie(self.d)
         if not report.passed:
-            raise ValueError(f"ambient algebra fails checks: {report.as_dict()}")
+            raise ValueError(f"ambient algebra fails checks: {report.describe()}")
         if not is_manin_pair(self.d, self.g):
             raise ValueError("subspace is not a Lagrangian subalgebra")
 

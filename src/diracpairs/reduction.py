@@ -23,6 +23,7 @@ from .numeric_manifold import (
     gradient,
     vector_commutator,
 )
+from .report import Report, worse
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,32 +232,10 @@ def poisson_bracket(f, g, fiber_at, h=DEFAULT_STEP, tol=DEFAULT_TOL):
     return ObservableFunction(fn=value, name=label)
 
 
-@dataclass(frozen=True)
-class BracketLawReport:
-    """Worst-case residuals of the bracket laws over the probe points."""
-
-    skew: float
-    flow_match: float
-    conservation: float
-    tol: float
-
-    @property
-    def passed(self):
-        return max(self.skew, self.flow_match, self.conservation) < self.tol
-
-    def as_dict(self):
-        return {
-            "skew": self.skew,
-            "flow_match": self.flow_match,
-            "conservation": self.conservation,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
 def check_bracket_laws(f, g, fiber_at, points, h=DEFAULT_STEP, tol=1e-4):
-    """Skew symmetry and the flow of a bracket against the commutator of
-    flows.
+    """Worst ``skew`` symmetry defect, ``flow_match`` of a bracket's flow
+    against the commutator of flows, and ``conservation`` of the base
+    differential along the flows.
 
     Outer differentiation widens the step to sqrt(h): inner values carry
     an error of order h^2 already, and dividing by a same-order step
@@ -277,12 +256,10 @@ def check_bracket_laws(f, g, fiber_at, points, h=DEFAULT_STEP, tol=1e-4):
 
         return at
 
-    skew = 0.0
-    match = 0.0
-    cons = 0.0
+    res = {"skew": 0.0, "flow_match": 0.0, "conservation": 0.0}
     for x in points:
         x = np.asarray(x, dtype=float)
-        skew = max(skew, abs(fg.value(x) + gf.value(x)))
+        res["skew"] = worse(res["skew"], abs(fg.value(x) + gf.value(x)))
         dim = x.shape[0]
         lie = vector_commutator(
             flow_field(f, h, tol), flow_field(g, h, tol), x, dim, h2
@@ -290,12 +267,14 @@ def check_bracket_laws(f, g, fiber_at, points, h=DEFAULT_STEP, tol=1e-4):
         s_fg = hamiltonian_vector(fg, fiber_at, [x], h=h2, tol=max(tol, 1e-3))[0]
         if s_fg.vector is None:
             raise ValueError("bracket of the inputs stopped being admissible")
-        match = max(match, float(np.max(np.abs(s_fg.vector - lie))))
+        match = float(np.max(np.abs(s_fg.vector - lie)))
+        res["flow_match"] = worse(res["flow_match"], match)
         for obs in (f, g):
-            cons = max(
-                cons, hamiltonian_vector(obs, fiber_at, [x], h=h, tol=tol)[0].conservation
+            res["conservation"] = worse(
+                res["conservation"],
+                hamiltonian_vector(obs, fiber_at, [x], h=h, tol=tol)[0].conservation,
             )
-    return BracketLawReport(skew=skew, flow_match=match, conservation=cons, tol=tol)
+    return Report(res, tol=tol)
 
 
 def jacobi_residual(f, g, k, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
@@ -309,7 +288,7 @@ def jacobi_residual(f, g, k, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
             inner = poisson_bracket(b, c, fiber_at, h=h, tol=tol)
             outer = poisson_bracket(a, inner, fiber_at, h=h2, tol=max(tol, 1e-3))
             total += outer.value(x)
-        worst = max(worst, abs(total))
+        worst = worse(worst, abs(total))
     return worst
 
 
@@ -375,29 +354,6 @@ class OrbitDescription:
         return cls(cons, tuple(pts), **kwargs)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    """Bracket restricted to a constraint locus, with its stability data."""
-
-    values: tuple
-    extension_residual: float
-    tangency_residual: float
-    tol: float
-
-    @property
-    def passed(self):
-        return max(self.extension_residual, self.tangency_residual) < self.tol
-
-    def as_dict(self):
-        return {
-            "values": list(self.values),
-            "extension_residual": self.extension_residual,
-            "tangency_residual": self.tangency_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
 def reduce_to_orbit(
     orbit,
     f,
@@ -417,7 +373,9 @@ def reduce_to_orbit(
     presumes the constraints are themselves constant along the action,
     which is what the tangency residual reports when an action frame is
     supplied.  With no constraints the locus is everything and the
-    report collapses to the plain bracket.
+    report collapses to the plain bracket.  The report gates the
+    ``extension`` and ``tangency`` residuals and carries the restricted
+    bracket at each sample as ``data["values"]``.
     """
     f = observable(f)
     g = observable(g)
@@ -438,7 +396,7 @@ def reduce_to_orbit(
             ObservableFunction(fn=shifted, name=f.name + "+ext"), g, fiber_at, h=h, tol=tol
         )
         for x, base in zip(orbit.samples, values):
-            ext_res = max(ext_res, abs(fg_ext.value(x) - base))
+            ext_res = worse(ext_res, abs(fg_ext.value(x) - base))
 
     tang = 0.0
     if action_field is not None:
@@ -447,8 +405,8 @@ def reduce_to_orbit(
             if cols.size == 0:
                 continue
             for c in orbit.constraints:
-                tang = max(tang, float(np.max(np.abs(c.gradient(x, h) @ cols))))
+                tang = worse(tang, float(np.max(np.abs(c.gradient(x, h) @ cols))))
 
-    return ReductionReport(
-        values=values, extension_residual=ext_res, tangency_residual=tang, tol=tol
+    return Report(
+        {"extension": ext_res, "tangency": tang}, tol=tol, data={"values": values}
     )

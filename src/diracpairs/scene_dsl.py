@@ -12,9 +12,10 @@ which is the round-trip contract the golden tests pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import rational as rat
 from .dictionary import k_from_quasi, pi_from_k
@@ -27,6 +28,7 @@ from .quadratic_lie import (
     first_unclosed_pair,
     structure_from_table,
 )
+from .report import Report
 from .splitting import (
     IsotropicSplitting,
     check_quasi_jacobi,
@@ -314,12 +316,15 @@ class _Parser:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def parse_float(self, what):
+    def parse_positive_float(self, what):
         tok = self.peek()
         if tok.kind not in ("int", "float"):
             self.fail(f"expected {what}")
+        value = float(tok.text)
+        if not (math.isfinite(value) and value > 0):
+            self.fail(f"{what} must be finite and positive", tok)
         self.advance()
-        return float(tok.text)
+        return value
 
     def parse_combo(self, basis_index, dim):
         vec = [Fraction(0)] * dim
@@ -629,7 +634,10 @@ class _Parser:
         samples, seed, tol, step = 50, 0, 1e-6, 1e-4
         if self.at_ident("samples"):
             self.advance()
+            count_tok = self.peek()
             samples = self.expect_int("the sample count")
+            if samples < 1:
+                self.fail("sample count must be at least 1", count_tok)
             self.expect_punct(";", "after the sample count")
         if self.at_ident("seed"):
             self.advance()
@@ -637,11 +645,11 @@ class _Parser:
             self.expect_punct(";", "after the seed")
         if self.at_ident("tol"):
             self.advance()
-            tol = self.parse_float("a tolerance")
+            tol = self.parse_positive_float("a tolerance")
             self.expect_punct(";", "after the tolerance")
         if self.at_ident("step"):
             self.advance()
-            step = self.parse_float("a step size")
+            step = self.parse_positive_float("a step size")
             self.expect_punct(";", "after the step size")
         self.expect_punct("}", "to close the example body")
         self.declare(
@@ -757,13 +765,6 @@ def print_scene(ir):
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    status: str  # pass or fail
-    residual: Optional[float] = None
-    witness: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class PlanStep:
     name: str
     kind: str
@@ -782,22 +783,14 @@ class ValidatedScene:
     plan: tuple
 
 
-def _passfail(ok, witness=None, residual=None):
-    return CheckOutcome(
-        "pass" if ok else "fail",
-        residual=residual,
-        witness=None if ok else witness,
-    )
-
-
 def validate_scene(ir, example_registry=None):
     """Construct the exact objects a scene declares and compile its checks.
 
     Construction-time invariants run eagerly: a declared algebra failing
     the bracket axioms, a non-Lagrangian fiber, or a bad splitting image
     raise SceneError naming the declaration.  ``example_registry`` maps
-    example names to callables ``fn(samples, seed, tol, step) -> dict``
-    with keys ``passed``, ``residual`` and optionally ``detail``.
+    example names to callables ``fn(samples, seed, tol, step) -> Report``.
+    Every plan step runs to a `Report`.
     """
     algebras = {}
     subspaces = {}
@@ -830,7 +823,7 @@ def validate_scene(ir, example_registry=None):
                 raise SceneError(d.name, str(e))
             report = check_quadratic_lie(alg)
             if not report.passed:
-                raise SceneError(d.name, f"bracket axioms fail: {report.witness}")
+                raise SceneError(d.name, f"bracket axioms fail: {report.describe()}")
             algebras[d.name] = alg
         elif d.kind == "subspace":
             alg = algebras[d.algebra]
@@ -880,7 +873,9 @@ def validate_scene(ir, example_registry=None):
 
             def run():
                 ok = is_lagrangian(form, sub)
-                return _passfail(ok, witness=f"dim {sub.dim} in ambient {sub.ambient_dim}")
+                return Report.verdict(
+                    "lagrangian", ok, f"dim {sub.dim} in ambient {sub.ambient_dim}"
+                )
 
         elif check.kind == "subalgebra":
             sub = subspaces[target]
@@ -888,21 +883,19 @@ def validate_scene(ir, example_registry=None):
 
             def run():
                 bad = first_unclosed_pair(alg.bracket, sub)
-                return _passfail(bad is None, witness=f"basis pair {bad}")
+                return Report.verdict("closure", bad is None, f"basis pair {bad}")
 
         elif check.kind == "quadratic":
             alg = algebras[target]
 
             def run():
-                report = check_quadratic_lie(alg)
-                return _passfail(report.passed, witness=str(report.witness))
+                return check_quadratic_lie(alg)
 
         elif check.kind == "morphism":
             fib = fibers[target]
 
             def run():
-                r = check_hamiltonian_fiber(fib)
-                return _passfail(r["agree"] and r["definition"], witness=str(r))
+                return check_hamiltonian_fiber(fib)
 
         elif check.kind == "roundtrip":
             fib = fibers[target]
@@ -913,15 +906,14 @@ def validate_scene(ir, example_registry=None):
                 q = pi_from_k(fib, sp)
                 back = k_from_quasi(q, dJ=fib.dJ, rho=fib.rho, realization=sp)
                 ok = back.K == fib.K
-                return _passfail(ok, witness="round trip moved the Lagrangian")
+                return Report.verdict("roundtrip", ok, "round trip moved the Lagrangian")
 
         elif check.kind == "splitting":
             sp = splittings[target]
 
             def run():
                 data = derive_quasi_data(sp.pair, sp)
-                report = check_quasi_jacobi(subalgebra_structure(sp.pair), data)
-                return _passfail(report.passed, witness=str(report.witness))
+                return check_quasi_jacobi(subalgebra_structure(sp.pair), data)
 
         else:  # example
             decl = examples[target]
@@ -930,13 +922,8 @@ def validate_scene(ir, example_registry=None):
             fn = example_registry[target]
 
             def run():
-                out = fn(
+                return fn(
                     samples=decl.samples, seed=decl.seed, tol=decl.tol, step=decl.step
-                )
-                return _passfail(
-                    bool(out.get("passed")),
-                    witness=str(out.get("detail", "")),
-                    residual=out.get("residual"),
                 )
 
         return PlanStep(name=f"{check.kind} {target}", kind=check.kind, target=target, run=run)

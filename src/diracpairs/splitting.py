@@ -14,12 +14,13 @@ factorial normalizations float around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from . import rational as rat
 from .exact_linear import canonicalize
+from .report import Report
 
 # ---------------------------------------------------------------------------
 # dense antisymmetric tensors
@@ -389,32 +390,15 @@ def derive_quasi_data(pair, splitting):
     return QuasiBialgebraData(a_dim=r, F=f, chi=chi, rho_Astar=())
 
 
-@dataclass(frozen=True)
-class QuasiJacobiReport:
-    coherence: bool
-    defect_closed: bool
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return self.coherence and self.defect_closed
-
-    def as_dict(self):
-        return {
-            "coherence": self.coherence,
-            "defect_closed": self.defect_closed,
-            "witness": {k: str(v) for k, v in self.witness.items()},
-            "passed": self.passed,
-        }
-
-
 def check_quasi_jacobi(a_structure, data, max_degree=3):
     """Verify, exactly on basis multivectors up to ``max_degree``, that the
     square of the induced codifferential is bracketing with the defect, and
-    that the defect itself is closed."""
+    that the defect itself is closed.  ``coherence`` counts the basis
+    multivectors where the first identity fails; ``defect`` is 1 when the
+    defect is not closed."""
     dim = data.a_dim
     witness = {}
-    coherence = True
+    coherence = 0
     for degree in range(1, max_degree + 1):
         if degree > dim:
             break
@@ -430,13 +414,17 @@ def check_quasi_jacobi(a_structure, data, max_degree=3):
                 data.chi, t, degree, a_structure, TOP_BRACKET_SIGN
             )
             if not tensor_is_zero(add_tensors(twice, scale_tensor(-1, target))):
-                coherence = False
+                coherence += 1
                 witness.setdefault("coherence", idx)
     d_chi = apply_codifferential(data.chi, 3, data.F, dim)
-    defect_closed = tensor_is_zero(d_chi)
-    if not defect_closed:
-        witness.setdefault("defect_closed", "d(chi) != 0")
-    return QuasiJacobiReport(coherence, defect_closed, witness)
+    defect = 0 if tensor_is_zero(d_chi) else 1
+    if defect:
+        witness["defect"] = "d(chi) != 0"
+    return Report(
+        {"coherence": coherence, "defect": defect},
+        exact={"coherence", "defect"},
+        witness=witness,
+    )
 
 
 def _basis_component(idx, i):

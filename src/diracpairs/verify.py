@@ -1,12 +1,14 @@
 """Named end-to-end examples runnable from scenes and the command line.
 
-Every entry is a callable ``fn(samples, seed, tol, step) -> dict`` with
-keys ``passed``, ``residual``, ``detail``.  The residual is the worst
-defect the run measured; ``detail`` says where it came from.  Entries
+Every entry is a callable ``fn(samples, seed, tol, step) -> Report``
+whose quantities are the worst defects the run measured, gated by ``tol``.
+A construction gate that rejects the arguments raises ValueError.  Entries
 draw their probe points from the given seed so reports are reproducible.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -14,6 +16,7 @@ from . import numeric_manifold as nm
 from . import reduction as red
 from . import so3
 from .quadratic_lie import catalog
+from .report import Report, worse
 
 
 def _flat_points(samples, seed, dim=3, scale=1.0):
@@ -35,25 +38,13 @@ def flat_twisted_axioms(samples, seed, tol, step):
     three-dimensional chart."""
     chart = nm.Chart(3, _flat_points(samples, seed), name="flat3")
     c = nm.make_standard_twisted(chart, nm.volume_form(3), h=step)
-    rep = nm.check_axioms_numeric(c, tol=tol, h=step)
-    worst = max(rep.residuals, key=lambda k: rep.residuals[k])
-    return {
-        "passed": rep.passed,
-        "residual": float(max(rep.residuals.values())),
-        "detail": f"worst axiom {worst}",
-    }
+    return nm.check_axioms_numeric(c, tol=tol, h=step)
 
 
 def rotation_dressing_axioms(samples, seed, tol, step):
     """Bracket axioms for the rotation double over its dressing chart."""
     _, _, cd = _dressing(samples, seed, step)
-    rep = nm.check_axioms_numeric(cd, tol=tol, h=step)
-    worst = max(rep.residuals, key=lambda k: rep.residuals[k])
-    return {
-        "passed": rep.passed,
-        "residual": float(max(rep.residuals.values())),
-        "detail": f"worst axiom {worst}",
-    }
+    return nm.check_axioms_numeric(cd, tol=tol, h=step)
 
 
 def rotation_strong_section(samples, seed, tol, step):
@@ -80,17 +71,10 @@ def rotation_strong_section(samples, seed, tol, step):
         return lx, canonicalize(ls_rows, 6).basis, rat.identity(3)
 
     jmap = nm.MapField.identity(3)
-    reps = nm.check_strong_dirac(
+    return nm.check_strong_dirac(
         jmap, ds.basis_at, ds.basis_at, pts, phi=can.phi, h=step, tol=tol,
         exact_fibers=exact_fibers,
     )
-    residual = max(r.integrability_residual for r in reps)
-    structural = all(r.inclusion and r.transversality for r in reps)
-    return {
-        "passed": structural and residual < tol,
-        "residual": float(residual),
-        "detail": "integrability over exact strong fibers",
-    }
 
 
 def rotation_quasi_poisson(samples, seed, tol, step):
@@ -104,7 +88,7 @@ def rotation_quasi_poisson(samples, seed, tol, step):
     qd = sp_mod.derive_quasi_data(pair, sp)
     pi, rho_x, rho_astar = nm.make_quasi_pi_field(cd, sp.j)
     exact = nm.make_exact_quasi_pi(cd, sp.j)
-    rep = nm.check_quasi_poisson(
+    return nm.check_quasi_poisson(
         pi,
         rho_x,
         nm.MapField.identity(3),
@@ -116,12 +100,6 @@ def rotation_quasi_poisson(samples, seed, tol, step):
         h=step,
         tol=tol,
     )
-    residual = max(rep.jacobiator, rep.lie_compat, rep.sharp_compat)
-    return {
-        "passed": rep.passed,
-        "residual": float(residual),
-        "detail": f"sharp identity exact: {rep.sharp_exact}",
-    }
 
 
 def rotation_canonical_fibers(samples, seed, tol, step):
@@ -131,16 +109,12 @@ def rotation_canonical_fibers(samples, seed, tol, step):
     fiber within tolerance."""
     _, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
-    worst = 0.0
+    res = {}
     for x in pts:
         can.frozen_fiber(x)
-        res = can.generator_residuals(x, h=step)
-        worst = max(worst, max(res.values()))
-    return {
-        "passed": worst < tol,
-        "residual": float(worst),
-        "detail": f"{len(pts)} exact fibers, worst generator family defect",
-    }
+        for family, value in can.generator_residuals(x, h=step).items():
+            res[family] = worse(res.get(family, 0.0), value)
+    return Report(res, tol=tol)
 
 
 def planar_symplectic_reduction(samples, seed, tol, step):
@@ -152,16 +126,13 @@ def planar_symplectic_reduction(samples, seed, tol, step):
     fx = red.observable(lambda x: float(x[0]), grad=lambda x: np.array([1.0, 0.0]))
     fy = red.observable(lambda x: float(x[1]), grad=lambda x: np.array([0.0, 1.0]))
     bracket = red.poisson_bracket(fx, fy, fiber_at, h=step)
-    worst = max(abs(bracket.value(x) - 1.0) for x in pts)
+    coordinate = reduce(worse, (abs(bracket.value(x) - 1.0) for x in pts), 0.0)
     laws = red.check_bracket_laws(fx, fy, fiber_at, pts[: min(4, len(pts))], h=step)
-    worst = max(worst, laws.skew, laws.flow_match, laws.conservation)
     fq = red.observable(lambda x: 0.5 * float(x @ x), grad=lambda x: np.asarray(x, float))
-    worst = max(worst, red.jacobi_residual(fx, fy, fq, fiber_at, pts[:3], h=step))
-    return {
-        "passed": worst < tol,
-        "residual": float(worst),
-        "detail": "coordinate bracket, bracket laws, Jacobi",
-    }
+    jacobi = red.jacobi_residual(fx, fy, fq, fiber_at, pts[:3], h=step)
+    return Report(
+        {"coordinate_bracket": coordinate, **laws.quantities, "jacobi": jacobi}, tol=tol
+    )
 
 
 EXAMPLES = {

@@ -72,6 +72,28 @@ def test_check_reports_failures_with_exit_one(tmp_path):
     assert rep["summary"]["pass"] == 1
 
 
+EXACT_KINDS = {"lagrangian", "subalgebra", "quadratic", "morphism", "roundtrip", "splitting"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(FIXTURES.glob("*.mp")) if p.name != "broken.mp"],
+    ids=lambda p: p.stem,
+)
+def test_check_entries_keep_the_schema_one_shape(path):
+    code, out, _ = run_cli("check", "--json", str(path))
+    assert code == 0
+    for entry in json.loads(out)["checks"]:
+        assert set(entry) == {"name", "status", "residual", "witness", "elapsed_ms"}
+        kind = entry["name"].split()[0]
+        if kind in EXACT_KINDS:
+            assert entry["residual"] is None, entry
+        else:
+            assert kind == "example"
+            assert isinstance(entry["residual"], float), entry
+        assert entry["status"] == "pass" and entry["witness"] is None, entry
+
+
 def test_check_rejects_unreadable_and_unparseable_input(tmp_path):
     code, out, err = run_cli("check", str(tmp_path / "missing.mp"))
     assert code == 2
@@ -199,22 +221,29 @@ def test_verify_example_json_is_deterministic():
     assert rep1["samples"] == 2
 
 
+BAD_ARGUMENTS = [
+    # argparse rejects these before any example runs
+    ("planar_symplectic_reduction", "--samples", "0", "argument --samples"),
+    ("planar_symplectic_reduction", "--samples", "-3", "argument --samples"),
+    ("planar_symplectic_reduction", "--fd-step", "0", "argument --fd-step"),
+    ("planar_symplectic_reduction", "--tol", "inf", "argument --tol"),
+    ("planar_symplectic_reduction", "--tol", "nan", "argument --tol"),
+    ("planar_symplectic_reduction", "--tol", "-1", "argument --tol"),
+    # a valid float that the dressing bundle's construction gate rejects
+    ("rotation_dressing_axioms", "--fd-step", "1e-12", "example rotation_dressing_axioms"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag,value",
-    [
-        ("--samples", "0"),
-        ("--samples", "-3"),
-        ("--fd-step", "0"),
-        ("--tol", "inf"),
-        ("--tol", "nan"),
-        ("--tol", "-1"),
-    ],
+    "name,flag,value,message",
+    BAD_ARGUMENTS,
+    ids=[f"{flag}-{value}" for _, flag, value, _ in BAD_ARGUMENTS],
 )
-def test_verify_example_rejects_bad_numeric_arguments(flag, value, capsys):
-    code, out, _ = run_cli("verify-example", "planar_symplectic_reduction", flag, value)
+def test_verify_example_rejects_bad_numeric_arguments(name, flag, value, message, capsys):
+    code, out, err = run_cli("verify-example", name, flag, value)
     assert code == 2
     assert out == ""
-    assert f"argument {flag}" in capsys.readouterr().err
+    assert message in err + capsys.readouterr().err
 
 
 def test_verify_example_rejects_unknown_names():

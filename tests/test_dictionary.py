@@ -136,12 +136,12 @@ def test_form_graph_fiber_validity_tracks_invertibility():
     rows = [tuple(e) + tuple(col) for e, col in zip(rat.identity(2), omega)]
     good = k_from_dirac(DiracPointData(canonicalize(rows, 4)), dj, ident)
     rep = check_hamiltonian_fiber(good)
-    assert rep["definition"] and rep["equivalent"]
+    assert rep.quantities == {"definition": 0, "equivalent": 0}
     degenerate = DiracPointData(canonicalize([[1, 0, 0, 0], [0, 1, 0, 0]], 4))
     bad = k_from_dirac(degenerate, dj, ident)
     rep = check_hamiltonian_fiber(bad)
-    assert not rep["definition"]
-    assert rep["agree"]
+    assert rep.quantities["definition"] == 1
+    assert rep.quantities["equivalent"] == rep.quantities["definition"]
 
 
 def test_direct_lagrangian_formula_matches_the_fiber_route():

@@ -81,8 +81,8 @@ def test_axiom_report_passes_for_standard_bundles(standard3, twisted3, flat3):
     for c in (standard3, twisted3):
         rep = nm.check_axioms_numeric(c, points=pts[:2])
         assert rep.passed
-        assert rep.residuals["anchor_coisotropy"] == 0.0
-        assert max(rep.residuals.values()) < 1e-6
+        assert rep.quantities["anchor_coisotropy"] == 0.0
+        assert rep.residual < 1e-6
 
 
 def linear_volume_twist():
@@ -114,8 +114,22 @@ def test_nonclosed_twist_is_rejected_then_breaks_jacobi():
     rhs = rhs + broken.bracket_at(e[1], broken.bracket(e[0], e[2]), x)
     assert float(np.max(np.abs(lhs - rhs))) > 1e-3
     rep = nm.check_axioms_numeric(broken, points=pts[:1], triples=((0, 1, 2),))
-    assert rep.residuals["c1_jacobi"] > 1e-3
+    assert rep.quantities["c1_jacobi"] > 1e-3
     assert not rep.passed
+
+
+def test_nan_twist_fails_the_closedness_gate_and_the_axioms():
+    # four dimensions, so the gate differentiates the three-form at all
+    rng = np.random.default_rng(11)
+    pts = tuple(rng.uniform(-0.5, 0.5, size=4) for _ in range(2))
+    chart = nm.Chart(4, pts, name="flat4")
+    nan_twist = np.full((4, 4, 4), np.nan)
+    with pytest.raises(ValueError, match="not closed"):
+        nm.make_standard_twisted(chart, nan_twist)
+    broken = nm.make_standard_twisted(chart, nan_twist, check_closed=False)
+    rep = nm.check_axioms_numeric(broken, points=pts[:1], triples=((0, 1, 2),))
+    assert not rep.passed
+    assert math.isnan(rep.quantities["c1_jacobi"])
 
 
 def test_bracket_error_shrinks_with_the_step(flat3):
@@ -248,7 +262,7 @@ def test_canonical_fibers_freeze_to_exact_hamiltonian_data(canonical_space, so3_
     assert frozen.pair is canonical_space.courant.pair
     assert frozen.dJ == rat.identity(3)
     rep = check_hamiltonian_fiber(frozen)
-    assert rep["definition"] and rep["equivalent"] and rep["agree"]
+    assert rep.quantities == {"definition": 0, "equivalent": 0}
 
 
 def test_canonical_generator_families_stay_in_the_fiber(canonical_space, so3_points):
@@ -278,11 +292,10 @@ def test_strong_map_report_for_the_identity_moment_map(dressing, so3_pair, so3_p
     field = nm.dirac_of_pair(dressing, so3_pair.g, s)
     jmap = nm.MapField.identity(3)
     pts = [np.asarray(x, float) for x in so3_points[:3]]
-    reports = nm.check_strong_dirac(jmap, field.basis_at, field.basis_at, pts, phi=phi)
-    for r in reports:
-        assert r.passed
-        assert not r.exact
-        assert r.integrability_residual < 1e-6
+    rep = nm.check_strong_dirac(jmap, field.basis_at, field.basis_at, pts, phi=phi)
+    assert rep.passed
+    assert rep.exact == {"transversality"}
+    assert rep.quantities["integrability"] < 1e-6
 
 
 def test_strong_map_report_on_frozen_exact_fibers(
@@ -303,13 +316,12 @@ def test_strong_map_report_on_frozen_exact_fibers(
         return lx_rows, ls_rows, rat.identity(3)
 
     pts = [np.asarray(x, float) for x in so3_points[:2]]
-    reports = nm.check_strong_dirac(
+    rep = nm.check_strong_dirac(
         jmap, field.basis_at, field.basis_at, pts, phi=phi, exact_fibers=exact_fibers
     )
-    for r in reports:
-        assert r.exact and r.passed
-        assert r.inclusion_residual == 0.0
-        assert r.integrability_residual < 1e-6
+    assert rep.exact == {"inclusion", "transversality"} and rep.passed
+    assert rep.quantities["inclusion"] == 0.0
+    assert rep.quantities["integrability"] < 1e-6
 
 
 def test_strong_map_fails_for_a_collapsing_target(flat3):
@@ -318,11 +330,11 @@ def test_strong_map_fails_for_a_collapsing_target(flat3):
     rows = np.hstack([np.eye(3), omega])
     target_rows = np.hstack([np.eye(3), np.zeros((3, 3))])
     jmap = nm.MapField.constant(np.zeros(3), 3)
-    reports = nm.check_strong_dirac(
+    rep = nm.check_strong_dirac(
         jmap, lambda x: rows, lambda y: target_rows, [pts[0]]
     )
-    assert reports[0].transversality is False
-    assert reports[0].passed is False
+    assert rep.quantities["transversality"] == 1
+    assert rep.passed is False
 
 
 def test_quasi_bivector_field_is_antisymmetric_and_sharp_compatible(
@@ -366,10 +378,10 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
         funcs=funcs,
     )
     assert rep.passed
-    assert rep.sharp_exact
-    assert rep.sharp_compat == 0.0
-    assert rep.jacobiator < 1e-6
-    assert rep.lie_compat < 1e-4
+    assert "sharp_compat" in rep.exact
+    assert rep.quantities["sharp_compat"] == 0
+    assert rep.quantities["jacobiator"] < 1e-6
+    assert rep.quantities["lie_compat"] < 1e-4
     # without frozen fibers the sharp identity runs in floats
     float_rep = nm.check_quasi_poisson(
         pi,
@@ -382,8 +394,34 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
         funcs=funcs[:3],
     )
     assert float_rep.passed
-    assert not float_rep.sharp_exact
-    assert float_rep.sharp_compat < 1e-10
+    assert "sharp_compat" not in float_rep.exact
+    assert float_rep.quantities["sharp_compat"] < 1e-10
+
+
+def test_a_wrong_exact_sharp_identity_fails_the_report(
+    dressing, so3_splitting, so3_quasi_data, so3_points
+):
+    pi, rho_x, _ = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    fibers = nm.make_exact_quasi_pi(dressing, so3_splitting.j)
+
+    def broken(x):
+        fb = fibers(x)
+        shifted = tuple(tuple(v + 1 for v in row) for row in fb["rho_astar"])
+        return {**fb, "rho_astar": shifted}
+
+    rep = nm.check_quasi_poisson(
+        pi,
+        rho_x,
+        nm.MapField.identity(3),
+        so3_quasi_data.chi,
+        so3_quasi_data.F,
+        [np.asarray(so3_points[0], float)],
+        exact_fibers=broken,
+        funcs=nm.scalar_library(3)[:3],
+    )
+    assert not rep.passed
+    assert rep.quantities["sharp_compat"] != 0
+    assert not rep.holds("sharp_compat")
 
 
 def test_linear_rotation_poisson_satisfies_jacobi(flat3):
@@ -399,9 +437,9 @@ def test_linear_rotation_poisson_satisfies_jacobi(flat3):
         funcs=nm.scalar_library(3)[:4],
     )
     assert rep.passed
-    assert rep.jacobiator < 1e-6
-    assert rep.lie_compat == 0.0
-    assert not rep.sharp_exact
+    assert rep.quantities["jacobiator"] < 1e-6
+    assert rep.quantities["lie_compat"] == 0.0
+    assert "sharp_compat" not in rep.exact
 
 
 def test_group_trace_probe_matches_rotation_angles():

@@ -8,6 +8,7 @@ import pytest
 from diracpairs import scene_dsl as sd
 from diracpairs import verify
 from diracpairs.quadratic_lie import catalog
+from diracpairs.report import Report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = sorted(FIXTURES.glob("*.mp"))
@@ -49,7 +50,7 @@ def test_minimal_scene_parses_validates_and_passes():
     assert set(scene.pairs) == {"p"}
     for step in scene.plan:
         out = step.run()
-        assert out.status == "pass", (step.name, out)
+        assert out.passed, (step.name, out)
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
@@ -67,7 +68,7 @@ def test_golden_scenes_run_clean(path):
     assert scene.plan
     for step in scene.plan:
         out = step.run()
-        assert out.status == "pass", (path.name, step.name, out)
+        assert out.passed, (path.name, step.name, out)
 
 
 def test_rotation_scene_reconstructs_the_catalog_double():
@@ -133,6 +134,10 @@ def test_fraction_coefficients_survive_parsing():
             7,
             "check directive",
         ),
+        ("example e { samples 0; }", 1, 21, "at least 1"),
+        ("example e { tol 0; }", 1, 17, "finite and positive"),
+        ("example e { tol 1e999; }", 1, 17, "finite and positive"),
+        ("example e { step 0; }", 1, 18, "finite and positive"),
     ],
 )
 def test_parse_errors_carry_positions(text, line, col, fragment):
@@ -168,12 +173,12 @@ def test_example_checks_route_through_the_registry():
 
     def fake(samples, seed, tol, step):
         seen.update(samples=samples, seed=seed, tol=tol, step=step)
-        return {"passed": True, "residual": 1.25e-9}
+        return Report({"probe": 1.25e-9}, tol=tol)
 
     ir = sd.parse_scene(text)
     scene = sd.validate_scene(ir, example_registry={"spin_probe": fake})
     out = scene.plan[0].run()
-    assert out.status == "pass"
+    assert out.passed
     assert out.residual == 1.25e-9
     assert seen == {"samples": 7, "seed": 3, "tol": 1e-05, "step": 1e-4}
     with pytest.raises(sd.SceneError):
@@ -188,7 +193,7 @@ def test_failed_checks_report_a_witness():
     )
     scene = sd.validate_scene(sd.parse_scene(text))
     out = scene.plan[0].run()
-    assert out.status == "fail"
+    assert not out.passed
     assert out.witness
 
 

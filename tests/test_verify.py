@@ -19,9 +19,9 @@ def test_registry_names_are_stable():
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_each_example_passes_at_small_samples(name):
     result = verify.run_example(name, samples=3, seed=1)
-    assert result["passed"], result
-    assert result["residual"] < 1e-4
-    assert isinstance(result["detail"], str) and result["detail"]
+    assert result.passed, result
+    assert result.residual < 1e-4
+    assert result.quantities and result.describe() == ""
 
 
 def test_examples_are_seed_reproducible():
