@@ -8,6 +8,13 @@ induced three-form, half-subalgebra Dirac fields, the canonical moment
 geometries, and the bivector compatibility checks.  Residual reports are
 the product; nothing in this module proves anything symbolically.
 
+Every derivative here, and in ``reduction``, is a ``partial_table``: the
+central differences of a field along the coordinate axes, built on
+``directional_derivative``.  A scalar's partial table is its gradient, and
+the brackets take one table and one value per section.  This is the one
+place a derivative is taken, so exact jets replace finite differences by
+replacing it.
+
 Conventions shared with the exact tier: sections are component vectors in a
 fixed trivialization, the pairing gram is constant, covectors act by rows,
 ``i_alpha(u ^ v) = alpha(u) v - alpha(v) u``, and a three-form is stored as
@@ -20,11 +27,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
 from . import rational as rat
 from . import so3
+from .dictionary import DiracPointData, forward_dirac
 from .exact_linear import canonicalize
 from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
@@ -96,27 +105,22 @@ class SectionField:
 
 def directional_derivative(f, x, v, h=DEFAULT_STEP):
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return (np.asarray(f(x + h * v), dtype=float) - np.asarray(f(x - h * v), dtype=float)) / (2.0 * h)
+    step = h * np.asarray(v, dtype=float)
+    return (np.asarray(f(x + step), dtype=float) - np.asarray(f(x - step), dtype=float)) / (2.0 * h)
 
 
 def partial_table(f, x, dim, h=DEFAULT_STEP):
-    """Matrix of partials ``P[c, m] = d f_c / d x_m`` by central differences."""
+    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences; for
+    a scalar ``f`` this is its gradient."""
     cols = []
     for m in range(dim):
         e = np.zeros(dim)
         e[m] = 1.0
         cols.append(directional_derivative(f, x, e, h))
+    if np.ndim(cols[0]) == 0:
+        # a gradient: np.stack of 0-d columns is several times slower
+        return np.array(cols)
     return np.stack(cols, axis=-1)
-
-
-def gradient(f, x, dim, h=DEFAULT_STEP):
-    g = np.empty(dim)
-    for m in range(dim):
-        e = np.zeros(dim)
-        e[m] = 1.0
-        g[m] = (f(np.asarray(x, float) + h * e) - f(np.asarray(x, float) - h * e)) / (2.0 * h)
-    return g
 
 
 def vector_commutator(v1, v2, x, dim, h=DEFAULT_STEP):
@@ -125,41 +129,15 @@ def vector_commutator(v1, v2, x, dim, h=DEFAULT_STEP):
     return p2 @ np.asarray(v1(x), float) - p1 @ np.asarray(v2(x), float)
 
 
-def d_one_form(alpha, x, dim, h=DEFAULT_STEP):
-    """Components ``D[m, j] = (d alpha)(e_m, e_j)``."""
-    p = partial_table(alpha, x, dim, h)
-    return p.T - p
-
-
-def lie_derivative_one_form(v, alpha, x, dim, h=DEFAULT_STEP):
-    pa = partial_table(alpha, x, dim, h)
-    pv = partial_table(v, x, dim, h)
-    return pa @ np.asarray(v(x), float) + pv.T @ np.asarray(alpha(x), float)
-
-
 def exterior_derivative(form, degree, x, dim, h=DEFAULT_STEP):
-    """Full component array of d(form) on constant coordinate frames.  A
-    degree above the chart dimension comes back as an empty-sized zero
-    array (every top-degree form is closed)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((dim,) * (degree + 1))
+    """Full component array of d(form) on constant coordinate frames.  When
+    degree + 1 exceeds the chart dimension the result is the full zero
+    array and the form is never evaluated (every top-degree form is
+    closed)."""
     if degree + 1 > dim:
-        return out
-    partials = []
-    for m in range(dim):
-        e = np.zeros(dim)
-        e[m] = 1.0
-        pm = (np.asarray(form(x + h * e), float) - np.asarray(form(x - h * e), float)) / (2.0 * h)
-        partials.append(pm)
-    import itertools
-
-    for idx in itertools.product(range(dim), repeat=degree + 1):
-        total = 0.0
-        for r in range(degree + 1):
-            rest = idx[:r] + idx[r + 1 :]
-            total += (-1.0) ** r * partials[idx[r]][rest]
-        out[idx] = total
-    return out
+        return np.zeros((dim,) * (degree + 1))
+    p = partial_table(form, x, dim, h)
+    return sum((-1.0) ** r * np.moveaxis(p, -1, r) for r in range(degree + 1))
 
 
 @dataclass
@@ -230,6 +208,26 @@ def _phi_as_field(phi, dim):
     return lambda x: arr
 
 
+def twisted_bracket(e1, e2, x, phi_field, h=DEFAULT_STEP):
+    """Twisted bracket of tangent-plus-cotangent sections at ``x``:
+
+        [[X + a, Y + b]] = [X, Y] + L_X b - i_Y da + phi(X, Y, .)
+
+    from one partial table and one value per section."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    p1 = partial_table(e1, x, n, h)
+    p2 = partial_table(e2, x, n, h)
+    e1x, e2x = e1(x), e2(x)
+    v1, a1, v2, a2 = e1x[:n], e1x[n:], e2x[:n], e2x[n:]
+    vec = p2[:n] @ v1 - p1[:n] @ v2
+    cov = p2[n:] @ v1 + p1[:n].T @ a2
+    cov -= (p1[n:].T - p1[n:]).T @ v2
+    t = np.asarray(phi_field(x), dtype=float)
+    cov += np.einsum("abj,a,b->j", t, v1, v2)
+    return np.concatenate([vec, cov])
+
+
 def volume_form(dim):
     """Component array of the coordinate volume three-form (dim 3 only)."""
     if dim != 3:
@@ -252,41 +250,31 @@ def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True, cl
 
     ``phi`` is a three-form (constant array, field, or None for untwisted);
     when ``check_closed`` the exterior derivative is probed at every sample
-    point and a non-closed twist is rejected.  The negative-control tests
-    construct the broken bundle on purpose, so the gate is optional.
+    point and a non-closed twist is rejected, and so is a twist that is not
+    finite there (on a three-dimensional chart d phi is zero without phi
+    being evaluated).  The negative-control tests construct the broken
+    bundle on purpose, so the gate is optional.
     """
     n = chart.dim
     phi_field = _phi_as_field(phi, n)
     if check_closed:
         for x in chart.sample_points:
             d = exterior_derivative(phi_field, 3, x, n, h)
-            if d.size and not float(np.max(np.abs(d))) <= closed_tol:
+            if not float(np.max(np.abs(d))) <= closed_tol:
                 raise ValueError("twist three-form is not closed at a sample point")
+            if not np.all(np.isfinite(phi_field(x))):
+                raise ValueError("twist three-form is not finite at a sample point")
 
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, n:] = np.eye(n)
     gram[n:, :n] = np.eye(n)
     anchor_mat = np.hstack([np.eye(n), np.zeros((n, n))])
-
-    def bracket_at(e1, e2, x):
-        v1 = lambda y: e1(y)[:n]
-        a1 = lambda y: e1(y)[n:]
-        v2 = lambda y: e2(y)[:n]
-        a2 = lambda y: e2(y)[n:]
-        x = np.asarray(x, dtype=float)
-        vec = vector_commutator(v1, v2, x, n, h)
-        cov = lie_derivative_one_form(v1, a2, x, n, h)
-        cov -= d_one_form(a1, x, n, h).T @ v2(x)
-        t = np.asarray(phi_field(x), dtype=float)
-        cov += np.einsum("abj,a,b->j", t, v1(x), v2(x))
-        return np.concatenate([vec, cov])
-
     return CourantNumeric(
         chart=chart,
         rank=2 * n,
         gram=gram,
         anchor=lambda x: anchor_mat,
-        bracket_at=bracket_at,
+        bracket_at=lambda e1, e2, x: twisted_bracket(e1, e2, x, phi_field, h),
         step=h,
         label="standard" if phi is None else "standard-twisted",
     )
@@ -453,16 +441,18 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
         for e in pair_probes:
             sq = c.bracket_at(e, e, x)
             norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
-            want = 0.5 * (c.rho_star(x) @ gradient(norm, x, n, h))
+            want = 0.5 * (c.rho_star(x) @ partial_table(norm, x, n, h))
             res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq - want))))
 
         for a in range(0, len(lib), 2):
             e1 = lib[a]
             e2 = lib[(a + 1) % len(lib)]
-            e3 = lib[(a + 3) % len(lib)]
+            # the metric dual of e2 at x, so <e2, e3> varies wherever e2
+            # does and the metric axiom has a derivative to match
+            e3 = SectionField.constant(c.gram @ e2(x))
             scalar = lambda y, e2=e2, e3=e3: float(e2(y) @ c.gram @ e3(y))
             v = c.anchor_matrix(x) @ e1(x)
-            lhs = float(directional_derivative(lambda y: np.array([scalar(y)]), x, v, h)[0]) if np.any(v) else 0.0
+            lhs = float(directional_derivative(scalar, x, v, h)) if np.any(v) else 0.0
             rhs = float(c.bracket_at(e1, e2, x) @ c.gram @ e3(x)) + float(e2(x) @ c.gram @ c.bracket_at(e1, e3, x))
             res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
 
@@ -476,7 +466,7 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
             scaled = e2.scaled_by(f)
             lhs5 = c.bracket_at(e1, scaled, x)
             v = c.anchor_matrix(x) @ e1(x)
-            df = float(gradient(f, x, n, h) @ v)
+            df = float(partial_table(f, x, n, h) @ v)
             rhs5 = f(x) * c.bracket_at(e1, e2, x) + df * e2(x)
             res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5 - rhs5))))
 
@@ -613,15 +603,12 @@ class DiracField:
 
     def integrability_residual(self, x, phi, h=DEFAULT_STEP):
         """Closure defect of the section frame under the twisted bracket."""
-        n = self.courant.chart.dim
-        std = make_standard_twisted(
-            Chart(n, (np.asarray(x, float),)), phi, h=h, check_closed=False
-        )
+        phi_field = _phi_as_field(phi, self.courant.chart.dim)
         rows = self.basis_at(x)
         worst = 0.0
         for i in range(len(self.half_rows)):
             for j in range(i + 1, len(self.half_rows)):
-                w = std.bracket_at(self.section(i), self.section(j), x)
+                w = twisted_bracket(self.section(i), self.section(j), x, phi_field, h)
                 worst = worse(worst, lstsq_distance(rows, w))
         return worst
 
@@ -717,9 +704,8 @@ class CanonicalSpace:
         c = self.courant
         n = c.chart.dim
         x = np.asarray(x, dtype=float)
-        phi_x = self.phi(x)
         # single brackets only probe the twist at x, so freeze it there
-        std = make_standard_twisted(Chart(n, (x,)), phi_x, h=h, check_closed=False)
+        phi_x = _phi_as_field(self.phi(x), n)
         rows = self.fiber_rows(x)
 
         def a_section(a):
@@ -737,7 +723,7 @@ class CanonicalSpace:
         out = {"half_half": 0.0, "half_covector": 0.0, "covector_covector": 0.0}
 
         def membership(tx1, e1, tx2, e2, key):
-            w_tx = std.bracket_at(tx1, tx2, x)
+            w_tx = twisted_bracket(tx1, tx2, x, phi_x, h)
             w_e = c.bracket_at(e1, e2, x)
             out[key] = worse(out[key], lstsq_distance(rows, np.concatenate([w_tx, w_e])))
 
@@ -854,25 +840,25 @@ def check_strong_dirac(
     defect of the source frame.
 
     ``l_x`` and ``l_s`` are smooth float row-basis suppliers over the
-    source and target charts; they drive the FD integrability probe (when
-    ``phi``, a twist on the target chart, is given) and the float
-    inclusion/transversality ranks.  ``exact_fibers`` optionally maps a
+    source and target charts; they drive the FD integrability probe (run
+    and reported only when ``phi``, a twist on the target chart, is given)
+    and the float inclusion/transversality ranks.  ``exact_fibers`` optionally maps a
     point to ``(l_x_rows, l_s_rows, dj)`` as rational matrices; when
     present, inclusion and transversality are decided by exact rank
     arithmetic on those frozen fibers instead, and both are exact 0/1
     quantities; otherwise only transversality is.
     """
-    from . import dictionary as dict_mod
-
     q = jmap.source_dim
     m = jmap.target_dim
-    res = {"inclusion": 0.0, "transversality": 0, "integrability": 0.0}
+    res = {"inclusion": 0.0, "transversality": 0}
+    if phi is not None:
+        res["integrability"] = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
         if exact_fibers is not None:
             lx_q, ls_q, dj_q = exact_fibers(x)
-            fiber = dict_mod.DiracPointData(canonicalize(list(lx_q), 2 * q)).L
-            image = dict_mod.forward_dirac(fiber, rat.matrix(dj_q))
+            fiber = DiracPointData(canonicalize(list(lx_q), 2 * q)).L
+            image = forward_dirac(fiber, rat.matrix(dj_q))
             target = canonicalize(list(ls_q), 2 * m)
             stacked = canonicalize(list(image.basis) + list(target.basis), 2 * m)
             incl_res = 0.0 if stacked.dim == image.dim else 1.0
@@ -935,13 +921,12 @@ def check_strong_dirac(
                     djy,
                 )
 
-            std = make_standard_twisted(Chart(q, (x,)), pulled, h=h, check_closed=False)
             rows_f = np.asarray(l_x(x), dtype=float)
             for i in range(rows_f.shape[0]):
                 for j in range(i + 1, rows_f.shape[0]):
                     sec_i = SectionField(2 * q, lambda y, i=i: np.asarray(l_x(y), float)[i])
                     sec_j = SectionField(2 * q, lambda y, j=j: np.asarray(l_x(y), float)[j])
-                    w = std.bracket_at(sec_i, sec_j, x)
+                    w = twisted_bracket(sec_i, sec_j, x, pulled, h)
                     res["integrability"] = worse(
                         res["integrability"], lstsq_distance(rows_f, w)
                     )
@@ -1009,8 +994,8 @@ def poisson_bracket_field(pi, f, g, dim, h=DEFAULT_STEP):
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        gf = gradient(f, x, dim, h)
-        gg = gradient(g, x, dim, h)
+        gf = partial_table(f, x, dim, h)
+        gg = partial_table(g, x, dim, h)
         return float(gg @ np.asarray(pi(x), float).T @ gf)
 
     return value
@@ -1040,52 +1025,48 @@ def check_quasi_poisson(
     identity is algebraic and runs exactly whenever frozen fibers are
     supplied, which makes ``sharp_compat`` an exact quantity.  ``chi`` and
     ``cobracket`` use the exact splitting module's component conventions
-    (nested tuples, possibly empty for the ordinary Poisson case).
+    (nested tuples, possibly empty for the ordinary Poisson case).  An
+    identity that is not measured is absent from the report: ``lie_compat``
+    with an empty cobracket, ``sharp_compat`` with neither ``exact_fibers``
+    nor ``rho_astar``.
     """
     sign = JACOBIATOR_SIGN if sign is None else sign
     dim = jmap.source_dim
     funcs = funcs if funcs is not None else scalar_library(dim)
-    chi_f = np.array(
-        [[[float(v) for v in row] for row in plane] for plane in chi]
-    ) if chi else None
-    cob_f = (
-        np.array([[[float(v) for v in row] for row in plane] for plane in cobracket])
-        if cobracket
-        else None
-    )
+    chi_f = np.array(chi, dtype=float)
+    cob_f = np.array(cobracket, dtype=float)
 
-    res = {"jacobiator": 0.0, "lie_compat": 0.0, "sharp_compat": 0.0}
-
-    from itertools import combinations
+    res = {"jacobiator": 0.0}
+    if cob_f.size:
+        res["lie_compat"] = 0.0
+    if exact_fibers is not None or rho_astar is not None:
+        res["sharp_compat"] = 0.0
 
     for x in points:
         x = np.asarray(x, dtype=float)
-        for f, g, k in combinations(funcs, 3):
+        px = np.asarray(pi(x), float)
+        rx = np.asarray(rho_x(x), float)
+        grads = [partial_table(f, x, dim, h) for f in funcs]
+        for i, j, k in combinations(range(len(funcs)), 3):
             total = 0.0
-            for a, b, cfun in ((f, g, k), (g, k, f), (k, f, g)):
-                inner = poisson_bracket_field(pi, b, cfun, dim, h)
-                ga = gradient(a, x, dim, h)
-                gi = gradient(inner, x, dim, h)
-                total += float(gi @ np.asarray(pi(x), float).T @ ga)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                inner = poisson_bracket_field(pi, funcs[b], funcs[c], dim, h)
+                gi = partial_table(inner, x, dim, h)
+                total += float(gi @ px.T @ grads[a])
             rhs = 0.0
-            if chi_f is not None and chi_f.size:
-                rxt = np.asarray(rho_x(x), float).T
-                vf = rxt @ gradient(f, x, dim, h)
-                vg = rxt @ gradient(g, x, dim, h)
-                vk = rxt @ gradient(k, x, dim, h)
+            if chi_f.size:
+                vf, vg, vk = (rx.T @ grads[m] for m in (i, j, k))
                 rhs = sign * float(np.einsum("ijk,i,j,k->", chi_f, vf, vg, vk))
             res["jacobiator"] = worse(res["jacobiator"], abs(total - rhs))
 
-        if cob_f is not None and cob_f.size:
+        if "lie_compat" in res:
             r = cob_f.shape[0]
-            rx = np.asarray(rho_x(x), float)
+            pfield = lambda y: np.asarray(pi(y), float).reshape(-1)
+            pt = partial_table(pfield, x, dim, h).reshape(dim, dim, dim)
             for idx in range(r):
                 a = np.eye(r)[idx]
                 vfield = lambda y, a=a: np.asarray(rho_x(y), float) @ a
-                pfield = lambda y: np.asarray(pi(y), float).reshape(-1)
-                pt = partial_table(pfield, x, dim, h).reshape(dim, dim, dim)
                 vt = partial_table(vfield, x, dim, h)
-                px = np.asarray(pi(x), float)
                 vx = vfield(x)
                 lie = np.einsum("klm,m->kl", pt, vx)
                 lie -= np.einsum("ml,km->kl", px, vt)
@@ -1101,8 +1082,8 @@ def check_quasi_poisson(
             diff = (abs(v) for row in rat.mat_sub(lhs, rhs_m) for v in row)
             res["sharp_compat"] = reduce(worse, diff, res["sharp_compat"])
         elif rho_astar is not None:
-            lhs = np.asarray(pi(x), float).T @ np.asarray(jmap.jacobian(x), float).T
-            rhs_m = np.asarray(rho_x(x), float) @ np.asarray(rho_astar(x), float).T
+            lhs = px.T @ np.asarray(jmap.jacobian(x), float).T
+            rhs_m = rx @ np.asarray(rho_astar(x), float).T
             res["sharp_compat"] = worse(res["sharp_compat"], float(np.max(np.abs(lhs - rhs_m))))
 
     exact = () if exact_fibers is None else ("sharp_compat",)

@@ -20,7 +20,7 @@ from . import rational as rat
 from .numeric_manifold import (
     DEFAULT_STEP,
     DEFAULT_TOL,
-    gradient,
+    partial_table,
     vector_commutator,
 )
 from .report import Report, worse
@@ -45,7 +45,7 @@ class ObservableFunction:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        return gradient(self.fn, x, x.shape[0], h)
+        return partial_table(self.fn, x, x.shape[0], h)
 
 
 def observable(f, grad=None, name=""):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -76,6 +78,20 @@ def test_volume_twist_feeds_the_covector_leg(twisted3, flat3):
     assert twisted3.label == "standard-twisted"
 
 
+def test_standard_bracket_of_varying_sections(standard3, twisted3, flat3):
+    # X + a = x1 d0 + x2 dx0 and Y + b = x0 d2 + x2 dx0 + x0 dx1 give
+    # [X, Y] = x1 d2, L_X b = (x1 + x2) dx1, i_Y da = x0 dx0, and the volume
+    # twist phi(X, Y, .) = -x0 x1 dx1
+    _, pts = flat3
+    e1 = nm.SectionField(6, lambda y: np.array([y[1], 0, 0, y[2], 0, 0]))
+    e2 = nm.SectionField(6, lambda y: np.array([0, 0, y[0], y[2], y[0], 0]))
+    for x in pts:
+        want = np.array([0.0, 0.0, x[1], -x[0], x[1] + x[2], 0.0])
+        assert np.allclose(standard3.bracket_at(e1, e2, x), want, rtol=0, atol=1e-8)
+        want[4] -= x[0] * x[1]
+        assert np.allclose(twisted3.bracket_at(e1, e2, x), want, rtol=0, atol=1e-8)
+
+
 def test_axiom_report_passes_for_standard_bundles(standard3, twisted3, flat3):
     _, pts = flat3
     for c in (standard3, twisted3):
@@ -83,6 +99,22 @@ def test_axiom_report_passes_for_standard_bundles(standard3, twisted3, flat3):
         assert rep.passed
         assert rep.quantities["anchor_coisotropy"] == 0.0
         assert rep.residual < 1e-6
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_exterior_derivative_matches_the_alternating_sum(degree):
+    # reference loop: (d w)[idx] = sum_r (-1)^r d_{idx[r]} w[idx without idx[r]]
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=(4,) * (degree + 1))
+    form = lambda y: coeffs @ np.sin(y)
+    x = rng.uniform(-1.0, 1.0, size=4)
+    got = nm.exterior_derivative(form, degree, x, 4)
+    p = nm.partial_table(form, x, 4)
+    for idx in itertools.product(range(4), repeat=degree + 1):
+        total = 0.0
+        for r in range(degree + 1):
+            total += (-1.0) ** r * p[idx[:r] + idx[r + 1 :] + (idx[r],)]
+        assert got[idx] == total
 
 
 def linear_volume_twist():
@@ -130,6 +162,27 @@ def test_nan_twist_fails_the_closedness_gate_and_the_axioms():
     rep = nm.check_axioms_numeric(broken, points=pts[:1], triples=((0, 1, 2),))
     assert not rep.passed
     assert math.isnan(rep.quantities["c1_jacobi"])
+
+
+def test_nan_twist_on_a_three_dim_chart_is_rejected(flat3):
+    # d phi of a three-form on a 3-dim chart is zero without evaluating phi
+    chart, _ = flat3
+    with pytest.raises(ValueError, match="not finite"):
+        nm.make_standard_twisted(chart, np.full((3, 3, 3), np.nan))
+
+
+def doubled(c):
+    return dataclasses.replace(c, bracket_at=lambda e1, e2, x: 2.0 * c.bracket_at(e1, e2, x))
+
+
+def test_a_doubled_bracket_fails_the_metric_axiom(standard3, dressing, flat3, so3_points):
+    _, pts = flat3
+    for c, probe in ((standard3, pts[:2]), (dressing, so3_points[:2])):
+        probe = [np.asarray(x, float) for x in probe]
+        assert nm.check_axioms_numeric(c, points=probe).holds("c3_metric")
+        rep = nm.check_axioms_numeric(doubled(c), points=probe)
+        assert rep.quantities["c3_metric"] > 1e-2
+        assert not rep.holds("c3_metric")
 
 
 def test_bracket_error_shrinks_with_the_step(flat3):
@@ -334,6 +387,7 @@ def test_strong_map_fails_for_a_collapsing_target(flat3):
         jmap, lambda x: rows, lambda y: target_rows, [pts[0]]
     )
     assert rep.quantities["transversality"] == 1
+    assert "integrability" not in rep.quantities
     assert rep.passed is False
 
 
@@ -438,8 +492,8 @@ def test_linear_rotation_poisson_satisfies_jacobi(flat3):
     )
     assert rep.passed
     assert rep.quantities["jacobiator"] < 1e-6
-    assert rep.quantities["lie_compat"] == 0.0
-    assert "sharp_compat" not in rep.exact
+    assert "lie_compat" not in rep.quantities
+    assert "sharp_compat" not in rep.quantities
 
 
 def test_group_trace_probe_matches_rotation_angles():
