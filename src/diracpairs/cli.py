@@ -93,7 +93,7 @@ def _strip_elapsed(obj):
 
 
 def _finish_report(report):
-    payload = json.dumps(_strip_elapsed(report), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(_strip_elapsed(report), sort_keys=True, separators=(",", ":"), allow_nan=False)
     report["determinism_hash"] = hashlib.sha256(payload.encode()).hexdigest()
     return report
 
@@ -124,7 +124,7 @@ def _exit_for(summary):
 
 def _emit(report, checks, args, out):
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2), file=out)
+        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False), file=out)
     elif not args.quiet:
         for c in checks:
             line = f"{c['status'].upper():5s} {c['name']}"
@@ -141,11 +141,13 @@ def _emit(report, checks, args, out):
 
 
 def _check_entry(name, report, t0):
-    """Schema-1 check entry of a report; ``t0`` is when the check started."""
+    """Schema-1 check entry of a report; ``t0`` is when the check started.
+    JSON has no NaN, so a non-finite residual is null; the witness names it."""
+    residual = report.residual
     return {
         "name": name,
         "status": "pass" if report.passed else "fail",
-        "residual": report.residual,
+        "residual": residual if residual is None or math.isfinite(residual) else None,
         "witness": None if report.passed else report.describe(),
         "elapsed_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }

@@ -13,7 +13,7 @@ the i-th and j-th coordinate covectors, so i_alpha P = P^T alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rational as rat
@@ -90,11 +90,14 @@ class DiracPointData:
 class ExactIdentification:
     """Splitting of an exact fiber: a right inverse ``s`` of the anchor with
     isotropic image, identifying the fiber with base tangents plus covectors
-    through (v, beta) -> s(v) + rho_star(beta)."""
+    through (v, beta) -> s(v) + rho_star(beta).  The isotropy checks keep
+    ``s_star`` (e -> s^T G e) and ``rho_star`` (beta -> G^{-1} rho^T beta)."""
 
     pair: ManinPairPoint
     rho: tuple
     s: tuple
+    s_star: tuple = field(init=False, repr=False, compare=False)
+    rho_star: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", rat.matrix(self.rho))
@@ -109,27 +112,18 @@ class ExactIdentification:
         rs = rat.mat_mul(self.rho, self.s)
         if rs != rat.identity(srows):
             raise ValueError("s is not a right inverse of the anchor")
-        sg = rat.mat_mul(rat.transpose(self.s), gram)
-        if not rat.is_zero_matrix(rat.mat_mul(sg, self.s)):
+        s_star = rat.mat_mul(rat.transpose(self.s), gram)
+        if not rat.is_zero_matrix(rat.mat_mul(s_star, self.s)):
             raise ValueError("image of s is not isotropic")
-        rg = rat.mat_mul(self.rho, rat.invert(gram))
-        if not rat.is_zero_matrix(rat.mat_mul(rg, rat.transpose(self.rho))):
+        rho_star = rat.mat_mul(rat.invert(gram), rat.transpose(self.rho))
+        if not rat.is_zero_matrix(rat.mat_mul(self.rho, rho_star)):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
+        object.__setattr__(self, "s_star", s_star)
+        object.__setattr__(self, "rho_star", rho_star)
 
     @property
     def base_dim(self):
         return len(self.rho)
-
-    @property
-    def rho_star(self):
-        """Matrix of the coadjoint leg beta -> G^{-1} rho^T beta."""
-        gram_inv = rat.invert(self.pair.d.form.gram)
-        return rat.mat_mul(gram_inv, rat.transpose(self.rho))
-
-    @property
-    def s_star(self):
-        """Readout of the base covector part: e -> s^T G e."""
-        return rat.mat_mul(rat.transpose(self.s), self.pair.d.form.gram)
 
     def decompose(self, e):
         """(base tangent, base covector) coordinates of a fiber element."""

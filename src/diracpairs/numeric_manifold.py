@@ -1047,12 +1047,15 @@ def check_quasi_poisson(
         px = np.asarray(pi(x), float)
         rx = np.asarray(rho_x(x), float)
         grads = [partial_table(f, x, dim, h) for f in funcs]
+        # gradient of each inner bracket {f_b, f_c}, taken once per point
+        inner = {}
         for i, j, k in combinations(range(len(funcs)), 3):
             total = 0.0
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = poisson_bracket_field(pi, funcs[b], funcs[c], dim, h)
-                gi = partial_table(inner, x, dim, h)
-                total += float(gi @ px.T @ grads[a])
+                if (b, c) not in inner:
+                    bracket = poisson_bracket_field(pi, funcs[b], funcs[c], dim, h)
+                    inner[b, c] = partial_table(bracket, x, dim, h)
+                total += float(inner[b, c] @ px.T @ grads[a])
             rhs = 0.0
             if chi_f.size:
                 vf, vg, vk = (rx.T @ grads[m] for m in (i, j, k))

@@ -4,6 +4,9 @@ A quadratic Lie algebra is the point case of the package's ambient bracket
 geometry: bracket structure constants plus an invariant split pairing.  A
 Manin pair adds a Lagrangian subalgebra.  The catalog at the bottom collects
 the small instances the rest of the package (and its tests) lean on.
+
+Validation runs once per distinct algebra per process: `check_quadratic_lie`
+is memoized on the frozen algebra, and the catalog is built once.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import rational as rat
 from .exact_linear import (
@@ -82,10 +86,11 @@ class QuadraticLieAlgebra:
         return self.form.pairing(u, v)
 
 
+@lru_cache(maxsize=None)
 def check_quadratic_lie(d):
     """Exact report on the point-case bracket axioms: each quantity counts
     the basis pairs or triples violating its axiom, and ``degeneracy`` is
-    the nullity of the pairing."""
+    the nullity of the pairing.  Memoized: callers share one report."""
     n = d.dim
     c = d.structure
     bad = {"antisymmetry": 0, "jacobi": 0, "ad_invariance": 0}
@@ -110,11 +115,13 @@ def check_quadratic_lie(d):
                 if any(a != b + e for a, b, e in zip(lhs, rhs1, rhs2)):
                     violated("jacobi", (i, j, k))
 
+    # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is entry (j, k) of c_i G + G c_i^T
+    gram = d.form.gram
     for i in range(n):
+        m = rat.mat_add(rat.mat_mul(c[i], gram), rat.mat_mul(gram, rat.transpose(c[i])))
         for j in range(n):
             for k in range(n):
-                s = d.pairing(c[i][j], basis[k]) + d.pairing(basis[j], c[i][k])
-                if s != 0:
+                if m[j][k] != 0:
                     violated("ad_invariance", (i, j, k))
 
     plus, minus, null = d.form.signature()
@@ -145,7 +152,8 @@ def is_manin_pair(d, g):
 
 @dataclass(frozen=True)
 class ManinPairPoint:
-    """A quadratic Lie algebra with a chosen Lagrangian subalgebra."""
+    """A quadratic Lie algebra with a chosen Lagrangian subalgebra.  Each
+    distinct algebra is validated once per process; the half every time."""
 
     d: QuadraticLieAlgebra
     g: Subspace
@@ -217,21 +225,10 @@ def sl2_trace_form():
 
 def abelian_pair(n):
     """Sum of two abelian copies with the difference of dot pairings and the
-    diagonal line family as the Lagrangian half."""
-    dim = 2 * n
-    structure = tuple(
-        tuple((Fraction(0),) * dim for _ in range(dim)) for _ in range(dim)
-    )
-    form = SplitForm.diagonal([1] * n + [-1] * n)
-    d = QuadraticLieAlgebra(dim, structure, form)
-    diag = canonicalize(
-        [
-            tuple(Fraction(1 if j == i or j == n + i else 0) for j in range(dim))
-            for i in range(n)
-        ],
-        dim,
-    )
-    return ManinPairPoint(d, diag)
+    diagonal line family as the Lagrangian half: the group-pair double of
+    the n-dimensional abelian algebra."""
+    zero = (Fraction(0),) * n
+    return make_group_pair_double(((zero,) * n,) * n, rat.identity(n))
 
 
 def make_cotangent_double(constants):
@@ -307,13 +304,15 @@ def bialgebra_double_pair():
     return ManinPairPoint(d, g)
 
 
+@lru_cache(maxsize=None)
 def catalog():
-    """Named Manin pairs used across the package and its test suite."""
-    return {
+    """Named Manin pairs used across the package and its test suite, built
+    once per process and returned as a read-only mapping."""
+    return MappingProxyType({
         "abelian-r2": abelian_pair(1),
         "abelian-r4": abelian_pair(2),
         "so3-double": make_group_pair_double(so3_constants(), rat.identity(3)),
         "sl2-double": make_group_pair_double(sl2_constants(), sl2_trace_form()),
         "bialgebra-double": bialgebra_double_pair(),
         "solvable-cotangent": make_cotangent_double(solvable_constants()),
-    }
+    })

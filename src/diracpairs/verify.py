@@ -60,12 +60,11 @@ def rotation_strong_section(samples, seed, tol, step):
     ds = nm.dirac_of_pair(cd, pair.g, can.s)
 
     def exact_fibers(x):
-        rho_q = cd.exact_anchor(np.asarray(x, float), 10**8)
-        ident = dc.identification_from_anchor(pair, rho_q)
         hf = can.frozen_fiber(x)
+        ident = dc.identification_from_anchor(pair, hf.rho)
         lx = dc.dirac_from_k(hf, ident).L.basis
         ls_rows = [
-            tuple(rat.mat_vec(rho_q, a)) + tuple(rat.mat_vec(ident.s_star, a))
+            tuple(rat.mat_vec(hf.rho, a)) + tuple(rat.mat_vec(ident.s_star, a))
             for a in pair.g.basis
         ]
         return lx, canonicalize(ls_rows, 6).basis, rat.identity(3)

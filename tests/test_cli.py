@@ -221,6 +221,22 @@ def test_verify_example_json_is_deterministic():
     assert rep1["samples"] == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_residual_is_valid_json():
+    def no_constants(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    code, out, _ = run_cli(
+        "verify-example", "flat_twisted_axioms", "--samples", "2",
+        "--fd-step", "1e200", "--json",
+    )
+    assert code == 1
+    (check,) = json.loads(out, parse_constant=no_constants)["checks"]
+    assert check["status"] == "fail"
+    assert check["residual"] is None
+    assert "c1_jacobi = nan" in check["witness"]
+
+
 BAD_ARGUMENTS = [
     # argparse rejects these before any example runs
     ("planar_symplectic_reduction", "--samples", "0", "argument --samples"),

@@ -184,3 +184,31 @@ def test_manin_pair_point_rejects_bad_halves():
     d = cat["abelian-r2"].d
     with pytest.raises(ValueError):
         ManinPairPoint(d, canonicalize([[1, 0]], 2))
+
+
+@pytest.mark.parametrize(
+    "name,entries,count,witness",
+    [
+        ("so3-double", (1, 1, 2, -1, -1, -1), 4, (0, 1, 2)),
+        ("sl2-double", (1, 2, 3, -1, -1, -1), 20, (0, 1, 1)),
+    ],
+)
+def test_ad_invariance_counts_and_witness_under_a_foreign_pairing(
+    name, entries, count, witness
+):
+    # a catalog double's bracket under a diagonal pairing it does not
+    # preserve; counts and first witnesses pinned from the scalar loop
+    structure = catalog()[name].d.structure
+    d = QuadraticLieAlgebra(6, structure, SplitForm.diagonal(entries))
+    rep = check_quadratic_lie(d)
+    assert rep.quantities["ad_invariance"] == count
+    assert rep.witness["ad_invariance"] == witness
+
+
+def test_validation_is_shared_and_the_catalog_is_read_only():
+    cat = catalog()
+    assert catalog() is cat
+    with pytest.raises(TypeError):
+        cat["abelian-r2"] = abelian_pair(2)
+    d = cat["so3-double"].d
+    assert check_quadratic_lie(d) is check_quadratic_lie(d)
