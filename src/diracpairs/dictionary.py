@@ -108,14 +108,14 @@ class ExactIdentification:
             raise ValueError("anchor has wrong shape")
         if len(self.s) != n or len(self.s[0]) != srows:
             raise ValueError("splitting has wrong shape")
-        gram = self.pair.d.form.gram
+        form = self.pair.d.form
         rs = rat.mat_mul(self.rho, self.s)
         if rs != rat.identity(srows):
             raise ValueError("s is not a right inverse of the anchor")
-        s_star = rat.mat_mul(rat.transpose(self.s), gram)
+        s_star = rat.mat_mul(rat.transpose(self.s), form.gram)
         if not rat.is_zero_matrix(rat.mat_mul(s_star, self.s)):
             raise ValueError("image of s is not isotropic")
-        rho_star = rat.mat_mul(rat.invert(gram), rat.transpose(self.rho))
+        rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
         if not rat.is_zero_matrix(rat.mat_mul(self.rho, rho_star)):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
         object.__setattr__(self, "s_star", s_star)
@@ -139,11 +139,11 @@ def identification_from_anchor(pair, rho):
     """Canonical splitting of an exact anchor: start from the Gram right
     inverse and absorb half of its self pairing."""
     rho = rat.matrix(rho)
-    gram = pair.d.form.gram
+    form = pair.d.form
     rrt = rat.mat_mul(rho, rat.transpose(rho))
     c = rat.mat_mul(rat.transpose(rho), rat.invert(rrt))
-    b = rat.mat_mul(rat.mat_mul(rat.transpose(c), gram), c)
-    corr = rat.mat_mul(rat.mat_mul(rat.invert(gram), rat.transpose(rho)), b)
+    b = rat.mat_mul(rat.mat_mul(rat.transpose(c), form.gram), c)
+    corr = rat.mat_mul(rat.mat_mul(form.gram_inv, rat.transpose(rho)), b)
     s = rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), corr))
     return ExactIdentification(pair, rho, s)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import rational as rat
 
@@ -211,6 +211,12 @@ class SplitForm:
                 for i in range(n)
             ),
         )
+
+    @cached_property
+    def gram_inv(self):
+        """Inverse Gram matrix, computed on first use: a degenerate form is
+        legal (`check_quadratic_lie` reports it) and raises only here."""
+        return rat.invert(self.gram)
 
     def pairing(self, u, v):
         return sum(x * y for x, y in zip(rat.mat_vec(self.gram, rat.vec(v)), rat.vec(u)))

@@ -682,8 +682,7 @@ class CanonicalSpace:
         n = self.courant.chart.dim
         pair = self.courant.pair
         rho_q = self.courant.exact_anchor(np.asarray(x, float), max_denominator)
-        gram_inv = rat.invert(pair.d.form.gram)
-        rho_star_q = rat.mat_mul(gram_inv, rat.transpose(rho_q))
+        rho_star_q = rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q))
         zero_t = (Fraction(0),) * n
         rows = []
         for a in pair.g.basis:
@@ -969,15 +968,14 @@ def make_exact_quasi_pi(c, j_cols, max_denominator=10**8):
     exact arithmetic."""
     if c.exact_anchor is None:
         raise ValueError("bundle has no exact anchor to freeze")
-    gram = c.pair.d.form.gram
+    form = c.pair.d.form
     a_cols = rat.transpose(list(c.pair.g.basis))
     j_q = rat.matrix(j_cols)
-    gram_inv = rat.invert(gram)
-    proj = rat.mat_mul(a_cols, rat.mat_mul(rat.transpose(j_q), gram))
+    proj = rat.mat_mul(a_cols, rat.mat_mul(rat.transpose(j_q), form.gram))
 
     def fibers(x):
         rho = c.exact_anchor(np.asarray(x, float), max_denominator)
-        pit = rat.mat_mul(rho, rat.mat_mul(proj, rat.mat_mul(gram_inv, rat.transpose(rho))))
+        pit = rat.mat_mul(rho, rat.mat_mul(proj, rat.mat_mul(form.gram_inv, rat.transpose(rho))))
         pi = rat.mat_neg(pit)
         return {
             "pi": pi,

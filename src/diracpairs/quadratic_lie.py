@@ -105,14 +105,22 @@ def check_quadratic_lie(d):
             if any(c[i][j][k] != -c[j][i][k] for k in range(n)):
                 violated("antisymmetry", (i, j))
 
-    basis = rat.identity(n)
+    # [e_i, w] = ad_i w with ad_i = c[i]^T, and the bracket is bilinear in
+    # its left slot, so Jacobi fails at (i, j, k) exactly when column k of
+    # ad_i ad_j - ad_j ad_i - sum_l c[i][j][l] ad_l, that is row k of
+    # c[j] c[i] - c[i] c[j] - sum_l c[i][j][l] c[l], is nonzero.  Two
+    # products hold every term: block (j, i) of `prod` is c[j] c[i], and
+    # row (i, j) of `comb` is sum_l c[i][j][l] c[l] flattened.
+    stacked = tuple(row for plane in c for row in plane)
+    prod = rat.mat_mul(stacked, tuple(sum(rows, ()) for rows in zip(*c)))
+    comb = rat.mat_mul(stacked, tuple(sum(plane, ()) for plane in c))
     for i in range(n):
         for j in range(n):
+            lin = comb[i * n + j]
             for k in range(n):
-                lhs = d.bracket(basis[i], c[j][k])
-                rhs1 = d.bracket(c[i][j], basis[k])
-                rhs2 = d.bracket(basis[j], c[i][k])
-                if any(a != b + e for a, b, e in zip(lhs, rhs1, rhs2)):
+                ji = prod[j * n + k][i * n : (i + 1) * n]
+                ij = prod[i * n + k][j * n : (j + 1) * n]
+                if any(a - b != e for a, b, e in zip(ji, ij, lin[k * n :])):
                     violated("jacobi", (i, j, k))
 
     # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is entry (j, k) of c_i G + G c_i^T

@@ -5,6 +5,11 @@ of row tuples, so they hash and compare structurally.  Nothing in this
 module rounds; floats are rejected unless they go through `rationalize`,
 which is the single explicit float -> rational gate.
 
+Products are integer products: `mat_mul` and `mat_vec` scale each operand
+to integer rows over one common denominator, multiply and sum Python ints,
+and build one normalized Fraction per output entry.  An entry that is not
+an int or a Fraction (a float, a numpy scalar) raises `TypeError` there.
+
 Row reduction is fraction-free: rows are scaled to integers and eliminated
 with Bareiss one-step updates (exact integer divisions), with a final
 normalization pass producing the reduced echelon form over Fraction.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def scalar(x):
@@ -60,18 +66,37 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
+def _over_one_denominator(a):
+    """``(rows, d)`` with integer ``rows`` and positive ``d`` such that
+    ``a == rows / d`` entrywise, ``d`` being the lcm of the denominators.
+    Raises `TypeError` on an entry that is not an int or a Fraction."""
+    a = [tuple(row) for row in a]
+    for row in a:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"exact kernel got a non-rational entry {x!r}")
+    d = lcm(*{x.denominator for row in a for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
 def mat_mul(a, b):
     if not a or not b:
         return ()
-    bt = transpose(b)
+    ia, da = _over_one_denominator(a)
+    ib, db = _over_one_denominator(b)
+    d = da * db
+    cols = list(zip(*ib))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in ia
     )
 
 
 def mat_vec(a, v):
     """Apply matrix ``a`` to a column vector (returned as a flat tuple)."""
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    ia, da = _over_one_denominator(a)
+    (iv,), dv = _over_one_denominator((v,))
+    d = da * dv
+    return tuple(Fraction(sum(map(mul, row, iv)), d) for row in ia)
 
 
 def mat_add(a, b):
@@ -127,15 +152,10 @@ def _integer_rows(rows):
     nonzero rational leaves the row span unchanged."""
     out = []
     for r in rows:
-        fr = [scalar(x) for x in r]
-        if all(x == 0 for x in fr):
-            continue
-        m = lcm(*(x.denominator for x in fr)) if fr else 1
-        ints = [int(x * m) for x in fr]
-        g = gcd(*(abs(v) for v in ints))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        (ints,), _ = _over_one_denominator((r,))
+        g = gcd(*ints)
+        if g:
+            out.append([v // g for v in ints])
     return out
 
 

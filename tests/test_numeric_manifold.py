@@ -10,7 +10,7 @@ from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
 from diracpairs.dictionary import dirac_from_k, identification_from_anchor
 from diracpairs.exact_linear import canonicalize
-from diracpairs.morphism import check_hamiltonian_fiber
+from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +316,31 @@ def test_canonical_fibers_freeze_to_exact_hamiltonian_data(canonical_space, so3_
     assert frozen.dJ == rat.identity(3)
     rep = check_hamiltonian_fiber(frozen)
     assert rep.quantities == {"definition": 0, "equivalent": 0}
+
+
+def test_a_nudged_frozen_anchor_is_not_lagrangian(canonical_space, so3_points):
+    # rebuild the fiber rows as frozen_fiber does, from the exact anchor and
+    # from the same anchor with one entry, whose denominator has over 200
+    # bits, moved by 1/10^8: only the exact one is Lagrangian
+    frozen = canonical_space.frozen_fiber(np.asarray(so3_points[0], float))
+    pair, n = frozen.pair, frozen.t_dim
+    assert frozen.rho[0][3].denominator.bit_length() > 200
+
+    def fiber(rho):
+        rho_star = rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho))
+        zero_t = (Fraction(0),) * n
+        rows = [tuple(rat.mat_vec(rho, a)) + zero_t + tuple(a) for a in pair.g.basis]
+        for k in range(n):
+            eps = tuple(Fraction(-1 if i == k else 0) for i in range(n))
+            rows.append(zero_t + eps + tuple(r[k] for r in rho_star))
+        k_space = canonicalize(rows, 2 * n + pair.d.dim)
+        return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
+
+    assert fiber(frozen.rho).K == frozen.K
+    nudged = [list(r) for r in frozen.rho]
+    nudged[0][3] += Fraction(1, 10**8)
+    with pytest.raises(ValueError, match="not Lagrangian"):
+        fiber(nudged)
 
 
 def test_canonical_generator_families_stay_in_the_fiber(canonical_space, so3_points):

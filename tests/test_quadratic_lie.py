@@ -88,7 +88,40 @@ def test_invariant_but_non_jacobi_bracket_is_caught():
     rep = check_quadratic_lie(d)
     assert rep.quantities["ad_invariance"] == 0
     assert rep.quantities["jacobi"] > 0
+    assert rep.quantities["jacobi"] == 24
     assert rep.witness["jacobi"] == (0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "name,doubled,quantities,witness",
+    [
+        (
+            "sl2-double",
+            ((0, 1), (1, 0)),
+            {"antisymmetry": 0, "jacobi": 6, "ad_invariance": 4, "degeneracy": 0},
+            {"jacobi": (0, 1, 2), "ad_invariance": (0, 1, 2)},
+        ),
+        (
+            "so3-double",
+            ((0, 1),),
+            {"antisymmetry": 2, "jacobi": 6, "ad_invariance": 2, "degeneracy": 0},
+            {"antisymmetry": (0, 1), "jacobi": (0, 1, 0), "ad_invariance": (0, 1, 2)},
+        ),
+    ],
+)
+def test_doubled_brackets_break_jacobi_with_pinned_counts(
+    name, doubled, quantities, witness
+):
+    # doubling [e_0, e_1] (and, for sl2, [e_1, e_0] too) in a catalog
+    # double; counts and first witnesses pinned from the triple loop of
+    # bracket calls, the second table being non-antisymmetric
+    d = catalog()[name].d
+    c = [[list(row) for row in plane] for plane in d.structure]
+    for i, j in doubled:
+        c[i][j] = [2 * x for x in c[i][j]]
+    rep = check_quadratic_lie(QuadraticLieAlgebra(d.dim, c, d.form))
+    assert rep.quantities == quantities
+    assert rep.witness == witness
 
 
 def test_manin_pair_predicate_examples():

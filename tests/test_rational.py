@@ -1,5 +1,8 @@
+import re
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,63 @@ def int_matrix(max_dim=5):
             )
         )
     )
+
+
+# Entries over mixed denominators: small ones, 10^8-sized ones like a frozen
+# anchor's, and plain ints; some rows are zeroed.
+fraction_entries = st.one_of(
+    ints,
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(
+        Fraction, st.integers(-(10**9), 10**9), st.integers(10**8 - 99, 10**8)
+    ),
+)
+
+
+@st.composite
+def fraction_matrix(draw, m=None, n=None):
+    m = m or draw(st.integers(min_value=1, max_value=4))
+    n = n or draw(st.integers(min_value=1, max_value=4))
+    rows = [
+        tuple(draw(fraction_entries) for _ in range(n)) for _ in range(m)
+    ]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=m - 1))):
+        rows[i] = (0,) * n
+    return tuple(rows)
+
+
+def naive_mat_mul(a, b):
+    return tuple(
+        tuple(sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+              for col in zip(*b))
+        for row in a
+    )
+
+
+def naive_rref(rows):
+    """Gauss-Jordan over Fraction: (nonzero RREF rows, pivot columns)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def assert_normalized(values):
+    for x in values:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
 def test_scalar_accepts_exact_inputs_only():
@@ -131,3 +191,53 @@ def test_mat_mul_respects_transpose(a_rows, b_rows):
     left = rat.transpose(rat.mat_mul(a, b))
     right = rat.mat_mul(rat.transpose(b), rat.transpose(a))
     assert left == right
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_mat_mul_and_mat_vec_match_fraction_loops(m, k, n, data):
+    a = data.draw(fraction_matrix(m, k))
+    b = data.draw(fraction_matrix(k, n))
+    v = data.draw(fraction_matrix(1, k))[0]
+    prod = rat.mat_mul(a, b)
+    assert prod == naive_mat_mul(a, b)
+    assert_normalized(x for row in prod for x in row)
+    image = rat.mat_vec(a, v)
+    assert image == tuple(row[0] for row in naive_mat_mul(a, tuple((x,) for x in v)))
+    assert_normalized(image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_matrix())
+def test_rref_matches_gauss_jordan(rows):
+    red, piv = rat.rref(rows)
+    assert (red, piv) == naive_rref(rows)
+    assert_normalized(x for row in red for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: fraction_matrix(n, n)))
+def test_invert_matches_gauss_jordan(a):
+    n = len(a)
+    red, piv = naive_rref(tuple(row + e for row, e in zip(a, rat.identity(n))))
+    if piv[:n] != tuple(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            rat.invert(a)
+        return
+    inv = rat.invert(a)
+    assert inv == tuple(row[n:] for row in red)
+    assert_normalized(x for row in inv for x in row)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5)], ids=["float", "float64"])
+def test_products_reject_floats(bad):
+    named = re.escape(repr(bad))
+    one = ((Fraction(1),),)
+    with pytest.raises(TypeError, match=named):
+        rat.mat_mul(one, ((bad,),))
+    with pytest.raises(TypeError, match=named):
+        rat.mat_mul(((bad,),), one)
+    with pytest.raises(TypeError, match=named):
+        rat.mat_vec(((Fraction(1), Fraction(2)),), (bad, 1))
+    with pytest.raises(TypeError, match=named):
+        rat.mat_vec(((Fraction(1), bad),), (1, 1))
