@@ -15,6 +15,13 @@ the brackets take one table and one value per section.  This is the one
 place a derivative is taken, so exact jets replace finite differences by
 replacing it.
 
+Per-point fields of the rotation bundle (the dressing anchor and the
+exact splitting) are memoized per bundle by ``per_point``: each sample
+point and each of its finite-difference neighbours is computed once, and
+the cached value is read-only.  The memo is bound when the bundle is
+built, so a later monkeypatch of ``rotation_double_anchor`` reaches only
+bundles built after it.
+
 Conventions shared with the exact tier: sections are component vectors in a
 fixed trivialization, the pairing gram is constant, covectors act by rows,
 ``i_alpha(u ^ v) = alpha(u) v - alpha(v) u``, and a three-form is stored as
@@ -26,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +48,10 @@ from .report import Report, worse
 
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
+
+# Points one per_point memo holds: a 50-sample run visits 7 x 50 = 350
+# (each sample point and its six central-difference neighbours).
+_PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
 # sum_cyc {f,{g,h}} = JACOBIATOR_SIGN * chi(rho_X^T df, rho_X^T dg, rho_X^T dh).
@@ -95,12 +106,35 @@ class SectionField:
 
     @staticmethod
     def constant(vec):
-        v = np.asarray(vec, dtype=float).copy()
+        v = _read_only(vec)
         return SectionField(v.shape[0], lambda x: v)
 
     def scaled_by(self, f):
         """Multiply by a scalar function of the chart point."""
         return SectionField(self.rank, lambda x, s=self: f(x) * s(x))
+
+
+def _read_only(value):
+    """A float copy of ``value`` that refuses in-place writes, so one array
+    can be handed to every caller."""
+    v = np.array(value, dtype=float)
+    v.flags.writeable = False
+    return v
+
+
+def per_point(fn):
+    """Memoize a pure field of a chart point ``x``, keyed by the bytes of
+    ``x`` as a float vector.  The value is a read-only float copy of
+    ``fn(x)``; each wrapper has its own bounded memo."""
+
+    @lru_cache(maxsize=_PER_POINT_MEMO)
+    def at(key):
+        return _read_only(fn(np.frombuffer(key)))
+
+    def memoized(x):
+        return at(np.asarray(x, dtype=float).tobytes())
+
+    return memoized
 
 
 def directional_derivative(f, x, v, h=DEFAULT_STEP):
@@ -198,11 +232,11 @@ class CourantNumeric:
 
 def _phi_as_field(phi, dim):
     if phi is None:
-        zero = np.zeros((dim, dim, dim))
+        zero = _read_only(np.zeros((dim, dim, dim)))
         return lambda x: zero
     if callable(phi):
         return phi
-    arr = np.asarray(phi, dtype=float)
+    arr = _read_only(phi)
     if arr.shape != (dim, dim, dim):
         raise ValueError("three-form components have wrong shape")
     return lambda x: arr
@@ -317,6 +351,11 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
     so construction smoke-gates the single-bracket axioms on constant
     sections (the full report is a separate call).  Only the split rotation
     double carries a chart action here; anything else is rejected.
+
+    The bracket and ``anchor_matrix`` read one anchor, memoized per bundle
+    with ``per_point`` and bound here: replacing ``rotation_double_anchor``
+    afterwards does not reach this bundle, and the anchor matrices it
+    returns are read-only.
     """
     reference = catalog()["so3-double"]
     if d.dim != 6 or chart.dim != 3:
@@ -330,9 +369,11 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         [[[float(v) for v in row] for row in plane] for plane in d.structure]
     )
 
+    anchor = per_point(rotation_double_anchor)
+
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
-        rho = rotation_double_anchor(x)
+        rho = anchor(x)
         e1x, e2x = e1(x), e2(x)
         val = np.einsum("ijk,i,j->k", structure, e1x, e2x)
         p1 = partial_table(e1, x, 3, h)
@@ -346,7 +387,7 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         chart=chart,
         rank=6,
         gram=gram,
-        anchor=rotation_double_anchor,
+        anchor=anchor,
         bracket_at=bracket_at,
         exact_anchor=rotation_double_exact_anchor,
         pair=ManinPairPoint(d, g),
@@ -522,7 +563,8 @@ def make_exact_splitting(c, onto_tol=1e-8):
     the skew-correction algorithm run over floats, ``phi(x)`` the component
     array ``phi(v1,v2,v3) = <s v1, [[s v2, s v3]]>``.  Needs an exact
     bundle: rank twice the chart dimension and an onto anchor at every
-    sample point.
+    sample point.  ``s`` is memoized per point with ``per_point``, so its
+    matrices are read-only.
     """
     n = c.chart.dim
     if c.rank != 2 * n:
@@ -532,6 +574,7 @@ def make_exact_splitting(c, onto_tol=1e-8):
         if sv[-1] < onto_tol:
             raise ValueError("anchor is not onto at a sample point")
 
+    @per_point
     def s(x):
         rho = c.anchor_matrix(x)
         cmat = rho.T @ np.linalg.inv(rho @ rho.T)

@@ -8,6 +8,7 @@ import pytest
 
 from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
+from diracpairs import so3, verify
 from diracpairs.dictionary import dirac_from_k, identification_from_anchor
 from diracpairs.exact_linear import canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
@@ -183,6 +184,47 @@ def test_a_doubled_bracket_fails_the_metric_axiom(standard3, dressing, flat3, so
         rep = nm.check_axioms_numeric(doubled(c), points=probe)
         assert rep.quantities["c3_metric"] > 1e-2
         assert not rep.holds("c3_metric")
+
+
+def scaled_anchor(c):
+    return dataclasses.replace(c, anchor=lambda x: 1.01 * np.asarray(c.anchor(x)))
+
+
+# (mutation of the dressing bundle, quantity its axiom report must fail).
+# Scaling the anchor moves c2 to c5 together; the bracket keeps its own
+# anchor, so c1_jacobi does not see the mutation.
+AXIOM_CONTROLS = [
+    (scaled_anchor, "c2_selfpairing"),
+    (scaled_anchor, "c3_metric"),
+    (scaled_anchor, "c4_anchor"),
+    (scaled_anchor, "c5_leibniz"),
+]
+
+
+@pytest.fixture(scope="module")
+def control_dressing(so3_pair):
+    chart = nm.Chart(3, tuple(so3.sample_chart_points(6, 0)), name="rotation")
+    cd = nm.make_dressing_courant(so3_pair.d, so3_pair.g, chart)
+    return cd, nm.check_axioms_numeric(cd)
+
+
+@pytest.mark.parametrize(
+    "mutation, quantity",
+    AXIOM_CONTROLS,
+    ids=[f"{m.__name__}-{q}" for m, q in AXIOM_CONTROLS],
+)
+def test_a_mutated_dressing_bundle_fails_its_control(control_dressing, mutation, quantity):
+    cd, base = control_dressing
+    assert base.holds(quantity)
+    rep = nm.check_axioms_numeric(mutation(cd))
+    assert not rep.holds(quantity)
+
+
+def test_a_scaled_anchor_leaves_the_jacobi_axiom_alone(control_dressing):
+    cd, base = control_dressing
+    rep = nm.check_axioms_numeric(scaled_anchor(cd))
+    assert rep.quantities["c1_jacobi"] == base.quantities["c1_jacobi"]
+    assert rep.holds("c1_jacobi")
 
 
 def test_bracket_error_shrinks_with_the_step(flat3):
@@ -534,3 +576,67 @@ def test_section_library_starts_with_the_constant_frame(flat3):
         assert np.allclose(lib[i](x), np.eye(6)[i])
     scaled = lib[0].scaled_by(lambda y: 2.0)
     assert np.allclose(scaled(x), 2.0 * np.eye(6)[0])
+
+
+def test_per_point_values_are_read_only(dressing, so3_points):
+    x = np.asarray(so3_points[0], float)
+    rho = dressing.anchor_matrix(x)
+    with pytest.raises(ValueError):
+        rho[0, 0] = 1.0
+    s, _ = nm.make_exact_splitting(dressing)
+    sx = s(x)
+    with pytest.raises(ValueError):
+        sx[0, 0] = 1.0
+    assert np.array_equal(dressing.anchor_matrix(x), nm.rotation_double_anchor(x))
+
+
+def test_a_warm_memo_gives_the_cold_report_bit_for_bit(dressing, so3_pair, so3_points):
+    pts = [np.asarray(x, float) for x in so3_points[:2]]
+    nm.check_axioms_numeric(dressing, points=pts)
+    nm.canonical_hamiltonian(dressing).generator_residuals(pts[0])
+    warm = nm.check_axioms_numeric(dressing, points=pts)
+    fresh = nm.make_dressing_courant(so3_pair.d, so3_pair.g, dressing.chart)
+    cold = nm.check_axioms_numeric(fresh, points=pts)
+    assert cold.quantities == warm.quantities
+
+
+def test_per_point_wrappers_keep_their_own_values():
+    calls = []
+
+    def double(x):
+        calls.append("double")
+        return 2.0 * x
+
+    def negate(x):
+        calls.append("negate")
+        return -x
+
+    f, g = nm.per_point(double), nm.per_point(negate)
+    x = np.array([0.5, -1.0, 2.0])
+    assert np.array_equal(f(x), 2.0 * x)
+    assert np.array_equal(g(x), -x)
+    assert np.array_equal(f(x.copy()), 2.0 * x)
+    assert calls == ["double", "negate"]
+
+
+def test_the_dressing_anchor_is_computed_once_per_point(monkeypatch):
+    calls = []
+    exp_rotation = so3.exp_rotation
+
+    def counted(x):
+        calls.append(x)
+        return exp_rotation(x)
+
+    monkeypatch.setattr(so3, "exp_rotation", counted)
+    assert verify.run_example("rotation_dressing_axioms", samples=3, seed=0).passed
+    # each sample point and its six central-difference neighbours
+    assert len(calls) == 21
+
+
+def test_shared_constant_values_are_read_only():
+    x = np.zeros(3)
+    with pytest.raises(ValueError):
+        nm.SectionField.constant(np.ones(3))(x)[0] = 1.0
+    for phi in (None, nm.volume_form(3)):
+        with pytest.raises(ValueError):
+            nm._phi_as_field(phi, 3)(x)[0, 1, 2] = 5.0
