@@ -9,7 +9,9 @@ defect, exactly.
 Multivectors over the Lagrangian half A are stored as dense antisymmetric
 component arrays: the entries of a k-vector are its evaluations on k-tuples
 of dual basis vectors, so evaluation is plain multilinear contraction and no
-factorial normalizations float around.
+factorial normalizations float around.  The coherence check reads the stored
+cobracket and defect once at their sorted keys and computes on sorted-key
+multivectors, so degrees above the half's dimension cost nothing.
 """
 
 from __future__ import annotations
@@ -104,14 +106,6 @@ def wedge(a, p, b, q, dim):
     return tensor_from_function(dim, p + q, entry)
 
 
-def wedge_list(items, dim):
-    """Wedge of ``[(tensor, degree), ...]`` left to right."""
-    t, p = items[0]
-    for s, q in items[1:]:
-        t, p = wedge(t, p, s, q, dim), p + q
-    return t, p
-
-
 def scale_tensor(c, t):
     c = rat.scalar(c)
     if isinstance(t, Fraction):
@@ -131,93 +125,14 @@ def tensor_is_zero(t):
     return all(tensor_is_zero(x) for x in t)
 
 
-def ad_action(structure, a_vec, t, degree):
-    """Extend ``ad_a = [a, .]`` of a Lie algebra as a derivation to a
-    degree-``degree`` multivector in components."""
-    dim = len(structure)
-    a_vec = rat.vec(a_vec)
-    # c_a[m][k]: coefficient of e_k in [a, e_m]
-    c_a = [
-        [
-            sum(a_vec[s] * structure[s][m][k] for s in range(dim))
-            for k in range(dim)
-        ]
-        for m in range(dim)
-    ]
-
-    def entry(idx):
-        total = Fraction(0)
-        for r in range(degree):
-            for m in range(dim):
-                c = c_a[m][idx[r]]
-                if not c:
-                    continue
-                src = idx[:r] + (m,) + idx[r + 1 :]
-                v = tensor_get(t, src)
-                if v:
-                    total += c * v
-        return total
-
-    return tensor_from_function(dim, degree, entry)
-
-
-def apply_codifferential(t, degree, f_images, dim):
-    """Degree-raising derivation determined by ``a_i -> f_images[i]`` (each a
-    2-tensor) on degree-1 generators; extended by the graded Leibniz rule."""
-    if degree == 0:
-        return zero_tensor(dim, 1)
-    basis = [tuple(Fraction(1 if k == i else 0) for k in range(dim)) for i in range(dim)]
-    out = zero_tensor(dim, degree + 1)
-    inv_fact = Fraction(1)
-    for k in range(2, degree + 1):
-        inv_fact /= k
-    for idx in product(range(dim), repeat=degree):
-        coeff = tensor_get(t, idx)
-        if not coeff:
-            continue
-        for r in range(degree):
-            items = [
-                (f_images[i], 2) if pos == r else (basis[i], 1)
-                for pos, i in enumerate(idx)
-            ]
-            term, _ = wedge_list(items, dim)
-            sign = Fraction(1) if r % 2 == 0 else Fraction(-1)
-            out = add_tensors(out, scale_tensor(coeff * sign * inv_fact, term))
-    return out
-
-
-def bracket_with_trivector(chi, t, degree, structure, sign):
-    """[chi, t] for a 3-vector ``chi``: on degree one it is ``sign * ad_a(chi)``,
-    and it extends to higher degree as an even-degree derivation."""
-    dim = len(structure)
-    basis = [tuple(Fraction(1 if k == i else 0) for k in range(dim)) for i in range(dim)]
-    if degree == 0:
-        return zero_tensor(dim, 2)
-    chi_of = [scale_tensor(sign, ad_action(structure, basis[i], chi, 3)) for i in range(dim)]
-    out = zero_tensor(dim, degree + 2)
-    inv_fact = Fraction(1)
-    for k in range(2, degree + 1):
-        inv_fact /= k
-    for idx in product(range(dim), repeat=degree):
-        coeff = tensor_get(t, idx)
-        if not coeff:
-            continue
-        for r in range(degree):
-            items = [
-                (chi_of[i], 3) if pos == r else (basis[i], 1)
-                for pos, i in enumerate(idx)
-            ]
-            term, _ = wedge_list(items, dim)
-            out = add_tensors(out, scale_tensor(coeff * inv_fact, term))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # splittings
 
-# Sign convention for the top-defect bracket, frozen against the twisted
-# splittings of the catalog doubles (where both sides of the coherence
-# identity are nonzero): [chi, a] = TOP_BRACKET_SIGN * ad_a(chi).
+# Sign convention for the top-defect bracket: [chi, a] = TOP_BRACKET_SIGN *
+# ad_a(chi).  On a 3-dim unimodular half (so3, sl2) ad_a(chi) = tr(ad_a) chi
+# is zero, so those doubles cannot tell the signs apart.  The solvable
+# cotangent half has traces: twisted by e_0 ^ e_1 it passes coherence only
+# with this sign (tests/test_splitting.py pins it).
 TOP_BRACKET_SIGN = Fraction(-1)
 
 
@@ -390,34 +305,79 @@ def derive_quasi_data(pair, splitting):
     return QuasiBialgebraData(a_dim=r, F=f, chi=chi, rho_Astar=())
 
 
-def check_quasi_jacobi(a_structure, data, max_degree=3):
-    """Verify, exactly on basis multivectors up to ``max_degree``, that the
-    square of the induced codifferential is bracketing with the defect, and
-    that the defect itself is closed.  ``coherence`` counts the basis
-    multivectors where the first identity fails; ``defect`` is 1 when the
-    defect is not closed."""
+# ---------------------------------------------------------------------------
+# the coherence check, on sorted-key multivectors
+#
+# A sorted-key multivector maps strictly increasing index tuples to nonzero
+# Fractions: the coefficients of the basis k-vectors e_{i1} ^ ... ^ e_{ik}.
+# For a dense antisymmetric tensor these are its components at sorted keys.
+
+# Highest degree of the basis multivectors on which coherence is checked.
+COHERENCE_DEGREE = 3
+
+
+def _sorted_keys(t, dim, degree):
+    """Sorted-key multivector of a dense antisymmetric ``degree``-tensor."""
+    out = {}
+    for key in combinations(range(dim), degree):
+        v = tensor_get(t, key)
+        if v:
+            out[key] = v
+    return out
+
+
+def _derive(mv, images, odd):
+    """Apply the derivation ``e_i -> images[i]`` to ``mv`` by the Leibniz rule.
+
+    The image of a key's r-th factor takes that factor's place; the term's
+    sign is the parity of the merged key's inversions, times ``(-1)^r`` when
+    the derivation is odd."""
+    out = {}
+    for key, c in mv.items():
+        for r, i in enumerate(key):
+            c_r = -c if odd and r % 2 else c
+            for image_key, v in images[i].items():
+                merged = key[:r] + image_key + key[r + 1 :]
+                if len(set(merged)) < len(merged):
+                    continue
+                inversions = sum(x > y for x, y in combinations(merged, 2))
+                term = -c_r * v if inversions % 2 else c_r * v
+                sorted_key = tuple(sorted(merged))
+                out[sorted_key] = out.get(sorted_key, 0) + term
+    return {key: v for key, v in out.items() if v}
+
+
+def check_quasi_jacobi(a_structure, data):
+    """Verify, exactly on basis multivectors up to ``COHERENCE_DEGREE``,
+    that the square of the induced codifferential is bracketing with the
+    defect, and that the defect itself is closed.  ``coherence`` counts the
+    basis multivectors where the first identity fails; ``defect`` is 1 when
+    the defect is not closed.
+
+    The codifferential is the odd derivation ``e_i -> F[i]`` and ``[chi, .]``
+    the even one ``e_i -> TOP_BRACKET_SIGN * ad_{e_i}(chi)``.  d(chi) is a
+    4-vector, so ``defect`` cannot fail on a half of dimension at most 3."""
     dim = data.a_dim
+    f_images = [_sorted_keys(f, dim, 2) for f in data.F]
+    chi = _sorted_keys(data.chi, dim, 3)
+    chi_images = []
+    for i in range(dim):
+        ad_i = [
+            {(k,): c for k, c in enumerate(a_structure[i][m]) if c}
+            for m in range(dim)
+        ]
+        ad_chi = _derive(chi, ad_i, odd=False)
+        chi_images.append({k: TOP_BRACKET_SIGN * v for k, v in ad_chi.items()})
     witness = {}
     coherence = 0
-    for degree in range(1, max_degree + 1):
-        if degree > dim:
-            break
+    for degree in range(1, min(COHERENCE_DEGREE, dim) + 1):
         for idx in combinations(range(dim), degree):
-            t = tensor_from_function(
-                dim,
-                degree,
-                lambda i: _basis_component(idx, i),
-            )
-            once = apply_codifferential(t, degree, data.F, dim)
-            twice = apply_codifferential(once, degree + 1, data.F, dim)
-            target = bracket_with_trivector(
-                data.chi, t, degree, a_structure, TOP_BRACKET_SIGN
-            )
-            if not tensor_is_zero(add_tensors(twice, scale_tensor(-1, target))):
+            e = {idx: Fraction(1)}
+            twice = _derive(_derive(e, f_images, odd=True), f_images, odd=True)
+            if twice != _derive(e, chi_images, odd=False):
                 coherence += 1
                 witness.setdefault("coherence", idx)
-    d_chi = apply_codifferential(data.chi, 3, data.F, dim)
-    defect = 0 if tensor_is_zero(d_chi) else 1
+    defect = 1 if _derive(chi, f_images, odd=True) else 0
     if defect:
         witness["defect"] = "d(chi) != 0"
     return Report(
@@ -425,25 +385,3 @@ def check_quasi_jacobi(a_structure, data, max_degree=3):
         exact={"coherence", "defect"},
         witness=witness,
     )
-
-
-def _basis_component(idx, i):
-    """Component of the basis multivector e_{idx} at multi-index ``i``:
-    the sign of the permutation mapping idx to i (0 if not a permutation)."""
-    if sorted(i) != list(idx):
-        return 0
-    perm = [idx.index(x) for x in i]
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

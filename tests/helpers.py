@@ -8,10 +8,12 @@ the samples are not all transverse to the covector factor.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
 from diracpairs import rational as rat
+from diracpairs import splitting as sp
 from diracpairs.dictionary import (
     ExactIdentification,
     QuasiPoissonPointData,
@@ -20,7 +22,17 @@ from diracpairs.dictionary import (
 )
 from diracpairs.exact_linear import Subspace, canonicalize
 from diracpairs.quadratic_lie import catalog
-from diracpairs.splitting import make_isotropic_splitting
+from diracpairs.report import Report
+from diracpairs.splitting import (
+    add_tensors,
+    make_isotropic_splitting,
+    scale_tensor,
+    tensor_from_function,
+    tensor_get,
+    tensor_is_zero,
+    wedge,
+    zero_tensor,
+)
 
 
 def rng_for(seed):
@@ -166,3 +178,156 @@ def random_relation_lagrangian(rng, pair1, pair2):
             arranged[block_slot] = v[std_slot]
         rows.append(tuple(rat.mat_vec(frame, arranged)))
     return canonicalize(rows, 2 * (a + b))
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the quasi-Jacobi check
+#
+# The package checks coherence on sorted-key multivectors.  The routines
+# below compute the same identities on dense dim^k component tensors through
+# shuffle sums; tests compare the two.
+
+
+def wedge_list(items, dim):
+    """Wedge of ``[(tensor, degree), ...]`` left to right."""
+    t, p = items[0]
+    for s, q in items[1:]:
+        t, p = wedge(t, p, s, q, dim), p + q
+    return t, p
+
+
+def ad_action(structure, a_vec, t, degree):
+    """Extend ``ad_a = [a, .]`` of a Lie algebra as a derivation to a
+    degree-``degree`` multivector in components."""
+    dim = len(structure)
+    a_vec = rat.vec(a_vec)
+    # c_a[m][k]: coefficient of e_k in [a, e_m]
+    c_a = [
+        [
+            sum(a_vec[s] * structure[s][m][k] for s in range(dim))
+            for k in range(dim)
+        ]
+        for m in range(dim)
+    ]
+
+    def entry(idx):
+        total = Fraction(0)
+        for r in range(degree):
+            for m in range(dim):
+                c = c_a[m][idx[r]]
+                if not c:
+                    continue
+                src = idx[:r] + (m,) + idx[r + 1 :]
+                v = tensor_get(t, src)
+                if v:
+                    total += c * v
+        return total
+
+    return tensor_from_function(dim, degree, entry)
+
+
+def apply_codifferential(t, degree, f_images, dim):
+    """Degree-raising derivation determined by ``a_i -> f_images[i]`` (each a
+    2-tensor) on degree-1 generators; extended by the graded Leibniz rule."""
+    if degree == 0:
+        return zero_tensor(dim, 1)
+    basis = [tuple(Fraction(1 if k == i else 0) for k in range(dim)) for i in range(dim)]
+    out = zero_tensor(dim, degree + 1)
+    inv_fact = Fraction(1)
+    for k in range(2, degree + 1):
+        inv_fact /= k
+    for idx in product(range(dim), repeat=degree):
+        coeff = tensor_get(t, idx)
+        if not coeff:
+            continue
+        for r in range(degree):
+            items = [
+                (f_images[i], 2) if pos == r else (basis[i], 1)
+                for pos, i in enumerate(idx)
+            ]
+            term, _ = wedge_list(items, dim)
+            sign = Fraction(1) if r % 2 == 0 else Fraction(-1)
+            out = add_tensors(out, scale_tensor(coeff * sign * inv_fact, term))
+    return out
+
+
+def bracket_with_trivector(chi, t, degree, structure, sign):
+    """[chi, t] for a 3-vector ``chi``: on degree one it is ``sign * ad_a(chi)``,
+    and it extends to higher degree as an even-degree derivation."""
+    dim = len(structure)
+    basis = [tuple(Fraction(1 if k == i else 0) for k in range(dim)) for i in range(dim)]
+    if degree == 0:
+        return zero_tensor(dim, 2)
+    chi_of = [scale_tensor(sign, ad_action(structure, basis[i], chi, 3)) for i in range(dim)]
+    out = zero_tensor(dim, degree + 2)
+    inv_fact = Fraction(1)
+    for k in range(2, degree + 1):
+        inv_fact /= k
+    for idx in product(range(dim), repeat=degree):
+        coeff = tensor_get(t, idx)
+        if not coeff:
+            continue
+        for r in range(degree):
+            items = [
+                (chi_of[i], 3) if pos == r else (basis[i], 1)
+                for pos, i in enumerate(idx)
+            ]
+            term, _ = wedge_list(items, dim)
+            out = add_tensors(out, scale_tensor(coeff * inv_fact, term))
+    return out
+
+
+def _basis_component(idx, i):
+    """Component of the basis multivector e_{idx} at multi-index ``i``:
+    the sign of the permutation mapping idx to i (0 if not a permutation)."""
+    if sorted(i) != list(idx):
+        return 0
+    perm = [idx.index(x) for x in i]
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def dense_quasi_jacobi(a_structure, data):
+    """Dense twin of ``splitting.check_quasi_jacobi``: the same report,
+    computed on full component tensors."""
+    dim = data.a_dim
+    witness = {}
+    coherence = 0
+    for degree in range(1, sp.COHERENCE_DEGREE + 1):
+        if degree > dim:
+            break
+        for idx in combinations(range(dim), degree):
+            t = tensor_from_function(
+                dim,
+                degree,
+                lambda i: _basis_component(idx, i),
+            )
+            once = apply_codifferential(t, degree, data.F, dim)
+            twice = apply_codifferential(once, degree + 1, data.F, dim)
+            target = bracket_with_trivector(
+                data.chi, t, degree, a_structure, sp.TOP_BRACKET_SIGN
+            )
+            if not tensor_is_zero(add_tensors(twice, scale_tensor(-1, target))):
+                coherence += 1
+                witness.setdefault("coherence", idx)
+    d_chi = apply_codifferential(data.chi, 3, data.F, dim)
+    defect = 0 if tensor_is_zero(d_chi) else 1
+    if defect:
+        witness["defect"] = "d(chi) != 0"
+    return Report(
+        {"coherence": coherence, "defect": defect},
+        exact={"coherence", "defect"},
+        witness=witness,
+    )

@@ -153,3 +153,90 @@ def test_tensor_utilities():
     s2 = sp.add_tensors(t, t)
     assert sp.tensor_get(s2, (1,)) == 2
     assert sp.tensor_get(sp.scale_tensor(Fraction(1, 2), s2), (1,)) == 1
+
+
+def e01(dim):
+    """The 2-vector e_0 ^ e_1 on a half of dimension ``dim``, dense."""
+    entries = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
+    return sp.tensor_from_function(dim, 2, lambda kl: entries.get(kl, Fraction(0)))
+
+
+def quasi_case(name, twisted=False, mutation=None):
+    """Structure constants and quasi data of a catalog pair's splitting,
+    optionally twisted by e_0 ^ e_1 and then mutated."""
+    pair = catalog()[name]
+    s = sp.make_isotropic_splitting(pair)
+    if twisted:
+        s = s.twist(e01(pair.g.dim))
+    data = sp.derive_quasi_data(pair, s)
+    r = data.a_dim
+    if mutation == "2chi":
+        data = sp.QuasiBialgebraData(r, data.F, sp.scale_tensor(2, data.chi))
+    elif mutation == "-chi":
+        data = sp.QuasiBialgebraData(r, data.F, sp.scale_tensor(-1, data.chi))
+    elif mutation == "F0+e01":
+        f0 = sp.add_tensors(data.F[0], e01(r))
+        data = sp.QuasiBialgebraData(r, (f0,) + data.F[1:], data.chi)
+    return sp.subalgebra_structure(pair), data
+
+
+def test_top_bracket_sign_is_pinned_by_a_non_unimodular_half(monkeypatch):
+    # on so3/sl2, ad_a(chi) = tr(ad_a) chi = 0, so only a half with traces
+    # (the solvable one) sees the sign of [chi, .]
+    structure, data = quasi_case("solvable-cotangent", twisted=True)
+    assert sp.check_quasi_jacobi(structure, data).quantities["coherence"] == 0
+    monkeypatch.setattr(sp, "TOP_BRACKET_SIGN", Fraction(1))
+    rep = sp.check_quasi_jacobi(structure, data)
+    assert rep.quantities["coherence"] == 1
+    assert rep.witness["coherence"] == (0,)
+
+
+def test_a_non_closed_defect_fails_only_defect():
+    # half of dim 4, zero bracket, d e_2 = e_2 ^ e_3: d^2 = 0 = [chi, .],
+    # while d(e_0 ^ e_1 ^ e_2) = e_0 ^ e_1 ^ e_2 ^ e_3
+    def basis(*key):
+        return sp.tensor_from_function(
+            4, len(key), lambda i: helpers._basis_component(key, i)
+        )
+
+    zero2 = sp.zero_tensor(4, 2)
+    f = (zero2, zero2, basis(2, 3), zero2)
+    data = sp.QuasiBialgebraData(4, f, basis(0, 1, 2))
+    structure = sp.zero_tensor(4, 3)
+    rep = sp.check_quasi_jacobi(structure, data)
+    assert rep.quantities == {"coherence": 0, "defect": 1}
+    assert rep.witness == {"defect": "d(chi) != 0"}
+
+
+REFERENCE_CASES = [
+    *[(name, False, None, 0) for name in sorted(catalog())],
+    ("so3-double", True, None, 0),
+    ("solvable-cotangent", True, None, 0),
+    ("so3-double", True, "2chi", 0),
+    ("so3-double", True, "-chi", 0),
+    ("so3-double", True, "F0+e01", 1),
+    ("solvable-cotangent", True, "2chi", 1),
+    ("solvable-cotangent", True, "-chi", 1),
+    ("solvable-cotangent", True, "F0+e01", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,twisted,mutation,coherence",
+    REFERENCE_CASES,
+    ids=[
+        f"{n}{'-twisted' if t else ''}{'-' + m if m else ''}"
+        for n, t, m, _ in REFERENCE_CASES
+    ],
+)
+def test_quasi_jacobi_matches_the_dense_reference(name, twisted, mutation, coherence):
+    structure, data = quasi_case(name, twisted, mutation)
+    got = sp.check_quasi_jacobi(structure, data)
+    want = helpers.dense_quasi_jacobi(structure, data)
+    assert (got.quantities, got.witness, got.exact) == (
+        want.quantities,
+        want.witness,
+        want.exact,
+    )
+    assert want.quantities == {"coherence": coherence, "defect": 0}
+    assert want.witness == ({"coherence": (0,)} if coherence else {})
