@@ -10,17 +10,20 @@ the product; nothing in this module proves anything symbolically.
 
 Every derivative here, and in ``reduction``, is a ``partial_table``: the
 central differences of a field along the coordinate axes, built on
-``directional_derivative``.  A scalar's partial table is its gradient, and
-the brackets take one table and one value per section.  This is the one
-place a derivative is taken, so exact jets replace finite differences by
-replacing it.
+``directional_derivative``.  A scalar's partial table is its gradient.
+The brackets read each section through its jet, ``SectionField.jet(x, h)``:
+the section's value and partial table at ``x``, memoized per section, so
+the nested brackets of an axiom probe differentiate each section once per
+point and step.  The jet is the seam where exact jets replace finite
+differences.
 
 Per-point fields of the rotation bundle (the dressing anchor and the
-exact splitting) are memoized per bundle by ``per_point``: each sample
-point and each of its finite-difference neighbours is computed once, and
-the cached value is read-only.  The memo is bound when the bundle is
-built, so a later monkeypatch of ``rotation_double_anchor`` reaches only
-bundles built after it.
+exact splitting) and the Dirac frames of the integrability probes are
+memoized by ``per_point``: each sample point and each of its
+finite-difference neighbours is computed once, and the cached value is
+read-only.  The memo is bound when the bundle is built, so a later
+monkeypatch of ``rotation_double_anchor`` reaches only bundles built after
+it.
 
 Conventions shared with the exact tier: sections are component vectors in a
 fixed trivialization, the pairing gram is constant, covectors act by rows,
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -49,8 +52,9 @@ from .report import Report, worse
 DEFAULT_STEP = 1e-4
 DEFAULT_TOL = 1e-6
 
-# Points one per_point memo holds: a 50-sample run visits 7 x 50 = 350
-# (each sample point and its six central-difference neighbours).
+# Entries one per-point memo (a per_point field or a section's jet) holds:
+# a 50-sample run visits 7 x 50 = 350 points (each sample point and its six
+# central-difference neighbours) at one step.
 _PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
@@ -98,6 +102,14 @@ class SectionField:
     rank: int
     fn: object
 
+    @cached_property
+    def jet(self):
+        """``jet(x, h)`` is ``(value, partial_table)`` at ``x`` with step
+        ``h``, both read-only and memoized per section by point and step."""
+        return _point_memo(
+            lambda x, h: (_read_only(self(x)), _read_only(partial_table(self, x, x.shape[0], h)))
+        )
+
     def __call__(self, x):
         v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         if v.shape != (self.rank,):
@@ -122,19 +134,25 @@ def _read_only(value):
     return v
 
 
-def per_point(fn):
-    """Memoize a pure field of a chart point ``x``, keyed by the bytes of
-    ``x`` as a float vector.  The value is a read-only float copy of
-    ``fn(x)``; each wrapper has its own bounded memo."""
+def _point_memo(fn):
+    """``fn(x, *args)`` in a bounded memo keyed by the bytes of ``x`` as a
+    float vector and by the hashable ``args``; each wrapper has its own."""
 
     @lru_cache(maxsize=_PER_POINT_MEMO)
-    def at(key):
-        return _read_only(fn(np.frombuffer(key)))
+    def at(key, *args):
+        return fn(np.frombuffer(key), *args)
 
-    def memoized(x):
-        return at(np.asarray(x, dtype=float).tobytes())
+    def memoized(x, *args):
+        return at(np.asarray(x, dtype=float).tobytes(), *args)
 
     return memoized
+
+
+def per_point(fn):
+    """Memoize a pure field of a chart point ``x``.  The value is a
+    read-only float copy of ``fn(x)``; each wrapper has its own bounded
+    memo."""
+    return _point_memo(lambda x: _read_only(fn(x)))
 
 
 def directional_derivative(f, x, v, h=DEFAULT_STEP):
@@ -247,12 +265,11 @@ def twisted_bracket(e1, e2, x, phi_field, h=DEFAULT_STEP):
 
         [[X + a, Y + b]] = [X, Y] + L_X b - i_Y da + phi(X, Y, .)
 
-    from one partial table and one value per section."""
+    from each section's jet."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    p1 = partial_table(e1, x, n, h)
-    p2 = partial_table(e2, x, n, h)
-    e1x, e2x = e1(x), e2(x)
+    e1x, p1 = e1.jet(x, h)
+    e2x, p2 = e2.jet(x, h)
     v1, a1, v2, a2 = e1x[:n], e1x[n:], e2x[:n], e2x[n:]
     vec = p2[:n] @ v1 - p1[:n] @ v2
     cov = p2[n:] @ v1 + p1[:n].T @ a2
@@ -374,10 +391,9 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
         rho = anchor(x)
-        e1x, e2x = e1(x), e2(x)
+        e1x, p1 = e1.jet(x, h)
+        e2x, p2 = e2.jet(x, h)
         val = np.einsum("ijk,i,j->k", structure, e1x, e2x)
-        p1 = partial_table(e1, x, 3, h)
-        p2 = partial_table(e2, x, 3, h)
         val += p2 @ (rho @ e1x) - p1 @ (rho @ e2x)
         w = p1.T @ (gram @ e2x)
         val += gram_inv @ rho.T @ w
@@ -628,11 +644,6 @@ class DiracField:
             rows.append(np.concatenate([rho @ a, sx.T @ (g @ a)]))
         return np.stack(rows)
 
-    def section(self, i):
-        return SectionField(
-            2 * self.courant.chart.dim, lambda x, i=i: self.basis_at(x)[i]
-        )
-
     def lagrangian_report(self, x, rank_tol=1e-8):
         b = self.basis_at(x)
         n = self.courant.chart.dim
@@ -647,13 +658,22 @@ class DiracField:
     def integrability_residual(self, x, phi, h=DEFAULT_STEP):
         """Closure defect of the section frame under the twisted bracket."""
         phi_field = _phi_as_field(phi, self.courant.chart.dim)
-        rows = self.basis_at(x)
-        worst = 0.0
-        for i in range(len(self.half_rows)):
-            for j in range(i + 1, len(self.half_rows)):
-                w = twisted_bracket(self.section(i), self.section(j), x, phi_field, h)
-                worst = worse(worst, lstsq_distance(rows, w))
-        return worst
+        return _frame_closure(per_point(self.basis_at), x, phi_field, h)
+
+
+def _frame_closure(frame, x, phi_field, h=DEFAULT_STEP):
+    """Worst distance from the twisted bracket of two rows of a frame field
+    to the frame's row span at ``x``.  ``frame`` should be ``per_point``
+    memoized: each row section reads the whole frame at every point, and
+    the rows are built once so their jets serve every pair."""
+    rows = frame(x)
+    sections = [
+        SectionField(rows.shape[1], lambda y, i=i: frame(y)[i]) for i in range(rows.shape[0])
+    ]
+    worst = 0.0
+    for e1, e2 in combinations(sections, 2):
+        worst = worse(worst, lstsq_distance(rows, twisted_bracket(e1, e2, x, phi_field, h)))
+    return worst
 
 
 def dirac_of_pair(c, half, s):
@@ -892,6 +912,7 @@ def check_strong_dirac(
     """
     q = jmap.source_dim
     m = jmap.target_dim
+    frame = per_point(l_x)
     res = {"inclusion": 0.0, "transversality": 0}
     if phi is not None:
         res["integrability"] = 0.0
@@ -918,7 +939,7 @@ def check_strong_dirac(
             else:
                 transversal = True
         else:
-            lxr = np.asarray(l_x(x), dtype=float)
+            lxr = frame(x)
             lsr = np.asarray(l_s(jmap.value(x)), dtype=float)
             djr = np.asarray(jmap.jacobian(x), dtype=float)
             k = lxr.shape[0]
@@ -963,15 +984,7 @@ def check_strong_dirac(
                     djy,
                 )
 
-            rows_f = np.asarray(l_x(x), dtype=float)
-            for i in range(rows_f.shape[0]):
-                for j in range(i + 1, rows_f.shape[0]):
-                    sec_i = SectionField(2 * q, lambda y, i=i: np.asarray(l_x(y), float)[i])
-                    sec_j = SectionField(2 * q, lambda y, j=j: np.asarray(l_x(y), float)[j])
-                    w = twisted_bracket(sec_i, sec_j, x, pulled, h)
-                    res["integrability"] = worse(
-                        res["integrability"], lstsq_distance(rows_f, w)
-                    )
+            res["integrability"] = worse(res["integrability"], _frame_closure(frame, x, pulled, h))
     exact = {"transversality"} if exact_fibers is None else {"inclusion", "transversality"}
     return Report(res, tol=tol, exact=exact)
 

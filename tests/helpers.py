@@ -24,14 +24,9 @@ from diracpairs.exact_linear import Subspace, canonicalize
 from diracpairs.quadratic_lie import catalog
 from diracpairs.report import Report
 from diracpairs.splitting import (
-    add_tensors,
     make_isotropic_splitting,
-    scale_tensor,
     tensor_from_function,
     tensor_get,
-    tensor_is_zero,
-    wedge,
-    zero_tensor,
 )
 
 
@@ -178,6 +173,82 @@ def random_relation_lagrangian(rng, pair1, pair2):
             arranged[block_slot] = v[std_slot]
         rows.append(tuple(rat.mat_vec(frame, arranged)))
     return canonicalize(rows, 2 * (a + b))
+
+
+# ---------------------------------------------------------------------------
+# dense antisymmetric tensor utilities
+
+
+def zero_tensor(dim, degree):
+    if degree == 0:
+        return Fraction(0)
+    return tuple(zero_tensor(dim, degree - 1) for _ in range(dim))
+
+
+def eval_tensor(t, degree, covectors):
+    """Multilinear evaluation on ``degree`` coordinate covectors."""
+    total = Fraction(0)
+    dim = len(covectors[0])
+    for idx in product(range(dim), repeat=degree):
+        coeff = tensor_get(t, idx)
+        if not coeff:
+            continue
+        for pos, i in enumerate(idx):
+            coeff = coeff * covectors[pos][i]
+            if not coeff:
+                break
+        total += coeff
+    return total
+
+
+def _shuffle_sign(left):
+    # sign of the permutation sorting (left, complement) back to increasing
+    sign = 1
+    for rank, pos in enumerate(left):
+        sign = sign if (pos - rank) % 2 == 0 else -sign
+    return sign
+
+
+def wedge(a, p, b, q, dim):
+    """Shuffle-convention wedge of a p-vector and a q-vector."""
+    if p == 0:
+        return scale_tensor(a, b)
+    if q == 0:
+        return scale_tensor(b, a)
+
+    def entry(idx):
+        total = Fraction(0)
+        for left in combinations(range(p + q), p):
+            right = tuple(k for k in range(p + q) if k not in left)
+            va = tensor_get(a, tuple(idx[k] for k in left))
+            if not va:
+                continue
+            vb = tensor_get(b, tuple(idx[k] for k in right))
+            if not vb:
+                continue
+            total += _shuffle_sign(left) * va * vb
+        return total
+
+    return tensor_from_function(dim, p + q, entry)
+
+
+def scale_tensor(c, t):
+    c = rat.scalar(c)
+    if isinstance(t, Fraction):
+        return c * t
+    return tuple(scale_tensor(c, x) for x in t)
+
+
+def add_tensors(a, b):
+    if isinstance(a, Fraction):
+        return a + b
+    return tuple(add_tensors(x, y) for x, y in zip(a, b))
+
+
+def tensor_is_zero(t):
+    if isinstance(t, Fraction):
+        return t == 0
+    return all(tensor_is_zero(x) for x in t)
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,45 @@ def test_strong_map_fails_for_a_collapsing_target(flat3):
     assert rep.passed is False
 
 
+def _graph_of_x0_dx1_dx2(x):
+    # rows (e_i, omega[i, :]) of the graph of omega = x0 dx1 ^ dx2, d omega = vol
+    omega = np.zeros((3, 3))
+    omega[1, 2], omega[2, 1] = x[0], -x[0]
+    return np.hstack([np.eye(3), omega])
+
+
+@pytest.mark.parametrize("scale, want", [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+def test_integrability_sees_the_twist_and_its_sign(scale, want):
+    # a graph of omega is phi-integrable exactly when d omega = -phi, so only
+    # phi = -vol passes; the defect grows by one per unit of vol in phi
+    pts = verify._flat_points(6, seed=0)
+    rep = nm.check_strong_dirac(
+        nm.MapField.identity(3),
+        _graph_of_x0_dx1_dx2,
+        _graph_of_x0_dx1_dx2,
+        pts,
+        phi=scale * nm.volume_form(3),
+    )
+    assert rep.quantities["integrability"] == pytest.approx(want, abs=1e-9)
+    assert rep.passed is (scale == -1.0)
+
+
+def test_the_strong_map_frame_is_read_once_per_point():
+    calls = []
+
+    def frame(x):
+        calls.append(x)
+        return _graph_of_x0_dx1_dx2(x)
+
+    pts = verify._flat_points(6, seed=0)
+    nm.check_strong_dirac(
+        nm.MapField.identity(3), frame, _graph_of_x0_dx1_dx2, pts, phi=-nm.volume_form(3)
+    )
+    # each point and its six central-difference neighbours, shared by the
+    # float ranks and all three bracket pairs
+    assert len(calls) == 7 * len(pts)
+
+
 def test_quasi_bivector_field_is_antisymmetric_and_sharp_compatible(
     dressing, so3_splitting, so3_points
 ):
@@ -640,3 +679,90 @@ def test_shared_constant_values_are_read_only():
     for phi in (None, nm.volume_form(3)):
         with pytest.raises(ValueError):
             nm._phi_as_field(phi, 3)(x)[0, 1, 2] = 5.0
+
+
+def _wavy_section():
+    return nm.SectionField(
+        6, lambda y: np.array([math.sin(y[0]), y[1] * y[2], 0.0, math.cos(y[2]), y[0] ** 3, 1.0])
+    )
+
+
+def test_a_section_jet_is_its_value_and_partial_table_bit_for_bit(flat3):
+    _, pts = flat3
+    e = _wavy_section()
+    for x in pts[:3]:
+        for h in (1e-4, 1e-3):
+            value, table = e.jet(x, h)
+            assert value.tobytes() == e(x).tobytes()
+            assert table.tobytes() == nm.partial_table(e, x, 3, h).tobytes()
+            assert e.jet(x, h)[1] is table
+
+
+def test_section_jets_are_read_only(flat3):
+    _, pts = flat3
+    value, table = _wavy_section().jet(pts[0], 1e-4)
+    with pytest.raises(ValueError):
+        value[0] = 1.0
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+def test_two_steps_at_one_point_give_two_tables(flat3):
+    # negative control for the memo key: a memo keyed by the point alone
+    # would hand the first step's table to the second
+    _, pts = flat3
+    e = _wavy_section()
+    coarse = e.jet(pts[0], 1e-2)[1]
+    fine = e.jet(pts[0], 1e-4)[1]
+    assert not np.array_equal(coarse, fine)
+    assert np.array_equal(fine, nm.partial_table(e, pts[0], 3, 1e-4))
+
+
+def test_the_jet_memo_is_bounded():
+    calls = []
+
+    def square(y):
+        calls.append(y)
+        return np.array([y[0] ** 2])
+
+    e = nm.SectionField(1, square)
+    pts = [np.array([float(k)]) for k in range(nm._PER_POINT_MEMO + 1)]
+    for x in pts:
+        e.jet(x, 1e-4)
+    # one value and two neighbours per point
+    assert len(calls) == 3 * len(pts)
+    e.jet(pts[-1], 1e-4)
+    assert len(calls) == 3 * len(pts)
+    # the oldest point was evicted to keep the bound
+    e.jet(pts[0], 1e-4)
+    assert len(calls) == 3 * len(pts) + 3
+
+
+def test_flat_axioms_evaluate_each_section_once_per_point_and_step(monkeypatch):
+    calls = []
+    call = nm.SectionField.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(nm.SectionField, "__call__", counted)
+    assert verify.run_example("flat_twisted_axioms", samples=3, seed=0).passed
+    # 7,245 when every bracket recomputed its sections' tables
+    assert len(calls) == 2520
+
+
+def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
+    _, pts = flat3
+    s, _ = nm.make_exact_splitting(standard3)
+    field = nm.dirac_of_pair(standard3, np.hstack([np.eye(3), np.zeros((3, 3))]), s)
+    calls = []
+    basis_at = field.basis_at
+
+    def counted(x):
+        calls.append(x)
+        return basis_at(x)
+
+    field.basis_at = counted
+    assert field.integrability_residual(pts[0], None) < 1e-10
+    assert len(calls) == 7
