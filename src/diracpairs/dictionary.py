@@ -113,10 +113,10 @@ class ExactIdentification:
         if rs != rat.identity(srows):
             raise ValueError("s is not a right inverse of the anchor")
         s_star = rat.mat_mul(rat.transpose(self.s), form.gram)
-        if not rat.is_zero_matrix(rat.mat_mul(s_star, self.s)):
+        if not rat.is_zero_product(s_star, self.s):
             raise ValueError("image of s is not isotropic")
         rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
-        if not rat.is_zero_matrix(rat.mat_mul(self.rho, rho_star)):
+        if not rat.is_zero_product(self.rho, rho_star):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
         object.__setattr__(self, "s_star", s_star)
         object.__setattr__(self, "rho_star", rho_star)

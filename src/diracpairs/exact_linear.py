@@ -193,8 +193,10 @@ class SplitForm:
             raise ValueError("gram is not symmetric")
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def standard_double(n):
-        """Pairing of a space with its dual: <(v, a), (v', a')> = a'(v) + a(v')."""
+        """Pairing of a space with its dual: <(v, a), (v', a')> = a'(v) + a(v').
+        Built once per dimension."""
         zero, eye = rat.zeros(n, n), rat.identity(n)
         top = rat.hstack(zero, eye)
         bottom = rat.hstack(eye, zero)
@@ -221,8 +223,13 @@ class SplitForm:
     def pairing(self, u, v):
         return sum(x * y for x, y in zip(rat.mat_vec(self.gram, rat.vec(v)), rat.vec(u)))
 
-    def signature(self):
+    @cached_property
+    def _signature(self):
         return _signature_of(self.gram)
+
+    def signature(self):
+        """``(n_plus, n_minus, n_zero)``, computed once per form."""
+        return self._signature
 
     @property
     def nondegenerate(self):
@@ -268,9 +275,7 @@ def _require_split(form):
 
 def is_isotropic(form, u):
     b = u.basis
-    return rat.is_zero_matrix(
-        rat.mat_mul(rat.mat_mul(b, form.gram), rat.transpose(b))
-    )
+    return rat.is_zero_product(b, form.gram, rat.transpose(b))
 
 
 def is_lagrangian(form, u):

@@ -172,6 +172,13 @@ def compose_morphisms(m12, m23):
 # Hamiltonian fibers
 
 
+@lru_cache(maxsize=64)
+def _sum_pairing(t, form):
+    """The sum pairing on (T + T*) + E, built once per tangent dimension and
+    pair form, so its signature is also computed once."""
+    return SplitForm.standard_double(t).direct_sum(form)
+
+
 @dataclass(frozen=True)
 class HamiltonianFiber:
     """Pointwise Hamiltonian data: a Lagrangian in (T + T*) + E for the sum
@@ -199,13 +206,13 @@ class HamiltonianFiber:
             raise ValueError("moment differential and anchor disagree on the base")
         if self.dJ and (len(self.dJ[0]) != t or len(self.rho[0]) != n):
             raise ValueError("moment differential or anchor has wrong width")
-        form = SplitForm.standard_double(t).direct_sum(self.pair.d.form)
-        if not is_lagrangian(form, self.K):
+        if not is_lagrangian(_sum_pairing(t, self.pair.d.form), self.K):
             raise ValueError("not Lagrangian for the sum pairing")
-        for row in self.K.basis:
-            u, e = row[:t], row[2 * t :]
-            if self.dJ and rat.mat_vec(self.dJ, u) != rat.mat_vec(self.rho, e):
-                raise ValueError("support condition fails: tangents do not match")
+        # dJ u = rho e on every row (u, alpha, e): [dJ | -rho] kills each (u, e)
+        readout = rat.hstack(self.dJ, rat.mat_neg(self.rho))
+        ue = [row[:t] + row[2 * t :] for row in self.K.basis]
+        if not rat.is_zero_product(readout, rat.transpose(ue)):
+            raise ValueError("support condition fails: tangents do not match")
 
     @property
     def ambient_dim(self):

@@ -916,6 +916,19 @@ def check_strong_dirac(
     res = {"inclusion": 0.0, "transversality": 0}
     if phi is not None:
         res["integrability"] = 0.0
+        phi_field = _phi_as_field(phi, m)
+
+        @per_point
+        def pulled(y):
+            djy = np.asarray(jmap.jacobian(y), dtype=float)
+            return np.einsum(
+                "abc,ai,bj,ck->ijk",
+                phi_field(np.asarray(jmap.value(y), float)),
+                djy,
+                djy,
+                djy,
+            )
+
     for x in points:
         x = np.asarray(x, dtype=float)
         if exact_fibers is not None:
@@ -972,18 +985,6 @@ def check_strong_dirac(
         res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
 
         if phi is not None:
-            phi_field = _phi_as_field(phi, m)
-
-            def pulled(y):
-                djy = np.asarray(jmap.jacobian(y), dtype=float)
-                return np.einsum(
-                    "abc,ai,bj,ck->ijk",
-                    phi_field(np.asarray(jmap.value(y), float)),
-                    djy,
-                    djy,
-                    djy,
-                )
-
             res["integrability"] = worse(res["integrability"], _frame_closure(frame, x, pulled, h))
     exact = {"transversality"} if exact_fibers is None else {"inclusion", "transversality"}
     return Report(res, tol=tol, exact=exact)
@@ -1043,14 +1044,13 @@ def make_exact_quasi_pi(c, j_cols, max_denominator=10**8):
     return fibers
 
 
-def poisson_bracket_field(pi, f, g, dim, h=DEFAULT_STEP):
-    """The scalar field {f, g} for a bivector component field ``pi``."""
+def poisson_bracket_field(pi, df, dg):
+    """The scalar field {f, g} for a bivector component field ``pi``, from
+    the gradient fields ``df`` and ``dg`` of ``f`` and ``g``."""
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        gf = partial_table(f, x, dim, h)
-        gg = partial_table(g, x, dim, h)
-        return float(gg @ np.asarray(pi(x), float).T @ gf)
+        return float(dg(x) @ np.asarray(pi(x), float).T @ df(x))
 
     return value
 
@@ -1096,18 +1096,20 @@ def check_quasi_poisson(
     if exact_fibers is not None or rho_astar is not None:
         res["sharp_compat"] = 0.0
 
+    # each function's gradient once per point: the inner brackets share them
+    grad = [per_point(lambda y, f=f: partial_table(f, y, dim, h)) for f in funcs]
     for x in points:
         x = np.asarray(x, dtype=float)
         px = np.asarray(pi(x), float)
         rx = np.asarray(rho_x(x), float)
-        grads = [partial_table(f, x, dim, h) for f in funcs]
+        grads = [d(x) for d in grad]
         # gradient of each inner bracket {f_b, f_c}, taken once per point
         inner = {}
         for i, j, k in combinations(range(len(funcs)), 3):
             total = 0.0
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 if (b, c) not in inner:
-                    bracket = poisson_bracket_field(pi, funcs[b], funcs[c], dim, h)
+                    bracket = poisson_bracket_field(pi, grad[b], grad[c])
                     inner[b, c] = partial_table(bracket, x, dim, h)
                 total += float(inner[b, c] @ px.T @ grads[a])
             rhs = 0.0

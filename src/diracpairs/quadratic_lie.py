@@ -6,15 +6,16 @@ Manin pair adds a Lagrangian subalgebra.  The catalog at the bottom collects
 the small instances the rest of the package (and its tests) lean on.
 
 Validation runs once per distinct algebra per process: `check_quadratic_lie`
-is memoized on the frozen algebra, and the catalog is built once.
+is memoized on the frozen algebra, and each catalog entry is built once, on
+its first lookup.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from . import rational as rat
 from .exact_linear import (
@@ -312,15 +313,38 @@ def bialgebra_double_pair():
     return ManinPairPoint(d, g)
 
 
+class _LazyCatalog(Mapping):
+    """Read-only mapping from names to Manin pairs; each pair is built and
+    validated on its first lookup."""
+
+    def __init__(self, builders):
+        self._builders = builders
+        self._built = {}
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
+
+
 @lru_cache(maxsize=None)
 def catalog():
-    """Named Manin pairs used across the package and its test suite, built
-    once per process and returned as a read-only mapping."""
-    return MappingProxyType({
-        "abelian-r2": abelian_pair(1),
-        "abelian-r4": abelian_pair(2),
-        "so3-double": make_group_pair_double(so3_constants(), rat.identity(3)),
-        "sl2-double": make_group_pair_double(sl2_constants(), sl2_trace_form()),
-        "bialgebra-double": bialgebra_double_pair(),
-        "solvable-cotangent": make_cotangent_double(solvable_constants()),
+    """Named Manin pairs used across the package and its test suite, as one
+    read-only mapping per process whose entries are built on first lookup."""
+    return _LazyCatalog({
+        "abelian-r2": lambda: abelian_pair(1),
+        "abelian-r4": lambda: abelian_pair(2),
+        "so3-double": lambda: make_group_pair_double(so3_constants(), rat.identity(3)),
+        "sl2-double": lambda: make_group_pair_double(sl2_constants(), sl2_trace_form()),
+        "bialgebra-double": bialgebra_double_pair,
+        "solvable-cotangent": lambda: make_cotangent_double(solvable_constants()),
     })

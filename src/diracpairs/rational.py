@@ -7,12 +7,16 @@ which is the single explicit float -> rational gate.
 
 Products are integer products: `mat_mul` and `mat_vec` scale each operand
 to integer rows over one common denominator, multiply and sum Python ints,
-and build one normalized Fraction per output entry.  An entry that is not
-an int or a Fraction (a float, a numpy scalar) raises `TypeError` there.
+and build one normalized Fraction per output entry.  `is_zero_product`
+decides whether a product vanishes on the same integer rows and builds no
+Fraction at all.  An entry that is not an int or a Fraction (a float, a
+numpy scalar) raises `TypeError` in all three.
 
-Row reduction is fraction-free: rows are scaled to integers and eliminated
-with Bareiss one-step updates (exact integer divisions), with a final
-normalization pass producing the reduced echelon form over Fraction.
+Row reduction is integer through back-substitution: rows are scaled to
+primitive integers, eliminated with Bareiss one-step updates (exact integer
+divisions), and cleared above each pivot on integer rows kept primitive;
+only the output entries become Fractions, one ``Fraction(v, pivot)`` per
+nonzero entry.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+
+_ZERO = Fraction(0)
 
 
 def scalar(x):
@@ -79,15 +86,19 @@ def _over_one_denominator(a):
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
+def _int_mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 def mat_mul(a, b):
     if not a or not b:
         return ()
     ia, da = _over_one_denominator(a)
     ib, db = _over_one_denominator(b)
     d = da * db
-    cols = list(zip(*ib))
     return tuple(
-        tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in ia
+        tuple(Fraction(v, d) if v else _ZERO for v in row) for row in _int_mat_mul(ia, ib)
     )
 
 
@@ -96,7 +107,8 @@ def mat_vec(a, v):
     ia, da = _over_one_denominator(a)
     (iv,), dv = _over_one_denominator((v,))
     d = da * dv
-    return tuple(Fraction(sum(map(mul, row, iv)), d) for row in ia)
+    sums = (sum(map(mul, row, iv)) for row in ia)
+    return tuple(Fraction(s, d) if s else _ZERO for s in sums)
 
 
 def mat_add(a, b):
@@ -116,8 +128,24 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
+def is_zero_product(*factors):
+    """Whether ``factors[0] @ factors[1] @ ...`` is the zero matrix.
+
+    Decided over the integers, with no Fraction built: scaling a row of the
+    first factor or a column of the last by a nonzero rational leaves every
+    entry of the product zero or nonzero as it was, so those are scaled to
+    primitive integers, and each middle factor goes over one denominator.
+    Raises `TypeError` on an entry that is not an int or a Fraction.
+    """
+    first, *rest = factors
+    acc = _primitive_rows(first)
+    if not rest:
+        return not any(map(any, acc))
+    *middle, last = rest
+    for b in middle:
+        acc = _int_mat_mul(acc, _over_one_denominator(b)[0])
+    cols = _primitive_rows(transpose(last))
+    return not any(sum(map(mul, row, col)) for row in acc for col in cols)
 
 
 def hstack(a, b):
@@ -147,15 +175,19 @@ def block_diag(*blocks):
     return tuple(rows)
 
 
-def _integer_rows(rows):
-    """Scale each row to coprime integers; drop zero rows.  Row scaling by a
-    nonzero rational leaves the row span unchanged."""
+def _primitive(ints):
+    """An integer row divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _primitive_rows(rows):
+    """Each row scaled to coprime integers; zero rows stay.  Row scaling by
+    a nonzero rational leaves the row span unchanged."""
     out = []
     for r in rows:
         (ints,), _ = _over_one_denominator((r,))
-        g = gcd(*ints)
-        if g:
-            out.append([v // g for v in ints])
+        out.append(_primitive(ints))
     return out
 
 
@@ -163,10 +195,11 @@ def rref(rows):
     """Reduced row echelon form of the row span.
 
     Returns ``(rows, pivots)``: the nonzero RREF rows as Fraction tuples and
-    the pivot column indices.  The forward elimination is Bareiss (integer,
-    fraction-free); only the final back-substitution touches Fractions.
+    the pivot column indices.  The forward elimination is Bareiss and the
+    back-substitution clears on primitive integer rows; each nonzero output
+    entry is then one ``Fraction(v, pivot)``.
     """
-    work = _integer_rows(rows)
+    work = [r for r in _primitive_rows(rows) if any(r)]
     if not work:
         return (), ()
     m, n = len(work), len(work[0])
@@ -193,18 +226,23 @@ def rref(rows):
         if r == m:
             break
 
-    # Back-substitute on the r echelon rows; RREF is unique, hence canonical.
-    frows = [[Fraction(x) for x in work[i]] for i in range(r)]
-    for i in range(r):
-        inv = frows[i][piv_cols[i]]
-        frows[i] = [x / inv for x in frows[i]]
+    # Clear above each pivot on the r echelon rows, kept primitive; RREF is
+    # unique, hence canonical.
+    work = [_primitive(work[i]) for i in range(r)]
     for i in reversed(range(r)):
-        c = piv_cols[i]
+        top = work[i]
+        piv = top[piv_cols[i]]
         for k in range(i):
-            f = frows[k][c]
+            f = work[k][piv_cols[i]]
             if f:
-                frows[k] = [a - f * b for a, b in zip(frows[k], frows[i])]
-    return tuple(tuple(row) for row in frows), tuple(piv_cols)
+                work[k] = _primitive([piv * a - f * b for a, b in zip(work[k], top)])
+    return (
+        tuple(
+            tuple(Fraction(v, row[c]) if v else _ZERO for v in row)
+            for row, c in zip(work, piv_cols)
+        ),
+        tuple(piv_cols),
+    )
 
 
 def kernel(a, ncols=None):

@@ -50,7 +50,15 @@ def rotation_dressing_axioms(samples, seed, tol, step):
 def rotation_strong_section(samples, seed, tol, step):
     """Strong-map property of the dressing Dirac structure along the
     identity: exact inclusion and transversality from frozen fibers, FD
-    integrability against the induced twist."""
+    integrability against the induced twist.
+
+    The ``integrability`` gate cannot see that twist: with ``can.phi``
+    scaled by 0, 2 or -1 it still reads at most 5.8e-10 (20 samples, seed
+    0).  The twist term phi(X, Y, .) of a pair of rows is nonzero (up to
+    1.9 there) but already lies in the frame's span (distance below
+    1e-10), because the frame's tangent parts span only a plane.  So the
+    gate checks the frame's closure under the untwisted bracket only; the
+    twist's sign is pinned on a flat chart instead."""
     from . import dictionary as dc
     from . import rational as rat
     from .exact_linear import canonicalize

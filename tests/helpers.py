@@ -44,6 +44,10 @@ def random_matrix(rng, m, n, lo=-4, hi=5, den=4):
     )
 
 
+def is_zero_matrix(a):
+    return all(x == 0 for row in a for x in row)
+
+
 def random_antisymmetric(rng, t):
     rows = [[Fraction(0)] * t for _ in range(t)]
     for i in range(t):

@@ -98,8 +98,18 @@ def test_identification_validation():
     # anchor whose adjoint is not isotropic: the fiber cannot be exact
     with pytest.raises(ValueError):
         identification_from_anchor(pair, rat.hstack(rat.identity(2), rat.identity(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="right inverse"):
         ExactIdentification(pair, rho, rat.zeros(4, 2))
+    # rho s = id, but the first column (1, 0, 1, 0) pairs with itself to 2
+    tilted = rat.matrix([[1, 0], [0, 0], [1, 0], [0, 1]])
+    assert rat.mat_mul(rho, tilted) == rat.identity(2)
+    with pytest.raises(ValueError, match="not isotropic"):
+        ExactIdentification(pair, rho, tilted)
+    # an isotropic right inverse of [I | I], whose adjoint pairs to 2 I
+    wide = rat.hstack(rat.identity(2), rat.identity(2))
+    tangent = rat.vstack(rat.identity(2), rat.zeros(2, 2))
+    with pytest.raises(ValueError, match="not exact"):
+        ExactIdentification(pair, wide, tangent)
 
 
 def test_rotation_anchor_identification():
@@ -107,7 +117,7 @@ def test_rotation_anchor_identification():
     ident = helpers.rotation_cayley_ident(rng)
     gram = ident.pair.d.form.gram
     sg = rat.mat_mul(rat.transpose(ident.s), gram)
-    assert rat.is_zero_matrix(rat.mat_mul(sg, ident.s))
+    assert helpers.is_zero_matrix(rat.mat_mul(sg, ident.s))
     v = tuple(Fraction(k - 1) for k in range(3))
     beta = tuple(Fraction(2 - k, 2) for k in range(3))
     e = ident.embed(v, beta)

@@ -124,6 +124,13 @@ def test_hamiltonian_fiber_validation_errors():
             dJ=rat.matrix([[1, 0], [0, 1]]),
             rho=rat.zeros(2, 2),
         )
+    # a readout [dJ | -rho] that kills the (u, e) part of every K row but
+    # the last, so the condition must be checked on all rows
+    ue = [row[:2] + row[4:] for row in h.K.basis]
+    w = next(v for v in rat.kernel(ue[:-1]) if any(rat.mat_vec((v,), ue[-1])))
+    dj, rho = (w[:2],), rat.mat_neg((w[2:],))
+    with pytest.raises(ValueError, match="support condition"):
+        HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, dJ=dj, rho=rho)
 
 
 def test_extract_action_returns_the_action_matrix():

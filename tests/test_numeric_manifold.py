@@ -481,6 +481,39 @@ def test_integrability_sees_the_twist_and_its_sign(scale, want):
     assert rep.passed is (scale == -1.0)
 
 
+def test_the_pulled_twist_is_evaluated_once_per_point():
+    pair, pts, cd = verify._dressing(20, 0, 1e-4)
+    can = nm.canonical_hamiltonian(cd)
+    ds = nm.dirac_of_pair(cd, pair.g, can.s)
+    calls = []
+
+    def phi(y):
+        calls.append(y)
+        return can.phi(y)
+
+    rep = nm.check_strong_dirac(
+        nm.MapField.identity(3), ds.basis_at, ds.basis_at, pts, phi=phi
+    )
+    assert rep.passed
+    # 60 when each of the three frame pairs pulled the twist back again
+    assert len(calls) == 20
+
+
+def test_quasi_poisson_takes_each_gradient_once_per_point(monkeypatch):
+    calls = []
+    partial_table = nm.partial_table
+
+    def counted(*args):
+        calls.append(args[1])
+        return partial_table(*args)
+
+    monkeypatch.setattr(nm, "partial_table", counted)
+    assert verify.run_example("rotation_quasi_poisson", samples=3, seed=0).passed
+    # 630 when each inner bracket retook both library gradients at every
+    # central-difference point
+    assert len(calls) == 180
+
+
 def test_the_strong_map_frame_is_read_once_per_point():
     calls = []
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +240,24 @@ def test_ad_invariance_counts_and_witness_under_a_foreign_pairing(
     rep = check_quadratic_lie(d)
     assert rep.quantities["ad_invariance"] == count
     assert rep.witness["ad_invariance"] == witness
+
+
+def test_a_fresh_process_asking_for_one_pair_validates_one_algebra():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = (
+        "from diracpairs.quadratic_lie import catalog, check_quadratic_lie\n"
+        "cat = catalog()\n"
+        "assert 'sl2-double' in cat and len(list(cat)) == 6\n"
+        "cat['so3-double']\n"
+        "print(check_quadratic_lie.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
 
 
 def test_validation_is_shared_and_the_catalog_is_read_only():

@@ -106,8 +106,8 @@ def test_matrix_building_and_arithmetic():
     assert rat.mat_scale(Fraction(2), a) == rat.matrix([[2, 4], [6, 8]])
     assert rat.mat_vec(a, (1, 0)) == (Fraction(1), Fraction(3))
     assert rat.transpose(rat.transpose(a)) == a
-    assert rat.is_zero_matrix(rat.zeros(3, 2))
-    assert not rat.is_zero_matrix(a)
+    assert rat.is_zero_product(rat.zeros(3, 2))
+    assert not rat.is_zero_product(a)
 
 
 def test_stacking_shapes():
@@ -241,3 +241,101 @@ def test_products_reject_floats(bad):
         rat.mat_vec(((Fraction(1), Fraction(2)),), (bad, 1))
     with pytest.raises(TypeError, match=named):
         rat.mat_vec(((Fraction(1), bad),), (1, 1))
+
+
+# Large, pairwise coprime denominators (primes below 10^9), so Gauss-Jordan
+# over Fraction meets several-hundred-bit intermediates.
+big_primes = (999999937, 999999929, 999999893, 999999883, 999999797, 999999761)
+coprime_entries = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.sampled_from(big_primes)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(6, 9), st.integers(0, 3), st.data())
+def test_rref_matches_gauss_jordan_on_wide_rank_deficient_rows(r, n, extra, data):
+    # r independent-ish rows, then `extra` rational combinations of them
+    base = data.draw(
+        st.lists(st.tuples(*[coprime_entries] * n), min_size=r, max_size=r)
+    )
+    coefs = data.draw(
+        st.lists(st.tuples(*[coprime_entries] * r), min_size=extra, max_size=extra)
+    )
+    rows = tuple(base) + tuple(
+        tuple(sum((c * row[j] for c, row in zip(cs, base)), Fraction(0)) for j in range(n))
+        for cs in coefs
+    )
+    red, piv = rat.rref(rows)
+    assert (red, piv) == naive_rref(rows)
+    assert len(red) <= r
+    assert_normalized(x for row in red for x in row)
+
+
+def test_rref_matches_gauss_jordan_on_frozen_fiber_rows(monkeypatch):
+    from diracpairs import numeric_manifold as nm
+    from diracpairs import verify
+
+    captured = []
+    canonicalize = nm.canonicalize
+
+    def capture(rows, ambient_dim=None):
+        captured.append(rat.matrix(rows))
+        return canonicalize(rows, ambient_dim)
+
+    monkeypatch.setattr(nm, "canonicalize", capture)
+    _, pts, cd = verify._dressing(3, 0, 1e-4)
+    can = nm.canonical_hamiltonian(cd)
+    for x in pts:
+        can.frozen_fiber(x)
+    assert len(captured) == 3
+    for rows in captured:
+        assert max(x.denominator for row in rows for x in row) > 10**8
+        red, piv = rat.rref(rows)
+        assert (red, piv) == naive_rref(rows)
+        assert_normalized(x for row in red for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_matrix(), st.data())
+def test_zero_product_matches_the_fraction_product(a, data):
+    k = len(a[0])
+    b = data.draw(fraction_matrix(k, None))
+    c = data.draw(fraction_matrix(len(b[0]), None))
+    assert rat.is_zero_product(a) == all(x == 0 for row in a for x in row)
+    ab = naive_mat_mul(a, b)
+    assert rat.is_zero_product(a, b) == all(x == 0 for row in ab for x in row)
+    abc = naive_mat_mul(ab, c)
+    assert rat.is_zero_product(a, b, c) == all(x == 0 for row in abc for x in row)
+    # kernel bases give products that must read zero; the left kernel's
+    # zero needs the rows of the middle factor `a` in their true ratio
+    null = rat.kernel(a)
+    if null:
+        assert rat.is_zero_product(a, rat.transpose(null))
+        assert rat.is_zero_product(c, rat.transpose(c), a, rat.transpose(null))
+    left = rat.kernel(rat.transpose(a))
+    if left:
+        assert rat.is_zero_product(left, a, b)
+
+
+def test_zero_product_sees_a_tiny_entry():
+    tiny = Fraction(1, 10**80)
+    a = ((Fraction(1, 3), Fraction(-1, 3)),)
+    b = ((Fraction(1),), (Fraction(1),))
+    assert rat.is_zero_product(a, b)
+    assert not rat.is_zero_product(a, ((Fraction(1),), (1 - tiny,)))
+    assert not rat.is_zero_product(((tiny,),))
+    g = rat.identity(2)
+    assert not rat.is_zero_product(a, g, ((Fraction(1),), (1 + tiny,)))
+    # (2, 1) cancels the middle rows only in their ratio 1 : -2
+    middle = rat.matrix([[1, 2], [-2, -4]])
+    assert rat.is_zero_product(((2, 1),), middle, g)
+    assert not rat.is_zero_product(((2, 1 + tiny),), middle, g)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5)], ids=["float", "float64"])
+def test_zero_product_rejects_floats(bad):
+    named = re.escape(repr(bad))
+    one, odd = ((Fraction(1),),), ((bad,),)
+    for factors in [(odd,), (odd, one), (one, odd), (one, odd, one)]:
+        with pytest.raises(TypeError, match=named):
+            rat.is_zero_product(*factors)
