@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__, verify
+from .dictionary import RecordError
 from .scene_dsl import ParseError, SceneError, parse_scene, validate_scene
 
 EXIT_PASS = 0
@@ -245,6 +246,9 @@ def run_dict(args, out, err):
         return EXIT_INPUT
     try:
         result = _convert_fiber(args.mode, record)
+    except RecordError as e:
+        print(f"malformed fiber file: {e}", file=err)
+        return EXIT_INPUT
     except ValueError as e:
         if args.json:
             print(json.dumps({"status": "fail", "witness": str(e)}), file=out)

@@ -452,7 +452,30 @@ def _enc_matrix(mat):
 
 
 def _dec_matrix(rows):
+    if isinstance(rows, str) or any(isinstance(row, str) for row in rows):
+        raise TypeError("a matrix is a list of rows of entries, not a string")
     return rat.matrix([[Fraction(x) for x in row] for row in rows])
+
+
+def _dec_int(x):
+    v = Fraction(x)
+    if v.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(v)
+
+
+class RecordError(ValueError):
+    """A fiber record field that is missing or does not decode."""
+
+
+def _field(obj, name, decode=_dec_matrix):
+    """``decode(obj[name])``, raising RecordError that names the field."""
+    if name not in obj:
+        raise RecordError(f"fiber record has no {name!r} field")
+    try:
+        return decode(obj[name])
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise RecordError(f"fiber record field {name!r}: {e}") from None
 
 
 def quasi_to_dict(q):
@@ -469,10 +492,10 @@ def quasi_from_dict(obj):
     if obj.get("kind") != "quasi":
         raise ValueError("not a bivector fiber object")
     return QuasiPoissonPointData(
-        t_dim=int(obj["t_dim"]),
-        a_dim=int(obj["a_dim"]),
-        Pi=_dec_matrix(obj["pi"]),
-        rho_X=_dec_matrix(obj["rho_x"]),
+        t_dim=_field(obj, "t_dim", _dec_int),
+        a_dim=_field(obj, "a_dim", _dec_int),
+        Pi=_field(obj, "pi"),
+        rho_X=_field(obj, "rho_x"),
     )
 
 
@@ -487,5 +510,5 @@ def dirac_to_dict(d):
 def dirac_from_dict(obj):
     if obj.get("kind") != "dirac":
         raise ValueError("not a Lagrangian fiber object")
-    t = int(obj["t_dim"])
-    return DiracPointData(canonicalize(_dec_matrix(obj["basis"]), 2 * t))
+    t = _field(obj, "t_dim", _dec_int)
+    return DiracPointData(canonicalize(_field(obj, "basis"), 2 * t))

@@ -250,19 +250,6 @@ class SplitForm:
         )
 
 
-def orthogonal_complement(form, u):
-    """``{v : gram(v, w) = 0 for all w in u}``; exact."""
-    if u.ambient_dim != form.dim:
-        raise ValueError("subspace does not live in the form's space")
-    if not form.nondegenerate:
-        raise ValueError(
-            f"gram is degenerate (signature {form.signature()}); "
-            "orthogonal complements need a nondegenerate pairing"
-        )
-    rows = rat.kernel(rat.mat_mul(u.basis, form.gram), ncols=form.dim)
-    return canonicalize(rows, form.dim)
-
-
 def _require_split(form):
     p, m, z = form.signature()
     if z or p != m:

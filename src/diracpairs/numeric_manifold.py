@@ -6,7 +6,8 @@ twisted tangent-plus-cotangent bundle, the dressing bundle of a quadratic
 double over its group chart, pointwise isotropic splittings with their
 induced three-form, half-subalgebra Dirac fields, the canonical moment
 geometries, and the bivector compatibility checks.  Residual reports are
-the product; nothing in this module proves anything symbolically.
+the product.  The algebraic strong-map and sharp quantities are decided
+exactly, on fibers frozen to rational matrices at each point.
 
 Every derivative here, and in ``reduction``, is a ``partial_table``: the
 central differences of a field along the coordinate axes, built on
@@ -44,7 +45,7 @@ import numpy as np
 from . import rational as rat
 from . import so3
 from .dictionary import DiracPointData, forward_dirac
-from .exact_linear import canonicalize
+from .exact_linear import Subspace, canonicalize
 from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 from .report import Report, worse
@@ -198,8 +199,9 @@ class CourantNumeric:
     anchor matrix field, and a bracket evaluator on section fields.
 
     ``pair`` is the Manin pair every fiber carries (the fiber algebra with
-    its Lagrangian half), when the bundle has one; ``exact_anchor`` freezes
-    the anchor at a point to a rational matrix."""
+    its Lagrangian half), when the bundle has one.  ``exact_anchor(x)``
+    freezes the anchor at a point to a rational matrix with exactly zero
+    coisotropy defect, rounding through ``rational.rationalize``."""
 
     chart: Chart
     rank: int
@@ -227,9 +229,6 @@ class CourantNumeric:
     def rho_star(self, x):
         """Matrix of the dual anchor (covectors into the bundle)."""
         return self.gram_inv @ self.anchor_matrix(x).T
-
-    def pair_at(self, e1, e2, x):
-        return float(e1(x) @ self.gram @ e2(x))
 
     def bracket(self, e1, e2):
         return SectionField(self.rank, lambda x: self.bracket_at(e1, e2, x))
@@ -343,14 +342,14 @@ def rotation_double_anchor(x):
     return np.hstack([-jinv, jinv @ r])
 
 
-def rotation_double_exact_anchor(x, max_denominator=10**8):
+def rotation_double_exact_anchor(x):
     """Rational anchor near the float one whose coisotropy defect vanishes
     identically: the rotation block is frozen through the Cayley chart, so
     orthogonality survives the rounding, and the Jacobian factor is a free
     left multiplier."""
     x = np.asarray(x, dtype=float)
-    jq = so3.rationalize_matrix(so3.left_jacobian_inv(x), max_denominator)
-    rq = so3.rationalize_rotation(so3.exp_rotation(x), max_denominator)
+    jq = so3.rationalize_matrix(so3.left_jacobian_inv(x))
+    rq = so3.rationalize_rotation(so3.exp_rotation(x))
     return rat.mat_mul(jq, rat.hstack(rat.mat_neg(rat.identity(3)), rq))
 
 
@@ -530,32 +529,6 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
     return Report(res, tol=tol, data={"step": h})
 
 
-def fd_convergence_probe(factory, x, h, factor=8.0):
-    """Step-halving signal for the bracket's FD scheme.
-
-    ``factory(step)`` rebuilds the bundle at a given step.  The probe
-    brackets two transcendental sections at ``x`` against a much finer
-    reference; for a second-order scheme the value at step ``h`` is about
-    four times the value at ``h/2``.
-    """
-    coarse = factory(h)
-    ref = factory(h / factor)
-    r = coarse.rank
-    eye = np.eye(r)
-
-    def mix1(y):
-        return math.sin(float(y[0])) * eye[0] + math.cos(float(y[0])) * eye[r - 1]
-
-    def mix2(y):
-        return math.cos(float(y[0])) * eye[1 % r] + math.sin(float(y[0])) * eye[r - 2]
-
-    e1 = SectionField(r, mix1)
-    e2 = SectionField(r, mix2)
-    w = coarse.bracket_at(e1, e2, np.asarray(x, float))
-    wr = ref.bracket_at(e1, e2, np.asarray(x, float))
-    return float(np.max(np.abs(w - wr)))
-
-
 def lstsq_distance(rows, w):
     """Distance from ``w`` to the row span of ``rows`` (empty span allowed)."""
     rows = np.asarray(rows, dtype=float)
@@ -615,18 +588,6 @@ def make_exact_splitting(c, onto_tol=1e-8):
     return s, phi
 
 
-def splitting_residuals(c, s, points=None):
-    """Max deviations of rho s = id and of isotropy of the image."""
-    pts = points if points is not None else c.chart.sample_points
-    comp = 0.0
-    iso = 0.0
-    for x in pts:
-        sx = s(x)
-        comp = worse(comp, float(np.max(np.abs(c.anchor_matrix(x) @ sx - np.eye(c.chart.dim)))))
-        iso = worse(iso, float(np.max(np.abs(sx.T @ c.gram @ sx))))
-    return {"composition": comp, "isotropy": iso}
-
-
 @dataclass
 class DiracField:
     """Half-subalgebra Dirac structure, pointwise: rows (rho(a), s*(a))."""
@@ -643,22 +604,6 @@ class DiracField:
         for a in self.half_rows:
             rows.append(np.concatenate([rho @ a, sx.T @ (g @ a)]))
         return np.stack(rows)
-
-    def lagrangian_report(self, x, rank_tol=1e-8):
-        b = self.basis_at(x)
-        n = self.courant.chart.dim
-        pair = np.zeros((2 * n, 2 * n))
-        pair[:n, n:] = np.eye(n)
-        pair[n:, :n] = np.eye(n)
-        iso = float(np.max(np.abs(b @ pair @ b.T)))
-        sv = np.linalg.svd(b, compute_uv=False)
-        drop = int(np.sum(sv < rank_tol * max(1.0, sv[0])))
-        return {"isotropy": iso, "rank_drop": drop}
-
-    def integrability_residual(self, x, phi, h=DEFAULT_STEP):
-        """Closure defect of the section frame under the twisted bracket."""
-        phi_field = _phi_as_field(phi, self.courant.chart.dim)
-        return _frame_closure(per_point(self.basis_at), x, phi_field, h)
 
 
 def _frame_closure(frame, x, phi_field, h=DEFAULT_STEP):
@@ -736,7 +681,7 @@ class CanonicalSpace:
             rows.append(np.concatenate([np.zeros(n), -eps, rho_star[:, k]]))
         return np.stack(rows)
 
-    def frozen_fiber(self, x, max_denominator=10**8):
+    def frozen_fiber(self, x):
         """Exact Hamiltonian fiber at ``x``: the anchor is frozen to a
         rational matrix with exact coisotropy, so the Lagrangian and
         support conditions hold on the nose, not within a tolerance."""
@@ -744,7 +689,7 @@ class CanonicalSpace:
             raise ValueError("bundle has no exact anchor to freeze")
         n = self.courant.chart.dim
         pair = self.courant.pair
-        rho_q = self.courant.exact_anchor(np.asarray(x, float), max_denominator)
+        rho_q = self.courant.exact_anchor(np.asarray(x, float))
         rho_star_q = rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q))
         zero_t = (Fraction(0),) * n
         rows = []
@@ -807,115 +752,39 @@ def canonical_hamiltonian(c):
     return CanonicalSpace(courant=c, s=s, phi=phi)
 
 
-@dataclass
-class OrbitCanonicalSpace:
-    """Orbit variant: the base is a distance sphere in the chart (the
-    conjugation-orbit picture), the moment map is the inclusion."""
-
-    courant: CourantNumeric
-    radius: float
-
-    def __post_init__(self):
-        if self.courant.pair is None:
-            raise ValueError("orbit space needs the bundle's Manin pair")
-        self.half_rows = subspace_rows(self.courant.pair.g)
-
-    def project(self, p):
-        p = np.asarray(p, dtype=float)
-        nrm = float(np.linalg.norm(p))
-        if nrm == 0.0:
-            raise ValueError("cannot project the origin to the orbit")
-        return p * (self.radius / nrm)
-
-    def orbit_points(self, count, seed):
-        rng = np.random.default_rng(seed)
-        pts = []
-        while len(pts) < count:
-            v = rng.normal(size=3)
-            if np.linalg.norm(v) > 1e-6:
-                pts.append(self.project(v))
-        return pts
-
-    def tangent_frame(self, x):
-        x = np.asarray(x, dtype=float)
-        nrm = x / np.linalg.norm(x)
-        base = np.eye(3)[np.argmin(np.abs(nrm))]
-        t1 = base - nrm * float(nrm @ base)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(nrm, t1)
-        return np.stack([t1, t2], axis=1)
-
-    def tangency_residual(self, x):
-        """Normal component of the anchored half directions: the moment
-        image of the fiber must stay tangent to the sphere."""
-        x = np.asarray(x, dtype=float)
-        rho = self.courant.anchor_matrix(x)
-        nrm = x / np.linalg.norm(x)
-        worst = 0.0
-        for a in self.half_rows:
-            worst = worse(worst, abs(float((rho @ a) @ nrm)))
-        return worst
-
-    def fiber_rows(self, x):
-        x = np.asarray(x, dtype=float)
-        frame = self.tangent_frame(x)
-        rho = self.courant.anchor_matrix(x)
-        rho_star = self.courant.rho_star(x)
-        rows = []
-        for a in self.half_rows:
-            rows.append(np.concatenate([frame.T @ (rho @ a), np.zeros(2), a]))
-        for k in range(3):
-            eps = np.eye(3)[k]
-            rows.append(np.concatenate([np.zeros(2), -(frame.T @ eps), rho_star[:, k]]))
-        return np.stack(rows)
-
-    def fiber_report(self, x, rank_tol=1e-8):
-        rows = self.fiber_rows(x)
-        n = 2
-        gram = np.zeros((2 * n + self.courant.rank, 2 * n + self.courant.rank))
-        gram[:n, n : 2 * n] = np.eye(n)
-        gram[n : 2 * n, :n] = np.eye(n)
-        gram[2 * n :, 2 * n :] = self.courant.gram
-        iso = float(np.max(np.abs(rows @ gram @ rows.T)))
-        sv = np.linalg.svd(rows, compute_uv=False)
-        dim = int(np.sum(sv > rank_tol * sv[0]))
-        return {"isotropy": iso, "dim": dim, "tangency": self.tangency_residual(x)}
-
-
-def canonical_orbit_hamiltonian(c, radius):
-    return OrbitCanonicalSpace(courant=c, radius=float(radius))
-
-
 def check_strong_dirac(
     jmap,
     l_x,
-    l_s,
     points,
     phi=None,
     h=DEFAULT_STEP,
     tol=DEFAULT_TOL,
-    rank_tol=1e-8,
     exact_fibers=None,
 ):
     """Strong-map report for a Dirac field along a chart map, worst over
-    the points: ``inclusion``, ``transversality`` and the ``integrability``
-    defect of the source frame.
+    the points.
 
-    ``l_x`` and ``l_s`` are smooth float row-basis suppliers over the
-    source and target charts; they drive the FD integrability probe (run
-    and reported only when ``phi``, a twist on the target chart, is given)
-    and the float inclusion/transversality ranks.  ``exact_fibers`` optionally maps a
-    point to ``(l_x_rows, l_s_rows, dj)`` as rational matrices; when
-    present, inclusion and transversality are decided by exact rank
-    arithmetic on those frozen fibers instead, and both are exact 0/1
-    quantities; otherwise only transversality is.
+    ``exact_fibers`` maps a point to ``(l_x_rows, l_s_rows, dj)``: the
+    frozen source and target fibers and the differential as rational
+    matrices.  From them ``inclusion`` (the target fiber lies in the
+    forward image of the source fiber) and ``transversality`` (``dj`` is
+    injective on the source fiber's tangent part) are exact 0/1 quantities.
+    ``phi``, a twist on the target chart, adds the finite-difference
+    ``integrability`` defect of ``l_x``, a smooth float row-basis supplier
+    over the source chart.  A check given neither measures nothing, so it
+    raises ValueError.
     """
+    if exact_fibers is None and phi is None:
+        raise ValueError("strong-map check needs exact fibers or a twist to measure")
     q = jmap.source_dim
     m = jmap.target_dim
-    frame = per_point(l_x)
-    res = {"inclusion": 0.0, "transversality": 0}
+    res = {}
+    if exact_fibers is not None:
+        res.update(inclusion=0.0, transversality=0)
+        tangents = Subspace.full(q).embed(range(q), 2 * q)
     if phi is not None:
         res["integrability"] = 0.0
+        frame = per_point(l_x)
         phi_field = _phi_as_field(phi, m)
 
         @per_point
@@ -933,72 +802,27 @@ def check_strong_dirac(
         x = np.asarray(x, dtype=float)
         if exact_fibers is not None:
             lx_q, ls_q, dj_q = exact_fibers(x)
+            dj = rat.matrix(dj_q)
             fiber = DiracPointData(canonicalize(list(lx_q), 2 * q)).L
-            image = forward_dirac(fiber, rat.matrix(dj_q))
-            target = canonicalize(list(ls_q), 2 * m)
-            stacked = canonicalize(list(image.basis) + list(target.basis), 2 * m)
-            incl_res = 0.0 if stacked.dim == image.dim else 1.0
-            # coefficient kernel of the covector block gives L cap T exactly
-            cov_cols = [row[q:] for row in fiber.basis]
-            coefs = rat.kernel(rat.transpose(rat.matrix(cov_cols)), ncols=len(cov_cols)) if cov_cols else ()
-            tangent = []
-            for cvec in coefs:
-                u = [sum(cvec[i] * fiber.basis[i][j] for i in range(len(cvec))) for j in range(q)]
-                if any(u):
-                    tangent.append(tuple(u))
-            if tangent:
-                pushed = [tuple(rat.mat_vec(rat.matrix(dj_q), u)) for u in tangent]
-                transversal = rat.rank(pushed) == rat.rank(tangent)
-            else:
-                transversal = True
-        else:
-            lxr = frame(x)
-            lsr = np.asarray(l_s(jmap.value(x)), dtype=float)
-            djr = np.asarray(jmap.jacobian(x), dtype=float)
-            k = lxr.shape[0]
-            # forward span: pairs (dJ u, beta) with (u, dJ^T beta) in the rows
-            cons = np.hstack([djr.T, -lxr.T[q:]])
-            vt = np.linalg.svd(cons)[2]
-            sv = np.linalg.svd(cons, compute_uv=False)
-            null = [vt[i] for i in range(vt.shape[0]) if i >= len(sv) or sv[i] < rank_tol]
-            fwd = []
-            for z in null:
-                beta, coef = z[:m], z[m:]
-                u = lxr.T[:q] @ coef
-                fwd.append(np.concatenate([djr @ u, beta]))
-            incl_res = reduce(worse, (lstsq_distance(fwd, v) for v in lsr), 0.0)
-            # L_X intersect TX, pushed through the differential
-            cov = lxr.T[q:]
-            cvt = np.linalg.svd(cov)[2]
-            csv = np.linalg.svd(cov, compute_uv=False)
-            coefs = [cvt[i] for i in range(cvt.shape[0]) if i >= len(csv) or csv[i] < rank_tol]
-            tang = [lxr.T[:q] @ cvec for cvec in coefs]
-            tang = [t for t in tang if np.linalg.norm(t) > rank_tol]
-            if tang:
-                tmat = np.stack(tang)
-                rk = np.linalg.matrix_rank(tmat, tol=rank_tol)
-                rk_pushed = np.linalg.matrix_rank(tmat @ djr.T, tol=rank_tol)
-                transversal = rk_pushed == rk
-            else:
-                transversal = True
-        res["inclusion"] = worse(res["inclusion"], incl_res)
-        res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
-
+            included = forward_dirac(fiber, dj).contains(canonicalize(list(ls_q), 2 * m))
+            tangent = fiber.intersection(tangents).project(range(q))
+            transversal = rat.rank([rat.mat_vec(dj, u) for u in tangent.basis]) == tangent.dim
+            res["inclusion"] = worse(res["inclusion"], 0.0 if included else 1.0)
+            res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
         if phi is not None:
             res["integrability"] = worse(res["integrability"], _frame_closure(frame, x, pulled, h))
-    exact = {"transversality"} if exact_fibers is None else {"inclusion", "transversality"}
-    return Report(res, tol=tol, exact=exact)
+    return Report(res, tol=tol, exact={"inclusion", "transversality"} & res.keys())
 
 
 def make_quasi_pi_field(c, j_cols):
     """Bivector and action fields induced by a constant isotropic
     complement ``j`` of the bundle's half subalgebra.
 
-    Returns ``(pi, rho_x, rho_astar)``: ``pi(x)[i][j]`` is the bivector on
-    coordinate covectors, ``rho_x(x)`` the action of the half algebra, and
-    ``rho_astar(x)`` the anchored complement (used by the sharp-map
-    compatibility identity).  The bivector comes out antisymmetric exactly
-    as the anchor's coisotropy defect vanishes.
+    Returns ``(pi, rho_x)``: ``pi(x)[i][j]`` is the bivector on coordinate
+    covectors and ``rho_x(x)`` the action of the half algebra.  The bivector
+    comes out antisymmetric exactly as the anchor's coisotropy defect
+    vanishes.  The sharp identity has no float version here: it is decided
+    on the frozen fibers of ``make_exact_quasi_pi``.
     """
     if c.pair is None:
         raise ValueError("bundle carries no Manin pair")
@@ -1013,16 +837,13 @@ def make_quasi_pi_field(c, j_cols):
     def rho_x(x):
         return c.anchor_matrix(x) @ a_cols
 
-    def rho_astar(x):
-        return c.anchor_matrix(x) @ j_f
-
-    return pi, rho_x, rho_astar
+    return pi, rho_x
 
 
-def make_exact_quasi_pi(c, j_cols, max_denominator=10**8):
-    """Exact-fiber supplier matching make_quasi_pi_field: rationalize the
-    anchor once per point and push the same constant complement through
-    exact arithmetic."""
+def make_exact_quasi_pi(c, j_cols):
+    """Exact-fiber supplier matching make_quasi_pi_field: freeze the anchor
+    once per point and push the same constant complement through exact
+    arithmetic into rational ``pi``, ``rho_x``, ``rho_astar`` and ``dj``."""
     if c.exact_anchor is None:
         raise ValueError("bundle has no exact anchor to freeze")
     form = c.pair.d.form
@@ -1031,7 +852,7 @@ def make_exact_quasi_pi(c, j_cols, max_denominator=10**8):
     proj = rat.mat_mul(a_cols, rat.mat_mul(rat.transpose(j_q), form.gram))
 
     def fibers(x):
-        rho = c.exact_anchor(np.asarray(x, float), max_denominator)
+        rho = c.exact_anchor(np.asarray(x, float))
         pit = rat.mat_mul(rho, rat.mat_mul(proj, rat.mat_mul(form.gram_inv, rat.transpose(rho))))
         pi = rat.mat_neg(pit)
         return {
@@ -1062,7 +883,6 @@ def check_quasi_poisson(
     chi,
     cobracket,
     points,
-    rho_astar=None,
     exact_fibers=None,
     funcs=None,
     h=DEFAULT_STEP,
@@ -1075,14 +895,14 @@ def check_quasi_poisson(
     The Jacobiator identity compares the cyclic nested bracket sum with
     the anchored trivector term (scaled by the frozen module sign); the
     derivative identity compares Lie derivatives of the bivector along
-    anchored constant sections with the pushed cobracket; the sharp-map
-    identity is algebraic and runs exactly whenever frozen fibers are
-    supplied, which makes ``sharp_compat`` an exact quantity.  ``chi`` and
-    ``cobracket`` use the exact splitting module's component conventions
-    (nested tuples, possibly empty for the ordinary Poisson case).  An
-    identity that is not measured is absent from the report: ``lie_compat``
-    with an empty cobracket, ``sharp_compat`` with neither ``exact_fibers``
-    nor ``rho_astar``.
+    anchored constant sections with the pushed cobracket.  The sharp-map
+    identity is algebraic: it runs only on the frozen rational fibers
+    ``exact_fibers`` (the dicts of ``make_exact_quasi_pi``), so
+    ``sharp_compat`` is an exact quantity.  ``chi`` and ``cobracket`` use
+    the exact splitting module's component conventions (nested tuples,
+    possibly empty for the ordinary Poisson case).  An identity that is not
+    measured is absent from the report: ``lie_compat`` with an empty
+    cobracket, ``sharp_compat`` without ``exact_fibers``.
     """
     sign = JACOBIATOR_SIGN if sign is None else sign
     dim = jmap.source_dim
@@ -1093,7 +913,7 @@ def check_quasi_poisson(
     res = {"jacobiator": 0.0}
     if cob_f.size:
         res["lie_compat"] = 0.0
-    if exact_fibers is not None or rho_astar is not None:
+    if exact_fibers is not None:
         res["sharp_compat"] = 0.0
 
     # each function's gradient once per point: the inner brackets share them
@@ -1140,28 +960,6 @@ def check_quasi_poisson(
             rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
             diff = (abs(v) for row in rat.mat_sub(lhs, rhs_m) for v in row)
             res["sharp_compat"] = reduce(worse, diff, res["sharp_compat"])
-        elif rho_astar is not None:
-            lhs = px.T @ np.asarray(jmap.jacobian(x), float).T
-            rhs_m = rx @ np.asarray(rho_astar(x), float).T
-            res["sharp_compat"] = worse(res["sharp_compat"], float(np.max(np.abs(lhs - rhs_m))))
 
     exact = () if exact_fibers is None else ("sharp_compat",)
     return Report(res, tol=tol, exact=exact)
-
-
-def so3_linear_poisson(x):
-    """Component matrix of the linear bivector on the dual of the rotation
-    algebra: {x_i, x_j} = sum_k eps_ijk x_k."""
-    x = np.asarray(x, dtype=float)
-    return np.array(
-        [
-            [0.0, x[2], -x[1]],
-            [-x[2], 0.0, x[0]],
-            [x[1], -x[0], 0.0],
-        ]
-    )
-
-
-def group_trace_function(x):
-    """Trace of the chart rotation; the transcendental probe function."""
-    return 1.0 + 2.0 * math.cos(float(np.linalg.norm(np.asarray(x, float))))

@@ -11,12 +11,10 @@ hand in a fiber supplier and probe points and read residuals back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import rational as rat
 from .numeric_manifold import (
     DEFAULT_STEP,
     DEFAULT_TOL,
@@ -158,30 +156,6 @@ def hamiltonian_vector(
             cons = float(np.max(np.abs(du))) if du.size else 0.0
         out.append(FlowSample(x, u, res, cons))
     return out
-
-
-def exact_flow_vector(t_dim, e_dim, rows, df):
-    """Rational-arithmetic twin of the fiber matching for frozen fibers.
-
-    Returns the flow direction as a Fraction tuple, or None when the
-    system is inconsistent (the differential is not admissible).
-    """
-    rows_q = rat.matrix(rows)
-    if rows_q and len(rows_q[0]) != 2 * t_dim + e_dim:
-        raise ValueError("fiber rows do not match the declared block widths")
-    a = rat.transpose([r[t_dim:] for r in rows_q])
-    rhs = tuple(rat.vec(df)) + (Fraction(0),) * e_dim
-    sol = rat.solve_linear(a, rhs, ncols=len(rows_q))
-    if sol is None:
-        return None
-    coef, null = sol
-    u_map = rat.transpose([r[:t_dim] for r in rows_q])
-    for z in null:
-        if any(rat.mat_vec(u_map, z)):
-            raise ValueError(
-                "fiber matches the zero differential with a nonzero direction"
-            )
-    return rat.mat_vec(u_map, coef)
 
 
 def invariance_residual(f, action_field, x, h=DEFAULT_STEP):

@@ -45,19 +45,20 @@ def left_jacobian_inv(x):
     return np.eye(3) - 0.5 * h + c * (h @ h)
 
 
-def rationalize_rotation(r, max_denominator=10**8):
+def rationalize_rotation(r):
     """Exactly orthogonal rational matrix near the rotation ``r``.
 
     Round the Cayley preimage (a skew matrix, kept exactly skew by mirroring
     the strict upper triangle) and map back; requires the rotation angle to
-    stay away from a half turn, where the Cayley chart blows up.
+    stay away from a half turn, where the Cayley chart blows up.  Entries
+    are rounded by ``rational.rationalize`` at its default denominator.
     """
     r = np.asarray(r, dtype=float)
     s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T
     q = [[rat.scalar(0)] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
-            v = rat.rationalize(0.5 * (s[i, j] - s[j, i]), max_denominator)
+            v = rat.rationalize(0.5 * (s[i, j] - s[j, i]))
             q[i][j] = v
             q[j][i] = -v
     sq = rat.matrix(q)
@@ -65,10 +66,8 @@ def rationalize_rotation(r, max_denominator=10**8):
     return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), rat.mat_add(eye, sq))
 
 
-def rationalize_matrix(m, max_denominator=10**8):
-    return rat.matrix(
-        [[rat.rationalize(float(v), max_denominator) for v in row] for row in np.asarray(m, dtype=float)]
-    )
+def rationalize_matrix(m):
+    return rat.matrix([[rat.rationalize(float(v)) for v in row] for row in np.asarray(m, dtype=float)])
 
 
 def sample_chart_points(count, seed, radius=np.pi - 0.2, min_radius=0.15):

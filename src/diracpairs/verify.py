@@ -79,8 +79,7 @@ def rotation_strong_section(samples, seed, tol, step):
 
     jmap = nm.MapField.identity(3)
     return nm.check_strong_dirac(
-        jmap, ds.basis_at, ds.basis_at, pts, phi=can.phi, h=step, tol=tol,
-        exact_fibers=exact_fibers,
+        jmap, ds.basis_at, pts, phi=can.phi, h=step, tol=tol, exact_fibers=exact_fibers
     )
 
 
@@ -93,7 +92,7 @@ def rotation_quasi_poisson(samples, seed, tol, step):
     pair, pts, cd = _dressing(samples, seed, step)
     sp = sp_mod.make_isotropic_splitting(pair)
     qd = sp_mod.derive_quasi_data(pair, sp)
-    pi, rho_x, rho_astar = nm.make_quasi_pi_field(cd, sp.j)
+    pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
     exact = nm.make_exact_quasi_pi(cd, sp.j)
     return nm.check_quasi_poisson(
         pi,
@@ -102,7 +101,6 @@ def rotation_quasi_poisson(samples, seed, tol, step):
         qd.chi,
         qd.F,
         pts,
-        rho_astar=rho_astar,
         exact_fibers=exact,
         h=step,
         tol=tol,

@@ -1,4 +1,4 @@
-"""Shared generators for the exact-tier tests.
+"""Shared generators and reference routines for the tests.
 
 Randomness always flows through an explicit numpy generator so every test
 is reproducible from its seed.  Lagrangian subspaces come from graphs of
@@ -7,6 +7,7 @@ preserve the standard split pairing, and the swaps break graph-ness so
 the samples are not all transverse to the covector factor.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,6 +22,7 @@ from diracpairs.dictionary import (
     identification_from_anchor,
 )
 from diracpairs.exact_linear import Subspace, canonicalize
+from diracpairs.numeric_manifold import SectionField
 from diracpairs.quadratic_lie import catalog
 from diracpairs.report import Report
 from diracpairs.splitting import (
@@ -406,3 +408,87 @@ def dense_quasi_jacobi(a_structure, data):
         exact={"coherence", "defect"},
         witness=witness,
     )
+
+
+# Probes and exact references that the package itself does not call.
+
+
+def fd_convergence_probe(factory, x, h, factor=8.0):
+    """Step-halving signal for the bracket's FD scheme.
+
+    ``factory(step)`` rebuilds the bundle at a given step.  The probe
+    brackets two transcendental sections at ``x`` against a much finer
+    reference; for a second-order scheme the value at step ``h`` is about
+    four times the value at ``h/2``.
+    """
+    coarse = factory(h)
+    ref = factory(h / factor)
+    r = coarse.rank
+    eye = np.eye(r)
+
+    def mix1(y):
+        return math.sin(float(y[0])) * eye[0] + math.cos(float(y[0])) * eye[r - 1]
+
+    def mix2(y):
+        return math.cos(float(y[0])) * eye[1 % r] + math.sin(float(y[0])) * eye[r - 2]
+
+    e1 = SectionField(r, mix1)
+    e2 = SectionField(r, mix2)
+    w = coarse.bracket_at(e1, e2, np.asarray(x, float))
+    wr = ref.bracket_at(e1, e2, np.asarray(x, float))
+    return float(np.max(np.abs(w - wr)))
+
+
+def so3_linear_poisson(x):
+    """Component matrix of the linear bivector on the dual of the rotation
+    algebra: {x_i, x_j} = sum_k eps_ijk x_k."""
+    x = np.asarray(x, dtype=float)
+    return np.array(
+        [
+            [0.0, x[2], -x[1]],
+            [-x[2], 0.0, x[0]],
+            [x[1], -x[0], 0.0],
+        ]
+    )
+
+
+def group_trace_function(x):
+    """Trace of the chart rotation; the transcendental probe function."""
+    return 1.0 + 2.0 * math.cos(float(np.linalg.norm(np.asarray(x, float))))
+
+
+def exact_flow_vector(t_dim, e_dim, rows, df):
+    """Rational-arithmetic twin of the fiber matching for frozen fibers.
+
+    Returns the flow direction as a Fraction tuple, or None when the
+    system is inconsistent (the differential is not admissible).
+    """
+    rows_q = rat.matrix(rows)
+    if rows_q and len(rows_q[0]) != 2 * t_dim + e_dim:
+        raise ValueError("fiber rows do not match the declared block widths")
+    a = rat.transpose([r[t_dim:] for r in rows_q])
+    rhs = tuple(rat.vec(df)) + (Fraction(0),) * e_dim
+    sol = rat.solve_linear(a, rhs, ncols=len(rows_q))
+    if sol is None:
+        return None
+    coef, null = sol
+    u_map = rat.transpose([r[:t_dim] for r in rows_q])
+    for z in null:
+        if any(rat.mat_vec(u_map, z)):
+            raise ValueError(
+                "fiber matches the zero differential with a nonzero direction"
+            )
+    return rat.mat_vec(u_map, coef)
+
+
+def orthogonal_complement(form, u):
+    """``{v : gram(v, w) = 0 for all w in u}``; exact."""
+    if u.ambient_dim != form.dim:
+        raise ValueError("subspace does not live in the form's space")
+    if not form.nondegenerate:
+        raise ValueError(
+            f"gram is degenerate (signature {form.signature()}); "
+            "orthogonal complements need a nondegenerate pairing"
+        )
+    rows = rat.kernel(rat.mat_mul(u.basis, form.gram), ncols=form.dim)
+    return canonicalize(rows, form.dim)

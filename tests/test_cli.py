@@ -186,6 +186,36 @@ def test_dict_rejects_malformed_files():
     assert "cannot read fiber file" in err
 
 
+MALFORMED_RECORDS = [
+    ("qp-to-dirac", {"kind": "quasi", "t_dim": 1, "a_dim": 0, "rho_x": [[]]}, "pi"),
+    ("dirac-to-qp", {"kind": "dirac", "t_dim": 1, "basis": [["1/0", "0"]]}, "basis"),
+    ("roundtrip", {"kind": "dirac", "t_dim": 1, "basis": [["1/0", "0"]]}, "basis"),
+    ("qp-to-dirac", {"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [["x"]], "rho_x": [[]]}, "pi"),
+    ("qp-to-dirac", {"kind": "quasi", "t_dim": 2, "a_dim": 0, "pi": ["00", "00"], "rho_x": [[], []]}, "pi"),
+    ("roundtrip", {"kind": "quasi", "t_dim": "one", "a_dim": 0, "pi": [], "rho_x": []}, "t_dim"),
+    ("dirac-to-qp", {"kind": "dirac", "t_dim": 0.5, "basis": [["1"]]}, "t_dim"),
+]
+
+
+@pytest.mark.parametrize("mode, record, field", MALFORMED_RECORDS)
+def test_dict_reports_a_malformed_record_as_bad_input(tmp_path, mode, record, field):
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run_cli("dict", "--mode", mode, "--json", "--fiber", str(path))
+    assert code == 2
+    assert out == ""
+    assert repr(field) in err
+
+
+def test_dict_keeps_exit_one_for_a_well_formed_record_that_fails(tmp_path):
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [["1"]], "rho_x": [[]]}))
+    code, out, err = run_cli("dict", "--mode", "qp-to-dirac", "--fiber", str(path))
+    assert code == 1
+    assert "not antisymmetric" in out
+    assert err == ""
+
+
 def test_verify_example_runs_and_reports():
     code, out, err = run_cli(
         "verify-example",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import orthogonal_complement
 from diracpairs import rational as rat
 from diracpairs.exact_linear import (
     LinearRelation,
@@ -16,7 +17,6 @@ from diracpairs.exact_linear import (
     is_graph_over_factor,
     is_isotropic,
     is_lagrangian,
-    orthogonal_complement,
 )
 
 ints = st.integers(min_value=-6, max_value=6)

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import helpers
 import numpy as np
 import pytest
 
@@ -58,8 +59,8 @@ def test_pairing_couples_vectors_with_covectors(standard3, flat3):
     tangent = nm.SectionField.constant(np.eye(6)[0])
     dual = nm.SectionField.constant(np.eye(6)[3])
     other = nm.SectionField.constant(np.eye(6)[4])
-    assert standard3.pair_at(tangent, dual, pts[0]) == pytest.approx(1.0)
-    assert standard3.pair_at(tangent, other, pts[0]) == pytest.approx(0.0)
+    assert float(tangent(pts[0]) @ standard3.gram @ dual(pts[0])) == pytest.approx(1.0)
+    assert float(tangent(pts[0]) @ standard3.gram @ other(pts[0])) == pytest.approx(0.0)
     assert standard3.anchor_coisotropy_residual(pts[:4]) == 0.0
     assert np.allclose(
         standard3.rho_star(pts[0]), np.vstack([np.zeros((3, 3)), np.eye(3)])
@@ -230,8 +231,8 @@ def test_a_scaled_anchor_leaves_the_jacobi_axiom_alone(control_dressing):
 def test_bracket_error_shrinks_with_the_step(flat3):
     chart, pts = flat3
     factory = lambda step: nm.make_standard_twisted(chart, nm.volume_form(3), h=step)
-    coarse = nm.fd_convergence_probe(factory, pts[0], 1e-2)
-    fine = nm.fd_convergence_probe(factory, pts[0], 1e-3)
+    coarse = helpers.fd_convergence_probe(factory, pts[0], 1e-2)
+    fine = helpers.fd_convergence_probe(factory, pts[0], 1e-3)
     assert fine < coarse / 10.0
     assert fine < 1e-5
 
@@ -264,6 +265,13 @@ def test_dressing_chart_requires_the_rotation_double(so3_pair):
         nm.make_dressing_courant(so3_pair.d, so3_pair.g, chart)
 
 
+def splitting_defects(c, s, points):
+    # worst |rho s - 1| and |s^T g s|: s is a right inverse with isotropic image
+    comp = max(float(np.max(np.abs(c.anchor_matrix(x) @ s(x) - np.eye(c.chart.dim)))) for x in points)
+    iso = max(float(np.max(np.abs(s(x).T @ c.gram @ s(x)))) for x in points)
+    return comp, iso
+
+
 def test_exact_splitting_of_the_standard_bundle(standard3, flat3):
     _, pts = flat3
     s, phi = nm.make_exact_splitting(standard3)
@@ -271,16 +279,16 @@ def test_exact_splitting_of_the_standard_bundle(standard3, flat3):
         s(pts[0]), np.vstack([np.eye(3), np.zeros((3, 3))]), atol=1e-12
     )
     assert np.allclose(phi(pts[0]), 0.0, atol=1e-10)
-    res = nm.splitting_residuals(standard3, s, points=pts[:3])
-    assert res["composition"] < 1e-12
-    assert res["isotropy"] < 1e-12
+    comp, iso = splitting_defects(standard3, s, pts[:3])
+    assert comp < 1e-12
+    assert iso < 1e-12
 
 
 def test_exact_splitting_of_the_dressing_bundle(dressing, so3_points):
     s, phi = nm.make_exact_splitting(dressing)
-    res = nm.splitting_residuals(dressing, s, points=so3_points[:4])
-    assert res["composition"] < 1e-9
-    assert res["isotropy"] < 1e-9
+    comp, iso = splitting_defects(dressing, s, so3_points[:4])
+    assert comp < 1e-9
+    assert iso < 1e-9
     p = phi(np.asarray(so3_points[0], float))
     assert p.shape == (3, 3, 3)
     assert np.allclose(p, -np.swapaxes(p, 1, 2), atol=1e-12)
@@ -312,6 +320,11 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         nm.make_exact_splitting(flat_anchor)
 
 
+def untwisted_closure(frame, x):
+    rep = nm.check_strong_dirac(nm.MapField.identity(3), frame, [x], phi=np.zeros((3, 3, 3)))
+    return rep.quantities["integrability"]
+
+
 def test_tangent_half_gives_the_plain_tangent_dirac_field(standard3, flat3):
     _, pts = flat3
     s, _ = nm.make_exact_splitting(standard3)
@@ -320,20 +333,20 @@ def test_tangent_half_gives_the_plain_tangent_dirac_field(standard3, flat3):
     assert np.allclose(
         field.basis_at(pts[0]), np.hstack([np.eye(3), np.zeros((3, 3))]), atol=1e-12
     )
-    rep = field.lagrangian_report(pts[0])
-    assert rep["isotropy"] < 1e-12
-    assert rep["rank_drop"] == 0
-    assert field.integrability_residual(pts[0], None) < 1e-10
+    assert untwisted_closure(field.basis_at, pts[0]) < 1e-10
 
 
 def test_dressing_half_field_is_lagrangian_and_integrable(dressing, so3_pair, so3_points):
     s, phi = nm.make_exact_splitting(dressing)
     field = nm.dirac_of_pair(dressing, so3_pair.g, s)
     x = np.asarray(so3_points[0], float)
-    rep = field.lagrangian_report(x)
-    assert rep["isotropy"] < 1e-8
-    assert rep["rank_drop"] == 0
-    assert field.integrability_residual(x, phi) < 1e-6
+    b = field.basis_at(x)
+    pairing = np.block([[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+    assert float(np.max(np.abs(b @ pairing @ b.T))) < 1e-8
+    sv = np.linalg.svd(b, compute_uv=False)
+    assert int(np.sum(sv < 1e-8 * max(1.0, sv[0]))) == 0
+    rep = nm.check_strong_dirac(nm.MapField.identity(3), field.basis_at, [x], phi=phi)
+    assert rep.quantities["integrability"] < 1e-6
 
 
 def test_half_must_close_under_the_algebra_bracket(dressing):
@@ -391,33 +404,6 @@ def test_canonical_generator_families_stay_in_the_fiber(canonical_space, so3_poi
     assert max(res.values()) < 1e-6
 
 
-def test_orbit_space_projects_and_stays_tangent(dressing):
-    orbit = nm.canonical_orbit_hamiltonian(dressing, 0.8)
-    p = orbit.project(np.array([1.0, 2.0, 2.0]))
-    assert np.linalg.norm(p) == pytest.approx(0.8)
-    pts = orbit.orbit_points(6, seed=5)
-    assert len(pts) == 6
-    for x in pts:
-        assert np.linalg.norm(x) == pytest.approx(0.8)
-        assert orbit.tangency_residual(x) < 1e-10
-    rep = orbit.fiber_report(pts[0])
-    assert rep["isotropy"] < 1e-8
-    assert rep["dim"] == 5
-    with pytest.raises(ValueError, match="origin"):
-        orbit.project(np.zeros(3))
-
-
-def test_strong_map_report_for_the_identity_moment_map(dressing, so3_pair, so3_points):
-    s, phi = nm.make_exact_splitting(dressing)
-    field = nm.dirac_of_pair(dressing, so3_pair.g, s)
-    jmap = nm.MapField.identity(3)
-    pts = [np.asarray(x, float) for x in so3_points[:3]]
-    rep = nm.check_strong_dirac(jmap, field.basis_at, field.basis_at, pts, phi=phi)
-    assert rep.passed
-    assert rep.exact == {"transversality"}
-    assert rep.quantities["integrability"] < 1e-6
-
-
 def test_strong_map_report_on_frozen_exact_fibers(
     dressing, so3_pair, canonical_space, so3_points
 ):
@@ -426,7 +412,7 @@ def test_strong_map_report_on_frozen_exact_fibers(
     jmap = nm.MapField.identity(3)
 
     def exact_fibers(x):
-        rho_q = dressing.exact_anchor(np.asarray(x, float), 10**8)
+        rho_q = dressing.exact_anchor(np.asarray(x, float))
         ident = identification_from_anchor(so3_pair, rho_q)
         lx_rows = dirac_from_k(canonical_space.frozen_fiber(x), ident).L.basis
         ls_rows = [
@@ -436,26 +422,50 @@ def test_strong_map_report_on_frozen_exact_fibers(
         return lx_rows, ls_rows, rat.identity(3)
 
     pts = [np.asarray(x, float) for x in so3_points[:2]]
-    rep = nm.check_strong_dirac(
-        jmap, field.basis_at, field.basis_at, pts, phi=phi, exact_fibers=exact_fibers
-    )
+    rep = nm.check_strong_dirac(jmap, field.basis_at, pts, phi=phi, exact_fibers=exact_fibers)
     assert rep.exact == {"inclusion", "transversality"} and rep.passed
     assert rep.quantities["inclusion"] == 0.0
     assert rep.quantities["integrability"] < 1e-6
 
 
+OMEGA = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+GRAPH_OF_OMEGA = rat.hstack(rat.identity(3), rat.matrix(OMEGA))
+TANGENT = rat.hstack(rat.identity(3), rat.zeros(3, 3))
+
+
+def exact_strong_map(jmap, source, target, dj, x):
+    # exact fibers only: no frame, so no finite-difference integrability
+    return nm.check_strong_dirac(jmap, None, [x], exact_fibers=lambda y: (source, target, dj))
+
+
 def test_strong_map_fails_for_a_collapsing_target(flat3):
+    # dJ = 0 kills the tangent part of the graph of omega (its kernel e_3)
     _, pts = flat3
-    omega = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    rows = np.hstack([np.eye(3), omega])
-    target_rows = np.hstack([np.eye(3), np.zeros((3, 3))])
-    jmap = nm.MapField.constant(np.zeros(3), 3)
-    rep = nm.check_strong_dirac(
-        jmap, lambda x: rows, lambda y: target_rows, [pts[0]]
+    rep = exact_strong_map(
+        nm.MapField.constant(np.zeros(3), 3), GRAPH_OF_OMEGA, TANGENT, rat.zeros(3, 3), pts[0]
     )
     assert rep.quantities["transversality"] == 1
     assert "integrability" not in rep.quantities
     assert rep.passed is False
+
+
+def test_strong_map_fails_for_a_target_outside_the_image(flat3):
+    # the identity pushes the graph of omega to itself, which is not T
+    _, pts = flat3
+    jmap = nm.MapField.identity(3)
+    rep = exact_strong_map(jmap, GRAPH_OF_OMEGA, TANGENT, rat.identity(3), pts[0])
+    assert rep.quantities == {"inclusion": 1.0, "transversality": 0}
+    assert rep.exact == {"inclusion", "transversality"}
+    assert not rep.holds("inclusion") and rep.holds("transversality")
+    same = exact_strong_map(jmap, GRAPH_OF_OMEGA, GRAPH_OF_OMEGA, rat.identity(3), pts[0])
+    assert same.quantities == {"inclusion": 0.0, "transversality": 0}
+    assert same.passed
+
+
+def test_a_strong_map_check_that_measures_nothing_is_refused(flat3):
+    _, pts = flat3
+    with pytest.raises(ValueError, match="measure"):
+        nm.check_strong_dirac(nm.MapField.identity(3), _graph_of_x0_dx1_dx2, pts)
 
 
 def _graph_of_x0_dx1_dx2(x):
@@ -472,7 +482,6 @@ def test_integrability_sees_the_twist_and_its_sign(scale, want):
     pts = verify._flat_points(6, seed=0)
     rep = nm.check_strong_dirac(
         nm.MapField.identity(3),
-        _graph_of_x0_dx1_dx2,
         _graph_of_x0_dx1_dx2,
         pts,
         phi=scale * nm.volume_form(3),
@@ -491,9 +500,7 @@ def test_the_pulled_twist_is_evaluated_once_per_point():
         calls.append(y)
         return can.phi(y)
 
-    rep = nm.check_strong_dirac(
-        nm.MapField.identity(3), ds.basis_at, ds.basis_at, pts, phi=phi
-    )
+    rep = nm.check_strong_dirac(nm.MapField.identity(3), ds.basis_at, pts, phi=phi)
     assert rep.passed
     # 60 when each of the three frame pairs pulled the twist back again
     assert len(calls) == 20
@@ -522,24 +529,24 @@ def test_the_strong_map_frame_is_read_once_per_point():
         return _graph_of_x0_dx1_dx2(x)
 
     pts = verify._flat_points(6, seed=0)
-    nm.check_strong_dirac(
-        nm.MapField.identity(3), frame, _graph_of_x0_dx1_dx2, pts, phi=-nm.volume_form(3)
-    )
-    # each point and its six central-difference neighbours, shared by the
-    # float ranks and all three bracket pairs
+    nm.check_strong_dirac(nm.MapField.identity(3), frame, pts, phi=-nm.volume_form(3))
+    # each point and its six central-difference neighbours, shared by all
+    # three bracket pairs
     assert len(calls) == 7 * len(pts)
 
 
 def test_quasi_bivector_field_is_antisymmetric_and_sharp_compatible(
     dressing, so3_splitting, so3_points
 ):
-    pi, rho_x, rho_astar = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    j = np.array([[float(v) for v in row] for row in so3_splitting.j])
     for x in so3_points[:4]:
         x = np.asarray(x, float)
         p = pi(x)
         assert p.shape == (3, 3)
         assert np.allclose(p, -p.T, atol=1e-10)
-        assert np.allclose(p.T, rho_x(x) @ np.asarray(rho_astar(x)).T, atol=1e-10)
+        rho_astar = dressing.anchor_matrix(x) @ j
+        assert np.allclose(p.T, rho_x(x) @ rho_astar.T, atol=1e-10)
 
 
 def test_exact_quasi_fibers_satisfy_the_sharp_identity_exactly(
@@ -557,9 +564,9 @@ def test_exact_quasi_fibers_satisfy_the_sharp_identity_exactly(
 def test_quasi_poisson_identities_hold_along_the_dressing_chart(
     dressing, so3_splitting, so3_quasi_data, so3_points
 ):
-    pi, rho_x, rho_astar = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
     fibers = nm.make_exact_quasi_pi(dressing, so3_splitting.j)
-    funcs = list(nm.scalar_library(3)[:4]) + [nm.group_trace_function]
+    funcs = list(nm.scalar_library(3)[:4]) + [helpers.group_trace_function]
     rep = nm.check_quasi_poisson(
         pi,
         rho_x,
@@ -575,26 +582,12 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
     assert rep.quantities["sharp_compat"] == 0
     assert rep.quantities["jacobiator"] < 1e-6
     assert rep.quantities["lie_compat"] < 1e-4
-    # without frozen fibers the sharp identity runs in floats
-    float_rep = nm.check_quasi_poisson(
-        pi,
-        rho_x,
-        nm.MapField.identity(3),
-        so3_quasi_data.chi,
-        so3_quasi_data.F,
-        [np.asarray(x, float) for x in so3_points[:2]],
-        rho_astar=rho_astar,
-        funcs=funcs[:3],
-    )
-    assert float_rep.passed
-    assert "sharp_compat" not in float_rep.exact
-    assert float_rep.quantities["sharp_compat"] < 1e-10
 
 
 def test_a_wrong_exact_sharp_identity_fails_the_report(
     dressing, so3_splitting, so3_quasi_data, so3_points
 ):
-    pi, rho_x, _ = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
     fibers = nm.make_exact_quasi_pi(dressing, so3_splitting.j)
 
     def broken(x):
@@ -621,7 +614,7 @@ def test_linear_rotation_poisson_satisfies_jacobi(flat3):
     _, pts = flat3
     no_action = lambda x: np.zeros((3, 0))
     rep = nm.check_quasi_poisson(
-        nm.so3_linear_poisson,
+        helpers.so3_linear_poisson,
         no_action,
         nm.MapField.identity(3),
         (),
@@ -636,8 +629,8 @@ def test_linear_rotation_poisson_satisfies_jacobi(flat3):
 
 
 def test_group_trace_probe_matches_rotation_angles():
-    assert nm.group_trace_function(np.zeros(3)) == pytest.approx(3.0)
-    assert nm.group_trace_function(np.array([math.pi, 0.0, 0.0])) == pytest.approx(-1.0)
+    assert helpers.group_trace_function(np.zeros(3)) == pytest.approx(3.0)
+    assert helpers.group_trace_function(np.array([math.pi, 0.0, 0.0])) == pytest.approx(-1.0)
 
 
 def test_section_library_starts_with_the_constant_frame(flat3):
@@ -796,6 +789,5 @@ def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
         calls.append(x)
         return basis_at(x)
 
-    field.basis_at = counted
-    assert field.integrability_residual(pts[0], None) < 1e-10
+    assert untwisted_closure(counted, pts[0]) < 1e-10
     assert len(calls) == 7
