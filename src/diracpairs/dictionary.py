@@ -91,31 +91,35 @@ class ExactIdentification:
     """Splitting of an exact fiber: a right inverse ``s`` of the anchor with
     isotropic image, identifying the fiber with base tangents plus covectors
     through (v, beta) -> s(v) + rho_star(beta).  The isotropy checks keep
-    ``s_star`` (e -> s^T G e) and ``rho_star`` (beta -> G^{-1} rho^T beta)."""
+    ``s_star`` (e -> s^T G e) and ``rho_star`` (beta -> G^{-1} rho^T beta).
+    Without ``s`` the splitting is the canonical one of
+    ``identification_from_anchor``, built from the same ``rho_star``."""
 
     pair: ManinPairPoint
     rho: tuple
-    s: tuple
+    s: tuple = None
     s_star: tuple = field(init=False, repr=False, compare=False)
     rho_star: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", rat.matrix(self.rho))
-        object.__setattr__(self, "s", rat.matrix(self.s))
         n = self.pair.d.dim
         srows = len(self.rho)
         if srows == 0 or len(self.rho[0]) != n:
             raise ValueError("anchor has wrong shape")
+        form = self.pair.d.form
+        rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
+        if self.s is None:
+            object.__setattr__(self, "s", _canonical_splitting(form, self.rho, rho_star))
+        object.__setattr__(self, "s", rat.matrix(self.s))
         if len(self.s) != n or len(self.s[0]) != srows:
             raise ValueError("splitting has wrong shape")
-        form = self.pair.d.form
         rs = rat.mat_mul(self.rho, self.s)
         if rs != rat.identity(srows):
             raise ValueError("s is not a right inverse of the anchor")
         s_star = rat.mat_mul(rat.transpose(self.s), form.gram)
         if not rat.is_zero_product(s_star, self.s):
             raise ValueError("image of s is not isotropic")
-        rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
         if not rat.is_zero_product(self.rho, rho_star):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
         object.__setattr__(self, "s_star", s_star)
@@ -135,17 +139,20 @@ class ExactIdentification:
         return tuple(a + b for a, b in zip(e1, e2))
 
 
-def identification_from_anchor(pair, rho):
-    """Canonical splitting of an exact anchor: start from the Gram right
-    inverse and absorb half of its self pairing."""
-    rho = rat.matrix(rho)
-    form = pair.d.form
+def _canonical_splitting(form, rho, rho_star):
+    """Start from the Gram right inverse ``c`` of ``rho`` and absorb half of
+    its self pairing through the adjoint ``rho_star``."""
     rrt = rat.mat_mul(rho, rat.transpose(rho))
     c = rat.mat_mul(rat.transpose(rho), rat.invert(rrt))
     b = rat.mat_mul(rat.mat_mul(rat.transpose(c), form.gram), c)
-    corr = rat.mat_mul(rat.mat_mul(form.gram_inv, rat.transpose(rho)), b)
-    s = rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), corr))
-    return ExactIdentification(pair, rho, s)
+    corr = rat.mat_mul(rho_star, b)
+    return rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), corr))
+
+
+def identification_from_anchor(pair, rho):
+    """Canonical splitting of an exact anchor: start from the Gram right
+    inverse and absorb half of its self pairing."""
+    return ExactIdentification(pair, rho)
 
 
 def _unit(n, k):

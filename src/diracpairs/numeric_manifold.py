@@ -10,13 +10,22 @@ the product.  The algebraic strong-map and sharp quantities are decided
 exactly, on fibers frozen to rational matrices at each point.
 
 Every derivative here, and in ``reduction``, is a ``partial_table``: the
-central differences of a field along the coordinate axes, built on
-``directional_derivative``.  A scalar's partial table is its gradient.
-The brackets read each section through its jet, ``SectionField.jet(x, h)``:
-the section's value and partial table at ``x``, memoized per section, so
-the nested brackets of an axiom probe differentiate each section once per
-point and step.  The jet is the seam where exact jets replace finite
-differences.
+central differences ``(f(x + h e_m) - f(x - h e_m)) / 2h`` of a field along
+the coordinate axes, on a stencil built once per table.  A scalar's partial
+table is its gradient.  The brackets read each section through its jet,
+``SectionField.jet(x, h)``: the section's value and partial table at
+``x``, memoized per section, so the nested brackets of an axiom probe
+differentiate each section once per point and step.  A constant section's
+jet is exact, its value and a zero table, and never evaluates the section.
+The jet is the seam where exact jets replace finite differences.
+
+Each bundle has one bracket kernel, ``CourantNumeric.bracket_at``, and it
+takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are read per
+point, the arithmetic runs over the stack, and every stacked value equals
+the single-point one bit for bit.  A bracket section (``StackedSection``)
+takes its jet, the point and its whole stencil, in one kernel call, and
+``check_axioms_numeric`` brackets every point-independent probe over all
+its sample points at once.
 
 Per-point fields of the rotation bundle (the dressing anchor and the
 exact splitting) and the Dirac frames of the integrability probes are
@@ -44,7 +53,7 @@ import numpy as np
 
 from . import rational as rat
 from . import so3
-from .dictionary import DiracPointData, forward_dirac
+from .dictionary import forward_dirac
 from .exact_linear import Subspace, canonicalize
 from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
@@ -98,33 +107,76 @@ class Chart:
 @dataclass(frozen=True)
 class SectionField:
     """A rank-``rank`` section of a trivialized bundle, as a pure callable
-    from chart points to component vectors."""
+    from chart points to component vectors.
+
+    ``jet(x, h)`` is the seam every bracket reads: ``(value, partial_table)``
+    at ``x`` with step ``h``, both read-only and memoized per section by
+    point and step.  ``constant`` sections carry exact jets and bracket
+    sections (``StackedSection``) take their jet in one call."""
 
     rank: int
     fn: object
 
     @cached_property
     def jet(self):
-        """``jet(x, h)`` is ``(value, partial_table)`` at ``x`` with step
-        ``h``, both read-only and memoized per section by point and step."""
         return _point_memo(
             lambda x, h: (_read_only(self(x)), _read_only(partial_table(self, x, x.shape[0], h)))
         )
 
     def __call__(self, x):
-        v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if v.shape != (self.rank,):
+        """The value at a point ``(n,)``; a ``StackedSection`` also maps a
+        stack ``(P, n)`` to ``(P, rank)``."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(self.fn(x), dtype=float)
+        if v.shape != x.shape[:-1] + (self.rank,):
             raise ValueError("section value has wrong rank")
         return v
 
     @staticmethod
     def constant(vec):
         v = _read_only(vec)
-        return SectionField(v.shape[0], lambda x: v)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("constant section is not finite")
+        return ConstantSection(v.shape[0], lambda x: v, v)
 
     def scaled_by(self, f):
         """Multiply by a scalar function of the chart point."""
         return SectionField(self.rank, lambda x, s=self: f(x) * s(x))
+
+
+@dataclass(frozen=True)
+class ConstantSection(SectionField):
+    """A section with one finite value everywhere.  Its jet is exact and
+    never calls ``fn``: the value and a zero partial table, which is what
+    central differences give bit for bit, since ``(v - v) / 2h`` is
+    ``+0.0``."""
+
+    value: np.ndarray = field(compare=False)
+
+    def jet(self, x, h):
+        return self.value, _zero_table(self.rank, np.shape(x)[-1])
+
+
+class StackedSection(SectionField):
+    """A section whose ``fn`` also maps a stack of points ``(P, n)`` to the
+    stack of its values ``(P, rank)`` in one call.  Its jet takes the point
+    and its whole stencil in one call, with the same value and table as the
+    point-by-point jet.  ``CourantNumeric.bracket`` makes these."""
+
+    @cached_property
+    def jet(self):
+        def at(x, h):
+            values = self(np.concatenate([x[None], x + _stencil_steps(x.shape[0], h)]))
+            return _read_only(values[0]), _read_only(_central_differences(values[1:], h))
+
+        return _point_memo(at)
+
+
+@lru_cache(maxsize=64)
+def _zero_table(rank, dim):
+    """The read-only zero partial table every constant section of ``rank``
+    shares on a ``dim``-dimensional chart."""
+    return _read_only(np.zeros((rank, dim)))
 
 
 def _read_only(value):
@@ -156,6 +208,33 @@ def per_point(fn):
     return _point_memo(lambda x: _read_only(fn(x)))
 
 
+def _at_points(fn, x):
+    """``fn`` of one point at ``x`` ``(n,)``, or stacked over the points of
+    ``x`` ``(P, n)``."""
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    return np.array([np.asarray(fn(y), dtype=float) for y in x])
+
+
+def _jets(e, x, h):
+    """``e.jet(x, h)`` at a point ``(n,)``, or its values and tables
+    stacked over the points of ``x`` ``(P, n)``."""
+    if x.ndim == 1:
+        return e.jet(x, h)
+    jets = [e.jet(y, h) for y in x]
+    return np.array([v for v, _ in jets]), np.array([t for _, t in jets])
+
+
+def _mv(a, v):
+    """``a @ v`` over any leading point axes; each stacked product is the
+    single-point one bit for bit (``einsum("pij,pj->pi")`` is not)."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _tr(a):
+    return a.swapaxes(-1, -2)
+
+
 def directional_derivative(f, x, v, h=DEFAULT_STEP):
     x = np.asarray(x, dtype=float)
     step = h * np.asarray(v, dtype=float)
@@ -163,17 +242,31 @@ def directional_derivative(f, x, v, h=DEFAULT_STEP):
 
 
 def partial_table(f, x, dim, h=DEFAULT_STEP):
-    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences; for
-    a scalar ``f`` this is its gradient."""
-    cols = []
-    for m in range(dim):
-        e = np.zeros(dim)
-        e[m] = 1.0
-        cols.append(directional_derivative(f, x, e, h))
-    if np.ndim(cols[0]) == 0:
-        # a gradient: np.stack of 0-d columns is several times slower
-        return np.array(cols)
-    return np.stack(cols, axis=-1)
+    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences,
+    ``(f(x + h e_m) - f(x - h e_m)) / 2h``; for a scalar ``f`` this is its
+    gradient.  ``f`` is evaluated point by point on a stencil built once, in
+    the order ``x + h e_0, x - h e_0, x + h e_1, ...``."""
+    stencil = np.asarray(x, dtype=float) + _stencil_steps(dim, h)
+    return _central_differences(np.array([f(y) for y in stencil], dtype=float), h)
+
+
+def _central_differences(values, h):
+    """The C-contiguous partial table of ``values`` taken on the stencil
+    rows of ``_stencil_steps``."""
+    d = (values[0::2] - values[1::2]) / (2.0 * h)
+    if d.ndim == 1:
+        return d
+    return np.ascontiguousarray(d.transpose((*range(1, d.ndim), 0)))
+
+
+@lru_cache(maxsize=64)
+def _stencil_steps(dim, h):
+    """Rows ``h e_0, -h e_0, h e_1, ...``: adding a row to ``x`` gives
+    ``x + h e_m`` or ``x - h e_m`` bit for bit, signed zeros included."""
+    steps = np.empty((2 * dim, dim))
+    steps[0::2] = h * np.eye(dim)
+    steps[1::2] = -steps[0::2]
+    return _read_only(steps)
 
 
 def vector_commutator(v1, v2, x, dim, h=DEFAULT_STEP):
@@ -197,6 +290,12 @@ def exterior_derivative(form, degree, x, dim, h=DEFAULT_STEP):
 class CourantNumeric:
     """An ambient bracket bundle in a fixed trivialization: constant gram,
     anchor matrix field, and a bracket evaluator on section fields.
+
+    ``bracket_at(e1, e2, x)`` is the bundle's one bracket kernel.  ``x`` is
+    a point ``(n,)``, giving the bracket's value ``(rank,)``, or a stack of
+    points ``(P, n)``, giving the stack of values ``(P, rank)``; each stacked
+    value must equal the single-point one.  ``bracket(e1, e2)`` is the
+    bracket as a ``StackedSection`` over that kernel.
 
     ``pair`` is the Manin pair every fiber carries (the fiber algebra with
     its Lagrangian half), when the bundle has one.  ``exact_anchor(x)``
@@ -231,7 +330,7 @@ class CourantNumeric:
         return self.gram_inv @ self.anchor_matrix(x).T
 
     def bracket(self, e1, e2):
-        return SectionField(self.rank, lambda x: self.bracket_at(e1, e2, x))
+        return StackedSection(self.rank, lambda x: self.bracket_at(e1, e2, x))
 
     def anchor_vector_field(self, e):
         return lambda x: self.anchor_matrix(x) @ e(x)
@@ -260,22 +359,23 @@ def _phi_as_field(phi, dim):
 
 
 def twisted_bracket(e1, e2, x, phi_field, h=DEFAULT_STEP):
-    """Twisted bracket of tangent-plus-cotangent sections at ``x``:
+    """Twisted bracket of tangent-plus-cotangent sections at a point ``x``
+    ``(n,)`` or over a stack of points ``(P, n)``:
 
         [[X + a, Y + b]] = [X, Y] + L_X b - i_Y da + phi(X, Y, .)
 
     from each section's jet."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    e1x, p1 = e1.jet(x, h)
-    e2x, p2 = e2.jet(x, h)
-    v1, a1, v2, a2 = e1x[:n], e1x[n:], e2x[:n], e2x[n:]
-    vec = p2[:n] @ v1 - p1[:n] @ v2
-    cov = p2[n:] @ v1 + p1[:n].T @ a2
-    cov -= (p1[n:].T - p1[n:]).T @ v2
-    t = np.asarray(phi_field(x), dtype=float)
-    cov += np.einsum("abj,a,b->j", t, v1, v2)
-    return np.concatenate([vec, cov])
+    n = x.shape[-1]
+    e1x, p1 = _jets(e1, x, h)
+    e2x, p2 = _jets(e2, x, h)
+    v1, a1, v2, a2 = e1x[..., :n], e1x[..., n:], e2x[..., :n], e2x[..., n:]
+    vec = _mv(p2[..., :n, :], v1) - _mv(p1[..., :n, :], v2)
+    cov = _mv(p2[..., n:, :], v1) + _mv(_tr(p1[..., :n, :]), a2)
+    cov -= _mv(_tr(_tr(p1[..., n:, :]) - p1[..., n:, :]), v2)
+    t = _at_points(phi_field, x)
+    cov += np.einsum("...abj,...a,...b->...j", t, v1, v2)
+    return np.concatenate([vec, cov], axis=-1)
 
 
 def volume_form(dim):
@@ -389,13 +489,13 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
 
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
-        rho = anchor(x)
-        e1x, p1 = e1.jet(x, h)
-        e2x, p2 = e2.jet(x, h)
-        val = np.einsum("ijk,i,j->k", structure, e1x, e2x)
-        val += p2 @ (rho @ e1x) - p1 @ (rho @ e2x)
-        w = p1.T @ (gram @ e2x)
-        val += gram_inv @ rho.T @ w
+        rho = _at_points(anchor, x)
+        e1x, p1 = _jets(e1, x, h)
+        e2x, p2 = _jets(e2, x, h)
+        val = np.einsum("ijk,...i,...j->...k", structure, e1x, e2x)
+        val += _mv(p2, _mv(rho, e1x)) - _mv(p1, _mv(rho, e2x))
+        w = _mv(_tr(p1), _mv(gram, e2x))
+        val += _mv(np.matmul(gram_inv, _tr(rho)), w)
         return val
 
     cn = CourantNumeric(
@@ -462,6 +562,12 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
     Nested-bracket terms make the Jacobi axiom the expensive one, so it
     runs over a thin deterministic triple set; the single-bracket axioms
     sweep wider.  Pass ``triples`` to override the Jacobi probes.
+
+    Each library bracket section is built once, and every probe bracket
+    that does not depend on the point is taken over a whole chunk of points
+    in one ``bracket_at`` call; the readings then fold point by point.  A
+    chunk holds at most ``_PER_POINT_MEMO // (2n + 1)`` points, so the
+    jets of its points and their stencils fit in each per-point memo.
     """
     h = h if h is not None else c.step
     pts = points if points is not None else c.chart.sample_points
@@ -486,45 +592,64 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
             (0, linear + 1 if linear + 1 < len(lib) else linear, 2 % c.rank),
             (len(lib) - 1, 0, 1),
         ]
-    for x in pts:
-        for (i, j, k) in triples:
-            e1, e2, e3 = lib[i], lib[j], lib[k]
-            lhs = c.bracket_at(e1, c.bracket(e2, e3), x)
-            rhs = c.bracket_at(c.bracket(e1, e2), e3, x) + c.bracket_at(e2, c.bracket(e1, e3), x)
-            res["c1_jacobi"] = worse(res["c1_jacobi"], float(np.max(np.abs(lhs - rhs))))
+    brackets = {}
 
-        pair_probes = lib[: min(len(lib), c.rank + 2)] + [lib[-1]]
-        for e in pair_probes:
-            sq = c.bracket_at(e, e, x)
-            norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
-            want = 0.5 * (c.rho_star(x) @ partial_table(norm, x, n, h))
-            res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq - want))))
+    def bracket(i, j):
+        if (i, j) not in brackets:
+            brackets[i, j] = c.bracket(lib[i], lib[j])
+        return brackets[i, j]
 
-        for a in range(0, len(lib), 2):
-            e1 = lib[a]
-            e2 = lib[(a + 1) % len(lib)]
-            # the metric dual of e2 at x, so <e2, e3> varies wherever e2
-            # does and the metric axiom has a derivative to match
-            e3 = SectionField.constant(c.gram @ e2(x))
-            scalar = lambda y, e2=e2, e3=e3: float(e2(y) @ c.gram @ e3(y))
-            v = c.anchor_matrix(x) @ e1(x)
-            lhs = float(directional_derivative(scalar, x, v, h)) if np.any(v) else 0.0
-            rhs = float(c.bracket_at(e1, e2, x) @ c.gram @ e3(x)) + float(e2(x) @ c.gram @ c.bracket_at(e1, e3, x))
-            res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
+    jacobi = [
+        ((lib[i], bracket(j, k)), (bracket(i, j), lib[k]), (lib[j], bracket(i, k)))
+        for (i, j, k) in triples
+    ]
+    pair_probes = lib[: min(len(lib), c.rank + 2)] + [lib[-1]]
+    metric = [(lib[a], lib[(a + 1) % len(lib)]) for a in range(0, len(lib), 2)]
+    leibniz = [
+        (lib[fi % c.rank], lib[(fi + 1) % c.rank], f) for fi, f in enumerate(funcs)
+    ]
+    scaled = [e2.scaled_by(f) for _, e2, f in leibniz]
 
-            lhs4 = c.anchor_matrix(x) @ c.bracket_at(e1, e2, x)
-            rhs4 = vector_commutator(c.anchor_vector_field(e1), c.anchor_vector_field(e2), x, n, h)
-            res["c4_anchor"] = worse(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
+    pts = [np.asarray(x, dtype=float) for x in pts]
+    chunk = max(1, _PER_POINT_MEMO // (2 * n + 1))
+    for start in range(0, len(pts), chunk):
+        block = pts[start : start + chunk]
+        xs = np.array(block)
+        over = lambda pair: c.bracket_at(*pair, xs)
+        c1 = [(over(lhs), over(r1) + over(r2)) for lhs, r1, r2 in jacobi]
+        c2 = [over((e, e)) for e in pair_probes]
+        c34 = [over(pair) for pair in metric]
+        c5 = [
+            (over((e1, s)), over((e1, e2))) for (e1, e2, _), s in zip(leibniz, scaled)
+        ]
+        for p, x in enumerate(block):
+            for lhs, rhs in c1:
+                res["c1_jacobi"] = worse(res["c1_jacobi"], float(np.max(np.abs(lhs[p] - rhs[p]))))
 
-        for fi, f in enumerate(funcs):
-            e1 = lib[fi % c.rank]
-            e2 = lib[(fi + 1) % c.rank]
-            scaled = e2.scaled_by(f)
-            lhs5 = c.bracket_at(e1, scaled, x)
-            v = c.anchor_matrix(x) @ e1(x)
-            df = float(partial_table(f, x, n, h) @ v)
-            rhs5 = f(x) * c.bracket_at(e1, e2, x) + df * e2(x)
-            res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5 - rhs5))))
+            for e, sq in zip(pair_probes, c2):
+                norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
+                want = 0.5 * (c.rho_star(x) @ partial_table(norm, x, n, h))
+                res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq[p] - want))))
+
+            for (e1, e2), b12 in zip(metric, c34):
+                # the metric dual of e2 at x, so <e2, e3> varies wherever e2
+                # does and the metric axiom has a derivative to match
+                e3 = SectionField.constant(c.gram @ e2(x))
+                scalar = lambda y, e2=e2, e3=e3: float(e2(y) @ c.gram @ e3(y))
+                v = c.anchor_matrix(x) @ e1(x)
+                lhs = float(directional_derivative(scalar, x, v, h)) if np.any(v) else 0.0
+                rhs = float(b12[p] @ c.gram @ e3(x)) + float(e2(x) @ c.gram @ c.bracket_at(e1, e3, x))
+                res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
+
+                lhs4 = c.anchor_matrix(x) @ b12[p]
+                rhs4 = vector_commutator(c.anchor_vector_field(e1), c.anchor_vector_field(e2), x, n, h)
+                res["c4_anchor"] = worse(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
+
+            for (e1, e2, f), (lhs5, b12) in zip(leibniz, c5):
+                v = c.anchor_matrix(x) @ e1(x)
+                df = float(partial_table(f, x, n, h) @ v)
+                rhs5 = f(x) * b12[p] + df * e2(x)
+                res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5[p] - rhs5))))
 
     return Report(res, tol=tol, data={"step": h})
 
@@ -687,23 +812,9 @@ class CanonicalSpace:
         support conditions hold on the nose, not within a tolerance."""
         if self.courant.exact_anchor is None:
             raise ValueError("bundle has no exact anchor to freeze")
-        n = self.courant.chart.dim
         pair = self.courant.pair
         rho_q = self.courant.exact_anchor(np.asarray(x, float))
-        rho_star_q = rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q))
-        zero_t = (Fraction(0),) * n
-        rows = []
-        for a in pair.g.basis:
-            u = rat.mat_vec(rho_q, a)
-            rows.append(tuple(u) + zero_t + tuple(a))
-        for k in range(n):
-            eps = tuple(Fraction(1 if i == k else 0) for i in range(n))
-            col = tuple(rho_star_q[i][k] for i in range(len(rho_star_q)))
-            rows.append(zero_t + tuple(-e for e in eps) + col)
-        k_space = canonicalize(rows, 2 * n + pair.d.dim)
-        return HamiltonianFiber(
-            t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho_q
-        )
+        return canonical_fiber(pair, rho_q, rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q)))
 
     def generator_residuals(self, x, h=DEFAULT_STEP):
         """Membership defects of the three bracket families of fiber
@@ -746,6 +857,25 @@ class CanonicalSpace:
         return out
 
 
+def canonical_fiber(pair, rho, rho_star):
+    """The canonical Hamiltonian fiber K = {((rho(a), -beta), a + rho*
+    beta)} of an exact rational anchor ``rho`` with its adjoint ``rho_star``
+    (G^{-1} rho^T, as ``ExactIdentification`` carries it), identity moment
+    map; ``HamiltonianFiber`` checks it is Lagrangian and supported."""
+    n = len(rho)
+    zero_t = (Fraction(0),) * n
+    rows = []
+    for a in pair.g.basis:
+        u = rat.mat_vec(rho, a)
+        rows.append(tuple(u) + zero_t + tuple(a))
+    for k in range(n):
+        eps = tuple(Fraction(1 if i == k else 0) for i in range(n))
+        col = tuple(rho_star[i][k] for i in range(len(rho_star)))
+        rows.append(zero_t + tuple(-e for e in eps) + col)
+    k_space = canonicalize(rows, 2 * n + pair.d.dim)
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
+
+
 def canonical_hamiltonian(c):
     """Canonical moment geometry over the whole base (identity map)."""
     s, phi = make_exact_splitting(c)
@@ -764,9 +894,10 @@ def check_strong_dirac(
     """Strong-map report for a Dirac field along a chart map, worst over
     the points.
 
-    ``exact_fibers`` maps a point to ``(l_x_rows, l_s_rows, dj)``: the
-    frozen source and target fibers and the differential as rational
-    matrices.  From them ``inclusion`` (the target fiber lies in the
+    ``exact_fibers`` maps a point to ``(l_x, l_s, dj)``: the frozen source
+    and target fibers as exact ``Subspace``s, which the supplier has
+    validated (``l_x`` Lagrangian), and the differential as a rational
+    matrix.  From them ``inclusion`` (the target fiber lies in the
     forward image of the source fiber) and ``transversality`` (``dj`` is
     injective on the source fiber's tangent part) are exact 0/1 quantities.
     ``phi``, a twist on the target chart, adds the finite-difference
@@ -801,10 +932,9 @@ def check_strong_dirac(
     for x in points:
         x = np.asarray(x, dtype=float)
         if exact_fibers is not None:
-            lx_q, ls_q, dj_q = exact_fibers(x)
+            fiber, target, dj_q = exact_fibers(x)
             dj = rat.matrix(dj_q)
-            fiber = DiracPointData(canonicalize(list(lx_q), 2 * q)).L
-            included = forward_dirac(fiber, dj).contains(canonicalize(list(ls_q), 2 * m))
+            included = forward_dirac(fiber, dj).contains(target)
             tangent = fiber.intersection(tangents).project(range(q))
             transversal = rat.rank([rat.mat_vec(dj, u) for u in tangent.basis]) == tangent.dim
             res["inclusion"] = worse(res["inclusion"], 0.0 if included else 1.0)
@@ -879,7 +1009,6 @@ def poisson_bracket_field(pi, df, dg):
 def check_quasi_poisson(
     pi,
     rho_x,
-    jmap,
     chi,
     cobracket,
     points,
@@ -902,10 +1031,13 @@ def check_quasi_poisson(
     the exact splitting module's component conventions (nested tuples,
     possibly empty for the ordinary Poisson case).  An identity that is not
     measured is absent from the report: ``lie_compat`` with an empty
-    cobracket, ``sharp_compat`` without ``exact_fibers``.
+    cobracket, ``sharp_compat`` without ``exact_fibers``.  The chart
+    dimension is that of the points, and at least one point is needed.
     """
+    if not len(points):
+        raise ValueError("quasi-Poisson check needs at least one point")
     sign = JACOBIATOR_SIGN if sign is None else sign
-    dim = jmap.source_dim
+    dim = np.shape(points[0])[0]
     funcs = funcs if funcs is not None else scalar_library(dim)
     chi_f = np.array(chi, dtype=float)
     cob_f = np.array(cobracket, dtype=float)

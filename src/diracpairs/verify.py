@@ -68,14 +68,15 @@ def rotation_strong_section(samples, seed, tol, step):
     ds = nm.dirac_of_pair(cd, pair.g, can.s)
 
     def exact_fibers(x):
-        hf = can.frozen_fiber(x)
-        ident = dc.identification_from_anchor(pair, hf.rho)
-        lx = dc.dirac_from_k(hf, ident).L.basis
+        # one anchor adjoint per point: the frozen fiber reuses the identification's
+        ident = dc.identification_from_anchor(pair, cd.exact_anchor(x))
+        hf = nm.canonical_fiber(pair, ident.rho, ident.rho_star)
+        lx = dc.dirac_from_k(hf, ident).L
         ls_rows = [
-            tuple(rat.mat_vec(hf.rho, a)) + tuple(rat.mat_vec(ident.s_star, a))
+            tuple(rat.mat_vec(ident.rho, a)) + tuple(rat.mat_vec(ident.s_star, a))
             for a in pair.g.basis
         ]
-        return lx, canonicalize(ls_rows, 6).basis, rat.identity(3)
+        return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
     jmap = nm.MapField.identity(3)
     return nm.check_strong_dirac(
@@ -97,7 +98,6 @@ def rotation_quasi_poisson(samples, seed, tol, step):
     return nm.check_quasi_poisson(
         pi,
         rho_x,
-        nm.MapField.identity(3),
         qd.chi,
         qd.F,
         pts,

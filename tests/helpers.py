@@ -22,7 +22,7 @@ from diracpairs.dictionary import (
     identification_from_anchor,
 )
 from diracpairs.exact_linear import Subspace, canonicalize
-from diracpairs.numeric_manifold import SectionField
+from diracpairs.numeric_manifold import SectionField, directional_derivative
 from diracpairs.quadratic_lie import catalog
 from diracpairs.report import Report
 from diracpairs.splitting import (
@@ -492,3 +492,64 @@ def orthogonal_complement(form, u):
         )
     rows = rat.kernel(rat.mat_mul(u.basis, form.gram), ncols=form.dim)
     return canonicalize(rows, form.dim)
+
+
+# Per-point references for the numeric tier's stacked kernels: the bodies
+# the package ran one point at a time before its brackets and partial
+# tables took stacks of points.  The stacked code must match them bit for
+# bit.
+
+
+def directional_derivative_partial_table(f, x, dim, h=1e-4):
+    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences; for
+    a scalar ``f`` this is its gradient."""
+    cols = []
+    for m in range(dim):
+        e = np.zeros(dim)
+        e[m] = 1.0
+        cols.append(directional_derivative(f, x, e, h))
+    if np.ndim(cols[0]) == 0:
+        # a gradient: np.stack of 0-d columns is several times slower
+        return np.array(cols)
+    return np.stack(cols, axis=-1)
+
+
+def twisted_bracket_at_point(e1, e2, x, phi_field, h=1e-4):
+    """Twisted bracket of tangent-plus-cotangent sections at ``x``:
+
+        [[X + a, Y + b]] = [X, Y] + L_X b - i_Y da + phi(X, Y, .)
+
+    from each section's jet."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    e1x, p1 = e1.jet(x, h)
+    e2x, p2 = e2.jet(x, h)
+    v1, a1, v2, a2 = e1x[:n], e1x[n:], e2x[:n], e2x[n:]
+    vec = p2[:n] @ v1 - p1[:n] @ v2
+    cov = p2[n:] @ v1 + p1[:n].T @ a2
+    cov -= (p1[n:].T - p1[n:]).T @ v2
+    t = np.asarray(phi_field(x), dtype=float)
+    cov += np.einsum("abj,a,b->j", t, v1, v2)
+    return np.concatenate([vec, cov])
+
+
+def dressing_bracket_at_point(c, e1, e2, x):
+    """The dressing bundle ``c``'s bracket at one point ``x``, on the data
+    ``make_dressing_courant`` binds: structure constants, Gram matrix and
+    its inverse, the memoized anchor and the step."""
+    structure = np.array(
+        [[[float(v) for v in row] for row in plane] for plane in c.pair.d.structure]
+    )
+    gram = c.gram
+    gram_inv = np.linalg.inv(gram)
+    anchor, h = c.anchor, c.step
+
+    x = np.asarray(x, dtype=float)
+    rho = anchor(x)
+    e1x, p1 = e1.jet(x, h)
+    e2x, p2 = e2.jet(x, h)
+    val = np.einsum("ijk,i,j->k", structure, e1x, e2x)
+    val += p2 @ (rho @ e1x) - p1 @ (rho @ e2x)
+    w = p1.T @ (gram @ e2x)
+    val += gram_inv @ rho.T @ w
+    return val

@@ -10,7 +10,7 @@ import pytest
 from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
 from diracpairs import so3, verify
-from diracpairs.dictionary import dirac_from_k, identification_from_anchor
+from diracpairs.dictionary import DiracPointData, dirac_from_k, identification_from_anchor
 from diracpairs.exact_linear import canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
 
@@ -414,12 +414,12 @@ def test_strong_map_report_on_frozen_exact_fibers(
     def exact_fibers(x):
         rho_q = dressing.exact_anchor(np.asarray(x, float))
         ident = identification_from_anchor(so3_pair, rho_q)
-        lx_rows = dirac_from_k(canonical_space.frozen_fiber(x), ident).L.basis
+        lx = dirac_from_k(canonical_space.frozen_fiber(x), ident).L
         ls_rows = [
             tuple(rat.mat_vec(rho_q, a)) + tuple(rat.mat_vec(ident.s_star, a))
             for a in so3_pair.g.basis
         ]
-        return lx_rows, ls_rows, rat.identity(3)
+        return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
     pts = [np.asarray(x, float) for x in so3_points[:2]]
     rep = nm.check_strong_dirac(jmap, field.basis_at, pts, phi=phi, exact_fibers=exact_fibers)
@@ -434,8 +434,10 @@ TANGENT = rat.hstack(rat.identity(3), rat.zeros(3, 3))
 
 
 def exact_strong_map(jmap, source, target, dj, x):
-    # exact fibers only: no frame, so no finite-difference integrability
-    return nm.check_strong_dirac(jmap, None, [x], exact_fibers=lambda y: (source, target, dj))
+    # exact fibers only: no frame, so no finite-difference integrability;
+    # the supplier validates the source fiber as Lagrangian
+    fibers = (DiracPointData(canonicalize(source, 6)).L, canonicalize(target, 6), dj)
+    return nm.check_strong_dirac(jmap, None, [x], exact_fibers=lambda y: fibers)
 
 
 def test_strong_map_fails_for_a_collapsing_target(flat3):
@@ -506,6 +508,23 @@ def test_the_pulled_twist_is_evaluated_once_per_point():
     assert len(calls) == 20
 
 
+def test_the_strong_section_takes_the_anchor_adjoint_once_per_point(monkeypatch, so3_pair):
+    gram_inv = so3_pair.d.form.gram_inv
+    adjoints = []
+    mat_mul = rat.mat_mul
+
+    def counted(a, b):
+        if a is gram_inv:
+            adjoints.append(b)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(rat, "mat_mul", counted)
+    assert verify.run_example("rotation_strong_section", samples=3, seed=0).passed
+    # 9 when the frozen fiber, the splitting's correction and the
+    # identification's check each took G^-1 rho^T
+    assert len(adjoints) == 3
+
+
 def test_quasi_poisson_takes_each_gradient_once_per_point(monkeypatch):
     calls = []
     partial_table = nm.partial_table
@@ -517,8 +536,9 @@ def test_quasi_poisson_takes_each_gradient_once_per_point(monkeypatch):
     monkeypatch.setattr(nm, "partial_table", counted)
     assert verify.run_example("rotation_quasi_poisson", samples=3, seed=0).passed
     # 630 when each inner bracket retook both library gradients at every
-    # central-difference point
-    assert len(calls) == 180
+    # central-difference point, 180 while the construction gate still
+    # differentiated its constant sections
+    assert len(calls) == 168
 
 
 def test_the_strong_map_frame_is_read_once_per_point():
@@ -570,7 +590,6 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
     rep = nm.check_quasi_poisson(
         pi,
         rho_x,
-        nm.MapField.identity(3),
         so3_quasi_data.chi,
         so3_quasi_data.F,
         [np.asarray(x, float) for x in so3_points[:2]],
@@ -598,7 +617,6 @@ def test_a_wrong_exact_sharp_identity_fails_the_report(
     rep = nm.check_quasi_poisson(
         pi,
         rho_x,
-        nm.MapField.identity(3),
         so3_quasi_data.chi,
         so3_quasi_data.F,
         [np.asarray(so3_points[0], float)],
@@ -610,13 +628,17 @@ def test_a_wrong_exact_sharp_identity_fails_the_report(
     assert not rep.holds("sharp_compat")
 
 
+def test_a_quasi_poisson_check_without_points_is_refused():
+    with pytest.raises(ValueError, match="at least one point"):
+        nm.check_quasi_poisson(helpers.so3_linear_poisson, lambda x: np.zeros((3, 0)), (), (), [])
+
+
 def test_linear_rotation_poisson_satisfies_jacobi(flat3):
     _, pts = flat3
     no_action = lambda x: np.zeros((3, 0))
     rep = nm.check_quasi_poisson(
         helpers.so3_linear_poisson,
         no_action,
-        nm.MapField.identity(3),
         (),
         (),
         pts[:3],
@@ -774,8 +796,31 @@ def test_flat_axioms_evaluate_each_section_once_per_point_and_step(monkeypatch):
 
     monkeypatch.setattr(nm.SectionField, "__call__", counted)
     assert verify.run_example("flat_twisted_axioms", samples=3, seed=0).passed
-    # 7,245 when every bracket recomputed its sections' tables
-    assert len(calls) == 2520
+    # 7,245 when every bracket recomputed its sections' tables, 2,520 while
+    # constant sections were differentiated and each bracket section was
+    # evaluated one stencil point at a time
+    assert len(calls) == 1380
+
+
+def test_flat_axioms_call_the_bracket_kernel_once_per_stack(monkeypatch):
+    calls = []
+    kernel = nm.twisted_bracket
+
+    def counted(e1, e2, x, *args):
+        calls.append(np.shape(x))
+        return kernel(e1, e2, x, *args)
+
+    monkeypatch.setattr(nm, "twisted_bracket", counted)
+    assert verify.run_example("flat_twisted_axioms", samples=3, seed=0).passed
+    # one call per point for each of the 12 library bracket sections' jets
+    # (the point and its six stencil neighbours), one per probe bracket over
+    # the stack of three points, and one per point for the 5 metric probes
+    # whose section depends on the point; 462 (154 per point) when every
+    # bracket section was rebuilt per point and evaluated point by point
+    assert len(calls) == 12 * 3 + 39 + 5 * 3
+    assert calls.count((7, 3)) == 12 * 3
+    assert calls.count((3, 3)) == 39
+    assert calls.count((3,)) == 5 * 3
 
 
 def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
@@ -791,3 +836,144 @@ def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
 
     assert untwisted_closure(counted, pts[0]) < 1e-10
     assert len(calls) == 7
+
+
+def _probe_sections(c):
+    """Library sections, a dense non-polynomial one, and brackets of both,
+    so the references see constant, varying and stacked sections, and sums
+    of several nonzero products whose rounding depends on their order."""
+    lib = nm.section_library(c.rank, c.chart.dim)
+    rng = np.random.default_rng(5)
+    w, b = rng.normal(size=(c.rank, c.chart.dim)), rng.normal(size=c.rank)
+    dense = nm.SectionField(c.rank, lambda y: np.sin(w @ y + b))
+    inner = c.bracket(dense, lib[c.rank])
+    return lib + [dense, inner, c.bracket(lib[-1], dense), c.bracket(inner, lib[1])]
+
+
+def _stacks(x, points):
+    """Stacks of 1, 2n and P points: ``x`` alone, its stencil, and all."""
+    n = x.shape[0]
+    steps = 1e-4 * np.eye(n)
+    return (x[None], np.concatenate([x + steps, x - steps]), np.array(points))
+
+
+def _check_stacked_kernel(c, reference, points):
+    sections = _probe_sections(c)
+    pairs = list(itertools.product(sections, repeat=2))
+    for xs in _stacks(points[0], points):
+        for e1, e2 in pairs:
+            got = c.bracket_at(e1, e2, xs)
+            assert got.shape == (len(xs), c.rank)
+            want = np.array([reference(e1, e2, y) for y in xs])
+            assert got.tobytes() == want.tobytes()
+            assert c.bracket_at(e1, e2, xs[0]).tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("phi", [None, "volume"])
+def test_stacked_twisted_bracket_is_the_per_point_reference_bit_for_bit(phi, flat3):
+    chart, pts = flat3
+    form = None if phi is None else nm.volume_form(3)
+    c = nm.make_standard_twisted(chart, form)
+    field = nm._phi_as_field(form, 3)
+    reference = lambda e1, e2, y: helpers.twisted_bracket_at_point(e1, e2, y, field, c.step)
+    _check_stacked_kernel(c, reference, [np.asarray(x, float) for x in pts])
+
+
+def test_stacked_bracket_with_a_varying_twist_is_the_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    pts = tuple(rng.uniform(-0.5, 0.5, size=4) for _ in range(3))
+    twist = linear_volume_twist()
+    c = nm.make_standard_twisted(nm.Chart(4, pts, name="flat4"), twist, check_closed=False)
+    reference = lambda e1, e2, y: helpers.twisted_bracket_at_point(e1, e2, y, twist, c.step)
+    _check_stacked_kernel(c, reference, list(pts))
+
+
+def test_stacked_dressing_bracket_is_the_per_point_reference_bit_for_bit(dressing, so3_points):
+    reference = lambda e1, e2, y: helpers.dressing_bracket_at_point(dressing, e1, e2, y)
+    _check_stacked_kernel(dressing, reference, [np.asarray(x, float) for x in so3_points[:5]])
+
+
+SIGNED_ZEROS = np.array([-0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda y: math.sin(y[0]) * y[1] + y[2] ** 3,
+        lambda y: np.array([y[0] * y[1], math.cos(y[2]), -0.0, 1.0]),
+        lambda y: np.outer(np.sin(y), y)[:, :2],
+        nm.SectionField(3, lambda y: y * y[::-1]),
+    ],
+    ids=["scalar", "vector", "matrix", "section"],
+)
+def test_partial_table_is_the_per_column_reference_bit_for_bit(f, flat3):
+    _, pts = flat3
+    for x in list(pts[:3]) + [SIGNED_ZEROS]:
+        for h in (1e-4, 1e-2):
+            got = nm.partial_table(f, x, 3, h)
+            want = helpers.directional_derivative_partial_table(f, x, 3, h)
+            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape and got.flags.c_contiguous
+
+
+def _stencil(x, h):
+    # x + h e_0, x - h e_0, x + h e_1, ... as directional_derivative forms them
+    rows = []
+    for m in range(x.shape[0]):
+        step = h * np.eye(x.shape[0])[m]
+        rows += [x + step, x - step]
+    return np.array(rows)
+
+
+def test_partial_table_takes_the_reference_stencil_signed_zeros_included():
+    seen = []
+    nm.partial_table(lambda y: seen.append(np.array(y)) or 0.0, SIGNED_ZEROS, 3, 1e-4)
+    assert np.array(seen).tobytes() == _stencil(SIGNED_ZEROS, 1e-4).tobytes()
+
+
+def test_a_bracket_section_jet_takes_its_stencil_in_one_call(twisted3, flat3):
+    _, pts = flat3
+    lib = nm.section_library(6, 3)
+    calls = []
+
+    def kernel(e1, e2, x):
+        calls.append(np.array(x))
+        return twisted3.bracket_at(e1, e2, x)
+
+    section = dataclasses.replace(twisted3, bracket_at=kernel).bracket(lib[6], lib[-1])
+    assert isinstance(section, nm.StackedSection)
+    for x in (pts[0], SIGNED_ZEROS):
+        for h in (1e-4, 1e-2):
+            value, table = section.jet(x, h)
+            # one call: the point itself, then its stencil
+            assert len(calls) == 1
+            assert calls[0].tobytes() == np.vstack([x, _stencil(x, h)]).tobytes()
+            calls.clear()
+            # the point-by-point jet: one kernel call per stencil point
+            assert value.tobytes() == section(x).tobytes()
+            want = helpers.directional_derivative_partial_table(section, x, 3, h)
+            assert table.tobytes() == want.tobytes()
+            assert table.flags.c_contiguous and not table.flags.writeable
+            calls.clear()
+
+
+def test_a_constant_jet_is_exact_and_never_calls_its_function(flat3):
+    _, pts = flat3
+    v = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -0.25])
+    e = nm.SectionField.constant(v)
+    e = dataclasses.replace(e, fn=lambda y: pytest.fail("constant jet called fn"))
+    for h in (1e-4, 1e-2):
+        value, table = e.jet(pts[0], h)
+        assert value.tobytes() == v.tobytes()
+        want = helpers.directional_derivative_partial_table(nm.SectionField.constant(v), pts[0], 3, h)
+        assert table.tobytes() == want.tobytes()
+        assert table.shape == (6, 3) and table.flags.c_contiguous
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+
+
+def test_a_constant_section_must_be_finite():
+    with pytest.raises(ValueError, match="not finite"):
+        nm.SectionField.constant(np.array([1.0, np.nan]))
