@@ -26,7 +26,7 @@ from .exact_linear import (
     is_graph_over_factor,
     is_lagrangian,
 )
-from .morphism import HamiltonianFiber, extract_action
+from .morphism import HamiltonianFiber, equiv_failures, extract_action
 from .quadratic_lie import ManinPairPoint, abstract_double
 
 
@@ -50,7 +50,7 @@ class QuasiPoissonPointData:
                 if self.Pi[i][j] != -self.Pi[j][i]:
                     raise ValueError("bivector is not antisymmetric")
         if self.a_dim:
-            if len(self.rho_X) != t or len(self.rho_X[0]) != self.a_dim:
+            if len(self.rho_X) != t or any(len(row) != self.a_dim for row in self.rho_X):
                 raise ValueError("action matrix has wrong shape")
         else:
             if any(self.rho_X):
@@ -340,24 +340,6 @@ def l_from_quasi(q, splitting, ident, dJ):
     return direct
 
 
-def equiv_failure_detail(h):
-    """Which transversality condition a fiber violates, as text."""
-    m = h.morphism_fiber()
-    n1 = m.source_dim
-    n2 = m.target.d.dim
-    a1 = m.source.g.embed(tuple(range(n1)), n1 + n2)
-    msgs = []
-    if m.K.intersection(a1).dim != 0:
-        msgs.append("i) the relation meets the source half nontrivially")
-    full_e2 = Subspace.full(n2).embed(tuple(range(n1, n1 + n2)), n1 + n2)
-    slice_ = m.K.intersection(a1 + full_e2)
-    if slice_.dim != m.target.g.dim or slice_.project(
-        tuple(range(n1, n1 + n2))
-    ) != m.target.g:
-        msgs.append("ii) the slice over the source half misses the target half")
-    return "; ".join(msgs) if msgs else "conditions hold"
-
-
 def pi_from_dirac(d, dJ, ident, splitting):
     """Bivector out of a Lagrangian: compose the Hamiltonian fiber with the
     embedded dual image and read the graph.  Failure reports which
@@ -370,8 +352,10 @@ def pi_from_dirac(d, dJ, ident, splitting):
     tangent_over_covector = LinearRelation(t, t, graph)
     m = is_graph_over_factor(tangent_over_covector, "target")
     if m is None:
+        failures = equiv_failures(fiber.morphism_fiber())
         raise ValueError(
-            "composed relation is not a bivector graph: " + equiv_failure_detail(fiber)
+            "composed relation is not a bivector graph: "
+            + ("; ".join(failures) or "conditions hold")
         )
     pi = rat.transpose(m)
     for i in range(t):
@@ -468,6 +452,8 @@ def _dec_int(x):
     v = Fraction(x)
     if v.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")
+    if v < 0:
+        raise ValueError(f"{x!r} is negative")
     return int(v)
 
 
@@ -481,7 +467,7 @@ def _field(obj, name, decode=_dec_matrix):
         raise RecordError(f"fiber record has no {name!r} field")
     try:
         return decode(obj[name])
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise RecordError(f"fiber record field {name!r}: {e}") from None
 
 

@@ -286,13 +286,12 @@ class LinearRelation:
             raise ValueError("graph lives in the wrong ambient space")
 
     @staticmethod
-    def from_matrix(m, source_dim=None):
+    def from_matrix(m):
         """Graph of the linear map with matrix ``m`` (columns = inputs)."""
         m = rat.matrix(m)
-        if source_dim is None:
-            if not m:
-                raise ValueError("need source_dim for an empty matrix")
-            source_dim = len(m[0])
+        if not m:
+            raise ValueError("an empty matrix has no source dimension")
+        source_dim = len(m[0])
         target_dim = len(m)
         rows = rat.hstack(rat.identity(source_dim), rat.transpose(m))
         return LinearRelation(

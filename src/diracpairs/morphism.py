@@ -37,9 +37,9 @@ from .report import Report
 
 
 @lru_cache(maxsize=64)
-def product_algebra(d1, d2, negate_second=True):
+def product_algebra(d1, d2):
     """Componentwise bracket on the direct sum; the pairing on the second
-    factor is negated by default (the morphism convention)."""
+    factor is negated (the morphism convention)."""
     n1, n2 = d1.dim, d2.dim
     dim = n1 + n2
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
@@ -55,7 +55,7 @@ def product_algebra(d1, d2, negate_second=True):
             for k in range(n2):
                 if row[k]:
                     c[n1 + i][n1 + j][n1 + k] = row[k]
-    form = d1.form.direct_sum(d2.form, negate_second=negate_second)
+    form = d1.form.direct_sum(d2.form, negate_second=True)
     structure = tuple(tuple(tuple(r) for r in p) for p in c)
     return QuadraticLieAlgebra(dim, structure, form)
 
@@ -134,19 +134,25 @@ def check_morphism_def(m):
     return is_graph_over_factor(dual_pair_readout(m), "source") is not None
 
 
-def check_morphism_equiv(m):
-    """Transversality criterion: the relation meets the source half only at
-    zero, and its slice over the source half projects isomorphically onto
-    the target half."""
+def equiv_failures(m):
+    """The transversality conditions the relation violates, as texts: i)
+    it meets the source half only at zero, ii) its slice over the source
+    half projects isomorphically onto the target half."""
     n1, n2 = m.source_dim, m.target.d.dim
     a1_embedded = m.source.g.embed(tuple(range(n1)), n1 + n2)
+    failures = []
     if m.K.intersection(a1_embedded).dim != 0:
-        return False
+        failures.append("i) the relation meets the source half nontrivially")
     full_e2 = Subspace.full(n2).embed(tuple(range(n1, n1 + n2)), n1 + n2)
     slice_ = m.K.intersection(a1_embedded + full_e2)
-    if slice_.dim != m.target.g.dim:
-        return False
-    return slice_.project(tuple(range(n1, n1 + n2))) == m.target.g
+    if slice_.dim != m.target.g.dim or slice_.project(tuple(range(n1, n1 + n2))) != m.target.g:
+        failures.append("ii) the slice over the source half misses the target half")
+    return failures
+
+
+def check_morphism_equiv(m):
+    """Transversality criterion: ``equiv_failures`` finds none."""
+    return not equiv_failures(m)
 
 
 def compose_morphisms(m12, m23):

@@ -79,14 +79,11 @@ JACOBIATOR_SIGN = 1.0
 
 @dataclass(frozen=True)
 class Chart:
-    """A sampled coordinate patch: just a dimension, a tuple of probe
-    points, and an optional stash of analytic Jacobian suppliers keyed by
-    map name."""
+    """A sampled coordinate patch: just a dimension and a tuple of probe
+    points."""
 
     dim: int
     sample_points: tuple
-    jacobians: dict = field(default_factory=dict)
-    name: str = ""
 
     def __post_init__(self):
         pts = tuple(np.asarray(p, dtype=float) for p in self.sample_points)
@@ -310,7 +307,6 @@ class CourantNumeric:
     exact_anchor: object = None
     pair: ManinPairPoint = None
     step: float = DEFAULT_STEP
-    label: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
@@ -335,12 +331,11 @@ class CourantNumeric:
     def anchor_vector_field(self, e):
         return lambda x: self.anchor_matrix(x) @ e(x)
 
-    def anchor_coisotropy_residual(self, points=None):
+    def anchor_coisotropy_residual(self, points):
         """Largest entry of rho ginv rho^T over the points; algebraic, so
         the budget is roundoff, not the FD step."""
-        pts = points if points is not None else self.chart.sample_points
         worst = 0.0
-        for x in pts:
+        for x in points:
             m = self.anchor_matrix(x)
             worst = worse(worst, float(np.max(np.abs(m @ self.gram_inv @ m.T))))
         return worst
@@ -395,7 +390,7 @@ def volume_form(dim):
     return t
 
 
-def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True, closed_tol=1e-6):
+def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True):
     """Twisted bracket on tangent-plus-cotangent section pairs.
 
     ``phi`` is a three-form (constant array, field, or None for untwisted);
@@ -410,7 +405,7 @@ def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True, cl
     if check_closed:
         for x in chart.sample_points:
             d = exterior_derivative(phi_field, 3, x, n, h)
-            if not float(np.max(np.abs(d))) <= closed_tol:
+            if not float(np.max(np.abs(d))) <= 1e-6:
                 raise ValueError("twist three-form is not closed at a sample point")
             if not np.all(np.isfinite(phi_field(x))):
                 raise ValueError("twist three-form is not finite at a sample point")
@@ -426,7 +421,6 @@ def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True, cl
         anchor=lambda x: anchor_mat,
         bracket_at=lambda e1, e2, x: twisted_bracket(e1, e2, x, phi_field, h),
         step=h,
-        label="standard" if phi is None else "standard-twisted",
     )
 
 
@@ -453,8 +447,9 @@ def rotation_double_exact_anchor(x):
     return rat.mat_mul(jq, rat.hstack(rat.mat_neg(rat.identity(3)), rq))
 
 
-def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_tol=1e-6):
-    """Bracket bundle of a quadratic double over its dressing chart.
+def make_dressing_courant(chart, h=DEFAULT_STEP):
+    """Bracket bundle of the split rotation double ``catalog()["so3-double"]``
+    over its three-dimensional dressing chart.
 
     The bracket on general sections extends the pointwise algebra bracket
     by directional-derivative terms along the anchored directions plus the
@@ -465,22 +460,21 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
 
     The formula is self-certifying: the axiom report is the only warrant,
     so construction smoke-gates the single-bracket axioms on constant
-    sections (the full report is a separate call).  Only the split rotation
-    double carries a chart action here; anything else is rejected.
+    sections at up to three sample points, within 1e-6 (the full report is
+    a separate call).  The bundle's ``pair`` is the catalog pair itself,
+    validated once; it is the only pair with a chart action here.
 
     The bracket and ``anchor_matrix`` read one anchor, memoized per bundle
     with ``per_point`` and bound here: replacing ``rotation_double_anchor``
     afterwards does not reach this bundle, and the anchor matrices it
     returns are read-only.
     """
-    reference = catalog()["so3-double"]
-    if d.dim != 6 or chart.dim != 3:
+    if chart.dim != 3:
         raise ValueError("dressing chart action needs the six-dimensional rotation double")
-    if d.structure != reference.d.structure or d.form.gram != reference.d.form.gram:
-        raise ValueError("dressing chart action is only wired for the split rotation double")
+    pair = catalog()["so3-double"]
+    d = pair.d
 
     gram = np.array([[float(v) for v in row] for row in d.form.gram])
-    gram_inv = np.linalg.inv(gram)
     structure = np.array(
         [[[float(v) for v in row] for row in plane] for plane in d.structure]
     )
@@ -495,7 +489,7 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         val = np.einsum("ijk,...i,...j->...k", structure, e1x, e2x)
         val += _mv(p2, _mv(rho, e1x)) - _mv(p1, _mv(rho, e2x))
         w = _mv(_tr(p1), _mv(gram, e2x))
-        val += _mv(np.matmul(gram_inv, _tr(rho)), w)
+        val += _mv(np.matmul(cn.gram_inv, _tr(rho)), w)
         return val
 
     cn = CourantNumeric(
@@ -505,34 +499,32 @@ def make_dressing_courant(d, g, chart, h=DEFAULT_STEP, check_axioms=True, gate_t
         anchor=anchor,
         bracket_at=bracket_at,
         exact_anchor=rotation_double_exact_anchor,
-        pair=ManinPairPoint(d, g),
+        pair=pair,
         step=h,
-        label="dressing-rotation-double",
     )
 
-    if check_axioms:
-        pts = chart.sample_points[: min(3, len(chart.sample_points))]
-        basis = [SectionField.constant(np.eye(6)[i]) for i in range(6)]
-        coiso = cn.anchor_coisotropy_residual(pts)
-        if not coiso <= 1e-10:
-            raise ValueError("anchor fails coisotropy on the gate points")
-        for x in pts:
-            for i in (0, 3):
-                for j in (1, 4):
-                    got = bracket_at(basis[i], basis[j], x)
-                    want = np.array([float(v) for v in d.basis_bracket(i, j)])
-                    if not float(np.max(np.abs(got - want))) <= gate_tol:
-                        raise ValueError("constant sections do not bracket to the algebra")
-            lhs = cn.anchor_matrix(x) @ bracket_at(basis[0], basis[1], x)
-            rhs = vector_commutator(
-                cn.anchor_vector_field(basis[0]), cn.anchor_vector_field(basis[1]), x, 3, h
-            )
-            if not float(np.max(np.abs(lhs - rhs))) <= gate_tol:
-                raise ValueError("anchor is not bracket-compatible on the gate points")
+    pts = chart.sample_points[: min(3, len(chart.sample_points))]
+    basis = [SectionField.constant(np.eye(6)[i]) for i in range(6)]
+    coiso = cn.anchor_coisotropy_residual(pts)
+    if not coiso <= 1e-10:
+        raise ValueError("anchor fails coisotropy on the gate points")
+    for x in pts:
+        for i in (0, 3):
+            for j in (1, 4):
+                got = bracket_at(basis[i], basis[j], x)
+                want = np.array([float(v) for v in d.basis_bracket(i, j)])
+                if not float(np.max(np.abs(got - want))) <= 1e-6:
+                    raise ValueError("constant sections do not bracket to the algebra")
+        lhs = cn.anchor_matrix(x) @ bracket_at(basis[0], basis[1], x)
+        rhs = vector_commutator(
+            cn.anchor_vector_field(basis[0]), cn.anchor_vector_field(basis[1]), x, 3, h
+        )
+        if not float(np.max(np.abs(lhs - rhs))) <= 1e-6:
+            raise ValueError("anchor is not bracket-compatible on the gate points")
     return cn
 
 
-def section_library(rank, dim, include_quadratic=True):
+def section_library(rank, dim):
     """The fixed probe family for axiom reports: every constant basis
     section, a few coordinate-linear ones, and one quadratic."""
     eye = np.eye(rank)
@@ -542,8 +534,7 @@ def section_library(rank, dim, include_quadratic=True):
         lib.append(
             SectionField(rank, lambda x, k=k, c=coord: x[c] * eye[k])
         )
-    if include_quadratic:
-        lib.append(SectionField(rank, lambda x: 0.5 * float(x @ x) * eye[rank - 1]))
+    lib.append(SectionField(rank, lambda x: 0.5 * float(x @ x) * eye[rank - 1]))
     return lib
 
 
@@ -655,11 +646,9 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
 
 
 def lstsq_distance(rows, w):
-    """Distance from ``w`` to the row span of ``rows`` (empty span allowed)."""
+    """Distance from ``w`` to the row span of ``rows``."""
     rows = np.asarray(rows, dtype=float)
     w = np.asarray(w, dtype=float)
-    if rows.size == 0:
-        return float(np.linalg.norm(w))
     sol, *_ = np.linalg.lstsq(rows.T, w, rcond=None)
     return float(np.linalg.norm(rows.T @ sol - w))
 
@@ -669,7 +658,7 @@ def subspace_rows(space):
     return np.array([[float(v) for v in row] for row in space.basis], dtype=float)
 
 
-def make_exact_splitting(c, onto_tol=1e-8):
+def make_exact_splitting(c):
     """Pointwise right inverse of the anchor with isotropic image, plus the
     three-form it induces.
 
@@ -685,7 +674,7 @@ def make_exact_splitting(c, onto_tol=1e-8):
         raise ValueError("splitting needs rank equal to twice the chart dimension")
     for x in c.chart.sample_points:
         sv = np.linalg.svd(c.anchor_matrix(x), compute_uv=False)
-        if sv[-1] < onto_tol:
+        if sv[-1] < 1e-8:
             raise ValueError("anchor is not onto at a sample point")
 
     @per_point
@@ -713,24 +702,6 @@ def make_exact_splitting(c, onto_tol=1e-8):
     return s, phi
 
 
-@dataclass
-class DiracField:
-    """Half-subalgebra Dirac structure, pointwise: rows (rho(a), s*(a))."""
-
-    courant: CourantNumeric
-    half_rows: np.ndarray
-    s: object
-
-    def basis_at(self, x):
-        rho = self.courant.anchor_matrix(x)
-        sx = self.s(x)
-        g = self.courant.gram
-        rows = []
-        for a in self.half_rows:
-            rows.append(np.concatenate([rho @ a, sx.T @ (g @ a)]))
-        return np.stack(rows)
-
-
 def _frame_closure(frame, x, phi_field, h=DEFAULT_STEP):
     """Worst distance from the twisted bracket of two rows of a frame field
     to the frame's row span at ``x``.  ``frame`` should be ``per_point``
@@ -747,7 +718,9 @@ def _frame_closure(frame, x, phi_field, h=DEFAULT_STEP):
 
 
 def dirac_of_pair(c, half, s):
-    """Dirac field of a Lagrangian subalgebra through a pointwise splitting.
+    """Dirac field of a Lagrangian subalgebra through a pointwise splitting,
+    as its frame function: ``x`` to the float rows ``(rho(a), s(x)^T g a)``,
+    one per basis vector ``a`` of the half.
 
     ``half`` is the exact subspace of the fiber algebra (or a float row
     matrix); its closure under the algebra bracket is required, and checked
@@ -756,28 +729,13 @@ def dirac_of_pair(c, half, s):
     if c.pair is not None and hasattr(half, "basis"):
         if first_unclosed_pair(c.pair.d.bracket, half) is not None:
             raise ValueError("half is not closed under the algebra bracket")
-    return DiracField(courant=c, half_rows=rows, s=s)
 
+    def basis_at(x):
+        rho = c.anchor_matrix(x)
+        sx = s(x)
+        return np.stack([np.concatenate([rho @ a, sx.T @ (c.gram @ a)]) for a in rows])
 
-@dataclass
-class MapField:
-    """A smooth map between charts with its differential."""
-
-    source_dim: int
-    target_dim: int
-    value: object
-    jacobian: object
-
-    @staticmethod
-    def identity(dim):
-        return MapField(dim, dim, lambda x: np.asarray(x, float), lambda x: np.eye(dim))
-
-    @staticmethod
-    def constant(point, source_dim):
-        p = np.asarray(point, dtype=float)
-        return MapField(
-            source_dim, p.shape[0], lambda x: p, lambda x: np.zeros((p.shape[0], source_dim))
-        )
+    return basis_at
 
 
 @dataclass
@@ -793,6 +751,15 @@ class CanonicalSpace:
         if self.courant.pair is None:
             raise ValueError("canonical space needs the bundle's Manin pair")
         self.half_rows = subspace_rows(self.courant.pair.g)
+        frame = self._frame = per_point(self.fiber_rows)
+        t, rank = 2 * self.courant.chart.dim, self.courant.rank
+        self._generators = [
+            (
+                SectionField(t, lambda y, i=i: frame(y)[i, :t]),
+                SectionField(rank, lambda y, i=i: frame(y)[i, t:]),
+            )
+            for i in range(len(self.half_rows) + self.courant.chart.dim)
+        ]
 
     def fiber_rows(self, x):
         n = self.courant.chart.dim
@@ -817,43 +784,23 @@ class CanonicalSpace:
         return canonical_fiber(pair, rho_q, rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q)))
 
     def generator_residuals(self, x, h=DEFAULT_STEP):
-        """Membership defects of the three bracket families of fiber
-        generators, as distances to the fiber span."""
+        """Distances from the brackets of the fiber generators, the rows of
+        ``fiber_rows``, to the fiber span at ``x``, worst per family.  Two
+        rows bracket by the twisted bracket on their ``T + T*`` legs and
+        the bundle's bracket on their ``E`` legs; their indices name the
+        family: ``half_half``, ``half_covector`` or ``covector_covector``."""
         c = self.courant
-        n = c.chart.dim
         x = np.asarray(x, dtype=float)
         # single brackets only probe the twist at x, so freeze it there
-        phi_x = _phi_as_field(self.phi(x), n)
-        rows = self.fiber_rows(x)
-
-        def a_section(a):
-            tx = SectionField(2 * n, lambda y, a=a: np.concatenate([c.anchor_matrix(y) @ a, np.zeros(n)]))
-            ee = SectionField.constant(a)
-            return tx, ee
-
-        def b_section(beta):
-            tx = SectionField.constant(np.concatenate([np.zeros(n), -beta]))
-            ee = SectionField(c.rank, lambda y, b=beta: c.rho_star(y) @ b)
-            return tx, ee
-
-        lifted = [a_section(a) for a in self.half_rows]
-        lifted_b = [b_section(np.eye(n)[k]) for k in range(n)]
-        out = {"half_half": 0.0, "half_covector": 0.0, "covector_covector": 0.0}
-
-        def membership(tx1, e1, tx2, e2, key):
-            w_tx = twisted_bracket(tx1, tx2, x, phi_x, h)
-            w_e = c.bracket_at(e1, e2, x)
-            out[key] = worse(out[key], lstsq_distance(rows, np.concatenate([w_tx, w_e])))
-
-        for i in range(len(lifted)):
-            for j in range(i + 1, len(lifted)):
-                membership(*lifted[i], *lifted[j], "half_half")
-        for tx1, e1 in lifted:
-            for tx2, e2 in lifted_b:
-                membership(tx1, e1, tx2, e2, "half_covector")
-        for i in range(len(lifted_b)):
-            for j in range(i + 1, len(lifted_b)):
-                membership(*lifted_b[i], *lifted_b[j], "covector_covector")
+        phi_x = _phi_as_field(self.phi(x), c.chart.dim)
+        rows = self._frame(x)
+        half = len(self.half_rows)
+        families = ("half_half", "half_covector", "covector_covector")
+        out = dict.fromkeys(families, 0.0)
+        for (i, (t1, e1)), (j, (t2, e2)) in combinations(enumerate(self._generators), 2):
+            w = np.concatenate([twisted_bracket(t1, t2, x, phi_x, h), c.bracket_at(e1, e2, x)])
+            family = families[(i >= half) + (j >= half)]
+            out[family] = worse(out[family], lstsq_distance(rows, w))
         return out
 
 
@@ -883,7 +830,6 @@ def canonical_hamiltonian(c):
 
 
 def check_strong_dirac(
-    jmap,
     l_x,
     points,
     phi=None,
@@ -891,24 +837,26 @@ def check_strong_dirac(
     tol=DEFAULT_TOL,
     exact_fibers=None,
 ):
-    """Strong-map report for a Dirac field along a chart map, worst over
-    the points.
+    """Strong-map report for a Dirac field on the chart of ``points``, worst
+    over the points.
 
     ``exact_fibers`` maps a point to ``(l_x, l_s, dj)``: the frozen source
     and target fibers as exact ``Subspace``s, which the supplier has
-    validated (``l_x`` Lagrangian), and the differential as a rational
-    matrix.  From them ``inclusion`` (the target fiber lies in the
+    validated (``l_x`` Lagrangian), and the map's differential as a
+    rational matrix.  From them ``inclusion`` (the target fiber lies in the
     forward image of the source fiber) and ``transversality`` (``dj`` is
     injective on the source fiber's tangent part) are exact 0/1 quantities.
-    ``phi``, a twist on the target chart, adds the finite-difference
+    ``phi``, a twist on the source chart, adds the finite-difference
     ``integrability`` defect of ``l_x``, a smooth float row-basis supplier
-    over the source chart.  A check given neither measures nothing, so it
-    raises ValueError.
+    over that chart; a caller whose map is not the identity pulls its
+    target twist back along the map first.  A check given neither measures
+    nothing, so it raises ValueError, and so does one without points.
     """
     if exact_fibers is None and phi is None:
         raise ValueError("strong-map check needs exact fibers or a twist to measure")
-    q = jmap.source_dim
-    m = jmap.target_dim
+    if not len(points):
+        raise ValueError("strong-map check needs at least one point")
+    q = np.shape(points[0])[0]
     res = {}
     if exact_fibers is not None:
         res.update(inclusion=0.0, transversality=0)
@@ -916,18 +864,7 @@ def check_strong_dirac(
     if phi is not None:
         res["integrability"] = 0.0
         frame = per_point(l_x)
-        phi_field = _phi_as_field(phi, m)
-
-        @per_point
-        def pulled(y):
-            djy = np.asarray(jmap.jacobian(y), dtype=float)
-            return np.einsum(
-                "abc,ai,bj,ck->ijk",
-                phi_field(np.asarray(jmap.value(y), float)),
-                djy,
-                djy,
-                djy,
-            )
+        twist = per_point(_phi_as_field(phi, q))
 
     for x in points:
         x = np.asarray(x, dtype=float)
@@ -940,7 +877,7 @@ def check_strong_dirac(
             res["inclusion"] = worse(res["inclusion"], 0.0 if included else 1.0)
             res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
         if phi is not None:
-            res["integrability"] = worse(res["integrability"], _frame_closure(frame, x, pulled, h))
+            res["integrability"] = worse(res["integrability"], _frame_closure(frame, x, twist, h))
     return Report(res, tol=tol, exact={"inclusion", "transversality"} & res.keys())
 
 
@@ -973,7 +910,7 @@ def make_quasi_pi_field(c, j_cols):
 def make_exact_quasi_pi(c, j_cols):
     """Exact-fiber supplier matching make_quasi_pi_field: freeze the anchor
     once per point and push the same constant complement through exact
-    arithmetic into rational ``pi``, ``rho_x``, ``rho_astar`` and ``dj``."""
+    arithmetic into rational ``pi``, ``rho_x`` and ``rho_astar``."""
     if c.exact_anchor is None:
         raise ValueError("bundle has no exact anchor to freeze")
     form = c.pair.d.form
@@ -989,21 +926,9 @@ def make_exact_quasi_pi(c, j_cols):
             "pi": pi,
             "rho_x": rat.mat_mul(rho, a_cols),
             "rho_astar": rat.mat_mul(rho, j_q),
-            "dj": rat.identity(c.chart.dim),
         }
 
     return fibers
-
-
-def poisson_bracket_field(pi, df, dg):
-    """The scalar field {f, g} for a bivector component field ``pi``, from
-    the gradient fields ``df`` and ``dg`` of ``f`` and ``g``."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(dg(x) @ np.asarray(pi(x), float).T @ df(x))
-
-    return value
 
 
 def check_quasi_poisson(
@@ -1016,7 +941,6 @@ def check_quasi_poisson(
     funcs=None,
     h=DEFAULT_STEP,
     tol=1e-4,
-    sign=None,
 ):
     """Worst residuals of the three bivector compatibility identities:
     ``jacobiator``, ``lie_compat`` and ``sharp_compat``.
@@ -1025,18 +949,18 @@ def check_quasi_poisson(
     the anchored trivector term (scaled by the frozen module sign); the
     derivative identity compares Lie derivatives of the bivector along
     anchored constant sections with the pushed cobracket.  The sharp-map
-    identity is algebraic: it runs only on the frozen rational fibers
-    ``exact_fibers`` (the dicts of ``make_exact_quasi_pi``), so
-    ``sharp_compat`` is an exact quantity.  ``chi`` and ``cobracket`` use
-    the exact splitting module's component conventions (nested tuples,
-    possibly empty for the ordinary Poisson case).  An identity that is not
+    identity ``pi^T = rho_x rho_astar^T`` is algebraic: it runs only on the
+    frozen rational fibers ``exact_fibers`` (the dicts of
+    ``make_exact_quasi_pi``), so ``sharp_compat`` is an exact quantity.
+    ``chi`` and ``cobracket`` use the exact splitting module's component
+    conventions (nested tuples, possibly empty for the ordinary Poisson
+    case).  An identity that is not
     measured is absent from the report: ``lie_compat`` with an empty
     cobracket, ``sharp_compat`` without ``exact_fibers``.  The chart
     dimension is that of the points, and at least one point is needed.
     """
     if not len(points):
         raise ValueError("quasi-Poisson check needs at least one point")
-    sign = JACOBIATOR_SIGN if sign is None else sign
     dim = np.shape(points[0])[0]
     funcs = funcs if funcs is not None else scalar_library(dim)
     chi_f = np.array(chi, dtype=float)
@@ -1061,13 +985,16 @@ def check_quasi_poisson(
             total = 0.0
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 if (b, c) not in inner:
-                    bracket = poisson_bracket_field(pi, grad[b], grad[c])
+                    def bracket(y, b=b, c=c):
+                        # the scalar field {f_b, f_c} = df_c(pi^T df_b)
+                        return float(grad[c](y) @ np.asarray(pi(y), float).T @ grad[b](y))
+
                     inner[b, c] = partial_table(bracket, x, dim, h)
                 total += float(inner[b, c] @ px.T @ grads[a])
             rhs = 0.0
             if chi_f.size:
                 vf, vg, vk = (rx.T @ grads[m] for m in (i, j, k))
-                rhs = sign * float(np.einsum("ijk,i,j,k->", chi_f, vf, vg, vk))
+                rhs = JACOBIATOR_SIGN * float(np.einsum("ijk,i,j,k->", chi_f, vf, vg, vk))
             res["jacobiator"] = worse(res["jacobiator"], abs(total - rhs))
 
         if "lie_compat" in res:
@@ -1088,7 +1015,7 @@ def check_quasi_poisson(
 
         if exact_fibers is not None:
             fb = exact_fibers(x)
-            lhs = rat.mat_mul(rat.transpose(fb["pi"]), rat.transpose(fb["dj"]))
+            lhs = rat.transpose(fb["pi"])
             rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
             diff = (abs(v) for row in rat.mat_sub(lhs, rhs_m) for v in row)
             res["sharp_compat"] = reduce(worse, diff, res["sharp_compat"])

@@ -108,22 +108,19 @@ class FlowSample:
         return self.vector is not None
 
 
-def _reject_ambiguous(a, u_map, rank_tol):
+def _reject_ambiguous(a, u_map):
     # a kernel coefficient with a nonzero tangent image means the fiber
     # pairs the zero differential with a flow, so no match is unique
-    vt = np.linalg.svd(a)[2]
-    sv = np.linalg.svd(a, compute_uv=False)
+    _, sv, vt = np.linalg.svd(a)
     for i in range(vt.shape[0]):
-        if i >= len(sv) or sv[i] < rank_tol:
-            if np.linalg.norm(u_map @ vt[i]) > rank_tol:
+        if i >= len(sv) or sv[i] < 1e-8:
+            if np.linalg.norm(u_map @ vt[i]) > 1e-8:
                 raise ValueError(
                     "fiber matches the zero differential with a nonzero direction"
                 )
 
 
-def hamiltonian_vector(
-    f, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL, rank_tol=1e-8
-):
+def hamiltonian_vector(f, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
     """Flow directions matched to ``f`` by the fibers.
 
     At each point the fiber rows are combined so the covector block hits
@@ -142,7 +139,7 @@ def hamiltonian_vector(
         m = fb.rows
         a = m[:, t:].T
         u_map = m[:, :t].T
-        _reject_ambiguous(a, u_map, rank_tol)
+        _reject_ambiguous(a, u_map)
         rhs = np.concatenate([f.gradient(x, h), np.zeros(fb.e_dim)])
         coef = np.linalg.lstsq(a, rhs, rcond=None)[0]
         res = float(np.linalg.norm(a @ coef - rhs))
@@ -158,19 +155,17 @@ def hamiltonian_vector(
     return out
 
 
-def invariance_residual(f, action_field, x, h=DEFAULT_STEP):
-    """Largest directional derivative of ``f`` along the action frame."""
-    f = observable(f)
-    x = np.asarray(x, dtype=float)
-    cols = np.asarray(action_field(x), dtype=float)
-    if cols.size == 0:
-        return 0.0
-    return float(np.max(np.abs(f.gradient(x, h) @ cols)))
-
-
 def invariant_check(f, action_field, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
-    """Whether ``f`` is constant along the action directions, per point."""
-    return [invariance_residual(f, action_field, x, h) < tol for x in points]
+    """Whether ``f`` is constant along the action directions, per point:
+    its largest derivative along the action frame is below ``tol``."""
+    f = observable(f)
+    out = []
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        cols = np.asarray(action_field(x), dtype=float)
+        drift = float(np.max(np.abs(f.gradient(x, h) @ cols))) if cols.size else 0.0
+        out.append(drift < tol)
+    return out
 
 
 def admissibility_matches_invariance(
@@ -278,7 +273,6 @@ class OrbitDescription:
     constraints: tuple
     samples: tuple
     locus_tol: float = 1e-6
-    rank_tol: float = 1e-8
 
     def __post_init__(self):
         cons = tuple(observable(c) for c in self.constraints)
@@ -298,34 +292,26 @@ class OrbitDescription:
             return
         grads = np.stack([c.gradient(x) for c in self.constraints])
         sv = np.linalg.svd(grads, compute_uv=False)
-        if len(sv) < len(self.constraints) or sv[-1] <= self.rank_tol * max(sv[0], 1.0):
+        if len(sv) < len(self.constraints) or sv[-1] <= 1e-8 * max(sv[0], 1.0):
             raise ValueError("constraint gradients drop rank at a sample")
 
     @classmethod
-    def from_projection(
-        cls,
-        constraints,
-        seeds,
-        steps=60,
-        damping=0.5,
-        newton_tol=1e-12,
-        **kwargs,
-    ):
+    def from_projection(cls, constraints, seeds):
         """Build the locus samples by damped least-squares projection of
-        seed points onto the constraint zero set."""
+        seed points onto the constraint zero set (60 half steps at most)."""
         cons = tuple(observable(c) for c in constraints)
         pts = []
         for x in seeds:
             x = np.array(x, dtype=float)
-            for _ in range(steps):
+            for _ in range(60):
                 vals = np.array([c.value(x) for c in cons])
-                if vals.size == 0 or np.max(np.abs(vals)) < newton_tol:
+                if vals.size == 0 or np.max(np.abs(vals)) < 1e-12:
                     break
                 jac = np.stack([c.gradient(x) for c in cons])
                 step = np.linalg.lstsq(jac, vals, rcond=None)[0]
-                x = x - damping * step
+                x = x - 0.5 * step
             pts.append(x)
-        return cls(cons, tuple(pts), **kwargs)
+        return cls(cons, tuple(pts))
 
 
 def reduce_to_orbit(
@@ -334,7 +320,6 @@ def reduce_to_orbit(
     g,
     fiber_at,
     action_field=None,
-    witness=None,
     h=DEFAULT_STEP,
     tol=1e-4,
 ):
@@ -342,8 +327,8 @@ def reduce_to_orbit(
 
     The inputs act as their own ambient extensions.  Independence of
     that choice is probed by replacing ``f`` with an extension differing
-    by a constraint multiple (scaled by ``witness``, any smooth nowhere
-    special function); the restricted bracket must not move.  The probe
+    by a constraint multiple (scaled by ``1 + sum(x) / 4``, smooth and
+    nowhere special); the restricted bracket must not move.  The probe
     presumes the constraints are themselves constant along the action,
     which is what the tangency residual reports when an action frame is
     supplied.  With no constraints the locus is everything and the
@@ -360,11 +345,11 @@ def reduce_to_orbit(
 
     ext_res = 0.0
     if orbit.constraints:
-        wit = witness if witness is not None else (lambda y: 1.0 + 0.25 * float(np.sum(y)))
         c0 = orbit.constraints[0]
 
         def shifted(y):
-            return f.value(y) + c0.value(y) * wit(np.asarray(y, dtype=float))
+            y = np.asarray(y, dtype=float)
+            return f.value(y) + c0.value(y) * (1.0 + 0.25 * float(np.sum(y)))
 
         fg_ext = poisson_bracket(
             ObservableFunction(fn=shifted, name=f.name + "+ext"), g, fiber_at, h=h, tol=tol

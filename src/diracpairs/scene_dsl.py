@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import rational as rat
 from .dictionary import k_from_quasi, pi_from_k
-from .exact_linear import SplitForm, canonicalize, is_lagrangian
+from .exact_linear import SplitForm, SplitSignatureError, canonicalize, is_lagrangian
 from .morphism import HamiltonianFiber, check_hamiltonian_fiber
 from .quadratic_lie import (
     ManinPairPoint,
@@ -872,7 +872,10 @@ def validate_scene(ir, example_registry=None):
             form = algebras[sub_algebra[target]].form
 
             def run():
-                ok = is_lagrangian(form, sub)
+                try:
+                    ok = is_lagrangian(form, sub)
+                except SplitSignatureError as e:
+                    return Report.verdict("lagrangian", False, str(e))
                 return Report.verdict(
                     "lagrangian", ok, f"dim {sub.dim} in ambient {sub.ambient_dim}"
                 )
@@ -903,7 +906,11 @@ def validate_scene(ir, example_registry=None):
 
             def run():
                 sp = make_isotropic_splitting(pair)
-                q = pi_from_k(fib, sp)
+                try:
+                    q = pi_from_k(fib, sp)
+                except ValueError as e:
+                    # a fiber with no bivector picture fails the round trip
+                    return Report.verdict("roundtrip", False, str(e))
                 back = k_from_quasi(q, dJ=fib.dJ, rho=fib.rho, realization=sp)
                 ok = back.K == fib.K
                 return Report.verdict("roundtrip", ok, "round trip moved the Lagrangian")

@@ -70,14 +70,15 @@ def rationalize_matrix(m):
     return rat.matrix([[rat.rationalize(float(v)) for v in row] for row in np.asarray(m, dtype=float)])
 
 
-def sample_chart_points(count, seed, radius=np.pi - 0.2, min_radius=0.15):
-    """Seeded points in the exponential chart, away from both the origin and
-    the cut locus."""
+def sample_chart_points(count, seed):
+    """Seeded points in the exponential chart with norm between 0.15 and
+    pi - 0.2, away from both the origin and the cut locus."""
+    radius = np.pi - 0.2
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < count:
         p = rng.uniform(-radius, radius, size=3)
         r = float(np.linalg.norm(p))
-        if min_radius < r < radius:
+        if 0.15 < r < radius:
             pts.append(p)
     return pts

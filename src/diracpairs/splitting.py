@@ -177,13 +177,12 @@ def make_isotropic_splitting(pair):
 
 @dataclass(frozen=True)
 class QuasiBialgebraData:
-    """Cobracket constants, top-degree defect, and the (point case: zero)
-    anchor of the dual side."""
+    """Cobracket constants and top-degree defect of a quasi-Lie bialgebra
+    over a point."""
 
     a_dim: int
     F: tuple  # F[i] is the 2-tensor image of the i-th basis vector
     chi: tuple  # 3-tensor
-    rho_Astar: tuple = ()  # zero rows over a point; kept for the fibered case
 
     def __post_init__(self):
         for i in range(self.a_dim):
@@ -230,7 +229,7 @@ def derive_quasi_data(pair, splitting):
     chi = tensor_from_function(
         r, 3, lambda klm: d.pairing(brackets[klm[0]][klm[1]], cols[klm[2]])
     )
-    return QuasiBialgebraData(a_dim=r, F=f, chi=chi, rho_Astar=())
+    return QuasiBialgebraData(a_dim=r, F=f, chi=chi)
 
 
 # ---------------------------------------------------------------------------

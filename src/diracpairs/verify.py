@@ -19,24 +19,22 @@ from .quadratic_lie import catalog
 from .report import Report, worse
 
 
-def _flat_points(samples, seed, dim=3, scale=1.0):
+def _flat_points(samples, seed, dim=3):
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-scale, scale, size=(samples, dim))
+    pts = rng.uniform(-1.0, 1.0, size=(samples, dim))
     return tuple(pts)
 
 
 def _dressing(samples, seed, step):
     pts = so3.sample_chart_points(samples, seed)
-    chart = nm.Chart(3, tuple(pts), name="rotation-chart")
-    pair = catalog()["so3-double"]
-    cd = nm.make_dressing_courant(pair.d, pair.g, chart, h=step)
-    return pair, pts, cd
+    cd = nm.make_dressing_courant(nm.Chart(3, tuple(pts)), h=step)
+    return catalog()["so3-double"], pts, cd
 
 
 def flat_twisted_axioms(samples, seed, tol, step):
     """Bracket axioms for the volume-twisted standard bundle on a flat
     three-dimensional chart."""
-    chart = nm.Chart(3, _flat_points(samples, seed), name="flat3")
+    chart = nm.Chart(3, _flat_points(samples, seed))
     c = nm.make_standard_twisted(chart, nm.volume_form(3), h=step)
     return nm.check_axioms_numeric(c, tol=tol, h=step)
 
@@ -65,7 +63,7 @@ def rotation_strong_section(samples, seed, tol, step):
 
     pair, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
-    ds = nm.dirac_of_pair(cd, pair.g, can.s)
+    frame = nm.dirac_of_pair(cd, pair.g, can.s)
 
     def exact_fibers(x):
         # one anchor adjoint per point: the frozen fiber reuses the identification's
@@ -78,9 +76,8 @@ def rotation_strong_section(samples, seed, tol, step):
         ]
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
-    jmap = nm.MapField.identity(3)
     return nm.check_strong_dirac(
-        jmap, ds.basis_at, pts, phi=can.phi, h=step, tol=tol, exact_fibers=exact_fibers
+        frame, pts, phi=can.phi, h=step, tol=tol, exact_fibers=exact_fibers
     )
 
 

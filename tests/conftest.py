@@ -19,8 +19,8 @@ def so3_points():
 
 @pytest.fixture(scope="session")
 def dressing(so3_pair, so3_points):
-    chart = nm.Chart(3, tuple(so3_points), name="rotation")
-    return nm.make_dressing_courant(so3_pair.d, so3_pair.g, chart)
+    chart = nm.Chart(3, tuple(so3_points))
+    return nm.make_dressing_courant(chart)
 
 
 @pytest.fixture(scope="session")
@@ -42,5 +42,5 @@ def canonical_space(dressing):
 def flat3():
     rng = np.random.default_rng(3)
     pts = tuple(rng.uniform(-1.0, 1.0, size=3) for _ in range(6))
-    chart = nm.Chart(3, pts, name="flat")
+    chart = nm.Chart(3, pts)
     return chart, pts

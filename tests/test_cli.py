@@ -194,6 +194,9 @@ MALFORMED_RECORDS = [
     ("qp-to-dirac", {"kind": "quasi", "t_dim": 2, "a_dim": 0, "pi": ["00", "00"], "rho_x": [[], []]}, "pi"),
     ("roundtrip", {"kind": "quasi", "t_dim": "one", "a_dim": 0, "pi": [], "rho_x": []}, "t_dim"),
     ("dirac-to-qp", {"kind": "dirac", "t_dim": 0.5, "basis": [["1"]]}, "t_dim"),
+    ("dirac-to-qp", {"kind": "dirac", "t_dim": 1, "basis": [[float("inf"), 0]]}, "basis"),
+    ("qp-to-dirac", {"kind": "quasi", "t_dim": 0, "a_dim": -1, "pi": [], "rho_x": []}, "a_dim"),
+    ("dirac-to-qp", {"kind": "dirac", "t_dim": -1, "basis": []}, "t_dim"),
 ]
 
 
@@ -205,6 +208,17 @@ def test_dict_reports_a_malformed_record_as_bad_input(tmp_path, mode, record, fi
     assert code == 2
     assert out == ""
     assert repr(field) in err
+
+
+def test_dict_takes_an_action_on_a_zero_dimensional_tangent_space(tmp_path):
+    # a 0 x 1 action matrix is well formed; file conversion refuses the
+    # action leg, as it does in higher dimensions
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({"kind": "quasi", "t_dim": 0, "a_dim": 1, "pi": [], "rho_x": []}))
+    for mode in ("qp-to-dirac", "roundtrip"):
+        code, out, err = run_cli("dict", "--mode", mode, "--fiber", str(path))
+        assert code == 1
+        assert "action leg" in out and err == ""
 
 
 def test_dict_keeps_exit_one_for_a_well_formed_record_that_fails(tmp_path):

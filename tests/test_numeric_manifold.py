@@ -77,7 +77,6 @@ def test_volume_twist_feeds_the_covector_leg(twisted3, flat3):
     alpha = nm.SectionField.constant(np.eye(6)[3])
     beta = nm.SectionField.constant(np.eye(6)[4])
     assert np.allclose(twisted3.bracket_at(alpha, beta, pts[0]), 0.0, atol=1e-12)
-    assert twisted3.label == "standard-twisted"
 
 
 def test_standard_bracket_of_varying_sections(standard3, twisted3, flat3):
@@ -136,7 +135,7 @@ def linear_volume_twist():
 def test_nonclosed_twist_is_rejected_then_breaks_jacobi():
     rng = np.random.default_rng(11)
     pts = tuple(rng.uniform(-0.5, 0.5, size=4) for _ in range(2))
-    chart = nm.Chart(4, pts, name="flat4")
+    chart = nm.Chart(4, pts)
     twist = linear_volume_twist()
     with pytest.raises(ValueError, match="not closed"):
         nm.make_standard_twisted(chart, twist)
@@ -156,7 +155,7 @@ def test_nan_twist_fails_the_closedness_gate_and_the_axioms():
     # four dimensions, so the gate differentiates the three-form at all
     rng = np.random.default_rng(11)
     pts = tuple(rng.uniform(-0.5, 0.5, size=4) for _ in range(2))
-    chart = nm.Chart(4, pts, name="flat4")
+    chart = nm.Chart(4, pts)
     nan_twist = np.full((4, 4, 4), np.nan)
     with pytest.raises(ValueError, match="not closed"):
         nm.make_standard_twisted(chart, nan_twist)
@@ -203,9 +202,9 @@ AXIOM_CONTROLS = [
 
 
 @pytest.fixture(scope="module")
-def control_dressing(so3_pair):
-    chart = nm.Chart(3, tuple(so3.sample_chart_points(6, 0)), name="rotation")
-    cd = nm.make_dressing_courant(so3_pair.d, so3_pair.g, chart)
+def control_dressing():
+    chart = nm.Chart(3, tuple(so3.sample_chart_points(6, 0)))
+    cd = nm.make_dressing_courant(chart)
     return cd, nm.check_axioms_numeric(cd)
 
 
@@ -219,6 +218,38 @@ def test_a_mutated_dressing_bundle_fails_its_control(control_dressing, mutation,
     assert base.holds(quantity)
     rep = nm.check_axioms_numeric(mutation(cd))
     assert not rep.holds(quantity)
+
+
+# (mutation of the dressing bundle, generator family its canonical fibers
+# must fail).  Doubling the bracket reads 1.26 and 0.90 on the two
+# families, scaling the anchor 0.0126 and 0.0090 (base: 6.8e-11, 4.2e-10).
+# covector_covector has no row: no mutation tried moves it above 2e-9.
+GENERATOR_CONTROLS = [
+    (doubled, "half_half"),
+    (doubled, "half_covector"),
+    (scaled_anchor, "half_half"),
+    (scaled_anchor, "half_covector"),
+]
+
+
+def worst_generator_residuals(c):
+    can = nm.canonical_hamiltonian(c)
+    out = {}
+    for x in c.chart.sample_points:
+        for family, value in can.generator_residuals(x).items():
+            out[family] = max(out.get(family, 0.0), value)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutation, family",
+    GENERATOR_CONTROLS,
+    ids=[f"{m.__name__}-{q}" for m, q in GENERATOR_CONTROLS],
+)
+def test_a_mutated_dressing_bundle_moves_its_generator_family(control_dressing, mutation, family):
+    cd, _ = control_dressing
+    assert worst_generator_residuals(cd)[family] < nm.DEFAULT_TOL
+    assert worst_generator_residuals(mutation(cd))[family] > 1e-3
 
 
 def test_a_scaled_anchor_leaves_the_jacobi_axiom_alone(control_dressing):
@@ -259,10 +290,10 @@ def test_dressing_axiom_report(dressing, so3_points):
     assert dressing.anchor_coisotropy_residual(so3_points[:6]) < 1e-10
 
 
-def test_dressing_chart_requires_the_rotation_double(so3_pair):
-    chart = nm.Chart(2, (np.zeros(2),), name="bad")
+def test_dressing_chart_requires_the_rotation_double():
+    chart = nm.Chart(2, (np.zeros(2),))
     with pytest.raises(ValueError, match="six-dimensional"):
-        nm.make_dressing_courant(so3_pair.d, so3_pair.g, chart)
+        nm.make_dressing_courant(chart)
 
 
 def splitting_defects(c, s, points):
@@ -303,7 +334,6 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         anchor=lambda x: np.zeros((3, 4)),
         bracket_at=lambda e1, e2, x: np.zeros(4),
         step=1e-4,
-        label="thin",
     )
     with pytest.raises(ValueError, match="twice the chart dimension"):
         nm.make_exact_splitting(thin)
@@ -314,14 +344,13 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         anchor=lambda x: np.zeros((3, 6)),
         bracket_at=lambda e1, e2, x: np.zeros(6),
         step=1e-4,
-        label="flat-anchor",
     )
     with pytest.raises(ValueError, match="not onto"):
         nm.make_exact_splitting(flat_anchor)
 
 
 def untwisted_closure(frame, x):
-    rep = nm.check_strong_dirac(nm.MapField.identity(3), frame, [x], phi=np.zeros((3, 3, 3)))
+    rep = nm.check_strong_dirac(frame, [x], phi=np.zeros((3, 3, 3)))
     return rep.quantities["integrability"]
 
 
@@ -331,21 +360,21 @@ def test_tangent_half_gives_the_plain_tangent_dirac_field(standard3, flat3):
     half = np.hstack([np.eye(3), np.zeros((3, 3))])
     field = nm.dirac_of_pair(standard3, half, s)
     assert np.allclose(
-        field.basis_at(pts[0]), np.hstack([np.eye(3), np.zeros((3, 3))]), atol=1e-12
+        field(pts[0]), np.hstack([np.eye(3), np.zeros((3, 3))]), atol=1e-12
     )
-    assert untwisted_closure(field.basis_at, pts[0]) < 1e-10
+    assert untwisted_closure(field, pts[0]) < 1e-10
 
 
 def test_dressing_half_field_is_lagrangian_and_integrable(dressing, so3_pair, so3_points):
     s, phi = nm.make_exact_splitting(dressing)
     field = nm.dirac_of_pair(dressing, so3_pair.g, s)
     x = np.asarray(so3_points[0], float)
-    b = field.basis_at(x)
+    b = field(x)
     pairing = np.block([[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
     assert float(np.max(np.abs(b @ pairing @ b.T))) < 1e-8
     sv = np.linalg.svd(b, compute_uv=False)
     assert int(np.sum(sv < 1e-8 * max(1.0, sv[0]))) == 0
-    rep = nm.check_strong_dirac(nm.MapField.identity(3), field.basis_at, [x], phi=phi)
+    rep = nm.check_strong_dirac(field, [x], phi=phi)
     assert rep.quantities["integrability"] < 1e-6
 
 
@@ -409,7 +438,6 @@ def test_strong_map_report_on_frozen_exact_fibers(
 ):
     s, phi = nm.make_exact_splitting(dressing)
     field = nm.dirac_of_pair(dressing, so3_pair.g, s)
-    jmap = nm.MapField.identity(3)
 
     def exact_fibers(x):
         rho_q = dressing.exact_anchor(np.asarray(x, float))
@@ -422,7 +450,7 @@ def test_strong_map_report_on_frozen_exact_fibers(
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
     pts = [np.asarray(x, float) for x in so3_points[:2]]
-    rep = nm.check_strong_dirac(jmap, field.basis_at, pts, phi=phi, exact_fibers=exact_fibers)
+    rep = nm.check_strong_dirac(field, pts, phi=phi, exact_fibers=exact_fibers)
     assert rep.exact == {"inclusion", "transversality"} and rep.passed
     assert rep.quantities["inclusion"] == 0.0
     assert rep.quantities["integrability"] < 1e-6
@@ -433,19 +461,17 @@ GRAPH_OF_OMEGA = rat.hstack(rat.identity(3), rat.matrix(OMEGA))
 TANGENT = rat.hstack(rat.identity(3), rat.zeros(3, 3))
 
 
-def exact_strong_map(jmap, source, target, dj, x):
+def exact_strong_map(source, target, dj, x):
     # exact fibers only: no frame, so no finite-difference integrability;
     # the supplier validates the source fiber as Lagrangian
     fibers = (DiracPointData(canonicalize(source, 6)).L, canonicalize(target, 6), dj)
-    return nm.check_strong_dirac(jmap, None, [x], exact_fibers=lambda y: fibers)
+    return nm.check_strong_dirac(None, [x], exact_fibers=lambda y: fibers)
 
 
 def test_strong_map_fails_for_a_collapsing_target(flat3):
     # dJ = 0 kills the tangent part of the graph of omega (its kernel e_3)
     _, pts = flat3
-    rep = exact_strong_map(
-        nm.MapField.constant(np.zeros(3), 3), GRAPH_OF_OMEGA, TANGENT, rat.zeros(3, 3), pts[0]
-    )
+    rep = exact_strong_map(GRAPH_OF_OMEGA, TANGENT, rat.zeros(3, 3), pts[0])
     assert rep.quantities["transversality"] == 1
     assert "integrability" not in rep.quantities
     assert rep.passed is False
@@ -454,12 +480,11 @@ def test_strong_map_fails_for_a_collapsing_target(flat3):
 def test_strong_map_fails_for_a_target_outside_the_image(flat3):
     # the identity pushes the graph of omega to itself, which is not T
     _, pts = flat3
-    jmap = nm.MapField.identity(3)
-    rep = exact_strong_map(jmap, GRAPH_OF_OMEGA, TANGENT, rat.identity(3), pts[0])
+    rep = exact_strong_map(GRAPH_OF_OMEGA, TANGENT, rat.identity(3), pts[0])
     assert rep.quantities == {"inclusion": 1.0, "transversality": 0}
     assert rep.exact == {"inclusion", "transversality"}
     assert not rep.holds("inclusion") and rep.holds("transversality")
-    same = exact_strong_map(jmap, GRAPH_OF_OMEGA, GRAPH_OF_OMEGA, rat.identity(3), pts[0])
+    same = exact_strong_map(GRAPH_OF_OMEGA, GRAPH_OF_OMEGA, rat.identity(3), pts[0])
     assert same.quantities == {"inclusion": 0.0, "transversality": 0}
     assert same.passed
 
@@ -467,7 +492,7 @@ def test_strong_map_fails_for_a_target_outside_the_image(flat3):
 def test_a_strong_map_check_that_measures_nothing_is_refused(flat3):
     _, pts = flat3
     with pytest.raises(ValueError, match="measure"):
-        nm.check_strong_dirac(nm.MapField.identity(3), _graph_of_x0_dx1_dx2, pts)
+        nm.check_strong_dirac(_graph_of_x0_dx1_dx2, pts)
 
 
 def _graph_of_x0_dx1_dx2(x):
@@ -483,7 +508,6 @@ def test_integrability_sees_the_twist_and_its_sign(scale, want):
     # phi = -vol passes; the defect grows by one per unit of vol in phi
     pts = verify._flat_points(6, seed=0)
     rep = nm.check_strong_dirac(
-        nm.MapField.identity(3),
         _graph_of_x0_dx1_dx2,
         pts,
         phi=scale * nm.volume_form(3),
@@ -495,14 +519,14 @@ def test_integrability_sees_the_twist_and_its_sign(scale, want):
 def test_the_pulled_twist_is_evaluated_once_per_point():
     pair, pts, cd = verify._dressing(20, 0, 1e-4)
     can = nm.canonical_hamiltonian(cd)
-    ds = nm.dirac_of_pair(cd, pair.g, can.s)
+    frame = nm.dirac_of_pair(cd, pair.g, can.s)
     calls = []
 
     def phi(y):
         calls.append(y)
         return can.phi(y)
 
-    rep = nm.check_strong_dirac(nm.MapField.identity(3), ds.basis_at, pts, phi=phi)
+    rep = nm.check_strong_dirac(frame, pts, phi=phi)
     assert rep.passed
     # 60 when each of the three frame pairs pulled the twist back again
     assert len(calls) == 20
@@ -549,7 +573,7 @@ def test_the_strong_map_frame_is_read_once_per_point():
         return _graph_of_x0_dx1_dx2(x)
 
     pts = verify._flat_points(6, seed=0)
-    nm.check_strong_dirac(nm.MapField.identity(3), frame, pts, phi=-nm.volume_form(3))
+    nm.check_strong_dirac(frame, pts, phi=-nm.volume_form(3))
     # each point and its six central-difference neighbours, shared by all
     # three bracket pairs
     assert len(calls) == 7 * len(pts)
@@ -576,7 +600,7 @@ def test_exact_quasi_fibers_satisfy_the_sharp_identity_exactly(
     fb = fibers(np.asarray(so3_points[0], float))
     pi = fb["pi"]
     assert pi == rat.mat_neg(rat.transpose(pi))
-    lhs = rat.mat_mul(rat.transpose(pi), rat.transpose(fb["dj"]))
+    lhs = rat.transpose(pi)
     rhs = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
     assert lhs == rhs
 
@@ -677,12 +701,12 @@ def test_per_point_values_are_read_only(dressing, so3_points):
     assert np.array_equal(dressing.anchor_matrix(x), nm.rotation_double_anchor(x))
 
 
-def test_a_warm_memo_gives_the_cold_report_bit_for_bit(dressing, so3_pair, so3_points):
+def test_a_warm_memo_gives_the_cold_report_bit_for_bit(dressing, so3_points):
     pts = [np.asarray(x, float) for x in so3_points[:2]]
     nm.check_axioms_numeric(dressing, points=pts)
     nm.canonical_hamiltonian(dressing).generator_residuals(pts[0])
     warm = nm.check_axioms_numeric(dressing, points=pts)
-    fresh = nm.make_dressing_courant(so3_pair.d, so3_pair.g, dressing.chart)
+    fresh = nm.make_dressing_courant(dressing.chart)
     cold = nm.check_axioms_numeric(fresh, points=pts)
     assert cold.quantities == warm.quantities
 
@@ -828,11 +852,10 @@ def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
     s, _ = nm.make_exact_splitting(standard3)
     field = nm.dirac_of_pair(standard3, np.hstack([np.eye(3), np.zeros((3, 3))]), s)
     calls = []
-    basis_at = field.basis_at
 
     def counted(x):
         calls.append(x)
-        return basis_at(x)
+        return field(x)
 
     assert untwisted_closure(counted, pts[0]) < 1e-10
     assert len(calls) == 7
@@ -883,7 +906,7 @@ def test_stacked_bracket_with_a_varying_twist_is_the_reference_bit_for_bit():
     rng = np.random.default_rng(11)
     pts = tuple(rng.uniform(-0.5, 0.5, size=4) for _ in range(3))
     twist = linear_volume_twist()
-    c = nm.make_standard_twisted(nm.Chart(4, pts, name="flat4"), twist, check_closed=False)
+    c = nm.make_standard_twisted(nm.Chart(4, pts), twist, check_closed=False)
     reference = lambda e1, e2, y: helpers.twisted_bracket_at_point(e1, e2, y, twist, c.step)
     _check_stacked_kernel(c, reference, list(pts))
 

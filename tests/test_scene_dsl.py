@@ -197,6 +197,48 @@ def test_failed_checks_report_a_witness():
     assert out.witness
 
 
+ZERO_TANGENT_FIBER = """
+algebra a { dim 2; pairing diag(1, -1); }
+subspace l in a { span e1 + e2; }
+maninpair p (a, l);
+fiber id0 { tdim 0; pair p; k (1, 1); }
+check roundtrip id0;
+"""
+
+
+def test_a_fiber_over_a_zero_dimensional_tangent_space_round_trips():
+    scene = sd.validate_scene(sd.parse_scene(ZERO_TANGENT_FIBER))
+    assert scene.plan[0].run().passed
+
+
+# scenes whose check answers "no" by an error of the construction it runs:
+# the answer is a failing verdict carrying the error text
+REFUSING_CHECKS = [
+    (
+        "algebra a { dim 2; pairing diag(1, 1); }\n"
+        "subspace l in a { span e1; }\n"
+        "check lagrangian l;\n",
+        "split signature",
+    ),
+    (
+        "algebra a { dim 2; pairing rows (0, 1) (1, 0); }\n"
+        "subspace l in a { span e1; }\n"
+        "maninpair p (a, l);\n"
+        "fiber f { tdim 1; pair p; k (1, 0, 0, 0) (0, 0, 1, 0); }\n"
+        "check roundtrip f;\n",
+        "tangent lift is not unique",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, reason", REFUSING_CHECKS, ids=["lagrangian", "roundtrip"])
+def test_a_check_that_answers_no_reports_a_failing_verdict(text, reason):
+    scene = sd.validate_scene(sd.parse_scene(text))
+    out = scene.plan[-1].run()
+    assert not out.passed
+    assert reason in out.describe()
+
+
 def fuzz_inputs(count, seed):
     rng = random.Random(seed)
     vocab = [
