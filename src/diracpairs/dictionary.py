@@ -2,9 +2,13 @@
 
 All maps here are exact linear algebra on a single fiber: a bivector with an
 action of the Lagrangian half on one side, a Lagrangian subspace of tangents
-plus covectors on the other, with Hamiltonian fibers as the hinge.  Round
-trips are identities on valid fibers and the test suite holds them to exact
-equality, so every formula below states its convention precisely.
+plus covectors on the other.  The Hamiltonian fiber is the one intrinsic
+object: each picture enters and leaves only through it (``k_from_quasi``,
+``pi_from_k``, ``k_from_dirac``, ``dirac_from_k``), and a conversion between
+the pictures is a composite of those.  ``pi_from_k`` reads the bivector out
+twice, the second time by relation composition, as the validity check.
+Round trips are identities on valid fibers and the test suite holds them to
+exact equality, so every formula below states its convention precisely.
 
 Interior product convention: i_alpha(u ^ v) = alpha(u) v - alpha(v) u.
 Bivectors are stored as antisymmetric matrices P with P[i][j] the value on
@@ -28,6 +32,7 @@ from .exact_linear import (
 )
 from .morphism import HamiltonianFiber, equiv_failures, extract_action
 from .quadratic_lie import ManinPairPoint, abstract_double
+from .splitting import absorb_self_pairing, make_isotropic_splitting
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,10 @@ class ExactIdentification:
         form = self.pair.d.form
         rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
         if self.s is None:
-            object.__setattr__(self, "s", _canonical_splitting(form, self.rho, rho_star))
+            # the Gram right inverse of rho, half its self pairing absorbed
+            rho_t = rat.transpose(self.rho)
+            c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
+            object.__setattr__(self, "s", absorb_self_pairing(form, c, rho_star))
         object.__setattr__(self, "s", rat.matrix(self.s))
         if len(self.s) != n or len(self.s[0]) != srows:
             raise ValueError("splitting has wrong shape")
@@ -139,16 +147,6 @@ class ExactIdentification:
         return tuple(a + b for a, b in zip(e1, e2))
 
 
-def _canonical_splitting(form, rho, rho_star):
-    """Start from the Gram right inverse ``c`` of ``rho`` and absorb half of
-    its self pairing through the adjoint ``rho_star``."""
-    rrt = rat.mat_mul(rho, rat.transpose(rho))
-    c = rat.mat_mul(rat.transpose(rho), rat.invert(rrt))
-    b = rat.mat_mul(rat.mat_mul(rat.transpose(c), form.gram), c)
-    corr = rat.mat_mul(rho_star, b)
-    return rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), corr))
-
-
 def identification_from_anchor(pair, rho):
     """Canonical splitting of an exact anchor: start from the Gram right
     inverse and absorb half of its self pairing."""
@@ -164,39 +162,25 @@ def k_from_quasi(q, dJ=(), rho=(), realization=None):
 
     Rows are the images of the half basis, ((rho_X(a), 0), (a, 0)), and of
     the coordinate covectors, ((i_alpha Pi, alpha), (0, -rho_X^T alpha)).
-    With a ``realization`` splitting, the fiber side (a, xi) embeds into its
-    pair as a + j(xi); otherwise the abstract double of the half is used.
+    The fiber side (a, xi) embeds into the pair of the ``realization``
+    splitting through its split frame, as a + j(xi); without one, into the
+    abstract double of the half, whose split frame is the identity.
     """
     t, r = q.t_dim, q.a_dim
     if realization is None:
-        pair = abstract_double(r)
-
-        def embed(a, xi):
-            return tuple(a) + tuple(xi)
-
-    else:
-        pair = realization.pair
-        jm = realization.j
-
-        def embed(a, xi):
-            ja = rat.mat_vec(jm, xi) if r else (Fraction(0),) * pair.d.dim
-            av = rat.mat_vec(rat.transpose(pair.g.basis), a) if r else ja
-            if not r:
-                return ja
-            return tuple(x + y for x, y in zip(av, ja))
-
+        realization = make_isotropic_splitting(abstract_double(r))
+    pair, frame = realization.pair, realization.frame()
     rows = []
     zt = (Fraction(0),) * t
     zr = (Fraction(0),) * r
     for i in range(r):
         a = _unit(r, i)
         u = tuple(q.rho_X[k][i] for k in range(t))
-        rows.append(u + zt + tuple(embed(a, zr)))
+        rows.append(u + zt + rat.mat_vec(frame, a + zr))
     for k in range(t):
         alpha = _unit(t, k)
-        u = q.interior(alpha)
         back = tuple(-q.rho_X[k][j] for j in range(r))
-        rows.append(u + alpha + tuple(embed(zr, back)))
+        rows.append(q.interior(alpha) + alpha + rat.mat_vec(frame, zr + back))
     K = canonicalize(rows, 2 * t + pair.d.dim)
     return HamiltonianFiber(t_dim=t, pair=pair, K=K, dJ=dJ, rho=rho)
 
@@ -213,38 +197,20 @@ def pi_from_k(h, splitting):
     r = h.pair.g.dim
     rho_x = extract_action(h)
 
-    a_cols = rat.transpose(h.pair.g.basis)
-    frame = rat.hstack(a_cols, splitting.j)
-    frame_inv = rat.invert(frame)
-    a_part = frame_inv[:r]
+    a_part = rat.invert(splitting.frame())[:r]
+    bt = h.coordinates
+    constraint = bt[t : 2 * t] + rat.mat_mul(a_part, bt[2 * t :])
+    pi = rat.matrix([
+        h.tangent_lift(
+            constraint,
+            _unit(t, kk) + (Fraction(0),) * r,
+            "no fiber element over this covector",
+            "bivector element is not unique: invalid fiber",
+        )
+        for kk in range(t)
+    ])
 
-    bt = rat.transpose(h.K.basis)
-    k = h.K.dim
-    alpha_rows = bt[t : 2 * t]
-    e_rows = bt[2 * t :]
-    a_of_e = rat.mat_mul(a_part, e_rows)
-    constraint = alpha_rows + a_of_e
-    p_rows = []
-    for kk in range(t):
-        rhs = _unit(t, kk) + (Fraction(0),) * r
-        sol = rat.solve_linear(constraint, rhs, ncols=k)
-        if sol is None:
-            raise ValueError("no fiber element over this covector")
-        part, null = sol
-        for nv in null:
-            if any(x != 0 for x in rat.mat_vec(bt[:t], nv)):
-                raise ValueError("bivector element is not unique: invalid fiber")
-        p_rows.append(rat.mat_vec(bt[:t], part))
-    pi = rat.matrix(p_rows)
-    for i in range(t):
-        for j in range(t):
-            if pi[i][j] != -pi[j][i]:
-                raise ValueError("recovered bivector is not antisymmetric")
-
-    unique_graph = canonicalize(
-        [tuple(rat.mat_vec(rat.transpose(pi), _unit(t, kk))) + _unit(t, kk) for kk in range(t)],
-        2 * t,
-    )
+    unique_graph = canonicalize([pi[kk] + _unit(t, kk) for kk in range(t)], 2 * t)
     dual_image = splitting.dual_image()
     krel = LinearRelation(2 * t, n, h.K)
     to_zero = LinearRelation(n, 0, dual_image)
@@ -299,113 +265,63 @@ def dirac_from_k(h, ident):
 
 
 def l_from_quasi(q, splitting, ident, dJ):
-    """Direct Lagrangian formula for a bivector with action; cross-checked
-    against the composite route through the Hamiltonian fiber."""
+    """Lagrangian of a bivector with action, through its Hamiltonian fiber:
+    ``dirac_from_k`` of ``k_from_quasi`` realized by ``splitting``."""
     if splitting.pair != ident.pair:
         raise ValueError("splitting and identification live on different pairs")
-    t, r = q.t_dim, q.a_dim
-    dJ = rat.matrix(dJ)
-    dj_t = rat.transpose(dJ)
-    a_basis_cols = rat.transpose(splitting.pair.g.basis)
-
-    # rho_bar = (dual readout of the half) o s : base tangents -> half coords
-    jg = rat.mat_mul(rat.transpose(splitting.j), splitting.pair.d.form.gram)
-    rho_bar = rat.mat_mul(jg, ident.s)
-    rho_bar_star = rat.transpose(rho_bar)
-    s_star = ident.s_star
-
-    rows = []
-    for i in range(r):
-        a = _unit(r, i)
-        u = tuple(q.rho_X[k][i] for k in range(t))
-        e = rat.mat_vec(a_basis_cols, a)
-        beta = rat.mat_vec(s_star, e)
-        alpha = rat.mat_vec(dj_t, beta) if dJ else (Fraction(0),) * t
-        rows.append(u + tuple(alpha))
-    rho_x_t = rat.transpose(q.rho_X)
-    for kk in range(t):
-        alpha = _unit(t, kk)
-        u = q.interior(alpha)
-        twist = (Fraction(0),) * t
-        if dJ and r:
-            back = rat.mat_vec(rho_x_t, alpha)
-            twist = rat.mat_vec(dj_t, rat.mat_vec(rho_bar_star, back))
-        rows.append(tuple(u) + tuple(a - b for a, b in zip(alpha, twist)))
-    direct = DiracPointData(canonicalize(rows, 2 * t))
-
     fiber = k_from_quasi(q, dJ=dJ, rho=ident.rho, realization=splitting)
-    composite = dirac_from_k(fiber, ident)
-    if direct.L != composite.L:
-        raise ValueError("direct and composite Lagrangians disagree")
-    return direct
+    return dirac_from_k(fiber, ident)
 
 
 def pi_from_dirac(d, dJ, ident, splitting):
-    """Bivector out of a Lagrangian: compose the Hamiltonian fiber with the
-    embedded dual image and read the graph.  Failure reports which
+    """Bivector and action of a Lagrangian, through its Hamiltonian fiber:
+    ``pi_from_k`` of ``k_from_dirac``.  Failure reports which
     transversality condition broke."""
     fiber = k_from_dirac(d, dJ, ident)
-    t, n = fiber.t_dim, fiber.pair.d.dim
-    krel = LinearRelation(2 * t, n, fiber.K)
-    to_zero = LinearRelation(n, 0, splitting.dual_image())
-    graph = compose(krel, to_zero).graph
-    tangent_over_covector = LinearRelation(t, t, graph)
-    m = is_graph_over_factor(tangent_over_covector, "target")
-    if m is None:
+    try:
+        return pi_from_k(fiber, splitting)
+    except ValueError as e:
         failures = equiv_failures(fiber.morphism_fiber())
         raise ValueError(
-            "composed relation is not a bivector graph: "
-            + ("; ".join(failures) or "conditions hold")
-        )
-    pi = rat.transpose(m)
-    for i in range(t):
-        for j in range(t):
-            if pi[i][j] != -pi[j][i]:
-                raise ValueError("composed graph is not antisymmetric")
-    rho_x = extract_action(fiber)
-    return QuasiPoissonPointData(t_dim=t, a_dim=fiber.pair.g.dim, Pi=pi, rho_X=rho_x)
+            "composed relation is not a bivector graph: " + ("; ".join(failures) or str(e))
+        ) from None
 
 
 # ---------------------------------------------------------------------------
 # forward and backward maps along a smooth map's pointwise differential
 
 
-def forward_dirac(l, f):
-    """{(f(u), beta) : (u, f^T beta) in L} for a tangent map ``f``."""
+def _transport(l, f, forward):
+    """Kernel of the annihilator of ``l`` on pairs (u, beta) lifted into
+    its ambient, read out in the other ambient.  The lifts are (u, f^T beta)
+    and (f u, beta); ``forward`` lifts by the first and reads out by the
+    second, backward the other way round."""
     f = rat.matrix(f)
     m, qd = len(f), len(f[0]) if f else 0
-    if l.ambient_dim != 2 * qd:
-        raise ValueError("Lagrangian has wrong ambient for the map")
-    ann = rat.kernel(l.basis, ncols=2 * qd)
-    lift = rat.vstack(
+    covector_leg = rat.vstack(
         rat.hstack(rat.identity(qd), rat.zeros(qd, m)),
         rat.hstack(rat.zeros(qd, qd), rat.transpose(f)),
     )
+    tangent_leg = rat.vstack(
+        rat.hstack(f, rat.zeros(m, m)),
+        rat.hstack(rat.zeros(m, qd), rat.identity(m)),
+    )
+    lift, readout = (covector_leg, tangent_leg) if forward else (tangent_leg, covector_leg)
+    if l.ambient_dim != len(lift):
+        raise ValueError("Lagrangian has wrong ambient for the map")
+    ann = rat.kernel(l.basis, ncols=len(lift))
     sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
-    rows = [
-        tuple(rat.mat_vec(f, s[:qd])) + tuple(s[qd:])
-        for s in sols
-    ]
-    return canonicalize(rows, 2 * m)
+    return canonicalize([rat.mat_vec(readout, s) for s in sols], len(readout))
+
+
+def forward_dirac(l, f):
+    """{(f(u), beta) : (u, f^T beta) in L} for a tangent map ``f``."""
+    return _transport(l, f, forward=True)
 
 
 def backward_dirac(l, f):
     """{(u, f^T beta) : (f(u), beta) in L'} for a tangent map ``f``."""
-    f = rat.matrix(f)
-    m, qd = len(f), len(f[0]) if f else 0
-    if l.ambient_dim != 2 * m:
-        raise ValueError("Lagrangian has wrong ambient for the map")
-    ann = rat.kernel(l.basis, ncols=2 * m)
-    lift = rat.vstack(
-        rat.hstack(f, rat.zeros(m, m)),
-        rat.hstack(rat.zeros(m, qd), rat.identity(m)),
-    )
-    sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
-    rows = [
-        tuple(s[:qd]) + tuple(rat.mat_vec(rat.transpose(f), s[qd:]))
-        for s in sols
-    ]
-    return canonicalize(rows, 2 * qd)
+    return _transport(l, f, forward=False)
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,12 @@ class SplitSignatureError(ValueError):
     """Raised when a Lagrangian predicate meets a non-split pairing."""
 
 
-def canonicalize(rows, ambient_dim=None):
-    """Span of ``rows`` as a canonical `Subspace`.
-
-    ``ambient_dim`` is needed only when ``rows`` is empty (the zero subspace
-    of a given ambient space); otherwise it is inferred and checked.
-    """
+def canonicalize(rows, ambient_dim):
+    """Span of ``rows``, each of length ``ambient_dim``, as a canonical
+    `Subspace`; no rows give the zero subspace of that space."""
     rows = rat.matrix(rows)
-    if rows:
-        width = len(rows[0])
-        if ambient_dim is None:
-            ambient_dim = width
-        elif ambient_dim != width:
-            raise ValueError(f"rows have width {width}, ambient is {ambient_dim}")
-    elif ambient_dim is None:
-        raise ValueError("empty span needs an explicit ambient_dim")
+    if rows and len(rows[0]) != ambient_dim:
+        raise ValueError(f"rows have width {len(rows[0])}, ambient is {ambient_dim}")
     basis, pivots = rat.rref(rows)
     return Subspace(ambient_dim, basis, pivots)
 
@@ -297,10 +288,6 @@ class LinearRelation:
         return LinearRelation(
             source_dim, target_dim, canonicalize(rows, source_dim + target_dim)
         )
-
-    @staticmethod
-    def identity(n):
-        return LinearRelation.from_matrix(rat.identity(n))
 
 
 def compose(r, s):

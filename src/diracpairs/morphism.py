@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import rational as rat
 from .exact_linear import (
@@ -29,35 +29,11 @@ from .exact_linear import (
 )
 from .quadratic_lie import (
     ManinPairPoint,
-    QuadraticLieAlgebra,
     abstract_double,
     first_unclosed_pair,
+    product_algebra,
 )
 from .report import Report
-
-
-@lru_cache(maxsize=64)
-def product_algebra(d1, d2):
-    """Componentwise bracket on the direct sum; the pairing on the second
-    factor is negated (the morphism convention)."""
-    n1, n2 = d1.dim, d2.dim
-    dim = n1 + n2
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n1):
-        for j in range(n1):
-            row = d1.structure[i][j]
-            for k in range(n1):
-                if row[k]:
-                    c[i][j][k] = row[k]
-    for i in range(n2):
-        for j in range(n2):
-            row = d2.structure[i][j]
-            for k in range(n2):
-                if row[k]:
-                    c[n1 + i][n1 + j][n1 + k] = row[k]
-    form = d1.form.direct_sum(d2.form, negate_second=True)
-    structure = tuple(tuple(tuple(r) for r in p) for p in c)
-    return QuadraticLieAlgebra(dim, structure, form)
 
 
 def _dual_readout(pair, e):
@@ -96,24 +72,13 @@ class MorphismFiber:
 
 
 def identity_morphism(pair):
-    n = pair.d.dim
-    diag = canonicalize(
-        [row + row for row in rat.identity(n)],
-        2 * n,
-    )
-    return MorphismFiber(pair, pair, diag)
+    return graph_morphism(pair, pair, rat.identity(pair.d.dim))
 
 
 def graph_morphism(source, target, phi):
     """Morphism whose relation is the graph of the linear map ``phi``
     (a matrix taking source coordinates to target coordinates)."""
-    phi = rat.matrix(phi)
-    n1 = source.d.dim
-    rows = [
-        tuple(e) + tuple(col)
-        for e, col in zip(rat.identity(n1), rat.transpose(phi))
-    ]
-    return MorphismFiber(source, target, canonicalize(rows, n1 + len(phi)))
+    return MorphismFiber(source, target, LinearRelation.from_matrix(phi).graph)
 
 
 def dual_pair_readout(m):
@@ -224,6 +189,26 @@ class HamiltonianFiber:
     def ambient_dim(self):
         return 2 * self.t_dim + self.pair.d.dim
 
+    @cached_property
+    def coordinates(self):
+        """``K.basis`` transposed: one row per ambient coordinate, one
+        column per basis vector of ``K``."""
+        return rat.transpose(self.K.basis)
+
+    def tangent_lift(self, constraint, rhs, missing, ambiguous):
+        """Tangent part of the element of ``K`` whose coordinates ``c`` in
+        its basis solve ``constraint c = rhs``.  Raises ValueError with the
+        text ``missing`` when none does, ``ambiguous`` when solutions differ
+        in their tangent part."""
+        sol = rat.solve_linear(constraint, rhs, ncols=self.K.dim)
+        if sol is None:
+            raise ValueError(missing)
+        part, null = sol
+        tangent = self.coordinates[: self.t_dim]
+        if any(any(rat.mat_vec(tangent, nv)) for nv in null):
+            raise ValueError(ambiguous)
+        return rat.mat_vec(tangent, part)
+
     def morphism_fiber(self):
         """Underlying morphism from the abelian double of T, in the
         difference convention: flip the sign of the covector block."""
@@ -257,20 +242,15 @@ def extract_action(h):
     """Matrix of the induced action of the pair's half on tangents: for each
     basis vector a of the half, the unique tangent u with ((u, 0), a) in the
     Lagrangian."""
-    t, n = h.t_dim, h.pair.d.dim
-    bt = rat.transpose(h.K.basis)  # ambient coords as rows, K-coords as cols
-    k = h.K.dim
-    constraint = bt[t : 2 * t] + bt[2 * t :]
-    columns = []
-    for a in h.pair.g.basis:
-        rhs = (Fraction(0),) * t + tuple(a)
-        sol = rat.solve_linear(constraint, rhs, ncols=k)
-        if sol is None:
-            raise ValueError("no tangent lift: fiber violates transversality")
-        part, null = sol
-        u = rat.mat_vec(bt[:t], part)
-        for nv in null:
-            if any(x != 0 for x in rat.mat_vec(bt[:t], nv)):
-                raise ValueError("tangent lift is not unique")
-        columns.append(u)
+    t = h.t_dim
+    constraint = h.coordinates[t:]
+    columns = [
+        h.tangent_lift(
+            constraint,
+            (Fraction(0),) * t + tuple(a),
+            "no tangent lift: fiber violates transversality",
+            "tangent lift is not unique",
+        )
+        for a in h.pair.g.basis
+    ]
     return rat.transpose(columns)

@@ -232,7 +232,7 @@ def _tr(a):
     return a.swapaxes(-1, -2)
 
 
-def directional_derivative(f, x, v, h=DEFAULT_STEP):
+def directional_derivative(f, x, v, h):
     x = np.asarray(x, dtype=float)
     step = h * np.asarray(v, dtype=float)
     return (np.asarray(f(x + step), dtype=float) - np.asarray(f(x - step), dtype=float)) / (2.0 * h)
@@ -266,7 +266,7 @@ def _stencil_steps(dim, h):
     return _read_only(steps)
 
 
-def vector_commutator(v1, v2, x, dim, h=DEFAULT_STEP):
+def vector_commutator(v1, v2, x, dim, h):
     p1 = partial_table(v1, x, dim, h)
     p2 = partial_table(v2, x, dim, h)
     return p2 @ np.asarray(v1(x), float) - p1 @ np.asarray(v2(x), float)
@@ -304,9 +304,9 @@ class CourantNumeric:
     gram: np.ndarray
     anchor: object
     bracket_at: object
+    step: float
     exact_anchor: object = None
     pair: ManinPairPoint = None
-    step: float = DEFAULT_STEP
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
@@ -353,7 +353,7 @@ def _phi_as_field(phi, dim):
     return lambda x: arr
 
 
-def twisted_bracket(e1, e2, x, phi_field, h=DEFAULT_STEP):
+def twisted_bracket(e1, e2, x, phi_field, h):
     """Twisted bracket of tangent-plus-cotangent sections at a point ``x``
     ``(n,)`` or over a stack of points ``(P, n)``:
 
@@ -702,7 +702,7 @@ def make_exact_splitting(c):
     return s, phi
 
 
-def _frame_closure(frame, x, phi_field, h=DEFAULT_STEP):
+def _frame_closure(frame, x, phi_field, h):
     """Worst distance from the twisted bracket of two rows of a frame field
     to the frame's row span at ``x``.  ``frame`` should be ``per_point``
     memoized: each row section reads the whole frame at every point, and

@@ -179,6 +179,24 @@ class ManinPairPoint:
         return self.g.dim
 
 
+@lru_cache(maxsize=64)
+def product_algebra(d1, d2):
+    """Componentwise bracket on the direct sum; the pairing on the second
+    factor is negated (the morphism convention)."""
+    n1 = d1.dim
+    dim = n1 + d2.dim
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for off, d in ((0, d1), (n1, d2)):
+        for i, plane in enumerate(d.structure):
+            for j, row in enumerate(plane):
+                for k, v in enumerate(row):
+                    if v:
+                        c[off + i][off + j][off + k] = v
+    form = d1.form.direct_sum(d2.form, negate_second=True)
+    structure = tuple(tuple(tuple(r) for r in p) for p in c)
+    return QuadraticLieAlgebra(dim, structure, form)
+
+
 def make_group_pair_double(g_constants, kappa):
     """Double a Lie algebra with invariant pairing ``kappa`` into the sum of
     two copies carrying the difference pairing, with the diagonal subalgebra.
@@ -187,31 +205,17 @@ def make_group_pair_double(g_constants, kappa):
     ``kappa``: the difference pairing is degenerate exactly when ``kappa``
     is, and its ad-invariance on the first copy is ``kappa``'s.
     """
-    g_constants = tuple(
-        tuple(tuple(rat.scalar(x) for x in r) for r in p) for p in g_constants
-    )
     kappa = rat.matrix(kappa)
     n = len(kappa)
-    dim = 2 * n
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = g_constants[i][j][k]
-                if v:
-                    c[i][j][k] = v
-                    c[n + i][n + j][n + k] = v
-    structure = tuple(tuple(tuple(r) for r in p) for p in c)
-    form = SplitForm(dim, rat.block_diag(kappa, rat.mat_neg(kappa)))
-    d = QuadraticLieAlgebra(dim, structure, form)
+    g = QuadraticLieAlgebra(n, g_constants, SplitForm(n, kappa))
     diag = canonicalize(
         [
-            tuple(Fraction(1 if j == i or j == n + i else 0) for j in range(dim))
+            tuple(Fraction(1 if j == i or j == n + i else 0) for j in range(2 * n))
             for i in range(n)
         ],
-        dim,
+        2 * n,
     )
-    return ManinPairPoint(d, diag)
+    return ManinPairPoint(product_algebra(g, g), diag)
 
 
 def so3_constants():
@@ -263,10 +267,7 @@ def make_cotangent_double(constants):
                 c[i][n + k][n + j] += -v
                 c[n + k][i][n + j] += v
     structure = tuple(tuple(tuple(r) for r in p) for p in c)
-    eye = rat.identity(n)
-    zero = rat.zeros(n, n)
-    gram = rat.vstack(rat.hstack(zero, eye), rat.hstack(eye, zero))
-    d = QuadraticLieAlgebra(dim, structure, SplitForm(dim, gram))
+    d = QuadraticLieAlgebra(dim, structure, SplitForm.standard_double(n))
     g = canonicalize(
         [tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in range(n)],
         dim,

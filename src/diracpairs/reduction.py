@@ -34,7 +34,6 @@ class ObservableFunction:
 
     fn: Callable
     grad: Optional[Callable] = None
-    name: str = ""
 
     def value(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -46,11 +45,11 @@ class ObservableFunction:
         return partial_table(self.fn, x, x.shape[0], h)
 
 
-def observable(f, grad=None, name=""):
+def observable(f, grad=None):
     """Coerce a plain callable to an observable, passing one through."""
     if isinstance(f, ObservableFunction):
         return f
-    return ObservableFunction(fn=f, grad=grad, name=name or getattr(f, "__name__", ""))
+    return ObservableFunction(fn=f, grad=grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +196,7 @@ def poisson_bracket(f, g, fiber_at, h=DEFAULT_STEP, tol=DEFAULT_TOL):
             raise ValueError("observable is not admissible where the bracket is evaluated")
         return float(g.gradient(y, h) @ sample.vector)
 
-    label = "{%s,%s}" % (f.name or "f", g.name or "g")
-    return ObservableFunction(fn=value, name=label)
+    return ObservableFunction(fn=value)
 
 
 def check_bracket_laws(f, g, fiber_at, points, h=DEFAULT_STEP, tol=1e-4):
@@ -352,7 +350,7 @@ def reduce_to_orbit(
             return f.value(y) + c0.value(y) * (1.0 + 0.25 * float(np.sum(y)))
 
         fg_ext = poisson_bracket(
-            ObservableFunction(fn=shifted, name=f.name + "+ext"), g, fiber_at, h=h, tol=tol
+            ObservableFunction(fn=shifted), g, fiber_at, h=h, tol=tol
         )
         for x, base in zip(orbit.samples, values):
             ext_res = worse(ext_res, abs(fg_ext.value(x) - base))

@@ -41,7 +41,7 @@ from .splitting import (
 class ParseError(Exception):
     """Positioned syntax or resolution failure; positions are 1-based."""
 
-    def __init__(self, line, col, message, token=""):
+    def __init__(self, line, col, message, token):
         self.line = line
         self.col = col
         self.message = message

@@ -81,17 +81,11 @@ class IsotropicSplitting:
         n, r = d.dim, self.pair.g.dim
         if len(self.j) != n or (n and len(self.j[0]) != r):
             raise ValueError("splitting matrix has wrong shape")
-        cols = rat.transpose(self.j)
-        for k in range(r):
-            for l in range(r):
-                if d.pairing(cols[k], cols[l]) != 0:
-                    raise ValueError("image of the splitting is not isotropic")
-        a_rows = self.pair.g.basis
-        for k in range(r):
-            for i in range(r):
-                expected = Fraction(1 if k == i else 0)
-                if d.pairing(cols[k], a_rows[i]) != expected:
-                    raise ValueError("splitting does not project to the identity")
+        jg = rat.mat_mul(rat.transpose(self.j), d.form.gram)
+        if not rat.is_zero_product(jg, self.j):
+            raise ValueError("image of the splitting is not isotropic")
+        if rat.mat_mul(jg, rat.transpose(self.pair.g.basis)) != rat.identity(r):
+            raise ValueError("splitting does not project to the identity")
 
     @property
     def a_basis(self):
@@ -105,13 +99,14 @@ class IsotropicSplitting:
         """Image of the splitting as a subspace (an isotropic complement)."""
         return canonicalize(rat.transpose(self.j), self.pair.d.dim)
 
-    def _frame(self):
+    def frame(self):
+        """The split frame: columns of the half's basis, then of ``j``."""
         a_cols = rat.transpose(self.a_basis)
         return rat.hstack(a_cols, self.j)
 
     def decompose(self, e):
         """Coordinates of ``e`` in the split frame: (A part, dual part)."""
-        frame_inv = rat.invert(self._frame())
+        frame_inv = rat.invert(self.frame())
         coords = rat.mat_vec(frame_inv, rat.vec(e))
         r = self.half_dim
         return coords[:r], coords[r:]
@@ -122,7 +117,7 @@ class IsotropicSplitting:
         coords = tuple(rat.vec(a_coords)) + tuple(rat.vec(xi_coords))
         if len(coords) != 2 * r:
             raise ValueError("coordinate blocks have wrong length")
-        return rat.mat_vec(self._frame(), coords)
+        return rat.mat_vec(self.frame(), coords)
 
     def twist(self, w):
         """New splitting ``j'(xi) = j(xi) + i_xi w`` for a 2-vector ``w`` on A
@@ -138,6 +133,14 @@ class IsotropicSplitting:
                     col = [x + c * a for x, a in zip(col, [row[l] for row in a_cols])]
             new_cols.append(tuple(col))
         return IsotropicSplitting(self.pair, rat.transpose(new_cols))
+
+
+def absorb_self_pairing(form, c, adjoint):
+    """``c - 1/2 adjoint (c^T G c)``: the columns of ``c`` with half their
+    self pairing absorbed through ``adjoint``.  The image is isotropic when
+    ``adjoint`` has isotropic image and ``adjoint^T G c`` is the identity."""
+    b = rat.mat_mul(rat.mat_mul(rat.transpose(c), form.gram), c)
+    return rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), rat.mat_mul(adjoint, b)))
 
 
 def make_isotropic_splitting(pair):
@@ -163,16 +166,8 @@ def make_isotropic_splitting(pair):
         tuple(d.pairing(rc, ai) for ai in a_rows) for rc in raw
     )
     c_rows = rat.mat_mul(rat.invert(m), raw)
-    b = tuple(tuple(d.pairing(ck, cl) for cl in c_rows) for ck in c_rows)
-    j_cols = []
-    for k in range(r):
-        col = list(c_rows[k])
-        for l in range(r):
-            h = b[k][l] / 2
-            if h:
-                col = [x - h * a for x, a in zip(col, a_rows[l])]
-        j_cols.append(tuple(col))
-    return IsotropicSplitting(pair, rat.transpose(j_cols))
+    j = absorb_self_pairing(d.form, rat.transpose(c_rows), rat.transpose(a_rows))
+    return IsotropicSplitting(pair, j)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 Every entry is a callable ``fn(samples, seed, tol, step) -> Report``
 whose quantities are the worst defects the run measured, gated by ``tol``.
-A construction gate that rejects the arguments raises ValueError.  Entries
-draw their probe points from the given seed so reports are reproducible.
+A ValueError means the arguments were rejected (a construction gate such as
+the dressing bundle's).  A failure of the geometry itself is a quantity:
+an exact constructor that rejects a point's frozen fiber gives
+``frozen_fiber`` 1, with the point and the constructor's message as
+witness.  Entries draw their probe points from the given seed so reports
+are reproducible.
 """
 
 from __future__ import annotations
@@ -29,6 +33,19 @@ def _dressing(samples, seed, step):
     pts = so3.sample_chart_points(samples, seed)
     cd = nm.make_dressing_courant(nm.Chart(3, tuple(pts)), h=step)
     return catalog()["so3-double"], pts, cd
+
+
+def _freeze(points, freeze):
+    """``freeze(x)`` by the point's bytes, and the exact ``frozen_fiber``
+    report: 0 when every frozen fiber validates, else 1 at the first point
+    whose constructor raised, the fibers then being None."""
+    frozen = {}
+    for i, x in enumerate(points):
+        try:
+            frozen[x.tobytes()] = freeze(x)
+        except ValueError as e:
+            return None, Report.verdict("frozen_fiber", False, f"point {i}: {e}")
+    return frozen, Report.verdict("frozen_fiber", True, None)
 
 
 def flat_twisted_axioms(samples, seed, tol, step):
@@ -76,8 +93,17 @@ def rotation_strong_section(samples, seed, tol, step):
         ]
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
-    return nm.check_strong_dirac(
-        frame, pts, phi=can.phi, h=step, tol=tol, exact_fibers=exact_fibers
+    fibers, frozen = _freeze(pts, exact_fibers)
+    if fibers is None:
+        return frozen
+    rep = nm.check_strong_dirac(
+        frame, pts, phi=can.phi, h=step, tol=tol, exact_fibers=lambda x: fibers[x.tobytes()]
+    )
+    return Report(
+        {**rep.quantities, **frozen.quantities},
+        tol=tol,
+        exact=rep.exact | frozen.exact,
+        witness=rep.witness,
     )
 
 
@@ -107,16 +133,18 @@ def rotation_quasi_poisson(samples, seed, tol, step):
 def rotation_canonical_fibers(samples, seed, tol, step):
     """Canonical moment geometry of the dressing chart: frozen fibers are
     exactly Lagrangian with exact support (their constructor is the
-    proof), and the three generator-bracket families land back in the
-    fiber within tolerance."""
+    proof, read as ``frozen_fiber``), and the three generator-bracket
+    families land back in the fiber within tolerance."""
     _, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
+    fibers, frozen = _freeze(pts, can.frozen_fiber)
+    if fibers is None:
+        return frozen
     res = {}
     for x in pts:
-        can.frozen_fiber(x)
         for family, value in can.generator_residuals(x, h=step).items():
             res[family] = worse(res.get(family, 0.0), value)
-    return Report(res, tol=tol)
+    return Report({**res, **frozen.quantities}, tol=tol, exact=frozen.exact)
 
 
 def planar_symplectic_reduction(samples, seed, tol, step):

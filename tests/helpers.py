@@ -16,6 +16,7 @@ import numpy as np
 from diracpairs import rational as rat
 from diracpairs import splitting as sp
 from diracpairs.dictionary import (
+    DiracPointData,
     ExactIdentification,
     QuasiPoissonPointData,
     abstract_double,
@@ -135,6 +136,42 @@ def moment_compatible_quasi(rng, t, r):
     rho_x = rat.mat_neg(rat.mat_mul(pi, rat.transpose(dj)))
     q = QuasiPoissonPointData(t_dim=t, a_dim=r, Pi=pi, rho_X=rho_x)
     return q, dj
+
+
+def direct_lagrangian(q, splitting, ident, dJ):
+    """Lagrangian of a bivector with action by the direct formula, the
+    reference for ``dictionary.l_from_quasi``'s route through the
+    Hamiltonian fiber: rows (rho_X(a), dJ^T s*(a)) for the half basis and
+    (i_alpha Pi, alpha - dJ^T rho_bar^T rho_X^T alpha) per covector."""
+    t, r = q.t_dim, q.a_dim
+    dJ = rat.matrix(dJ)
+    dj_t = rat.transpose(dJ)
+    a_basis_cols = rat.transpose(splitting.pair.g.basis)
+
+    # rho_bar = (dual readout of the half) o s : base tangents -> half coords
+    jg = rat.mat_mul(rat.transpose(splitting.j), splitting.pair.d.form.gram)
+    rho_bar = rat.mat_mul(jg, ident.s)
+    rho_bar_star = rat.transpose(rho_bar)
+    s_star = ident.s_star
+
+    rows = []
+    for i in range(r):
+        a = rat.identity(r)[i]
+        u = tuple(q.rho_X[k][i] for k in range(t))
+        e = rat.mat_vec(a_basis_cols, a)
+        beta = rat.mat_vec(s_star, e)
+        alpha = rat.mat_vec(dj_t, beta) if dJ else (Fraction(0),) * t
+        rows.append(u + tuple(alpha))
+    rho_x_t = rat.transpose(q.rho_X)
+    for kk in range(t):
+        alpha = rat.identity(t)[kk]
+        u = q.interior(alpha)
+        twist = (Fraction(0),) * t
+        if dJ and r:
+            back = rat.mat_vec(rho_x_t, alpha)
+            twist = rat.mat_vec(dj_t, rat.mat_vec(rho_bar_star, back))
+        rows.append(tuple(u) + tuple(a - b for a, b in zip(alpha, twist)))
+    return DiracPointData(canonicalize(rows, 2 * t))
 
 
 def hyperbolic_frame(pair):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from diracpairs import cli
+from diracpairs import numeric_manifold as nm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -304,6 +305,29 @@ def test_verify_example_rejects_bad_numeric_arguments(name, flag, value, message
     assert code == 2
     assert out == ""
     assert message in err + capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("rotation_canonical_fibers", "not Lagrangian for the sum pairing"),
+        ("rotation_strong_section", "s is not a right inverse of the anchor"),
+    ],
+)
+def test_a_broken_frozen_fiber_fails_its_check(monkeypatch, name, message):
+    # doubling the first three columns of every exact anchor row breaks the
+    # geometry of each frozen fiber, not the example's arguments
+    exact = nm.rotation_double_exact_anchor
+
+    def broken(x):
+        return tuple(tuple(2 * v if k < 3 else v for k, v in enumerate(row)) for row in exact(x))
+
+    monkeypatch.setattr(nm, "rotation_double_exact_anchor", broken)
+    code, out, err = run_cli("verify-example", name, "--samples", "2", "--json")
+    assert (code, err) == (1, "")
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == f"frozen_fiber = 1, witness point 0: {message}"
 
 
 def test_verify_example_rejects_unknown_names():

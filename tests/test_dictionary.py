@@ -164,6 +164,7 @@ def test_direct_lagrangian_formula_matches_the_fiber_route():
         sp = make_isotropic_splitting(ident.pair)
         out = l_from_quasi(q, sp, ident, dj)
         assert out.t_dim == t
+        assert out == helpers.direct_lagrangian(q, sp, ident, dj)
 
 
 def test_zero_data_direct_lagrangian_is_the_covector_space():
@@ -172,6 +173,7 @@ def test_zero_data_direct_lagrangian_is_the_covector_space():
     q = QuasiPoissonPointData(t_dim=2, a_dim=1, Pi=rat.zeros(2, 2), rho_X=((0,), (0,)))
     out = l_from_quasi(q, sp, ident, rat.zeros(1, 2))
     assert out.L == canonicalize([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
+    assert helpers.direct_lagrangian(q, sp, ident, rat.zeros(1, 2)) == out
 
 
 def test_bivector_from_lagrangian_round_trip():

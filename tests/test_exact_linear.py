@@ -91,7 +91,7 @@ def test_relation_composition_of_graphs():
     rn = LinearRelation.from_matrix(n)
     comp = compose(rm, rn)
     assert is_graph_over_factor(comp, "source") == rat.mat_mul(n, m)
-    ident = LinearRelation.identity(2)
+    ident = LinearRelation.from_matrix(rat.identity(2))
     assert compose(rm, ident).graph == rm.graph
     assert compose(ident, rm).graph == rm.graph
 
@@ -100,7 +100,7 @@ def test_composition_with_a_coisotropic_middle():
     # relation through a line: only multiples of the line's image survive
     line = canonicalize([[1, 1, 2, 2]], 4)
     r = LinearRelation(2, 2, line)
-    s = LinearRelation.identity(2)
+    s = LinearRelation.from_matrix(rat.identity(2))
     comp = compose(r, s)
     assert comp.graph == line
 

@@ -9,7 +9,9 @@ can hide from the scan; an unused one cannot.
 Every optional parameter of a package function, method or class constructor
 is passed by some call in the package or the tests, or is named in
 ``UNPASSED_ALLOWED``: an option that every caller leaves at its default is a
-constant.  Calls are matched by the callee's name, in the same way.
+constant.  The other way round, an optional parameter that every call passes
+is a required one written as an option, unless ``ALWAYS_PASSED_ALLOWED``
+names it.  Calls are matched by the callee's name, in the same way.
 """
 
 import ast
@@ -22,9 +24,8 @@ TESTS = Path(__file__).resolve().parent
 # Paper constructions that no command reaches yet; they stay in the package
 # so that a scene kind or example can wire them in.
 ALLOWED = {
-    # composition of Courant morphisms, with its identity and graph morphisms
+    # composition of Courant morphisms, with its identity morphism
     "morphism.compose_morphisms",
-    "morphism.graph_morphism",
     "morphism.identity_morphism",
     # the reduction procedure: orbit description, reduction, canonical
     # fibers and the admissibility check
@@ -32,7 +33,8 @@ ALLOWED = {
     "reduction.admissibility_matches_invariance",
     "reduction.canonical_fibers",
     "reduction.reduce_to_orbit",
-    # the dictionary's second routes between the two pictures, and its
+    # the dictionary's conversions that no command calls (Lagrangian and
+    # bivector through the fiber, the backward transport) and its
     # predicates on a fiber
     "dictionary.backward_dirac",
     "dictionary.dirac_is_form_graph",
@@ -52,6 +54,10 @@ EXEMPT_PARAMETERS = {"h", "tol"}
 # Optional parameters that no call passes but that stay, each with the
 # reason it stays.
 UNPASSED_ALLOWED = set()
+
+# Optional parameters that every call passes but that stay optional, each
+# with the reason it stays.
+ALWAYS_PASSED_ALLOWED = set()
 
 
 def unreached(sources):
@@ -164,42 +170,70 @@ def _signatures(module, tree):
     return out
 
 
-def unpassed_options(sources, callers):
-    """Optional parameters of the package ``sources`` (module name -> source
-    text) that no call in the package or in ``callers`` (source texts)
-    passes, as sorted ``module.callable.parameter`` strings.  A call passes
-    a parameter by keyword, by position, or by ``*``/``**`` unpacking;
-    calling a class calls its constructor.  ``EXEMPT_PARAMETERS`` are not
-    scanned."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+def _calls(trees, callers):
+    """Calls in ``trees`` and in ``callers`` (source texts), by callee name."""
     calls = defaultdict(list)
-    for tree in [*trees.values(), *(ast.parse(text) for text in callers)]:
+    for tree in [*trees, *(ast.parse(text) for text in callers)]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _callee(node.func):
                 calls[_callee(node.func)].append(node)
+    return calls
 
-    def passed(call, positional, name):
-        if any(isinstance(a, ast.Starred) for a in call.args):
-            return True
-        if any(k.arg in (name, None) for k in call.keywords):
-            return True
-        return name in positional and len(call.args) > positional.index(name)
 
-    found = []
+def _passes(call, positional, name):
+    """Whether ``call`` passes the parameter ``name``: by keyword, by
+    position, or by ``*``/``**`` unpacking."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return name in positional and len(call.args) > positional.index(name)
+
+
+def _options(sources, callers):
+    """``(module.callable.parameter, parameter, calls that pass it, calls)``
+    for each optional parameter of the package ``sources`` (module name ->
+    source text), over the calls in the package and in ``callers``; calling
+    a class calls its constructor."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = _calls(trees.values(), callers)
     for module, tree in trees.items():
         for name, owner, positional, optional in _signatures(module, tree):
             for param in optional:
-                if param in EXEMPT_PARAMETERS:
-                    continue
-                if not any(passed(call, positional, param) for call in calls[name]):
-                    found.append(f"{owner}.{param}")
-    return sorted(found)
+                passing = [c for c in calls[name] if _passes(c, positional, param)]
+                yield f"{owner}.{param}", param, len(passing), len(calls[name])
+
+
+def unpassed_options(sources, callers):
+    """Optional parameters that no call passes, as sorted
+    ``module.callable.parameter`` strings.  ``EXEMPT_PARAMETERS`` are not
+    scanned."""
+    return sorted(
+        full
+        for full, param, passing, _ in _options(sources, callers)
+        if not passing and param not in EXEMPT_PARAMETERS
+    )
+
+
+def always_passed_options(sources, callers):
+    """Optional parameters that some call passes and every call passes, as
+    sorted ``module.callable.parameter`` strings: required arguments
+    written as options."""
+    return sorted(
+        full for full, _, passing, total in _options(sources, callers) if passing == total > 0
+    )
 
 
 def test_every_optional_parameter_is_passed_or_allowed():
     # an allowed option that a call starts to pass leaves the list
     callers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert set(unpassed_options(package_sources(), callers)) == UNPASSED_ALLOWED
+
+
+def test_every_always_passed_parameter_is_required_or_allowed():
+    # an allowed option that a call starts to leave at its default leaves the list
+    callers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert set(always_passed_options(package_sources(), callers)) == ALWAYS_PASSED_ALLOWED
 
 
 def test_the_scan_finds_an_unpassed_option():
@@ -220,3 +254,19 @@ def test_the_scan_finds_an_unpassed_option():
     assert unpassed_options(sources, []) == [
         "a.C.y", "a.C.z", "a.K.b", "a.K.m.c", "a.f.unused", "a.f.used",
     ]
+
+
+def test_the_scan_finds_an_always_passed_option():
+    sources = {
+        "a": (
+            "def f(x, always=1, sometimes=2, h=3):\n    return x\n\n\n"
+            "def never_called(x, y=0):\n    return x\n\n\n"
+            "@dataclass\nclass C:\n    x: int\n    y: int = 0\n    z: int = 1\n\n\n"
+            "class K:\n    def __init__(self, a, b=1):\n        self.a = a\n\n"
+            "    def m(self, c=0):\n        return c\n"
+        ),
+        "b": "from .a import C, K, f\n\n\ndef run(args):\n    return f(1, 2, h=4), K(*args)\n",
+    }
+    callers = ["f(1, always=2, sometimes=3, h=4)\nC(1, y=2)\nC(1, 2, z=3)\nK(1).m(5)\n"]
+    assert always_passed_options(sources, callers) == ["a.C.y", "a.K.m.c", "a.f.always", "a.f.h"]
+    assert always_passed_options(sources, []) == ["a.K.b", "a.f.always", "a.f.h"]

@@ -24,12 +24,12 @@ def planar_fibers():
 
 @pytest.fixture(scope="module")
 def coord_x():
-    return red.observable(lambda p: p[0], grad=lambda p: np.array([1.0, 0.0]), name="x")
+    return red.observable(lambda p: p[0], grad=lambda p: np.array([1.0, 0.0]))
 
 
 @pytest.fixture(scope="module")
 def coord_y():
-    return red.observable(lambda p: p[1], grad=lambda p: np.array([0.0, 1.0]), name="y")
+    return red.observable(lambda p: p[1], grad=lambda p: np.array([0.0, 1.0]))
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def trace_observable():
         r = float(np.linalg.norm(p))
         return -2.0 * np.sin(r) * p / r
 
-    return red.observable(helpers.group_trace_function, grad=grad, name="trace")
+    return red.observable(helpers.group_trace_function, grad=grad)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,6 @@ def test_observable_coercion_and_fallback_gradient():
         return p[0] ** 2
 
     obs = red.observable(height)
-    assert obs.name == "height"
     assert red.observable(obs) is obs
     assert np.allclose(obs.gradient(np.array([1.5, -2.0])), [3.0, 0.0], atol=1e-6)
     with_grad = red.observable(height, grad=lambda p: np.array([2 * p[0], 0.0]))
@@ -109,12 +108,8 @@ def test_planar_flow_matches_the_exact_graph_fiber(planar_fibers, coord_x):
 
 
 def test_bracket_laws_hold_for_quadratics(planar_fibers):
-    f2 = red.observable(
-        lambda p: 0.5 * p[0] ** 2, grad=lambda p: np.array([p[0], 0.0]), name="xx"
-    )
-    g2 = red.observable(
-        lambda p: 0.5 * p[1] ** 2, grad=lambda p: np.array([0.0, p[1]]), name="yy"
-    )
+    f2 = red.observable(lambda p: 0.5 * p[0] ** 2, grad=lambda p: np.array([p[0], 0.0]))
+    g2 = red.observable(lambda p: 0.5 * p[1] ** 2, grad=lambda p: np.array([0.0, p[1]]))
     rep = red.check_bracket_laws(f2, g2, planar_fibers, PLANE_POINTS)
     assert rep.passed
     assert set(rep.quantities) == {"skew", "flow_match", "conservation"}
@@ -136,9 +131,7 @@ def test_admissibility_matches_invariance(
     canonical_fiber_map, dressing_action, trace_observable, so3_points
 ):
     pts = [np.asarray(x, float) for x in so3_points[:5]]
-    coord = red.observable(
-        lambda p: p[1], grad=lambda p: np.array([0.0, 1.0, 0.0]), name="x1"
-    )
+    coord = red.observable(lambda p: p[1], grad=lambda p: np.array([0.0, 1.0, 0.0]))
     pairs = red.admissibility_matches_invariance(
         coord, dressing_action, canonical_fiber_map, pts
     )
@@ -154,9 +147,7 @@ def test_admissibility_matches_invariance(
 
 
 def test_orbit_description_validates_its_data():
-    shell = red.observable(
-        lambda p: float(p @ p) - 1.0, grad=lambda p: 2.0 * p, name="shell"
-    )
+    shell = red.observable(lambda p: float(p @ p) - 1.0, grad=lambda p: 2.0 * p)
     on_locus = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]))
     orbit = red.OrbitDescription((shell,), on_locus)
     assert len(orbit.samples) == 2
@@ -171,9 +162,7 @@ def test_orbit_description_validates_its_data():
 
 def test_projection_builds_locus_samples(so3_points):
     radius = float(np.linalg.norm(so3_points[0]))
-    shell = red.observable(
-        lambda p: float(p @ p) - radius**2, grad=lambda p: 2.0 * p, name="shell"
-    )
+    shell = red.observable(lambda p: float(p @ p) - radius**2, grad=lambda p: 2.0 * p)
     seeds = so3.sample_chart_points(4, seed=23)
     orbit = red.OrbitDescription.from_projection([shell], seeds)
     assert len(orbit.samples) == 4
@@ -185,12 +174,10 @@ def test_restricted_bracket_on_a_conjugacy_sphere(
     canonical_fiber_map, dressing_action, trace_observable, so3_points
 ):
     radius = float(np.linalg.norm(so3_points[0]))
-    shell = red.observable(
-        lambda p: float(p @ p) - radius**2, grad=lambda p: 2.0 * p, name="shell"
-    )
+    shell = red.observable(lambda p: float(p @ p) - radius**2, grad=lambda p: 2.0 * p)
     seeds = so3.sample_chart_points(3, seed=23)
     orbit = red.OrbitDescription.from_projection([shell], seeds)
-    norm2 = red.observable(lambda p: float(p @ p), grad=lambda p: 2.0 * p, name="n2")
+    norm2 = red.observable(lambda p: float(p @ p), grad=lambda p: 2.0 * p)
     rep = red.reduce_to_orbit(
         orbit, trace_observable, norm2, canonical_fiber_map, action_field=dressing_action
     )
