@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from . import __version__, verify
@@ -315,7 +316,9 @@ def run(argv=None, out=None, err=None):
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to the process streams
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_PASS
     try:

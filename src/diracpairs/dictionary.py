@@ -200,15 +200,14 @@ def pi_from_k(h, splitting):
     a_part = rat.invert(splitting.frame())[:r]
     bt = h.coordinates
     constraint = bt[t : 2 * t] + rat.mat_mul(a_part, bt[2 * t :])
-    pi = rat.matrix([
+    pi = rat.matrix(
         h.tangent_lift(
             constraint,
-            _unit(t, kk) + (Fraction(0),) * r,
+            [_unit(t, kk) + (Fraction(0),) * r for kk in range(t)],
             "no fiber element over this covector",
             "bivector element is not unique: invalid fiber",
         )
-        for kk in range(t)
-    ])
+    )
 
     unique_graph = canonicalize([pi[kk] + _unit(t, kk) for kk in range(t)], 2 * t)
     dual_image = splitting.dual_image()
@@ -292,26 +291,27 @@ def pi_from_dirac(d, dJ, ident, splitting):
 
 
 def _transport(l, f, forward):
-    """Kernel of the annihilator of ``l`` on pairs (u, beta) lifted into
-    its ambient, read out in the other ambient.  The lifts are (u, f^T beta)
-    and (f u, beta); ``forward`` lifts by the first and reads out by the
-    second, backward the other way round."""
+    """Transport of ``l`` along the tangent map ``f``, solved in the
+    coordinates ``c`` of its basis rows, split into tangent and covector
+    parts: forward solves f^T beta = L_cov^T c and reads out
+    (f L_tan^T c, beta); backward solves f u = L_tan^T c and reads out
+    (u, f^T L_cov^T c).  Each solution space is one kernel, and the readout
+    is injective on it because the basis of ``l`` is independent."""
     f = rat.matrix(f)
     m, qd = len(f), len(f[0]) if f else 0
-    covector_leg = rat.vstack(
-        rat.hstack(rat.identity(qd), rat.zeros(qd, m)),
-        rat.hstack(rat.zeros(qd, qd), rat.transpose(f)),
-    )
-    tangent_leg = rat.vstack(
-        rat.hstack(f, rat.zeros(m, m)),
-        rat.hstack(rat.zeros(m, qd), rat.identity(m)),
-    )
-    lift, readout = (covector_leg, tangent_leg) if forward else (tangent_leg, covector_leg)
-    if l.ambient_dim != len(lift):
+    f_t = rat.transpose(f)
+    src, out = (qd, m) if forward else (m, qd)
+    if l.ambient_dim != 2 * src:
         raise ValueError("Lagrangian has wrong ambient for the map")
-    ann = rat.kernel(l.basis, ncols=len(lift))
-    sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
-    return canonicalize([rat.mat_vec(readout, s) for s in sols], len(readout))
+    tan = [row[:src] for row in l.basis]
+    cov = [row[src:] for row in l.basis]
+    # unknowns (v, c), v the read-out leg kept as it is: beta or u
+    lhs, given, carried, carry_map = (f_t, cov, tan, f_t) if forward else (f, tan, cov, f)
+    sols = rat.kernel(rat.hstack(lhs, rat.mat_neg(rat.transpose(given))), ncols=out + len(tan))
+    coeffs = [s[out:] for s in sols]
+    read = rat.mat_mul(coeffs, rat.mat_mul(carried, carry_map)) or rat.zeros(len(sols), out)
+    rows = [r + s[:out] if forward else s[:out] + r for r, s in zip(read, sols)]
+    return canonicalize(rows, 2 * out)
 
 
 def forward_dirac(l, f):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import rational as rat
 
@@ -211,8 +212,18 @@ class SplitForm:
         legal (`check_quadratic_lie` reports it) and raises only here."""
         return rat.invert(self.gram)
 
+    @cached_property
+    def integer_gram(self):
+        """``(rows, d)``: the Gram matrix as integer rows over one positive
+        denominator, computed on first use and read by ``pairing`` and
+        ``is_isotropic``."""
+        return rat.over_one_denominator(self.gram)
+
     def pairing(self, u, v):
-        return sum(x * y for x, y in zip(rat.mat_vec(self.gram, rat.vec(v)), rat.vec(u)))
+        g, d = self.integer_gram
+        (iu, iv), duv = rat.over_one_denominator((rat.vec(u), rat.vec(v)))
+        total = sum(x * sum(map(mul, row, iv)) for x, row in zip(iu, g))
+        return Fraction(total, d * duv * duv)
 
     @cached_property
     def _signature(self):
@@ -252,8 +263,9 @@ def _require_split(form):
 
 
 def is_isotropic(form, u):
-    b = u.basis
-    return rat.is_zero_product(b, form.gram, rat.transpose(b))
+    """Whether the form vanishes on ``u``, decided on the form's integer
+    Gram."""
+    return rat.is_zero_congruence(u.basis, form.integer_gram[0])
 
 
 def is_lagrangian(form, u):

@@ -196,18 +196,21 @@ class HamiltonianFiber:
         return rat.transpose(self.K.basis)
 
     def tangent_lift(self, constraint, rhs, missing, ambiguous):
-        """Tangent part of the element of ``K`` whose coordinates ``c`` in
-        its basis solve ``constraint c = rhs``.  Raises ValueError with the
-        text ``missing`` when none does, ``ambiguous`` when solutions differ
-        in their tangent part."""
-        sol = rat.solve_linear(constraint, rhs, ncols=self.K.dim)
-        if sol is None:
-            raise ValueError(missing)
-        part, null = sol
+        """Tangent parts of the elements of ``K`` whose coordinates ``c`` in
+        its basis solve ``constraint c = b``, one for each ``b`` of ``rhs``,
+        from one row reduction of the constraint.  Raises ValueError with
+        the text ``missing`` at the first ``b`` that no element solves, and
+        ``ambiguous`` at the first that one does when solutions differ in
+        their tangent part."""
+        parts, null = rat.solve_linear(constraint, rhs, ncols=self.K.dim)
         tangent = self.coordinates[: self.t_dim]
-        if any(any(rat.mat_vec(tangent, nv)) for nv in null):
-            raise ValueError(ambiguous)
-        return rat.mat_vec(tangent, part)
+        unique = not null or rat.is_zero_product(tangent, rat.transpose(null))
+        for part in parts:
+            if part is None:
+                raise ValueError(missing)
+            if not unique:
+                raise ValueError(ambiguous)
+        return [rat.mat_vec(tangent, part) for part in parts]
 
     def morphism_fiber(self):
         """Underlying morphism from the abelian double of T, in the
@@ -244,13 +247,10 @@ def extract_action(h):
     Lagrangian."""
     t = h.t_dim
     constraint = h.coordinates[t:]
-    columns = [
-        h.tangent_lift(
-            constraint,
-            (Fraction(0),) * t + tuple(a),
-            "no tangent lift: fiber violates transversality",
-            "tangent lift is not unique",
-        )
-        for a in h.pair.g.basis
-    ]
+    columns = h.tangent_lift(
+        constraint,
+        [(Fraction(0),) * t + tuple(a) for a in h.pair.g.basis],
+        "no tangent lift: fiber violates transversality",
+        "tangent lift is not unique",
+    )
     return rat.transpose(columns)

@@ -23,9 +23,10 @@ Each bundle has one bracket kernel, ``CourantNumeric.bracket_at``, and it
 takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are read per
 point, the arithmetic runs over the stack, and every stacked value equals
 the single-point one bit for bit.  A bracket section (``StackedSection``)
-takes its jet, the point and its whole stencil, in one kernel call, and
-``check_axioms_numeric`` brackets every point-independent probe over all
-its sample points at once.
+takes its jet, the point and its whole stencil, in one kernel call;
+``check_axioms_numeric`` brackets every point-independent probe, and
+``CanonicalSpace.generator_residuals`` every pair of fiber generators,
+over all sample points at once.
 
 Per-point fields of the rotation bundle (the dressing anchor and the
 exact splitting) and the Dirac frames of the integrability probes are
@@ -785,22 +786,28 @@ class CanonicalSpace:
 
     def generator_residuals(self, x, h=DEFAULT_STEP):
         """Distances from the brackets of the fiber generators, the rows of
-        ``fiber_rows``, to the fiber span at ``x``, worst per family.  Two
-        rows bracket by the twisted bracket on their ``T + T*`` legs and
-        the bundle's bracket on their ``E`` legs; their indices name the
-        family: ``half_half``, ``half_covector`` or ``covector_covector``."""
+        ``fiber_rows``, to the fiber span, worst per family over the point
+        ``x`` ``(n,)`` or the stack of points ``(P, n)``.  Two rows bracket
+        by the twisted bracket on their ``T + T*`` legs and the bundle's
+        bracket on their ``E`` legs, each pair once over the whole stack;
+        their indices name the family: ``half_half``, ``half_covector`` or
+        ``covector_covector``."""
         c = self.courant
-        x = np.asarray(x, dtype=float)
-        # single brackets only probe the twist at x, so freeze it there
-        phi_x = _phi_as_field(self.phi(x), c.chart.dim)
-        rows = self._frame(x)
+        pts = np.asarray(x, dtype=float)
+        stack = pts.reshape(-1, pts.shape[-1])
+        # every pair reads the twist, and a single bracket only at its own point
+        twist = per_point(self.phi)
+        rows = [self._frame(y) for y in stack]
         half = len(self.half_rows)
         families = ("half_half", "half_covector", "covector_covector")
         out = dict.fromkeys(families, 0.0)
         for (i, (t1, e1)), (j, (t2, e2)) in combinations(enumerate(self._generators), 2):
-            w = np.concatenate([twisted_bracket(t1, t2, x, phi_x, h), c.bracket_at(e1, e2, x)])
+            ws = np.concatenate(
+                [twisted_bracket(t1, t2, pts, twist, h), c.bracket_at(e1, e2, pts)], axis=-1
+            )
             family = families[(i >= half) + (j >= half)]
-            out[family] = worse(out[family], lstsq_distance(rows, w))
+            for r, w in zip(rows, ws.reshape(len(stack), -1)):
+                out[family] = worse(out[family], lstsq_distance(r, w))
         return out
 
 
@@ -972,7 +979,9 @@ def check_quasi_poisson(
     if exact_fibers is not None:
         res["sharp_compat"] = 0.0
 
-    # each function's gradient once per point: the inner brackets share them
+    # the fields and each function's gradient once per point: every inner
+    # bracket and partial table reads them at the same stencil points
+    pi, rho_x = per_point(pi), per_point(rho_x)
     grad = [per_point(lambda y, f=f: partial_table(f, y, dim, h)) for f in funcs]
     for x in points:
         x = np.asarray(x, dtype=float)

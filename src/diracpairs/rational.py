@@ -3,14 +3,18 @@
 Scalars are `fractions.Fraction` throughout.  Matrices are immutable tuples
 of row tuples, so they hash and compare structurally.  Nothing in this
 module rounds; floats are rejected unless they go through `rationalize`,
-which is the single explicit float -> rational gate.
+which is the single explicit float -> rational gate.  It returns what
+``Fraction(float(x)).limit_denominator(m)`` returns, but runs the continued
+fraction on the integer ratio of the float and builds a single Fraction.
 
 Products are integer products: `mat_mul` and `mat_vec` scale each operand
-to integer rows over one common denominator, multiply and sum Python ints,
-and build one normalized Fraction per output entry.  `is_zero_product`
-decides whether a product vanishes on the same integer rows and builds no
-Fraction at all.  An entry that is not an int or a Fraction (a float, a
-numpy scalar) raises `TypeError` in all three.
+to integer rows over one common denominator (`over_one_denominator`),
+multiply and sum Python ints, and build one normalized Fraction per output
+entry.  `is_zero_product` decides whether a product vanishes on the same
+integer rows and builds no Fraction at all, and `is_zero_congruence` does
+so for ``B G B^T`` with ``G`` already integer rows (a form's cached Gram).
+An entry that is not an int or a Fraction (a float, a numpy scalar) raises
+`TypeError` in all of them.
 
 Row reduction is integer through back-substitution: rows are scaled to
 primitive integers, eliminated with Bareiss one-step updates (exact integer
@@ -41,10 +45,37 @@ def scalar(x):
 
 
 def rationalize(x, max_denominator=10**8):
-    """Round a float to a nearby rational.  The only float entry point."""
+    """Round a float to a nearby rational.  The only float entry point.
+
+    The value is ``Fraction(float(x)).limit_denominator(max_denominator)``,
+    computed on the integers of ``float(x).as_integer_ratio()``: the
+    continued-fraction convergents of the float, then the closer of the two
+    best bounds with denominator at most ``max_denominator`` (the convergent
+    on a tie) by integer cross-multiplication, and one Fraction for the
+    result.  NaN raises ValueError and an infinity OverflowError.
+    """
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    return Fraction(float(x)).limit_denominator(max_denominator)
+    num, den = float(x).as_integer_ratio()
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    if den <= max_denominator:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    p_bound, q_bound = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - num/den| <= |p_bound/q_bound - num/den|, over the integers
+    if abs(p1 * den - num * q1) * q_bound <= abs(p_bound * den - num * q_bound) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p_bound, q_bound)
 
 
 def vec(values):
@@ -73,7 +104,7 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
-def _over_one_denominator(a):
+def over_one_denominator(a):
     """``(rows, d)`` with integer ``rows`` and positive ``d`` such that
     ``a == rows / d`` entrywise, ``d`` being the lcm of the denominators.
     Raises `TypeError` on an entry that is not an int or a Fraction."""
@@ -94,8 +125,8 @@ def _int_mat_mul(a, b):
 def mat_mul(a, b):
     if not a or not b:
         return ()
-    ia, da = _over_one_denominator(a)
-    ib, db = _over_one_denominator(b)
+    ia, da = over_one_denominator(a)
+    ib, db = over_one_denominator(b)
     d = da * db
     return tuple(
         tuple(Fraction(v, d) if v else _ZERO for v in row) for row in _int_mat_mul(ia, ib)
@@ -104,8 +135,8 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     """Apply matrix ``a`` to a column vector (returned as a flat tuple)."""
-    ia, da = _over_one_denominator(a)
-    (iv,), dv = _over_one_denominator((v,))
+    ia, da = over_one_denominator(a)
+    (iv,), dv = over_one_denominator((v,))
     d = da * dv
     sums = (sum(map(mul, row, iv)) for row in ia)
     return tuple(Fraction(s, d) if s else _ZERO for s in sums)
@@ -143,9 +174,20 @@ def is_zero_product(*factors):
         return not any(map(any, acc))
     *middle, last = rest
     for b in middle:
-        acc = _int_mat_mul(acc, _over_one_denominator(b)[0])
+        acc = _int_mat_mul(acc, over_one_denominator(b)[0])
     cols = _primitive_rows(transpose(last))
     return not any(sum(map(mul, row, col)) for row in acc for col in cols)
+
+
+def is_zero_congruence(rows, gram):
+    """Whether ``rows @ G @ rows^T`` is the zero matrix, for ``G`` given as
+    integer rows (a Gram matrix over one denominator, which the verdict
+    does not see).  ``rows`` are scaled to primitive integers once and
+    serve as both outer factors.  Raises `TypeError` on an entry of
+    ``rows`` that is not an int or a Fraction."""
+    prim = _primitive_rows(rows)
+    left = _int_mat_mul(prim, gram)
+    return not any(sum(map(mul, row, col)) for row in left for col in prim)
 
 
 def hstack(a, b):
@@ -186,7 +228,7 @@ def _primitive_rows(rows):
     a nonzero rational leaves the row span unchanged."""
     out = []
     for r in rows:
-        (ints,), _ = _over_one_denominator((r,))
+        (ints,), _ = over_one_denominator((r,))
         out.append(_primitive(ints))
     return out
 
@@ -245,6 +287,23 @@ def rref(rows):
     )
 
 
+def _null_rows(red, pivots, n):
+    """One vector of ``{x : a @ x = 0}`` per free column of ``a``'s RREF
+    ``red`` (pivot columns ``pivots``, ``n`` columns): 1 at the free
+    column, minus that column of ``red`` at the pivots."""
+    pivot_set = set(pivots)
+    rows = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        rows.append(tuple(v))
+    return tuple(rows)
+
+
 def kernel(a, ncols=None):
     """Canonical basis rows of ``{x : a @ x = 0}``.
 
@@ -254,18 +313,8 @@ def kernel(a, ncols=None):
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         return identity(ncols)
-    n = len(a[0])
     red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(v)
-    rows, _ = rref(basis)
+    rows, _ = rref(_null_rows(red, pivots, len(a[0])))
     return rows
 
 
@@ -289,25 +338,33 @@ def rank(a):
     return len(rref(a)[0])
 
 
-def solve_linear(a, b, ncols=None):
-    """General exact solve of ``a @ x = b`` for a vector ``b``.
+def solve_linear(a, rhs, ncols=None):
+    """Exact solves of ``a @ x = b`` for every vector ``b`` of ``rhs``, from
+    one row reduction of ``a`` beside all of them.
 
-    Returns ``(particular, nullspace_rows)`` or None when inconsistent.
-    The solution set is ``particular + span(nullspace_rows)``.  ``ncols``
-    is required when ``a`` has no rows (no constraints).
+    Returns ``(particulars, nullspace_rows)``: ``particulars[j]`` solves the
+    system of ``rhs[j]`` with every free coordinate zero, or is None when
+    that system is inconsistent; the solutions of a consistent one are
+    ``particulars[j] + span(nullspace_rows)``, one null row per free
+    column.  ``ncols`` is required when ``a`` has no rows (no constraints).
     """
     a = matrix(a)
-    b = vec(b)
+    rhs = [vec(b) for b in rhs]
     if not a:
         if ncols is None:
             raise ValueError("solve with no equations needs ncols")
-        return (Fraction(0),) * ncols, identity(ncols)
+        return [(_ZERO,) * ncols for _ in rhs], identity(ncols)
     n = len(a[0])
-    aug = tuple(row + (bv,) for row, bv in zip(a, b))
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = red[i][n]
-    return tuple(x), kernel(a, ncols=n)
+    red, pivots = rref(tuple(row + tuple(bs) for row, *bs in zip(a, *rhs)))
+    # rows past the pivots of ``a`` read 0 = b': nonzero means inconsistent
+    k = sum(1 for p in pivots if p < n)
+    parts = []
+    for j in range(n, n + len(rhs)):
+        if any(row[j] for row in red[k:]):
+            parts.append(None)
+            continue
+        x = [_ZERO] * n
+        for i in range(k):
+            x[pivots[i]] = red[i][j]
+        parts.append(tuple(x))
+    return parts, _null_rows(red, pivots[:k], n)

@@ -2,10 +2,21 @@
 
 Exponential-chart plumbing (Rodrigues formula and the inverse left
 Jacobian, with series fallbacks near zero) plus the Cayley bridge used to
-freeze floating rotations into exactly orthogonal rational matrices.
+freeze floating rotations into exactly orthogonal rational matrices.  The
+bridge rounds the Cayley preimage of the rotation, a skew matrix S with
+axis vector q, and maps it back by the closed form
+
+    R = I + 2 (S + S^2) / (1 + |q|^2),
+
+which equals the inverse form (I - S)^{-1} (I + S) because
+S^3 = -|q|^2 S, and is evaluated over one integer denominator with no
+matrix inversion.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -48,22 +59,37 @@ def left_jacobian_inv(x):
 def rationalize_rotation(r):
     """Exactly orthogonal rational matrix near the rotation ``r``.
 
-    Round the Cayley preimage (a skew matrix, kept exactly skew by mirroring
-    the strict upper triangle) and map back; requires the rotation angle to
-    stay away from a half turn, where the Cayley chart blows up.  Entries
-    are rounded by ``rational.rationalize`` at its default denominator.
+    Round the Cayley preimage S (a skew matrix, kept exactly skew by
+    mirroring the strict upper triangle) and map back; requires the rotation
+    angle to stay away from a half turn, where the Cayley chart blows up.
+    Entries are rounded by ``rational.rationalize`` at its default
+    denominator.
+
+    The map back is the closed form R = I + 2 (S + S^2) / (1 + |q|^2), q
+    being the axis vector of S, evaluated over one integer denominator: with
+    S = T / D for an integer skew T, R = I + 2 (D T + T^2) / (D^2 + |T|^2).
+    It is the same rational as (I - S)^{-1} (I + S): S^2 = q q^T - |q|^2 I
+    gives S^3 = -|q|^2 S, so (I - S)(I + c (S + S^2)) = I + (c (1 + |q|^2)
+    - 1) S, which is I + S exactly when c = 2 / (1 + |q|^2).
     """
     r = np.asarray(r, dtype=float)
     s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T
-    q = [[rat.scalar(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            v = rat.rationalize(0.5 * (s[i, j] - s[j, i]))
-            q[i][j] = v
-            q[j][i] = -v
-    sq = rat.matrix(q)
-    eye = rat.identity(3)
-    return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), rat.mat_add(eye, sq))
+    upper = [rat.rationalize(0.5 * (s[i, j] - s[j, i])) for i, j in ((0, 1), (0, 2), (1, 2))]
+    d = lcm(*(v.denominator for v in upper))
+    a, b, c = (v.numerator * (d // v.denominator) for v in upper)
+    t = ((0, a, b), (-a, 0, c), (-b, -c, 0))
+    den = d * d + a * a + b * b + c * c
+    return tuple(
+        tuple(
+            Fraction(
+                (den if i == j else 0)
+                + 2 * (d * t[i][j] + sum(t[i][k] * t[k][j] for k in range(3))),
+                den,
+            )
+            for j in range(3)
+        )
+        for i in range(3)
+    )
 
 
 def rationalize_matrix(m):

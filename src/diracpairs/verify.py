@@ -140,10 +140,7 @@ def rotation_canonical_fibers(samples, seed, tol, step):
     fibers, frozen = _freeze(pts, can.frozen_fiber)
     if fibers is None:
         return frozen
-    res = {}
-    for x in pts:
-        for family, value in can.generator_residuals(x, h=step).items():
-            res[family] = worse(res.get(family, 0.0), value)
+    res = can.generator_residuals(np.array(pts), h=step)
     return Report({**res, **frozen.quantities}, tol=tol, exact=frozen.exact)
 
 

@@ -505,10 +505,9 @@ def exact_flow_vector(t_dim, e_dim, rows, df):
         raise ValueError("fiber rows do not match the declared block widths")
     a = rat.transpose([r[t_dim:] for r in rows_q])
     rhs = tuple(rat.vec(df)) + (Fraction(0),) * e_dim
-    sol = rat.solve_linear(a, rhs, ncols=len(rows_q))
-    if sol is None:
+    (coef,), null = rat.solve_linear(a, [rhs], ncols=len(rows_q))
+    if coef is None:
         return None
-    coef, null = sol
     u_map = rat.transpose([r[:t_dim] for r in rows_q])
     for z in null:
         if any(rat.mat_vec(u_map, z)):
@@ -590,3 +589,51 @@ def dressing_bracket_at_point(c, e1, e2, x):
     w = p1.T @ (gram @ e2x)
     val += gram_inv @ rho.T @ w
     return val
+
+
+def reference_rationalize_rotation(r):
+    """The Cayley freeze by matrix inversion, (I - S)^{-1} (I + S): the
+    reference that ``so3.rationalize_rotation``'s closed form must equal.
+
+    Round the Cayley preimage (a skew matrix, kept exactly skew by mirroring
+    the strict upper triangle) and map back; requires the rotation angle to
+    stay away from a half turn, where the Cayley chart blows up.  Entries
+    are rounded by ``rational.rationalize`` at its default denominator.
+    """
+    r = np.asarray(r, dtype=float)
+    s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T
+    q = [[rat.scalar(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            v = rat.rationalize(0.5 * (s[i, j] - s[j, i]))
+            q[i][j] = v
+            q[j][i] = -v
+    sq = rat.matrix(q)
+    eye = rat.identity(3)
+    return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), rat.mat_add(eye, sq))
+
+
+def reference_transport(l, f, forward):
+    """Dirac transport through the annihilator of ``l``: the reference that
+    ``dictionary.forward_dirac`` and ``backward_dirac`` must equal.
+
+    Kernel of the annihilator of ``l`` on pairs (u, beta) lifted into
+    its ambient, read out in the other ambient.  The lifts are (u, f^T beta)
+    and (f u, beta); ``forward`` lifts by the first and reads out by the
+    second, backward the other way round."""
+    f = rat.matrix(f)
+    m, qd = len(f), len(f[0]) if f else 0
+    covector_leg = rat.vstack(
+        rat.hstack(rat.identity(qd), rat.zeros(qd, m)),
+        rat.hstack(rat.zeros(qd, qd), rat.transpose(f)),
+    )
+    tangent_leg = rat.vstack(
+        rat.hstack(f, rat.zeros(m, m)),
+        rat.hstack(rat.zeros(m, qd), rat.identity(m)),
+    )
+    lift, readout = (covector_leg, tangent_leg) if forward else (tangent_leg, covector_leg)
+    if l.ambient_dim != len(lift):
+        raise ValueError("Lagrangian has wrong ambient for the map")
+    ann = rat.kernel(l.basis, ncols=len(lift))
+    sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
+    return canonicalize([rat.mat_vec(readout, s) for s in sols], len(readout))

@@ -304,7 +304,15 @@ def test_verify_example_rejects_bad_numeric_arguments(name, flag, value, message
     code, out, err = run_cli("verify-example", name, flag, value)
     assert code == 2
     assert out == ""
-    assert message in err + capsys.readouterr().err
+    assert message in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_output_stream(capsys):
+    code, out, err = run_cli("verify-example", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: diracpairs verify-example")
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(

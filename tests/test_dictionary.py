@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
+from diracpairs import so3
 from diracpairs.dictionary import (
     DiracPointData,
     ExactIdentification,
@@ -299,3 +302,50 @@ def test_json_encoding_is_string_exact():
     obj = quasi_to_dict(q)
     assert obj["pi"][0][1] == "-1/3"
     assert quasi_from_dict(obj) == q
+
+
+def frozen_rotation_lagrangians(count=20, seed=0):
+    """The exact Lagrangians ``rotation_strong_section`` freezes at its
+    sample points: the canonical fiber of each frozen anchor, read back
+    through the anchor's identification."""
+    pair = catalog()["so3-double"]
+    pts = so3.sample_chart_points(count, seed)
+    cd = nm.make_dressing_courant(nm.Chart(3, tuple(pts)))
+    out = []
+    for x in pts:
+        ident = identification_from_anchor(pair, cd.exact_anchor(np.asarray(x, float)))
+        hf = nm.canonical_fiber(pair, ident.rho, ident.rho_star)
+        out.append(dirac_from_k(hf, ident).L)
+    return out
+
+
+def integer_maps(rng, m, q):
+    """Random integer m x q maps of each kind: general, rank deficient
+    (one row repeated or zeroed) and zero."""
+    general = rat.matrix(rng.integers(-3, 4, size=(m, q)).tolist())
+    deficient = general[:-1] + (general[0],) if m > 1 else rat.zeros(m, q)
+    return [general, deficient, rat.zeros(m, q)]
+
+
+def test_transport_equals_the_annihilator_reference_on_frozen_rotation_fibers():
+    rng = np.random.default_rng(5)
+    lags = frozen_rotation_lagrangians()
+    assert len(lags) == 20
+    for k, lag in enumerate(lags):
+        # forward takes m x 3 maps, backward 3 x q: square, wide and tall
+        other = (3, 2, 4)[k % 3]
+        maps = [rat.identity(3)] + integer_maps(rng, other, 3)
+        for f in maps:
+            assert forward_dirac(lag, f) == helpers.reference_transport(lag, f, True)
+        for f in [rat.identity(3)] + integer_maps(rng, 3, other):
+            assert backward_dirac(lag, f) == helpers.reference_transport(lag, f, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_transport_equals_the_annihilator_reference_on_integer_maps(m, q, seed):
+    rng = helpers.rng_for(seed)
+    source, target = helpers.random_lagrangian(rng, q), helpers.random_lagrangian(rng, m)
+    for f in integer_maps(rng, m, q):
+        assert forward_dirac(source, f) == helpers.reference_transport(source, f, True)
+        assert backward_dirac(target, f) == helpers.reference_transport(target, f, False)

@@ -84,6 +84,32 @@ def test_lagrangian_examples_in_the_double():
     assert is_lagrangian(form, tangent)
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["split-first", "tiny-first"])
+def test_each_form_decides_isotropy_on_its_own_gram(order):
+    # two forms of one dimension whose Grams differ by an entry of 1/10^80:
+    # e1 is isotropic for the split form only, whichever is asked first
+    tiny = Fraction(1, 10**80)
+    split = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    shifted = ((tiny, 0, 1), (0, 1, 0), (1, 0, 0))
+    forms = [SplitForm(3, split), SplitForm(3, shifted)]
+    line = canonicalize([[1, 0, 0]], 3)
+    verdicts = {i: is_isotropic(forms[i], line) for i in order}
+    assert verdicts == {0: True, 1: False}
+    pairings = {i: forms[i].pairing((1, 0, 0), (1, 0, 0)) for i in order}
+    assert pairings == {0: 0, 1: tiny}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_pairing_is_the_fraction_sum(n, seed):
+    rng = helpers.rng_for(seed)
+    g = helpers.random_matrix(rng, n, n)
+    form = SplitForm(n, rat.mat_add(g, rat.transpose(g)))
+    u, v = (helpers.random_matrix(rng, 1, n)[0] for _ in range(2))
+    want = sum(u[i] * form.gram[i][j] * v[j] for i in range(n) for j in range(n))
+    assert form.pairing(u, v) == want
+
+
 def test_relation_composition_of_graphs():
     m = rat.matrix([[1, 2], [0, 1]])
     n = rat.matrix([[2, 0], [1, 1]])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,3 +171,36 @@ def test_morphism_criteria_agree_on_random_relations(seed):
     k = helpers.random_relation_lagrangian(rng, p1, p2)
     m = MorphismFiber(source=p1, target=p2, K=k, check_bracket=False)
     assert check_morphism_def(m) == check_morphism_equiv(m)
+
+
+def test_tangent_lifts_reduce_the_fiber_constraint_once(monkeypatch, canonical_space, so3_points):
+    h = canonical_space.frozen_fiber(np.asarray(so3_points[0], float))
+    calls = []
+    rref = rat.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(rat, "rref", counted)
+    action = extract_action(h)
+    # 9 when each of the three basis vectors of the half reduced the
+    # constraint with its right-hand side and recomputed its kernel twice
+    assert len(calls) == 1
+    assert action == rat.transpose([rat.mat_vec(h.rho, a) for a in h.pair.g.basis])
+
+
+def test_a_missing_lift_is_reported_before_an_ambiguous_one():
+    # K = span((1, 0 | 0, 0), (0, 0 | 1, 0)) over the abelian double of a
+    # line: the constraint leaves the first coordinate free, and that
+    # coordinate moves the tangent part, so every solvable lift is ambiguous
+    h = HamiltonianFiber(
+        t_dim=1, pair=abstract_double(1), K=canonicalize([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
+    )
+    constraint = h.coordinates[1:]
+    solvable, unsolvable = (0, 1, 0), (1, 0, 0)
+    with pytest.raises(ValueError, match="^missing$"):
+        h.tangent_lift(constraint, [unsolvable, solvable], "missing", "ambiguous")
+    with pytest.raises(ValueError, match="^ambiguous$"):
+        h.tangent_lift(constraint, [solvable, unsolvable], "missing", "ambiguous")
+    assert h.tangent_lift(constraint, [], "missing", "ambiguous") == []

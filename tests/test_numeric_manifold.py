@@ -433,6 +433,63 @@ def test_canonical_generator_families_stay_in_the_fiber(canonical_space, so3_poi
     assert max(res.values()) < 1e-6
 
 
+def test_stacked_generator_residuals_are_the_worst_per_point_reading(
+    canonical_space, so3_points
+):
+    pts = np.array(so3_points[:4])
+    per_point = {}
+    for x in pts:
+        for family, value in canonical_space.generator_residuals(x).items():
+            per_point[family] = max(per_point.get(family, 0.0), value)
+    assert canonical_space.generator_residuals(pts) == per_point
+
+
+def cayley_probe_points():
+    """Chart points for the frozen rotation: 40 samples at each of three
+    seeds, points within 1e-6 of the origin, and points just inside the
+    pi - 0.2 radius that ``sample_chart_points`` keeps."""
+    pts = [x for seed in (0, 1, 2) for x in so3.sample_chart_points(40, seed)]
+    rng = np.random.default_rng(11)
+    for scale in (1e-7, 3e-7, 9e-7):
+        pts += list(scale * rng.uniform(-1.0, 1.0, size=(3, 3)))
+    for axis in rng.normal(size=(6, 3)):
+        pts.append(axis / np.linalg.norm(axis) * (np.pi - 0.2 - 1e-9))
+    return pts
+
+
+def test_the_closed_form_cayley_freeze_is_the_inverse_form():
+    pts = cayley_probe_points()
+    assert len(pts) >= 100
+    for x in pts:
+        r = so3.exp_rotation(x)
+        frozen = so3.rationalize_rotation(r)
+        assert frozen == helpers.reference_rationalize_rotation(r)
+        assert rat.mat_mul(frozen, rat.transpose(frozen)) == rat.identity(3)
+
+
+def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(
+    dressing, so3_splitting, so3_quasi_data, so3_points
+):
+    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    seen = {"pi": 0, "rho_x": 0}
+
+    def counted(name, fn):
+        def at(x):
+            seen[name] += 1
+            return fn(x)
+
+        return at
+
+    pts = [np.asarray(x, float) for x in so3_points[:3]]
+    rep = nm.check_quasi_poisson(
+        counted("pi", pi), counted("rho_x", rho_x), so3_quasi_data.chi, so3_quasi_data.F, pts
+    )
+    assert rep.passed
+    # each point and its six central-difference neighbours once; 291 and
+    # 66 when every inner bracket and partial table evaluated them afresh
+    assert seen == {"pi": 7 * len(pts), "rho_x": 7 * len(pts)}
+
+
 def test_strong_map_report_on_frozen_exact_fibers(
     dressing, so3_pair, canonical_space, so3_points
 ):

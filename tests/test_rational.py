@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from math import gcd
@@ -97,6 +98,34 @@ def test_rationalize_is_the_float_gateway():
     assert abs(float(approx) - 3.14159265358979) < 1e-5
 
 
+# finite floats of every kind: general, signed zeros, subnormals, huge,
+# and exact dyadics (the case whose denominator is a power of two)
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324),
+    st.builds(lambda k, e: k * 2.0**e, st.integers(-(2**30), 2**30), st.integers(-80, 20)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(finite_floats, st.sampled_from([1, 7, 10**8]))
+def test_rationalize_equals_fraction_limit_denominator(x, m):
+    got = rat.rationalize(x, m)
+    assert type(got) is Fraction
+    assert got == Fraction(x).limit_denominator(m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_rationalize_refuses_what_fraction_refuses(bad):
+    with pytest.raises(Exception) as want:
+        Fraction(bad).limit_denominator(10**8)
+    with pytest.raises(want.type):
+        rat.rationalize(bad)
+    with pytest.raises(want.type):
+        rat.rationalize(np.float64(bad))
+
+
 def test_matrix_building_and_arithmetic():
     a = rat.matrix([[1, 2], [3, 4]])
     b = rat.matrix([["1/2", 0], [0, "1/3"]])
@@ -144,13 +173,32 @@ def test_solve_right_and_invert():
 
 
 def test_solve_linear_inconsistent_and_underdetermined():
-    assert rat.solve_linear([[1, 1], [1, 1]], (0, 1)) is None
-    part, null = rat.solve_linear([[1, 1]], (2,))
+    (part,), _ = rat.solve_linear([[1, 1], [1, 1]], [(0, 1)])
+    assert part is None
+    (part,), null = rat.solve_linear([[1, 1]], [(2,)])
     assert sum(part) == Fraction(2)
     assert len(null) == 1
-    part, null = rat.solve_linear((), (), ncols=3)
+    (part,), null = rat.solve_linear((), [()], ncols=3)
     assert part == (Fraction(0),) * 3
     assert null == rat.identity(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrix(), st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=4))
+def test_solve_linear_solves_every_right_hand_side_from_one_reduction(rows, columns):
+    # each right-hand side is a combination of a's columns, or a column that
+    # may be inconsistent; every verdict matches that right-hand side alone
+    a = rat.matrix(rows)
+    rhs = [tuple(Fraction(c) for c in col[: len(a)]) for col in columns]
+    rhs += [rat.mat_vec(a, tuple(Fraction(v) for v in col[: len(a[0])])) for col in columns]
+    parts, null = rat.solve_linear(a, rhs)
+    assert rat.rref(null)[0] == rat.kernel(a)
+    for b, part in zip(rhs, parts):
+        alone, _ = rat.rref(tuple(row + (v,) for row, v in zip(a, b)))
+        consistent = all(any(row[: len(a[0])]) for row in alone)
+        assert (part is not None) == consistent
+        if part is not None:
+            assert rat.mat_vec(a, part) == b
 
 
 @settings(max_examples=60, deadline=None)
