@@ -204,7 +204,7 @@ class HamiltonianFiber:
         their tangent part."""
         parts, null = rat.solve_linear(constraint, rhs, ncols=self.K.dim)
         tangent = self.coordinates[: self.t_dim]
-        unique = not null or rat.is_zero_product(tangent, rat.transpose(null))
+        unique = rat.is_zero_product(tangent, rat.transpose(null))
         for part in parts:
             if part is None:
                 raise ValueError(missing)
