@@ -98,7 +98,9 @@ class ExactIdentification:
     through (v, beta) -> s(v) + rho_star(beta).  The isotropy checks keep
     ``s_star`` (e -> s^T G e) and ``rho_star`` (beta -> G^{-1} rho^T beta).
     Without ``s`` the splitting is the canonical one of
-    ``identification_from_anchor``, built from the same ``rho_star``."""
+    ``identification_from_anchor``, built from the same ``rho_star``.  Over
+    a point the anchor is empty and so are ``s``, ``s_star`` and
+    ``rho_star``."""
 
     pair: ManinPairPoint
     rho: tuple
@@ -110,7 +112,8 @@ class ExactIdentification:
         object.__setattr__(self, "rho", rat.matrix(self.rho))
         n = self.pair.d.dim
         srows = len(self.rho)
-        if srows == 0 or len(self.rho[0]) != n:
+        # an empty anchor has width 0: over a point only the zero fiber is exact
+        if (len(self.rho[0]) if srows else 0) != n:
             raise ValueError("anchor has wrong shape")
         form = self.pair.d.form
         rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
@@ -120,7 +123,7 @@ class ExactIdentification:
             c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
             object.__setattr__(self, "s", absorb_self_pairing(form, c, rho_star))
         object.__setattr__(self, "s", rat.matrix(self.s))
-        if len(self.s) != n or len(self.s[0]) != srows:
+        if len(self.s) != n or (n and len(self.s[0]) != srows):
             raise ValueError("splitting has wrong shape")
         rs = rat.mat_mul(self.rho, self.s)
         if rs != rat.identity(srows):

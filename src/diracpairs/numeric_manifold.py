@@ -955,7 +955,12 @@ def check_quasi_poisson(
     The Jacobiator identity compares the cyclic nested bracket sum with
     the anchored trivector term (scaled by the frozen module sign); the
     derivative identity compares Lie derivatives of the bivector along
-    anchored constant sections with the pushed cobracket.  The sharp-map
+    anchored constant sections with the pushed cobracket,
+    L_{rho(a_i)} pi = -rho_x F[i] rho_x^T, where F[i][k][l] =
+    <[j_k, j_l], a_i> as ``splitting.derive_quasi_data`` builds it.  The
+    sign follows from the anchor being a bracket homomorphism (see
+    ``rotation_double_anchor``): pi is -rho(sum_k a_k (x) j_k), and ad_{a_i}
+    maps that tensor to sum_{k,l} F[i][k][l] a_k (x) a_l.  The sharp-map
     identity ``pi^T = rho_x rho_astar^T`` is algebraic: it runs only on the
     frozen rational fibers ``exact_fibers`` (the dicts of
     ``make_exact_quasi_pi``), so ``sharp_compat`` is an exact quantity.
@@ -1019,7 +1024,7 @@ def check_quasi_poisson(
                 lie -= np.einsum("ml,km->kl", px, vt)
                 lie -= np.einsum("km,lm->kl", px, vt)
                 fa = np.einsum("ikl,i->kl", cob_f, a)
-                want = rx @ fa @ rx.T
+                want = -(rx @ fa @ rx.T)
                 res["lie_compat"] = worse(res["lie_compat"], float(np.max(np.abs(lie - want))))
 
         if exact_fibers is not None:

@@ -81,18 +81,6 @@ def bivector_fibers(pi_field, dim):
     return fiber_at
 
 
-def canonical_fibers(space):
-    """Fiber supplier of a canonical moment geometry (identity base map)."""
-    n = space.courant.chart.dim
-    eye = np.eye(n)
-
-    def fiber_at(x):
-        rows = space.fiber_rows(np.asarray(x, dtype=float))
-        return PointFiber(n, space.courant.rank, rows, dj=eye)
-
-    return fiber_at
-
-
 @dataclass(frozen=True, eq=False)
 class FlowSample:
     """Outcome of matching a differential against one fiber."""
@@ -152,32 +140,6 @@ def hamiltonian_vector(f, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
             cons = float(np.max(np.abs(du))) if du.size else 0.0
         out.append(FlowSample(x, u, res, cons))
     return out
-
-
-def invariant_check(f, action_field, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
-    """Whether ``f`` is constant along the action directions, per point:
-    its largest derivative along the action frame is below ``tol``."""
-    f = observable(f)
-    out = []
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        cols = np.asarray(action_field(x), dtype=float)
-        drift = float(np.max(np.abs(f.gradient(x, h) @ cols))) if cols.size else 0.0
-        out.append(drift < tol)
-    return out
-
-
-def admissibility_matches_invariance(
-    f, action_field, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL
-):
-    """The derivative criterion against the solvability criterion.
-
-    Returns (invariant, admissible) pairs; the two booleans agreeing at
-    every sample is the equivalence the bracket theory rests on.
-    """
-    inv = invariant_check(f, action_field, points, h=h, tol=tol)
-    adm = [s.admissible for s in hamiltonian_vector(f, fiber_at, points, h=h, tol=tol)]
-    return list(zip(inv, adm))
 
 
 def poisson_bracket(f, g, fiber_at, h=DEFAULT_STEP, tol=DEFAULT_TOL):

@@ -23,8 +23,14 @@ from diracpairs.dictionary import (
     identification_from_anchor,
 )
 from diracpairs.exact_linear import Subspace, canonicalize
-from diracpairs.numeric_manifold import SectionField, directional_derivative
+from diracpairs.numeric_manifold import (
+    DEFAULT_STEP,
+    DEFAULT_TOL,
+    SectionField,
+    directional_derivative,
+)
 from diracpairs.quadratic_lie import catalog
+from diracpairs.reduction import PointFiber, hamiltonian_vector, observable
 from diracpairs.report import Report
 from diracpairs.splitting import (
     make_isotropic_splitting,
@@ -637,3 +643,129 @@ def reference_transport(l, f, forward):
     ann = rat.kernel(l.basis, ncols=len(lift))
     sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
     return canonicalize([rat.mat_vec(readout, s) for s in sols], len(readout))
+
+
+# the canonical scene printer: its text reparses to the same scene IR
+
+
+def _fmt_rational(x):
+    return str(x)
+
+
+def _fmt_combo(vec, basis):
+    parts = []
+    for coeff, name in zip(vec, basis):
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        term = name if mag == 1 else f"{_fmt_rational(mag)} {name}"
+        if not parts:
+            parts.append(term if coeff > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if coeff > 0 else f"- {term}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
+def _fmt_row(row):
+    return "(" + ", ".join(_fmt_rational(x) for x in row) + ")"
+
+
+def _print_algebra(d):
+    lines = [f"algebra {d.name} {{", f"  dim {d.dim};", "  basis " + " ".join(d.basis) + ";"]
+    for left, right, rhs in d.brackets:
+        lines.append(f"  bracket [{left}, {right}] = {_fmt_combo(rhs, d.basis)};")
+    mode, data = d.pairing
+    if mode == "diag":
+        lines.append("  pairing diag(" + ", ".join(_fmt_rational(x) for x in data) + ");")
+    else:
+        lines.append("  pairing rows " + " ".join(_fmt_row(r) for r in data) + ";")
+    lines.append("}")
+    return lines
+
+
+def print_scene(ir):
+    """Canonical text whose reparse reproduces ``ir`` exactly."""
+    named = ir.named()
+    lines = []
+    for d in ir.decls:
+        if d.kind == "algebra":
+            lines.extend(_print_algebra(d))
+        elif d.kind == "subspace":
+            basis = named[d.algebra].basis
+            lines.append(f"subspace {d.name} in {d.algebra} {{")
+            for v in d.vectors:
+                lines.append(f"  span {_fmt_combo(v, basis)};")
+            lines.append("}")
+        elif d.kind == "maninpair":
+            lines.append(f"maninpair {d.name} ({d.algebra}, {d.subspace});")
+        elif d.kind == "splitting":
+            lines.append(f"splitting {d.name} for {d.pair} {{")
+            if d.auto:
+                lines.append("  auto;")
+            else:
+                basis = named[named[d.pair].algebra].basis
+                combos = ", ".join(_fmt_combo(v, basis) for v in d.images)
+                lines.append(f"  images {combos};")
+            lines.append("}")
+        elif d.kind == "fiber":
+            lines.append(f"fiber {d.name} {{")
+            lines.append(f"  tdim {d.t_dim};")
+            lines.append(f"  pair {d.pair};")
+            lines.append("  k " + " ".join(_fmt_row(r) for r in d.k_rows) + ";")
+            if d.dj_rows:
+                lines.append("  dj " + " ".join(_fmt_row(r) for r in d.dj_rows) + ";")
+                lines.append("  rho " + " ".join(_fmt_row(r) for r in d.rho_rows) + ";")
+            lines.append("}")
+        elif d.kind == "example":
+            lines.append(f"example {d.name} {{")
+            lines.append(f"  samples {d.samples};")
+            lines.append(f"  seed {d.seed};")
+            lines.append(f"  tol {d.tol!r};")
+            lines.append(f"  step {d.step!r};")
+            lines.append("}")
+    for c in ir.checks:
+        lines.append(f"check {c.kind} {c.target};")
+    return "\n".join(lines) + "\n"
+
+
+# reduction helpers with no caller in the package
+
+
+def canonical_fibers(space):
+    """Fiber supplier of a canonical moment geometry (identity base map)."""
+    n = space.courant.chart.dim
+    eye = np.eye(n)
+
+    def fiber_at(x):
+        rows = space.fiber_rows(np.asarray(x, dtype=float))
+        return PointFiber(n, space.courant.rank, rows, dj=eye)
+
+    return fiber_at
+
+
+def invariant_check(f, action_field, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
+    """Whether ``f`` is constant along the action directions, per point:
+    its largest derivative along the action frame is below ``tol``."""
+    f = observable(f)
+    out = []
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        cols = np.asarray(action_field(x), dtype=float)
+        drift = float(np.max(np.abs(f.gradient(x, h) @ cols))) if cols.size else 0.0
+        out.append(drift < tol)
+    return out
+
+
+def admissibility_matches_invariance(
+    f, action_field, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL
+):
+    """The derivative criterion against the solvability criterion.
+
+    Returns (invariant, admissible) pairs; the two booleans agreeing at
+    every sample is the equivalence the bracket theory rests on.
+    """
+    inv = invariant_check(f, action_field, points, h=h, tol=tol)
+    adm = [s.admissible for s in hamiltonian_vector(f, fiber_at, points, h=h, tol=tol)]
+    return list(zip(inv, adm))

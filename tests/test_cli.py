@@ -95,6 +95,21 @@ def test_check_entries_keep_the_schema_one_shape(path):
         assert entry["status"] == "pass" and entry["witness"] is None, entry
 
 
+REFERENCE_HASHES = SRC.parent / "perfbench" / "reference_hashes.json"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(FIXTURES.glob("*.mp")) if p.name != "broken.mp"],
+    ids=lambda p: p.stem,
+)
+def test_golden_scene_hashes_match_the_benchmark_reference(path):
+    code, out, _ = run_cli("check", str(path), "--json")
+    assert code == 0
+    reference = json.loads(REFERENCE_HASHES.read_text())["hashes"]
+    assert json.loads(out)["determinism_hash"] == reference[f"check:{path.name}"]
+
+
 def test_check_rejects_unreadable_and_unparseable_input(tmp_path):
     code, out, err = run_cli("check", str(tmp_path / "missing.mp"))
     assert code == 2
@@ -103,6 +118,22 @@ def test_check_rejects_unreadable_and_unparseable_input(tmp_path):
     code, out, err = run_cli("check", str(FIXTURES / "broken.mp"))
     assert code == 2
     assert "1:41" in err or "expected" in err
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("algebra a { dim ²; pairing diag(); }\n", "line 1, col 17"),
+        ("example e { tol 1²; }\n", "line 1, col 18"),
+    ],
+)
+def test_check_reports_a_non_ascii_digit_as_bad_input(tmp_path, text, position):
+    scene = tmp_path / "digit.mp"
+    scene.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("check", str(scene))
+    assert code == 2
+    assert out == ""
+    assert f"{position}: unexpected character" in err
 
 
 def test_check_quiet_suppresses_text():

@@ -115,6 +115,17 @@ def test_identification_validation():
         ExactIdentification(pair, wide, tangent)
 
 
+def test_an_empty_anchor_identifies_a_point():
+    # the base of a fiber over a point has no directions: s, s_star and
+    # rho_star are empty, which is what file conversion runs on
+    ident = identification_from_anchor(abstract_double(0), ())
+    assert ident.base_dim == 0
+    assert ident.s == ident.s_star == ident.rho_star == ()
+    # a nonzero fiber over a point is not exact
+    with pytest.raises(ValueError, match="anchor has wrong shape"):
+        identification_from_anchor(abstract_double(1), ())
+
+
 def test_rotation_anchor_identification():
     rng = helpers.rng_for(31)
     ident = helpers.rotation_cayley_ident(rng)

@@ -10,6 +10,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import helpers
+
 from diracpairs import dictionary as dc
 from diracpairs import scene_dsl as sd
 from diracpairs.exact_linear import canonicalize
@@ -150,7 +152,7 @@ def write_fixtures(directory):
     """Write every fixture file into ``directory``."""
     for name, src in SOURCES.items():
         ir = sd.parse_scene(src)
-        canonical = sd.print_scene(ir)
+        canonical = helpers.print_scene(ir)
         assert sd.parse_scene(canonical) == ir, name
         (directory / f"{name}.mp").write_text(canonical)
 

@@ -13,6 +13,7 @@ from diracpairs import so3, verify
 from diracpairs.dictionary import DiracPointData, dirac_from_k, identification_from_anchor
 from diracpairs.exact_linear import canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
+from diracpairs.splitting import derive_quasi_data
 
 
 @pytest.fixture(scope="module")
@@ -682,6 +683,29 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
     assert rep.quantities["sharp_compat"] == 0
     assert rep.quantities["jacobiator"] < 1e-6
     assert rep.quantities["lie_compat"] < 1e-4
+
+
+# A skew shift of the so3-double complement, j'(xi) = j(xi) + i_xi w: the
+# shipped complement has F = 0, this one does not, so lie_compat on it
+# tells the two signs of the pushed cobracket apart.
+COBRACKET_TWIST = ((0, 1, 0), (-1, 0, 2), (0, -2, 0))
+
+
+def test_lie_compat_pins_the_cobracket_sign(dressing, so3_pair, so3_splitting):
+    twisted = so3_splitting.twist(rat.matrix(COBRACKET_TWIST))
+    qd = derive_quasi_data(so3_pair, twisted)
+    assert any(v for f in qd.F for row in f for v in row)
+    pi, rho_x = nm.make_quasi_pi_field(dressing, twisted.j)
+    pts = so3.sample_chart_points(6, seed=0)
+    right = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts)
+    flipped = tuple(rat.mat_neg(f) for f in qd.F)
+    wrong = nm.check_quasi_poisson(pi, rho_x, qd.chi, flipped, pts)
+    assert right.passed
+    assert right.quantities["lie_compat"] < 1e-6
+    assert not wrong.holds("lie_compat")
+    assert wrong.quantities["lie_compat"] > 1.0
+    # the Jacobiator identity does not read F
+    assert wrong.quantities["jacobiator"] == right.quantities["jacobiator"]
 
 
 def test_a_wrong_exact_sharp_identity_fails_the_report(

@@ -27,23 +27,17 @@ ALLOWED = {
     # composition of Courant morphisms, with its identity morphism
     "morphism.compose_morphisms",
     "morphism.identity_morphism",
-    # the reduction procedure: orbit description, reduction, canonical
-    # fibers and the admissibility check
+    # the reduction procedure: orbit description and reduction
     "reduction.OrbitDescription",
-    "reduction.admissibility_matches_invariance",
-    "reduction.canonical_fibers",
     "reduction.reduce_to_orbit",
-    # the dictionary's conversions that no command calls (Lagrangian and
-    # bivector through the fiber, the backward transport) and its
-    # predicates on a fiber
+    # the dictionary's bivector of a Lagrangian that names the broken
+    # transversality condition, its backward transport and its predicates
+    # on a fiber
     "dictionary.backward_dirac",
     "dictionary.dirac_is_form_graph",
     "dictionary.k_spans_tangents",
-    "dictionary.l_from_quasi",
     "dictionary.pi_from_dirac",
     "dictionary.quasi_spans_tangents",
-    # the inverse of parse_scene
-    "scene_dsl.print_scene",
 }
 
 

@@ -43,7 +43,7 @@ def trace_observable():
 
 @pytest.fixture(scope="module")
 def canonical_fiber_map(canonical_space):
-    return red.canonical_fibers(canonical_space)
+    return helpers.canonical_fibers(canonical_space)
 
 
 @pytest.fixture(scope="module")
@@ -132,18 +132,18 @@ def test_admissibility_matches_invariance(
 ):
     pts = [np.asarray(x, float) for x in so3_points[:5]]
     coord = red.observable(lambda p: p[1], grad=lambda p: np.array([0.0, 1.0, 0.0]))
-    pairs = red.admissibility_matches_invariance(
+    pairs = helpers.admissibility_matches_invariance(
         coord, dressing_action, canonical_fiber_map, pts
     )
     assert all(inv == adm for inv, adm in pairs)
     assert not any(adm for _, adm in pairs)
-    assert not any(red.invariant_check(coord, dressing_action, pts))
+    assert not any(helpers.invariant_check(coord, dressing_action, pts))
 
-    pairs_trace = red.admissibility_matches_invariance(
+    pairs_trace = helpers.admissibility_matches_invariance(
         trace_observable, dressing_action, canonical_fiber_map, pts
     )
     assert all(inv and adm for inv, adm in pairs_trace)
-    assert all(red.invariant_check(trace_observable, dressing_action, pts))
+    assert all(helpers.invariant_check(trace_observable, dressing_action, pts))
 
 
 def test_orbit_description_validates_its_data():

@@ -3,6 +3,7 @@ import string
 from fractions import Fraction
 from pathlib import Path
 
+import helpers
 import pytest
 
 from diracpairs import scene_dsl as sd
@@ -40,6 +41,19 @@ def test_tokenizer_positions_and_comments():
     assert [t.kind for t in sd.tokenize("3.5 2e-4 7")][:3] == ["float", "float", "int"]
 
 
+def test_numbers_are_ascii_digits_and_words_any_alphanumerics():
+    toks = sd.tokenize("e² _٣ 12 # note")
+    assert [(t.kind, t.text) for t in toks] == [
+        ("ident", "e²"), ("ident", "_٣"), ("int", "12"), ("eof", ""),
+    ]
+    # the end token after a trailing comment keeps the column of its '#'
+    assert (toks[-1].line, toks[-1].col) == (1, 10)
+    for text, col in (("dim ٣", 5), ("1²", 2), ("1.5²", 4)):
+        with pytest.raises(sd.ParseError, match="unexpected character") as info:
+            sd.tokenize(text)
+        assert (info.value.line, info.value.col) == (1, col), text
+
+
 def test_minimal_scene_parses_validates_and_passes():
     ir = sd.parse_scene(MINIMAL)
     assert len(ir.decls) == 3
@@ -57,8 +71,14 @@ def test_minimal_scene_parses_validates_and_passes():
 def test_golden_round_trip_is_byte_exact(path):
     text = path.read_text()
     ir = sd.parse_scene(text)
-    assert sd.print_scene(ir) == text
-    assert sd.parse_scene(sd.print_scene(ir)) == ir
+    assert helpers.print_scene(ir) == text
+    assert sd.parse_scene(helpers.print_scene(ir)) == ir
+
+
+def test_every_check_kind_runs_in_a_golden_scene():
+    # a new row of the check table comes with a golden scene that runs it
+    kinds = {c.kind for p in GOLDEN for c in sd.parse_scene(p.read_text()).checks}
+    assert kinds == set(sd.CHECKS)
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
@@ -82,8 +102,8 @@ def test_rotation_scene_reconstructs_the_catalog_double():
 
 def test_canonical_printing_is_idempotent():
     ir = sd.parse_scene(MINIMAL)
-    once = sd.print_scene(ir)
-    assert sd.print_scene(sd.parse_scene(once)) == once
+    once = helpers.print_scene(ir)
+    assert helpers.print_scene(sd.parse_scene(once)) == once
 
 
 def test_fraction_coefficients_survive_parsing():
@@ -94,7 +114,7 @@ def test_fraction_coefficients_survive_parsing():
     sub = ir.decls[1]
     assert sub.vectors[0] == (Fraction(1, 2), Fraction(-3), Fraction(1))
     assert sub.vectors[1] == (Fraction(-1), Fraction(0), Fraction(2, 7))
-    assert sd.parse_scene(sd.print_scene(ir)) == ir
+    assert sd.parse_scene(helpers.print_scene(ir)) == ir
 
 
 @pytest.mark.parametrize(
@@ -124,6 +144,8 @@ def test_fraction_coefficients_survive_parsing():
         ),
         ("fiber f { tdim 1; pair q; }", 1, 24, "unknown identifier"),
         ("algebra a @ dim 2;", 1, 11, "unexpected character"),
+        ("algebra a { dim ²; pairing diag(); }", 1, 17, "unexpected character"),
+        ("example e { tol 1²; }", 1, 18, "unexpected character"),
         ("algebra a { dim 0; pairing diag(); }", 1, 17, "dimension must be positive"),
         ("algebra a { dim 2; pairing diag(1, 1/0); }", 1, 38, "zero denominator"),
         (
@@ -256,7 +278,7 @@ def fuzz_inputs(count, seed):
         if mode < 0.4:
             out.append("".join(rng.choice(vocab) + " " for _ in range(rng.randrange(0, 40))))
         elif mode < 0.7:
-            chars = string.printable + "éα€"
+            chars = string.printable + "éα€²٣"
             out.append("".join(rng.choice(chars) for _ in range(rng.randrange(0, 120))))
         else:
             base = list(rng.choice(golden_texts))
