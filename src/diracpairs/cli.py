@@ -244,7 +244,8 @@ def _convert_fiber(mode, record):
 def run_dict(args, out, err):
     try:
         record = json.loads(Path(args.fiber).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
+        # a ValueError that is not a JSONDecodeError: a number past int's digit limit
         print(f"cannot read fiber file: {e}", file=err)
         return EXIT_INPUT
     if not isinstance(record, dict) or record.get("kind") not in ("quasi", "dirac"):

@@ -13,6 +13,18 @@ exact equality, so every formula below states its convention precisely.
 Interior product convention: i_alpha(u ^ v) = alpha(u) v - alpha(v) u.
 Bivectors are stored as antisymmetric matrices P with P[i][j] the value on
 the i-th and j-th coordinate covectors, so i_alpha P = P^T alpha.
+
+Each fiber is assembled as one block matrix of spanning rows, every map
+applied to its whole block by one product, in the columns (T | T* | E) or
+(T | T*).  With A the canonical basis rows of the half, j the splitting,
+s and rho_star the identification's legs and L_T the tangent columns of
+a Lagrangian's basis L:
+
+* ``k_from_quasi``: [rho_X^T | 0 | A] over [Pi | I | -rho_X j^T];
+* ``k_from_dirac``: [L | L_T (s dJ)^T] over [0 | -dJ | rho_star^T];
+* ``dirac_from_k``: K times [[I, 0], [0, I], [0, s_star^T dJ]];
+* ``numeric_manifold.canonical_fiber``: [A rho^T | 0 | A] over
+  [0 | -I | rho_star^T].
 """
 
 from __future__ import annotations
@@ -156,10 +168,6 @@ def identification_from_anchor(pair, rho):
     return ExactIdentification(pair, rho)
 
 
-def _unit(n, k):
-    return tuple(Fraction(1 if j == k else 0) for j in range(n))
-
-
 def k_from_quasi(q, dJ=(), rho=(), realization=None):
     """Hamiltonian fiber of a bivector with action.
 
@@ -172,18 +180,11 @@ def k_from_quasi(q, dJ=(), rho=(), realization=None):
     t, r = q.t_dim, q.a_dim
     if realization is None:
         realization = make_isotropic_splitting(abstract_double(r))
-    pair, frame = realization.pair, realization.frame()
-    rows = []
-    zt = (Fraction(0),) * t
-    zr = (Fraction(0),) * r
-    for i in range(r):
-        a = _unit(r, i)
-        u = tuple(q.rho_X[k][i] for k in range(t))
-        rows.append(u + zt + rat.mat_vec(frame, a + zr))
-    for k in range(t):
-        alpha = _unit(t, k)
-        back = tuple(-q.rho_X[k][j] for j in range(r))
-        rows.append(q.interior(alpha) + alpha + rat.mat_vec(frame, zr + back))
+    pair, j_t = realization.pair, rat.transpose(realization.j)
+    rows = rat.vstack(
+        rat.hstack(rat.transpose(q.rho_X), rat.zeros(r, t), realization.a_basis),
+        rat.hstack(q.Pi, rat.identity(t), rat.mat_neg(rat.mat_mul(q.rho_X, j_t))),
+    )
     K = canonicalize(rows, 2 * t + pair.d.dim)
     return HamiltonianFiber(t_dim=t, pair=pair, K=K, dJ=dJ, rho=rho)
 
@@ -206,13 +207,13 @@ def pi_from_k(h, splitting):
     pi = rat.matrix(
         h.tangent_lift(
             constraint,
-            [_unit(t, kk) + (Fraction(0),) * r for kk in range(t)],
+            rat.hstack(rat.identity(t), rat.zeros(t, r)),
             "no fiber element over this covector",
             "bivector element is not unique: invalid fiber",
         )
     )
 
-    unique_graph = canonicalize([pi[kk] + _unit(t, kk) for kk in range(t)], 2 * t)
+    unique_graph = canonicalize(rat.hstack(pi, rat.identity(t)), 2 * t)
     dual_image = splitting.dual_image()
     krel = LinearRelation(2 * t, n, h.K)
     to_zero = LinearRelation(n, 0, dual_image)
@@ -235,34 +236,25 @@ def k_from_dirac(d, dJ, ident):
             raise ValueError("moment differential has wrong shape")
     elif s_dim:
         raise ValueError("moment differential has wrong shape")
-    n = ident.pair.d.dim
-    rows = []
-    for row in d.L.basis:
-        u, alpha = row[:t], row[t:]
-        e = rat.mat_vec(ident.s, rat.mat_vec(dJ, u)) if dJ else (Fraction(0),) * n
-        rows.append(tuple(u) + tuple(alpha) + tuple(e))
-    dj_t = rat.transpose(dJ)
-    for kk in range(s_dim):
-        beta = _unit(s_dim, kk)
-        alpha = tuple(-x for x in rat.mat_vec(dj_t, beta)) if dJ else (Fraction(0),) * t
-        e = rat.mat_vec(ident.rho_star, beta)
-        rows.append((Fraction(0),) * t + tuple(alpha) + tuple(e))
-    K = canonicalize(rows, 2 * t + n)
+    tangents = [row[:t] for row in d.L.basis]
+    rows = rat.vstack(
+        rat.hstack(d.L.basis, rat.mat_mul(tangents, rat.transpose(rat.mat_mul(ident.s, dJ)))),
+        rat.hstack(rat.zeros(s_dim, t), rat.mat_neg(dJ), rat.transpose(ident.rho_star)),
+    )
+    K = canonicalize(rows, 2 * t + ident.pair.d.dim)
     return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, dJ=dJ, rho=ident.rho)
 
 
 def dirac_from_k(h, ident):
     """Lagrangian at a point out of a Hamiltonian fiber: keep the tangent
     and covector parts, adding the pulled-back base covector leg."""
-    t = h.t_dim
-    dJ = h.dJ
-    dj_t = rat.transpose(dJ)
-    rows = []
-    for row in h.K.basis:
-        u, alpha, e = row[:t], row[t : 2 * t], row[2 * t :]
-        beta = rat.mat_vec(ident.s_star, e)
-        pulled = rat.mat_vec(dj_t, beta) if dJ else (Fraction(0),) * t
-        rows.append(tuple(u) + tuple(x + y for x, y in zip(alpha, pulled)))
+    t, n = h.t_dim, h.pair.d.dim
+    # (u, alpha, e) -> (u, alpha + dJ^T s_star e): one product with
+    # [[I, 0], [0, I], [0, s_star^T dJ]]; without a moment map the last block is 0
+    pull = rat.mat_mul(rat.transpose(ident.s_star), h.dJ) or rat.zeros(n, t)
+    rows = rat.mat_mul(
+        h.K.basis, rat.vstack(rat.identity(2 * t), rat.hstack(rat.zeros(n, t), pull))
+    )
     return DiracPointData(canonicalize(rows, 2 * t))
 
 

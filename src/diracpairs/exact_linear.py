@@ -89,9 +89,7 @@ class Subspace:
         a_t = rat.transpose(self.basis)
         b_t = rat.transpose(other.basis)
         coeffs = rat.kernel(rat.hstack(a_t, rat.mat_neg(b_t)))
-        rows = [
-            rat.mat_vec(rat.transpose(self.basis), c[: self.dim]) for c in coeffs
-        ]
+        rows = rat.mat_mul([c[: self.dim] for c in coeffs], self.basis)
         return canonicalize(rows, self.ambient_dim)
 
     def __add__(self, other):

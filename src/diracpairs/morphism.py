@@ -14,7 +14,6 @@ sum and difference conventions without moving anything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import rational as rat
@@ -34,12 +33,6 @@ from .quadratic_lie import (
     product_algebra,
 )
 from .report import Report
-
-
-def _dual_readout(pair, e):
-    """Coordinates of the image of ``e`` in the dual of the Lagrangian half:
-    pairings against the canonical basis of the half."""
-    return tuple(pair.d.pairing(e, a) for a in pair.g.basis)
 
 
 @dataclass(frozen=True)
@@ -82,15 +75,14 @@ def graph_morphism(source, target, phi):
 
 
 def dual_pair_readout(m):
-    """The relation pushed into the duals of the two halves."""
-    r1 = m.source.g.dim
-    rows = [
-        _dual_readout(m.source, row[: m.source_dim])
-        + _dual_readout(m.target, row[m.source_dim :])
-        for row in m.K.basis
-    ]
-    span = canonicalize(rows, r1 + m.target.g.dim)
-    return LinearRelation(r1, m.target.g.dim, span)
+    """The relation pushed into the duals of the two halves: each side is
+    read out by its pairings with the canonical basis of its half, G A^T."""
+    r1, r2 = m.source.g.dim, m.target.g.dim
+    readout = rat.block_diag(
+        *(rat.mat_mul(p.d.form.gram, rat.transpose(p.g.basis)) for p in (m.source, m.target))
+    )
+    span = canonicalize(rat.mat_mul(m.K.basis, readout), r1 + r2)
+    return LinearRelation(r1, r2, span)
 
 
 def check_morphism_def(m):
@@ -249,7 +241,7 @@ def extract_action(h):
     constraint = h.coordinates[t:]
     columns = h.tangent_lift(
         constraint,
-        [(Fraction(0),) * t + tuple(a) for a in h.pair.g.basis],
+        rat.hstack(rat.zeros(h.pair.g.dim, t), h.pair.g.basis),
         "no tangent lift: fiber violates transversality",
         "tangent lift is not unique",
     )

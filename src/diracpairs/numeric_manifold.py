@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 
@@ -460,10 +459,14 @@ def make_dressing_courant(chart, h=DEFAULT_STEP):
                         + rho*(<de1, e2>)
 
     The formula is self-certifying: the axiom report is the only warrant,
-    so construction smoke-gates the single-bracket axioms on constant
-    sections at up to three sample points, within 1e-6 (the full report is
-    a separate call).  The bundle's ``pair`` is the catalog pair itself,
-    validated once; it is the only pair with a chart action here.
+    so construction smoke-gates the anchor at up to three sample points:
+    coisotropy within 1e-10, and that it carries the bracket of the first
+    two constant sections to the commutator of their vector fields within
+    1e-6 (the full report is a separate call).  Constant sections need no
+    gate of their own: their jets are exactly zero, so their bracket is the
+    algebra's structure constants bit for bit.  The bundle's ``pair`` is
+    the catalog pair itself, validated once; it is the only pair with a
+    chart action here.
 
     The bracket and ``anchor_matrix`` read one anchor, memoized per bundle
     with ``per_point`` and bound here: replacing ``rotation_double_anchor``
@@ -505,21 +508,13 @@ def make_dressing_courant(chart, h=DEFAULT_STEP):
     )
 
     pts = chart.sample_points[: min(3, len(chart.sample_points))]
-    basis = [SectionField.constant(np.eye(6)[i]) for i in range(6)]
+    e0, e1 = (SectionField.constant(np.eye(6)[i]) for i in range(2))
     coiso = cn.anchor_coisotropy_residual(pts)
     if not coiso <= 1e-10:
         raise ValueError("anchor fails coisotropy on the gate points")
     for x in pts:
-        for i in (0, 3):
-            for j in (1, 4):
-                got = bracket_at(basis[i], basis[j], x)
-                want = np.array([float(v) for v in d.basis_bracket(i, j)])
-                if not float(np.max(np.abs(got - want))) <= 1e-6:
-                    raise ValueError("constant sections do not bracket to the algebra")
-        lhs = cn.anchor_matrix(x) @ bracket_at(basis[0], basis[1], x)
-        rhs = vector_commutator(
-            cn.anchor_vector_field(basis[0]), cn.anchor_vector_field(basis[1]), x, 3, h
-        )
+        lhs = cn.anchor_matrix(x) @ bracket_at(e0, e1, x)
+        rhs = vector_commutator(cn.anchor_vector_field(e0), cn.anchor_vector_field(e1), x, 3, h)
         if not float(np.max(np.abs(lhs - rhs))) <= 1e-6:
             raise ValueError("anchor is not bracket-compatible on the gate points")
     return cn
@@ -816,16 +811,11 @@ def canonical_fiber(pair, rho, rho_star):
     beta)} of an exact rational anchor ``rho`` with its adjoint ``rho_star``
     (G^{-1} rho^T, as ``ExactIdentification`` carries it), identity moment
     map; ``HamiltonianFiber`` checks it is Lagrangian and supported."""
-    n = len(rho)
-    zero_t = (Fraction(0),) * n
-    rows = []
-    for a in pair.g.basis:
-        u = rat.mat_vec(rho, a)
-        rows.append(tuple(u) + zero_t + tuple(a))
-    for k in range(n):
-        eps = tuple(Fraction(1 if i == k else 0) for i in range(n))
-        col = tuple(rho_star[i][k] for i in range(len(rho_star)))
-        rows.append(zero_t + tuple(-e for e in eps) + col)
+    n, a = len(rho), pair.g.basis
+    rows = rat.vstack(
+        rat.hstack(rat.mat_mul(a, rat.transpose(rho)), rat.zeros(len(a), n), a),
+        rat.hstack(rat.zeros(n, n), rat.mat_neg(rat.identity(n)), rat.transpose(rho_star)),
+    )
     k_space = canonicalize(rows, 2 * n + pair.d.dim)
     return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
 
@@ -880,7 +870,7 @@ def check_strong_dirac(
             dj = rat.matrix(dj_q)
             included = forward_dirac(fiber, dj).contains(target)
             tangent = fiber.intersection(tangents).project(range(q))
-            transversal = rat.rank([rat.mat_vec(dj, u) for u in tangent.basis]) == tangent.dim
+            transversal = rat.rank(rat.mat_mul(tangent.basis, rat.transpose(dj))) == tangent.dim
             res["inclusion"] = worse(res["inclusion"], 0.0 if included else 1.0)
             res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
         if phi is not None:

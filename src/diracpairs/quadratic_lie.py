@@ -80,9 +80,6 @@ class QuadraticLieAlgebra:
                         out[k] += coeff * cij[k]
         return tuple(out)
 
-    def basis_bracket(self, i, j):
-        return self.structure[i][j]
-
     def pairing(self, u, v):
         return self.form.pairing(u, v)
 
@@ -208,13 +205,7 @@ def make_group_pair_double(g_constants, kappa):
     kappa = rat.matrix(kappa)
     n = len(kappa)
     g = QuadraticLieAlgebra(n, g_constants, SplitForm(n, kappa))
-    diag = canonicalize(
-        [
-            tuple(Fraction(1 if j == i or j == n + i else 0) for j in range(2 * n))
-            for i in range(n)
-        ],
-        2 * n,
-    )
+    diag = canonicalize(rat.hstack(rat.identity(n), rat.identity(n)), 2 * n)
     return ManinPairPoint(product_algebra(g, g), diag)
 
 
@@ -240,8 +231,7 @@ def abelian_pair(n):
     """Sum of two abelian copies with the difference of dot pairings and the
     diagonal line family as the Lagrangian half: the group-pair double of
     the n-dimensional abelian algebra."""
-    zero = (Fraction(0),) * n
-    return make_group_pair_double(((zero,) * n,) * n, rat.identity(n))
+    return make_group_pair_double((rat.zeros(n, n),) * n, rat.identity(n))
 
 
 def make_cotangent_double(constants):
@@ -268,19 +258,14 @@ def make_cotangent_double(constants):
                 c[n + k][i][n + j] += v
     structure = tuple(tuple(tuple(r) for r in p) for p in c)
     d = QuadraticLieAlgebra(dim, structure, SplitForm.standard_double(n))
-    g = canonicalize(
-        [tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in range(n)],
-        dim,
-    )
-    return ManinPairPoint(d, g)
+    return ManinPairPoint(d, canonicalize(rat.identity(dim)[:n], dim))
 
 
 @lru_cache(maxsize=32)
 def abstract_double(n):
     """Abelian pair on A plus its dual with the duality pairing and A as the
     half: the cotangent double of the n-dimensional abelian algebra."""
-    zero = (Fraction(0),) * n
-    return make_cotangent_double(((zero,) * n,) * n)
+    return make_cotangent_double((rat.zeros(n, n),) * n)
 
 
 def solvable_constants():

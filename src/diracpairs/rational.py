@@ -16,6 +16,12 @@ so for ``B G B^T`` with ``G`` already integer rows (a form's cached Gram).
 An entry that is not an int or a Fraction (a float, a numpy scalar) raises
 `TypeError` in all of them.
 
+A map ``A`` applies to a whole block of vectors, stacked as the rows of
+``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
+denominator once; `mat_vec` is for a single vector.  Blocks are assembled
+from `identity`, `zeros` and products with `vstack` and `hstack`, which
+takes any number of blocks and skips an empty one, ``()``.
+
 Row reduction is integer through back-substitution: rows are scaled to
 primitive integers, eliminated with Bareiss one-step updates (exact integer
 divisions), and cleared above each pivot on integer rows kept primitive;
@@ -26,11 +32,13 @@ nonzero entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def scalar(x):
@@ -91,13 +99,11 @@ def matrix(rows):
 
 
 def zeros(m, n):
-    return tuple((Fraction(0),) * n for _ in range(m))
+    return ((_ZERO,) * n,) * m
 
 
 def identity(n):
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(a):
@@ -190,12 +196,13 @@ def is_zero_congruence(rows, gram):
     return not any(sum(map(mul, row, col)) for row in left for col in prim)
 
 
-def hstack(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(ra + rb for ra, rb in zip(a, b))
+def hstack(*blocks):
+    """The blocks side by side, row by row.  An empty block ``()`` has no
+    columns and is skipped; a block of empty rows, ``((),) * m``, adds none."""
+    blocks = [b for b in blocks if b]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError("blocks have different numbers of rows")
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
 
 
 def vstack(a, b):
@@ -297,7 +304,7 @@ def _null_rows(red, pivots, n):
         if f in pivot_set:
             continue
         v = [_ZERO] * n
-        v[f] = Fraction(1)
+        v[f] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
         rows.append(tuple(v))

@@ -219,6 +219,15 @@ class _Parser:
             self.fail(f"expected{quoted}" + (f" {what}" if what else ""))
         return self.advance()
 
+    def expect_int(self, what):
+        """The next token, which must be an int, and its value; a literal
+        longer than ``int`` converts fails at its position."""
+        tok = self.expect("int", what=what)
+        try:
+            return tok, int(tok.text)
+        except ValueError:
+            self.fail("integer literal too long", tok)
+
     def declare(self, name_tok, decl):
         if name_tok.text in self.names:
             self.fail("duplicate name", name_tok)
@@ -240,14 +249,14 @@ class _Parser:
         if allow_sign and self.at("punct", "-"):
             self.advance()
             sign = -1
-        num = int(self.expect("int", what="a rational number").text)
+        _, num = self.expect_int("a rational number")
         if not self.at("punct", "/"):
             return Fraction(sign * num)
         self.advance()
-        den_tok = self.expect("int", what="a denominator")
-        if int(den_tok.text) == 0:
+        den_tok, den = self.expect_int("a denominator")
+        if den == 0:
             self.fail("zero denominator", den_tok)
-        return Fraction(sign * num, int(den_tok.text))
+        return Fraction(sign * num, den)
 
     def parse_positive_float(self, what):
         tok = self.peek()
@@ -329,8 +338,7 @@ class _Parser:
         name_tok = self.expect("ident", what="an algebra name")
         self.expect("punct", "{", "to open the algebra body")
         self.expect("ident", "dim")
-        dim_tok = self.expect("int", what="the dimension")
-        dim = int(dim_tok.text)
+        dim_tok, dim = self.expect_int("the dimension")
         if dim <= 0:
             self.fail("dimension must be positive", dim_tok)
         self.expect("punct", ";", "after the dimension")
@@ -485,8 +493,7 @@ class _Parser:
         name_tok = self.expect("ident", what="a fiber name")
         self.expect("punct", "{", "to open the fiber body")
         self.expect("ident", "tdim")
-        t_tok = self.expect("int", what="the tangent dimension")
-        t_dim = int(t_tok.text)
+        t_tok, t_dim = self.expect_int("the tangent dimension")
         if t_dim < 0:
             self.fail("tangent dimension must be nonnegative", t_tok)
         self.expect("punct", ";", "after the tangent dimension")
@@ -528,14 +535,13 @@ class _Parser:
         samples, seed, tol, step = 50, 0, 1e-6, 1e-4
         if self.at("ident", "samples"):
             self.advance()
-            count_tok = self.expect("int", what="the sample count")
-            samples = int(count_tok.text)
+            count_tok, samples = self.expect_int("the sample count")
             if samples < 1:
                 self.fail("sample count must be at least 1", count_tok)
             self.expect("punct", ";", "after the sample count")
         if self.at("ident", "seed"):
             self.advance()
-            seed = int(self.expect("int", what="the seed").text)
+            _, seed = self.expect_int("the seed")
             self.expect("punct", ";", "after the seed")
         if self.at("ident", "tol"):
             self.advance()

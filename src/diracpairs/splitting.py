@@ -122,17 +122,9 @@ class IsotropicSplitting:
     def twist(self, w):
         """New splitting ``j'(xi) = j(xi) + i_xi w`` for a 2-vector ``w`` on A
         (components in the dual basis); isotropy is preserved."""
-        r = self.half_dim
-        a_cols = rat.transpose(self.a_basis)
-        new_cols = []
-        for k in range(r):
-            col = [row[k] for row in self.j]
-            for l in range(r):
-                c = rat.scalar(tensor_get(w, (k, l)))
-                if c:
-                    col = [x + c * a for x, a in zip(col, [row[l] for row in a_cols])]
-            new_cols.append(tuple(col))
-        return IsotropicSplitting(self.pair, rat.transpose(new_cols))
+        # column k gains sum_l w[k][l] a_l: j + A^T w^T
+        shift = rat.mat_mul(rat.transpose(self.a_basis), rat.transpose(rat.matrix(w)))
+        return IsotropicSplitting(self.pair, rat.mat_add(self.j, shift))
 
 
 def absorb_self_pairing(form, c, adjoint):
@@ -155,17 +147,11 @@ def make_isotropic_splitting(pair):
     if r == 0:
         return IsotropicSplitting(pair, rat.zeros(n, 0))
     a_rows = pair.g.basis
-    pivot_set = set(pair.g.pivots)
-    raw = [
-        tuple(Fraction(1 if j == c else 0) for j in range(n))
-        for c in range(n)
-        if c not in pivot_set
-    ]
-    # normalize: rows c_k with <c_k, a_i> = delta_{ki}
-    m = tuple(
-        tuple(d.pairing(rc, ai) for ai in a_rows) for rc in raw
-    )
-    c_rows = rat.mat_mul(rat.invert(m), raw)
+    eye = rat.identity(n)
+    free = [c for c in range(n) if c not in pair.g.pivots]
+    # normalize: rows c_k with <c_k, a_i> = delta_{ki}; row c of G A^T pairs e_c with the half
+    m = rat.mat_mul([d.form.gram[c] for c in free], rat.transpose(a_rows))
+    c_rows = rat.mat_mul(rat.invert(m), [eye[c] for c in free])
     j = absorb_self_pairing(d.form, rat.transpose(c_rows), rat.transpose(a_rows))
     return IsotropicSplitting(pair, j)
 
@@ -213,17 +199,14 @@ def derive_quasi_data(pair, splitting):
     d = pair.d
     r = pair.g.dim
     cols = rat.transpose(splitting.j)
-    a_rows = pair.g.basis
-    brackets = [[d.bracket(cols[k], cols[l]) for l in range(r)] for k in range(r)]
+    brackets = [d.bracket(cols[k], cols[l]) for k in range(r) for l in range(r)]
+    # row k r + l pairs [c_k, c_l] with the split frame: each a_i, then each c_m
+    paired = rat.mat_mul(rat.mat_mul(brackets, d.form.gram), splitting.frame())
     f = tuple(
-        tensor_from_function(
-            r, 2, lambda kl, i=i: d.pairing(brackets[kl[0]][kl[1]], a_rows[i])
-        )
+        tensor_from_function(r, 2, lambda kl, i=i: paired[kl[0] * r + kl[1]][i])
         for i in range(r)
     )
-    chi = tensor_from_function(
-        r, 3, lambda klm: d.pairing(brackets[klm[0]][klm[1]], cols[klm[2]])
-    )
+    chi = tensor_from_function(r, 3, lambda klm: paired[klm[0] * r + klm[1]][r + klm[2]])
     return QuasiBialgebraData(a_dim=r, F=f, chi=chi)
 
 

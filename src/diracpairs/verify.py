@@ -87,10 +87,8 @@ def rotation_strong_section(samples, seed, tol, step):
         ident = dc.identification_from_anchor(pair, cd.exact_anchor(x))
         hf = nm.canonical_fiber(pair, ident.rho, ident.rho_star)
         lx = dc.dirac_from_k(hf, ident).L
-        ls_rows = [
-            tuple(rat.mat_vec(ident.rho, a)) + tuple(rat.mat_vec(ident.s_star, a))
-            for a in pair.g.basis
-        ]
+        # each half vector a read out as (rho a, s_star a)
+        ls_rows = rat.mat_mul(pair.g.basis, rat.transpose(rat.vstack(ident.rho, ident.s_star)))
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
     fibers, frozen = _freeze(pts, exact_fibers)

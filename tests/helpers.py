@@ -23,6 +23,7 @@ from diracpairs.dictionary import (
     identification_from_anchor,
 )
 from diracpairs.exact_linear import Subspace, canonicalize
+from diracpairs.morphism import HamiltonianFiber
 from diracpairs.numeric_manifold import (
     DEFAULT_STEP,
     DEFAULT_TOL,
@@ -643,6 +644,107 @@ def reference_transport(l, f, forward):
     ann = rat.kernel(l.basis, ncols=len(lift))
     sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
     return canonicalize([rat.mat_vec(readout, s) for s in sols], len(readout))
+
+
+# Row-by-row references for the block builders: the bodies that
+# ``dictionary.k_from_quasi``, ``k_from_dirac``, ``dirac_from_k`` and
+# ``numeric_manifold.canonical_fiber`` ran before each fiber was assembled
+# from blocks, one product per map.  The builders must give the same
+# subspaces.
+
+
+def _unit(n, k):
+    return tuple(Fraction(1 if j == k else 0) for j in range(n))
+
+
+def reference_k_from_quasi(q, dJ=(), rho=(), realization=None):
+    """Hamiltonian fiber of a bivector with action.
+
+    Rows are the images of the half basis, ((rho_X(a), 0), (a, 0)), and of
+    the coordinate covectors, ((i_alpha Pi, alpha), (0, -rho_X^T alpha)).
+    The fiber side (a, xi) embeds into the pair of the ``realization``
+    splitting through its split frame, as a + j(xi); without one, into the
+    abstract double of the half, whose split frame is the identity.
+    """
+    t, r = q.t_dim, q.a_dim
+    if realization is None:
+        realization = make_isotropic_splitting(abstract_double(r))
+    pair, frame = realization.pair, realization.frame()
+    rows = []
+    zt = (Fraction(0),) * t
+    zr = (Fraction(0),) * r
+    for i in range(r):
+        a = _unit(r, i)
+        u = tuple(q.rho_X[k][i] for k in range(t))
+        rows.append(u + zt + rat.mat_vec(frame, a + zr))
+    for k in range(t):
+        alpha = _unit(t, k)
+        back = tuple(-q.rho_X[k][j] for j in range(r))
+        rows.append(q.interior(alpha) + alpha + rat.mat_vec(frame, zr + back))
+    K = canonicalize(rows, 2 * t + pair.d.dim)
+    return HamiltonianFiber(t_dim=t, pair=pair, K=K, dJ=dJ, rho=rho)
+
+
+def reference_k_from_dirac(d, dJ, ident):
+    """Hamiltonian fiber of a Lagrangian at a point with a moment
+    differential: push tangents through the splitting and sweep the base
+    covectors through both legs."""
+    t = d.t_dim
+    dJ = rat.matrix(dJ)
+    s_dim = ident.base_dim
+    if dJ:
+        if len(dJ) != s_dim or len(dJ[0]) != t:
+            raise ValueError("moment differential has wrong shape")
+    elif s_dim:
+        raise ValueError("moment differential has wrong shape")
+    n = ident.pair.d.dim
+    rows = []
+    for row in d.L.basis:
+        u, alpha = row[:t], row[t:]
+        e = rat.mat_vec(ident.s, rat.mat_vec(dJ, u)) if dJ else (Fraction(0),) * n
+        rows.append(tuple(u) + tuple(alpha) + tuple(e))
+    dj_t = rat.transpose(dJ)
+    for kk in range(s_dim):
+        beta = _unit(s_dim, kk)
+        alpha = tuple(-x for x in rat.mat_vec(dj_t, beta)) if dJ else (Fraction(0),) * t
+        e = rat.mat_vec(ident.rho_star, beta)
+        rows.append((Fraction(0),) * t + tuple(alpha) + tuple(e))
+    K = canonicalize(rows, 2 * t + n)
+    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, dJ=dJ, rho=ident.rho)
+
+
+def reference_dirac_from_k(h, ident):
+    """Lagrangian at a point out of a Hamiltonian fiber: keep the tangent
+    and covector parts, adding the pulled-back base covector leg."""
+    t = h.t_dim
+    dJ = h.dJ
+    dj_t = rat.transpose(dJ)
+    rows = []
+    for row in h.K.basis:
+        u, alpha, e = row[:t], row[t : 2 * t], row[2 * t :]
+        beta = rat.mat_vec(ident.s_star, e)
+        pulled = rat.mat_vec(dj_t, beta) if dJ else (Fraction(0),) * t
+        rows.append(tuple(u) + tuple(x + y for x, y in zip(alpha, pulled)))
+    return DiracPointData(canonicalize(rows, 2 * t))
+
+
+def reference_canonical_fiber(pair, rho, rho_star):
+    """The canonical Hamiltonian fiber K = {((rho(a), -beta), a + rho*
+    beta)} of an exact rational anchor ``rho`` with its adjoint ``rho_star``
+    (G^{-1} rho^T, as ``ExactIdentification`` carries it), identity moment
+    map; ``HamiltonianFiber`` checks it is Lagrangian and supported."""
+    n = len(rho)
+    zero_t = (Fraction(0),) * n
+    rows = []
+    for a in pair.g.basis:
+        u = rat.mat_vec(rho, a)
+        rows.append(tuple(u) + zero_t + tuple(a))
+    for k in range(n):
+        eps = tuple(Fraction(1 if i == k else 0) for i in range(n))
+        col = tuple(rho_star[i][k] for i in range(len(rho_star)))
+        rows.append(zero_t + tuple(-e for e in eps) + col)
+    k_space = canonicalize(rows, 2 * n + pair.d.dim)
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
 
 
 # the canonical scene printer: its text reparses to the same scene IR

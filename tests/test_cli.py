@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -97,17 +98,47 @@ def test_check_entries_keep_the_schema_one_shape(path):
 
 REFERENCE_HASHES = SRC.parent / "perfbench" / "reference_hashes.json"
 
+# Exit code of ``dict`` per fiber file, in the order qp-to-dirac,
+# dirac-to-qp, roundtrip.
+DICT_EXITS = {
+    "action-quasi.json": (1, 1, 1),
+    "bad-kind.json": (2, 2, 2),
+    "covector-dirac.json": (1, 0, 0),
+    "garbage.json": (2, 2, 2),
+    "planar-quasi.json": (0, 1, 0),
+    "tangent-dirac.json": (1, 1, 1),
+}
+
+# (id, reference key, argv, exit code) of every exact-scenes invocation, with
+# paths relative to the repository root as the benchmark passes them
+GOLDEN_CALLS = [
+    (p.stem, f"check:{p.name}", ["check", f"tests/fixtures/{p.name}", "--json"],
+     2 if p.name == "broken.mp" else 0)
+    for p in sorted(FIXTURES.glob("*.mp"))
+] + [
+    (f"{mode}-{Path(name).stem}", f"dict:{mode}:{name}",
+     ["dict", "--mode", mode, "--fiber", f"tests/fixtures/{name}", "--json"], code)
+    for name, codes in DICT_EXITS.items()
+    for mode, code in zip(("qp-to-dirac", "dirac-to-qp", "roundtrip"), codes)
+]
+
 
 @pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(FIXTURES.glob("*.mp")) if p.name != "broken.mp"],
-    ids=lambda p: p.stem,
+    "key, argv, expected", [c[1:] for c in GOLDEN_CALLS], ids=[c[0] for c in GOLDEN_CALLS]
 )
-def test_golden_scene_hashes_match_the_benchmark_reference(path):
-    code, out, _ = run_cli("check", str(path), "--json")
-    assert code == 0
+def test_golden_scene_hashes_match_the_benchmark_reference(monkeypatch, key, argv, expected):
+    # the benchmark's digest: the report's determinism_hash, else the sha256
+    # of stdout on exit 0 or 1, else of stderr (which names the scene path)
+    monkeypatch.chdir(SRC.parent)
+    code, out, err = run_cli(*argv)
+    assert code == expected
+    if code in (0, 1):
+        report = json.loads(out)
+        digest = report.get("determinism_hash", hashlib.sha256(out.encode()).hexdigest())
+    else:
+        digest = hashlib.sha256(err.encode()).hexdigest()
     reference = json.loads(REFERENCE_HASHES.read_text())["hashes"]
-    assert json.loads(out)["determinism_hash"] == reference[f"check:{path.name}"]
+    assert digest == reference[key]
 
 
 def test_check_rejects_unreadable_and_unparseable_input(tmp_path):
@@ -134,6 +165,45 @@ def test_check_reports_a_non_ascii_digit_as_bad_input(tmp_path, text, position):
     assert code == 2
     assert out == ""
     assert f"{position}: unexpected character" in err
+
+
+LONG_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (f"algebra a {{ dim {LONG_LITERAL}; pairing diag(1); }}\n", "line 1, col 17"),
+        (f"algebra a {{ dim 1; pairing diag({LONG_LITERAL}); }}\n", "line 1, col 33"),
+        (f"example e {{ seed {LONG_LITERAL}; }}\n", "line 1, col 18"),
+    ],
+    ids=["dim", "pairing", "seed"],
+)
+def test_check_reports_an_over_long_integer_as_bad_input(tmp_path, text, position):
+    # past Python's default digit limit for int(); the limit itself stays
+    scene = tmp_path / "long.mp"
+    scene.write_text(text)
+    code, out, err = run_cli("check", str(scene))
+    assert code == 2
+    assert out == ""
+    assert f"{position}: integer literal too long" in err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        f'{{"kind": "quasi", "t_dim": {LONG_LITERAL}, "a_dim": 0, "pi": [], "rho_x": []}}',
+        f'{{"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [[{LONG_LITERAL}]], "rho_x": [[]]}}',
+    ],
+    ids=["t_dim", "entry"],
+)
+def test_dict_reports_an_over_long_number_as_bad_input(tmp_path, record):
+    path = tmp_path / "fiber.json"
+    path.write_text(record)
+    code, out, err = run_cli("dict", "--mode", "qp-to-dirac", "--fiber", str(path))
+    assert code == 2
+    assert out == ""
+    assert "cannot read fiber file" in err
 
 
 def test_check_quiet_suppresses_text():

@@ -126,6 +126,52 @@ def test_an_empty_anchor_identifies_a_point():
         identification_from_anchor(abstract_double(1), ())
 
 
+def outcome(build):
+    """What ``build()`` returns, or the text of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
+def test_block_builders_match_their_row_by_row_references():
+    # random rational fibers, degenerate shapes included: t_dim 0, a_dim 0,
+    # and no moment map (an empty dJ over the point identification)
+    rng = helpers.rng_for(53)
+    so3_splitting = make_isotropic_splitting(catalog()["so3-double"])
+    point = identification_from_anchor(abstract_double(0), ())
+    idents = [point, helpers.abstract_ident(1), helpers.abstract_ident(2)]
+    idents.append(helpers.rotation_cayley_ident(rng))
+    pulled_back = (dirac_from_k, helpers.reference_dirac_from_k)
+    for ident in idents + [helpers.abstract_ident(0)]:
+        got = nm.canonical_fiber(ident.pair, ident.rho, ident.rho_star)
+        assert got.K == helpers.reference_canonical_fiber(ident.pair, ident.rho, ident.rho_star).K
+    for _ in range(6):
+        for t in range(4):
+            for a_dim in range(4):
+                q = helpers.random_quasi(rng, t, a_dim)
+                h = k_from_quasi(q)
+                assert h.K == helpers.reference_k_from_quasi(q).K
+                # with an action leg the projection may fail to be Lagrangian:
+                # then both refuse alike
+                got, want = (outcome(lambda f=f: f(h, point).L) for f in pulled_back)
+                assert got == want
+                if a_dim == 3:
+                    want = helpers.reference_k_from_quasi(q, realization=so3_splitting).K
+                    assert k_from_quasi(q, realization=so3_splitting).K == want
+            for r in range(1, min(t, 2) + 1):
+                q, dj = helpers.moment_compatible_quasi(rng, t, r)
+                ident = helpers.abstract_ident(r)
+                h = k_from_quasi(q, dJ=dj, rho=ident.rho, realization=make_isotropic_splitting(ident.pair))
+                assert dirac_from_k(h, ident).L == helpers.reference_dirac_from_k(h, ident).L
+            d = DiracPointData(helpers.random_lagrangian(rng, t))
+            for ident in idents:
+                dj = helpers.random_matrix(rng, ident.base_dim, t) if ident.base_dim else ()
+                h = k_from_dirac(d, dj, ident)
+                assert h.K == helpers.reference_k_from_dirac(d, dj, ident).K
+                assert dirac_from_k(h, ident).L == helpers.reference_dirac_from_k(h, ident).L
+
+
 def test_rotation_anchor_identification():
     rng = helpers.rng_for(31)
     ident = helpers.rotation_cayley_ident(rng)

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import helpers
 import numpy as np
@@ -191,15 +193,103 @@ def scaled_anchor(c):
     return dataclasses.replace(c, anchor=lambda x: 1.01 * np.asarray(c.anchor(x)))
 
 
-# (mutation of the dressing bundle, quantity its axiom report must fail).
-# Scaling the anchor moves c2 to c5 together; the bracket keeps its own
-# anchor, so c1_jacobi does not see the mutation.
-AXIOM_CONTROLS = [
-    (scaled_anchor, "c2_selfpairing"),
-    (scaled_anchor, "c3_metric"),
-    (scaled_anchor, "c4_anchor"),
-    (scaled_anchor, "c5_leibniz"),
+# column scales of the anchor [-J^-1, J^-1 R] that double its rotation block
+DOUBLE_ROTATION = np.repeat([1.0, 2.0], 3)
+
+
+def doubled_rotation_block(c):
+    return dataclasses.replace(c, anchor=lambda x: np.asarray(c.anchor(x)) * DOUBLE_ROTATION)
+
+
+# (mutation of the dressing bundle, report, quantity of that report the
+# mutation must fail).  Every mutation replaces the anchor field only; the
+# bracket keeps the anchor bound at construction.
+#
+# "axioms" is `check_axioms_numeric`.  Scaling the anchor moves c2 to c5
+# together; c1_jacobi does not see it.  Doubling the rotation block moves
+# anchor_coisotropy 7.2e-16 -> 6.29 on the control bundle, and with it c2,
+# c4 and c5; c1_jacobi and c3_metric stay put.
+#
+# "generators" is the worst `generator_residuals` family of the canonical
+# fibers.  Doubling the bracket reads 1.26 and 0.90 on the two families,
+# scaling the anchor 0.0126 and 0.0090 (base: 6.8e-11, 4.2e-10).
+# covector_covector has no row: no mutation tried moves it above 2e-9.
+CONTROLS = [
+    (scaled_anchor, "axioms", "c2_selfpairing"),
+    (scaled_anchor, "axioms", "c3_metric"),
+    (scaled_anchor, "axioms", "c4_anchor"),
+    (scaled_anchor, "axioms", "c5_leibniz"),
+    (doubled_rotation_block, "axioms", "anchor_coisotropy"),
+    (doubled, "generators", "half_half"),
+    (doubled, "generators", "half_covector"),
+    (scaled_anchor, "generators", "half_half"),
+    (scaled_anchor, "generators", "half_covector"),
 ]
+AXIOM_CONTROLS = [(m, q) for m, report, q in CONTROLS if report == "axioms"]
+GENERATOR_CONTROLS = [(m, q) for m, report, q in CONTROLS if report == "generators"]
+
+# Reported quantities whose negative control is a test of its own, by
+# quantity: (test module, test name).
+CONTROL_TESTS = {
+    "c1_jacobi": ("test_numeric_manifold", "test_nonclosed_twist_is_rejected_then_breaks_jacobi"),
+    "frozen_fiber": ("test_cli", "test_a_broken_frozen_fiber_fails_its_check"),
+    "inclusion": ("test_numeric_manifold", "test_strong_map_fails_for_a_target_outside_the_image"),
+    "transversality": ("test_numeric_manifold", "test_strong_map_fails_for_a_collapsing_target"),
+    "integrability": ("test_numeric_manifold", "test_integrability_sees_the_twist_and_its_sign"),
+    "lie_compat": ("test_numeric_manifold", "test_lie_compat_pins_the_cobracket_sign"),
+    "sharp_compat": ("test_numeric_manifold", "test_a_wrong_exact_sharp_identity_fails_the_report"),
+}
+
+# Reported quantities that no mutation is known to fail yet.
+NO_CONTROL_YET = {
+    "jacobiator",
+    "covector_covector",
+    "coordinate_bracket",
+    "skew",
+    "flow_match",
+    "conservation",
+    "jacobi",
+}
+
+
+def test_every_reported_quantity_has_a_negative_control():
+    for module, name in CONTROL_TESTS.values():
+        text = (Path(__file__).parent / f"{module}.py").read_text()
+        assert re.search(rf"^def {name}\(", text, re.M), f"{module}::{name} is missing"
+    covered = {q for _, _, q in CONTROLS} | CONTROL_TESTS.keys() | NO_CONTROL_YET
+    for name in verify.EXAMPLES:
+        rep = verify.run_example(name, samples=2, seed=0)
+        assert set(rep.quantities) <= covered, (name, set(rep.quantities) - covered)
+
+
+ANCHOR = nm.rotation_double_anchor
+
+
+def _transposed_jacobian_anchor(x):
+    jinv_t = so3.left_jacobian_inv(x).T
+    return np.hstack([-jinv_t, jinv_t @ so3.exp_rotation(x)])
+
+
+# (replacement for the dressing anchor, construction gate it must trip), at
+# 5 points of seed 0.  The bundle binds its anchor when it is built.
+GATE_CONTROLS = [
+    (lambda x: ANCHOR(x) * DOUBLE_ROTATION, "anchor fails coisotropy"),
+    (lambda x: 1.01 * ANCHOR(x), "not bracket-compatible"),
+    (lambda x: -ANCHOR(x), "not bracket-compatible"),
+    (_transposed_jacobian_anchor, "not bracket-compatible"),
+]
+
+
+@pytest.mark.parametrize(
+    "anchor, message",
+    GATE_CONTROLS,
+    ids=["doubled-rotation", "scaled", "negated", "transposed-jacobian"],
+)
+def test_a_wrong_dressing_anchor_trips_a_construction_gate(monkeypatch, anchor, message):
+    chart = nm.Chart(3, tuple(so3.sample_chart_points(5, 0)))
+    monkeypatch.setattr(nm, "rotation_double_anchor", anchor)
+    with pytest.raises(ValueError, match=message):
+        nm.make_dressing_courant(chart)
 
 
 @pytest.fixture(scope="module")
@@ -219,18 +309,6 @@ def test_a_mutated_dressing_bundle_fails_its_control(control_dressing, mutation,
     assert base.holds(quantity)
     rep = nm.check_axioms_numeric(mutation(cd))
     assert not rep.holds(quantity)
-
-
-# (mutation of the dressing bundle, generator family its canonical fibers
-# must fail).  Doubling the bracket reads 1.26 and 0.90 on the two
-# families, scaling the anchor 0.0126 and 0.0090 (base: 6.8e-11, 4.2e-10).
-# covector_covector has no row: no mutation tried moves it above 2e-9.
-GENERATOR_CONTROLS = [
-    (doubled, "half_half"),
-    (doubled, "half_covector"),
-    (scaled_anchor, "half_half"),
-    (scaled_anchor, "half_covector"),
-]
 
 
 def worst_generator_residuals(c):

@@ -150,6 +150,25 @@ def test_stacking_shapes():
     assert d == rat.identity(5)
 
 
+def test_hstack_takes_any_number_of_blocks():
+    a, b, c = rat.identity(2), rat.zeros(2, 1), rat.matrix([[1, 2], [3, 4]])
+    three = rat.hstack(a, b, c)
+    assert three == rat.matrix([[1, 0, 0, 1, 2], [0, 1, 0, 3, 4]])
+    assert rat.hstack(a, rat.hstack(b, c)) == three == rat.hstack(rat.hstack(a, b), c)
+    # () has no columns, wherever it stands
+    assert rat.hstack((), a, b, c) == three == rat.hstack(a, b, c, ())
+    assert rat.hstack((), a) == a == rat.hstack(a, ())
+    assert rat.hstack() == () == rat.hstack((), ())
+    # t x 0 blocks add no columns and keep the t rows
+    for t in (1, 3):
+        empty = ((),) * t
+        assert rat.hstack(empty, rat.identity(t), empty) == rat.identity(t)
+        assert rat.hstack(empty, empty) == empty
+        assert rat.hstack(empty, ()) == empty
+    with pytest.raises(ValueError, match="numbers of rows"):
+        rat.hstack(a, rat.identity(3))
+
+
 def test_rref_known_values():
     red, piv = rat.rref([[2, 0], [0, 3]])
     assert red == rat.identity(2)
