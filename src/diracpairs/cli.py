@@ -6,11 +6,17 @@ parse, or input errors, 3 unexpected internal failure.  Reports carry
 ``schema: 1`` and a determinism hash over everything except elapsed
 times, so repeated runs with the same inputs and seeds are comparable
 byte-for-byte.
+
+The argument parser is built on the first `run` and reused for every later
+call in the process: parsing reads it and changes nothing in it, and no
+option has a mutable default.  A one-shot shell call still builds it once;
+callers that run several commands in one process pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -43,6 +49,7 @@ def _positive_float(text):
     return value
 
 
+@functools.cache
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -320,11 +327,10 @@ def run_list_examples(args, out, err):
 def run(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
         # argparse prints usage errors and --help to the process streams
         with redirect_stdout(out), redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_PASS
     try:

@@ -14,7 +14,8 @@ entry.  `is_zero_product` decides whether a product vanishes on the same
 integer rows and builds no Fraction at all, and `is_zero_congruence` does
 so for ``B G B^T`` with ``G`` already integer rows (a form's cached Gram).
 An entry that is not an int or a Fraction (a float, a numpy scalar) raises
-`TypeError` in all of them.
+`TypeError` in all of them, and factors whose inner dimensions disagree
+raise `ValueError` before any entry is read.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
@@ -128,9 +129,16 @@ def _int_mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def _check_inner(a, b):
+    """Raise unless ``a``'s rows are as long as ``b`` is; lengths only."""
+    if len(a[0]) != len(b):
+        raise ValueError("factors have different inner dimensions")
+
+
 def mat_mul(a, b):
     if not a or not b:
         return ()
+    _check_inner(a, b)
     ia, da = over_one_denominator(a)
     ib, db = over_one_denominator(b)
     d = da * db
@@ -141,6 +149,8 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     """Apply matrix ``a`` to a column vector (returned as a flat tuple)."""
+    if a:
+        _check_inner(a, v)
     ia, da = over_one_denominator(a)
     (iv,), dv = over_one_denominator((v,))
     d = da * dv
@@ -172,8 +182,12 @@ def is_zero_product(*factors):
     first factor or a column of the last by a nonzero rational leaves every
     entry of the product zero or nonzero as it was, so those are scaled to
     primitive integers, and each middle factor goes over one denominator.
-    Raises `TypeError` on an entry that is not an int or a Fraction.
+    Raises `TypeError` on an entry that is not an int or a Fraction, and
+    `ValueError` when two adjacent nonempty factors do not chain.
     """
+    for a, b in zip(factors, factors[1:]):
+        if a and b:
+            _check_inner(a, b)
     first, *rest = factors
     acc = _primitive_rows(first)
     if not rest:

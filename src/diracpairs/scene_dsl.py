@@ -44,13 +44,18 @@ from .splitting import (
 
 
 class ParseError(Exception):
-    """Positioned syntax or resolution failure; positions are 1-based."""
+    """Positioned syntax or resolution failure; positions are 1-based.  The
+    message echoes at most `ECHO_CHARS` characters of the token, then '…'."""
+
+    ECHO_CHARS = 32
 
     def __init__(self, line, col, message, token):
         self.line = line
         self.col = col
         self.message = message
         self.token = token
+        if len(token) > self.ECHO_CHARS:
+            token = token[: self.ECHO_CHARS] + "…"
         at = f" (at {token!r})" if token else ""
         super().__init__(f"line {line}, col {col}: {message}{at}")
 

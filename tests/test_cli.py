@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -179,14 +180,16 @@ LONG_LITERAL = "1" * 5000
     ],
     ids=["dim", "pairing", "seed"],
 )
-def test_check_reports_an_over_long_integer_as_bad_input(tmp_path, text, position):
+def test_check_reports_an_over_long_integer_as_bad_input(tmp_path, monkeypatch, text, position):
     # past Python's default digit limit for int(); the limit itself stays
-    scene = tmp_path / "long.mp"
-    scene.write_text(text)
-    code, out, err = run_cli("check", str(scene))
+    (tmp_path / "long.mp").write_text(text)
+    monkeypatch.chdir(tmp_path)  # a short path, so the size below is the echo's
+    code, out, err = run_cli("check", "long.mp")
     assert code == 2
     assert out == ""
     assert f"{position}: integer literal too long" in err
+    # the message echoes a clipped prefix of the literal, not all of it
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize(
@@ -437,6 +440,70 @@ def test_a_broken_frozen_fiber_fails_its_check(monkeypatch, name, message):
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "fail"
     assert check["witness"] == f"frozen_fiber = 1, witness point 0: {message}"
+
+
+REUSE_SEQUENCE = [
+    [],
+    ["--help"],
+    ["verify-example", "--help"],
+    ["verify-example", "planar_symplectic_reduction", "--samples", "0"],
+    ["verify-example", "planar_symplectic_reduction", "--tol", "nan"],
+    ["dict", "--mode", "bogus", "--fiber", str(FIXTURES / "planar-quasi.json")],
+    ["list-examples"],
+    ["list-examples", "--json"],
+    ["verify-example", "planar_symplectic_reduction", "--samples", "2", "--json"],
+    ["check", str(FIXTURES / "rotation-double.mp")],
+]
+
+
+def _timeless(out):
+    try:
+        return json.dumps(cli._strip_elapsed(json.loads(out)), sort_keys=True)
+    except ValueError:
+        return out
+
+
+def test_reusing_the_parser_keeps_no_state():
+    # the first call builds the parser; every later one, in either order, reuses it
+    cli.build_parser.cache_clear()
+    forward = [run_cli(*argv) for argv in REUSE_SEQUENCE]
+    backward = [run_cli(*argv) for argv in reversed(REUSE_SEQUENCE)][::-1]
+    for argv, first, again in zip(REUSE_SEQUENCE, forward, backward):
+        first = (first[0], _timeless(first[1]), first[2])
+        again = (again[0], _timeless(again[1]), again[2])
+        assert first == again, argv
+    assert [code for code, _, _ in forward] == [2, 0, 0, 2, 2, 2, 0, 0, 0, 0]
+
+
+def test_no_parser_action_has_a_mutable_default():
+    parsers = [cli.build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            assert not isinstance(action.default, (list, dict, set)), action.dest
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert len(parsers) == 5
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run_cli("list-examples")[0] == 0
+    assert built  # the counter sees the first build
+    built.clear()
+    assert run_cli("check", "--quiet", str(FIXTURES / "minimal-abelian.mp"))[0] == 0
+    assert run_cli(
+        "dict", "--mode", "roundtrip", "--fiber", str(FIXTURES / "planar-quasi.json")
+    )[0] == 0
+    assert run_cli("verify-example", "--help")[0] == 0
+    assert built == []
 
 
 def test_verify_example_rejects_unknown_names():

@@ -169,6 +169,41 @@ def test_hstack_takes_any_number_of_blocks():
         rat.hstack(a, rat.identity(3))
 
 
+ROW_12 = ((1, 2),)
+COLUMN_3 = ((3,),)
+INNER = "different inner dimensions"
+
+
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    # zip would cut the longer operand: ((1, 2),) @ ((3,),) read as ((3,),)
+    with pytest.raises(ValueError, match=INNER):
+        rat.mat_mul(ROW_12, COLUMN_3)
+    with pytest.raises(ValueError, match=INNER):
+        rat.mat_mul(COLUMN_3, rat.identity(2))
+    assert rat.mat_mul(ROW_12, ((3,), (4,))) == ((11,),)
+    # an empty operand still gives the empty product
+    assert rat.mat_mul((), COLUMN_3) == () == rat.mat_mul(ROW_12, ())
+
+
+def test_mat_vec_rejects_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match=INNER):
+        rat.mat_vec(ROW_12, (3,))
+    with pytest.raises(ValueError, match=INNER):
+        rat.mat_vec(ROW_12, (3, 4, 5))
+    assert rat.mat_vec(ROW_12, (3, 4)) == (11,)
+
+
+def test_zero_product_rejects_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match=INNER):
+        rat.is_zero_product(ROW_12, COLUMN_3)
+    # every adjacent pair is checked, not only the first
+    with pytest.raises(ValueError, match=INNER):
+        rat.is_zero_product(ROW_12, rat.identity(2), COLUMN_3)
+    with pytest.raises(ValueError, match=INNER):
+        rat.is_zero_product(rat.identity(1), ROW_12, rat.identity(3))
+    assert rat.is_zero_product(ROW_12, rat.identity(2), ((2,), (-1,)))
+
+
 def test_rref_known_values():
     red, piv = rat.rref([[2, 0], [0, 3]])
     assert red == rat.identity(2)
@@ -378,7 +413,7 @@ def test_zero_product_matches_the_fraction_product(a, data):
     null = rat.kernel(a)
     if null:
         assert rat.is_zero_product(a, rat.transpose(null))
-        assert rat.is_zero_product(c, rat.transpose(c), a, rat.transpose(null))
+        assert rat.is_zero_product(rat.transpose(b), rat.transpose(a), a, rat.transpose(null))
     left = rat.kernel(rat.transpose(a))
     if left:
         assert rat.is_zero_product(left, a, b)
