@@ -8,6 +8,19 @@ the small instances the rest of the package (and its tests) lean on.
 Validation runs once per distinct algebra per process: `check_quadratic_lie`
 is memoized on the frozen algebra, and each catalog entry is built once, on
 its first lookup.
+
+Each algebra keeps one integer form of its structure constants
+(`QuadraticLieAlgebra.integer_structure`): the constants over one common
+denominator D, and for each basis pair (i, j) only the nonzero entries.
+`check_quadratic_lie` decides the axioms on these integers and builds no
+Fraction.  Jacobi at (i, j, k) reads the vector ``C[j][k] C[i] - C[i][k]
+C[j] - sum_l C[i][j][l] C[l][k]``, which is D**2 times the rational one.
+Ad-invariance at (i, j, k) reads ``P[j][k] + P[k][j]`` for ``P = C_i G'``,
+with ``G' = d_G G`` the form's integer Gram; that is D d_G times the
+rational entry.  A positive scale does not change whether an entry is
+zero, so every count and witness is that of the rational criterion.
+``bracket`` sums over the same sparse integers and builds one Fraction per
+output entry.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import rational as rat
 from .exact_linear import (
@@ -61,24 +74,35 @@ class QuadraticLieAlgebra:
         if self.form.dim != self.dim:
             raise ValueError("form dimension mismatch")
 
-    def bracket(self, u, v):
-        u, v = rat.vec(u), rat.vec(v)
-        c = self.structure
+    @cached_property
+    def integer_structure(self):
+        """``(sparse, d)``: the structure constants over one common positive
+        denominator ``d``, computed on first use.  ``sparse[i][j]`` lists
+        the pairs ``(k, d * c[i][j][k])`` of the nonzero constants, k
+        increasing; read by ``bracket`` and `check_quadratic_lie`."""
         n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if not u[i]:
+        rows, d = rat.over_one_denominator(r for plane in self.structure for r in plane)
+        sparse = [tuple((k, v) for k, v in enumerate(r) if v) for r in rows]
+        return tuple(tuple(sparse[i * n : (i + 1) * n]) for i in range(n)), d
+
+    def bracket(self, u, v):
+        """``[u, v]`` summed on integers over the sparse constants, with
+        one Fraction per output entry."""
+        s, d = self.integer_structure
+        (iu, iv), duv = rat.over_one_denominator((rat.vec(u), rat.vec(v)))
+        if len(iu) != self.dim or len(iv) != self.dim:
+            raise ValueError("vector has wrong length")
+        out = [0] * self.dim
+        for x, si in zip(iu, s):
+            if not x:
                 continue
-            ci = c[i]
-            for j in range(n):
-                if not v[j]:
-                    continue
-                coeff = u[i] * v[j]
-                cij = ci[j]
-                for k in range(n):
-                    if cij[k]:
-                        out[k] += coeff * cij[k]
-        return tuple(out)
+            for y, sij in zip(iv, si):
+                if y:
+                    xy = x * y
+                    for k, c in sij:
+                        out[k] += xy * c
+        den = d * duv * duv
+        return tuple(Fraction(t, den) for t in out)
 
     def pairing(self, u, v):
         return self.form.pairing(u, v)
@@ -88,9 +112,16 @@ class QuadraticLieAlgebra:
 def check_quadratic_lie(d):
     """Exact report on the point-case bracket axioms: each quantity counts
     the basis pairs or triples violating its axiom, and ``degeneracy`` is
-    the nullity of the pairing.  Memoized: callers share one report."""
+    the nullity of the pairing.  Memoized: callers share one report.
+
+    Decided on integers, with no Fraction built.  With ``c = C / D`` over
+    the algebra's `integer_structure` and ``G = G' / d_G`` over the form's
+    `integer_gram`, the Jacobi and ad-invariance entries below are the
+    rational ones times ``D**2`` and ``D * d_G``.  Scaling by a positive
+    integer leaves every entry zero or nonzero as it was, so each count,
+    witness and the signature are those of the rational criteria."""
     n = d.dim
-    c = d.structure
+    s, _ = d.integer_structure
     bad = {"antisymmetry": 0, "jacobi": 0, "ad_invariance": 0}
     witness = {}
 
@@ -100,34 +131,45 @@ def check_quadratic_lie(d):
 
     for i in range(n):
         for j in range(n):
-            if any(c[i][j][k] != -c[j][i][k] for k in range(n)):
+            if s[i][j] != tuple((k, -v) for k, v in s[j][i]):
                 violated("antisymmetry", (i, j))
 
     # [e_i, w] = ad_i w with ad_i = c[i]^T, and the bracket is bilinear in
     # its left slot, so Jacobi fails at (i, j, k) exactly when column k of
     # ad_i ad_j - ad_j ad_i - sum_l c[i][j][l] ad_l, that is row k of
-    # c[j] c[i] - c[i] c[j] - sum_l c[i][j][l] c[l], is nonzero.  Two
-    # products hold every term: block (j, i) of `prod` is c[j] c[i], and
-    # row (i, j) of `comb` is sum_l c[i][j][l] c[l] flattened.
-    stacked = tuple(row for plane in c for row in plane)
-    prod = rat.mat_mul(stacked, tuple(sum(rows, ()) for rows in zip(*c)))
-    comb = rat.mat_mul(stacked, tuple(sum(plane, ()) for plane in c))
-    for i in range(n):
-        for j in range(n):
-            lin = comb[i * n + j]
+    # c[j] c[i] - c[i] c[j] - sum_l c[i][j][l] c[l], is nonzero: the
+    # vector C[j][k] C[i] - C[i][k] C[j] - sum_l C[i][j][l] C[l][k].
+    for i, si in enumerate(s):
+        for j, sj in enumerate(s):
+            sij = si[j]
             for k in range(n):
-                ji = prod[j * n + k][i * n : (i + 1) * n]
-                ij = prod[i * n + k][j * n : (j + 1) * n]
-                if any(a - b != e for a, b, e in zip(ji, ij, lin[k * n :])):
+                acc = [0] * n
+                for a, x in sj[k]:
+                    for m, y in si[a]:
+                        acc[m] += x * y
+                for a, x in si[k]:
+                    for m, y in sj[a]:
+                        acc[m] -= x * y
+                for l, x in sij:
+                    for m, y in s[l][k]:
+                        acc[m] -= x * y
+                if any(acc):
                     violated("jacobi", (i, j, k))
 
-    # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is entry (j, k) of c_i G + G c_i^T
-    gram = d.form.gram
-    for i in range(n):
-        m = rat.mat_add(rat.mat_mul(c[i], gram), rat.mat_mul(gram, rat.transpose(c[i])))
+    # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is entry (j, k) of c_i G + G c_i^T,
+    # which is P[j][k] + P[k][j] for P = c_i G, G being symmetric.
+    g, _ = d.form.integer_gram
+    for i, si in enumerate(s):
+        p = []
+        for sij in si:
+            row = [0] * n
+            for a, x in sij:
+                for k, y in enumerate(g[a]):
+                    row[k] += x * y
+            p.append(row)
         for j in range(n):
             for k in range(n):
-                if m[j][k] != 0:
+                if p[j][k] + p[k][j]:
                     violated("ad_invariance", (i, j, k))
 
     plus, minus, null = d.form.signature()

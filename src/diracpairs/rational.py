@@ -15,7 +15,9 @@ integer rows and builds no Fraction at all, and `is_zero_congruence` does
 so for ``B G B^T`` with ``G`` already integer rows (a form's cached Gram).
 An entry that is not an int or a Fraction (a float, a numpy scalar) raises
 `TypeError` in all of them, and factors whose inner dimensions disagree
-raise `ValueError` before any entry is read.
+raise `ValueError` before any entry is read.  `mat_add` and `mat_sub`
+likewise raise `ValueError` before reading an entry when the two operands
+differ in their number of rows or in the length of a row.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
@@ -158,11 +160,20 @@ def mat_vec(a, v):
     return tuple(Fraction(s, d) if s else _ZERO for s in sums)
 
 
+def _check_same_shape(a, b):
+    """Raise unless ``a`` and ``b`` have the same rows of the same lengths;
+    lengths only."""
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise ValueError("matrices have different shapes")
+
+
 def mat_add(a, b):
+    _check_same_shape(a, b)
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a, b):
+    _check_same_shape(a, b)
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 

@@ -7,6 +7,7 @@ preserve the standard split pairing, and the swaps break graph-ness so
 the samples are not all transverse to the covector factor.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,6 +16,7 @@ import numpy as np
 
 from diracpairs import rational as rat
 from diracpairs import splitting as sp
+from diracpairs import verify
 from diracpairs.dictionary import (
     DiracPointData,
     ExactIdentification,
@@ -620,6 +622,82 @@ def reference_rationalize_rotation(r):
     return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), rat.mat_add(eye, sq))
 
 
+def reference_bracket(d, u, v):
+    """The dense Fraction triple loop over the structure constants: the
+    reference that ``QuadraticLieAlgebra.bracket`` must equal."""
+    u, v = rat.vec(u), rat.vec(v)
+    c = d.structure
+    n = d.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if not u[i]:
+            continue
+        ci = c[i]
+        for j in range(n):
+            if not v[j]:
+                continue
+            coeff = u[i] * v[j]
+            cij = ci[j]
+            for k in range(n):
+                if cij[k]:
+                    out[k] += coeff * cij[k]
+    return tuple(out)
+
+
+def reference_check_quadratic_lie(d):
+    """The point-case axioms decided through Fraction products: the
+    reference that ``quadratic_lie.check_quadratic_lie`` must equal, report
+    for report.  Not memoized."""
+    n = d.dim
+    c = d.structure
+    bad = {"antisymmetry": 0, "jacobi": 0, "ad_invariance": 0}
+    witness = {}
+
+    def violated(name, idx):
+        bad[name] += 1
+        witness.setdefault(name, idx)
+
+    for i in range(n):
+        for j in range(n):
+            if any(c[i][j][k] != -c[j][i][k] for k in range(n)):
+                violated("antisymmetry", (i, j))
+
+    # [e_i, w] = ad_i w with ad_i = c[i]^T, and the bracket is bilinear in
+    # its left slot, so Jacobi fails at (i, j, k) exactly when column k of
+    # ad_i ad_j - ad_j ad_i - sum_l c[i][j][l] ad_l, that is row k of
+    # c[j] c[i] - c[i] c[j] - sum_l c[i][j][l] c[l], is nonzero.  Two
+    # products hold every term: block (j, i) of `prod` is c[j] c[i], and
+    # row (i, j) of `comb` is sum_l c[i][j][l] c[l] flattened.
+    stacked = tuple(row for plane in c for row in plane)
+    prod = rat.mat_mul(stacked, tuple(sum(rows, ()) for rows in zip(*c)))
+    comb = rat.mat_mul(stacked, tuple(sum(plane, ()) for plane in c))
+    for i in range(n):
+        for j in range(n):
+            lin = comb[i * n + j]
+            for k in range(n):
+                ji = prod[j * n + k][i * n : (i + 1) * n]
+                ij = prod[i * n + k][j * n : (j + 1) * n]
+                if any(a - b != e for a, b, e in zip(ji, ij, lin[k * n :])):
+                    violated("jacobi", (i, j, k))
+
+    # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is entry (j, k) of c_i G + G c_i^T
+    gram = d.form.gram
+    for i in range(n):
+        m = rat.mat_add(rat.mat_mul(c[i], gram), rat.mat_mul(gram, rat.transpose(c[i])))
+        for j in range(n):
+            for k in range(n):
+                if m[j][k] != 0:
+                    violated("ad_invariance", (i, j, k))
+
+    plus, minus, null = d.form.signature()
+    return Report(
+        {**bad, "degeneracy": null},
+        exact=(*bad, "degeneracy"),
+        witness=witness,
+        data={"signature": (plus, minus)},
+    )
+
+
 def reference_transport(l, f, forward):
     """Dirac transport through the annihilator of ``l``: the reference that
     ``dictionary.forward_dirac`` and ``backward_dirac`` must equal.
@@ -871,3 +949,25 @@ def admissibility_matches_invariance(
     inv = invariant_check(f, action_field, points, h=h, tol=tol)
     adm = [s.admissible for s in hamiltonian_vector(f, fiber_at, points, h=h, tol=tol)]
     return list(zip(inv, adm))
+
+
+EXAMPLE_SAMPLES = 10
+EXAMPLE_SEEDS = (0, 1, 2)
+
+
+def example_quantities(name, seed):
+    """The ``repr`` of one `verify` example's ``quantities`` and
+    ``witness`` at ``EXAMPLE_SAMPLES`` samples."""
+    rep = verify.run_example(name, samples=EXAMPLE_SAMPLES, seed=seed)
+    return {"quantities": repr(rep.quantities), "witness": repr(rep.witness)}
+
+
+def example_quantities_json():
+    """The text of ``tests/fixtures/example_quantities.json``: every example
+    at every seed of ``EXAMPLE_SEEDS``, keyed ``name@seedN``."""
+    table = {
+        f"{name}@seed{seed}": example_quantities(name, seed)
+        for name in sorted(verify.EXAMPLES)
+        for seed in EXAMPLE_SEEDS
+    }
+    return json.dumps(table, indent=1, sort_keys=True) + "\n"

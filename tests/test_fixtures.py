@@ -1,8 +1,9 @@
 """The committed fixtures are reproducible from the sources below.
 
 `write_fixtures` is the generator of everything in ``tests/fixtures``: the
-golden scenes in canonical printed form, one malformed scene, and the fiber
-records of the ``dict`` subcommand.  To change a fixture, edit its source
+golden scenes in canonical printed form, one malformed scene, the fiber
+records of the ``dict`` subcommand, and the golden reports of the `verify`
+examples (``example_quantities.json``, see `tests/test_example_golden.py`).  To change a fixture, edit its source
 here and rewrite the committed files with ``write_fixtures(FIXTURES)``.
 """
 
@@ -180,6 +181,7 @@ def write_fixtures(directory):
     }
     for name, text in records.items():
         (directory / name).write_text(text)
+    (directory / "example_quantities.json").write_text(helpers.example_quantities_json())
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path):

@@ -20,6 +20,7 @@ from diracpairs.quadratic_lie import (
     is_manin_pair,
     make_cotangent_double,
     make_group_pair_double,
+    product_algebra,
     sl2_constants,
     sl2_trace_form,
     so3_constants,
@@ -267,3 +268,109 @@ def test_validation_is_shared_and_the_catalog_is_read_only():
         cat["abelian-r2"] = abelian_pair(2)
     d = cat["so3-double"].d
     assert check_quadratic_lie(d) is check_quadratic_lie(d)
+
+
+VALUES = tuple(Fraction(x) for x in (0, 1, -1, 2, -2, "1/2", "-3/7"))
+
+
+def _draw(rng, zero_share=0.6):
+    """An entry of ``VALUES``, zero with probability about ``zero_share``."""
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return VALUES[int(rng.integers(1, len(VALUES)))]
+
+
+def _random_gram(rng, n):
+    """A symmetric Gram: diagonal with some zeros (often degenerate), or
+    dense with entries from ``VALUES`` (often indefinite)."""
+    if rng.random() < 0.4:
+        return SplitForm.diagonal([_draw(rng, 0.2) for _ in range(n)])
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = _draw(rng, 0.3)
+    return SplitForm(n, g)
+
+
+def _random_algebra(rng, n):
+    """A quadratic Lie algebra candidate of dimension ``n``: independent
+    constants (breaks antisymmetry), an antisymmetric table (usually breaks
+    Jacobi), a scaled catalog double under its own or a random Gram, or the
+    abelian bracket under a random Gram."""
+    kind = int(rng.integers(4))
+    same = [pair.d for pair in catalog().values() if pair.d.dim == n]
+    if kind == 3 and same:
+        d = same[int(rng.integers(len(same)))]
+        t = VALUES[int(rng.integers(1, len(VALUES)))]
+        c = [[[t * x for x in row] for row in plane] for plane in d.structure]
+        form = d.form if rng.random() < 0.5 else _random_gram(rng, n)
+        return QuadraticLieAlgebra(n, c, form)
+    if kind == 0:
+        c = [[[_draw(rng, 0.8) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    elif kind == 1:
+        table = {
+            (i, j): [_draw(rng, 0.7) for _ in range(n)]
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        c = structure_from_table(n, table)
+    else:
+        c = structure_from_table(n, {})
+    return QuadraticLieAlgebra(n, c, _random_gram(rng, n))
+
+
+def test_integer_check_matches_the_fraction_product_check():
+    check = check_quadratic_lie.__wrapped__
+    for name, pair in catalog().items():
+        assert check(pair.d) == helpers.reference_check_quadratic_lie(pair.d), name
+    rng = helpers.rng_for(19)
+    seen = {q: set() for q in ("antisymmetry", "jacobi", "ad_invariance", "degeneracy")}
+    signatures, denominators = set(), set()
+    for trial in range(320):
+        d = _random_algebra(rng, trial % 7)
+        got, want = check(d), helpers.reference_check_quadratic_lie(d)
+        assert repr(got) == repr(want), (trial, d)
+        for q, seen_q in seen.items():
+            seen_q.add(got.quantities[q] > 0)
+        signatures.add(got.data["signature"])
+        denominators.add(d.integer_structure[1])
+    # the tables both pass and break every axiom, the Grams include
+    # degenerate and indefinite ones, and some denominator exceeds 1
+    assert all(s == {False, True} for s in seen.values()), seen
+    assert any(p and m for p, m in signatures)
+    assert max(denominators) > 1
+
+
+def test_integer_structure_is_one_denominator_over_the_nonzero_constants():
+    d = QuadraticLieAlgebra(
+        2, structure_from_table(2, {(0, 1): ("1/2", "-3/7")}), SplitForm.diagonal((1, -1))
+    )
+    sparse, den = d.integer_structure
+    assert den == 14
+    assert sparse == (((), ((0, 7), (1, -6))), (((0, -7), (1, 6)), ()))
+    assert d.integer_structure is d.integer_structure
+
+
+def test_bracket_equals_the_dense_fraction_loop():
+    rng = helpers.rng_for(23)
+    for name, pair in catalog().items():
+        d = pair.d
+        for _ in range(200):
+            u = tuple(helpers.random_fraction(rng) for _ in range(d.dim))
+            v = tuple(helpers.random_fraction(rng) for _ in range(d.dim))
+            assert d.bracket(u, v) == helpers.reference_bracket(d, u, v), name
+    with pytest.raises(ValueError, match="wrong length"):
+        catalog()["so3-double"].d.bracket((1, 0, 0), (0, 1, 0))
+
+
+def test_validation_makes_no_fraction_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("validation went through a Fraction product")
+
+    check_quadratic_lie.cache_clear()
+    product_algebra.cache_clear()
+    monkeypatch.setattr(rat, "mat_mul", refuse)
+    monkeypatch.setattr(rat, "mat_add", refuse)
+    pair = make_group_pair_double(so3_constants(), rat.identity(3))
+    assert check_quadratic_lie(pair.d).passed
+    assert check_quadratic_lie.cache_info().currsize == 1

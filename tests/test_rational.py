@@ -204,6 +204,38 @@ def test_zero_product_rejects_mismatched_inner_dimensions():
     assert rat.is_zero_product(ROW_12, rat.identity(2), ((2,), (-1,)))
 
 
+SHAPE = "different shapes"
+
+
+class Unreadable:
+    """An entry whose arithmetic fails, to show a shape error comes first."""
+
+    def __add__(self, other):
+        raise AssertionError("entry read before the shape check")
+
+    __sub__ = __radd__ = __rsub__ = __add__
+
+
+@pytest.mark.parametrize("op", [rat.mat_add, rat.mat_sub])
+def test_entrywise_ops_reject_mismatched_shapes(op):
+    # zip would cut the longer operand: ((1, 2),) + ((3,),) read as ((4,),)
+    with pytest.raises(ValueError, match=SHAPE):
+        op(ROW_12, COLUMN_3)
+    with pytest.raises(ValueError, match=SHAPE):
+        op(((1, 2), (3, 4)), ((1, 1),))
+    with pytest.raises(ValueError, match=SHAPE):
+        op(((1,),), ((1,), (2,)))
+    with pytest.raises(ValueError, match=SHAPE):
+        op(((1, 2), (3,)), ((1, 2), (3, 4)))
+    bad = ((Unreadable(), Unreadable()),)
+    with pytest.raises(ValueError, match=SHAPE):
+        op(bad, COLUMN_3)
+    with pytest.raises(ValueError, match=SHAPE):
+        op(bad + bad, bad)
+    assert op(ROW_12, ROW_12) == (((2, 4),) if op is rat.mat_add else ((0, 0),))
+    assert op((), ()) == ()
+
+
 def test_rref_known_values():
     red, piv = rat.rref([[2, 0], [0, 3]])
     assert red == rat.identity(2)
