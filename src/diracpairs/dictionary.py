@@ -75,15 +75,6 @@ class QuasiPoissonPointData:
             # one canonical spelling of the t x 0 matrix, so equality works
             object.__setattr__(self, "rho_X", ((),) * t)
 
-    def interior(self, alpha):
-        """i_alpha of the bivector."""
-        return rat.mat_vec(rat.transpose(self.Pi), alpha)
-
-    def evaluate(self, alpha, beta):
-        """Value of the bivector on two covectors: beta(i_alpha Pi)."""
-        u = self.interior(alpha)
-        return sum(b * x for b, x in zip(rat.vec(beta), u))
-
 
 @dataclass(frozen=True)
 class DiracPointData:
@@ -151,15 +142,6 @@ class ExactIdentification:
     @property
     def base_dim(self):
         return len(self.rho)
-
-    def decompose(self, e):
-        """(base tangent, base covector) coordinates of a fiber element."""
-        return rat.mat_vec(self.rho, e), rat.mat_vec(self.s_star, e)
-
-    def embed(self, v, beta):
-        e1 = rat.mat_vec(self.s, v)
-        e2 = rat.mat_vec(self.rho_star, beta)
-        return tuple(a + b for a, b in zip(e1, e2))
 
 
 def identification_from_anchor(pair, rho):
@@ -331,7 +313,7 @@ def k_spans_tangents(h):
 def dirac_is_form_graph(d):
     """The Lagrangian is the graph of a 2-form on tangents."""
     t = d.t_dim
-    return is_graph_over_factor(LinearRelation(t, t, d.L), "source") is not None
+    return is_graph_over_factor(LinearRelation(t, t, d.L)) is not None
 
 
 def quasi_spans_tangents(q):

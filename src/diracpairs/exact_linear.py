@@ -231,15 +231,6 @@ class SplitForm:
         """``(n_plus, n_minus, n_zero)``, computed once per form."""
         return self._signature
 
-    @property
-    def nondegenerate(self):
-        return self.signature()[2] == 0
-
-    @property
-    def is_split(self):
-        p, m, z = self.signature()
-        return z == 0 and p == m
-
     def negate(self):
         return SplitForm(self.dim, rat.mat_neg(self.gram))
 
@@ -325,26 +316,15 @@ def compose(r, s):
     return LinearRelation(v, z, out)
 
 
-def is_graph_over_factor(r, factor):
-    """Matrix of the map whose graph is ``r``, if the projection onto the
-    named factor ('source' or 'target') is an isomorphism; else None.
-
-    For ``factor='source'`` the map goes source -> target; for
-    ``factor='target'`` it goes target -> source.
-    """
-    v, w = r.source_dim, r.target_dim
-    basis = r.graph.basis
-    if factor == "source":
-        dom_cols, cod_cols, dom_dim = range(v), range(v, v + w), v
-    elif factor == "target":
-        dom_cols, cod_cols, dom_dim = range(v, v + w), range(v), w
-    else:
-        raise ValueError("factor must be 'source' or 'target'")
-    if r.graph.dim != dom_dim:
+def is_graph_over_factor(r):
+    """Matrix of the map source -> target whose graph is ``r``, if the
+    projection onto the source factor is an isomorphism; else None."""
+    v = r.source_dim
+    if r.graph.dim != v:
         return None
-    dom_part = tuple(tuple(row[c] for c in dom_cols) for row in basis)
-    cod_part = tuple(tuple(row[c] for c in cod_cols) for row in basis)
-    if rat.rank(dom_part) != dom_dim:
+    dom_part = tuple(row[:v] for row in r.graph.basis)
+    cod_part = tuple(row[v:] for row in r.graph.basis)
+    if rat.rank(dom_part) != v:
         return None
     # rows satisfy  x = dom_part^T c,  y = cod_part^T c  =>  y = M x
     try:

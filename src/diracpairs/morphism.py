@@ -88,7 +88,7 @@ def dual_pair_readout(m):
 def check_morphism_def(m):
     """Graph criterion: the dual readout of the relation is the graph of a
     linear map from the source dual to the target dual."""
-    return is_graph_over_factor(dual_pair_readout(m), "source") is not None
+    return is_graph_over_factor(dual_pair_readout(m)) is not None
 
 
 def equiv_failures(m):

@@ -541,14 +541,15 @@ def scalar_library(dim):
     return funcs
 
 
-def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
+def check_axioms_numeric(c, tol=DEFAULT_TOL):
     """Worst residual of each of the five bracket axioms, and of anchor
-    coisotropy, over the section library at the points; ``data["step"]`` is
-    the finite-difference step used.
+    coisotropy, over the section library at the chart's sample points, by
+    finite differences with the bundle's step, which ``data["step"]``
+    records.
 
     Nested-bracket terms make the Jacobi axiom the expensive one, so it
     runs over a thin deterministic triple set; the single-bracket axioms
-    sweep wider.  Pass ``triples`` to override the Jacobi probes.
+    sweep wider.
 
     Each library bracket section is built once, and every probe bracket
     that does not depend on the point is taken over a whole chunk of points
@@ -556,8 +557,8 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
     chunk holds at most ``_PER_POINT_MEMO // (2n + 1)`` points, so the
     jets of its points and their stencils fit in each per-point memo.
     """
-    h = h if h is not None else c.step
-    pts = points if points is not None else c.chart.sample_points
+    h = c.step
+    pts = c.chart.sample_points
     n = c.chart.dim
     lib = section_library(c.rank, n)
     funcs = scalar_library(n)
@@ -570,15 +571,14 @@ def check_axioms_numeric(c, points=None, tol=DEFAULT_TOL, h=None, triples=None):
         "c5_leibniz": 0.0,
     }
 
-    if triples is None:
-        linear = c.rank  # index of the first non-constant section
-        triples = [
-            (0, 1, 2 % c.rank),
-            (0, min(3, c.rank - 1), min(4, c.rank - 1)),
-            (linear, 0, 1),
-            (0, linear + 1 if linear + 1 < len(lib) else linear, 2 % c.rank),
-            (len(lib) - 1, 0, 1),
-        ]
+    linear = c.rank  # index of the first non-constant section
+    triples = [
+        (0, 1, 2 % c.rank),
+        (0, min(3, c.rank - 1), min(4, c.rank - 1)),
+        (linear, 0, 1),
+        (0, linear + 1 if linear + 1 < len(lib) else linear, 2 % c.rank),
+        (len(lib) - 1, 0, 1),
+    ]
     brackets = {}
 
     def bracket(i, j):
@@ -718,13 +718,12 @@ def dirac_of_pair(c, half, s):
     as its frame function: ``x`` to the float rows ``(rho(a), s(x)^T g a)``,
     one per basis vector ``a`` of the half.
 
-    ``half`` is the exact subspace of the fiber algebra (or a float row
-    matrix); its closure under the algebra bracket is required, and checked
-    exactly when the bundle carries its Manin pair."""
-    rows = subspace_rows(half) if hasattr(half, "basis") else np.asarray(half, float)
-    if c.pair is not None and hasattr(half, "basis"):
-        if first_unclosed_pair(c.pair.d.bracket, half) is not None:
-            raise ValueError("half is not closed under the algebra bracket")
+    ``half`` is the exact subspace of the fiber algebra; its closure under
+    the algebra bracket is required, and checked exactly when the bundle
+    carries its Manin pair."""
+    rows = subspace_rows(half)
+    if c.pair is not None and first_unclosed_pair(c.pair.d.bracket, half) is not None:
+        raise ValueError("half is not closed under the algebra bracket")
 
     def basis_at(x):
         rho = c.anchor_matrix(x)
@@ -779,15 +778,16 @@ class CanonicalSpace:
         rho_q = self.courant.exact_anchor(np.asarray(x, float))
         return canonical_fiber(pair, rho_q, rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q)))
 
-    def generator_residuals(self, x, h=DEFAULT_STEP):
+    def generator_residuals(self, x):
         """Distances from the brackets of the fiber generators, the rows of
         ``fiber_rows``, to the fiber span, worst per family over the point
         ``x`` ``(n,)`` or the stack of points ``(P, n)``.  Two rows bracket
-        by the twisted bracket on their ``T + T*`` legs and the bundle's
-        bracket on their ``E`` legs, each pair once over the whole stack;
-        their indices name the family: ``half_half``, ``half_covector`` or
-        ``covector_covector``."""
+        by the twisted bracket, with the bundle's step, on their ``T + T*``
+        legs and the bundle's bracket on their ``E`` legs, each pair once
+        over the whole stack; their indices name the family: ``half_half``,
+        ``half_covector`` or ``covector_covector``."""
         c = self.courant
+        h = c.step
         pts = np.asarray(x, dtype=float)
         stack = pts.reshape(-1, pts.shape[-1])
         # every pair reads the twist, and a single bracket only at its own point

@@ -104,9 +104,6 @@ class QuadraticLieAlgebra:
         den = d * duv * duv
         return tuple(Fraction(t, den) for t in out)
 
-    def pairing(self, u, v):
-        return self.form.pairing(u, v)
-
 
 @lru_cache(maxsize=None)
 def check_quadratic_lie(d):
@@ -212,10 +209,6 @@ class ManinPairPoint:
             raise ValueError(f"ambient algebra fails checks: {report.describe()}")
         if not is_manin_pair(self.d, self.g):
             raise ValueError("subspace is not a Lagrangian subalgebra")
-
-    @property
-    def half_dim(self):
-        return self.g.dim
 
 
 @lru_cache(maxsize=64)

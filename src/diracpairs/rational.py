@@ -10,14 +10,15 @@ fraction on the integer ratio of the float and builds a single Fraction.
 Products are integer products: `mat_mul` and `mat_vec` scale each operand
 to integer rows over one common denominator (`over_one_denominator`),
 multiply and sum Python ints, and build one normalized Fraction per output
-entry.  `is_zero_product` decides whether a product vanishes on the same
-integer rows and builds no Fraction at all, and `is_zero_congruence` does
-so for ``B G B^T`` with ``G`` already integer rows (a form's cached Gram).
-An entry that is not an int or a Fraction (a float, a numpy scalar) raises
-`TypeError` in all of them, and factors whose inner dimensions disagree
-raise `ValueError` before any entry is read.  `mat_add` and `mat_sub`
-likewise raise `ValueError` before reading an entry when the two operands
-differ in their number of rows or in the length of a row.
+entry.  `is_zero_product` decides whether a product of two factors
+vanishes on the same integer rows and builds no Fraction at all, and
+`is_zero_congruence` does so for ``B G B^T`` with ``G`` already integer
+rows (a form's cached Gram).  An entry that is not an int or a Fraction (a
+float, a numpy scalar) raises `TypeError` in all of them, and factors whose
+inner dimensions disagree raise `ValueError` before any entry is read.
+`mat_sub` likewise raises `ValueError` before reading an entry when the two
+operands differ in their number of rows or in the length of a row, and
+`vstack` and `block_diag` do when their rows would be ragged.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
@@ -93,11 +94,16 @@ def vec(values):
     return tuple(scalar(v) for v in values)
 
 
+def _check_rectangular(rows):
+    """Raise unless every row of ``rows`` has one length; lengths only."""
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+
+
 def matrix(rows):
     """Normalize a nested sequence to an immutable Fraction matrix."""
     out = tuple(vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows")
+    _check_rectangular(out)
     return out
 
 
@@ -160,20 +166,11 @@ def mat_vec(a, v):
     return tuple(Fraction(s, d) if s else _ZERO for s in sums)
 
 
-def _check_same_shape(a, b):
-    """Raise unless ``a`` and ``b`` have the same rows of the same lengths;
-    lengths only."""
+def mat_sub(a, b):
+    """``a - b``; raises `ValueError` before reading an entry unless the two
+    have the same rows of the same lengths."""
     if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
         raise ValueError("matrices have different shapes")
-
-
-def mat_add(a, b):
-    _check_same_shape(a, b)
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    _check_same_shape(a, b)
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -186,28 +183,20 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def is_zero_product(*factors):
-    """Whether ``factors[0] @ factors[1] @ ...`` is the zero matrix.
+def is_zero_product(a, b):
+    """Whether ``a @ b`` is the zero matrix.
 
-    Decided over the integers, with no Fraction built: scaling a row of the
-    first factor or a column of the last by a nonzero rational leaves every
-    entry of the product zero or nonzero as it was, so those are scaled to
-    primitive integers, and each middle factor goes over one denominator.
-    Raises `TypeError` on an entry that is not an int or a Fraction, and
-    `ValueError` when two adjacent nonempty factors do not chain.
+    Decided over the integers, with no Fraction built: scaling a row of
+    ``a`` or a column of ``b`` by a nonzero rational leaves every entry of
+    the product zero or nonzero as it was, so both are scaled to primitive
+    integers.  Raises `TypeError` on an entry that is not an int or a
+    Fraction, and `ValueError` when two nonempty factors do not chain.
     """
-    for a, b in zip(factors, factors[1:]):
-        if a and b:
-            _check_inner(a, b)
-    first, *rest = factors
-    acc = _primitive_rows(first)
-    if not rest:
-        return not any(map(any, acc))
-    *middle, last = rest
-    for b in middle:
-        acc = _int_mat_mul(acc, over_one_denominator(b)[0])
-    cols = _primitive_rows(transpose(last))
-    return not any(sum(map(mul, row, col)) for row in acc for col in cols)
+    if a and b:
+        _check_inner(a, b)
+    rows = _primitive_rows(a)
+    cols = _primitive_rows(transpose(b))
+    return not any(sum(map(mul, row, col)) for row in rows for col in cols)
 
 
 def is_zero_congruence(rows, gram):
@@ -231,10 +220,17 @@ def hstack(*blocks):
 
 
 def vstack(a, b):
-    return tuple(a) + tuple(b)
+    """The rows of ``a``, then those of ``b``; all must have one length."""
+    rows = tuple(a) + tuple(b)
+    _check_rectangular(rows)
+    return rows
 
 
 def block_diag(*blocks):
+    """The blocks along the diagonal, zeros elsewhere; each block's rows
+    must have one length.  A block of no rows or columns adds none."""
+    for b in blocks:
+        _check_rectangular(b)
     blocks = [b for b in blocks if b and len(b[0])]
     total = sum(len(b[0]) for b in blocks)
     rows = []

@@ -83,16 +83,12 @@ def bivector_fibers(pi_field, dim):
 
 @dataclass(frozen=True, eq=False)
 class FlowSample:
-    """Outcome of matching a differential against one fiber."""
+    """Outcome of matching a differential against one fiber: ``vector`` is
+    None where the differential is not admissible."""
 
-    point: np.ndarray
     vector: Optional[np.ndarray]
     residual: float
     conservation: float
-
-    @property
-    def admissible(self):
-        return self.vector is not None
 
 
 def _reject_ambiguous(a, u_map):
@@ -131,14 +127,14 @@ def hamiltonian_vector(f, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
         coef = np.linalg.lstsq(a, rhs, rcond=None)[0]
         res = float(np.linalg.norm(a @ coef - rhs))
         if res >= tol:
-            out.append(FlowSample(x, None, res, 0.0))
+            out.append(FlowSample(None, res, 0.0))
             continue
         u = u_map @ coef
         cons = 0.0
         if fb.dj is not None:
             du = np.asarray(fb.dj, dtype=float) @ u
             cons = float(np.max(np.abs(du))) if du.size else 0.0
-        out.append(FlowSample(x, u, res, cons))
+        out.append(FlowSample(u, res, cons))
     return out
 
 
@@ -225,14 +221,13 @@ def jacobi_residual(f, g, k, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
 class OrbitDescription:
     """Zero locus of constraint functions with probe points on it.
 
-    Construction validates that the samples sit on the locus and that
-    the constraint gradients keep full rank there, so downstream
-    consumers can treat the data as transversality-certified.
+    Construction validates that the samples sit on the locus (within
+    1e-6) and that the constraint gradients keep full rank there, so
+    downstream consumers can treat the data as transversality-certified.
     """
 
     constraints: tuple
     samples: tuple
-    locus_tol: float = 1e-6
 
     def __post_init__(self):
         cons = tuple(observable(c) for c in self.constraints)
@@ -243,7 +238,7 @@ class OrbitDescription:
         object.__setattr__(self, "samples", pts)
         for x in pts:
             for c in cons:
-                if abs(c.value(x)) > self.locus_tol:
+                if abs(c.value(x)) > 1e-6:
                     raise ValueError("sample is off the constraint locus")
             self._require_transversal(x)
 

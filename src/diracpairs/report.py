@@ -20,11 +20,20 @@ def worse(a, b):
     return b if b != b or b > a else a
 
 
+class _Names(frozenset):
+    """Quantity names that print sorted: a frozenset prints in string-hash
+    order, which changes with the interpreter's hash seed."""
+
+    def __repr__(self):
+        return f"frozenset({{{', '.join(map(repr, sorted(self)))}}})" if self else "frozenset()"
+
+
 @dataclass(frozen=True)
 class Report:
     """Worst value per quantity, gated by one tolerance.
 
-    ``exact`` names the quantities that must be exactly zero.  ``witness``
+    ``exact`` names the quantities that must be exactly zero; it prints
+    sorted, so a report's repr is the same in every interpreter.  ``witness``
     holds, per failing quantity, the first failing index or a text saying
     where it failed.  ``data`` carries ungated results (a signature, bracket
     values, the step used).
@@ -37,7 +46,7 @@ class Report:
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "exact", frozenset(self.exact))
+        object.__setattr__(self, "exact", _Names(self.exact))
 
     @classmethod
     def verdict(cls, name, holds, witness):

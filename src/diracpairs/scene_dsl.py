@@ -186,10 +186,6 @@ class SceneIR:
         return {d.name: d for d in self.decls}
 
 
-# the keywords that open a statement; ``_Parser.parse_<keyword>`` reads it
-_STATEMENTS = ("algebra", "subspace", "maninpair", "splitting", "fiber", "example", "check")
-
-
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
@@ -332,11 +328,23 @@ class _Parser:
     # declarations
 
     def parse_scene(self):
+        # the keyword that opens each statement, and the method reading it
+        statements = {
+            "algebra": self.parse_algebra,
+            "subspace": self.parse_subspace,
+            "maninpair": self.parse_maninpair,
+            "splitting": self.parse_splitting,
+            "fiber": self.parse_fiber,
+            "example": self.parse_example,
+            "check": self.parse_check,
+        }
         while not self.at("eof"):
             # only an identifier's text can spell a keyword
-            if self.peek().text not in _STATEMENTS:
+            parse = statements.get(self.peek().text)
+            if parse is None:
                 self.fail("expected a declaration or check directive")
-            getattr(self, f"parse_{self.advance().text}")()
+            self.advance()
+            parse()
         return SceneIR(decls=tuple(self.decls), checks=tuple(self.checks))
 
     def parse_algebra(self):

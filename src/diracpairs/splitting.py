@@ -91,10 +91,6 @@ class IsotropicSplitting:
     def a_basis(self):
         return self.pair.g.basis
 
-    @property
-    def half_dim(self):
-        return self.pair.g.dim
-
     def dual_image(self):
         """Image of the splitting as a subspace (an isotropic complement)."""
         return canonicalize(rat.transpose(self.j), self.pair.d.dim)
@@ -103,28 +99,6 @@ class IsotropicSplitting:
         """The split frame: columns of the half's basis, then of ``j``."""
         a_cols = rat.transpose(self.a_basis)
         return rat.hstack(a_cols, self.j)
-
-    def decompose(self, e):
-        """Coordinates of ``e`` in the split frame: (A part, dual part)."""
-        frame_inv = rat.invert(self.frame())
-        coords = rat.mat_vec(frame_inv, rat.vec(e))
-        r = self.half_dim
-        return coords[:r], coords[r:]
-
-    def embed_double(self, a_coords, xi_coords):
-        """Ambient vector with the given A and dual-side coordinates."""
-        r = self.half_dim
-        coords = tuple(rat.vec(a_coords)) + tuple(rat.vec(xi_coords))
-        if len(coords) != 2 * r:
-            raise ValueError("coordinate blocks have wrong length")
-        return rat.mat_vec(self.frame(), coords)
-
-    def twist(self, w):
-        """New splitting ``j'(xi) = j(xi) + i_xi w`` for a 2-vector ``w`` on A
-        (components in the dual basis); isotropy is preserved."""
-        # column k gains sum_l w[k][l] a_l: j + A^T w^T
-        shift = rat.mat_mul(rat.transpose(self.a_basis), rat.transpose(rat.matrix(w)))
-        return IsotropicSplitting(self.pair, rat.mat_add(self.j, shift))
 
 
 def absorb_self_pairing(form, c, adjoint):

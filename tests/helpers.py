@@ -36,6 +36,7 @@ from diracpairs.quadratic_lie import catalog
 from diracpairs.reduction import PointFiber, hamiltonian_vector, observable
 from diracpairs.report import Report
 from diracpairs.splitting import (
+    IsotropicSplitting,
     make_isotropic_splitting,
     tensor_from_function,
     tensor_get,
@@ -104,7 +105,7 @@ def cayley_rotation(rng, den=4):
     """Exact rational orthogonal 3x3 matrix with determinant one."""
     s = random_antisymmetric(rng, 3)
     i3 = rat.identity(3)
-    return rat.mat_mul(rat.mat_sub(i3, s), rat.invert(rat.mat_add(i3, s)))
+    return rat.mat_mul(rat.mat_sub(i3, s), rat.invert(add_tensors(i3, s)))
 
 
 def rotation_cayley_ident(rng):
@@ -174,7 +175,7 @@ def direct_lagrangian(q, splitting, ident, dJ):
     rho_x_t = rat.transpose(q.rho_X)
     for kk in range(t):
         alpha = rat.identity(t)[kk]
-        u = q.interior(alpha)
+        u = rat.mat_vec(rat.transpose(q.Pi), alpha)
         twist = (Fraction(0),) * t
         if dJ and r:
             back = rat.mat_vec(rho_x_t, alpha)
@@ -188,6 +189,14 @@ def hyperbolic_frame(pair):
     half basis first, then the isotropic complement dual to it."""
     sp = make_isotropic_splitting(pair)
     return rat.hstack(rat.transpose(pair.g.basis), sp.j)
+
+
+def twist(splitting, w):
+    """New splitting ``j'(xi) = j(xi) + i_xi w`` for a 2-vector ``w`` on A
+    (components in the dual basis); isotropy is preserved."""
+    # column k gains sum_l w[k][l] a_l: j + A^T w^T
+    shift = rat.mat_mul(rat.transpose(splitting.a_basis), rat.transpose(rat.matrix(w)))
+    return IsotropicSplitting(splitting.pair, add_tensors(splitting.j, shift))
 
 
 def random_lagrangian_for_pair(rng, pair):
@@ -530,7 +539,7 @@ def orthogonal_complement(form, u):
     """``{v : gram(v, w) = 0 for all w in u}``; exact."""
     if u.ambient_dim != form.dim:
         raise ValueError("subspace does not live in the form's space")
-    if not form.nondegenerate:
+    if form.signature()[2]:
         raise ValueError(
             f"gram is degenerate (signature {form.signature()}); "
             "orthogonal complements need a nondegenerate pairing"
@@ -619,7 +628,7 @@ def reference_rationalize_rotation(r):
             q[j][i] = -v
     sq = rat.matrix(q)
     eye = rat.identity(3)
-    return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), rat.mat_add(eye, sq))
+    return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), add_tensors(eye, sq))
 
 
 def reference_bracket(d, u, v):
@@ -683,7 +692,7 @@ def reference_check_quadratic_lie(d):
     # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> is entry (j, k) of c_i G + G c_i^T
     gram = d.form.gram
     for i in range(n):
-        m = rat.mat_add(rat.mat_mul(c[i], gram), rat.mat_mul(gram, rat.transpose(c[i])))
+        m = add_tensors(rat.mat_mul(c[i], gram), rat.mat_mul(gram, rat.transpose(c[i])))
         for j in range(n):
             for k in range(n):
                 if m[j][k] != 0:
@@ -758,7 +767,8 @@ def reference_k_from_quasi(q, dJ=(), rho=(), realization=None):
     for k in range(t):
         alpha = _unit(t, k)
         back = tuple(-q.rho_X[k][j] for j in range(r))
-        rows.append(q.interior(alpha) + alpha + rat.mat_vec(frame, zr + back))
+        u = rat.mat_vec(rat.transpose(q.Pi), alpha)
+        rows.append(u + alpha + rat.mat_vec(frame, zr + back))
     K = canonicalize(rows, 2 * t + pair.d.dim)
     return HamiltonianFiber(t_dim=t, pair=pair, K=K, dJ=dJ, rho=rho)
 
@@ -947,7 +957,7 @@ def admissibility_matches_invariance(
     every sample is the equivalence the bracket theory rests on.
     """
     inv = invariant_check(f, action_field, points, h=h, tol=tol)
-    adm = [s.admissible for s in hamiltonian_vector(f, fiber_at, points, h=h, tol=tol)]
+    adm = [s.vector is not None for s in hamiltonian_vector(f, fiber_at, points, h=h, tol=tol)]
     return list(zip(inv, adm))
 
 

@@ -49,13 +49,15 @@ def test_point_data_validation():
 
 
 def test_interior_product_convention():
-    # i_alpha(u ^ v) = alpha(u) v - alpha(v) u with u = e1, v = e2
+    # i_alpha(u ^ v) = alpha(u) v - alpha(v) u with u = e1, v = e2: the
+    # fiber pairs each covector alpha with (i_alpha Pi, alpha)
     pi = QuasiPoissonPointData(
         t_dim=2, a_dim=0, Pi=((0, 1), (-1, 0)), rho_X=()
     )
-    assert pi.interior((1, 0)) == (Fraction(0), Fraction(1))
-    assert pi.interior((0, 1)) == (Fraction(-1), Fraction(0))
-    assert pi.evaluate((1, 0), (0, 1)) == 1
+    fiber = k_from_quasi(pi).K
+    assert fiber.contains_vector((0, 1, 1, 0))
+    assert fiber.contains_vector((-1, 0, 0, 1))
+    assert not fiber.contains_vector((0, -1, 1, 0))
 
 
 def test_zero_data_fiber_is_the_split_sum():
@@ -178,12 +180,13 @@ def test_rotation_anchor_identification():
     gram = ident.pair.d.form.gram
     sg = rat.mat_mul(rat.transpose(ident.s), gram)
     assert helpers.is_zero_matrix(rat.mat_mul(sg, ident.s))
-    v = tuple(Fraction(k - 1) for k in range(3))
-    beta = tuple(Fraction(2 - k, 2) for k in range(3))
-    e = ident.embed(v, beta)
-    back_v, back_beta = ident.decompose(e)
-    assert back_v == rat.vec(v)
-    assert back_beta == rat.vec(beta)
+    # the legs (v, beta) -> s v + rho_star beta and e -> (rho e, s_star e)
+    # invert each other
+    eye = rat.identity(3)
+    assert rat.mat_mul(ident.rho, ident.s) == eye
+    assert rat.mat_mul(ident.s_star, ident.rho_star) == eye
+    assert helpers.is_zero_matrix(rat.mat_mul(ident.rho, ident.rho_star))
+    assert helpers.is_zero_matrix(rat.mat_mul(ident.s_star, ident.s))
 
 
 def test_dirac_fiber_round_trips_on_both_identifications():

@@ -130,13 +130,13 @@ def test_matrix_building_and_arithmetic():
     a = rat.matrix([[1, 2], [3, 4]])
     b = rat.matrix([["1/2", 0], [0, "1/3"]])
     assert rat.mat_mul(a, b) == rat.matrix([["1/2", "2/3"], ["3/2", "4/3"]])
-    assert rat.mat_add(a, rat.mat_neg(a)) == rat.zeros(2, 2)
+    assert rat.mat_sub(a, rat.mat_neg(a)) == rat.mat_scale(2, a)
     assert rat.mat_sub(a, a) == rat.zeros(2, 2)
     assert rat.mat_scale(Fraction(2), a) == rat.matrix([[2, 4], [6, 8]])
     assert rat.mat_vec(a, (1, 0)) == (Fraction(1), Fraction(3))
     assert rat.transpose(rat.transpose(a)) == a
-    assert rat.is_zero_product(rat.zeros(3, 2))
-    assert not rat.is_zero_product(a)
+    assert rat.is_zero_product(rat.zeros(3, 2), a)
+    assert not rat.is_zero_product(a, rat.identity(2))
 
 
 def test_stacking_shapes():
@@ -148,6 +148,24 @@ def test_stacking_shapes():
     assert len(v) == 3 and len(v[0]) == 2
     d = rat.block_diag(a, rat.identity(3))
     assert d == rat.identity(5)
+
+
+def test_vstack_and_block_diag_reject_ragged_rows():
+    # vstack returned ((1, 2), (3,)), and block_diag ragged rows
+    with pytest.raises(ValueError, match="ragged rows"):
+        rat.vstack(((1, 2),), ((3,),))
+    with pytest.raises(ValueError, match="ragged rows"):
+        rat.vstack(((1, 2), (3,)), ())
+    with pytest.raises(ValueError, match="ragged rows"):
+        rat.block_diag(((1,),), ((2, 3), (4,)))
+    # lengths only: no entry is read
+    bad = (Unreadable(), Unreadable())
+    with pytest.raises(ValueError, match="ragged rows"):
+        rat.vstack((bad,), ((bad[0],),))
+    with pytest.raises(ValueError, match="ragged rows"):
+        rat.block_diag((bad, bad[:1]))
+    assert rat.vstack((), ROW_12) == ROW_12 == rat.vstack(ROW_12, ())
+    assert rat.block_diag(((),), ROW_12, ()) == ROW_12
 
 
 def test_hstack_takes_any_number_of_blocks():
@@ -196,12 +214,11 @@ def test_mat_vec_rejects_mismatched_inner_dimensions():
 def test_zero_product_rejects_mismatched_inner_dimensions():
     with pytest.raises(ValueError, match=INNER):
         rat.is_zero_product(ROW_12, COLUMN_3)
-    # every adjacent pair is checked, not only the first
     with pytest.raises(ValueError, match=INNER):
-        rat.is_zero_product(ROW_12, rat.identity(2), COLUMN_3)
-    with pytest.raises(ValueError, match=INNER):
-        rat.is_zero_product(rat.identity(1), ROW_12, rat.identity(3))
-    assert rat.is_zero_product(ROW_12, rat.identity(2), ((2,), (-1,)))
+        rat.is_zero_product(rat.identity(2), COLUMN_3)
+    assert rat.is_zero_product(ROW_12, ((2,), (-1,)))
+    # an empty factor gives the empty product
+    assert rat.is_zero_product((), COLUMN_3) and rat.is_zero_product(ROW_12, ())
 
 
 SHAPE = "different shapes"
@@ -216,9 +233,9 @@ class Unreadable:
     __sub__ = __radd__ = __rsub__ = __add__
 
 
-@pytest.mark.parametrize("op", [rat.mat_add, rat.mat_sub])
+@pytest.mark.parametrize("op", [rat.mat_sub])
 def test_entrywise_ops_reject_mismatched_shapes(op):
-    # zip would cut the longer operand: ((1, 2),) + ((3,),) read as ((4,),)
+    # zip would cut the longer operand: ((1, 2),) - ((3,),) read as ((-2,),)
     with pytest.raises(ValueError, match=SHAPE):
         op(ROW_12, COLUMN_3)
     with pytest.raises(ValueError, match=SHAPE):
@@ -232,7 +249,7 @@ def test_entrywise_ops_reject_mismatched_shapes(op):
         op(bad, COLUMN_3)
     with pytest.raises(ValueError, match=SHAPE):
         op(bad + bad, bad)
-    assert op(ROW_12, ROW_12) == (((2, 4),) if op is rat.mat_add else ((0, 0),))
+    assert op(ROW_12, ROW_12) == ((0, 0),)
     assert op((), ()) == ()
 
 
@@ -435,20 +452,19 @@ def test_zero_product_matches_the_fraction_product(a, data):
     k = len(a[0])
     b = data.draw(fraction_matrix(k, None))
     c = data.draw(fraction_matrix(len(b[0]), None))
-    assert rat.is_zero_product(a) == all(x == 0 for row in a for x in row)
     ab = naive_mat_mul(a, b)
     assert rat.is_zero_product(a, b) == all(x == 0 for row in ab for x in row)
     abc = naive_mat_mul(ab, c)
-    assert rat.is_zero_product(a, b, c) == all(x == 0 for row in abc for x in row)
-    # kernel bases give products that must read zero; the left kernel's
-    # zero needs the rows of the middle factor `a` in their true ratio
+    assert rat.is_zero_product(ab, c) == all(x == 0 for row in abc for x in row)
+    # kernel bases give products that must read zero
     null = rat.kernel(a)
     if null:
         assert rat.is_zero_product(a, rat.transpose(null))
-        assert rat.is_zero_product(rat.transpose(b), rat.transpose(a), a, rat.transpose(null))
+        ba = naive_mat_mul(rat.transpose(b), rat.transpose(a))
+        assert rat.is_zero_product(ba, naive_mat_mul(a, rat.transpose(null)))
     left = rat.kernel(rat.transpose(a))
     if left:
-        assert rat.is_zero_product(left, a, b)
+        assert rat.is_zero_product(left, a)
 
 
 def test_zero_product_sees_a_tiny_entry():
@@ -457,19 +473,18 @@ def test_zero_product_sees_a_tiny_entry():
     b = ((Fraction(1),), (Fraction(1),))
     assert rat.is_zero_product(a, b)
     assert not rat.is_zero_product(a, ((Fraction(1),), (1 - tiny,)))
-    assert not rat.is_zero_product(((tiny,),))
-    g = rat.identity(2)
-    assert not rat.is_zero_product(a, g, ((Fraction(1),), (1 + tiny,)))
-    # (2, 1) cancels the middle rows only in their ratio 1 : -2
-    middle = rat.matrix([[1, 2], [-2, -4]])
-    assert rat.is_zero_product(((2, 1),), middle, g)
-    assert not rat.is_zero_product(((2, 1 + tiny),), middle, g)
+    assert not rat.is_zero_product(((tiny,),), ((Fraction(1),),))
+    assert not rat.is_zero_product(a, ((Fraction(1),), (1 + tiny,)))
+    # (2, 1) cancels the rows of the second factor only in their ratio 1 : -2
+    rows = rat.matrix([[1, 2], [-2, -4]])
+    assert rat.is_zero_product(((2, 1),), rows)
+    assert not rat.is_zero_product(((2, 1 + tiny),), rows)
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(0.5)], ids=["float", "float64"])
 def test_zero_product_rejects_floats(bad):
     named = re.escape(repr(bad))
     one, odd = ((Fraction(1),),), ((bad,),)
-    for factors in [(odd,), (odd, one), (one, odd), (one, odd, one)]:
+    for factors in [(odd, one), (one, odd)]:
         with pytest.raises(TypeError, match=named):
             rat.is_zero_product(*factors)

@@ -6,7 +6,7 @@ import pytest
 
 from diracpairs import numeric_manifold as nm
 from diracpairs import reduction as red
-from diracpairs import so3
+from diracpairs import so3, verify
 from diracpairs.dictionary import QuasiPoissonPointData, k_from_quasi
 
 PLANAR = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -85,7 +85,7 @@ def test_planar_coordinates_bracket_to_one(planar_fibers, coord_x, coord_y):
 def test_planar_flow_matches_the_exact_graph_fiber(planar_fibers, coord_x):
     samples = red.hamiltonian_vector(coord_x, planar_fibers, PLANE_POINTS)
     for s in samples:
-        assert s.admissible
+        assert s.vector is not None
         assert np.allclose(s.vector, [0.0, 1.0], atol=1e-9)
         assert s.conservation < 1e-9
 
@@ -117,12 +117,80 @@ def test_bracket_laws_hold_for_quadratics(planar_fibers):
     assert red.jacobi_residual(f2, g2, red.observable(lambda p: p[0]), planar_fibers, PLANE_POINTS) < 1e-4
 
 
+def _doubled(fibers):
+    return lambda pi, dim: fibers(lambda x: 2.0 * pi(x), dim)
+
+
+def _symmetric(fibers):
+    return lambda pi, dim: fibers(lambda x: np.array([[0.0, 1.0], [1.0, 0.0]]), dim)
+
+
+def _with_base_differential(fibers):
+    def mutated(pi, dim):
+        def fiber_at(x):
+            fb = fibers(pi, dim)(x)
+            return red.PointFiber(fb.t_dim, fb.e_dim, fb.rows, dj=np.array([[1.0, 0.0]]))
+
+        return fiber_at
+
+    return mutated
+
+
+# (mutation of the planar example's graph fibers, quantity it must fail,
+# the value it reads), at 6 samples of seed 0; every other quantity stays 0
+PLANAR_CONTROLS = [
+    (_doubled, "coordinate_bracket", 1.0),
+    (_symmetric, "skew", 2.0),
+    (_with_base_differential, "conservation", 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "mutation, quantity, value", PLANAR_CONTROLS, ids=[q for _, q, _ in PLANAR_CONTROLS]
+)
+def test_a_mutated_planar_fiber_fails_its_control(monkeypatch, mutation, quantity, value):
+    base = verify.run_example("planar_symplectic_reduction", samples=6, seed=0)
+    assert base.passed
+    monkeypatch.setattr(red, "bivector_fibers", mutation(red.bivector_fibers))
+    rep = verify.run_example("planar_symplectic_reduction", samples=6, seed=0)
+    assert rep.quantities[quantity] == pytest.approx(value, abs=1e-9)
+    assert not rep.holds(quantity)
+    assert all(rep.holds(q) for q in rep.quantities if q != quantity)
+
+
+def _not_poisson(x):
+    # x2 d0 ^ d1 + d1 ^ d2 + x0 d0 ^ d2: its Schouten square does not vanish
+    return np.array([[0.0, x[2], x[0]], [-x[2], 0.0, 1.0], [-x[0], -1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "pi, poisson",
+    [(helpers.so3_linear_poisson, True), (_not_poisson, False)],
+    ids=["so3", "not-poisson"],
+)
+def test_a_non_poisson_bivector_fails_flow_match_and_jacobi(pi, poisson):
+    # the planar chart cannot fail these: every bivector on a plane is Poisson
+    pts = verify._flat_points(6, 0)
+    x0, x1 = (
+        red.observable(lambda p, i=i: float(p[i]), grad=lambda p, i=i: np.eye(3)[i])
+        for i in range(2)
+    )
+    half_norm = red.observable(lambda p: 0.5 * float(p @ p), grad=lambda p: np.asarray(p, float))
+    fibers = red.bivector_fibers(pi, 3)
+    laws = red.check_bracket_laws(x0, x1, fibers, pts[:4])
+    jacobi = red.jacobi_residual(x0, x1, half_norm, fibers, pts[:3])
+    assert laws.holds("flow_match") is poisson
+    assert (jacobi < nm.DEFAULT_TOL) is poisson
+    if not poisson:
+        assert laws.quantities["flow_match"] > 0.9 and jacobi > 0.5
+
+
 def test_central_function_has_a_silent_flow(
     canonical_fiber_map, trace_observable, so3_points
 ):
     pts = [np.asarray(x, float) for x in so3_points[:5]]
     samples = red.hamiltonian_vector(trace_observable, canonical_fiber_map, pts)
-    assert all(s.admissible for s in samples)
+    assert all(s.vector is not None for s in samples)
     assert max(float(np.linalg.norm(s.vector)) for s in samples) < 1e-6
     assert max(s.conservation for s in samples) < 1e-6
 
@@ -157,7 +225,7 @@ def test_orbit_description_validates_its_data():
         red.OrbitDescription((shell,), ())
     centered = red.observable(lambda p: float(p @ p), grad=lambda p: 2.0 * p)
     with pytest.raises(ValueError, match="drop rank"):
-        red.OrbitDescription((centered,), (np.zeros(3),), locus_tol=1e-3)
+        red.OrbitDescription((centered,), (np.zeros(3),))
 
 
 def test_projection_builds_locus_samples(so3_points):

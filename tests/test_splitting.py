@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import helpers
 from diracpairs import rational as rat
 from diracpairs import splitting as sp
+from diracpairs.exact_linear import SplitForm
 from diracpairs.quadratic_lie import catalog
 
 
@@ -43,16 +44,12 @@ def test_splitting_axioms_on_every_catalog_pair(name):
     assert rat.mat_mul(jg, a_cols) == rat.identity(pair.g.dim)
 
 
-def test_decompose_embed_round_trip():
-    pair = catalog()["sl2-double"]
-    s = sp.make_isotropic_splitting(pair)
-    e = tuple(Fraction(k + 1, 2) for k in range(6))
-    a_part, dual_part = s.decompose(e)
-    assert s.embed_double(a_part, dual_part) == rat.vec(e)
+def test_the_split_frame_carries_the_pairing_to_the_standard_double():
+    # half basis, then the complement dual to it: the frame is invertible
     for name, pair in catalog().items():
-        s = sp.make_isotropic_splitting(pair)
-        e = tuple(Fraction(k + 1) for k in range(pair.d.dim))
-        assert s.embed_double(*s.decompose(e)) == rat.vec(e), name
+        frame = sp.make_isotropic_splitting(pair).frame()
+        gram = rat.mat_mul(rat.mat_mul(rat.transpose(frame), pair.d.form.gram), frame)
+        assert gram == SplitForm.standard_double(pair.g.dim).gram, name
 
 
 def test_quasi_data_of_abelian_pairs_vanishes():
@@ -110,7 +107,7 @@ def test_twisted_splitting_keeps_coherence():
     w = sp.tensor_from_function(
         3, 2, lambda kl: {(0, 1): Fraction(1), (1, 0): Fraction(-1)}.get(kl, Fraction(0))
     )
-    st_ = s.twist(w)
+    st_ = helpers.twist(s, w)
     data = sp.derive_quasi_data(pair, st_)
     rep = sp.check_quasi_jacobi(sp.subalgebra_structure(pair), data)
     assert rep.passed, rep
@@ -167,7 +164,7 @@ def quasi_case(name, twisted=False, mutation=None):
     pair = catalog()[name]
     s = sp.make_isotropic_splitting(pair)
     if twisted:
-        s = s.twist(e01(pair.g.dim))
+        s = helpers.twist(s, e01(pair.g.dim))
     data = sp.derive_quasi_data(pair, s)
     r = data.a_dim
     if mutation == "2chi":
