@@ -3,10 +3,10 @@
 Two tiers share one vocabulary.  The exact tier (`exact_linear`,
 `quadratic_lie`, `splitting`, `morphism`, `dictionary`) does rational linear
 algebra on subspaces, pairings, and relation fibers.  The numeric tier
-(`numeric_manifold`, `reduction`) samples charts and verifies the bracket
-axioms and compatibility identities by finite differences.  Every check in
-either tier returns a `report.Report`.  `scene_dsl` and `cli` wrap both in a
-text format and a command line.
+(`numeric_manifold`, `reduction`, with the rotation chart of `so3`) samples
+charts and verifies the bracket axioms and compatibility identities by
+finite differences.  Every check in either tier returns a `report.Report`.
+`scene_dsl` and `cli` wrap both in a text format and a command line.
 """
 
 __version__ = "0.1.0"
@@ -20,6 +20,7 @@ __all__ = [
     "dictionary",
     "numeric_manifold",
     "reduction",
+    "so3",
     "report",
     "scene_dsl",
     "cli",

@@ -190,10 +190,7 @@ def run_check(args, out, err):
     try:
         ir = parse_scene(text)
         scene = validate_scene(ir, example_registry=verify.EXAMPLES)
-    except ParseError as e:
-        print(f"{path}: {e}", file=err)
-        return EXIT_INPUT
-    except SceneError as e:
+    except (ParseError, SceneError) as e:
         print(f"{path}: {e}", file=err)
         return EXIT_INPUT
 

@@ -5,8 +5,8 @@ action of the Lagrangian half on one side, a Lagrangian subspace of tangents
 plus covectors on the other.  The Hamiltonian fiber is the one intrinsic
 object: each picture enters and leaves only through it (``k_from_quasi``,
 ``pi_from_k``, ``k_from_dirac``, ``dirac_from_k``), and a conversion between
-the pictures is a composite of those.  ``pi_from_k`` reads the bivector out
-twice, the second time by relation composition, as the validity check.
+the pictures is a composite of those.  Each re-proves nothing that its
+inputs' constructors proved, so ``pi_from_k`` reads the bivector out once.
 Round trips are identities on valid fibers and the test suite holds them to
 exact equality, so every formula below states its convention precisely.
 
@@ -38,7 +38,6 @@ from .exact_linear import (
     SplitForm,
     Subspace,
     canonicalize,
-    compose,
     is_graph_over_factor,
     is_lagrangian,
 )
@@ -96,47 +95,39 @@ class DiracPointData:
 
 @dataclass(frozen=True)
 class ExactIdentification:
-    """Splitting of an exact fiber: a right inverse ``s`` of the anchor with
-    isotropic image, identifying the fiber with base tangents plus covectors
-    through (v, beta) -> s(v) + rho_star(beta).  The isotropy checks keep
-    ``s_star`` (e -> s^T G e) and ``rho_star`` (beta -> G^{-1} rho^T beta).
-    Without ``s`` the splitting is the canonical one of
-    ``identification_from_anchor``, built from the same ``rho_star``.  Over
-    a point the anchor is empty and so are ``s``, ``s_star`` and
-    ``rho_star``."""
+    """Canonical splitting of an exact fiber: the right inverse ``s`` of the
+    anchor with isotropic image, identifying the fiber with base tangents
+    plus covectors through (v, beta) -> s(v) + rho_star(beta), where
+    ``rho_star`` is beta -> G^{-1} rho^T beta and ``s_star`` is
+    e -> s^T G e.
+
+    The one gate is exactness, rho rho_star = 0.  With c = rho^T (rho
+    rho^T)^{-1}, the Gram right inverse of rho, and B = c^T G c, the
+    splitting is s = c - 1/2 rho_star B.  Then rho s = I - 1/2 (rho
+    rho_star) B and s^T G s = 1/4 B (rho rho_star) B, so exactness makes
+    ``s`` a right inverse with isotropic image.  Over a point the anchor is
+    empty and so are ``s``, ``s_star`` and ``rho_star``."""
 
     pair: ManinPairPoint
     rho: tuple
-    s: tuple = None
+    s: tuple = field(init=False, repr=False, compare=False)
     s_star: tuple = field(init=False, repr=False, compare=False)
     rho_star: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", rat.matrix(self.rho))
-        n = self.pair.d.dim
-        srows = len(self.rho)
         # an empty anchor has width 0: over a point only the zero fiber is exact
-        if (len(self.rho[0]) if srows else 0) != n:
+        if (len(self.rho[0]) if self.rho else 0) != self.pair.d.dim:
             raise ValueError("anchor has wrong shape")
         form = self.pair.d.form
-        rho_star = rat.mat_mul(form.gram_inv, rat.transpose(self.rho))
-        if self.s is None:
-            # the Gram right inverse of rho, half its self pairing absorbed
-            rho_t = rat.transpose(self.rho)
-            c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
-            object.__setattr__(self, "s", absorb_self_pairing(form, c, rho_star))
-        object.__setattr__(self, "s", rat.matrix(self.s))
-        if len(self.s) != n or (n and len(self.s[0]) != srows):
-            raise ValueError("splitting has wrong shape")
-        rs = rat.mat_mul(self.rho, self.s)
-        if rs != rat.identity(srows):
-            raise ValueError("s is not a right inverse of the anchor")
-        s_star = rat.mat_mul(rat.transpose(self.s), form.gram)
-        if not rat.is_zero_product(s_star, self.s):
-            raise ValueError("image of s is not isotropic")
+        rho_t = rat.transpose(self.rho)
+        rho_star = rat.mat_mul(form.gram_inv, rho_t)
         if not rat.is_zero_product(self.rho, rho_star):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
-        object.__setattr__(self, "s_star", s_star)
+        c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
+        s = absorb_self_pairing(form, c, rho_star)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s_star", rat.mat_mul(rat.transpose(s), form.gram))
         object.__setattr__(self, "rho_star", rho_star)
 
     @property
@@ -174,35 +165,25 @@ def k_from_quasi(q, dJ=(), rho=(), realization=None):
 def pi_from_k(h, splitting):
     """Bivector and action back out of a Hamiltonian fiber.
 
-    Two independent routes: per covector, the unique element of the fiber
-    Lagrangian whose half component vanishes (through the decomposition the
-    splitting induces); and the relation composition of the Lagrangian with
-    the embedded dual image.  Both must agree, and do on valid fibers.
+    Per coordinate covector alpha, the unique element ((u, alpha), e) of the
+    fiber Lagrangian whose half component vanishes in the decomposition the
+    splitting induces, so that e lies in the dual image; u is the interior
+    product of the bivector with alpha.  By linearity these elements span
+    the composite of the Lagrangian with the dual image, which is the graph
+    of the bivector.
     """
-    t, n = h.t_dim, h.pair.d.dim
-    r = h.pair.g.dim
+    t, r = h.t_dim, h.pair.g.dim
     rho_x = extract_action(h)
 
     a_part = rat.invert(splitting.frame())[:r]
     bt = h.coordinates
     constraint = bt[t : 2 * t] + rat.mat_mul(a_part, bt[2 * t :])
-    pi = rat.matrix(
-        h.tangent_lift(
-            constraint,
-            rat.hstack(rat.identity(t), rat.zeros(t, r)),
-            "no fiber element over this covector",
-            "bivector element is not unique: invalid fiber",
-        )
+    pi = h.tangent_lift(
+        constraint,
+        rat.hstack(rat.identity(t), rat.zeros(t, r)),
+        "no fiber element over this covector",
+        "bivector element is not unique: invalid fiber",
     )
-
-    unique_graph = canonicalize(rat.hstack(pi, rat.identity(t)), 2 * t)
-    dual_image = splitting.dual_image()
-    krel = LinearRelation(2 * t, n, h.K)
-    to_zero = LinearRelation(n, 0, dual_image)
-    composed = compose(krel, to_zero).graph
-    if composed != unique_graph:
-        raise ValueError("splitting routes disagree: invalid fiber")
-
     return QuasiPoissonPointData(t_dim=t, a_dim=r, Pi=pi, rho_X=rho_x)
 
 

@@ -24,9 +24,9 @@ takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are read per
 point, the arithmetic runs over the stack, and every stacked value equals
 the single-point one bit for bit.  A bracket section (``StackedSection``)
 takes its jet, the point and its whole stencil, in one kernel call;
-``check_axioms_numeric`` brackets every point-independent probe, and
-``CanonicalSpace.generator_residuals`` every pair of fiber generators,
-over all sample points at once.
+``check_axioms_numeric`` brackets every point-independent probe, and one
+closure loop every pair of frame rows (``generator_residuals``, and
+``check_strong_dirac``'s ``integrability``), over all sample points at once.
 
 Per-point fields of the rotation bundle (the dressing anchor and the
 exact splitting) and the Dirac frames of the integrability probes are
@@ -698,19 +698,17 @@ def make_exact_splitting(c):
     return s, phi
 
 
-def _frame_closure(frame, x, phi_field, h):
-    """Worst distance from the twisted bracket of two rows of a frame field
-    to the frame's row span at ``x``.  ``frame`` should be ``per_point``
-    memoized: each row section reads the whole frame at every point, and
-    the rows are built once so their jets serve every pair."""
-    rows = frame(x)
-    sections = [
-        SectionField(rows.shape[1], lambda y, i=i: frame(y)[i]) for i in range(rows.shape[0])
-    ]
-    worst = 0.0
-    for e1, e2 in combinations(sections, 2):
-        worst = worse(worst, lstsq_distance(rows, twisted_bracket(e1, e2, x, phi_field, h)))
-    return worst
+def _closure(generators, bracket, frames, out, family):
+    """Fold into ``out`` the distance from the bracket of each pair of
+    ``generators`` to the row span of the frame, at every point of a
+    stack: ``bracket(g1, g2)`` is the pair's stack of values, ``frames``
+    the frame at each point, and ``family(i, j)`` the key of the pair of
+    indices ``i < j`` in ``out``."""
+    for (i, g1), (j, g2) in combinations(enumerate(generators), 2):
+        key = family(i, j)
+        for rows, w in zip(frames, bracket(g1, g2)):
+            out[key] = worse(out[key], lstsq_distance(rows, w))
+    return out
 
 
 def dirac_of_pair(c, half, s):
@@ -787,23 +785,21 @@ class CanonicalSpace:
         over the whole stack; their indices name the family: ``half_half``,
         ``half_covector`` or ``covector_covector``."""
         c = self.courant
-        h = c.step
         pts = np.asarray(x, dtype=float)
         stack = pts.reshape(-1, pts.shape[-1])
         # every pair reads the twist, and a single bracket only at its own point
         twist = per_point(self.phi)
-        rows = [self._frame(y) for y in stack]
-        half = len(self.half_rows)
-        families = ("half_half", "half_covector", "covector_covector")
-        out = dict.fromkeys(families, 0.0)
-        for (i, (t1, e1)), (j, (t2, e2)) in combinations(enumerate(self._generators), 2):
-            ws = np.concatenate(
-                [twisted_bracket(t1, t2, pts, twist, h), c.bracket_at(e1, e2, pts)], axis=-1
-            )
-            family = families[(i >= half) + (j >= half)]
-            for r, w in zip(rows, ws.reshape(len(stack), -1)):
-                out[family] = worse(out[family], lstsq_distance(r, w))
-        return out
+
+        def bracket(g1, g2):
+            (t1, e1), (t2, e2) = g1, g2
+            legs = [twisted_bracket(t1, t2, pts, twist, c.step), c.bracket_at(e1, e2, pts)]
+            return np.concatenate(legs, axis=-1).reshape(len(stack), -1)
+
+        half, families = len(self.half_rows), ("half_half", "half_covector", "covector_covector")
+        frames, out = [self._frame(y) for y in stack], dict.fromkeys(families, 0.0)
+        return _closure(
+            self._generators, bracket, frames, out, lambda i, j: families[(i >= half) + (j >= half)]
+        )
 
 
 def canonical_fiber(pair, rho, rho_star):
@@ -858,23 +854,26 @@ def check_strong_dirac(
     if exact_fibers is not None:
         res.update(inclusion=0.0, transversality=0)
         tangents = Subspace.full(q).embed(range(q), 2 * q)
-    if phi is not None:
-        res["integrability"] = 0.0
-        frame = per_point(l_x)
-        twist = per_point(_phi_as_field(phi, q))
-
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        if exact_fibers is not None:
-            fiber, target, dj_q = exact_fibers(x)
+        for x in points:
+            fiber, target, dj_q = exact_fibers(np.asarray(x, dtype=float))
             dj = rat.matrix(dj_q)
             included = forward_dirac(fiber, dj).contains(target)
             tangent = fiber.intersection(tangents).project(range(q))
             transversal = rat.rank(rat.mat_mul(tangent.basis, rat.transpose(dj))) == tangent.dim
             res["inclusion"] = worse(res["inclusion"], 0.0 if included else 1.0)
             res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
-        if phi is not None:
-            res["integrability"] = worse(res["integrability"], _frame_closure(frame, x, twist, h))
+    if phi is not None:
+        # the rows' sections are built once, so their jets serve every pair
+        frame, twist = per_point(l_x), per_point(_phi_as_field(phi, q))
+        stack = np.array(points, dtype=float)
+        frames = [frame(x) for x in stack]
+        rows = [SectionField(len(r), lambda y, i=i: frame(y)[i]) for i, r in enumerate(frames[0])]
+
+        def bracket(e1, e2):
+            return twisted_bracket(e1, e2, stack, twist, h)
+
+        res["integrability"] = 0.0
+        _closure(rows, bracket, frames, res, lambda i, j: "integrability")
     return Report(res, tol=tol, exact={"inclusion", "transversality"} & res.keys())
 
 

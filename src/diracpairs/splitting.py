@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import rational as rat
-from .exact_linear import canonicalize
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -41,16 +40,6 @@ def tensor_from_function(dim, degree, fn):
         return tuple(build(prefix + (i,)) for i in range(dim))
 
     return build(())
-
-
-def is_antisymmetric(t, dim, degree):
-    for idx in product(range(dim), repeat=degree):
-        for k in range(degree - 1):
-            swapped = list(idx)
-            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-            if tensor_get(t, idx) != -tensor_get(t, tuple(swapped)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +80,6 @@ class IsotropicSplitting:
     def a_basis(self):
         return self.pair.g.basis
 
-    def dual_image(self):
-        """Image of the splitting as a subspace (an isotropic complement)."""
-        return canonicalize(rat.transpose(self.j), self.pair.d.dim)
-
     def frame(self):
         """The split frame: columns of the half's basis, then of ``j``."""
         a_cols = rat.transpose(self.a_basis)
@@ -133,18 +118,16 @@ def make_isotropic_splitting(pair):
 @dataclass(frozen=True)
 class QuasiBialgebraData:
     """Cobracket constants and top-degree defect of a quasi-Lie bialgebra
-    over a point."""
+    over a point.
+
+    ``derive_quasi_data`` builds them as F[i][k][l] = <[c_k, c_l], a_i> and
+    chi[k][l][m] = <[c_k, c_l], c_m>, antisymmetric by the antisymmetry of
+    the bracket and by ad-invariance of the pairing, both of which the
+    pair's algebra passed when it was validated."""
 
     a_dim: int
     F: tuple  # F[i] is the 2-tensor image of the i-th basis vector
     chi: tuple  # 3-tensor
-
-    def __post_init__(self):
-        for i in range(self.a_dim):
-            if not is_antisymmetric(self.F[i], self.a_dim, 2):
-                raise ValueError("cobracket images must be antisymmetric")
-        if not is_antisymmetric(self.chi, self.a_dim, 3):
-            raise ValueError("defect tensor must be antisymmetric")
 
 
 def subalgebra_structure(pair):

@@ -155,9 +155,9 @@ def planar_symplectic_reduction(samples, seed, tol, step):
     fy = red.observable(lambda x: float(x[1]), grad=lambda x: np.array([0.0, 1.0]))
     bracket = red.poisson_bracket(fx, fy, fiber_at, h=step)
     coordinate = reduce(worse, (abs(bracket.value(x) - 1.0) for x in pts), 0.0)
-    laws = red.check_bracket_laws(fx, fy, fiber_at, pts[: min(4, len(pts))], h=step)
+    laws = red.check_bracket_laws(fx, fy, fiber_at, pts[: min(4, len(pts))], h=step, tol=tol)
     fq = red.observable(lambda x: 0.5 * float(x @ x), grad=lambda x: np.asarray(x, float))
-    jacobi = red.jacobi_residual(fx, fy, fq, fiber_at, pts[:3], h=step)
+    jacobi = red.jacobi_residual(fx, fy, fq, fiber_at, pts[:3], h=step, tol=tol)
     return Report(
         {"coordinate_bracket": coordinate, **laws.quantities, "jacobi": jacobi}, tol=tol
     )

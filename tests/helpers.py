@@ -11,10 +11,12 @@ import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
 from diracpairs import rational as rat
+from diracpairs import scene_dsl as sd
 from diracpairs import splitting as sp
 from diracpairs import verify
 from diracpairs.dictionary import (
@@ -24,7 +26,7 @@ from diracpairs.dictionary import (
     abstract_double,
     identification_from_anchor,
 )
-from diracpairs.exact_linear import Subspace, canonicalize
+from diracpairs.exact_linear import LinearRelation, Subspace, canonicalize, compose
 from diracpairs.morphism import HamiltonianFiber
 from diracpairs.numeric_manifold import (
     DEFAULT_STEP,
@@ -312,6 +314,16 @@ def tensor_is_zero(t):
     return all(tensor_is_zero(x) for x in t)
 
 
+def is_antisymmetric(t, dim, degree):
+    for idx in product(range(dim), repeat=degree):
+        for k in range(degree - 1):
+            swapped = list(idx)
+            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            if tensor_get(t, idx) != -tensor_get(t, tuple(swapped)):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # dense reference for the quasi-Jacobi check
 #
@@ -492,6 +504,12 @@ def fd_convergence_probe(factory, x, h, factor=8.0):
     w = coarse.bracket_at(e1, e2, np.asarray(x, float))
     wr = ref.bracket_at(e1, e2, np.asarray(x, float))
     return float(np.max(np.abs(w - wr)))
+
+
+def not_poisson_bivector(x):
+    """Component matrix of x2 d0 ^ d1 + d1 ^ d2 + x0 d0 ^ d2, whose
+    Schouten square does not vanish."""
+    return np.array([[0.0, x[2], x[0]], [-x[2], 0.0, 1.0], [-x[0], -1.0, 0.0]])
 
 
 def so3_linear_poisson(x):
@@ -816,6 +834,18 @@ def reference_dirac_from_k(h, ident):
     return DiracPointData(canonicalize(rows, 2 * t))
 
 
+def reference_bivector_graph(h, splitting):
+    """Graph of the bivector of a Hamiltonian fiber, read out the second
+    way ``dictionary.pi_from_k`` once did: the relation composition of the
+    fiber Lagrangian with the embedded dual image of the splitting, the
+    span of the columns of ``j`` (an isotropic complement of the half)."""
+    t, n = h.t_dim, h.pair.d.dim
+    dual_image = canonicalize(rat.transpose(splitting.j), n)
+    krel = LinearRelation(2 * t, n, h.K)
+    to_zero = LinearRelation(n, 0, dual_image)
+    return compose(krel, to_zero).graph
+
+
 def reference_canonical_fiber(pair, rho, rho_star):
     """The canonical Hamiltonian fiber K = {((rho(a), -beta), a + rho*
     beta)} of an exact rational anchor ``rho`` with its adjoint ``rho_star``
@@ -981,3 +1011,15 @@ def example_quantities_json():
         for seed in EXAMPLE_SEEDS
     }
     return json.dumps(table, indent=1, sort_keys=True) + "\n"
+
+
+def golden_scenes():
+    """The validated golden scenes of ``tests/fixtures`` by file stem; the
+    malformed one is left out."""
+    scenes = {}
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.mp")):
+        try:
+            scenes[path.stem] = sd.validate_scene(sd.parse_scene(path.read_text()), verify.EXAMPLES)
+        except (sd.ParseError, sd.SceneError):
+            continue
+    return scenes

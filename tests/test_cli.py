@@ -423,7 +423,7 @@ def test_help_goes_to_the_given_output_stream(capsys):
     "name,message",
     [
         ("rotation_canonical_fibers", "not Lagrangian for the sum pairing"),
-        ("rotation_strong_section", "s is not a right inverse of the anchor"),
+        ("rotation_strong_section", "fiber is not exact: anchor adjoint is not isotropic"),
     ],
 )
 def test_a_broken_frozen_fiber_fails_its_check(monkeypatch, name, message):

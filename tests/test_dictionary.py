@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from diracpairs import rational as rat
 from diracpairs import so3
 from diracpairs.dictionary import (
     DiracPointData,
-    ExactIdentification,
     QuasiPoissonPointData,
     abstract_double,
     backward_dirac,
@@ -32,9 +33,11 @@ from diracpairs.dictionary import (
     quasi_to_dict,
 )
 from diracpairs.exact_linear import canonicalize
-from diracpairs.morphism import check_hamiltonian_fiber
+from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
 from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import make_isotropic_splitting
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_point_data_validation():
@@ -100,21 +103,24 @@ def test_identification_validation():
     ident = identification_from_anchor(pair, rho)
     assert ident.base_dim == 2
     assert rat.mat_mul(ident.rho, ident.s) == rat.identity(2)
-    # anchor whose adjoint is not isotropic: the fiber cannot be exact
-    with pytest.raises(ValueError):
-        identification_from_anchor(pair, rat.hstack(rat.identity(2), rat.identity(2)))
-    with pytest.raises(ValueError, match="right inverse"):
-        ExactIdentification(pair, rho, rat.zeros(4, 2))
-    # rho s = id, but the first column (1, 0, 1, 0) pairs with itself to 2
-    tilted = rat.matrix([[1, 0], [0, 0], [1, 0], [0, 1]])
-    assert rat.mat_mul(rho, tilted) == rat.identity(2)
-    with pytest.raises(ValueError, match="not isotropic"):
-        ExactIdentification(pair, rho, tilted)
-    # an isotropic right inverse of [I | I], whose adjoint pairs to 2 I
-    wide = rat.hstack(rat.identity(2), rat.identity(2))
-    tangent = rat.vstack(rat.identity(2), rat.zeros(2, 2))
+    # [I | I] has an isotropic right inverse, but its adjoint pairs to 2 I:
+    # the fiber cannot be exact
     with pytest.raises(ValueError, match="not exact"):
-        ExactIdentification(pair, wide, tangent)
+        identification_from_anchor(pair, rat.hstack(rat.identity(2), rat.identity(2)))
+
+
+def test_the_canonical_splitting_is_an_isotropic_right_inverse():
+    # rho s = I - 1/2 (rho rho_star) B and s^T G s = 1/4 B (rho rho_star) B
+    # reduce to identities once rho rho_star = 0, which the constructor checks
+    pair = catalog()["so3-double"]
+    idents = [helpers.abstract_ident(r) for r in range(3)]
+    for seed in range(3):
+        for x in so3.sample_chart_points(50, seed):
+            idents.append(identification_from_anchor(pair, nm.rotation_double_exact_anchor(x)))
+    assert len(idents) == 153
+    for ident in idents:
+        assert rat.mat_mul(ident.rho, ident.s) == rat.identity(ident.base_dim)
+        assert helpers.is_zero_matrix(rat.mat_mul(ident.s_star, ident.s))
 
 
 def test_an_empty_anchor_identifies_a_point():
@@ -172,6 +178,83 @@ def test_block_builders_match_their_row_by_row_references():
                 h = k_from_dirac(d, dj, ident)
                 assert h.K == helpers.reference_k_from_dirac(d, dj, ident).K
                 assert dirac_from_k(h, ident).L == helpers.reference_dirac_from_k(h, ident).L
+
+
+def random_splitting(rng, pair):
+    """The pair's splitting, twisted by a random 2-vector half the time."""
+    sp = make_isotropic_splitting(pair)
+    if rng.random() < 0.5:
+        return helpers.twist(sp, helpers.random_antisymmetric(rng, pair.g.dim))
+    return sp
+
+
+def random_fiber(rng, kind):
+    """A Hamiltonian fiber over 0 to 3 tangent directions: of a random
+    bivector with action (kind 0), of a random Lagrangian over an abelian
+    identification (kind 1), or a random Lagrangian of the sum pairing with
+    no moment map (kind 2), which mostly has no bivector picture."""
+    pairs = [abstract_double(r) for r in range(3)]
+    pairs += [catalog()["so3-double"], catalog()["bialgebra-double"]]
+    t = int(rng.integers(0, 4))
+    pair = pairs[int(rng.integers(len(pairs)))]
+    if kind == 0:
+        q = helpers.random_quasi(rng, t, pair.g.dim)
+        return k_from_quasi(q, realization=random_splitting(rng, pair))
+    if kind == 1:
+        ident = helpers.abstract_ident(int(rng.integers(0, 3)))
+        dj = helpers.random_matrix(rng, ident.base_dim, t) if ident.base_dim else ()
+        return k_from_dirac(DiracPointData(helpers.random_lagrangian(rng, t)), dj, ident)
+    # the difference convention of the underlying morphism, covectors flipped back
+    rel = helpers.random_relation_lagrangian(rng, abstract_double(t), pair)
+    rows = [row[:t] + tuple(-x for x in row[t : 2 * t]) + row[2 * t :] for row in rel.basis]
+    return HamiltonianFiber(t_dim=t, pair=pair, K=canonicalize(rows, 2 * t + pair.d.dim))
+
+
+def bivector_graph_agrees(h, splitting):
+    """Whether ``pi_from_k`` agrees with the relation composition of the
+    fiber with the dual image: the graph of its bivector when it reads one
+    out, and a relation that is no graph over the covectors when its
+    bivector lift refuses.  Returns whether it read a bivector out."""
+    t = h.t_dim
+    want = helpers.reference_bivector_graph(h, splitting)
+    try:
+        q = pi_from_k(h, splitting)
+    except ValueError as e:
+        if "covector" in str(e) or "bivector" in str(e):
+            assert want.dim != t or want.project(range(t, 2 * t)).dim != t
+        return False
+    assert canonicalize(rat.hstack(q.Pi, rat.identity(t)) if t else (), 2 * t) == want
+    return True
+
+
+def test_bivector_read_out_equals_the_composition_reference():
+    # the per-covector lift finds exactly the fiber elements over the dual
+    # image, so by linearity it spans their composite
+    rng = helpers.rng_for(97)
+    read = sum(
+        bivector_graph_agrees(h, random_splitting(rng, h.pair))
+        for h in (random_fiber(rng, i % 3) for i in range(330))
+    )
+    assert 150 <= read < 330
+
+
+def test_bivector_read_out_equals_the_composition_reference_on_fixtures():
+    point = identification_from_anchor(abstract_double(0), ())
+    fibers = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            record = json.loads(path.read_text())
+        except ValueError:
+            continue
+        if record.get("kind") == "quasi":
+            fibers.append(k_from_quasi(quasi_from_dict(record)))
+        elif record.get("kind") == "dirac":
+            fibers.append(k_from_dirac(dirac_from_dict(record), (), point))
+    for scene in helpers.golden_scenes().values():
+        fibers += scene.fibers.values()
+    assert len(fibers) >= 6
+    for h in fibers:
+        bivector_graph_agrees(h, make_isotropic_splitting(h.pair))
 
 
 def test_rotation_anchor_identification():

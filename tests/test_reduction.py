@@ -158,14 +158,26 @@ def test_a_mutated_planar_fiber_fails_its_control(monkeypatch, mutation, quantit
     assert all(rep.holds(q) for q in rep.quantities if q != quantity)
 
 
-def _not_poisson(x):
-    # x2 d0 ^ d1 + d1 ^ d2 + x0 d0 ^ d2: its Schouten square does not vanish
-    return np.array([[0.0, x[2], x[0]], [-x[2], 0.0, 1.0], [-x[0], -1.0, 0.0]])
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_the_planar_example_passes_its_tol_to_every_check(monkeypatch, tol):
+    seen = []
+
+    def recording(check):
+        def wrapped(*args, **kwargs):
+            seen.append((check.__name__, kwargs.get("tol")))
+            return check(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("check_bracket_laws", "jacobi_residual"):
+        monkeypatch.setattr(red, name, recording(getattr(red, name)))
+    assert verify.run_example("planar_symplectic_reduction", samples=4, seed=0, tol=tol).passed
+    assert seen == [("check_bracket_laws", tol), ("jacobi_residual", tol)]
 
 
 @pytest.mark.parametrize(
     "pi, poisson",
-    [(helpers.so3_linear_poisson, True), (_not_poisson, False)],
+    [(helpers.so3_linear_poisson, True), (helpers.not_poisson_bivector, False)],
     ids=["so3", "not-poisson"],
 )
 def test_a_non_poisson_bivector_fails_flow_match_and_jacobi(pi, poisson):

@@ -72,7 +72,7 @@ def test_quasi_data_of_the_rotation_double():
     assert sp.tensor_get(data.chi, (0, 1, 2)) == Fraction(1, 4)
     assert sp.tensor_get(data.chi, (1, 0, 2)) == Fraction(-1, 4)
     assert sp.tensor_get(data.chi, (0, 0, 2)) == 0
-    assert sp.is_antisymmetric(data.chi, 3, 3)
+    assert helpers.is_antisymmetric(data.chi, 3, 3)
 
 
 def test_quasi_data_of_the_special_linear_double():
@@ -90,6 +90,23 @@ def test_quasi_data_of_a_bialgebra_double_has_cobracket_only():
     assert helpers.tensor_is_zero(data.chi)
     assert helpers.tensor_is_zero(data.F[0])
     assert sp.tensor_get(data.F[1], (0, 1)) == 1
+
+
+def test_derived_quasi_data_is_antisymmetric():
+    # F[i][k][l] = <[c_k, c_l], a_i> and chi[k][l][m] = <[c_k, c_l], c_m>:
+    # the bracket is antisymmetric and the pairing ad-invariant
+    cases = [(name, sp.make_isotropic_splitting(pair)) for name, pair in catalog().items()]
+    scenes = [
+        (f"{stem}:{name}", s)
+        for stem, scene in helpers.golden_scenes().items()
+        for name, s in scene.splittings.items()
+    ]
+    assert len(scenes) >= 3
+    for name, s in cases + scenes:
+        data = sp.derive_quasi_data(s.pair, s)
+        r = data.a_dim
+        assert all(helpers.is_antisymmetric(f, r, 2) for f in data.F), name
+        assert helpers.is_antisymmetric(data.chi, r, 3), name
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -120,7 +137,7 @@ def test_wedge_of_coordinate_vectors():
     assert sp.tensor_get(w, (0, 1)) == 1
     assert sp.tensor_get(w, (1, 0)) == -1
     assert sp.tensor_get(w, (0, 0)) == 0
-    assert sp.is_antisymmetric(w, 3, 2)
+    assert helpers.is_antisymmetric(w, 3, 2)
 
 
 def test_wedge_evaluation_pairs_with_covectors():
