@@ -168,6 +168,8 @@ def _run_plan(plan):
         t0 = time.perf_counter()
         try:
             entry = _check_entry(step.name, step.run(), t0)
+        except SceneError:
+            raise  # an example refused the scene's arguments: bad input
         except Exception as e:
             entry = {
                 "name": step.name,
@@ -189,16 +191,15 @@ def run_check(args, out, err):
         return EXIT_INPUT
     try:
         ir = parse_scene(text)
-        scene = validate_scene(ir, example_registry=verify.EXAMPLES)
+        checks = _run_plan(validate_scene(ir, verify.EXAMPLES).plan)
     except (ParseError, SceneError) as e:
         print(f"{path}: {e}", file=err)
         return EXIT_INPUT
 
-    checks = _run_plan(scene.plan)
     report = _report_skeleton(
         scene=path.name,
         scene_hash=hashlib.sha256(text.encode()).hexdigest(),
-        seeds={name: decl.seed for name, decl in scene.examples.items()},
+        seeds={d.name: d.seed for d in ir.decls if d.kind == "example"},
         checks=checks,
         summary=_summarize(checks),
     )

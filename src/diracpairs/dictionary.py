@@ -124,7 +124,14 @@ class ExactIdentification:
         rho_star = rat.mat_mul(form.gram_inv, rho_t)
         if not rat.is_zero_product(self.rho, rho_star):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
-        c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
+        try:
+            c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
+        except ValueError:
+            # rho rho^T has rho's rank, so it is singular exactly when rho is not onto
+            raise ValueError(
+                f"anchor is not onto: rank {rat.rank(self.rho)} "
+                f"below the base dimension {self.base_dim}"
+            ) from None
         s = absorb_self_pairing(form, c, rho_star)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "s_star", rat.mat_mul(rat.transpose(s), form.gram))

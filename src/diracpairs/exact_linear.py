@@ -324,8 +324,6 @@ def is_graph_over_factor(r):
         return None
     dom_part = tuple(row[:v] for row in r.graph.basis)
     cod_part = tuple(row[v:] for row in r.graph.basis)
-    if rat.rank(dom_part) != v:
-        return None
     # rows satisfy  x = dom_part^T c,  y = cod_part^T c  =>  y = M x
     try:
         m = rat.mat_mul(

@@ -94,10 +94,9 @@ class Chart:
                 raise ValueError("sample point has wrong dimension")
             if not np.all(np.isfinite(p)):
                 raise ValueError("sample point is not finite")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.array_equal(pts[i], pts[j]):
-                    raise ValueError("duplicate sample point")
+        # tuple equality, like np.array_equal, takes -0.0 and 0.0 as equal
+        if len({tuple(p) for p in pts}) != len(pts):
+            raise ValueError("duplicate sample point")
         object.__setattr__(self, "sample_points", pts)
 
 

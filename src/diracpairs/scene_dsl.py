@@ -6,11 +6,12 @@ every failure can point at a 1-based line and column.  Numbers are ASCII
 digits; any other digit is an unexpected character.  Names must be
 declared before they are referenced, which keeps the reference graph
 acyclic by construction.  Algebraic entries are exact rationals; floats
-are only legal in example parameters.  One table, `CHECKS`, maps each
-check directive to the kind of declaration it targets and to the runner
-that checks it.  The canonical printer, whose text reparses to the same
-intermediate representation, lives with the golden round-trip tests in
-``tests/helpers.py``.
+are only legal in example parameters.  One table, `BUILDERS`, maps each
+declaration kind but ``example`` to the builder of its object; another,
+`CHECKS`, maps each check directive to the kind of declaration it targets
+and to the runner that checks it.  The canonical printer, whose text
+reparses to the same intermediate representation, lives with the golden
+round-trip tests in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -594,25 +595,61 @@ def parse_scene(text):
 @dataclass(frozen=True)
 class PlanStep:
     name: str
-    kind: str
-    target: str
     run: Callable
 
 
 @dataclass(frozen=True, eq=False)
 class ValidatedScene:
-    algebras: dict
-    subspaces: dict
-    pairs: dict
-    splittings: dict
-    fibers: dict
-    examples: dict
+    objects: dict  # declared name -> object; an example's -> its callable
     plan: tuple
 
 
-# Check runners.  ``run(built, d)`` checks what the declaration ``d`` built;
-# ``built`` maps each declared name to its object, an example's name to its
-# registered callable.
+# Builders.  ``build(built, d)`` constructs the object of the declaration
+# ``d`` from ``built``, the objects of earlier declarations by name; a
+# ValueError refuses the declaration.
+
+
+def _build_algebra(built, d):
+    index = {b: i for i, b in enumerate(d.basis)}
+    table = {}
+    for left, right, rhs in d.brackets:
+        i, j = index[left], index[right]
+        table[(min(i, j), max(i, j))] = rhs if i < j else tuple(-x for x in rhs)
+    mode, data = d.pairing
+    form = SplitForm.diagonal(data) if mode == "diag" else SplitForm(d.dim, data)
+    alg = QuadraticLieAlgebra(d.dim, structure_from_table(d.dim, table), form)
+    report = check_quadratic_lie(alg)
+    if not report.passed:
+        raise ValueError(f"bracket axioms fail: {report.describe()}")
+    return alg
+
+
+def _build_splitting(built, d):
+    pair = built[d.pair]
+    if d.auto:
+        return make_isotropic_splitting(pair)
+    if len(d.images) != pair.g.dim:
+        raise ValueError(f"{len(d.images)} images for a half of dimension {pair.g.dim}")
+    return IsotropicSplitting(pair, rat.transpose(d.images))
+
+
+def _build_fiber(built, d):
+    pair = built[d.pair]
+    k = canonicalize(d.k_rows, 2 * d.t_dim + pair.d.dim)
+    return HamiltonianFiber(t_dim=d.t_dim, pair=pair, K=k, dJ=d.dj_rows, rho=d.rho_rows)
+
+
+# declaration kind -> its builder; an example is looked up in the registry
+BUILDERS = {
+    "algebra": _build_algebra,
+    "subspace": lambda built, d: canonicalize(d.vectors, built[d.algebra].dim),
+    "maninpair": lambda built, d: ManinPairPoint(built[d.algebra], built[d.subspace]),
+    "splitting": _build_splitting,
+    "fiber": _build_fiber,
+}
+
+
+# Check runners.  ``run(built, d)`` checks what the declaration ``d`` built.
 
 
 def _lagrangian(built, d):
@@ -648,7 +685,11 @@ def _splitting(built, d):
 
 
 def _example(built, d):
-    return built[d.name](samples=d.samples, seed=d.seed, tol=d.tol, step=d.step)
+    try:
+        return built[d.name](samples=d.samples, seed=d.seed, tol=d.tol, step=d.step)
+    except ValueError as e:
+        # the scene's parameters are input, like verify-example's options
+        raise SceneError(d.name, f"example rejected its arguments: {e}")
 
 
 # check directive -> (kind of declaration it targets, its runner)
@@ -663,96 +704,30 @@ CHECKS = {
 }
 
 
-def validate_scene(ir, example_registry=None):
+def validate_scene(ir, example_registry):
     """Construct the exact objects a scene declares and compile its checks.
 
-    Construction-time invariants run eagerly: a declared algebra failing
-    the bracket axioms, a non-Lagrangian fiber, or a bad splitting image
-    raise SceneError naming the declaration.  ``example_registry`` maps
-    example names to callables ``fn(samples, seed, tol, step) -> Report``.
-    Every plan step runs to a `Report`.
+    Each declaration is built by its `BUILDERS` row, eagerly: a declared
+    algebra failing the bracket axioms, a non-Lagrangian fiber, or a bad
+    splitting image raise SceneError naming the declaration.
+    ``example_registry`` maps example names to callables ``fn(samples,
+    seed, tol, step) -> Report``.  Every plan step runs to a `Report`, or
+    raises SceneError when an example rejects the scene's arguments.
     """
     built = {}
     for d in ir.decls:
-        if d.kind == "algebra":
-            index = {b: i for i, b in enumerate(d.basis)}
-            table = {}
-            for left, right, rhs in d.brackets:
-                i, j = index[left], index[right]
-                if i < j:
-                    table[(i, j)] = rhs
-                else:
-                    table[(j, i)] = tuple(-x for x in rhs)
-            mode, data = d.pairing
-            form = (
-                SplitForm.diagonal(data)
-                if mode == "diag"
-                else SplitForm(d.dim, data)
-            )
-            try:
-                alg = QuadraticLieAlgebra(d.dim, structure_from_table(d.dim, table), form)
-            except ValueError as e:
-                raise SceneError(d.name, str(e))
-            report = check_quadratic_lie(alg)
-            if not report.passed:
-                raise SceneError(d.name, f"bracket axioms fail: {report.describe()}")
-            built[d.name] = alg
-        elif d.kind == "subspace":
-            built[d.name] = canonicalize(d.vectors, built[d.algebra].dim)
-        elif d.kind == "maninpair":
-            try:
-                built[d.name] = ManinPairPoint(built[d.algebra], built[d.subspace])
-            except Exception as e:
-                raise SceneError(d.name, str(e))
-        elif d.kind == "splitting":
-            pair = built[d.pair]
-            if d.auto:
-                built[d.name] = make_isotropic_splitting(pair)
-            else:
-                if len(d.images) != pair.g.dim:
-                    raise SceneError(
-                        d.name,
-                        f"{len(d.images)} images for a half of dimension {pair.g.dim}",
-                    )
-                try:
-                    built[d.name] = IsotropicSplitting(pair, rat.transpose(d.images))
-                except ValueError as e:
-                    raise SceneError(d.name, str(e))
-        elif d.kind == "fiber":
-            pair = built[d.pair]
-            try:
-                built[d.name] = HamiltonianFiber(
-                    t_dim=d.t_dim,
-                    pair=pair,
-                    K=canonicalize(d.k_rows, 2 * d.t_dim + pair.d.dim),
-                    dJ=d.dj_rows,
-                    rho=d.rho_rows,
-                )
-            except ValueError as e:
-                raise SceneError(d.name, str(e))
-        elif example_registry is not None:
+        if d.kind == "example":
             if d.name not in example_registry:
                 raise SceneError(d.name, "not a registered example")
             built[d.name] = example_registry[d.name]
-
+            continue
+        try:
+            built[d.name] = BUILDERS[d.kind](built, d)
+        except ValueError as e:
+            raise SceneError(d.name, str(e))
     named = ir.named()
-    plan = []
-    for check in ir.checks:
-        # only an example is left unbuilt, when there is no registry
-        if check.target not in built:
-            raise SceneError(check.target, "no example registry supplied")
-        run = partial(CHECKS[check.kind][1], built, named[check.target])
-        plan.append(PlanStep(f"{check.kind} {check.target}", check.kind, check.target, run))
-
-    def of(kind):
-        return {d.name: built[d.name] for d in ir.decls if d.kind == kind}
-
-    return ValidatedScene(
-        algebras=of("algebra"),
-        subspaces=of("subspace"),
-        pairs=of("maninpair"),
-        splittings=of("splitting"),
-        fibers=of("fiber"),
-        examples={d.name: d for d in ir.decls if d.kind == "example"},
-        plan=tuple(plan),
+    plan = tuple(
+        PlanStep(f"{c.kind} {c.target}", partial(CHECKS[c.kind][1], built, named[c.target]))
+        for c in ir.checks
     )
+    return ValidatedScene(objects=built, plan=plan)

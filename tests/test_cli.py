@@ -563,3 +563,17 @@ def test_scene_example_checks_share_the_registry():
     rep = json.loads(out)
     assert rep["seeds"] == {"planar_symplectic_reduction": 2}
     assert rep["summary"]["pass"] == 1
+
+
+def test_a_scene_example_that_rejects_its_arguments_is_bad_input(tmp_path):
+    # the same rejection verify-example reports for --fd-step 1e-12
+    scene = tmp_path / "tiny-step.mp"
+    scene.write_text(
+        "example rotation_dressing_axioms { samples 2; step 1e-12; }\n"
+        "check example rotation_dressing_axioms;\n"
+    )
+    code, out, err = run_cli("check", "--json", str(scene))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{scene}: rotation_dressing_axioms: ")
+    assert "rejected its arguments: anchor is not bracket-compatible" in err

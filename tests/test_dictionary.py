@@ -134,6 +134,15 @@ def test_an_empty_anchor_identifies_a_point():
         identification_from_anchor(abstract_double(1), ())
 
 
+def test_an_anchor_that_is_not_onto_is_named_with_its_rank():
+    # exact, but rho has rank below the base dimension: no right inverse
+    with pytest.raises(ValueError, match="anchor is not onto: rank 0 below the base dimension 1"):
+        identification_from_anchor(abstract_double(1), ((0, 0),))
+    dependent = ((1, 0, 0, 0), (2, 0, 0, 0))
+    with pytest.raises(ValueError, match="rank 1 below the base dimension 2"):
+        identification_from_anchor(abstract_double(2), dependent)
+
+
 def outcome(build):
     """What ``build()`` returns, or the text of the ValueError it raises."""
     try:
@@ -251,7 +260,7 @@ def test_bivector_read_out_equals_the_composition_reference_on_fixtures():
         elif record.get("kind") == "dirac":
             fibers.append(k_from_dirac(dirac_from_dict(record), (), point))
     for scene in helpers.golden_scenes().values():
-        fibers += scene.fibers.values()
+        fibers += [h for h in scene.objects.values() if isinstance(h, HamiltonianFiber)]
     assert len(fibers) >= 6
     for h in fibers:
         bivector_graph_agrees(h, make_isotropic_splitting(h.pair))

@@ -136,6 +136,9 @@ def test_graph_detection_negatives():
     w_only = canonicalize([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
     # the right dimension, but the source projection is zero
     assert is_graph_over_factor(LinearRelation(2, 2, w_only)) is None
+    # full dimension, but the source projection has rank 1
+    sheared = canonicalize([[1, 0, 1, 0], [2, 0, 0, 1]], 4)
+    assert is_graph_over_factor(LinearRelation(2, 2, sheared)) is None
     partial = canonicalize([[1, 0, 1, 0]], 4)
     assert is_graph_over_factor(LinearRelation(2, 2, partial)) is None
     assert is_graph_over_factor(LinearRelation(2, 2, v_only)) == rat.zeros(2, 2)

@@ -388,6 +388,16 @@ def test_dressing_axiom_report(dressing, so3_points):
     assert dressing.anchor_coisotropy_residual(so3_points[:6]) < 1e-10
 
 
+def test_a_chart_refuses_duplicate_points():
+    x = np.array([0.25, -0.5, 1.0])
+    with pytest.raises(ValueError, match="duplicate sample point"):
+        nm.Chart(3, (x, np.zeros(3), x.copy()))
+    # signed zeros are the same point
+    with pytest.raises(ValueError, match="duplicate sample point"):
+        nm.Chart(3, (np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, 1.0])))
+    assert len(nm.Chart(3, (x, -x)).sample_points) == 2
+
+
 def test_dressing_chart_requires_the_rotation_double():
     chart = nm.Chart(2, (np.zeros(2),))
     with pytest.raises(ValueError, match="six-dimensional"):

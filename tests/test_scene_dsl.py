@@ -58,10 +58,9 @@ def test_minimal_scene_parses_validates_and_passes():
     ir = sd.parse_scene(MINIMAL)
     assert len(ir.decls) == 3
     assert len(ir.checks) == 2
-    scene = sd.validate_scene(ir)
-    assert set(scene.algebras) == {"a"}
-    assert set(scene.subspaces) == {"l"}
-    assert set(scene.pairs) == {"p"}
+    scene = sd.validate_scene(ir, {})
+    kinds = {name: type(obj).__name__ for name, obj in scene.objects.items()}
+    assert kinds == {"a": "QuadraticLieAlgebra", "l": "Subspace", "p": "ManinPairPoint"}
     for step in scene.plan:
         out = step.run()
         assert out.passed, (step.name, out)
@@ -93,11 +92,11 @@ def test_golden_scenes_run_clean(path):
 
 def test_rotation_scene_reconstructs_the_catalog_double():
     ir = sd.parse_scene((FIXTURES / "rotation-double.mp").read_text())
-    scene = sd.validate_scene(ir)
+    scene = sd.validate_scene(ir, {})
     ref = catalog()["so3-double"]
-    assert scene.algebras["dd"].structure == ref.d.structure
-    assert scene.algebras["dd"].form.gram == ref.d.form.gram
-    assert scene.pairs["rot"].g == ref.g
+    assert scene.objects["dd"].structure == ref.d.structure
+    assert scene.objects["dd"].form.gram == ref.d.form.gram
+    assert scene.objects["rot"].g == ref.g
 
 
 def test_canonical_printing_is_idempotent():
@@ -184,9 +183,90 @@ algebra bad {
 }
 """
     with pytest.raises(sd.SceneError) as info:
-        sd.validate_scene(sd.parse_scene(bad))
+        sd.validate_scene(sd.parse_scene(bad), {})
     assert info.value.decl == "bad"
     assert "jacobi" in info.value.reason
+
+
+def test_every_declaration_kind_has_a_builder():
+    # examples come from the registry; every other kind from `BUILDERS`
+    kinds = {d.kind for p in GOLDEN for d in sd.parse_scene(p.read_text()).decls}
+    assert kinds == set(sd.BUILDERS) | {"example"}
+
+
+PAIR_PREFIX = (
+    "algebra a { dim 2; pairing rows (0, 1) (1, 0); }\n"
+    "subspace l in a { span e1; }\n"
+    "maninpair p (a, l);\n"
+)
+
+# (scene, declaration refused, fragment of the reason), one per refusal kind
+REFUSED_DECLARATIONS = {
+    "algebra": (
+        "algebra bad { dim 3; bracket [e1, e2] = e1; pairing diag(1, 1, -1); }\n",
+        "bad",
+        "bracket axioms fail: ad_invariance",
+    ),
+    "maninpair": (
+        "algebra a { dim 2; pairing diag(1, -1); }\n"
+        "subspace l in a { span e1; }\n"
+        "maninpair p (a, l);\n",
+        "p",
+        "not a Lagrangian subalgebra",
+    ),
+    "splitting-count": (
+        PAIR_PREFIX + "splitting s for p { images e1, e2; }\n",
+        "s",
+        "2 images for a half of dimension 1",
+    ),
+    "splitting-image": (
+        PAIR_PREFIX + "splitting s for p { images e1; }\n",
+        "s",
+        "splitting does not project to the identity",
+    ),
+    "fiber": (
+        PAIR_PREFIX + "fiber f { tdim 1; pair p; k (1, 0, 0, 0); }\n",
+        "f",
+        "not Lagrangian for the sum pairing",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, decl, reason", REFUSED_DECLARATIONS.values(), ids=list(REFUSED_DECLARATIONS)
+)
+def test_a_refused_declaration_names_itself_and_its_reason(text, decl, reason):
+    with pytest.raises(sd.SceneError) as info:
+        sd.validate_scene(sd.parse_scene(text), {})
+    assert info.value.decl == decl
+    assert reason in info.value.reason
+
+
+# Manin pair refusals are ValueErrors, which the one refusal path of
+# `validate_scene` turns into bad input
+REFUSED_PAIRS = {
+    "not-lagrangian": ("dim 4; pairing diag(1, -1, 1, -1);", "span e1;", "not a Lagrangian subalgebra"),
+    "not-closed": (
+        "dim 6; bracket [e1, e2] = e3; bracket [e2, e3] = e1; bracket [e3, e1] = e2; "
+        "pairing diag(1, 1, 1, -1, -1, -1);",
+        "span e1 + e4; span e2 + e5; span e3 - e6;",
+        "not a Lagrangian subalgebra",
+    ),
+    "non-split": ("dim 4; pairing diag(1, 1, 1, 1);", "span e1; span e2;", "split signature"),
+}
+
+
+@pytest.mark.parametrize(
+    "algebra, span, reason", REFUSED_PAIRS.values(), ids=list(REFUSED_PAIRS)
+)
+def test_each_manin_pair_refusal_is_a_value_error(algebra, span, reason):
+    a, l, p = sd.parse_scene(
+        f"algebra a {{ {algebra} }}\nsubspace l in a {{ {span} }}\nmaninpair p (a, l);\n"
+    ).decls
+    built = {"a": sd.BUILDERS["algebra"]({}, a)}
+    built["l"] = sd.BUILDERS["subspace"](built, l)
+    with pytest.raises(ValueError, match=reason):
+        sd.BUILDERS["maninpair"](built, p)
 
 
 def test_example_checks_route_through_the_registry():
@@ -213,7 +293,7 @@ def test_failed_checks_report_a_witness():
         "subspace tilt in a { span e1; }\n"
         "check lagrangian tilt;\n"
     )
-    scene = sd.validate_scene(sd.parse_scene(text))
+    scene = sd.validate_scene(sd.parse_scene(text), {})
     out = scene.plan[0].run()
     assert not out.passed
     assert out.witness
@@ -229,7 +309,7 @@ check roundtrip id0;
 
 
 def test_a_fiber_over_a_zero_dimensional_tangent_space_round_trips():
-    scene = sd.validate_scene(sd.parse_scene(ZERO_TANGENT_FIBER))
+    scene = sd.validate_scene(sd.parse_scene(ZERO_TANGENT_FIBER), {})
     assert scene.plan[0].run().passed
 
 
@@ -255,7 +335,7 @@ REFUSING_CHECKS = [
 
 @pytest.mark.parametrize("text, reason", REFUSING_CHECKS, ids=["lagrangian", "roundtrip"])
 def test_a_check_that_answers_no_reports_a_failing_verdict(text, reason):
-    scene = sd.validate_scene(sd.parse_scene(text))
+    scene = sd.validate_scene(sd.parse_scene(text), {})
     out = scene.plan[-1].run()
     assert not out.passed
     assert reason in out.describe()
