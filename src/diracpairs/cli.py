@@ -84,10 +84,11 @@ def build_parser():
         "verify-example", parents=[common], help="run one bundled example"
     )
     v.add_argument("name")
-    v.add_argument("--samples", type=_positive_int, default=50)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=_positive_float, default=1e-6)
-    v.add_argument("--fd-step", type=_positive_float, default=1e-4, dest="fd_step")
+    defaults = verify.DEFAULTS
+    v.add_argument("--samples", type=_positive_int, default=defaults["samples"])
+    v.add_argument("--seed", type=int, default=defaults["seed"])
+    v.add_argument("--tol", type=_positive_float, default=defaults["tol"])
+    v.add_argument("--fd-step", type=_positive_float, default=defaults["step"], dest="fd_step")
 
     sub.add_parser("list-examples", parents=[common], help="list example names")
     return p
@@ -227,8 +228,8 @@ def _convert_fiber(mode, record):
         return dc.l_from_quasi(q, splitting, ident, ())
 
     def to_quasi(d):
-        # not pi_from_dirac: naming the broken transversality condition
-        # builds a morphism fiber, about 0.4 ms more per refused conversion
+        # refused by pi_from_k itself: naming which transversality condition
+        # broke would build a morphism fiber, about 0.4 ms more per refusal
         return dc.pi_from_k(dc.k_from_dirac(d, (), ident), splitting)
 
     kind = record.get("kind")

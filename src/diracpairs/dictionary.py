@@ -41,7 +41,7 @@ from .exact_linear import (
     is_graph_over_factor,
     is_lagrangian,
 )
-from .morphism import HamiltonianFiber, equiv_failures, extract_action
+from .morphism import HamiltonianFiber, extract_action
 from .quadratic_lie import ManinPairPoint, abstract_double
 from .splitting import absorb_self_pairing, make_isotropic_splitting
 
@@ -235,20 +235,6 @@ def l_from_quasi(q, splitting, ident, dJ):
         raise ValueError("splitting and identification live on different pairs")
     fiber = k_from_quasi(q, dJ=dJ, rho=ident.rho, realization=splitting)
     return dirac_from_k(fiber, ident)
-
-
-def pi_from_dirac(d, dJ, ident, splitting):
-    """Bivector and action of a Lagrangian, through its Hamiltonian fiber:
-    ``pi_from_k`` of ``k_from_dirac``.  Failure reports which
-    transversality condition broke."""
-    fiber = k_from_dirac(d, dJ, ident)
-    try:
-        return pi_from_k(fiber, splitting)
-    except ValueError as e:
-        failures = equiv_failures(fiber.morphism_fiber())
-        raise ValueError(
-            "composed relation is not a bivector graph: " + ("; ".join(failures) or str(e))
-        ) from None
 
 
 # ---------------------------------------------------------------------------

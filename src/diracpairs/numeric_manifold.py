@@ -19,6 +19,10 @@ differentiate each section once per point and step.  A constant section's
 jet is exact, its value and a zero table, and never evaluates the section.
 The jet is the seam where exact jets replace finite differences.
 
+The step ``h`` and the gate ``tol`` have no defaults here or in
+``reduction``: callers pass them, so a check runs at the step and tolerance
+the user chose.  ``verify.DEFAULTS`` is the only place defaults live.
+
 Each bundle has one bracket kernel, ``CourantNumeric.bracket_at``, and it
 takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are read per
 point, the arithmetic runs over the stack, and every stacked value equals
@@ -58,9 +62,6 @@ from .exact_linear import Subspace, canonicalize
 from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 from .report import Report, worse
-
-DEFAULT_STEP = 1e-4
-DEFAULT_TOL = 1e-6
 
 # Entries one per-point memo (a per_point field or a section's jet) holds:
 # a 50-sample run visits 7 x 50 = 350 points (each sample point and its six
@@ -237,7 +238,7 @@ def directional_derivative(f, x, v, h):
     return (np.asarray(f(x + step), dtype=float) - np.asarray(f(x - step), dtype=float)) / (2.0 * h)
 
 
-def partial_table(f, x, dim, h=DEFAULT_STEP):
+def partial_table(f, x, dim, h):
     """Partials ``P[..., m] = d f[...] / d x_m`` by central differences,
     ``(f(x + h e_m) - f(x - h e_m)) / 2h``; for a scalar ``f`` this is its
     gradient.  ``f`` is evaluated point by point on a stencil built once, in
@@ -271,7 +272,7 @@ def vector_commutator(v1, v2, x, dim, h):
     return p2 @ np.asarray(v1(x), float) - p1 @ np.asarray(v2(x), float)
 
 
-def exterior_derivative(form, degree, x, dim, h=DEFAULT_STEP):
+def exterior_derivative(form, degree, x, dim, h):
     """Full component array of d(form) on constant coordinate frames.  When
     degree + 1 exceeds the chart dimension the result is the full zero
     array and the form is never evaluated (every top-degree form is
@@ -389,7 +390,7 @@ def volume_form(dim):
     return t
 
 
-def make_standard_twisted(chart, phi=None, h=DEFAULT_STEP, check_closed=True):
+def make_standard_twisted(chart, phi=None, *, h, check_closed=True):
     """Twisted bracket on tangent-plus-cotangent section pairs.
 
     ``phi`` is a three-form (constant array, field, or None for untwisted);
@@ -446,7 +447,7 @@ def rotation_double_exact_anchor(x):
     return rat.mat_mul(jq, rat.hstack(rat.mat_neg(rat.identity(3)), rq))
 
 
-def make_dressing_courant(chart, h=DEFAULT_STEP):
+def make_dressing_courant(chart, h):
     """Bracket bundle of the split rotation double ``catalog()["so3-double"]``
     over its three-dimensional dressing chart.
 
@@ -477,10 +478,8 @@ def make_dressing_courant(chart, h=DEFAULT_STEP):
     pair = catalog()["so3-double"]
     d = pair.d
 
-    gram = np.array([[float(v) for v in row] for row in d.form.gram])
-    structure = np.array(
-        [[[float(v) for v in row] for row in plane] for plane in d.structure]
-    )
+    gram = np.array(d.form.gram, dtype=float)
+    structure = np.array(d.structure, dtype=float)
 
     anchor = per_point(rotation_double_anchor)
 
@@ -540,7 +539,7 @@ def scalar_library(dim):
     return funcs
 
 
-def check_axioms_numeric(c, tol=DEFAULT_TOL):
+def check_axioms_numeric(c, tol):
     """Worst residual of each of the five bracket axioms, and of anchor
     coisotropy, over the section library at the chart's sample points, by
     finite differences with the bundle's step, which ``data["step"]``
@@ -650,7 +649,7 @@ def lstsq_distance(rows, w):
 
 def subspace_rows(space):
     """Float row matrix of an exact subspace basis."""
-    return np.array([[float(v) for v in row] for row in space.basis], dtype=float)
+    return np.array(space.basis, dtype=float)
 
 
 def make_exact_splitting(c):
@@ -821,14 +820,7 @@ def canonical_hamiltonian(c):
     return CanonicalSpace(courant=c, s=s, phi=phi)
 
 
-def check_strong_dirac(
-    l_x,
-    points,
-    phi=None,
-    h=DEFAULT_STEP,
-    tol=DEFAULT_TOL,
-    exact_fibers=None,
-):
+def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
     """Strong-map report for a Dirac field on the chart of ``points``, worst
     over the points.
 
@@ -889,7 +881,7 @@ def make_quasi_pi_field(c, j_cols):
     if c.pair is None:
         raise ValueError("bundle carries no Manin pair")
     a_cols = subspace_rows(c.pair.g).T
-    j_f = np.array([[float(v) for v in row] for row in j_cols])
+    j_f = np.array(j_cols, dtype=float)
     proj = a_cols @ (j_f.T @ c.gram)
 
     def pi(x):
@@ -927,15 +919,7 @@ def make_exact_quasi_pi(c, j_cols):
 
 
 def check_quasi_poisson(
-    pi,
-    rho_x,
-    chi,
-    cobracket,
-    points,
-    exact_fibers=None,
-    funcs=None,
-    h=DEFAULT_STEP,
-    tol=1e-4,
+    pi, rho_x, chi, cobracket, points, exact_fibers=None, funcs=None, *, h, tol
 ):
     """Worst residuals of the three bivector compatibility identities:
     ``jacobiator``, ``lie_compat`` and ``sharp_compat``.

@@ -5,7 +5,9 @@ an element pairing its differential with a flow direction and nothing
 from the algebra leg.  Matching directions across points gives a bracket
 on the admissible functions; restricting everything to the zero locus of
 constraint functions inherits it.  All checks are sample based: callers
-hand in a fiber supplier and probe points and read residuals back.
+hand in a fiber supplier and probe points, with the finite-difference step
+``h`` and the gate ``tol``, and read residuals back.  Neither has a
+default: ``verify.DEFAULTS`` is the only place defaults live.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numeric_manifold import (
-    DEFAULT_STEP,
-    DEFAULT_TOL,
-    partial_table,
-    vector_commutator,
-)
+from .numeric_manifold import partial_table, vector_commutator
 from .report import Report, worse
 
 
@@ -38,7 +35,7 @@ class ObservableFunction:
     def value(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))
 
-    def gradient(self, x, h=DEFAULT_STEP):
+    def gradient(self, x, h):
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
@@ -87,7 +84,6 @@ class FlowSample:
     None where the differential is not admissible."""
 
     vector: Optional[np.ndarray]
-    residual: float
     conservation: float
 
 
@@ -103,7 +99,7 @@ def _reject_ambiguous(a, u_map):
                 )
 
 
-def hamiltonian_vector(f, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
+def hamiltonian_vector(f, fiber_at, points, h, tol):
     """Flow directions matched to ``f`` by the fibers.
 
     At each point the fiber rows are combined so the covector block hits
@@ -127,18 +123,18 @@ def hamiltonian_vector(f, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
         coef = np.linalg.lstsq(a, rhs, rcond=None)[0]
         res = float(np.linalg.norm(a @ coef - rhs))
         if res >= tol:
-            out.append(FlowSample(None, res, 0.0))
+            out.append(FlowSample(None, 0.0))
             continue
         u = u_map @ coef
         cons = 0.0
         if fb.dj is not None:
             du = np.asarray(fb.dj, dtype=float) @ u
             cons = float(np.max(np.abs(du))) if du.size else 0.0
-        out.append(FlowSample(u, res, cons))
+        out.append(FlowSample(u, cons))
     return out
 
 
-def poisson_bracket(f, g, fiber_at, h=DEFAULT_STEP, tol=DEFAULT_TOL):
+def poisson_bracket(f, g, fiber_at, h, tol):
     """Derivative of ``g`` along the flow matched to ``f``.
 
     The result is again an observable; evaluating it somewhere the
@@ -157,7 +153,7 @@ def poisson_bracket(f, g, fiber_at, h=DEFAULT_STEP, tol=DEFAULT_TOL):
     return ObservableFunction(fn=value)
 
 
-def check_bracket_laws(f, g, fiber_at, points, h=DEFAULT_STEP, tol=1e-4):
+def check_bracket_laws(f, g, fiber_at, points, h, tol):
     """Worst ``skew`` symmetry defect, ``flow_match`` of a bracket's flow
     against the commutator of flows, and ``conservation`` of the base
     differential along the flows.
@@ -202,7 +198,7 @@ def check_bracket_laws(f, g, fiber_at, points, h=DEFAULT_STEP, tol=1e-4):
     return Report(res, tol=tol)
 
 
-def jacobi_residual(f, g, k, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
+def jacobi_residual(f, g, k, fiber_at, points, h, tol):
     """Cyclic sum of nested brackets, nesting with the widened step."""
     h2 = float(np.sqrt(h))
     worst = 0.0
@@ -222,9 +218,12 @@ class OrbitDescription:
     """Zero locus of constraint functions with probe points on it.
 
     Construction validates that the samples sit on the locus (within
-    1e-6) and that the constraint gradients keep full rank there, so
-    downstream consumers can treat the data as transversality-certified.
+    1e-6) and that the constraint gradients, taken with the step ``STEP``,
+    keep full rank there, so downstream consumers can treat the data as
+    transversality-certified.
     """
+
+    STEP = 1e-4
 
     constraints: tuple
     samples: tuple
@@ -245,7 +244,7 @@ class OrbitDescription:
     def _require_transversal(self, x):
         if not self.constraints:
             return
-        grads = np.stack([c.gradient(x) for c in self.constraints])
+        grads = np.stack([c.gradient(x, self.STEP) for c in self.constraints])
         sv = np.linalg.svd(grads, compute_uv=False)
         if len(sv) < len(self.constraints) or sv[-1] <= 1e-8 * max(sv[0], 1.0):
             raise ValueError("constraint gradients drop rank at a sample")
@@ -262,22 +261,14 @@ class OrbitDescription:
                 vals = np.array([c.value(x) for c in cons])
                 if vals.size == 0 or np.max(np.abs(vals)) < 1e-12:
                     break
-                jac = np.stack([c.gradient(x) for c in cons])
+                jac = np.stack([c.gradient(x, cls.STEP) for c in cons])
                 step = np.linalg.lstsq(jac, vals, rcond=None)[0]
                 x = x - 0.5 * step
             pts.append(x)
         return cls(cons, tuple(pts))
 
 
-def reduce_to_orbit(
-    orbit,
-    f,
-    g,
-    fiber_at,
-    action_field=None,
-    h=DEFAULT_STEP,
-    tol=1e-4,
-):
+def reduce_to_orbit(orbit, f, g, fiber_at, action_field=None, *, h, tol):
     """Bracket of two observables along the constraint locus.
 
     The inputs act as their own ambient extensions.  Independence of

@@ -42,6 +42,7 @@ from .splitting import (
     make_isotropic_splitting,
     subalgebra_structure,
 )
+from .verify import DEFAULTS
 
 
 class ParseError(Exception):
@@ -546,7 +547,7 @@ class _Parser:
     def parse_example(self):
         name_tok = self.expect("ident", what="an example name")
         self.expect("punct", "{", "to open the example body")
-        samples, seed, tol, step = 50, 0, 1e-6, 1e-4
+        samples, seed, tol, step = (DEFAULTS[k] for k in ("samples", "seed", "tol", "step"))
         if self.at("ident", "samples"):
             self.advance()
             count_tok, samples = self.expect_int("the sample count")

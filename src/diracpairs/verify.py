@@ -8,6 +8,10 @@ an exact constructor that rejects a point's frozen fiber gives
 ``frozen_fiber`` 1, with the point and the constructor's message as
 witness.  Entries draw their probe points from the given seed so reports
 are reproducible.
+
+Every entry, and every check below it, takes the step and the tolerance as
+required arguments.  ``DEFAULTS`` is the only place defaults live: the
+command line and the scene parser read it, and nothing below them has one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from . import reduction as red
 from . import so3
 from .quadratic_lie import catalog
 from .report import Report, worse
+
+# What an example runs with when the command line or the scene leaves a value out.
+DEFAULTS = {"samples": 50, "seed": 0, "tol": 1e-6, "step": 1e-4}
 
 
 def _flat_points(samples, seed, dim=3):
@@ -153,7 +160,7 @@ def planar_symplectic_reduction(samples, seed, tol, step):
     fiber_at = red.bivector_fibers(lambda x: p, 2)
     fx = red.observable(lambda x: float(x[0]), grad=lambda x: np.array([1.0, 0.0]))
     fy = red.observable(lambda x: float(x[1]), grad=lambda x: np.array([0.0, 1.0]))
-    bracket = red.poisson_bracket(fx, fy, fiber_at, h=step)
+    bracket = red.poisson_bracket(fx, fy, fiber_at, h=step, tol=tol)
     coordinate = reduce(worse, (abs(bracket.value(x) - 1.0) for x in pts), 0.0)
     laws = red.check_bracket_laws(fx, fy, fiber_at, pts[: min(4, len(pts))], h=step, tol=tol)
     fq = red.observable(lambda x: 0.5 * float(x @ x), grad=lambda x: np.asarray(x, float))
@@ -173,7 +180,7 @@ EXAMPLES = {
 }
 
 
-def run_example(name, samples=50, seed=0, tol=1e-6, step=1e-4):
+def run_example(name, samples, seed, tol, step):
     if name not in EXAMPLES:
         raise KeyError(f"unknown example {name!r}")
     return EXAMPLES[name](samples=samples, seed=seed, tol=tol, step=step)

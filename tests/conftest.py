@@ -1,3 +1,4 @@
+import helpers
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ def so3_points():
 @pytest.fixture(scope="session")
 def dressing(so3_pair, so3_points):
     chart = nm.Chart(3, tuple(so3_points))
-    return nm.make_dressing_courant(chart)
+    return nm.make_dressing_courant(chart, h=helpers.STEP)
 
 
 @pytest.fixture(scope="session")

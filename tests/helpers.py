@@ -25,15 +25,12 @@ from diracpairs.dictionary import (
     QuasiPoissonPointData,
     abstract_double,
     identification_from_anchor,
+    k_from_dirac,
+    pi_from_k,
 )
 from diracpairs.exact_linear import LinearRelation, Subspace, canonicalize, compose
-from diracpairs.morphism import HamiltonianFiber
-from diracpairs.numeric_manifold import (
-    DEFAULT_STEP,
-    DEFAULT_TOL,
-    SectionField,
-    directional_derivative,
-)
+from diracpairs.morphism import HamiltonianFiber, equiv_failures
+from diracpairs.numeric_manifold import SectionField, directional_derivative
 from diracpairs.quadratic_lie import catalog
 from diracpairs.reduction import PointFiber, hamiltonian_vector, observable
 from diracpairs.report import Report
@@ -43,6 +40,13 @@ from diracpairs.splitting import (
     tensor_from_function,
     tensor_get,
 )
+
+
+# The finite-difference step and the gate the tests run at where they pin no
+# other.  They equal the step and tol of ``verify.DEFAULTS`` but are pinned
+# here, so a change of the command line's defaults moves no test's gate.
+STEP = 1e-4
+TOL = 1e-6
 
 
 def rng_for(seed):
@@ -965,7 +969,7 @@ def canonical_fibers(space):
     return fiber_at
 
 
-def invariant_check(f, action_field, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
+def invariant_check(f, action_field, points, h, tol):
     """Whether ``f`` is constant along the action directions, per point:
     its largest derivative along the action frame is below ``tol``."""
     f = observable(f)
@@ -978,9 +982,7 @@ def invariant_check(f, action_field, points, h=DEFAULT_STEP, tol=DEFAULT_TOL):
     return out
 
 
-def admissibility_matches_invariance(
-    f, action_field, fiber_at, points, h=DEFAULT_STEP, tol=DEFAULT_TOL
-):
+def admissibility_matches_invariance(f, action_field, fiber_at, points, h, tol):
     """The derivative criterion against the solvability criterion.
 
     Returns (invariant, admissible) pairs; the two booleans agreeing at
@@ -991,6 +993,23 @@ def admissibility_matches_invariance(
     return list(zip(inv, adm))
 
 
+# the dictionary's conversion that names the broken transversality condition
+
+
+def pi_from_dirac(d, dJ, ident, splitting):
+    """Bivector and action of a Lagrangian, through its Hamiltonian fiber:
+    ``pi_from_k`` of ``k_from_dirac``.  Failure reports which
+    transversality condition broke."""
+    fiber = k_from_dirac(d, dJ, ident)
+    try:
+        return pi_from_k(fiber, splitting)
+    except ValueError as e:
+        failures = equiv_failures(fiber.morphism_fiber())
+        raise ValueError(
+            "composed relation is not a bivector graph: " + ("; ".join(failures) or str(e))
+        ) from None
+
+
 EXAMPLE_SAMPLES = 10
 EXAMPLE_SEEDS = (0, 1, 2)
 
@@ -998,7 +1017,7 @@ EXAMPLE_SEEDS = (0, 1, 2)
 def example_quantities(name, seed):
     """The ``repr`` of one `verify` example's ``quantities`` and
     ``witness`` at ``EXAMPLE_SAMPLES`` samples."""
-    rep = verify.run_example(name, samples=EXAMPLE_SAMPLES, seed=seed)
+    rep = verify.run_example(name, samples=EXAMPLE_SAMPLES, seed=seed, tol=TOL, step=STEP)
     return {"quantities": repr(rep.quantities), "witness": repr(rep.witness)}
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import pi_from_dirac
 from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
 from diracpairs import so3
@@ -26,7 +27,6 @@ from diracpairs.dictionary import (
     k_from_quasi,
     k_spans_tangents,
     l_from_quasi,
-    pi_from_dirac,
     pi_from_k,
     quasi_from_dict,
     quasi_spans_tangents,
@@ -462,7 +462,7 @@ def frozen_rotation_lagrangians(count=20, seed=0):
     through the anchor's identification."""
     pair = catalog()["so3-double"]
     pts = so3.sample_chart_points(count, seed)
-    cd = nm.make_dressing_courant(nm.Chart(3, tuple(pts)))
+    cd = nm.make_dressing_courant(nm.Chart(3, tuple(pts)), h=helpers.STEP)
     out = []
     for x in pts:
         ident = identification_from_anchor(pair, cd.exact_anchor(np.asarray(x, float)))

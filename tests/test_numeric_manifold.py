@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -15,19 +16,20 @@ from diracpairs import so3, verify
 from diracpairs.dictionary import DiracPointData, dirac_from_k, identification_from_anchor
 from diracpairs.exact_linear import canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
+from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import derive_quasi_data, make_isotropic_splitting
 
 
 @pytest.fixture(scope="module")
 def standard3(flat3):
     chart, _ = flat3
-    return nm.make_standard_twisted(chart)
+    return nm.make_standard_twisted(chart, h=helpers.STEP)
 
 
 @pytest.fixture(scope="module")
 def twisted3(flat3):
     chart, _ = flat3
-    return nm.make_standard_twisted(chart, nm.volume_form(3))
+    return nm.make_standard_twisted(chart, nm.volume_form(3), h=helpers.STEP)
 
 
 def on_points(c, points):
@@ -36,8 +38,7 @@ def on_points(c, points):
 
 
 def test_default_constants_are_pinned():
-    assert nm.DEFAULT_STEP == 1e-4
-    assert nm.DEFAULT_TOL == 1e-6
+    assert verify.DEFAULTS == {"samples": 50, "seed": 0, "tol": 1e-6, "step": 1e-4}
     assert nm.JACOBIATOR_SIGN == 1.0
 
 
@@ -104,7 +105,7 @@ def test_standard_bracket_of_varying_sections(standard3, twisted3, flat3):
 def test_axiom_report_passes_for_standard_bundles(standard3, twisted3, flat3):
     _, pts = flat3
     for c in (standard3, twisted3):
-        rep = nm.check_axioms_numeric(on_points(c, pts[:2]))
+        rep = nm.check_axioms_numeric(on_points(c, pts[:2]), tol=helpers.TOL)
         assert rep.passed
         assert rep.quantities["anchor_coisotropy"] == 0.0
         assert rep.residual < 1e-6
@@ -117,8 +118,8 @@ def test_exterior_derivative_matches_the_alternating_sum(degree):
     coeffs = rng.normal(size=(4,) * (degree + 1))
     form = lambda y: coeffs @ np.sin(y)
     x = rng.uniform(-1.0, 1.0, size=4)
-    got = nm.exterior_derivative(form, degree, x, 4)
-    p = nm.partial_table(form, x, 4)
+    got = nm.exterior_derivative(form, degree, x, 4, h=helpers.STEP)
+    p = nm.partial_table(form, x, 4, h=helpers.STEP)
     for idx in itertools.product(range(4), repeat=degree + 1):
         total = 0.0
         for r in range(degree + 1):
@@ -146,15 +147,15 @@ def test_nonclosed_twist_is_rejected_then_breaks_jacobi():
     chart = nm.Chart(4, pts)
     twist = linear_volume_twist()
     with pytest.raises(ValueError, match="not closed"):
-        nm.make_standard_twisted(chart, twist)
-    broken = nm.make_standard_twisted(chart, twist, check_closed=False)
+        nm.make_standard_twisted(chart, twist, h=helpers.STEP)
+    broken = nm.make_standard_twisted(chart, twist, check_closed=False, h=helpers.STEP)
     e = [nm.SectionField.constant(np.eye(8)[i]) for i in range(3)]
     x = pts[0]
     lhs = broken.bracket_at(e[0], broken.bracket(e[1], e[2]), x)
     rhs = broken.bracket_at(broken.bracket(e[0], e[1]), e[2], x)
     rhs = rhs + broken.bracket_at(e[1], broken.bracket(e[0], e[2]), x)
     assert float(np.max(np.abs(lhs - rhs))) > 1e-3
-    rep = nm.check_axioms_numeric(on_points(broken, pts[:1]))
+    rep = nm.check_axioms_numeric(on_points(broken, pts[:1]), tol=helpers.TOL)
     assert rep.quantities["c1_jacobi"] > 1e-3
     assert not rep.passed
 
@@ -166,9 +167,9 @@ def test_nan_twist_fails_the_closedness_gate_and_the_axioms():
     chart = nm.Chart(4, pts)
     nan_twist = np.full((4, 4, 4), np.nan)
     with pytest.raises(ValueError, match="not closed"):
-        nm.make_standard_twisted(chart, nan_twist)
-    broken = nm.make_standard_twisted(chart, nan_twist, check_closed=False)
-    rep = nm.check_axioms_numeric(on_points(broken, pts[:1]))
+        nm.make_standard_twisted(chart, nan_twist, h=helpers.STEP)
+    broken = nm.make_standard_twisted(chart, nan_twist, check_closed=False, h=helpers.STEP)
+    rep = nm.check_axioms_numeric(on_points(broken, pts[:1]), tol=helpers.TOL)
     assert not rep.passed
     assert math.isnan(rep.quantities["c1_jacobi"])
 
@@ -177,7 +178,7 @@ def test_nan_twist_on_a_three_dim_chart_is_rejected(flat3):
     # d phi of a three-form on a 3-dim chart is zero without evaluating phi
     chart, _ = flat3
     with pytest.raises(ValueError, match="not finite"):
-        nm.make_standard_twisted(chart, np.full((3, 3, 3), np.nan))
+        nm.make_standard_twisted(chart, np.full((3, 3, 3), np.nan), h=helpers.STEP)
 
 
 def doubled(c):
@@ -188,8 +189,8 @@ def test_a_doubled_bracket_fails_the_metric_axiom(standard3, dressing, flat3, so
     _, pts = flat3
     for c, probe in ((standard3, pts[:2]), (dressing, so3_points[:2])):
         probe = [np.asarray(x, float) for x in probe]
-        assert nm.check_axioms_numeric(on_points(c, probe)).holds("c3_metric")
-        rep = nm.check_axioms_numeric(on_points(doubled(c), probe))
+        assert nm.check_axioms_numeric(on_points(c, probe), tol=helpers.TOL).holds("c3_metric")
+        rep = nm.check_axioms_numeric(on_points(doubled(c), probe), tol=helpers.TOL)
         assert rep.quantities["c3_metric"] > 1e-2
         assert not rep.holds("c3_metric")
 
@@ -277,7 +278,7 @@ def test_every_reported_quantity_has_a_negative_control():
         assert re.search(rf"^def {name}\(", text, re.M), f"{module}::{name} is missing"
     covered = {q for _, _, q in CONTROLS} | CONTROL_TESTS.keys()
     for name in verify.EXAMPLES:
-        rep = verify.run_example(name, samples=2, seed=0)
+        rep = verify.run_example(name, samples=2, seed=0, tol=helpers.TOL, step=helpers.STEP)
         assert set(rep.quantities) <= covered, (name, set(rep.quantities) - covered)
 
 
@@ -308,14 +309,14 @@ def test_a_wrong_dressing_anchor_trips_a_construction_gate(monkeypatch, anchor, 
     chart = nm.Chart(3, tuple(so3.sample_chart_points(5, 0)))
     monkeypatch.setattr(nm, "rotation_double_anchor", anchor)
     with pytest.raises(ValueError, match=message):
-        nm.make_dressing_courant(chart)
+        nm.make_dressing_courant(chart, h=helpers.STEP)
 
 
 @pytest.fixture(scope="module")
 def control_dressing():
     chart = nm.Chart(3, tuple(so3.sample_chart_points(6, 0)))
-    cd = nm.make_dressing_courant(chart)
-    return cd, nm.check_axioms_numeric(cd)
+    cd = nm.make_dressing_courant(chart, h=helpers.STEP)
+    return cd, nm.check_axioms_numeric(cd, tol=helpers.TOL)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +327,7 @@ def control_dressing():
 def test_a_mutated_dressing_bundle_fails_its_control(control_dressing, mutation, quantity):
     cd, base = control_dressing
     assert base.holds(quantity)
-    rep = nm.check_axioms_numeric(mutation(cd))
+    rep = nm.check_axioms_numeric(mutation(cd), tol=helpers.TOL)
     assert not rep.holds(quantity)
 
 
@@ -346,13 +347,13 @@ def worst_generator_residuals(c):
 )
 def test_a_mutated_dressing_bundle_moves_its_generator_family(control_dressing, mutation, family):
     cd, _ = control_dressing
-    assert worst_generator_residuals(cd)[family] < nm.DEFAULT_TOL
+    assert worst_generator_residuals(cd)[family] < helpers.TOL
     assert worst_generator_residuals(mutation(cd))[family] > 1e-3
 
 
 def test_a_scaled_anchor_leaves_the_jacobi_axiom_alone(control_dressing):
     cd, base = control_dressing
-    rep = nm.check_axioms_numeric(scaled_anchor(cd))
+    rep = nm.check_axioms_numeric(scaled_anchor(cd), tol=helpers.TOL)
     assert rep.quantities["c1_jacobi"] == base.quantities["c1_jacobi"]
     assert rep.holds("c1_jacobi")
 
@@ -383,7 +384,7 @@ def test_dressing_bracket_extends_the_algebra_bracket(dressing, so3_pair, so3_po
 
 def test_dressing_axiom_report(dressing, so3_points):
     pts = [np.asarray(x, float) for x in so3_points[:2]]
-    rep = nm.check_axioms_numeric(on_points(dressing, pts))
+    rep = nm.check_axioms_numeric(on_points(dressing, pts), tol=helpers.TOL)
     assert rep.passed
     assert dressing.anchor_coisotropy_residual(so3_points[:6]) < 1e-10
 
@@ -401,7 +402,25 @@ def test_a_chart_refuses_duplicate_points():
 def test_dressing_chart_requires_the_rotation_double():
     chart = nm.Chart(2, (np.zeros(2),))
     with pytest.raises(ValueError, match="six-dimensional"):
-        nm.make_dressing_courant(chart)
+        nm.make_dressing_courant(chart, h=helpers.STEP)
+
+
+def _entrywise_floats(m):
+    return [_entrywise_floats(v) for v in m] if isinstance(m, (tuple, list)) else float(m)
+
+
+def test_a_float_array_of_fractions_converts_each_entry_as_float_does():
+    # the float tier reads exact matrices by np.array(m, dtype=float)
+    exact = []
+    for pair in catalog().values():
+        splitting = make_isotropic_splitting(pair)
+        exact += [pair.d.form.gram, pair.d.structure, pair.g.basis, splitting.j]
+    rng, big = random.Random(0), 10**40
+    fraction = lambda: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+    exact.append([[fraction() for _ in range(100)] for _ in range(200)])
+    for m in exact:
+        got, want = np.array(m, dtype=float), np.array(_entrywise_floats(m), dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def splitting_defects(c, s, points):
@@ -458,7 +477,9 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
 
 
 def untwisted_closure(frame, x):
-    rep = nm.check_strong_dirac(frame, [x], phi=np.zeros((3, 3, 3)))
+    rep = nm.check_strong_dirac(
+        frame, [x], phi=np.zeros((3, 3, 3)), h=helpers.STEP, tol=helpers.TOL
+    )
     return rep.quantities["integrability"]
 
 
@@ -482,7 +503,7 @@ def test_dressing_half_field_is_lagrangian_and_integrable(dressing, so3_pair, so
     assert float(np.max(np.abs(b @ pairing @ b.T))) < 1e-8
     sv = np.linalg.svd(b, compute_uv=False)
     assert int(np.sum(sv < 1e-8 * max(1.0, sv[0]))) == 0
-    rep = nm.check_strong_dirac(field, [x], phi=phi)
+    rep = nm.check_strong_dirac(field, [x], phi=phi, h=helpers.STEP, tol=helpers.TOL)
     assert rep.quantities["integrability"] < 1e-6
 
 
@@ -558,12 +579,16 @@ def test_stacked_integrability_is_the_worst_per_point_reading(
     frame = nm.dirac_of_pair(dressing, so3_pair.g, canonical_space.s)
     pts = np.array(so3_points[:4])
     per_point = max(
-        nm.check_strong_dirac(frame, [x], phi=canonical_space.phi).quantities["integrability"]
+        nm.check_strong_dirac(
+            frame, [x], phi=canonical_space.phi, h=helpers.STEP, tol=helpers.TOL
+        ).quantities["integrability"]
         for x in pts
     )
-    stacked = nm.check_strong_dirac(frame, pts, phi=canonical_space.phi)
+    stacked = nm.check_strong_dirac(
+        frame, pts, phi=canonical_space.phi, h=helpers.STEP, tol=helpers.TOL
+    )
     assert stacked.quantities["integrability"] == per_point
-    assert 0.0 < per_point < nm.DEFAULT_TOL
+    assert 0.0 < per_point < helpers.TOL
 
 
 def cayley_probe_points():
@@ -604,7 +629,13 @@ def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(
 
     pts = [np.asarray(x, float) for x in so3_points[:3]]
     rep = nm.check_quasi_poisson(
-        counted("pi", pi), counted("rho_x", rho_x), so3_quasi_data.chi, so3_quasi_data.F, pts
+        counted("pi", pi),
+        counted("rho_x", rho_x),
+        so3_quasi_data.chi,
+        so3_quasi_data.F,
+        pts,
+        h=helpers.STEP,
+        tol=1e-4,
     )
     assert rep.passed
     # each point and its six central-difference neighbours once; 291 and
@@ -629,7 +660,9 @@ def test_strong_map_report_on_frozen_exact_fibers(
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
     pts = [np.asarray(x, float) for x in so3_points[:2]]
-    rep = nm.check_strong_dirac(field, pts, phi=phi, exact_fibers=exact_fibers)
+    rep = nm.check_strong_dirac(
+        field, pts, phi=phi, exact_fibers=exact_fibers, h=helpers.STEP, tol=helpers.TOL
+    )
     assert rep.exact == {"inclusion", "transversality"} and rep.passed
     assert rep.quantities["inclusion"] == 0.0
     assert rep.quantities["integrability"] < 1e-6
@@ -644,7 +677,9 @@ def exact_strong_map(source, target, dj, x):
     # exact fibers only: no frame, so no finite-difference integrability;
     # the supplier validates the source fiber as Lagrangian
     fibers = (DiracPointData(canonicalize(source, 6)).L, canonicalize(target, 6), dj)
-    return nm.check_strong_dirac(None, [x], exact_fibers=lambda y: fibers)
+    return nm.check_strong_dirac(
+        None, [x], exact_fibers=lambda y: fibers, h=helpers.STEP, tol=helpers.TOL
+    )
 
 
 def test_strong_map_fails_for_a_collapsing_target(flat3):
@@ -671,7 +706,7 @@ def test_strong_map_fails_for_a_target_outside_the_image(flat3):
 def test_a_strong_map_check_that_measures_nothing_is_refused(flat3):
     _, pts = flat3
     with pytest.raises(ValueError, match="measure"):
-        nm.check_strong_dirac(_graph_of_x0_dx1_dx2, pts)
+        nm.check_strong_dirac(_graph_of_x0_dx1_dx2, pts, h=helpers.STEP, tol=helpers.TOL)
 
 
 def _graph_of_x0_dx1_dx2(x):
@@ -690,6 +725,8 @@ def test_integrability_sees_the_twist_and_its_sign(scale, want):
         _graph_of_x0_dx1_dx2,
         pts,
         phi=scale * nm.volume_form(3),
+        h=helpers.STEP,
+        tol=helpers.TOL,
     )
     assert rep.quantities["integrability"] == pytest.approx(want, abs=1e-9)
     assert rep.passed is (scale == -1.0)
@@ -705,7 +742,7 @@ def test_the_pulled_twist_is_evaluated_once_per_point():
         calls.append(y)
         return can.phi(y)
 
-    rep = nm.check_strong_dirac(frame, pts, phi=phi)
+    rep = nm.check_strong_dirac(frame, pts, phi=phi, h=helpers.STEP, tol=helpers.TOL)
     assert rep.passed
     # 60 when each of the three frame pairs pulled the twist back again
     assert len(calls) == 20
@@ -722,7 +759,9 @@ def test_the_strong_section_takes_the_anchor_adjoint_once_per_point(monkeypatch,
         return mat_mul(a, b)
 
     monkeypatch.setattr(rat, "mat_mul", counted)
-    assert verify.run_example("rotation_strong_section", samples=3, seed=0).passed
+    assert verify.run_example(
+        "rotation_strong_section", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    ).passed
     # 9 when the frozen fiber, the splitting's correction and the
     # identification's check each took G^-1 rho^T
     assert len(adjoints) == 3
@@ -737,7 +776,9 @@ def test_quasi_poisson_takes_each_gradient_once_per_point(monkeypatch):
         return partial_table(*args)
 
     monkeypatch.setattr(nm, "partial_table", counted)
-    assert verify.run_example("rotation_quasi_poisson", samples=3, seed=0).passed
+    assert verify.run_example(
+        "rotation_quasi_poisson", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    ).passed
     # 630 when each inner bracket retook both library gradients at every
     # central-difference point, 180 while the construction gate still
     # differentiated its constant sections
@@ -752,7 +793,7 @@ def test_the_strong_map_frame_is_read_once_per_point():
         return _graph_of_x0_dx1_dx2(x)
 
     pts = verify._flat_points(6, seed=0)
-    nm.check_strong_dirac(frame, pts, phi=-nm.volume_form(3))
+    nm.check_strong_dirac(frame, pts, phi=-nm.volume_form(3), h=helpers.STEP, tol=helpers.TOL)
     # each point and its six central-difference neighbours, shared by all
     # three bracket pairs
     assert len(calls) == 7 * len(pts)
@@ -798,6 +839,8 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
         [np.asarray(x, float) for x in so3_points[:2]],
         exact_fibers=fibers,
         funcs=funcs,
+        h=helpers.STEP,
+        tol=1e-4,
     )
     assert rep.passed
     assert "sharp_compat" in rep.exact
@@ -818,9 +861,9 @@ def test_lie_compat_pins_the_cobracket_sign(dressing, so3_pair, so3_splitting):
     assert any(v for f in qd.F for row in f for v in row)
     pi, rho_x = nm.make_quasi_pi_field(dressing, twisted.j)
     pts = so3.sample_chart_points(6, seed=0)
-    right = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts)
+    right = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     flipped = tuple(rat.mat_neg(f) for f in qd.F)
-    wrong = nm.check_quasi_poisson(pi, rho_x, qd.chi, flipped, pts)
+    wrong = nm.check_quasi_poisson(pi, rho_x, qd.chi, flipped, pts, h=helpers.STEP, tol=1e-4)
     assert right.passed
     assert right.quantities["lie_compat"] < 1e-6
     assert not wrong.holds("lie_compat")
@@ -834,13 +877,13 @@ def test_a_non_poisson_term_fails_the_jacobiator():
     # added to the bivector: jacobiator reads 2.2e-9 -> 1.40.  The mutation
     # also moves lie_compat (3.3e-9 -> 3.21), as P is not invariant; no
     # mutation tried moves the jacobiator alone.
-    pair, pts, cd = verify._dressing(6, 0, nm.DEFAULT_STEP)
+    pair, pts, cd = verify._dressing(6, 0, helpers.STEP)
     sp = make_isotropic_splitting(pair)
     qd = derive_quasi_data(pair, sp)
     pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
-    base = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts)
+    base = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     mutated = lambda x: pi(x) + helpers.not_poisson_bivector(x)
-    rep = nm.check_quasi_poisson(mutated, rho_x, qd.chi, qd.F, pts)
+    rep = nm.check_quasi_poisson(mutated, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     assert base.passed
     assert rep.quantities["jacobiator"] == pytest.approx(1.40, abs=0.01)
     assert rep.quantities["lie_compat"] == pytest.approx(3.21, abs=0.01)
@@ -866,6 +909,8 @@ def test_a_wrong_exact_sharp_identity_fails_the_report(
         [np.asarray(so3_points[0], float)],
         exact_fibers=broken,
         funcs=nm.scalar_library(3)[:3],
+        h=helpers.STEP,
+        tol=1e-4,
     )
     assert not rep.passed
     assert rep.quantities["sharp_compat"] != 0
@@ -874,7 +919,15 @@ def test_a_wrong_exact_sharp_identity_fails_the_report(
 
 def test_a_quasi_poisson_check_without_points_is_refused():
     with pytest.raises(ValueError, match="at least one point"):
-        nm.check_quasi_poisson(helpers.so3_linear_poisson, lambda x: np.zeros((3, 0)), (), (), [])
+        nm.check_quasi_poisson(
+            helpers.so3_linear_poisson,
+            lambda x: np.zeros((3, 0)),
+            (),
+            (),
+            [],
+            h=helpers.STEP,
+            tol=1e-4,
+        )
 
 
 def test_linear_rotation_poisson_satisfies_jacobi(flat3):
@@ -887,6 +940,8 @@ def test_linear_rotation_poisson_satisfies_jacobi(flat3):
         (),
         pts[:3],
         funcs=nm.scalar_library(3)[:4],
+        h=helpers.STEP,
+        tol=1e-4,
     )
     assert rep.passed
     assert rep.quantities["jacobiator"] < 1e-6
@@ -924,10 +979,12 @@ def test_per_point_values_are_read_only(dressing, so3_points):
 def test_a_warm_memo_gives_the_cold_report_bit_for_bit(dressing, so3_points):
     pts = [np.asarray(x, float) for x in so3_points[:2]]
     probed = on_points(dressing, pts)
-    nm.check_axioms_numeric(probed)
+    nm.check_axioms_numeric(probed, tol=helpers.TOL)
     nm.canonical_hamiltonian(dressing).generator_residuals(pts[0])
-    warm = nm.check_axioms_numeric(probed)
-    cold = nm.check_axioms_numeric(nm.make_dressing_courant(nm.Chart(3, tuple(pts))))
+    warm = nm.check_axioms_numeric(probed, tol=helpers.TOL)
+    cold = nm.check_axioms_numeric(
+        nm.make_dressing_courant(nm.Chart(3, tuple(pts)), h=helpers.STEP), tol=helpers.TOL
+    )
     assert cold.quantities == warm.quantities
 
 
@@ -959,7 +1016,9 @@ def test_the_dressing_anchor_is_computed_once_per_point(monkeypatch):
         return exp_rotation(x)
 
     monkeypatch.setattr(so3, "exp_rotation", counted)
-    assert verify.run_example("rotation_dressing_axioms", samples=3, seed=0).passed
+    assert verify.run_example(
+        "rotation_dressing_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    ).passed
     # each sample point and its six central-difference neighbours
     assert len(calls) == 21
 
@@ -1039,7 +1098,9 @@ def test_flat_axioms_evaluate_each_section_once_per_point_and_step(monkeypatch):
         return call(self, x)
 
     monkeypatch.setattr(nm.SectionField, "__call__", counted)
-    assert verify.run_example("flat_twisted_axioms", samples=3, seed=0).passed
+    assert verify.run_example(
+        "flat_twisted_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    ).passed
     # 7,245 when every bracket recomputed its sections' tables, 2,520 while
     # constant sections were differentiated and each bracket section was
     # evaluated one stencil point at a time
@@ -1055,7 +1116,9 @@ def test_flat_axioms_call_the_bracket_kernel_once_per_stack(monkeypatch):
         return kernel(e1, e2, x, *args)
 
     monkeypatch.setattr(nm, "twisted_bracket", counted)
-    assert verify.run_example("flat_twisted_axioms", samples=3, seed=0).passed
+    assert verify.run_example(
+        "flat_twisted_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    ).passed
     # one call per point for each of the 12 library bracket sections' jets
     # (the point and its six stencil neighbours), one per probe bracket over
     # the stack of three points, and one per point for the 5 metric probes
@@ -1117,7 +1180,7 @@ def _check_stacked_kernel(c, reference, points):
 def test_stacked_twisted_bracket_is_the_per_point_reference_bit_for_bit(phi, flat3):
     chart, pts = flat3
     form = None if phi is None else nm.volume_form(3)
-    c = nm.make_standard_twisted(chart, form)
+    c = nm.make_standard_twisted(chart, form, h=helpers.STEP)
     field = nm._phi_as_field(form, 3)
     reference = lambda e1, e2, y: helpers.twisted_bracket_at_point(e1, e2, y, field, c.step)
     _check_stacked_kernel(c, reference, [np.asarray(x, float) for x in pts])
@@ -1127,7 +1190,7 @@ def test_stacked_bracket_with_a_varying_twist_is_the_reference_bit_for_bit():
     rng = np.random.default_rng(11)
     pts = tuple(rng.uniform(-0.5, 0.5, size=4) for _ in range(3))
     twist = linear_volume_twist()
-    c = nm.make_standard_twisted(nm.Chart(4, pts), twist, check_closed=False)
+    c = nm.make_standard_twisted(nm.Chart(4, pts), twist, check_closed=False, h=helpers.STEP)
     reference = lambda e1, e2, y: helpers.twisted_bracket_at_point(e1, e2, y, twist, c.step)
     _check_stacked_kernel(c, reference, list(pts))
 

@@ -39,10 +39,7 @@ ROOTS = ("cli.run", "cli.main")
 
 _COMPOSITION = "composition of Courant morphisms, with its identity morphism"
 _REDUCTION = "the reduction procedure: orbit description and reduction"
-_DICTIONARY = (
-    "the dictionary's bivector of a Lagrangian that names the broken "
-    "transversality condition, its backward transport and its predicates on a fiber"
-)
+_DICTIONARY = "the dictionary's backward transport and its predicates on a fiber"
 
 # Paper constructions that no command reaches yet, each with the reason it
 # stays: a scene kind or example can wire it in.
@@ -57,14 +54,8 @@ ALLOWED = {
     "dictionary.backward_dirac": _DICTIONARY,
     "dictionary.dirac_is_form_graph": _DICTIONARY,
     "dictionary.k_spans_tangents": _DICTIONARY,
-    "dictionary.pi_from_dirac": _DICTIONARY,
     "dictionary.quasi_spans_tangents": _DICTIONARY,
 }
-
-
-# Every check takes the finite-difference step ``h`` and the gate ``tol``,
-# passed or not, so those two names are not scanned.
-EXEMPT_PARAMETERS = {"h", "tol"}
 
 # Optional parameters that no command passes but that stay, each with the
 # reason it stays.
@@ -359,13 +350,8 @@ def _options(sources, callers):
 
 def unpassed_options(sources, callers):
     """Optional parameters that no call passes, as sorted
-    ``module.callable.parameter`` strings.  ``EXEMPT_PARAMETERS`` are not
-    scanned."""
-    return sorted(
-        full
-        for full, param, passing, _ in _options(sources, callers)
-        if not passing and param not in EXEMPT_PARAMETERS
-    )
+    ``module.callable.parameter`` strings."""
+    return sorted(full for full, _, passing, _ in _options(sources, callers) if not passing)
 
 
 def always_passed_options(sources, callers):
@@ -415,10 +401,19 @@ def test_the_scan_finds_an_unpassed_option():
         "b": "from .a import C, D, K, f, g\n\n\ndef run(args, kw):\n    return g(*args), D(1, **kw)\n",
     }
     callers = ["f(1, 2)\nC(1, y=2)\nK(1, 2)\nK(1).m()\n"]
-    assert unpassed_options(sources, callers) == ["a.C.z", "a.K.m.c", "a.f.unused"]
+    assert unpassed_options(sources, callers) == ["a.C.z", "a.K.m.c", "a.f.h", "a.f.unused"]
     assert unpassed_options(sources, []) == [
-        "a.C.y", "a.C.z", "a.K.b", "a.K.m.c", "a.f.unused", "a.f.used",
+        "a.C.y", "a.C.z", "a.K.b", "a.K.m.c", "a.f.h", "a.f.unused", "a.f.used",
     ]
+
+
+def test_a_tolerance_left_at_its_default_is_unpassed():
+    # a check whose gate no call sets runs at a tolerance nobody asked for
+    sources = {
+        "a": "def f(x, tol=1e-6):\n    return x < tol\n",
+        "cli": "from .a import f\n\n\ndef run():\n    return f(1)\n",
+    }
+    assert unpassed_options(sources, []) == ["a.f.tol"]
 
 
 def test_the_scan_finds_an_always_passed_option():

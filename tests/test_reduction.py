@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import helpers
 import numpy as np
@@ -58,9 +59,9 @@ def test_observable_coercion_and_fallback_gradient():
 
     obs = red.observable(height)
     assert red.observable(obs) is obs
-    assert np.allclose(obs.gradient(np.array([1.5, -2.0])), [3.0, 0.0], atol=1e-6)
+    assert np.allclose(obs.gradient(np.array([1.5, -2.0]), h=helpers.STEP), [3.0, 0.0], atol=1e-6)
     with_grad = red.observable(height, grad=lambda p: np.array([2 * p[0], 0.0]))
-    assert np.allclose(with_grad.gradient(np.array([1.5, -2.0])), [3.0, 0.0])
+    assert np.allclose(with_grad.gradient(np.array([1.5, -2.0]), h=helpers.STEP), [3.0, 0.0])
 
 
 def test_point_fiber_validates_block_widths():
@@ -71,19 +72,23 @@ def test_point_fiber_validates_block_widths():
 
 
 def test_planar_coordinates_bracket_to_one(planar_fibers, coord_x, coord_y):
-    br = red.poisson_bracket(coord_x, coord_y, planar_fibers)
+    br = red.poisson_bracket(coord_x, coord_y, planar_fibers, h=helpers.STEP, tol=helpers.TOL)
     for p in PLANE_POINTS:
         assert abs(br.value(p) - 1.0) < 1e-8
-    same = red.poisson_bracket(coord_x, coord_x, planar_fibers)
+    same = red.poisson_bracket(coord_x, coord_x, planar_fibers, h=helpers.STEP, tol=helpers.TOL)
     constant = red.observable(lambda p: 4.0, grad=lambda p: np.zeros(2))
-    with_constant = red.poisson_bracket(constant, coord_y, planar_fibers)
+    with_constant = red.poisson_bracket(
+        constant, coord_y, planar_fibers, h=helpers.STEP, tol=helpers.TOL
+    )
     for p in PLANE_POINTS:
         assert abs(same.value(p)) < 1e-10
         assert abs(with_constant.value(p)) < 1e-12
 
 
 def test_planar_flow_matches_the_exact_graph_fiber(planar_fibers, coord_x):
-    samples = red.hamiltonian_vector(coord_x, planar_fibers, PLANE_POINTS)
+    samples = red.hamiltonian_vector(
+        coord_x, planar_fibers, PLANE_POINTS, h=helpers.STEP, tol=helpers.TOL
+    )
     for s in samples:
         assert s.vector is not None
         assert np.allclose(s.vector, [0.0, 1.0], atol=1e-9)
@@ -110,11 +115,19 @@ def test_planar_flow_matches_the_exact_graph_fiber(planar_fibers, coord_x):
 def test_bracket_laws_hold_for_quadratics(planar_fibers):
     f2 = red.observable(lambda p: 0.5 * p[0] ** 2, grad=lambda p: np.array([p[0], 0.0]))
     g2 = red.observable(lambda p: 0.5 * p[1] ** 2, grad=lambda p: np.array([0.0, p[1]]))
-    rep = red.check_bracket_laws(f2, g2, planar_fibers, PLANE_POINTS)
+    rep = red.check_bracket_laws(f2, g2, planar_fibers, PLANE_POINTS, h=helpers.STEP, tol=1e-4)
     assert rep.passed
     assert set(rep.quantities) == {"skew", "flow_match", "conservation"}
     assert rep.tol == 1e-4
-    assert red.jacobi_residual(f2, g2, red.observable(lambda p: p[0]), planar_fibers, PLANE_POINTS) < 1e-4
+    assert red.jacobi_residual(
+        f2,
+        g2,
+        red.observable(lambda p: p[0]),
+        planar_fibers,
+        PLANE_POINTS,
+        h=helpers.STEP,
+        tol=helpers.TOL,
+    ) < 1e-4
 
 
 def _doubled(fibers):
@@ -149,10 +162,14 @@ PLANAR_CONTROLS = [
     "mutation, quantity, value", PLANAR_CONTROLS, ids=[q for _, q, _ in PLANAR_CONTROLS]
 )
 def test_a_mutated_planar_fiber_fails_its_control(monkeypatch, mutation, quantity, value):
-    base = verify.run_example("planar_symplectic_reduction", samples=6, seed=0)
+    base = verify.run_example(
+        "planar_symplectic_reduction", samples=6, seed=0, tol=helpers.TOL, step=helpers.STEP
+    )
     assert base.passed
     monkeypatch.setattr(red, "bivector_fibers", mutation(red.bivector_fibers))
-    rep = verify.run_example("planar_symplectic_reduction", samples=6, seed=0)
+    rep = verify.run_example(
+        "planar_symplectic_reduction", samples=6, seed=0, tol=helpers.TOL, step=helpers.STEP
+    )
     assert rep.quantities[quantity] == pytest.approx(value, abs=1e-9)
     assert not rep.holds(quantity)
     assert all(rep.holds(q) for q in rep.quantities if q != quantity)
@@ -169,10 +186,15 @@ def test_the_planar_example_passes_its_tol_to_every_check(monkeypatch, tol):
 
         return wrapped
 
-    for name in ("check_bracket_laws", "jacobi_residual"):
-        monkeypatch.setattr(red, name, recording(getattr(red, name)))
-    assert verify.run_example("planar_symplectic_reduction", samples=4, seed=0, tol=tol).passed
-    assert seen == [("check_bracket_laws", tol), ("jacobi_residual", tol)]
+    # only the example's own calls are recorded, not those the checks make
+    names = ("poisson_bracket", "check_bracket_laws", "jacobi_residual")
+    recorded = {name: recording(getattr(red, name)) for name in names}
+    monkeypatch.setattr(verify, "red", SimpleNamespace(**{**vars(red), **recorded}))
+    example = verify.run_example(
+        "planar_symplectic_reduction", samples=4, seed=0, tol=tol, step=helpers.STEP
+    )
+    assert example.passed
+    assert seen == [(name, tol) for name in names]
 
 
 @pytest.mark.parametrize(
@@ -189,10 +211,12 @@ def test_a_non_poisson_bivector_fails_flow_match_and_jacobi(pi, poisson):
     )
     half_norm = red.observable(lambda p: 0.5 * float(p @ p), grad=lambda p: np.asarray(p, float))
     fibers = red.bivector_fibers(pi, 3)
-    laws = red.check_bracket_laws(x0, x1, fibers, pts[:4])
-    jacobi = red.jacobi_residual(x0, x1, half_norm, fibers, pts[:3])
+    laws = red.check_bracket_laws(x0, x1, fibers, pts[:4], h=helpers.STEP, tol=1e-4)
+    jacobi = red.jacobi_residual(
+        x0, x1, half_norm, fibers, pts[:3], h=helpers.STEP, tol=helpers.TOL
+    )
     assert laws.holds("flow_match") is poisson
-    assert (jacobi < nm.DEFAULT_TOL) is poisson
+    assert (jacobi < helpers.TOL) is poisson
     if not poisson:
         assert laws.quantities["flow_match"] > 0.9 and jacobi > 0.5
 
@@ -201,7 +225,9 @@ def test_central_function_has_a_silent_flow(
     canonical_fiber_map, trace_observable, so3_points
 ):
     pts = [np.asarray(x, float) for x in so3_points[:5]]
-    samples = red.hamiltonian_vector(trace_observable, canonical_fiber_map, pts)
+    samples = red.hamiltonian_vector(
+        trace_observable, canonical_fiber_map, pts, h=helpers.STEP, tol=helpers.TOL
+    )
     assert all(s.vector is not None for s in samples)
     assert max(float(np.linalg.norm(s.vector)) for s in samples) < 1e-6
     assert max(s.conservation for s in samples) < 1e-6
@@ -213,17 +239,21 @@ def test_admissibility_matches_invariance(
     pts = [np.asarray(x, float) for x in so3_points[:5]]
     coord = red.observable(lambda p: p[1], grad=lambda p: np.array([0.0, 1.0, 0.0]))
     pairs = helpers.admissibility_matches_invariance(
-        coord, dressing_action, canonical_fiber_map, pts
+        coord, dressing_action, canonical_fiber_map, pts, h=helpers.STEP, tol=helpers.TOL
     )
     assert all(inv == adm for inv, adm in pairs)
     assert not any(adm for _, adm in pairs)
-    assert not any(helpers.invariant_check(coord, dressing_action, pts))
+    assert not any(helpers.invariant_check(
+        coord, dressing_action, pts, h=helpers.STEP, tol=helpers.TOL
+    ))
 
     pairs_trace = helpers.admissibility_matches_invariance(
-        trace_observable, dressing_action, canonical_fiber_map, pts
+        trace_observable, dressing_action, canonical_fiber_map, pts, h=helpers.STEP, tol=helpers.TOL
     )
     assert all(inv and adm for inv, adm in pairs_trace)
-    assert all(helpers.invariant_check(trace_observable, dressing_action, pts))
+    assert all(helpers.invariant_check(
+        trace_observable, dressing_action, pts, h=helpers.STEP, tol=helpers.TOL
+    ))
 
 
 def test_orbit_description_validates_its_data():
@@ -259,7 +289,13 @@ def test_restricted_bracket_on_a_conjugacy_sphere(
     orbit = red.OrbitDescription.from_projection([shell], seeds)
     norm2 = red.observable(lambda p: float(p @ p), grad=lambda p: 2.0 * p)
     rep = red.reduce_to_orbit(
-        orbit, trace_observable, norm2, canonical_fiber_map, action_field=dressing_action
+        orbit,
+        trace_observable,
+        norm2,
+        canonical_fiber_map,
+        action_field=dressing_action,
+        h=helpers.STEP,
+        tol=1e-4,
     )
     assert rep.passed
     assert max(abs(v) for v in rep.data["values"]) < 1e-6
@@ -270,7 +306,7 @@ def test_restricted_bracket_on_a_conjugacy_sphere(
 
 def test_no_constraints_collapse_to_the_plain_bracket(planar_fibers, coord_x, coord_y):
     whole = red.OrbitDescription((), PLANE_POINTS)
-    rep = red.reduce_to_orbit(whole, coord_x, coord_y, planar_fibers)
+    rep = red.reduce_to_orbit(whole, coord_x, coord_y, planar_fibers, h=helpers.STEP, tol=1e-4)
     assert all(abs(v - 1.0) < 1e-8 for v in rep.data["values"])
     assert rep.quantities["extension"] == 0.0
     assert rep.quantities["tangency"] == 0.0
