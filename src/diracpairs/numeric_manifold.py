@@ -297,7 +297,8 @@ class CourantNumeric:
     ``pair`` is the Manin pair every fiber carries (the fiber algebra with
     its Lagrangian half), when the bundle has one.  ``exact_anchor(x)``
     freezes the anchor at a point to a rational matrix with exactly zero
-    coisotropy defect, rounding through ``rational.rationalize``."""
+    coisotropy defect, rounding through ``rational.rationalize`` onto the
+    grid of multiples of 2^-52, each rounded entry within 2^-53."""
 
     chart: Chart
     rank: int
@@ -440,7 +441,8 @@ def rotation_double_exact_anchor(x):
     """Rational anchor near the float one whose coisotropy defect vanishes
     identically: the rotation block is frozen through the Cayley chart, so
     orthogonality survives the rounding, and the Jacobian factor is a free
-    left multiplier."""
+    left multiplier.  Both round their entries onto the grid of multiples
+    of 2^-52, each within 2^-53."""
     x = np.asarray(x, dtype=float)
     jq = so3.rationalize_matrix(so3.left_jacobian_inv(x))
     rq = so3.rationalize_rotation(so3.exp_rotation(x))

@@ -1,11 +1,12 @@
 """Exact rational scalars and dense matrix helpers.
 
 Scalars are `fractions.Fraction` throughout.  Matrices are immutable tuples
-of row tuples, so they hash and compare structurally.  Nothing in this
-module rounds; floats are rejected unless they go through `rationalize`,
-which is the single explicit float -> rational gate.  It returns what
-``Fraction(float(x)).limit_denominator(m)`` returns, but runs the continued
-fraction on the integer ratio of the float and builds a single Fraction.
+of row tuples, so they hash and compare structurally.  Floats are
+rejected unless they go through `rationalize`, the single explicit float
+-> rational gate and the only code here that rounds.  It rounds onto the
+grid of multiples of 2^-52, each entry within 2^-53, so rounded entries
+share one power-of-two denominator and their products stop multiplying
+coprime denominators.
 
 Products are integer products: `mat_mul` and `mat_vec` scale each operand
 to integer rows over one common denominator (`over_one_denominator`),
@@ -43,6 +44,7 @@ from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_GRID = 1 << 52
 
 
 def scalar(x):
@@ -56,38 +58,29 @@ def scalar(x):
     raise TypeError(f"cannot make an exact rational from {x!r}")
 
 
-def rationalize(x, max_denominator=10**8):
-    """Round a float to a nearby rational.  The only float entry point.
+def rationalize(x):
+    """Round a float to the nearest multiple of 2^-52.  The only float entry
+    point.
 
-    The value is ``Fraction(float(x)).limit_denominator(max_denominator)``,
-    computed on the integers of ``float(x).as_integer_ratio()``: the
-    continued-fraction convergents of the float, then the closer of the two
-    best bounds with denominator at most ``max_denominator`` (the convergent
-    on a tie) by integer cross-multiplication, and one Fraction for the
-    result.  NaN raises ValueError and an infinity OverflowError.
+    Ties go to the even multiple, and the error is at most 2^-53; a float
+    already on the grid comes back exact.  The rounding runs on the integers
+    of ``float(x).as_integer_ratio()``, whose denominator is a power of two,
+    so no float is multiplied and 1e300 does not overflow.  Ints and
+    Fractions pass through.  NaN raises ValueError and an infinity
+    OverflowError.
     """
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     num, den = float(x).as_integer_ratio()
-    if max_denominator < 1:
-        raise ValueError("max_denominator should be at least 1")
-    if den <= max_denominator:
+    if den <= _GRID:
         return Fraction(num, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    p_bound, q_bound = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - num/den| <= |p_bound/q_bound - num/den|, over the integers
-    if abs(p1 * den - num * q1) * q_bound <= abs(p_bound * den - num * q_bound) * q1:
-        return Fraction(p1, q1)
-    return Fraction(p_bound, q_bound)
+    # den = 2^(52 + s): num / 2^s rounded half to even, over 2^52
+    s = den.bit_length() - _GRID.bit_length()
+    q, r = divmod(num, 1 << s)
+    half = 1 << (s - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return Fraction(q, _GRID)
 
 
 def vec(values):

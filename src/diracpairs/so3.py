@@ -62,7 +62,8 @@ def rationalize_rotation(r):
     Round the Cayley preimage S (a skew matrix, kept exactly skew by
     mirroring the strict upper triangle) and map back; requires the rotation
     angle to stay away from a half turn, where the Cayley chart blows up.
-    Entries are rounded by ``rational.rationalize`` at its default
+    Entries are rounded by ``rational.rationalize`` onto the grid of
+    multiples of 2^-52, each within 2^-53, so they share a power-of-two
     denominator.
 
     The map back is the closed form R = I + 2 (S + S^2) / (1 + |q|^2), q

@@ -638,7 +638,8 @@ def reference_rationalize_rotation(r):
     Round the Cayley preimage (a skew matrix, kept exactly skew by mirroring
     the strict upper triangle) and map back; requires the rotation angle to
     stay away from a half turn, where the Cayley chart blows up.  Entries
-    are rounded by ``rational.rationalize`` at its default denominator.
+    are rounded by ``rational.rationalize`` onto the grid of multiples of
+    2^-52, each within 2^-53.
     """
     r = np.asarray(r, dtype=float)
     s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T

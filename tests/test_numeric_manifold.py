@@ -533,11 +533,13 @@ def test_canonical_fibers_freeze_to_exact_hamiltonian_data(canonical_space, so3_
 
 def test_a_nudged_frozen_anchor_is_not_lagrangian(canonical_space, so3_points):
     # rebuild the fiber rows as frozen_fiber does, from the exact anchor and
-    # from the same anchor with one entry, whose denominator has over 200
-    # bits, moved by 1/10^8: only the exact one is Lagrangian
+    # from the same anchor with one entry moved by 1/10^8: only the exact
+    # one is Lagrangian.  The entry's denominator, the Jacobian's 2^52 grid
+    # times the Cayley denominator, has over 150 bits.
     frozen = canonical_space.frozen_fiber(np.asarray(so3_points[0], float))
     pair, n = frozen.pair, frozen.t_dim
-    assert frozen.rho[0][3].denominator.bit_length() > 200
+    den = frozen.rho[0][3].denominator
+    assert den % 2**52 == 0 and den.bit_length() > 150
 
     def fiber(rho):
         rho_star = rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho))
@@ -612,6 +614,18 @@ def test_the_closed_form_cayley_freeze_is_the_inverse_form():
         frozen = so3.rationalize_rotation(r)
         assert frozen == helpers.reference_rationalize_rotation(r)
         assert rat.mat_mul(frozen, rat.transpose(frozen)) == rat.identity(3)
+
+
+def test_the_frozen_rotation_anchor_is_near_the_float_one_over_a_short_denominator():
+    # each rounded entry moves by at most 2^-53 on the 2^-52 grid; the
+    # frozen anchor's common denominator is the Jacobian's 2^52 times the
+    # Cayley denominator
+    for seed in (0, 1, 2):
+        for x in so3.sample_chart_points(50, seed):
+            exact = nm.rotation_double_exact_anchor(x)
+            gap = np.array(exact, dtype=float) - nm.rotation_double_anchor(x)
+            assert np.max(np.abs(gap)) < 2e-15
+            assert math.lcm(*(v.denominator for row in exact for v in row)).bit_length() <= 170
 
 
 def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(

@@ -66,9 +66,6 @@ UNPASSED_ALLOWED = {
     "numeric_manifold.check_quasi_poisson.funcs": (
         "tests probe the identities with other observables, such as the group trace"
     ),
-    "rational.rationalize.max_denominator": (
-        "the property test checks the continued fraction at m = 1 and 7"
-    ),
     "reduction.PointFiber.dj": (
         "the base differential that conservation reads; its negative control sets it"
     ),
