@@ -9,32 +9,39 @@ geometries, and the bivector compatibility checks.  Residual reports are
 the product.  The algebraic strong-map and sharp quantities are decided
 exactly, on fibers frozen to rational matrices at each point.
 
-Every derivative here, and in ``reduction``, is a ``partial_table``: the
-central differences ``(f(x + h e_m) - f(x - h e_m)) / 2h`` of a field along
-the coordinate axes, on a stencil built once per table.  A scalar's partial
+Every derivative here, and in ``reduction``, is a central difference
+``(f(x + h e_m) - f(x - h e_m)) / 2h`` of a field along the coordinate
+axes, on the stencil rows of ``_stencil_steps``.  ``partial_table`` takes
+it at one point, evaluating the field point by point; a scalar's partial
 table is its gradient.  The brackets read each section through its jet,
-``SectionField.jet(x, h)``: the section's value and partial table at
-``x``, memoized per section, so the nested brackets of an axiom probe
-differentiate each section once per point and step.  A constant section's
-jet is exact, its value and a zero table, and never evaluates the section.
-The jet is the seam where exact jets replace finite differences.
+``SectionField.jet(x, h)``: the section's value and partial table at a
+point, or at every point of a stack, from one evaluation of the section on
+the points and their stencils, memoized per section by the stack and the
+step, so the nested brackets of an axiom probe differentiate each section
+once per stack and step.  A constant section's jet is exact, its value and
+a zero table, and never evaluates the section.  The jet is the seam where
+exact jets replace finite differences.
 
 The step ``h`` and the gate ``tol`` have no defaults here or in
 ``reduction``: callers pass them, so a check runs at the step and tolerance
 the user chose.  ``verify.DEFAULTS`` is the only place defaults live.
 
 Each bundle has one bracket kernel, ``CourantNumeric.bracket_at``, and it
-takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are read per
-point, the arithmetic runs over the stack, and every stacked value equals
-the single-point one bit for bit.  A bracket section (``StackedSection``)
-takes its jet, the point and its whole stencil, in one kernel call;
-``check_axioms_numeric`` brackets every point-independent probe, and one
-closure loop every pair of frame rows (``generator_residuals``, and
-``check_strong_dirac``'s ``integrability``), over all sample points at once.
+takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are taken
+over the stack, the arithmetic runs over the stack, and every stacked
+value equals the single-point one bit for bit.  Library sections, their
+``scaled_by`` multiples, bracket sections (``StackedSection``) and
+constant twists take whole stacks, so such a jet is one call on the
+stencils of the whole stack; a section or twist of one point (the frame
+rows of ``per_point`` fields, a caller's callable) is evaluated point by
+point through the same jet.  ``check_axioms_numeric`` runs every probe,
+and one closure loop every pair of frame rows (``generator_residuals``,
+and ``check_strong_dirac``'s ``integrability``), over all sample points at
+once.
 
 Per-point fields of the rotation bundle (the dressing anchor and the
-exact splitting) and the Dirac frames of the integrability probes are
-memoized by ``per_point``: each sample point and each of its
+exact splitting), twist fields and the Dirac frames of the integrability
+probes are memoized by ``per_point``: each sample point and each of its
 finite-difference neighbours is computed once, and the cached value is
 read-only.  The memo is bound when the bundle is built, so a later
 monkeypatch of ``rotation_double_anchor`` reaches only bundles built after
@@ -63,9 +70,9 @@ from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 from .report import Report, worse
 
-# Entries one per-point memo (a per_point field or a section's jet) holds:
-# a 50-sample run visits 7 x 50 = 350 points (each sample point and its six
-# central-difference neighbours) at one step.
+# Entries one memo holds: points for a per_point field, where a 50-sample
+# run visits 7 x 50 = 350 points (each sample point and its six
+# central-difference neighbours) at one step, and stacks for a section's jet.
 _PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
@@ -104,21 +111,24 @@ class Chart:
 @dataclass(frozen=True)
 class SectionField:
     """A rank-``rank`` section of a trivialized bundle, as a pure callable
-    from chart points to component vectors.
+    ``fn`` from one chart point ``(n,)`` to its component vector.
 
-    ``jet(x, h)`` is the seam every bracket reads: ``(value, partial_table)``
-    at ``x`` with step ``h``, both read-only and memoized per section by
-    point and step.  ``constant`` sections carry exact jets and bracket
-    sections (``StackedSection``) take their jet in one call."""
+    ``jet(x, h)`` is the seam every bracket reads: the section's value and
+    partial table with step ``h`` at a point ``(n,)``, shapes ``(rank,)``
+    and ``(rank, n)``, or at every point of a stack ``(P, n)``, shapes
+    ``(P, rank)`` and ``(P, rank, n)``.  Both are read-only and taken from
+    one evaluation of the section on the stack of the points and their
+    stencils ``(P, 2n + 1, n)``, through ``at_points``: point by point here,
+    in one call for a ``StackedSection``.  Each section memoizes its jets
+    by the bytes and shape of the stack and by the step, in a memo of at
+    most ``_PER_POINT_MEMO`` stacks; a ``ConstantSection``'s jet is exact."""
 
     rank: int
     fn: object
 
     @cached_property
     def jet(self):
-        return _point_memo(
-            lambda x, h: (_read_only(self(x)), _read_only(partial_table(self, x, x.shape[0], h)))
-        )
+        return _array_memo(lambda x, h: tuple(map(_read_only, _stencil_jet(self.at_points, x, h))))
 
     def __call__(self, x):
         """The value at a point ``(n,)``; a ``StackedSection`` also maps a
@@ -129,51 +139,52 @@ class SectionField:
             raise ValueError("section value has wrong rank")
         return v
 
+    def at_points(self, x):
+        """The values at the points of ``x`` ``(..., n)``, one call per point."""
+        return _at_points(self, x)
+
     @staticmethod
     def constant(vec):
+        """The section with value ``vec`` everywhere; a stack of values
+        ``(P, rank)`` gives each point of a ``P``-stack its own constant
+        section."""
         v = _read_only(vec)
         if not np.all(np.isfinite(v)):
             raise ValueError("constant section is not finite")
-        return ConstantSection(v.shape[0], lambda x: v, v)
+        return ConstantSection(v.shape[-1], lambda x: np.broadcast_to(v, x.shape[:-1] + v.shape[-1:]), v)
 
     def scaled_by(self, f):
-        """Multiply by a scalar function of the chart point."""
-        return SectionField(self.rank, lambda x, s=self: f(x) * s(x))
-
-
-@dataclass(frozen=True)
-class ConstantSection(SectionField):
-    """A section with one finite value everywhere.  Its jet is exact and
-    never calls ``fn``: the value and a zero partial table, which is what
-    central differences give bit for bit, since ``(v - v) / 2h`` is
-    ``+0.0``."""
-
-    value: np.ndarray = field(compare=False)
-
-    def jet(self, x, h):
-        return self.value, _zero_table(self.rank, np.shape(x)[-1])
+        """Multiply by a scalar function ``f`` of the chart point, which
+        takes the stacks the section takes."""
+        kind = StackedSection if isinstance(self, StackedSection) else SectionField
+        return kind(self.rank, lambda x, s=self: np.asarray(f(x), dtype=float)[..., None] * s(x))
 
 
 class StackedSection(SectionField):
     """A section whose ``fn`` also maps a stack of points ``(P, n)`` to the
-    stack of its values ``(P, rank)`` in one call.  Its jet takes the point
-    and its whole stencil in one call, with the same value and table as the
-    point-by-point jet.  ``CourantNumeric.bracket`` makes these."""
+    stack of its values ``(P, rank)``, each the single-point value bit for
+    bit, so its jet evaluates the stencils of a whole stack in one call.
+    The library sections, their ``scaled_by`` multiples and the brackets of
+    ``CourantNumeric.bracket`` are such sections."""
 
-    @cached_property
-    def jet(self):
-        def at(x, h):
-            values = self(np.concatenate([x[None], x + _stencil_steps(x.shape[0], h)]))
-            return _read_only(values[0]), _read_only(_central_differences(values[1:], h))
-
-        return _point_memo(at)
+    def at_points(self, x):
+        """The values at the points of ``x`` ``(..., n)``, in one call."""
+        return self(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1] + (self.rank,))
 
 
-@lru_cache(maxsize=64)
-def _zero_table(rank, dim):
-    """The read-only zero partial table every constant section of ``rank``
-    shares on a ``dim``-dimensional chart."""
-    return _read_only(np.zeros((rank, dim)))
+@dataclass(frozen=True)
+class ConstantSection(StackedSection):
+    """A section with one finite value everywhere, or one per point of a
+    stack.  Its jet is exact and never calls ``fn``: the value and a zero
+    partial table, which is what central differences give bit for bit,
+    since ``(v - v) / 2h`` is ``+0.0``."""
+
+    value: np.ndarray = field(compare=False)
+
+    def jet(self, x, h):
+        lead = np.shape(x)[:-1]
+        value = np.broadcast_to(self.value, lead + (self.rank,))
+        return _read_only(value), _read_only(np.zeros(lead + (self.rank, np.shape(x)[-1])))
 
 
 def _read_only(value):
@@ -184,16 +195,18 @@ def _read_only(value):
     return v
 
 
-def _point_memo(fn):
-    """``fn(x, *args)`` in a bounded memo keyed by the bytes of ``x`` as a
-    float vector and by the hashable ``args``; each wrapper has its own."""
+def _array_memo(fn):
+    """``fn(x, *args)`` in a bounded memo keyed by the bytes and shape of
+    ``x`` as a float array, a point or a stack of points, and by the
+    hashable ``args``; each wrapper has its own."""
 
     @lru_cache(maxsize=_PER_POINT_MEMO)
-    def at(key, *args):
-        return fn(np.frombuffer(key), *args)
+    def at(key, shape, *args):
+        return fn(np.frombuffer(key).reshape(shape), *args)
 
     def memoized(x, *args):
-        return at(np.asarray(x, dtype=float).tobytes(), *args)
+        x = np.asarray(x, dtype=float)
+        return at(x.tobytes(), x.shape, *args)
 
     return memoized
 
@@ -202,30 +215,46 @@ def per_point(fn):
     """Memoize a pure field of a chart point ``x``.  The value is a
     read-only float copy of ``fn(x)``; each wrapper has its own bounded
     memo."""
-    return _point_memo(lambda x: _read_only(fn(x)))
+    return _array_memo(lambda x: _read_only(fn(x)))
 
 
 def _at_points(fn, x):
     """``fn`` of one point at ``x`` ``(n,)``, or stacked over the points of
-    ``x`` ``(P, n)``."""
+    ``x`` ``(..., n)``, one call per point."""
     if x.ndim == 1:
         return np.asarray(fn(x), dtype=float)
-    return np.array([np.asarray(fn(y), dtype=float) for y in x])
+    values = np.array([np.asarray(fn(y), dtype=float) for y in x.reshape(-1, x.shape[-1])])
+    return values.reshape(x.shape[:-1] + values.shape[1:])
 
 
-def _jets(e, x, h):
-    """``e.jet(x, h)`` at a point ``(n,)``, or its values and tables
-    stacked over the points of ``x`` ``(P, n)``."""
-    if x.ndim == 1:
-        return e.jet(x, h)
-    jets = [e.jet(y, h) for y in x]
-    return np.array([v for v, _ in jets]), np.array([t for _, t in jets])
+def _stencil_jet(fn, x, h):
+    """The value and central-difference partial table of the field ``fn``
+    at a point ``x`` ``(n,)``, or at every point of a stack ``(P, n)``,
+    from one call of ``fn`` on the points and their stencils, a stack
+    ``(..., 2n + 1, n)`` that ``fn`` maps to one value per row."""
+    n = x.shape[-1]
+    rows = x[..., None, :]
+    values = np.asarray(fn(np.concatenate([rows, rows + _stencil_steps(n, h)], axis=-2)), dtype=float)
+    values = np.moveaxis(values, x.ndim - 1, 0)
+    return values[0], _central_differences(values[1:], h)
 
 
 def _mv(a, v):
     """``a @ v`` over any leading point axes; each stacked product is the
     single-point one bit for bit (``einsum("pij,pj->pi")`` is not)."""
     return np.matmul(a, v[..., None])[..., 0]
+
+
+def _dot(u, w):
+    """``u @ w`` of vectors over any leading point axes; each stacked
+    product is the single-point one bit for bit, as for ``_mv``
+    (``einsum`` and ``norm(axis=-1)`` are not)."""
+    return np.matmul(u[..., None, :], w[..., :, None])[..., 0, 0]
+
+
+def _quad(u, g, w):
+    """``u @ g @ w`` over any leading point axes, in that order."""
+    return _dot(np.matmul(u[..., None, :], g)[..., 0, :], w)
 
 
 def _tr(a):
@@ -248,8 +277,8 @@ def partial_table(f, x, dim, h):
 
 
 def _central_differences(values, h):
-    """The C-contiguous partial table of ``values`` taken on the stencil
-    rows of ``_stencil_steps``."""
+    """The C-contiguous partial table ``(..., n)`` of ``values`` ``(2n,
+    ...)`` taken on the stencil rows of ``_stencil_steps``."""
     d = (values[0::2] - values[1::2]) / (2.0 * h)
     if d.ndim == 1:
         return d
@@ -317,20 +346,25 @@ class CourantNumeric:
         self.gram_inv = np.linalg.inv(g)
 
     def anchor_matrix(self, x):
-        m = np.asarray(self.anchor(np.asarray(x, float)), dtype=float)
-        if m.shape != (self.chart.dim, self.rank):
+        """The anchor at a point ``(n,)``, or at every point of a stack
+        ``(..., n)``, one call of ``anchor`` per point."""
+        x = np.asarray(x, dtype=float)
+        m = _at_points(self.anchor, x)
+        if m.shape != x.shape[:-1] + (self.chart.dim, self.rank):
             raise ValueError("anchor matrix has wrong shape")
         return m
 
     def rho_star(self, x):
-        """Matrix of the dual anchor (covectors into the bundle)."""
-        return self.gram_inv @ self.anchor_matrix(x).T
+        """Matrix of the dual anchor (covectors into the bundle), at a point
+        or stacked as ``anchor_matrix``."""
+        return np.matmul(self.gram_inv, _tr(self.anchor_matrix(x)))
 
     def bracket(self, e1, e2):
         return StackedSection(self.rank, lambda x: self.bracket_at(e1, e2, x))
 
     def anchor_vector_field(self, e):
-        return lambda x: self.anchor_matrix(x) @ e(x)
+        """The vector field ``rho(e)``, at a point or over a stack."""
+        return lambda x: _mv(self.anchor_matrix(x), e.at_points(x))
 
     def anchor_coisotropy_residual(self, points):
         """Largest entry of rho ginv rho^T over the points; algebraic, so
@@ -343,15 +377,17 @@ class CourantNumeric:
 
 
 def _phi_as_field(phi, dim):
-    if phi is None:
-        zero = _read_only(np.zeros((dim, dim, dim)))
-        return lambda x: zero
+    """The twist as a field of a point ``(n,)`` or a stack of points
+    ``(..., n)``: a constant three-form, or None for zero, repeats its one
+    read-only array over the stack; a field of one point is memoized with
+    ``per_point`` and evaluated point by point."""
     if callable(phi):
-        return phi
-    arr = _read_only(phi)
+        field_at = per_point(phi)
+        return lambda x: _at_points(field_at, x)
+    arr = _read_only(np.zeros((dim, dim, dim)) if phi is None else phi)
     if arr.shape != (dim, dim, dim):
         raise ValueError("three-form components have wrong shape")
-    return lambda x: arr
+    return lambda x: np.broadcast_to(arr, np.shape(x)[:-1] + arr.shape)
 
 
 def twisted_bracket(e1, e2, x, phi_field, h):
@@ -360,16 +396,17 @@ def twisted_bracket(e1, e2, x, phi_field, h):
 
         [[X + a, Y + b]] = [X, Y] + L_X b - i_Y da + phi(X, Y, .)
 
-    from each section's jet."""
+    from each section's jet and the twist of the point or stack, a field
+    as ``_phi_as_field`` makes it."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    e1x, p1 = _jets(e1, x, h)
-    e2x, p2 = _jets(e2, x, h)
+    e1x, p1 = e1.jet(x, h)
+    e2x, p2 = e2.jet(x, h)
     v1, a1, v2, a2 = e1x[..., :n], e1x[..., n:], e2x[..., :n], e2x[..., n:]
     vec = _mv(p2[..., :n, :], v1) - _mv(p1[..., :n, :], v2)
     cov = _mv(p2[..., n:, :], v1) + _mv(_tr(p1[..., :n, :]), a2)
     cov -= _mv(_tr(_tr(p1[..., n:, :]) - p1[..., n:, :]), v2)
-    t = _at_points(phi_field, x)
+    t = phi_field(x)
     cov += np.einsum("...abj,...a,...b->...j", t, v1, v2)
     return np.concatenate([vec, cov], axis=-1)
 
@@ -488,8 +525,8 @@ def make_dressing_courant(chart, h):
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
         rho = _at_points(anchor, x)
-        e1x, p1 = _jets(e1, x, h)
-        e2x, p2 = _jets(e2, x, h)
+        e1x, p1 = e1.jet(x, h)
+        e2x, p2 = e2.jet(x, h)
         val = np.einsum("ijk,...i,...j->...k", structure, e1x, e2x)
         val += _mv(p2, _mv(rho, e1x)) - _mv(p1, _mv(rho, e2x))
         w = _mv(_tr(p1), _mv(gram, e2x))
@@ -522,22 +559,25 @@ def make_dressing_courant(chart, h):
 
 def section_library(rank, dim):
     """The fixed probe family for axiom reports: every constant basis
-    section, a few coordinate-linear ones, and one quadratic."""
+    section, a few coordinate-linear ones, and one quadratic, each taking
+    a point or a stack of points."""
     eye = np.eye(rank)
     lib = [SectionField.constant(eye[i]) for i in range(rank)]
     for k in range(min(rank, 3)):
         coord = k % dim
-        lib.append(
-            SectionField(rank, lambda x, k=k, c=coord: x[c] * eye[k])
-        )
-    lib.append(SectionField(rank, lambda x: 0.5 * float(x @ x) * eye[rank - 1]))
+        lib.append(StackedSection(rank, lambda x, k=k, c=coord: x[..., c, None] * eye[k]))
+    lib.append(StackedSection(rank, lambda x: 0.5 * _dot(x, x)[..., None] * eye[rank - 1]))
     return lib
 
 
 def scalar_library(dim):
-    funcs = [lambda x, i=i: float(x[i]) for i in range(min(dim, 3))]
-    funcs.append(lambda x: float(x[0] * x[min(1, dim - 1)]))
-    funcs.append(lambda x: math.sin(float(x[0])))
+    """The fixed scalar probes: coordinates, a product and a sine, each a
+    function of a point ``(n,)`` or of every point of a stack ``(..., n)``.
+    The sine goes through ``math.sin`` point by point: numpy's sine need
+    not round as it does."""
+    funcs = [lambda x, i=i: x[..., i].copy() for i in range(min(dim, 3))]
+    funcs.append(lambda x: x[..., 0] * x[..., min(1, dim - 1)])
+    funcs.append(lambda x: np.fromiter(map(math.sin, x[..., 0].flat), float).reshape(x.shape[:-1]))
     return funcs
 
 
@@ -551,11 +591,15 @@ def check_axioms_numeric(c, tol):
     runs over a thin deterministic triple set; the single-bracket axioms
     sweep wider.
 
-    Each library bracket section is built once, and every probe bracket
-    that does not depend on the point is taken over a whole chunk of points
-    in one ``bracket_at`` call; the readings then fold point by point.  A
-    chunk holds at most ``_PER_POINT_MEMO // (2n + 1)`` points, so the
-    jets of its points and their stencils fit in each per-point memo.
+    Each library bracket section is built once, and every probe runs over
+    a whole chunk of points at once: the probe brackets in one
+    ``bracket_at`` call each, the norm, anchored-field and scalar
+    gradients from one evaluation of the chunk's stencils, and the metric
+    axiom against the metric dual of its section at each point, a stack of
+    constant sections.  Every stacked reading equals the point-by-point one
+    bit for bit.  A chunk holds at most ``_PER_POINT_MEMO // (2n + 1)``
+    points, so the per-point anchor memo holds the chunk's points and
+    their stencils.
     """
     h = c.step
     pts = c.chart.sample_points
@@ -597,46 +641,50 @@ def check_axioms_numeric(c, tol):
     ]
     scaled = [e2.scaled_by(f) for _, e2, f in leibniz]
 
-    pts = [np.asarray(x, dtype=float) for x in pts]
+    g = c.gram
+
+    def fold(key, readings):
+        res[key] = worse(res[key], float(np.max(readings)))
+
+    def self_pairing(e):
+        def norm(y):
+            v = e.at_points(y)
+            return _quad(v, g, v)
+
+        return norm
+
+    stack = np.array(pts)
     chunk = max(1, _PER_POINT_MEMO // (2 * n + 1))
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        xs = np.array(block)
+    for start in range(0, len(stack), chunk):
+        xs = stack[start : start + chunk]
         over = lambda pair: c.bracket_at(*pair, xs)
-        c1 = [(over(lhs), over(r1) + over(r2)) for lhs, r1, r2 in jacobi]
-        c2 = [over((e, e)) for e in pair_probes]
-        c34 = [over(pair) for pair in metric]
-        c5 = [
-            (over((e1, s)), over((e1, e2))) for (e1, e2, _), s in zip(leibniz, scaled)
-        ]
-        for p, x in enumerate(block):
-            for lhs, rhs in c1:
-                res["c1_jacobi"] = worse(res["c1_jacobi"], float(np.max(np.abs(lhs[p] - rhs[p]))))
+        anchor, rho_star = c.anchor_matrix(xs), c.rho_star(xs)
+        for lhs, r1, r2 in jacobi:
+            fold("c1_jacobi", np.abs(over(lhs) - (over(r1) + over(r2))))
 
-            for e, sq in zip(pair_probes, c2):
-                norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
-                want = 0.5 * (c.rho_star(x) @ partial_table(norm, x, n, h))
-                res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq[p] - want))))
+        for e in pair_probes:
+            want = 0.5 * _mv(rho_star, _stencil_jet(self_pairing(e), xs, h)[1])
+            fold("c2_selfpairing", np.abs(over((e, e)) - want))
 
-            for (e1, e2), b12 in zip(metric, c34):
-                # the metric dual of e2 at x, so <e2, e3> varies wherever e2
-                # does and the metric axiom has a derivative to match
-                e3 = SectionField.constant(c.gram @ e2(x))
-                scalar = lambda y, e2=e2, e3=e3: float(e2(y) @ c.gram @ e3(y))
-                v = c.anchor_matrix(x) @ e1(x)
-                lhs = float(directional_derivative(scalar, x, v, h)) if np.any(v) else 0.0
-                rhs = float(b12[p] @ c.gram @ e3(x)) + float(e2(x) @ c.gram @ c.bracket_at(e1, e3, x))
-                res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
+        for e1, e2 in metric:
+            b12 = over((e1, e2))
+            v1, t1 = _stencil_jet(c.anchor_vector_field(e1), xs, h)
+            v2, t2 = _stencil_jet(c.anchor_vector_field(e2), xs, h)
+            # the metric dual of e2 at each point, so <e2, e3> varies wherever
+            # e2 does and the metric axiom has a derivative to match
+            e2x = e2.at_points(xs)
+            w3 = _mv(g, e2x)
+            scalar = lambda y, e2=e2, w3=w3: _quad(e2.at_points(y), g, w3)
+            lhs = np.where(np.any(v1, axis=-1), directional_derivative(scalar, xs, v1, h), 0.0)
+            rhs = _quad(b12, g, w3) + _quad(e2x, g, c.bracket_at(e1, SectionField.constant(w3), xs))
+            fold("c3_metric", np.abs(lhs - rhs))
+            fold("c4_anchor", np.abs(_mv(anchor, b12) - (_mv(t2, v1) - _mv(t1, v2))))
 
-                lhs4 = c.anchor_matrix(x) @ b12[p]
-                rhs4 = vector_commutator(c.anchor_vector_field(e1), c.anchor_vector_field(e2), x, n, h)
-                res["c4_anchor"] = worse(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
-
-            for (e1, e2, f), (lhs5, b12) in zip(leibniz, c5):
-                v = c.anchor_matrix(x) @ e1(x)
-                df = float(partial_table(f, x, n, h) @ v)
-                rhs5 = f(x) * b12[p] + df * e2(x)
-                res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5[p] - rhs5))))
+        for (e1, e2, f), s in zip(leibniz, scaled):
+            fx, df = _stencil_jet(f, xs, h)
+            v = _mv(anchor, e1.at_points(xs))
+            rhs5 = fx[..., None] * over((e1, e2)) + _dot(df, v)[..., None] * e2.at_points(xs)
+            fold("c5_leibniz", np.abs(over((e1, s)) - rhs5))
 
     return Report(res, tol=tol, data={"step": h})
 
@@ -788,7 +836,7 @@ class CanonicalSpace:
         pts = np.asarray(x, dtype=float)
         stack = pts.reshape(-1, pts.shape[-1])
         # every pair reads the twist, and a single bracket only at its own point
-        twist = per_point(self.phi)
+        twist = _phi_as_field(self.phi, pts.shape[-1])
 
         def bracket(g1, g2):
             (t1, e1), (t2, e2) = g1, g2
@@ -857,7 +905,7 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
             res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
     if phi is not None:
         # the rows' sections are built once, so their jets serve every pair
-        frame, twist = per_point(l_x), per_point(_phi_as_field(phi, q))
+        frame, twist = per_point(l_x), _phi_as_field(phi, q)
         stack = np.array(points, dtype=float)
         frames = [frame(x) for x in stack]
         rows = [SectionField(len(r), lambda y, i=i: frame(y)[i]) for i, r in enumerate(frames[0])]

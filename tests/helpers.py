@@ -18,6 +18,7 @@ import numpy as np
 from diracpairs import rational as rat
 from diracpairs import scene_dsl as sd
 from diracpairs import splitting as sp
+from diracpairs import numeric_manifold as nm
 from diracpairs import verify
 from diracpairs.dictionary import (
     DiracPointData,
@@ -33,7 +34,7 @@ from diracpairs.morphism import HamiltonianFiber, equiv_failures
 from diracpairs.numeric_manifold import SectionField, directional_derivative
 from diracpairs.quadratic_lie import catalog
 from diracpairs.reduction import PointFiber, hamiltonian_vector, observable
-from diracpairs.report import Report
+from diracpairs.report import Report, worse
 from diracpairs.splitting import (
     IsotropicSplitting,
     make_isotropic_splitting,
@@ -629,6 +630,96 @@ def dressing_bracket_at_point(c, e1, e2, x):
     w = p1.T @ (gram @ e2x)
     val += gram_inv @ rho.T @ w
     return val
+
+
+def reference_check_axioms_numeric(c, tol):
+    """``numeric_manifold.check_axioms_numeric`` as it was before its
+    probes ran over stacks: the c2 to c5 readings are taken point by point,
+    by ``partial_table``, ``directional_derivative`` and
+    ``vector_commutator``, and only the probe brackets over the chunk.  The
+    stacked check must give the same report, repr for repr."""
+    h = c.step
+    pts = c.chart.sample_points
+    n = c.chart.dim
+    lib = nm.section_library(c.rank, n)
+    funcs = nm.scalar_library(n)
+    res = {
+        "anchor_coisotropy": c.anchor_coisotropy_residual(pts),
+        "c1_jacobi": 0.0,
+        "c2_selfpairing": 0.0,
+        "c3_metric": 0.0,
+        "c4_anchor": 0.0,
+        "c5_leibniz": 0.0,
+    }
+
+    linear = c.rank  # index of the first non-constant section
+    triples = [
+        (0, 1, 2 % c.rank),
+        (0, min(3, c.rank - 1), min(4, c.rank - 1)),
+        (linear, 0, 1),
+        (0, linear + 1 if linear + 1 < len(lib) else linear, 2 % c.rank),
+        (len(lib) - 1, 0, 1),
+    ]
+    brackets = {}
+
+    def bracket(i, j):
+        if (i, j) not in brackets:
+            brackets[i, j] = c.bracket(lib[i], lib[j])
+        return brackets[i, j]
+
+    jacobi = [
+        ((lib[i], bracket(j, k)), (bracket(i, j), lib[k]), (lib[j], bracket(i, k)))
+        for (i, j, k) in triples
+    ]
+    pair_probes = lib[: min(len(lib), c.rank + 2)] + [lib[-1]]
+    metric = [(lib[a], lib[(a + 1) % len(lib)]) for a in range(0, len(lib), 2)]
+    leibniz = [
+        (lib[fi % c.rank], lib[(fi + 1) % c.rank], f) for fi, f in enumerate(funcs)
+    ]
+    scaled = [e2.scaled_by(f) for _, e2, f in leibniz]
+
+    pts = [np.asarray(x, dtype=float) for x in pts]
+    chunk = max(1, nm._PER_POINT_MEMO // (2 * n + 1))
+    for start in range(0, len(pts), chunk):
+        block = pts[start : start + chunk]
+        xs = np.array(block)
+        over = lambda pair: c.bracket_at(*pair, xs)
+        c1 = [(over(lhs), over(r1) + over(r2)) for lhs, r1, r2 in jacobi]
+        c2 = [over((e, e)) for e in pair_probes]
+        c34 = [over(pair) for pair in metric]
+        c5 = [
+            (over((e1, s)), over((e1, e2))) for (e1, e2, _), s in zip(leibniz, scaled)
+        ]
+        for p, x in enumerate(block):
+            for lhs, rhs in c1:
+                res["c1_jacobi"] = worse(res["c1_jacobi"], float(np.max(np.abs(lhs[p] - rhs[p]))))
+
+            for e, sq in zip(pair_probes, c2):
+                norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
+                want = 0.5 * (c.rho_star(x) @ nm.partial_table(norm, x, n, h))
+                res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq[p] - want))))
+
+            for (e1, e2), b12 in zip(metric, c34):
+                # the metric dual of e2 at x, so <e2, e3> varies wherever e2
+                # does and the metric axiom has a derivative to match
+                e3 = nm.SectionField.constant(c.gram @ e2(x))
+                scalar = lambda y, e2=e2, e3=e3: float(e2(y) @ c.gram @ e3(y))
+                v = c.anchor_matrix(x) @ e1(x)
+                lhs = float(nm.directional_derivative(scalar, x, v, h)) if np.any(v) else 0.0
+                rhs = float(b12[p] @ c.gram @ e3(x)) + float(e2(x) @ c.gram @ c.bracket_at(e1, e3, x))
+                res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
+
+                lhs4 = c.anchor_matrix(x) @ b12[p]
+                rhs4 = nm.vector_commutator(c.anchor_vector_field(e1), c.anchor_vector_field(e2), x, n, h)
+                res["c4_anchor"] = worse(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
+
+            for (e1, e2, f), (lhs5, b12) in zip(leibniz, c5):
+                v = c.anchor_matrix(x) @ e1(x)
+                df = float(nm.partial_table(f, x, n, h) @ v)
+                rhs5 = f(x) * b12[p] + df * e2(x)
+                res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5[p] - rhs5))))
+
+    return Report(res, tol=tol, data={"step": h})
 
 
 def reference_rationalize_rotation(r):

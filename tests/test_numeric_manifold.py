@@ -207,8 +207,8 @@ def without_dual_anchor_correction(c):
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
         rho = nm._at_points(c.anchor, x)
-        e1x, p1 = nm._jets(e1, x, c.step)
-        e2x, p2 = nm._jets(e2, x, c.step)
+        e1x, p1 = e1.jet(x, c.step)
+        e2x, p2 = e2.jet(x, c.step)
         val = np.einsum("ijk,...i,...j->...k", structure, e1x, e2x)
         return val + nm._mv(p2, nm._mv(rho, e1x)) - nm._mv(p1, nm._mv(rho, e2x))
 
@@ -1052,15 +1052,29 @@ def _wavy_section():
     )
 
 
-def test_a_section_jet_is_its_value_and_partial_table_bit_for_bit(flat3):
+def test_a_section_jet_is_its_value_and_partial_table_bit_for_bit(twisted3, flat3, dressing, so3_points):
     _, pts = flat3
-    e = _wavy_section()
-    for x in pts[:3]:
-        for h in (1e-4, 1e-3):
-            value, table = e.jet(x, h)
-            assert value.tobytes() == e(x).tobytes()
-            assert table.tobytes() == nm.partial_table(e, x, 3, h).tobytes()
-            assert e.jet(x, h)[1] is table
+    for c, points in ((twisted3, pts), (dressing, so3_points[:5])):
+        _check_stacked_jets(c, [np.asarray(x, float) for x in points])
+
+
+def _check_stacked_jets(c, points):
+    """The jet of every probe section, over each stack of ``_stacks`` and
+    at its single points, is the section's value at each point and the
+    reference partial table, bit for bit."""
+    n = c.chart.dim
+    for e in _probe_sections(c):
+        for xs in _stacks(points[0], points):
+            for h in (1e-4, 1e-3):
+                value, table = e.jet(xs, h)
+                assert value.shape == (len(xs), e.rank) and table.shape == (len(xs), e.rank, n)
+                # memoized by the stack, bar the exact jets of constants
+                assert isinstance(e, nm.ConstantSection) or e.jet(xs.copy(), h)[1] is table
+                for y, v, t in zip(xs, value, table):
+                    assert v.tobytes() == e(y).tobytes()
+                    want = helpers.directional_derivative_partial_table(e, y, n, h)
+                    assert t.tobytes() == want.tobytes()
+                    assert [a.tobytes() for a in e.jet(y, h)] == [v.tobytes(), want.tobytes()]
 
 
 def test_section_jets_are_read_only(flat3):
@@ -1088,7 +1102,7 @@ def test_the_jet_memo_is_bounded():
 
     def square(y):
         calls.append(y)
-        return np.array([y[0] ** 2])
+        return y**2
 
     e = nm.SectionField(1, square)
     pts = [np.array([float(k)]) for k in range(nm._PER_POINT_MEMO + 1)]
@@ -1101,6 +1115,20 @@ def test_the_jet_memo_is_bounded():
     # the oldest point was evicted to keep the bound
     e.jet(pts[0], 1e-4)
     assert len(calls) == 3 * len(pts) + 3
+
+    # a stacked section's memo is keyed by the stack and keeps the same bound
+    calls.clear()
+    e = nm.StackedSection(1, square)
+    stacks = [np.array([x, -x - 0.5]) for x in pts]
+    for xs in stacks:
+        e.jet(xs, 1e-4)
+    # one call per stack, whatever its length
+    assert len(calls) == len(stacks)
+    e.jet(stacks[-1], 1e-4)
+    e.jet(stacks[-1][:1], 1e-4)
+    assert len(calls) == len(stacks) + 1
+    e.jet(stacks[0], 1e-4)
+    assert len(calls) == len(stacks) + 2
 
 
 def test_flat_axioms_evaluate_each_section_once_per_point_and_step(monkeypatch):
@@ -1117,8 +1145,9 @@ def test_flat_axioms_evaluate_each_section_once_per_point_and_step(monkeypatch):
     ).passed
     # 7,245 when every bracket recomputed its sections' tables, 2,520 while
     # constant sections were differentiated and each bracket section was
-    # evaluated one stencil point at a time
-    assert len(calls) == 1380
+    # evaluated one stencil point at a time, 1,380 while jets and probes
+    # evaluated each section one point at a time; now one call per stack
+    assert len(calls) == 73
 
 
 def test_flat_axioms_call_the_bracket_kernel_once_per_stack(monkeypatch):
@@ -1133,15 +1162,15 @@ def test_flat_axioms_call_the_bracket_kernel_once_per_stack(monkeypatch):
     assert verify.run_example(
         "flat_twisted_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
     ).passed
-    # one call per point for each of the 12 library bracket sections' jets
-    # (the point and its six stencil neighbours), one per probe bracket over
-    # the stack of three points, and one per point for the 5 metric probes
-    # whose section depends on the point; 462 (154 per point) when every
-    # bracket section was rebuilt per point and evaluated point by point
-    assert len(calls) == 12 * 3 + 39 + 5 * 3
-    assert calls.count((7, 3)) == 12 * 3
-    assert calls.count((3, 3)) == 39
-    assert calls.count((3,)) == 5 * 3
+    # one call for each of the 12 library bracket sections' jets (the three
+    # points and their six stencil neighbours each), one per probe bracket
+    # over the stack of three points, and one for each of the 5 metric
+    # probes against its stack of metric duals; 462 (154 per point) when
+    # every bracket section was rebuilt per point and evaluated point by
+    # point, 12 * 3 + 39 + 5 * 3 while jets were taken point by point
+    assert len(calls) == 12 + 39 + 5
+    assert calls.count((21, 3)) == 12
+    assert calls.count((3, 3)) == 39 + 5
 
 
 def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
@@ -1160,27 +1189,30 @@ def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
 
 
 def _probe_sections(c):
-    """Library sections, a dense non-polynomial one, and brackets of both,
-    so the references see constant, varying and stacked sections, and sums
-    of several nonzero products whose rounding depends on their order."""
+    """Library sections, one scaled by the sine probe, a dense
+    non-polynomial one, and brackets of both, so the references see
+    constant, varying, one-point and stacked sections, and sums of several
+    nonzero products whose rounding depends on their order."""
     lib = nm.section_library(c.rank, c.chart.dim)
+    scaled = lib[-1].scaled_by(nm.scalar_library(c.chart.dim)[-1])
     rng = np.random.default_rng(5)
     w, b = rng.normal(size=(c.rank, c.chart.dim)), rng.normal(size=c.rank)
     dense = nm.SectionField(c.rank, lambda y: np.sin(w @ y + b))
     inner = c.bracket(dense, lib[c.rank])
-    return lib + [dense, inner, c.bracket(lib[-1], dense), c.bracket(inner, lib[1])]
+    return lib + [scaled, dense, inner, c.bracket(lib[-1], dense), c.bracket(inner, lib[1])]
 
 
 def _stacks(x, points):
-    """Stacks of 1, 2n and P points: ``x`` alone, its stencil, and all."""
+    """Stacks of 1, 2n and P points: ``x`` alone, its stencil, and all; on a
+    three-dimensional chart also the ``SIGNED_ZEROS`` point alone."""
     n = x.shape[0]
     steps = 1e-4 * np.eye(n)
-    return (x[None], np.concatenate([x + steps, x - steps]), np.array(points))
+    signed = (SIGNED_ZEROS[None],) if n == 3 else ()
+    return (x[None], np.concatenate([x + steps, x - steps]), np.array(points)) + signed
 
 
 def _check_stacked_kernel(c, reference, points):
-    sections = _probe_sections(c)
-    pairs = list(itertools.product(sections, repeat=2))
+    pairs = list(itertools.product(_probe_sections(c), repeat=2))
     for xs in _stacks(points[0], points):
         for e1, e2 in pairs:
             got = c.bracket_at(e1, e2, xs)
@@ -1212,6 +1244,38 @@ def test_stacked_bracket_with_a_varying_twist_is_the_reference_bit_for_bit():
 def test_stacked_dressing_bracket_is_the_per_point_reference_bit_for_bit(dressing, so3_points):
     reference = lambda e1, e2, y: helpers.dressing_bracket_at_point(dressing, e1, e2, y)
     _check_stacked_kernel(dressing, reference, [np.asarray(x, float) for x in so3_points[:5]])
+
+
+def test_stacked_products_are_the_single_point_products_bit_for_bit(dressing, twisted3):
+    # einsum and norm(axis=-1) sum in another order and differ in the last bit
+    rng = np.random.default_rng(2)
+    a, u, w = rng.normal(size=(500, 3, 6)), rng.normal(size=(500, 6)), rng.normal(size=(500, 6))
+    assert nm._mv(a, u).tobytes() == np.array([m @ v for m, v in zip(a, u)]).tobytes()
+    assert nm._dot(u, w).tobytes() == np.array([p @ q for p, q in zip(u, w)]).tobytes()
+    for g in (dressing.gram, twisted3.gram):
+        want = np.array([p @ g @ q for p, q in zip(u, w)])
+        assert nm._quad(u, g, w).tobytes() == want.tobytes()
+
+
+def _axiom_bundle(kind, samples):
+    if kind == "flat":
+        chart = nm.Chart(3, verify._flat_points(samples, seed=0))
+        return nm.make_standard_twisted(chart, nm.volume_form(3), h=helpers.STEP)
+    if kind == "varying":
+        pts = tuple(np.random.default_rng(11).uniform(-0.5, 0.5, size=(samples, 4)))
+        chart = nm.Chart(4, pts)
+        return nm.make_standard_twisted(chart, linear_volume_twist(), check_closed=False, h=helpers.STEP)
+    return nm.make_dressing_courant(nm.Chart(3, tuple(so3.sample_chart_points(samples, seed=0))), h=helpers.STEP)
+
+
+# 73 points of a three-dimensional chart fill one chunk of
+# _PER_POINT_MEMO // 7 points, so 74 spill into a second
+@pytest.mark.parametrize("samples", [1, 3, 20, 73, 74])
+@pytest.mark.parametrize("kind", ["flat", "varying", "dressing"])
+def test_stacked_axiom_probes_give_the_per_point_report(kind, samples):
+    c = _axiom_bundle(kind, samples)
+    got = nm.check_axioms_numeric(c, tol=helpers.TOL)
+    assert repr(got) == repr(helpers.reference_check_axioms_numeric(c, tol=helpers.TOL))
 
 
 SIGNED_ZEROS = np.array([-0.0, 0.0, 1.0])
