@@ -10,17 +10,18 @@ the product.  The algebraic strong-map and sharp quantities are decided
 exactly, on fibers frozen to rational matrices at each point.
 
 Every derivative here, and in ``reduction``, is a central difference
-``(f(x + h e_m) - f(x - h e_m)) / 2h`` of a field along the coordinate
-axes, on the stencil rows of ``_stencil_steps``.  ``partial_table`` takes
-it at one point, evaluating the field point by point; a scalar's partial
-table is its gradient.  The brackets read each section through its jet,
-``SectionField.jet(x, h)``: the section's value and partial table at a
-point, or at every point of a stack, from one evaluation of the section on
-the points and their stencils, memoized per section by the stack and the
-step, so the nested brackets of an axiom probe differentiate each section
-once per stack and step.  A constant section's jet is exact, its value and
-a zero table, and never evaluates the section.  The jet is the seam where
-exact jets replace finite differences.
+``(f(x + h e_m) - f(x - h e_m)) / 2h`` along the coordinate axes, taken by
+``_central_differences`` on the stencil rows of ``_stencil_steps`` at a
+point ``(n,)`` or at every point of a stack ``(P, n)``, from one call of the
+field on all the stencils.  ``partial_table`` takes it of a field of
+stacks (``reduction`` wraps its one-point callables in ``_at_points``).
+The brackets read each section through its jet, ``SectionField.jet(x,
+h)``: its value and partial table from one evaluation on the points and
+their stencils, memoized per section by the stack and the step, so nested
+brackets differentiate each section once per stack and step.  A constant
+section's jet is exact, its value and a zero table, and never evaluates
+the section.  The jet is the seam where exact jets replace finite
+differences.
 
 The step ``h`` and the gate ``tol`` have no defaults here or in
 ``reduction``: callers pass them, so a check runs at the step and tolerance
@@ -34,10 +35,11 @@ value equals the single-point one bit for bit.  Library sections, their
 constant twists take whole stacks, so such a jet is one call on the
 stencils of the whole stack; a section or twist of one point (the frame
 rows of ``per_point`` fields, a caller's callable) is evaluated point by
-point through the same jet.  ``check_axioms_numeric`` runs every probe,
-and one closure loop every pair of frame rows (``generator_residuals``,
-and ``check_strong_dirac``'s ``integrability``), over all sample points at
-once.
+point through the same jet.  ``check_axioms_numeric`` and
+``check_quasi_poisson`` run every probe over a chunk of sample points at
+once, and one closure loop every pair of frame rows
+(``generator_residuals``, and ``check_strong_dirac``'s ``integrability``)
+over all of them.
 
 Per-point fields of the rotation bundle (the dressing anchor and the
 exact splitting), twist fields and the Dirac frames of the integrability
@@ -58,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -128,7 +130,8 @@ class SectionField:
 
     @cached_property
     def jet(self):
-        return _array_memo(lambda x, h: tuple(map(_read_only, _stencil_jet(self.at_points, x, h))))
+        read = lambda x, h: _jet(self.at_points(_stencil_points(x, h)), x.ndim - 1, h)
+        return _array_memo(lambda x, h: tuple(map(_read_only, read(x, h))))
 
     def __call__(self, x):
         """The value at a point ``(n,)``; a ``StackedSection`` also maps a
@@ -223,19 +226,22 @@ def _at_points(fn, x):
     ``x`` ``(..., n)``, one call per point."""
     if x.ndim == 1:
         return np.asarray(fn(x), dtype=float)
-    values = np.array([np.asarray(fn(y), dtype=float) for y in x.reshape(-1, x.shape[-1])])
-    return values.reshape(x.shape[:-1] + values.shape[1:])
+    if x.ndim > 2:
+        values = _at_points(fn, x.reshape(-1, x.shape[-1]))
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+    return np.array([fn(y) for y in x], dtype=float)
 
 
-def _stencil_jet(fn, x, h):
-    """The value and central-difference partial table of the field ``fn``
-    at a point ``x`` ``(n,)``, or at every point of a stack ``(P, n)``,
-    from one call of ``fn`` on the points and their stencils, a stack
-    ``(..., 2n + 1, n)`` that ``fn`` maps to one value per row."""
-    n = x.shape[-1]
+def _stencil_points(x, h):
+    """Each point of ``x`` ``(..., n)``, then ``x + h e_0, x - h e_0, ...``."""
     rows = x[..., None, :]
-    values = np.asarray(fn(np.concatenate([rows, rows + _stencil_steps(n, h)], axis=-2)), dtype=float)
-    values = np.moveaxis(values, x.ndim - 1, 0)
+    return np.concatenate([rows, rows + _stencil_steps(x.shape[-1], h)], axis=-2)
+
+
+def _jet(values, lead, h):
+    """Value and partial table from ``values`` on ``_stencil_points`` of a
+    stack with ``lead`` point axes."""
+    values = np.moveaxis(values, lead, 0)
     return values[0], _central_differences(values[1:], h)
 
 
@@ -267,13 +273,14 @@ def directional_derivative(f, x, v, h):
     return (np.asarray(f(x + step), dtype=float) - np.asarray(f(x - step), dtype=float)) / (2.0 * h)
 
 
-def partial_table(f, x, dim, h):
-    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences,
-    ``(f(x + h e_m) - f(x - h e_m)) / 2h``; for a scalar ``f`` this is its
-    gradient.  ``f`` is evaluated point by point on a stencil built once, in
-    the order ``x + h e_0, x - h e_0, x + h e_1, ...``."""
-    stencil = np.asarray(x, dtype=float) + _stencil_steps(dim, h)
-    return _central_differences(np.array([f(y) for y in stencil], dtype=float), h)
+def partial_table(f, x, h):
+    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences at a
+    point ``x`` ``(n,)`` or at every point of a stack ``(P, n)``; for a
+    scalar ``f`` this is its gradient.  ``f`` maps a stack to one value per
+    point: it is called once, on the stencils ``x + h e_0, x - h e_0, ...``."""
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(f(x[..., None, :] + _stencil_steps(x.shape[-1], h)), dtype=float)
+    return _central_differences(np.moveaxis(values, x.ndim - 1, 0) if x.ndim > 1 else values, h)
 
 
 def _central_differences(values, h):
@@ -295,21 +302,23 @@ def _stencil_steps(dim, h):
     return _read_only(steps)
 
 
-def vector_commutator(v1, v2, x, dim, h):
-    p1 = partial_table(v1, x, dim, h)
-    p2 = partial_table(v2, x, dim, h)
-    return p2 @ np.asarray(v1(x), float) - p1 @ np.asarray(v2(x), float)
+def vector_commutator(v1, v2, x, h):
+    """The commutator ``[v1, v2]`` of fields of stacks, at a point or a stack."""
+    x = np.asarray(x, dtype=float)
+    return _mv(partial_table(v2, x, h), v1(x)) - _mv(partial_table(v1, x, h), v2(x))
 
 
-def exterior_derivative(form, degree, x, dim, h):
-    """Full component array of d(form) on constant coordinate frames.  When
-    degree + 1 exceeds the chart dimension the result is the full zero
-    array and the form is never evaluated (every top-degree form is
-    closed)."""
-    if degree + 1 > dim:
-        return np.zeros((dim,) * (degree + 1))
-    p = partial_table(form, x, dim, h)
-    return sum((-1.0) ** r * np.moveaxis(p, -1, r) for r in range(degree + 1))
+def exterior_derivative(form, degree, x, h):
+    """Full component array of d(form) on constant coordinate frames, at a
+    point ``(n,)`` or at every point of a stack ``(P, n)``; ``form`` takes
+    stacks, as ``partial_table``'s ``f``.  When degree + 1 exceeds the
+    chart dimension the result is the full zero array and the form is
+    never evaluated (every top-degree form is closed)."""
+    x = np.asarray(x, dtype=float)
+    if degree + 1 > x.shape[-1]:
+        return np.zeros(x.shape[:-1] + x.shape[-1:] * (degree + 1))
+    p = partial_table(form, x, h)
+    return sum((-1.0) ** r * np.moveaxis(p, -1, x.ndim - 1 + r) for r in range(degree + 1))
 
 
 @dataclass
@@ -369,11 +378,8 @@ class CourantNumeric:
     def anchor_coisotropy_residual(self, points):
         """Largest entry of rho ginv rho^T over the points; algebraic, so
         the budget is roundoff, not the FD step."""
-        worst = 0.0
-        for x in points:
-            m = self.anchor_matrix(x)
-            worst = worse(worst, float(np.max(np.abs(m @ self.gram_inv @ m.T))))
-        return worst
+        m = self.anchor_matrix(np.array(points))
+        return float(np.max(np.abs(m @ self.gram_inv @ _tr(m))))
 
 
 def _phi_as_field(phi, dim):
@@ -441,12 +447,11 @@ def make_standard_twisted(chart, phi=None, *, h, check_closed=True):
     n = chart.dim
     phi_field = _phi_as_field(phi, n)
     if check_closed:
-        for x in chart.sample_points:
-            d = exterior_derivative(phi_field, 3, x, n, h)
-            if not float(np.max(np.abs(d))) <= 1e-6:
-                raise ValueError("twist three-form is not closed at a sample point")
-            if not np.all(np.isfinite(phi_field(x))):
-                raise ValueError("twist three-form is not finite at a sample point")
+        xs = np.array(chart.sample_points)
+        if not float(np.max(np.abs(exterior_derivative(phi_field, 3, xs, h)))) <= 1e-6:
+            raise ValueError("twist three-form is not closed at a sample point")
+        if not np.all(np.isfinite(phi_field(xs))):
+            raise ValueError("twist three-form is not finite at a sample point")
 
     gram = np.zeros((2 * n, 2 * n))
     gram[:n, n:] = np.eye(n)
@@ -544,16 +549,14 @@ def make_dressing_courant(chart, h):
         step=h,
     )
 
-    pts = chart.sample_points[: min(3, len(chart.sample_points))]
+    xs = np.array(chart.sample_points[:3])
     e0, e1 = (SectionField.constant(np.eye(6)[i]) for i in range(2))
-    coiso = cn.anchor_coisotropy_residual(pts)
-    if not coiso <= 1e-10:
+    if not cn.anchor_coisotropy_residual(xs) <= 1e-10:
         raise ValueError("anchor fails coisotropy on the gate points")
-    for x in pts:
-        lhs = cn.anchor_matrix(x) @ bracket_at(e0, e1, x)
-        rhs = vector_commutator(cn.anchor_vector_field(e0), cn.anchor_vector_field(e1), x, 3, h)
-        if not float(np.max(np.abs(lhs - rhs))) <= 1e-6:
-            raise ValueError("anchor is not bracket-compatible on the gate points")
+    lhs = _mv(cn.anchor_matrix(xs), bracket_at(e0, e1, xs))
+    rhs = vector_commutator(cn.anchor_vector_field(e0), cn.anchor_vector_field(e1), xs, h)
+    if not float(np.max(np.abs(lhs - rhs))) <= 1e-6:
+        raise ValueError("anchor is not bracket-compatible on the gate points")
     return cn
 
 
@@ -646,30 +649,25 @@ def check_axioms_numeric(c, tol):
     def fold(key, readings):
         res[key] = worse(res[key], float(np.max(readings)))
 
-    def self_pairing(e):
-        def norm(y):
-            v = e.at_points(y)
-            return _quad(v, g, v)
-
-        return norm
-
     stack = np.array(pts)
     chunk = max(1, _PER_POINT_MEMO // (2 * n + 1))
     for start in range(0, len(stack), chunk):
         xs = stack[start : start + chunk]
+        ys = _stencil_points(xs, h)
         over = lambda pair: c.bracket_at(*pair, xs)
         anchor, rho_star = c.anchor_matrix(xs), c.rho_star(xs)
         for lhs, r1, r2 in jacobi:
             fold("c1_jacobi", np.abs(over(lhs) - (over(r1) + over(r2))))
 
         for e in pair_probes:
-            want = 0.5 * _mv(rho_star, _stencil_jet(self_pairing(e), xs, h)[1])
+            v = e.at_points(ys)
+            want = 0.5 * _mv(rho_star, _jet(_quad(v, g, v), 1, h)[1])
             fold("c2_selfpairing", np.abs(over((e, e)) - want))
 
         for e1, e2 in metric:
             b12 = over((e1, e2))
-            v1, t1 = _stencil_jet(c.anchor_vector_field(e1), xs, h)
-            v2, t2 = _stencil_jet(c.anchor_vector_field(e2), xs, h)
+            v1, t1 = _jet(c.anchor_vector_field(e1)(ys), 1, h)
+            v2, t2 = _jet(c.anchor_vector_field(e2)(ys), 1, h)
             # the metric dual of e2 at each point, so <e2, e3> varies wherever
             # e2 does and the metric axiom has a derivative to match
             e2x = e2.at_points(xs)
@@ -681,7 +679,7 @@ def check_axioms_numeric(c, tol):
             fold("c4_anchor", np.abs(_mv(anchor, b12) - (_mv(t2, v1) - _mv(t1, v2))))
 
         for (e1, e2, f), s in zip(leibniz, scaled):
-            fx, df = _stencil_jet(f, xs, h)
+            fx, df = _jet(f(ys), 1, h)
             v = _mv(anchor, e1.at_points(xs))
             rhs5 = fx[..., None] * over((e1, e2)) + _dot(df, v)[..., None] * e2.at_points(xs)
             fold("c5_leibniz", np.abs(over((e1, s)) - rhs5))
@@ -716,10 +714,9 @@ def make_exact_splitting(c):
     n = c.chart.dim
     if c.rank != 2 * n:
         raise ValueError("splitting needs rank equal to twice the chart dimension")
-    for x in c.chart.sample_points:
-        sv = np.linalg.svd(c.anchor_matrix(x), compute_uv=False)
-        if sv[-1] < 1e-8:
-            raise ValueError("anchor is not onto at a sample point")
+    sv = np.linalg.svd(c.anchor_matrix(np.array(c.chart.sample_points)), compute_uv=False)
+    if np.min(sv[:, -1]) < 1e-8:
+        raise ValueError("anchor is not onto at a sample point")
 
     @per_point
     def s(x):
@@ -988,15 +985,23 @@ def check_quasi_poisson(
     ``make_exact_quasi_pi``), so ``sharp_compat`` is an exact quantity.
     ``chi`` and ``cobracket`` use the exact splitting module's component
     conventions (nested tuples, possibly empty for the ordinary Poisson
-    case).  An identity that is not
-    measured is absent from the report: ``lie_compat`` with an empty
-    cobracket, ``sharp_compat`` without ``exact_fibers``.  The chart
-    dimension is that of the points, and at least one point is needed.
+    case).  An identity that is not measured is absent from the report:
+    ``lie_compat`` with an empty cobracket, ``sharp_compat`` without
+    ``exact_fibers``.  The chart dimension is that of the points, and at
+    least one point is needed.
+
+    The points run in chunks of at most ``_PER_POINT_MEMO // (2n + 1)``, so
+    a per-point anchor memo holds a chunk's stencil stack ``ys`` ``(P, 2n +
+    1, n)``.  The one-point fields ``pi`` and ``rho_x`` run once per point
+    of ``ys``; each probe of ``funcs`` (``scalar_library`` by default) takes
+    stacks, and its gradient on ``ys`` is one ``partial_table`` call.
+    Every stacked reading equals the point-by-point one bit for bit.
     """
     if not len(points):
         raise ValueError("quasi-Poisson check needs at least one point")
-    dim = np.shape(points[0])[0]
-    funcs = funcs if funcs is not None else scalar_library(dim)
+    stack = np.array(points, dtype=float)
+    n = stack.shape[-1]
+    funcs = funcs if funcs is not None else scalar_library(n)
     chi_f = np.array(chi, dtype=float)
     cob_f = np.array(cobracket, dtype=float)
 
@@ -1006,50 +1011,43 @@ def check_quasi_poisson(
     if exact_fibers is not None:
         res["sharp_compat"] = 0.0
 
-    # the fields and each function's gradient once per point: every inner
-    # bracket and partial table reads them at the same stencil points
-    pi, rho_x = per_point(pi), per_point(rho_x)
-    grad = [per_point(lambda y, f=f: partial_table(f, y, dim, h)) for f in funcs]
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        px = np.asarray(pi(x), float)
-        rx = np.asarray(rho_x(x), float)
-        grads = [d(x) for d in grad]
-        # gradient of each inner bracket {f_b, f_c}, taken once per point
-        inner = {}
+    def fold(key, readings):
+        res[key] = worse(res[key], float(np.max(readings)))
+
+    chunk = max(1, _PER_POINT_MEMO // (2 * n + 1))
+    for start in range(0, len(stack), chunk):
+        xs = stack[start : start + chunk]
+        ys = _stencil_points(xs, h)
+        pis, rhos = _at_points(pi, ys), _at_points(rho_x, ys)
+        px, rx = pis[:, 0], rhos[:, 0]
+        grads = [partial_table(f, ys, h) for f in funcs]
+        # the gradient of each inner bracket {f_b, f_c} = df_c(pi^T df_b)
+        inner = {
+            (b, c): _jet(_quad(grads[c], _tr(pis), grads[b]), 1, h)[1]
+            for b, c in permutations(range(len(funcs)), 2)
+        }
         for i, j, k in combinations(range(len(funcs)), 3):
             total = 0.0
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                if (b, c) not in inner:
-                    def bracket(y, b=b, c=c):
-                        # the scalar field {f_b, f_c} = df_c(pi^T df_b)
-                        return float(grad[c](y) @ np.asarray(pi(y), float).T @ grad[b](y))
-
-                    inner[b, c] = partial_table(bracket, x, dim, h)
-                total += float(inner[b, c] @ px.T @ grads[a])
+                total += _quad(inner[b, c], _tr(px), grads[a][:, 0])
             rhs = 0.0
             if chi_f.size:
-                vf, vg, vk = (rx.T @ grads[m] for m in (i, j, k))
-                rhs = JACOBIATOR_SIGN * float(np.einsum("ijk,i,j,k->", chi_f, vf, vg, vk))
-            res["jacobiator"] = worse(res["jacobiator"], abs(total - rhs))
+                vf, vg, vk = (_mv(_tr(rx), grads[m][:, 0]) for m in (i, j, k))
+                rhs = JACOBIATOR_SIGN * np.einsum("ijk,...i,...j,...k->...", chi_f, vf, vg, vk)
+            fold("jacobiator", np.abs(total - rhs))
 
         if "lie_compat" in res:
-            r = cob_f.shape[0]
-            pfield = lambda y: np.asarray(pi(y), float).reshape(-1)
-            pt = partial_table(pfield, x, dim, h).reshape(dim, dim, dim)
-            for idx in range(r):
-                a = np.eye(r)[idx]
-                vfield = lambda y, a=a: np.asarray(rho_x(y), float) @ a
-                vt = partial_table(vfield, x, dim, h)
-                vx = vfield(x)
-                lie = np.einsum("klm,m->kl", pt, vx)
-                lie -= np.einsum("ml,km->kl", px, vt)
-                lie -= np.einsum("km,lm->kl", px, vt)
-                fa = np.einsum("ikl,i->kl", cob_f, a)
-                want = -(rx @ fa @ rx.T)
-                res["lie_compat"] = worse(res["lie_compat"], float(np.max(np.abs(lie - want))))
+            dpi = _jet(pis, 1, h)[1]
+            for a in np.eye(cob_f.shape[0]):
+                vx, vt = _jet(_mv(rhos, a), 1, h)
+                lie = np.einsum("...klm,...m->...kl", dpi, vx)
+                lie -= np.einsum("...ml,...km->...kl", px, vt)
+                lie -= np.einsum("...km,...lm->...kl", px, vt)
+                want = -(rx @ np.einsum("ikl,i->kl", cob_f, a) @ _tr(rx))
+                fold("lie_compat", np.abs(lie - want))
 
-        if exact_fibers is not None:
+    if exact_fibers is not None:
+        for x in stack:
             fb = exact_fibers(x)
             lhs = rat.transpose(fb["pi"])
             rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))

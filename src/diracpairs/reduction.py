@@ -13,11 +13,12 @@ default: ``verify.DEFAULTS`` is the only place defaults live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .numeric_manifold import partial_table, vector_commutator
+from .numeric_manifold import _at_points, partial_table, vector_commutator
 from .report import Report, worse
 
 
@@ -39,7 +40,7 @@ class ObservableFunction:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        return partial_table(self.fn, x, x.shape[0], h)
+        return partial_table(partial(_at_points, self.fn), x, h)
 
 
 def observable(f, grad=None):
@@ -175,16 +176,13 @@ def check_bracket_laws(f, g, fiber_at, points, h, tol):
                 raise ValueError("bracket laws need admissible inputs")
             return s.vector
 
-        return at
+        return partial(_at_points, at)
 
     res = {"skew": 0.0, "flow_match": 0.0, "conservation": 0.0}
     for x in points:
         x = np.asarray(x, dtype=float)
         res["skew"] = worse(res["skew"], abs(fg.value(x) + gf.value(x)))
-        dim = x.shape[0]
-        lie = vector_commutator(
-            flow_field(f, h, tol), flow_field(g, h, tol), x, dim, h2
-        )
+        lie = vector_commutator(flow_field(f, h, tol), flow_field(g, h, tol), x, h2)
         s_fg = hamiltonian_vector(fg, fiber_at, [x], h=h2, tol=max(tol, 1e-3))[0]
         if s_fg.vector is None:
             raise ValueError("bracket of the inputs stopped being admissible")

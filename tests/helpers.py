@@ -10,6 +10,7 @@ the samples are not all transverse to the covector factor.
 import json
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from pathlib import Path
 
@@ -531,8 +532,11 @@ def so3_linear_poisson(x):
 
 
 def group_trace_function(x):
-    """Trace of the chart rotation; the transcendental probe function."""
-    return 1.0 + 2.0 * math.cos(float(np.linalg.norm(np.asarray(x, float))))
+    """Trace of the chart rotation, the transcendental probe function, at a
+    point ``(n,)`` or at every point of a stack ``(..., n)``: each stacked
+    value is the single-point one bit for bit."""
+    x = np.asarray(x, float)
+    return 1.0 + 2.0 * np.cos(np.sqrt(nm._dot(x, x)))
 
 
 def exact_flow_vector(t_dim, e_dim, rows, df):
@@ -575,6 +579,15 @@ def orthogonal_complement(form, u):
 # the package ran one point at a time before its brackets and partial
 # tables took stacks of points.  The stacked code must match them bit for
 # bit.
+
+
+def reference_partial_table(f, x, dim, h):
+    """Partials ``P[..., m] = d f[...] / d x_m`` by central differences,
+    ``(f(x + h e_m) - f(x - h e_m)) / 2h``; for a scalar ``f`` this is its
+    gradient.  ``f`` is evaluated point by point on a stencil built once, in
+    the order ``x + h e_0, x - h e_0, x + h e_1, ...``."""
+    stencil = np.asarray(x, dtype=float) + nm._stencil_steps(dim, h)
+    return nm._central_differences(np.array([f(y) for y in stencil], dtype=float), h)
 
 
 def directional_derivative_partial_table(f, x, dim, h=1e-4):
@@ -635,8 +648,8 @@ def dressing_bracket_at_point(c, e1, e2, x):
 def reference_check_axioms_numeric(c, tol):
     """``numeric_manifold.check_axioms_numeric`` as it was before its
     probes ran over stacks: the c2 to c5 readings are taken point by point,
-    by ``partial_table``, ``directional_derivative`` and
-    ``vector_commutator``, and only the probe brackets over the chunk.  The
+    by ``reference_partial_table``, ``directional_derivative`` and the
+    commutator of those tables, and only the probe brackets over the chunk.  The
     stacked check must give the same report, repr for repr."""
     h = c.step
     pts = c.chart.sample_points
@@ -696,7 +709,7 @@ def reference_check_axioms_numeric(c, tol):
 
             for e, sq in zip(pair_probes, c2):
                 norm = lambda y, e=e: float(e(y) @ c.gram @ e(y))
-                want = 0.5 * (c.rho_star(x) @ nm.partial_table(norm, x, n, h))
+                want = 0.5 * (c.rho_star(x) @ reference_partial_table(norm, x, n, h))
                 res["c2_selfpairing"] = worse(res["c2_selfpairing"], float(np.max(np.abs(sq[p] - want))))
 
             for (e1, e2), b12 in zip(metric, c34):
@@ -710,16 +723,92 @@ def reference_check_axioms_numeric(c, tol):
                 res["c3_metric"] = worse(res["c3_metric"], abs(lhs - rhs))
 
                 lhs4 = c.anchor_matrix(x) @ b12[p]
-                rhs4 = nm.vector_commutator(c.anchor_vector_field(e1), c.anchor_vector_field(e2), x, n, h)
+                v1, v2 = c.anchor_vector_field(e1), c.anchor_vector_field(e2)
+                p1, p2 = (reference_partial_table(v, x, n, h) for v in (v1, v2))
+                rhs4 = p2 @ np.asarray(v1(x), float) - p1 @ np.asarray(v2(x), float)
                 res["c4_anchor"] = worse(res["c4_anchor"], float(np.max(np.abs(lhs4 - rhs4))))
 
             for (e1, e2, f), (lhs5, b12) in zip(leibniz, c5):
                 v = c.anchor_matrix(x) @ e1(x)
-                df = float(nm.partial_table(f, x, n, h) @ v)
+                df = float(reference_partial_table(f, x, n, h) @ v)
                 rhs5 = f(x) * b12[p] + df * e2(x)
                 res["c5_leibniz"] = worse(res["c5_leibniz"], float(np.max(np.abs(lhs5[p] - rhs5))))
 
     return Report(res, tol=tol, data={"step": h})
+
+
+def reference_check_quasi_poisson(
+    pi, rho_x, chi, cobracket, points, exact_fibers=None, funcs=None, *, h, tol
+):
+    """``numeric_manifold.check_quasi_poisson`` as it was before it ran
+    over stacks: one point at a time, every gradient, inner bracket and
+    partial table by ``reference_partial_table``, memoized per stencil
+    point.  The stacked check must give the same report, repr for repr."""
+    if not len(points):
+        raise ValueError("quasi-Poisson check needs at least one point")
+    dim = np.shape(points[0])[0]
+    funcs = funcs if funcs is not None else nm.scalar_library(dim)
+    chi_f = np.array(chi, dtype=float)
+    cob_f = np.array(cobracket, dtype=float)
+
+    res = {"jacobiator": 0.0}
+    if cob_f.size:
+        res["lie_compat"] = 0.0
+    if exact_fibers is not None:
+        res["sharp_compat"] = 0.0
+
+    # the fields and each function's gradient once per point: every inner
+    # bracket and partial table reads them at the same stencil points
+    pi, rho_x = nm.per_point(pi), nm.per_point(rho_x)
+    grad = [nm.per_point(lambda y, f=f: reference_partial_table(f, y, dim, h)) for f in funcs]
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        px = np.asarray(pi(x), float)
+        rx = np.asarray(rho_x(x), float)
+        grads = [d(x) for d in grad]
+        # gradient of each inner bracket {f_b, f_c}, taken once per point
+        inner = {}
+        for i, j, k in combinations(range(len(funcs)), 3):
+            total = 0.0
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                if (b, c) not in inner:
+                    def bracket(y, b=b, c=c):
+                        # the scalar field {f_b, f_c} = df_c(pi^T df_b)
+                        return float(grad[c](y) @ np.asarray(pi(y), float).T @ grad[b](y))
+
+                    inner[b, c] = reference_partial_table(bracket, x, dim, h)
+                total += float(inner[b, c] @ px.T @ grads[a])
+            rhs = 0.0
+            if chi_f.size:
+                vf, vg, vk = (rx.T @ grads[m] for m in (i, j, k))
+                rhs = nm.JACOBIATOR_SIGN * float(np.einsum("ijk,i,j,k->", chi_f, vf, vg, vk))
+            res["jacobiator"] = worse(res["jacobiator"], abs(total - rhs))
+
+        if "lie_compat" in res:
+            r = cob_f.shape[0]
+            pfield = lambda y: np.asarray(pi(y), float).reshape(-1)
+            pt = reference_partial_table(pfield, x, dim, h).reshape(dim, dim, dim)
+            for idx in range(r):
+                a = np.eye(r)[idx]
+                vfield = lambda y, a=a: np.asarray(rho_x(y), float) @ a
+                vt = reference_partial_table(vfield, x, dim, h)
+                vx = vfield(x)
+                lie = np.einsum("klm,m->kl", pt, vx)
+                lie -= np.einsum("ml,km->kl", px, vt)
+                lie -= np.einsum("km,lm->kl", px, vt)
+                fa = np.einsum("ikl,i->kl", cob_f, a)
+                want = -(rx @ fa @ rx.T)
+                res["lie_compat"] = worse(res["lie_compat"], float(np.max(np.abs(lie - want))))
+
+        if exact_fibers is not None:
+            fb = exact_fibers(x)
+            lhs = rat.transpose(fb["pi"])
+            rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
+            diff = (abs(v) for row in rat.mat_sub(lhs, rhs_m) for v in row)
+            res["sharp_compat"] = reduce(worse, diff, res["sharp_compat"])
+
+    exact = () if exact_fibers is None else ("sharp_compat",)
+    return Report(res, tol=tol, exact=exact)
 
 
 def reference_rationalize_rotation(r):

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -599,3 +601,59 @@ def test_a_scene_example_that_rejects_its_arguments_is_bad_input(tmp_path):
     assert out == ""
     assert err.startswith(f"{scene}: rotation_dressing_axioms: ")
     assert "rejected its arguments: anchor is not bracket-compatible" in err
+
+
+# Lexemes of the scene and fiber fixtures: a JSON string, a number, a word,
+# a run of white space, or any other single character.
+MUTATION_TOKEN = re.compile(r'"[^"\n]*"|[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\w+|\s+|.')
+MUTATION_NUMBERS = ("0", "1", "2", "3", "7", "-1", "1/2", "-2/3", "0.5", "1e-3")
+MUTATED_FIXTURES = sorted(
+    p for p in FIXTURES.iterdir() if p.suffix in (".mp", ".json") and p.name != "example_quantities.json"
+)
+
+
+def _mutate(text, rng):
+    """``text`` with one token changed: mostly a number replaced by another
+    (kept a JSON string where it was one), which keeps the syntax and so
+    reaches validation; else a word or string replaced by another of the
+    same file, or a token dropped or repeated."""
+    toks = MUTATION_TOKEN.findall(text)
+    solid = [i for i, t in enumerate(toks) if not t.isspace()]
+    numbers = [i for i in solid if re.fullmatch(r'"?-?[0-9][0-9./eE+-]*"?', toks[i])]
+    kind = rng.choices(("number", "word", "drop", "repeat"), weights=(6, 2, 1, 1))[0]
+    if kind == "number" and numbers:
+        i = rng.choice(numbers)
+        value = rng.choice(MUTATION_NUMBERS)
+        toks[i] = f'"{value}"' if toks[i].startswith('"') else value
+        return "".join(toks)
+    i = rng.choice(solid)
+    if kind == "drop":
+        toks[i] = ""
+    elif kind == "repeat":
+        toks[i] += " " + toks[i]
+    else:
+        toks[i] = rng.choice(sorted({t for t in toks if t[0].isalpha() or t[0] in '_"'}))
+    return "".join(toks)
+
+
+def test_token_mutations_of_the_fixtures_exit_zero_one_or_two(tmp_path):
+    # the exit-code contract under seeded mutation of the 17 scene and fiber
+    # fixtures: a pass, a fail or bad input, never an internal error
+    assert len(MUTATED_FIXTURES) == 17
+    rng = random.Random(0)
+    stages = {"parse": 0, "validate": 0, "run": 0}
+    for draw in range(300):
+        source = rng.choice(MUTATED_FIXTURES)
+        path = tmp_path / f"{draw}{source.suffix}"
+        path.write_text(_mutate(source.read_text(), rng))
+        if source.suffix == ".mp":
+            argv = ["check", str(path), "--json"]
+        else:
+            mode = rng.choice(("qp-to-dirac", "dirac-to-qp", "roundtrip"))
+            argv = ["dict", "--mode", mode, "--fiber", str(path), "--json"]
+        code, _, err = run_cli(*argv)
+        assert code in (0, 1, 2), (source.name, path.read_text(), err)
+        unparsed = re.search(r": line [0-9]+, col [0-9]+: ", err) or err.startswith("cannot read fiber")
+        stages["parse" if code == 2 and unparsed else "validate" if code == 2 else "run"] += 1
+    # most draws keep the syntax, so many get past the parser and some run
+    assert stages["validate"] + stages["run"] >= 75 and stages["run"] >= 30, stages

@@ -116,15 +116,18 @@ def test_exterior_derivative_matches_the_alternating_sum(degree):
     # reference loop: (d w)[idx] = sum_r (-1)^r d_{idx[r]} w[idx without idx[r]]
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(4,) * (degree + 1))
-    form = lambda y: coeffs @ np.sin(y)
-    x = rng.uniform(-1.0, 1.0, size=4)
-    got = nm.exterior_derivative(form, degree, x, 4, h=helpers.STEP)
-    p = nm.partial_table(form, x, 4, h=helpers.STEP)
-    for idx in itertools.product(range(4), repeat=degree + 1):
-        total = 0.0
-        for r in range(degree + 1):
-            total += (-1.0) ** r * p[idx[:r] + idx[r + 1 :] + (idx[r],)]
-        assert got[idx] == total
+    form = lambda y: nm._at_points(lambda z: coeffs @ np.sin(z), y)
+    xs = rng.uniform(-1.0, 1.0, size=(3, 4))
+    stacked = nm.exterior_derivative(form, degree, xs, h=helpers.STEP)
+    for x, row in zip(xs, stacked):
+        got = nm.exterior_derivative(form, degree, x, h=helpers.STEP)
+        assert got.tobytes() == row.tobytes()
+        p = helpers.reference_partial_table(form, x, 4, helpers.STEP)
+        for idx in itertools.product(range(4), repeat=degree + 1):
+            total = 0.0
+            for r in range(degree + 1):
+                total += (-1.0) ** r * p[idx[:r] + idx[r + 1 :] + (idx[r],)]
+            assert got[idx] == total
 
 
 def linear_volume_twist():
@@ -793,10 +796,11 @@ def test_quasi_poisson_takes_each_gradient_once_per_point(monkeypatch):
     assert verify.run_example(
         "rotation_quasi_poisson", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
     ).passed
-    # 630 when each inner bracket retook both library gradients at every
-    # central-difference point, 180 while the construction gate still
-    # differentiated its constant sections
-    assert len(calls) == 168
+    # one call per probe function over the chunk of three points, and two
+    # for the construction gate's commutator; 168 while the check
+    # differentiated one point at a time, 630 when each inner bracket
+    # retook both library gradients at every central-difference point
+    assert len(calls) == 7
 
 
 def test_the_strong_map_frame_is_read_once_per_point():
@@ -886,6 +890,39 @@ def test_lie_compat_pins_the_cobracket_sign(dressing, so3_pair, so3_splitting):
     assert wrong.quantities["jacobiator"] == right.quantities["jacobiator"]
 
 
+def _quasi_poisson_case(case, so3_pair, so3_splitting, cd):
+    """The arguments of one quasi-Poisson check on the dressing bundle
+    ``cd``: the shipped complement with the default probes and exact
+    fibers, with the group-trace probe, or with its cobracket left out (no
+    ``lie_compat``), or the ``COBRACKET_TWIST`` complement, whose cobracket
+    is not zero, without exact fibers."""
+    sp = helpers.twist(so3_splitting, rat.matrix(COBRACKET_TWIST)) if case == "twist" else so3_splitting
+    qd = derive_quasi_data(so3_pair, sp)
+    pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
+    args = (pi, rho_x, qd.chi, () if case == "no_cobracket" else qd.F)
+    kwargs = {"h": helpers.STEP, "tol": 1e-4}
+    if case != "twist":
+        # frozen once per point for both checks and every count
+        kwargs["exact_fibers"] = nm._array_memo(nm.make_exact_quasi_pi(cd, sp.j))
+    if case == "group_trace":
+        kwargs["funcs"] = list(nm.scalar_library(3)[:4]) + [helpers.group_trace_function]
+    return args, kwargs
+
+
+@pytest.mark.parametrize("case", ["default", "group_trace", "no_cobracket", "twist"])
+def test_the_stacked_quasi_poisson_check_is_the_reference_repr_for_repr(case, so3_pair, so3_splitting):
+    # 73 points fill one chunk on a 3-dim chart and 74 cross into a second
+    _, pts, cd = verify._dressing(74, 0, helpers.STEP)
+    args, kwargs = _quasi_poisson_case(case, so3_pair, so3_splitting, cd)
+    assert nm._PER_POINT_MEMO // 7 == 73
+    for count in (1, 3, 20, 73, 74):
+        got = nm.check_quasi_poisson(*args, pts[:count], **kwargs)
+        want = helpers.reference_check_quasi_poisson(*args, pts[:count], **kwargs)
+        assert repr(got) == repr(want)
+        assert ("lie_compat" in got.quantities) is (case != "no_cobracket")
+        assert ("sharp_compat" in got.quantities) is (case != "twist")
+
+
 def test_a_non_poisson_term_fails_the_jacobiator():
     # rotation_quasi_poisson's own setup, with the non-Poisson planar control
     # added to the bivector: jacobiator reads 2.2e-9 -> 1.40.  The mutation
@@ -966,6 +1003,8 @@ def test_linear_rotation_poisson_satisfies_jacobi(flat3):
 def test_group_trace_probe_matches_rotation_angles():
     assert helpers.group_trace_function(np.zeros(3)) == pytest.approx(3.0)
     assert helpers.group_trace_function(np.array([math.pi, 0.0, 0.0])) == pytest.approx(-1.0)
+    stack = np.array([[0.0, 0.0, 0.0], [0.0, math.pi, 0.0]])
+    assert helpers.group_trace_function(stack) == pytest.approx([3.0, -1.0])
 
 
 def test_section_library_starts_with_the_constant_frame(flat3):
@@ -1094,7 +1133,7 @@ def test_two_steps_at_one_point_give_two_tables(flat3):
     coarse = e.jet(pts[0], 1e-2)[1]
     fine = e.jet(pts[0], 1e-4)[1]
     assert not np.array_equal(coarse, fine)
-    assert np.array_equal(fine, nm.partial_table(e, pts[0], 3, 1e-4))
+    assert np.array_equal(fine, nm.partial_table(e.at_points, pts[0], 1e-4))
 
 
 def test_the_jet_memo_is_bounded():
@@ -1292,13 +1331,18 @@ SIGNED_ZEROS = np.array([-0.0, 0.0, 1.0])
     ids=["scalar", "vector", "matrix", "section"],
 )
 def test_partial_table_is_the_per_column_reference_bit_for_bit(f, flat3):
+    # at each point and at every point of a stack
     _, pts = flat3
-    for x in list(pts[:3]) + [SIGNED_ZEROS]:
-        for h in (1e-4, 1e-2):
-            got = nm.partial_table(f, x, 3, h)
+    points = list(pts[:3]) + [SIGNED_ZEROS]
+    stacked = lambda y: nm._at_points(f, y)
+    for h in (1e-4, 1e-2):
+        table = nm.partial_table(stacked, np.array(points), h)
+        assert table.flags.c_contiguous
+        for x, row in zip(points, table):
+            got = nm.partial_table(stacked, x, h)
             want = helpers.directional_derivative_partial_table(f, x, 3, h)
-            assert got.tobytes() == want.tobytes()
-            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes() == row.tobytes()
+            assert got.shape == want.shape == row.shape and got.flags.c_contiguous
 
 
 def _stencil(x, h):
@@ -1311,9 +1355,11 @@ def _stencil(x, h):
 
 
 def test_partial_table_takes_the_reference_stencil_signed_zeros_included():
+    # one call, on the whole stencil
     seen = []
-    nm.partial_table(lambda y: seen.append(np.array(y)) or 0.0, SIGNED_ZEROS, 3, 1e-4)
-    assert np.array(seen).tobytes() == _stencil(SIGNED_ZEROS, 1e-4).tobytes()
+    nm.partial_table(lambda y: seen.append(np.array(y)) or np.zeros(len(y)), SIGNED_ZEROS, 1e-4)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == _stencil(SIGNED_ZEROS, 1e-4).tobytes()
 
 
 def test_a_bracket_section_jet_takes_its_stencil_in_one_call(twisted3, flat3):
