@@ -9,45 +9,31 @@ geometries, and the bivector compatibility checks.  Residual reports are
 the product.  The algebraic strong-map and sharp quantities are decided
 exactly, on fibers frozen to rational matrices at each point.
 
+Every field here takes a point ``(n,)`` or a stack of points ``(..., n)``,
+each stacked value the single-point one bit for bit: sections
+(``SectionField.fn``), anchors, twists, splittings, Dirac frames, the
+bivector and its action.  ``per_point`` is the one adaptor from a function
+of one point to such a field, memoizing each point's value read-only; in
+the package it wraps only ``rotation_double_anchor``, whose memo is bound
+when the bundle is built.  A frame, splitting or twist that several
+sections or pairs read is shared by the stack (``_shared``).
+
 Every derivative here, and in ``reduction``, is a central difference
 ``(f(x + h e_m) - f(x - h e_m)) / 2h`` along the coordinate axes, taken by
-``_central_differences`` on the stencil rows of ``_stencil_steps`` at a
-point ``(n,)`` or at every point of a stack ``(P, n)``, from one call of the
-field on all the stencils.  ``partial_table`` takes it of a field of
-stacks (``reduction`` wraps its one-point callables in ``_at_points``).
-The brackets read each section through its jet, ``SectionField.jet(x,
-h)``: its value and partial table from one evaluation on the points and
-their stencils, memoized per section by the stack and the step, so nested
-brackets differentiate each section once per stack and step.  A constant
-section's jet is exact, its value and a zero table, and never evaluates
-the section.  The jet is the seam where exact jets replace finite
-differences.
+``_central_differences`` on the stencil rows of ``_stencil_steps``, from one
+call of the field on the stencils of a point or a stack (``partial_table``;
+``reduction`` wraps its one-point callables in ``_at_points``).  The
+brackets read each section through its jet, ``SectionField.jet(x, h)``: its
+value and partial table from one call on the stencil stack, memoized per
+section by the stack and the step.  A constant section's jet is exact and
+never evaluates the section.  The jet is the seam where exact jets replace
+finite differences.  Each bundle has one bracket kernel,
+``CourantNumeric.bracket_at``, at a point or over a stack; the checks run
+every probe and every pair of frame rows over a chunk of points at once.
 
 The step ``h`` and the gate ``tol`` have no defaults here or in
 ``reduction``: callers pass them, so a check runs at the step and tolerance
 the user chose.  ``verify.DEFAULTS`` is the only place defaults live.
-
-Each bundle has one bracket kernel, ``CourantNumeric.bracket_at``, and it
-takes one point ``(n,)`` or a stack of points ``(P, n)``: jets are taken
-over the stack, the arithmetic runs over the stack, and every stacked
-value equals the single-point one bit for bit.  Library sections, their
-``scaled_by`` multiples, bracket sections (``StackedSection``) and
-constant twists take whole stacks, so such a jet is one call on the
-stencils of the whole stack; a section or twist of one point (the frame
-rows of ``per_point`` fields, a caller's callable) is evaluated point by
-point through the same jet.  ``check_axioms_numeric`` and
-``check_quasi_poisson`` run every probe over a chunk of sample points at
-once, and one closure loop every pair of frame rows
-(``generator_residuals``, and ``check_strong_dirac``'s ``integrability``)
-over all of them.
-
-Per-point fields of the rotation bundle (the dressing anchor and the
-exact splitting), twist fields and the Dirac frames of the integrability
-probes are memoized by ``per_point``: each sample point and each of its
-finite-difference neighbours is computed once, and the cached value is
-read-only.  The memo is bound when the bundle is built, so a later
-monkeypatch of ``rotation_double_anchor`` reaches only bundles built after
-it.
 
 Conventions shared with the exact tier: sections are component vectors in a
 fixed trivialization, the pairing gram is constant, covectors act by rows,
@@ -72,9 +58,9 @@ from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 from .report import Report, worse
 
-# Entries one memo holds: points for a per_point field, where a 50-sample
-# run visits 7 x 50 = 350 points (each sample point and its six
-# central-difference neighbours) at one step, and stacks for a section's jet.
+# Entries one memo holds: points for the per_point anchor, where a chunk of
+# 73 points on a 3-dim chart visits 7 x 73 = 511 (each point and its six
+# central-difference neighbours), and stacks for a jet or a shared field.
 _PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
@@ -112,39 +98,37 @@ class Chart:
 
 @dataclass(frozen=True)
 class SectionField:
-    """A rank-``rank`` section of a trivialized bundle, as a pure callable
-    ``fn`` from one chart point ``(n,)`` to its component vector.
+    """A rank-``rank`` section of a trivialized bundle, as a pure field
+    ``fn`` of stacks: a point ``(n,)`` to its component vector ``(rank,)``,
+    and a stack of points ``(..., n)`` to the stack of its vectors ``(...,
+    rank)``, each the single-point one bit for bit.  A function of one
+    point becomes such a field through ``per_point``.
 
     ``jet(x, h)`` is the seam every bracket reads: the section's value and
     partial table with step ``h`` at a point ``(n,)``, shapes ``(rank,)``
     and ``(rank, n)``, or at every point of a stack ``(P, n)``, shapes
     ``(P, rank)`` and ``(P, rank, n)``.  Both are read-only and taken from
-    one evaluation of the section on the stack of the points and their
-    stencils ``(P, 2n + 1, n)``, through ``at_points``: point by point here,
-    in one call for a ``StackedSection``.  Each section memoizes its jets
-    by the bytes and shape of the stack and by the step, in a memo of at
-    most ``_PER_POINT_MEMO`` stacks; a ``ConstantSection``'s jet is exact."""
+    one call of the section on the stack of the points and their stencils
+    ``(P, 2n + 1, n)``.  Each section memoizes its jets by the bytes and
+    shape of the stack and by the step, in a memo of at most
+    ``_PER_POINT_MEMO`` stacks; a ``ConstantSection``'s jet is exact."""
 
     rank: int
     fn: object
 
     @cached_property
     def jet(self):
-        read = lambda x, h: _jet(self.at_points(_stencil_points(x, h)), x.ndim - 1, h)
+        read = lambda x, h: _jet(self(_stencil_points(x, h)), x.ndim - 1, h)
         return _array_memo(lambda x, h: tuple(map(_read_only, read(x, h))))
 
     def __call__(self, x):
-        """The value at a point ``(n,)``; a ``StackedSection`` also maps a
-        stack ``(P, n)`` to ``(P, rank)``."""
+        """The value at a point ``(n,)``, or at every point of a stack
+        ``(..., n)``."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(self.fn(x), dtype=float)
         if v.shape != x.shape[:-1] + (self.rank,):
             raise ValueError("section value has wrong rank")
         return v
-
-    def at_points(self, x):
-        """The values at the points of ``x`` ``(..., n)``, one call per point."""
-        return _at_points(self, x)
 
     @staticmethod
     def constant(vec):
@@ -157,26 +141,12 @@ class SectionField:
         return ConstantSection(v.shape[-1], lambda x: np.broadcast_to(v, x.shape[:-1] + v.shape[-1:]), v)
 
     def scaled_by(self, f):
-        """Multiply by a scalar function ``f`` of the chart point, which
-        takes the stacks the section takes."""
-        kind = StackedSection if isinstance(self, StackedSection) else SectionField
-        return kind(self.rank, lambda x, s=self: np.asarray(f(x), dtype=float)[..., None] * s(x))
-
-
-class StackedSection(SectionField):
-    """A section whose ``fn`` also maps a stack of points ``(P, n)`` to the
-    stack of its values ``(P, rank)``, each the single-point value bit for
-    bit, so its jet evaluates the stencils of a whole stack in one call.
-    The library sections, their ``scaled_by`` multiples and the brackets of
-    ``CourantNumeric.bracket`` are such sections."""
-
-    def at_points(self, x):
-        """The values at the points of ``x`` ``(..., n)``, in one call."""
-        return self(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1] + (self.rank,))
+        """Multiply by a scalar field ``f`` of stacks."""
+        return SectionField(self.rank, lambda x, s=self: np.asarray(f(x), dtype=float)[..., None] * s(x))
 
 
 @dataclass(frozen=True)
-class ConstantSection(StackedSection):
+class ConstantSection(SectionField):
     """A section with one finite value everywhere, or one per point of a
     stack.  Its jet is exact and never calls ``fn``: the value and a zero
     partial table, which is what central differences give bit for bit,
@@ -214,11 +184,22 @@ def _array_memo(fn):
     return memoized
 
 
+def _shared(field):
+    """A pure field of stacks, memoized by the stack, so a frame, splitting
+    or twist that several sections or pairs read is computed once per
+    stack.  The value is a read-only float copy of ``field(x)``; each
+    wrapper has its own bounded memo."""
+    return _array_memo(lambda x: _read_only(field(x)))
+
+
 def per_point(fn):
-    """Memoize a pure field of a chart point ``x``.  The value is a
+    """The field of stacks of a pure function ``fn`` of one chart point: at
+    a point ``(n,)`` its value, and at a stack ``(..., n)`` the stack of its
+    values, one call per point.  Each point's value is memoized, a
     read-only float copy of ``fn(x)``; each wrapper has its own bounded
     memo."""
-    return _array_memo(lambda x: _read_only(fn(x)))
+    at = _shared(fn)
+    return lambda x: _at_points(at, np.asarray(x, dtype=float))
 
 
 def _at_points(fn, x):
@@ -330,7 +311,7 @@ class CourantNumeric:
     a point ``(n,)``, giving the bracket's value ``(rank,)``, or a stack of
     points ``(P, n)``, giving the stack of values ``(P, rank)``; each stacked
     value must equal the single-point one.  ``bracket(e1, e2)`` is the
-    bracket as a ``StackedSection`` over that kernel.
+    bracket as a section over that kernel.
 
     ``pair`` is the Manin pair every fiber carries (the fiber algebra with
     its Lagrangian half), when the bundle has one.  ``exact_anchor(x)``
@@ -356,9 +337,9 @@ class CourantNumeric:
 
     def anchor_matrix(self, x):
         """The anchor at a point ``(n,)``, or at every point of a stack
-        ``(..., n)``, one call of ``anchor`` per point."""
+        ``(..., n)``, from one call of the field ``anchor``."""
         x = np.asarray(x, dtype=float)
-        m = _at_points(self.anchor, x)
+        m = np.asarray(self.anchor(x), dtype=float)
         if m.shape != x.shape[:-1] + (self.chart.dim, self.rank):
             raise ValueError("anchor matrix has wrong shape")
         return m
@@ -369,11 +350,11 @@ class CourantNumeric:
         return np.matmul(self.gram_inv, _tr(self.anchor_matrix(x)))
 
     def bracket(self, e1, e2):
-        return StackedSection(self.rank, lambda x: self.bracket_at(e1, e2, x))
+        return SectionField(self.rank, lambda x: self.bracket_at(e1, e2, x))
 
     def anchor_vector_field(self, e):
         """The vector field ``rho(e)``, at a point or over a stack."""
-        return lambda x: _mv(self.anchor_matrix(x), e.at_points(x))
+        return lambda x: _mv(self.anchor_matrix(x), e(x))
 
     def anchor_coisotropy_residual(self, points):
         """Largest entry of rho ginv rho^T over the points; algebraic, so
@@ -385,11 +366,10 @@ class CourantNumeric:
 def _phi_as_field(phi, dim):
     """The twist as a field of a point ``(n,)`` or a stack of points
     ``(..., n)``: a constant three-form, or None for zero, repeats its one
-    read-only array over the stack; a field of one point is memoized with
-    ``per_point`` and evaluated point by point."""
+    read-only array over the stack; a field of stacks is shared by the
+    stack, so every bracket over one stack reads one evaluation."""
     if callable(phi):
-        field_at = per_point(phi)
-        return lambda x: _at_points(field_at, x)
+        return _shared(phi)
     arr = _read_only(np.zeros((dim, dim, dim)) if phi is None else phi)
     if arr.shape != (dim, dim, dim):
         raise ValueError("three-form components have wrong shape")
@@ -437,8 +417,9 @@ def volume_form(dim):
 def make_standard_twisted(chart, phi=None, *, h, check_closed=True):
     """Twisted bracket on tangent-plus-cotangent section pairs.
 
-    ``phi`` is a three-form (constant array, field, or None for untwisted);
-    when ``check_closed`` the exterior derivative is probed at every sample
+    ``phi`` is a three-form: a constant array, None for untwisted, or a
+    field that takes stacks (``per_point`` adapts a function of one point).
+    When ``check_closed`` the exterior derivative is probed at every sample
     point and a non-closed twist is rejected, and so is a twist that is not
     finite there (on a three-dimensional chart d phi is zero without phi
     being evaluated).  The negative-control tests construct the broken
@@ -461,7 +442,7 @@ def make_standard_twisted(chart, phi=None, *, h, check_closed=True):
         chart=chart,
         rank=2 * n,
         gram=gram,
-        anchor=lambda x: anchor_mat,
+        anchor=lambda x: np.broadcast_to(anchor_mat, np.shape(x)[:-1] + anchor_mat.shape),
         bracket_at=lambda e1, e2, x: twisted_bracket(e1, e2, x, phi_field, h),
         step=h,
     )
@@ -529,7 +510,7 @@ def make_dressing_courant(chart, h):
 
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
-        rho = _at_points(anchor, x)
+        rho = anchor(x)
         e1x, p1 = e1.jet(x, h)
         e2x, p2 = e2.jet(x, h)
         val = np.einsum("ijk,...i,...j->...k", structure, e1x, e2x)
@@ -568,8 +549,8 @@ def section_library(rank, dim):
     lib = [SectionField.constant(eye[i]) for i in range(rank)]
     for k in range(min(rank, 3)):
         coord = k % dim
-        lib.append(StackedSection(rank, lambda x, k=k, c=coord: x[..., c, None] * eye[k]))
-    lib.append(StackedSection(rank, lambda x: 0.5 * _dot(x, x)[..., None] * eye[rank - 1]))
+        lib.append(SectionField(rank, lambda x, k=k, c=coord: x[..., c, None] * eye[k]))
+    lib.append(SectionField(rank, lambda x: 0.5 * _dot(x, x)[..., None] * eye[rank - 1]))
     return lib
 
 
@@ -660,7 +641,7 @@ def check_axioms_numeric(c, tol):
             fold("c1_jacobi", np.abs(over(lhs) - (over(r1) + over(r2))))
 
         for e in pair_probes:
-            v = e.at_points(ys)
+            v = e(ys)
             want = 0.5 * _mv(rho_star, _jet(_quad(v, g, v), 1, h)[1])
             fold("c2_selfpairing", np.abs(over((e, e)) - want))
 
@@ -670,9 +651,9 @@ def check_axioms_numeric(c, tol):
             v2, t2 = _jet(c.anchor_vector_field(e2)(ys), 1, h)
             # the metric dual of e2 at each point, so <e2, e3> varies wherever
             # e2 does and the metric axiom has a derivative to match
-            e2x = e2.at_points(xs)
+            e2x = e2(xs)
             w3 = _mv(g, e2x)
-            scalar = lambda y, e2=e2, w3=w3: _quad(e2.at_points(y), g, w3)
+            scalar = lambda y, e2=e2, w3=w3: _quad(e2(y), g, w3)
             lhs = np.where(np.any(v1, axis=-1), directional_derivative(scalar, xs, v1, h), 0.0)
             rhs = _quad(b12, g, w3) + _quad(e2x, g, c.bracket_at(e1, SectionField.constant(w3), xs))
             fold("c3_metric", np.abs(lhs - rhs))
@@ -680,8 +661,8 @@ def check_axioms_numeric(c, tol):
 
         for (e1, e2, f), s in zip(leibniz, scaled):
             fx, df = _jet(f(ys), 1, h)
-            v = _mv(anchor, e1.at_points(xs))
-            rhs5 = fx[..., None] * over((e1, e2)) + _dot(df, v)[..., None] * e2.at_points(xs)
+            v = _mv(anchor, e1(xs))
+            rhs5 = fx[..., None] * over((e1, e2)) + _dot(df, v)[..., None] * e2(xs)
             fold("c5_leibniz", np.abs(over((e1, s)) - rhs5))
 
     return Report(res, tol=tol, data={"step": h})
@@ -704,12 +685,14 @@ def make_exact_splitting(c):
     """Pointwise right inverse of the anchor with isotropic image, plus the
     three-form it induces.
 
-    Returns ``(s, phi)``: ``s(x)`` is the rank-by-dim splitting matrix from
-    the skew-correction algorithm run over floats, ``phi(x)`` the component
-    array ``phi(v1,v2,v3) = <s v1, [[s v2, s v3]]>``.  Needs an exact
+    Returns ``(s, phi)``, two fields of stacks: ``s(x)`` is the rank-by-dim
+    splitting matrix from the skew-correction algorithm run over floats,
+    ``phi(x)`` the component array ``phi(v1,v2,v3) = <s v1, [[s v2, s
+    v3]]>``, at a point ``(n,)`` or at every point of a stack ``(..., n)``,
+    each stacked value the single-point one bit for bit.  Needs an exact
     bundle: rank twice the chart dimension and an onto anchor at every
-    sample point.  ``s`` is memoized per point with ``per_point``, so its
-    matrices are read-only.
+    sample point.  ``s`` is shared by the stack, so the columns' jets and
+    ``phi`` read one evaluation, and its matrices are read-only.
     """
     n = c.chart.dim
     if c.rank != 2 * n:
@@ -718,26 +701,25 @@ def make_exact_splitting(c):
     if np.min(sv[:, -1]) < 1e-8:
         raise ValueError("anchor is not onto at a sample point")
 
-    @per_point
+    @_shared
     def s(x):
         rho = c.anchor_matrix(x)
-        cmat = rho.T @ np.linalg.inv(rho @ rho.T)
-        b = cmat.T @ c.gram @ cmat
-        return cmat - 0.5 * (c.gram_inv @ rho.T @ b)
+        cmat = np.matmul(_tr(rho), np.linalg.inv(np.matmul(rho, _tr(rho))))
+        b = np.matmul(np.matmul(_tr(cmat), c.gram), cmat)
+        return cmat - 0.5 * np.matmul(np.matmul(c.gram_inv, _tr(rho)), b)
 
-    columns = [SectionField(c.rank, lambda y, j=j: s(y)[:, j]) for j in range(n)]
+    columns = [SectionField(c.rank, lambda y, j=j: s(y)[..., j]) for j in range(n)]
 
     def phi(x):
         x = np.asarray(x, dtype=float)
         sx = s(x)
-        out = np.zeros((n, n, n))
-        for j in range(n):
-            for k in range(j + 1, n):
-                b = c.bracket_at(columns[j], columns[k], x)
-                for i in range(n):
-                    v = float(sx[:, i] @ c.gram @ b)
-                    out[i, j, k] = v
-                    out[i, k, j] = -v
+        out = np.zeros(x.shape[:-1] + (n, n, n))
+        for j, k in combinations(range(n), 2):
+            b = c.bracket_at(columns[j], columns[k], x)
+            for i in range(n):
+                v = _quad(sx[..., i], c.gram, b)
+                out[..., i, j, k] = v
+                out[..., i, k, j] = -v
         return out
 
     return s, phi
@@ -758,8 +740,9 @@ def _closure(generators, bracket, frames, out, family):
 
 def dirac_of_pair(c, half, s):
     """Dirac field of a Lagrangian subalgebra through a pointwise splitting,
-    as its frame function: ``x`` to the float rows ``(rho(a), s(x)^T g a)``,
-    one per basis vector ``a`` of the half.
+    as its frame, a field of stacks: ``x`` to the float rows ``(rho(a),
+    s(x)^T g a)``, one per basis vector ``a`` of the half, at a point
+    ``(n,)`` or at every point of a stack ``(..., n)``.
 
     ``half`` is the exact subspace of the fiber algebra; its closure under
     the algebra bracket is required, and checked exactly when the bundle
@@ -769,9 +752,9 @@ def dirac_of_pair(c, half, s):
         raise ValueError("half is not closed under the algebra bracket")
 
     def basis_at(x):
-        rho = c.anchor_matrix(x)
-        sx = s(x)
-        return np.stack([np.concatenate([rho @ a, sx.T @ (c.gram @ a)]) for a in rows])
+        rho, sx = c.anchor_matrix(x), s(x)
+        frame = [np.concatenate([_mv(rho, a), _mv(_tr(sx), c.gram @ a)], axis=-1) for a in rows]
+        return np.stack(frame, axis=-2)
 
     return basis_at
 
@@ -789,27 +772,28 @@ class CanonicalSpace:
         if self.courant.pair is None:
             raise ValueError("canonical space needs the bundle's Manin pair")
         self.half_rows = subspace_rows(self.courant.pair.g)
-        frame = self._frame = per_point(self.fiber_rows)
+        frame = self._frame = _shared(self.fiber_rows)
         t, rank = 2 * self.courant.chart.dim, self.courant.rank
         self._generators = [
             (
-                SectionField(t, lambda y, i=i: frame(y)[i, :t]),
-                SectionField(rank, lambda y, i=i: frame(y)[i, t:]),
+                SectionField(t, lambda y, i=i: frame(y)[..., i, :t]),
+                SectionField(rank, lambda y, i=i: frame(y)[..., i, t:]),
             )
             for i in range(len(self.half_rows) + self.courant.chart.dim)
         ]
 
     def fiber_rows(self, x):
-        n = self.courant.chart.dim
-        rho = self.courant.anchor_matrix(x)
-        rho_star = self.courant.rho_star(x)
-        rows = []
-        for a in self.half_rows:
-            rows.append(np.concatenate([rho @ a, np.zeros(n), a]))
-        for k in range(n):
-            eps = np.eye(n)[k]
-            rows.append(np.concatenate([np.zeros(n), -eps, rho_star[:, k]]))
-        return np.stack(rows)
+        """The rows of the fiber at a point ``(n,)``, or at every point of
+        a stack ``(..., n)``."""
+        x = np.asarray(x, dtype=float)
+        lead, n = x.shape[:-1], x.shape[-1]
+        rho, rho_star = self.courant.anchor_matrix(x), self.courant.rho_star(x)
+        zeros = np.zeros(lead + (n,))
+        spread = lambda v: np.broadcast_to(v, lead + v.shape)
+        rows = [np.concatenate([_mv(rho, a), zeros, spread(a)], axis=-1) for a in self.half_rows]
+        for k, eps in enumerate(np.eye(n)):
+            rows.append(np.concatenate([zeros, spread(-eps), rho_star[..., :, k]], axis=-1))
+        return np.stack(rows, axis=-2)
 
     def frozen_fiber(self, x):
         """Exact Hamiltonian fiber at ``x``: the anchor is frozen to a
@@ -830,18 +814,18 @@ class CanonicalSpace:
         over the whole stack; their indices name the family: ``half_half``,
         ``half_covector`` or ``covector_covector``."""
         c = self.courant
-        pts = np.asarray(x, dtype=float)
-        stack = pts.reshape(-1, pts.shape[-1])
-        # every pair reads the twist, and a single bracket only at its own point
+        pts = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
+        # every pair reads the twist over the stack once
         twist = _phi_as_field(self.phi, pts.shape[-1])
 
         def bracket(g1, g2):
             (t1, e1), (t2, e2) = g1, g2
             legs = [twisted_bracket(t1, t2, pts, twist, c.step), c.bracket_at(e1, e2, pts)]
-            return np.concatenate(legs, axis=-1).reshape(len(stack), -1)
+            return np.concatenate(legs, axis=-1)
 
         half, families = len(self.half_rows), ("half_half", "half_covector", "covector_covector")
-        frames, out = [self._frame(y) for y in stack], dict.fromkeys(families, 0.0)
+        # the frames at the points, from the stencil stack the generators' jets read
+        frames, out = self._frame(_stencil_points(pts, c.step))[:, 0], dict.fromkeys(families, 0.0)
         return _closure(
             self._generators, bracket, frames, out, lambda i, j: families[(i >= half) + (j >= half)]
         )
@@ -878,10 +862,15 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
     forward image of the source fiber) and ``transversality`` (``dj`` is
     injective on the source fiber's tangent part) are exact 0/1 quantities.
     ``phi``, a twist on the source chart, adds the finite-difference
-    ``integrability`` defect of ``l_x``, a smooth float row-basis supplier
-    over that chart; a caller whose map is not the identity pulls its
-    target twist back along the map first.  A check given neither measures
+    ``integrability`` defect of ``l_x``, a smooth float row-basis field over
+    that chart; a caller whose map is not the identity pulls its target
+    twist back along the map first.  A check given neither measures
     nothing, so it raises ValueError, and so does one without points.
+
+    ``l_x`` and a callable ``phi`` take stacks, as ``SectionField.fn`` does
+    (``per_point`` adapts a function of one point).  Each is called once:
+    the frame on the stencil stack that its rows' jets share, the twist on
+    the stack of the points.
     """
     if exact_fibers is None and phi is None:
         raise ValueError("strong-map check needs exact fibers or a twist to measure")
@@ -902,10 +891,10 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
             res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
     if phi is not None:
         # the rows' sections are built once, so their jets serve every pair
-        frame, twist = per_point(l_x), _phi_as_field(phi, q)
+        frame, twist = _shared(l_x), _phi_as_field(phi, q)
         stack = np.array(points, dtype=float)
-        frames = [frame(x) for x in stack]
-        rows = [SectionField(len(r), lambda y, i=i: frame(y)[i]) for i, r in enumerate(frames[0])]
+        frames = frame(_stencil_points(stack, h))[:, 0]
+        rows = [SectionField(len(r), lambda y, i=i: frame(y)[..., i, :]) for i, r in enumerate(frames[0])]
 
         def bracket(e1, e2):
             return twisted_bracket(e1, e2, stack, twist, h)
@@ -919,8 +908,10 @@ def make_quasi_pi_field(c, j_cols):
     """Bivector and action fields induced by a constant isotropic
     complement ``j`` of the bundle's half subalgebra.
 
-    Returns ``(pi, rho_x)``: ``pi(x)[i][j]`` is the bivector on coordinate
-    covectors and ``rho_x(x)`` the action of the half algebra.  The bivector
+    Returns ``(pi, rho_x)``, two fields of stacks: ``pi(x)[..., i, j]`` is
+    the bivector on coordinate covectors and ``rho_x(x)`` the action of the
+    half algebra, at a point ``(n,)`` or at every point of a stack ``(...,
+    n)``, each stacked value the single-point one bit for bit.  The bivector
     comes out antisymmetric exactly as the anchor's coisotropy defect
     vanishes.  The sharp identity has no float version here: it is decided
     on the frozen fibers of ``make_exact_quasi_pi``.
@@ -933,10 +924,10 @@ def make_quasi_pi_field(c, j_cols):
 
     def pi(x):
         rho = c.anchor_matrix(x)
-        return -(rho @ proj @ c.gram_inv @ rho.T)
+        return -np.matmul(np.matmul(np.matmul(rho, proj), c.gram_inv), _tr(rho))
 
     def rho_x(x):
-        return c.anchor_matrix(x) @ a_cols
+        return np.matmul(c.anchor_matrix(x), a_cols)
 
     return pi, rho_x
 
@@ -990,12 +981,12 @@ def check_quasi_poisson(
     ``exact_fibers``.  The chart dimension is that of the points, and at
     least one point is needed.
 
-    The points run in chunks of at most ``_PER_POINT_MEMO // (2n + 1)``, so
-    a per-point anchor memo holds a chunk's stencil stack ``ys`` ``(P, 2n +
-    1, n)``.  The one-point fields ``pi`` and ``rho_x`` run once per point
-    of ``ys``; each probe of ``funcs`` (``scalar_library`` by default) takes
-    stacks, and its gradient on ``ys`` is one ``partial_table`` call.
-    Every stacked reading equals the point-by-point one bit for bit.
+    ``pi``, ``rho_x`` and each probe of ``funcs`` (``scalar_library`` by
+    default) take stacks, as ``SectionField.fn`` does (``per_point`` adapts
+    a function of one point).  The points run in chunks of at most
+    ``_PER_POINT_MEMO // (2n + 1)``, so the per-point anchor memo holds a
+    chunk's stencil stack ``ys`` ``(P, 2n + 1, n)``; per chunk ``pi``,
+    ``rho_x`` and each probe's gradient are one call on ``ys``.
     """
     if not len(points):
         raise ValueError("quasi-Poisson check needs at least one point")
@@ -1018,7 +1009,7 @@ def check_quasi_poisson(
     for start in range(0, len(stack), chunk):
         xs = stack[start : start + chunk]
         ys = _stencil_points(xs, h)
-        pis, rhos = _at_points(pi, ys), _at_points(rho_x, ys)
+        pis, rhos = np.asarray(pi(ys), dtype=float), np.asarray(rho_x(ys), dtype=float)
         px, rx = pis[:, 0], rhos[:, 0]
         grads = [partial_table(f, ys, h) for f in funcs]
         # the gradient of each inner bracket {f_b, f_c} = df_c(pi^T df_b)

@@ -505,8 +505,8 @@ def fd_convergence_probe(factory, x, h, factor=8.0):
     def mix2(y):
         return math.cos(float(y[0])) * eye[1 % r] + math.sin(float(y[0])) * eye[r - 2]
 
-    e1 = SectionField(r, mix1)
-    e2 = SectionField(r, mix2)
+    e1 = SectionField(r, nm.per_point(mix1))
+    e2 = SectionField(r, nm.per_point(mix2))
     w = coarse.bracket_at(e1, e2, np.asarray(x, float))
     wr = ref.bracket_at(e1, e2, np.asarray(x, float))
     return float(np.max(np.abs(w - wr)))

@@ -93,8 +93,8 @@ def test_standard_bracket_of_varying_sections(standard3, twisted3, flat3):
     # [X, Y] = x1 d2, L_X b = (x1 + x2) dx1, i_Y da = x0 dx0, and the volume
     # twist phi(X, Y, .) = -x0 x1 dx1
     _, pts = flat3
-    e1 = nm.SectionField(6, lambda y: np.array([y[1], 0, 0, y[2], 0, 0]))
-    e2 = nm.SectionField(6, lambda y: np.array([0, 0, y[0], y[2], y[0], 0]))
+    e1 = nm.SectionField(6, nm.per_point(lambda y: np.array([y[1], 0, 0, y[2], 0, 0])))
+    e2 = nm.SectionField(6, nm.per_point(lambda y: np.array([0, 0, y[0], y[2], y[0], 0])))
     for x in pts:
         want = np.array([0.0, 0.0, x[1], -x[0], x[1] + x[2], 0.0])
         assert np.allclose(standard3.bracket_at(e1, e2, x), want, rtol=0, atol=1e-8)
@@ -116,7 +116,7 @@ def test_exterior_derivative_matches_the_alternating_sum(degree):
     # reference loop: (d w)[idx] = sum_r (-1)^r d_{idx[r]} w[idx without idx[r]]
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(4,) * (degree + 1))
-    form = lambda y: nm._at_points(lambda z: coeffs @ np.sin(z), y)
+    form = nm.per_point(lambda z: coeffs @ np.sin(z))
     xs = rng.uniform(-1.0, 1.0, size=(3, 4))
     stacked = nm.exterior_derivative(form, degree, xs, h=helpers.STEP)
     for x, row in zip(xs, stacked):
@@ -141,7 +141,7 @@ def linear_volume_twist():
         ((2, 1, 3), -1.0),
     ):
         base[i, j, k] = sign
-    return lambda x: float(x[0]) * base
+    return nm.per_point(lambda x: float(x[0]) * base)
 
 
 def test_nonclosed_twist_is_rejected_then_breaks_jacobi():
@@ -209,7 +209,7 @@ def without_dual_anchor_correction(c):
 
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
-        rho = nm._at_points(c.anchor, x)
+        rho = c.anchor(x)
         e1x, p1 = e1.jet(x, c.step)
         e2x, p2 = e2.jet(x, c.step)
         val = np.einsum("ijk,...i,...j->...k", structure, e1x, e2x)
@@ -461,7 +461,7 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         chart=chart,
         rank=4,
         gram=np.eye(4),
-        anchor=lambda x: np.zeros((3, 4)),
+        anchor=nm.per_point(lambda x: np.zeros((3, 4))),
         bracket_at=lambda e1, e2, x: np.zeros(4),
         step=1e-4,
     )
@@ -471,7 +471,7 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         chart=chart,
         rank=6,
         gram=np.eye(6),
-        anchor=lambda x: np.zeros((3, 6)),
+        anchor=nm.per_point(lambda x: np.zeros((3, 6))),
         bracket_at=lambda e1, e2, x: np.zeros(6),
         step=1e-4,
     )
@@ -567,6 +567,40 @@ def test_canonical_generator_families_stay_in_the_fiber(canonical_space, so3_poi
     assert max(res.values()) < 1e-6
 
 
+def _at_each_point(field, ys):
+    """``field`` taken at each point of the stack ``ys`` on its own."""
+    values = [field(y) for y in ys.reshape(-1, ys.shape[-1])]
+    return np.array(values).reshape(ys.shape[:-1] + np.shape(values[0]))
+
+
+@pytest.mark.parametrize("kind", ["standard", "dressing"])
+def test_every_built_field_at_a_stencil_stack_is_its_point_by_point_value(
+    kind, standard3, so3_splitting
+):
+    # the splitting, its twist, the Dirac frame, and on the dressing bundle
+    # the canonical fiber rows, the bivector and the action of the shipped
+    # complement and of the COBRACKET_TWIST one, each at the stencil stack
+    # (P, 2n + 1, n) of 20 points, bit for bit
+    if kind == "standard":
+        c, pts = standard3, verify._flat_points(20, seed=0)
+        half = canonicalize(rat.hstack(rat.identity(3), rat.zeros(3, 3)), 6)
+    else:
+        pair, pts, c = verify._dressing(20, 0, helpers.STEP)
+        half = pair.g
+    s, phi = nm.make_exact_splitting(c)
+    fields = {"s": s, "phi": phi, "frame": nm.dirac_of_pair(c, half, s)}
+    if kind == "dressing":
+        fields["fiber_rows"] = nm.CanonicalSpace(courant=c, s=s, phi=phi).fiber_rows
+        twisted = helpers.twist(so3_splitting, rat.matrix(COBRACKET_TWIST))
+        for name, sp in (("shipped", so3_splitting), ("twisted", twisted)):
+            fields[f"pi {name}"], fields[f"rho_x {name}"] = nm.make_quasi_pi_field(c, sp.j)
+    ys = nm._stencil_points(np.array(pts), helpers.STEP)
+    assert ys.shape == (20, 7, 3)
+    for name, field in fields.items():
+        stacked, want = field(ys), _at_each_point(field, ys)
+        assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes(), name
+
+
 def test_stacked_generator_residuals_are_the_worst_per_point_reading(
     canonical_space, so3_points
 ):
@@ -631,6 +665,11 @@ def test_the_frozen_rotation_anchor_is_near_the_float_one_over_a_short_denominat
             assert math.lcm(*(v.denominator for row in exact for v in row)).bit_length() <= 170
 
 
+def points_in(x):
+    """The number of points of a point ``(n,)`` or a stack ``(..., n)``."""
+    return int(np.prod(np.shape(x)[:-1]))
+
+
 def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(
     dressing, so3_splitting, so3_quasi_data, so3_points
 ):
@@ -639,7 +678,7 @@ def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(
 
     def counted(name, fn):
         def at(x):
-            seen[name] += 1
+            seen[name] += points_in(x)
             return fn(x)
 
         return at
@@ -726,6 +765,7 @@ def test_a_strong_map_check_that_measures_nothing_is_refused(flat3):
         nm.check_strong_dirac(_graph_of_x0_dx1_dx2, pts, h=helpers.STEP, tol=helpers.TOL)
 
 
+@nm.per_point
 def _graph_of_x0_dx1_dx2(x):
     # rows (e_i, omega[i, :]) of the graph of omega = x0 dx1 ^ dx2, d omega = vol
     omega = np.zeros((3, 3))
@@ -761,8 +801,9 @@ def test_the_pulled_twist_is_evaluated_once_per_point():
 
     rep = nm.check_strong_dirac(frame, pts, phi=phi, h=helpers.STEP, tol=helpers.TOL)
     assert rep.passed
-    # 60 when each of the three frame pairs pulled the twist back again
-    assert len(calls) == 20
+    # one call on the stack of the 20 points; 60 points when each of the
+    # three frame pairs pulled the twist back again
+    assert [points_in(y) for y in calls] == [20]
 
 
 def test_the_strong_section_takes_the_anchor_adjoint_once_per_point(monkeypatch, so3_pair):
@@ -812,9 +853,9 @@ def test_the_strong_map_frame_is_read_once_per_point():
 
     pts = verify._flat_points(6, seed=0)
     nm.check_strong_dirac(frame, pts, phi=-nm.volume_form(3), h=helpers.STEP, tol=helpers.TOL)
-    # each point and its six central-difference neighbours, shared by all
-    # three bracket pairs
-    assert len(calls) == 7 * len(pts)
+    # each point and its six central-difference neighbours, in one call
+    # shared by all three bracket pairs and the frames at the points
+    assert [points_in(y) for y in calls] == [7 * len(pts)]
 
 
 def test_quasi_bivector_field_is_antisymmetric_and_sharp_compatible(
@@ -933,7 +974,7 @@ def test_a_non_poisson_term_fails_the_jacobiator():
     qd = derive_quasi_data(pair, sp)
     pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
     base = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
-    mutated = lambda x: pi(x) + helpers.not_poisson_bivector(x)
+    mutated = nm.per_point(lambda x: pi(x) + helpers.not_poisson_bivector(x))
     rep = nm.check_quasi_poisson(mutated, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     assert base.passed
     assert rep.quantities["jacobiator"] == pytest.approx(1.40, abs=0.01)
@@ -983,9 +1024,9 @@ def test_a_quasi_poisson_check_without_points_is_refused():
 
 def test_linear_rotation_poisson_satisfies_jacobi(flat3):
     _, pts = flat3
-    no_action = lambda x: np.zeros((3, 0))
+    no_action = nm.per_point(lambda x: np.zeros((3, 0)))
     rep = nm.check_quasi_poisson(
-        helpers.so3_linear_poisson,
+        nm.per_point(helpers.so3_linear_poisson),
         no_action,
         (),
         (),
@@ -1086,9 +1127,8 @@ def test_shared_constant_values_are_read_only():
 
 
 def _wavy_section():
-    return nm.SectionField(
-        6, lambda y: np.array([math.sin(y[0]), y[1] * y[2], 0.0, math.cos(y[2]), y[0] ** 3, 1.0])
-    )
+    wavy = lambda y: np.array([math.sin(y[0]), y[1] * y[2], 0.0, math.cos(y[2]), y[0] ** 3, 1.0])
+    return nm.SectionField(6, nm.per_point(wavy))
 
 
 def test_a_section_jet_is_its_value_and_partial_table_bit_for_bit(twisted3, flat3, dressing, so3_points):
@@ -1133,7 +1173,7 @@ def test_two_steps_at_one_point_give_two_tables(flat3):
     coarse = e.jet(pts[0], 1e-2)[1]
     fine = e.jet(pts[0], 1e-4)[1]
     assert not np.array_equal(coarse, fine)
-    assert np.array_equal(fine, nm.partial_table(e.at_points, pts[0], 1e-4))
+    assert np.array_equal(fine, nm.partial_table(e, pts[0], 1e-4))
 
 
 def test_the_jet_memo_is_bounded():
@@ -1147,17 +1187,17 @@ def test_the_jet_memo_is_bounded():
     pts = [np.array([float(k)]) for k in range(nm._PER_POINT_MEMO + 1)]
     for x in pts:
         e.jet(x, 1e-4)
-    # one value and two neighbours per point
-    assert len(calls) == 3 * len(pts)
+    # one call per point, on its value and two neighbours
+    assert [points_in(y) for y in calls] == [3] * len(pts)
     e.jet(pts[-1], 1e-4)
-    assert len(calls) == 3 * len(pts)
+    assert len(calls) == len(pts)
     # the oldest point was evicted to keep the bound
     e.jet(pts[0], 1e-4)
-    assert len(calls) == 3 * len(pts) + 3
+    assert len(calls) == len(pts) + 1
 
-    # a stacked section's memo is keyed by the stack and keeps the same bound
+    # the memo is keyed by the stack and keeps the same bound
     calls.clear()
-    e = nm.StackedSection(1, square)
+    e = nm.SectionField(1, square)
     stacks = [np.array([x, -x - 0.5]) for x in pts]
     for xs in stacks:
         e.jet(xs, 1e-4)
@@ -1208,7 +1248,7 @@ def test_flat_axioms_call_the_bracket_kernel_once_per_stack(monkeypatch):
     # every bracket section was rebuilt per point and evaluated point by
     # point, 12 * 3 + 39 + 5 * 3 while jets were taken point by point
     assert len(calls) == 12 + 39 + 5
-    assert calls.count((21, 3)) == 12
+    assert calls.count((3, 7, 3)) == 12
     assert calls.count((3, 3)) == 39 + 5
 
 
@@ -1224,7 +1264,7 @@ def test_the_dirac_frame_is_read_once_per_point(standard3, flat3):
         return field(x)
 
     assert untwisted_closure(counted, pts[0]) < 1e-10
-    assert len(calls) == 7
+    assert [points_in(y) for y in calls] == [7]
 
 
 def _probe_sections(c):
@@ -1236,7 +1276,7 @@ def _probe_sections(c):
     scaled = lib[-1].scaled_by(nm.scalar_library(c.chart.dim)[-1])
     rng = np.random.default_rng(5)
     w, b = rng.normal(size=(c.rank, c.chart.dim)), rng.normal(size=c.rank)
-    dense = nm.SectionField(c.rank, lambda y: np.sin(w @ y + b))
+    dense = nm.SectionField(c.rank, nm.per_point(lambda y: np.sin(w @ y + b)))
     inner = c.bracket(dense, lib[c.rank])
     return lib + [scaled, dense, inner, c.bracket(lib[-1], dense), c.bracket(inner, lib[1])]
 
@@ -1326,7 +1366,7 @@ SIGNED_ZEROS = np.array([-0.0, 0.0, 1.0])
         lambda y: math.sin(y[0]) * y[1] + y[2] ** 3,
         lambda y: np.array([y[0] * y[1], math.cos(y[2]), -0.0, 1.0]),
         lambda y: np.outer(np.sin(y), y)[:, :2],
-        nm.SectionField(3, lambda y: y * y[::-1]),
+        nm.SectionField(3, nm.per_point(lambda y: y * y[::-1])),
     ],
     ids=["scalar", "vector", "matrix", "section"],
 )
@@ -1334,7 +1374,7 @@ def test_partial_table_is_the_per_column_reference_bit_for_bit(f, flat3):
     # at each point and at every point of a stack
     _, pts = flat3
     points = list(pts[:3]) + [SIGNED_ZEROS]
-    stacked = lambda y: nm._at_points(f, y)
+    stacked = nm.per_point(f)
     for h in (1e-4, 1e-2):
         table = nm.partial_table(stacked, np.array(points), h)
         assert table.flags.c_contiguous
@@ -1372,7 +1412,7 @@ def test_a_bracket_section_jet_takes_its_stencil_in_one_call(twisted3, flat3):
         return twisted3.bracket_at(e1, e2, x)
 
     section = dataclasses.replace(twisted3, bracket_at=kernel).bracket(lib[6], lib[-1])
-    assert isinstance(section, nm.StackedSection)
+    assert isinstance(section, nm.SectionField)
     for x in (pts[0], SIGNED_ZEROS):
         for h in (1e-4, 1e-2):
             value, table = section.jet(x, h)

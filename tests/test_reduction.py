@@ -197,6 +197,31 @@ def test_the_planar_example_passes_its_tol_to_every_check(monkeypatch, tol):
     assert seen == [(name, tol) for name in names]
 
 
+def test_the_planar_bracket_laws_solve_each_flow_once_per_point(monkeypatch):
+    # the planar example's own inputs: 4 points of seed 0
+    calls, laws = [], red.check_bracket_laws
+    recording = lambda *args, **kwargs: calls.append((args, kwargs)) or laws(*args, **kwargs)
+    monkeypatch.setattr(verify, "red", SimpleNamespace(**{**vars(red), "check_bracket_laws": recording}))
+    example = verify.run_example(
+        "planar_symplectic_reduction", samples=4, seed=0, tol=helpers.TOL, step=helpers.STEP
+    )
+    [(args, kwargs)] = calls
+    solves, solve = [], red.hamiltonian_vector
+
+    def counted(f, fiber_at, points, h, tol):
+        solves.extend((id(f), y.tobytes(), h, tol) for y in np.asarray(points, float))
+        return solve(f, fiber_at, points, h=h, tol=tol)
+
+    monkeypatch.setattr(red, "hamiltonian_vector", counted)
+    assert laws(*args, **kwargs).quantities.items() <= example.quantities.items()
+    # per point: f and g for the skew values, the commutator of flows at the
+    # point (f and g again) and at its four stencil points for each, and
+    # the bracket's flow, whose gradient solves f at the commutator's
+    # stencil points again; 76 while conservation solved f and g once more
+    assert len(solves) == 4 * (2 + 10 + 5)
+    assert len(set(solves)) == 4 * (2 + 8 + 1)
+
+
 @pytest.mark.parametrize(
     "pi, poisson",
     [(helpers.so3_linear_poisson, True), (helpers.not_poisson_bivector, False)],
