@@ -278,17 +278,14 @@ class LinearRelation:
             raise ValueError("graph lives in the wrong ambient space")
 
     @staticmethod
-    def from_matrix(m):
-        """Graph of the linear map with matrix ``m`` (columns = inputs)."""
+    def from_matrix(m, source_dim):
+        """Graph of the linear map with matrix ``m`` (columns = inputs) on a
+        ``source_dim``-dimensional space.  The source dimension is given, as
+        a matrix with no rows cannot show it: the graph of the map from a
+        point to a point is the zero relation."""
         m = rat.matrix(m)
-        if not m:
-            raise ValueError("an empty matrix has no source dimension")
-        source_dim = len(m[0])
-        target_dim = len(m)
         rows = rat.hstack(rat.identity(source_dim), rat.transpose(m))
-        return LinearRelation(
-            source_dim, target_dim, canonicalize(rows, source_dim + target_dim)
-        )
+        return LinearRelation(source_dim, len(m), canonicalize(rows, source_dim + len(m)))
 
 
 def compose(r, s):

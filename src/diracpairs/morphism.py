@@ -70,8 +70,10 @@ def identity_morphism(pair):
 
 def graph_morphism(source, target, phi):
     """Morphism whose relation is the graph of the linear map ``phi``
-    (a matrix taking source coordinates to target coordinates)."""
-    return MorphismFiber(source, target, LinearRelation.from_matrix(phi).graph)
+    (a matrix taking source coordinates to target coordinates), on the
+    source pair's dimension, so over a point the graph is the zero
+    relation."""
+    return MorphismFiber(source, target, LinearRelation.from_matrix(phi, source.d.dim).graph)
 
 
 def dual_pair_readout(m):

@@ -12,11 +12,10 @@ exactly, on fibers frozen to rational matrices at each point.
 Every field here takes a point ``(n,)`` or a stack of points ``(..., n)``,
 each stacked value the single-point one bit for bit: sections
 (``SectionField.fn``), anchors, twists, splittings, Dirac frames, the
-bivector and its action.  ``per_point`` is the one adaptor from a function
-of one point to such a field, memoizing each point's value read-only; in
-the package it wraps only ``rotation_double_anchor``, whose memo is bound
-when the bundle is built.  A frame, splitting or twist that several
-sections or pairs read is shared by the stack (``_shared``).
+bivector and its action.  The rotation double's anchor is stacked too, down
+to ``so3``'s exponential chart.  An anchor, frame, splitting or twist that
+several sections or pairs read is shared by the stack (``_shared``), so it
+is computed once per stack.
 
 Every derivative here, and in ``reduction``, is a central difference
 ``(f(x + h e_m) - f(x - h e_m)) / 2h`` along the coordinate axes, taken by
@@ -58,9 +57,12 @@ from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 from .report import Report, worse
 
-# Entries one memo holds: points for the per_point anchor, where a chunk of
-# 73 points on a 3-dim chart visits 7 x 73 = 511 (each point and its six
-# central-difference neighbours), and stacks for a jet or a shared field.
+# Stacks one memo holds, for a jet or a shared field.  A check reads a few
+# stacks of each field per chunk of points, far under the bound, which only
+# keeps a long-lived field's memo from growing.  The checks run in chunks of
+# _PER_POINT_MEMO // (2n + 1) points, so a chunk's stencil stack (each point
+# and its 2n central-difference neighbours) has at most 512 points: 7 x 73 =
+# 511 on a 3-dim chart.
 _PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
@@ -101,8 +103,7 @@ class SectionField:
     """A rank-``rank`` section of a trivialized bundle, as a pure field
     ``fn`` of stacks: a point ``(n,)`` to its component vector ``(rank,)``,
     and a stack of points ``(..., n)`` to the stack of its vectors ``(...,
-    rank)``, each the single-point one bit for bit.  A function of one
-    point becomes such a field through ``per_point``.
+    rank)``, each the single-point one bit for bit.
 
     ``jet(x, h)`` is the seam every bracket reads: the section's value and
     partial table with step ``h`` at a point ``(n,)``, shapes ``(rank,)``
@@ -190,16 +191,6 @@ def _shared(field):
     stack.  The value is a read-only float copy of ``field(x)``; each
     wrapper has its own bounded memo."""
     return _array_memo(lambda x: _read_only(field(x)))
-
-
-def per_point(fn):
-    """The field of stacks of a pure function ``fn`` of one chart point: at
-    a point ``(n,)`` its value, and at a stack ``(..., n)`` the stack of its
-    values, one call per point.  Each point's value is memoized, a
-    read-only float copy of ``fn(x)``; each wrapper has its own bounded
-    memo."""
-    at = _shared(fn)
-    return lambda x: _at_points(at, np.asarray(x, dtype=float))
 
 
 def _at_points(fn, x):
@@ -418,12 +409,11 @@ def make_standard_twisted(chart, phi=None, *, h, check_closed=True):
     """Twisted bracket on tangent-plus-cotangent section pairs.
 
     ``phi`` is a three-form: a constant array, None for untwisted, or a
-    field that takes stacks (``per_point`` adapts a function of one point).
-    When ``check_closed`` the exterior derivative is probed at every sample
-    point and a non-closed twist is rejected, and so is a twist that is not
-    finite there (on a three-dimensional chart d phi is zero without phi
-    being evaluated).  The negative-control tests construct the broken
-    bundle on purpose, so the gate is optional.
+    field that takes stacks.  When ``check_closed`` the exterior derivative
+    is probed at every sample point and a non-closed twist is rejected, and
+    so is a twist that is not finite there (on a three-dimensional chart d
+    phi is zero without phi being evaluated).  The negative-control tests
+    construct the broken bundle on purpose, so the gate is optional.
     """
     n = chart.dim
     phi_field = _phi_as_field(phi, n)
@@ -453,11 +443,14 @@ def rotation_double_anchor(x):
     simultaneous left and inverse right translation (the conjugation
     action in exponential coordinates).  The generators of a left action
     anti-commute with the algebra bracket, so the anchor is their
-    negative: that makes it a bracket homomorphism on the nose."""
+    negative: that makes it a bracket homomorphism on the nose.
+
+    At a point ``(3,)`` it is a ``(3, 6)`` matrix, and at a stack ``(...,
+    3)`` the stack of them, each the single-point one bit for bit."""
     x = np.asarray(x, dtype=float)
     jinv = so3.left_jacobian_inv(x)
     r = so3.exp_rotation(x)
-    return np.hstack([-jinv, jinv @ r])
+    return np.concatenate([-jinv, np.matmul(jinv, r)], axis=-1)
 
 
 def rotation_double_exact_anchor(x):
@@ -493,10 +486,11 @@ def make_dressing_courant(chart, h):
     the catalog pair itself, validated once; it is the only pair with a
     chart action here.
 
-    The bracket and ``anchor_matrix`` read one anchor, memoized per bundle
-    with ``per_point`` and bound here: replacing ``rotation_double_anchor``
-    afterwards does not reach this bundle, and the anchor matrices it
-    returns are read-only.
+    The bracket and ``anchor_matrix`` read one anchor, bound here and
+    shared by the stack (``_shared``), so each stack's anchor is one call of
+    ``rotation_double_anchor`` in a memo of the bundle's own: replacing
+    ``rotation_double_anchor`` afterwards does not reach this bundle, and
+    the anchor matrices it returns are read-only.
     """
     if chart.dim != 3:
         raise ValueError("dressing chart action needs the six-dimensional rotation double")
@@ -506,7 +500,7 @@ def make_dressing_courant(chart, h):
     gram = np.array(d.form.gram, dtype=float)
     structure = np.array(d.structure, dtype=float)
 
-    anchor = per_point(rotation_double_anchor)
+    anchor = _shared(rotation_double_anchor)
 
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)
@@ -582,8 +576,7 @@ def check_axioms_numeric(c, tol):
     axiom against the metric dual of its section at each point, a stack of
     constant sections.  Every stacked reading equals the point-by-point one
     bit for bit.  A chunk holds at most ``_PER_POINT_MEMO // (2n + 1)``
-    points, so the per-point anchor memo holds the chunk's points and
-    their stencils.
+    points.
     """
     h = c.step
     pts = c.chart.sample_points
@@ -867,10 +860,9 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
     twist back along the map first.  A check given neither measures
     nothing, so it raises ValueError, and so does one without points.
 
-    ``l_x`` and a callable ``phi`` take stacks, as ``SectionField.fn`` does
-    (``per_point`` adapts a function of one point).  Each is called once:
-    the frame on the stencil stack that its rows' jets share, the twist on
-    the stack of the points.
+    ``l_x`` and a callable ``phi`` take stacks, as ``SectionField.fn`` does.
+    Each is called once: the frame on the stencil stack that its rows' jets
+    share, the twist on the stack of the points.
     """
     if exact_fibers is None and phi is None:
         raise ValueError("strong-map check needs exact fibers or a twist to measure")
@@ -982,11 +974,10 @@ def check_quasi_poisson(
     least one point is needed.
 
     ``pi``, ``rho_x`` and each probe of ``funcs`` (``scalar_library`` by
-    default) take stacks, as ``SectionField.fn`` does (``per_point`` adapts
-    a function of one point).  The points run in chunks of at most
-    ``_PER_POINT_MEMO // (2n + 1)``, so the per-point anchor memo holds a
-    chunk's stencil stack ``ys`` ``(P, 2n + 1, n)``; per chunk ``pi``,
-    ``rho_x`` and each probe's gradient are one call on ``ys``.
+    default) take stacks, as ``SectionField.fn`` does.  The points run in
+    chunks of at most ``_PER_POINT_MEMO // (2n + 1)``; per chunk ``pi``,
+    ``rho_x`` and each probe's gradient are one call on the chunk's stencil
+    stack ``ys`` ``(P, 2n + 1, n)``.
     """
     if not len(points):
         raise ValueError("quasi-Poisson check needs at least one point")

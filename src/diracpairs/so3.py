@@ -2,9 +2,20 @@
 
 Exponential-chart plumbing (Rodrigues formula and the inverse left
 Jacobian, with series fallbacks near zero) plus the Cayley bridge used to
-freeze floating rotations into exactly orthogonal rational matrices.  The
-bridge rounds the Cayley preimage of the rotation, a skew matrix S with
-axis vector q, and maps it back by the closed form
+freeze floating rotations into exactly orthogonal rational matrices.
+
+``hat``, ``exp_rotation`` and ``left_jacobian_inv`` take a chart point
+``(3,)``, giving a ``(3, 3)`` matrix, or a stack of points ``(..., 3)``,
+giving the stack of matrices ``(..., 3, 3)``.  Each stacked matrix is the
+single-point one bit for bit: the angle is the square root of a matmul dot
+product, as ``np.linalg.norm`` takes it of one point, each point picks its
+small-angle series by ``np.where``, and the closed forms are elementwise.
+The angle's square goes through Python's float power, the C ``pow``,
+element by element: numpy's array square and ``np.power`` round some
+angles' squares differently, and the closed forms divide by it.
+
+The bridge rounds the Cayley preimage of the rotation, a skew matrix S
+with axis vector q, and maps it back by the closed form
 
     R = I + 2 (S + S^2) / (1 + |q|^2),
 
@@ -24,36 +35,50 @@ from . import rational as rat
 
 
 def hat(x):
+    """The skew matrix of a point ``(3,)``, or of each point of a stack
+    ``(..., 3)``."""
     x = np.asarray(x, dtype=float)
-    return np.array(
-        [
-            [0.0, -x[2], x[1]],
-            [x[2], 0.0, -x[0]],
-            [-x[1], x[0], 0.0],
-        ]
-    )
+    out = np.zeros(x.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -x[..., 2], x[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = x[..., 2], -x[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -x[..., 1], x[..., 0]
+    return out
+
+
+def _angle(x):
+    """|x| of each point of ``x`` ``(..., 3)``, shaped ``(..., 1, 1)`` to
+    scale its matrix: the square root of ``x . x`` as a matmul, which is
+    how ``np.linalg.norm`` takes it of one point."""
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))
+
+
+def _squared(theta):
+    """``theta ** 2`` entry by entry through Python's float power."""
+    return np.array([t**2 for t in theta.ravel().tolist()]).reshape(theta.shape)
 
 
 def exp_rotation(x):
-    """Rodrigues rotation for a chart point ``x``."""
+    """Rodrigues rotation of a chart point, or of each point of a stack."""
     x = np.asarray(x, dtype=float)
-    theta = float(np.linalg.norm(x))
+    theta = _angle(x)
     h = hat(x)
-    if theta < 1e-8:
-        return np.eye(3) + h + 0.5 * (h @ h)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * h + b * (h @ h)
+    hh = np.matmul(h, h)
+    # the closed form's 0 / 0 at theta = 0 is never selected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / _squared(theta)
+    return np.where(theta < 1e-8, np.eye(3) + h + 0.5 * hh, np.eye(3) + a * h + b * hh)
 
 
 def left_jacobian_inv(x):
+    """Inverse left Jacobian of a chart point, or of each point of a stack."""
     x = np.asarray(x, dtype=float)
-    theta = float(np.linalg.norm(x))
+    theta = _angle(x)
     h = hat(x)
-    if theta < 1e-6:
-        return np.eye(3) - 0.5 * h + (h @ h) / 12.0
-    c = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) - 0.5 * h + c * (h @ h)
+    hh = np.matmul(h, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = 1.0 / _squared(theta) - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    return np.where(theta < 1e-6, np.eye(3) - 0.5 * h + hh / 12.0, np.eye(3) - 0.5 * h + c * hh)
 
 
 def rationalize_rotation(r):

@@ -505,8 +505,8 @@ def fd_convergence_probe(factory, x, h, factor=8.0):
     def mix2(y):
         return math.cos(float(y[0])) * eye[1 % r] + math.sin(float(y[0])) * eye[r - 2]
 
-    e1 = SectionField(r, nm.per_point(mix1))
-    e2 = SectionField(r, nm.per_point(mix2))
+    e1 = SectionField(r, per_point(mix1))
+    e2 = SectionField(r, per_point(mix2))
     w = coarse.bracket_at(e1, e2, np.asarray(x, float))
     wr = ref.bracket_at(e1, e2, np.asarray(x, float))
     return float(np.max(np.abs(w - wr)))
@@ -759,8 +759,8 @@ def reference_check_quasi_poisson(
 
     # the fields and each function's gradient once per point: every inner
     # bracket and partial table reads them at the same stencil points
-    pi, rho_x = nm.per_point(pi), nm.per_point(rho_x)
-    grad = [nm.per_point(lambda y, f=f: reference_partial_table(f, y, dim, h)) for f in funcs]
+    pi, rho_x = per_point(pi), per_point(rho_x)
+    grad = [per_point(lambda y, f=f: reference_partial_table(f, y, dim, h)) for f in funcs]
     for x in points:
         x = np.asarray(x, dtype=float)
         px = np.asarray(pi(x), float)
@@ -809,6 +809,66 @@ def reference_check_quasi_poisson(
 
     exact = () if exact_fibers is None else ("sharp_compat",)
     return Report(res, tol=tol, exact=exact)
+
+
+def per_point(fn):
+    """The field of stacks of a pure function ``fn`` of one chart point: at
+    a point ``(n,)`` its value, and at a stack ``(..., n)`` the stack of its
+    values, one call per point.  Each point's value is memoized, a
+    read-only float copy of ``fn(x)``; each wrapper has its own bounded
+    memo."""
+    at = nm._shared(fn)
+    return lambda x: nm._at_points(at, np.asarray(x, dtype=float))
+
+
+# The rotation chart's float anchor as it was before ``so3`` took stacks:
+# one point at a time, the angle a Python float.  The stacked anchor must
+# match it bit for bit.
+
+
+def reference_hat(x):
+    x = np.asarray(x, dtype=float)
+    return np.array(
+        [
+            [0.0, -x[2], x[1]],
+            [x[2], 0.0, -x[0]],
+            [-x[1], x[0], 0.0],
+        ]
+    )
+
+
+def reference_exp_rotation(x):
+    """Rodrigues rotation for a chart point ``x``."""
+    x = np.asarray(x, dtype=float)
+    theta = float(np.linalg.norm(x))
+    h = reference_hat(x)
+    if theta < 1e-8:
+        return np.eye(3) + h + 0.5 * (h @ h)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / theta**2
+    return np.eye(3) + a * h + b * (h @ h)
+
+
+def reference_left_jacobian_inv(x):
+    x = np.asarray(x, dtype=float)
+    theta = float(np.linalg.norm(x))
+    h = reference_hat(x)
+    if theta < 1e-6:
+        return np.eye(3) - 0.5 * h + (h @ h) / 12.0
+    c = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    return np.eye(3) - 0.5 * h + c * (h @ h)
+
+
+def reference_rotation_double_anchor(x):
+    """Float anchor of the rotation double acting on its group chart by
+    simultaneous left and inverse right translation (the conjugation
+    action in exponential coordinates).  The generators of a left action
+    anti-commute with the algebra bracket, so the anchor is their
+    negative: that makes it a bracket homomorphism on the nose."""
+    x = np.asarray(x, dtype=float)
+    jinv = reference_left_jacobian_inv(x)
+    r = reference_exp_rotation(x)
+    return np.hstack([-jinv, jinv @ r])
 
 
 def reference_rationalize_rotation(r):

@@ -113,11 +113,11 @@ def test_pairing_is_the_fraction_sum(n, seed):
 def test_relation_composition_of_graphs():
     m = rat.matrix([[1, 2], [0, 1]])
     n = rat.matrix([[2, 0], [1, 1]])
-    rm = LinearRelation.from_matrix(m)
-    rn = LinearRelation.from_matrix(n)
+    rm = LinearRelation.from_matrix(m, 2)
+    rn = LinearRelation.from_matrix(n, 2)
     comp = compose(rm, rn)
     assert is_graph_over_factor(comp) == rat.mat_mul(n, m)
-    ident = LinearRelation.from_matrix(rat.identity(2))
+    ident = LinearRelation.from_matrix(rat.identity(2), 2)
     assert compose(rm, ident).graph == rm.graph
     assert compose(ident, rm).graph == rm.graph
 
@@ -126,7 +126,7 @@ def test_composition_with_a_coisotropic_middle():
     # relation through a line: only multiples of the line's image survive
     line = canonicalize([[1, 1, 2, 2]], 4)
     r = LinearRelation(2, 2, line)
-    s = LinearRelation.from_matrix(rat.identity(2))
+    s = LinearRelation.from_matrix(rat.identity(2), 2)
     comp = compose(r, s)
     assert comp.graph == line
 

@@ -79,6 +79,14 @@ def test_composition_identities():
     assert compose_morphisms(ident, m).K == m.K
 
 
+def test_the_identity_over_a_point_composes_with_itself_to_itself():
+    # over the zero-dimensional pair the graph has no rows and no columns:
+    # the zero relation, which is Lagrangian in the zero space
+    ident = identity_morphism(abstract_double(0))
+    assert ident.K == Subspace.zero(0)
+    assert compose_morphisms(ident, ident) == ident
+
+
 def test_composition_of_two_graphs_is_the_graph_of_the_composite():
     pair = catalog()["so3-double"]
     rng = helpers.rng_for(17)

@@ -93,8 +93,8 @@ def test_standard_bracket_of_varying_sections(standard3, twisted3, flat3):
     # [X, Y] = x1 d2, L_X b = (x1 + x2) dx1, i_Y da = x0 dx0, and the volume
     # twist phi(X, Y, .) = -x0 x1 dx1
     _, pts = flat3
-    e1 = nm.SectionField(6, nm.per_point(lambda y: np.array([y[1], 0, 0, y[2], 0, 0])))
-    e2 = nm.SectionField(6, nm.per_point(lambda y: np.array([0, 0, y[0], y[2], y[0], 0])))
+    e1 = nm.SectionField(6, helpers.per_point(lambda y: np.array([y[1], 0, 0, y[2], 0, 0])))
+    e2 = nm.SectionField(6, helpers.per_point(lambda y: np.array([0, 0, y[0], y[2], y[0], 0])))
     for x in pts:
         want = np.array([0.0, 0.0, x[1], -x[0], x[1] + x[2], 0.0])
         assert np.allclose(standard3.bracket_at(e1, e2, x), want, rtol=0, atol=1e-8)
@@ -116,7 +116,7 @@ def test_exterior_derivative_matches_the_alternating_sum(degree):
     # reference loop: (d w)[idx] = sum_r (-1)^r d_{idx[r]} w[idx without idx[r]]
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(4,) * (degree + 1))
-    form = nm.per_point(lambda z: coeffs @ np.sin(z))
+    form = helpers.per_point(lambda z: coeffs @ np.sin(z))
     xs = rng.uniform(-1.0, 1.0, size=(3, 4))
     stacked = nm.exterior_derivative(form, degree, xs, h=helpers.STEP)
     for x, row in zip(xs, stacked):
@@ -141,7 +141,7 @@ def linear_volume_twist():
         ((2, 1, 3), -1.0),
     ):
         base[i, j, k] = sign
-    return nm.per_point(lambda x: float(x[0]) * base)
+    return helpers.per_point(lambda x: float(x[0]) * base)
 
 
 def test_nonclosed_twist_is_rejected_then_breaks_jacobi():
@@ -289,8 +289,8 @@ ANCHOR = nm.rotation_double_anchor
 
 
 def _transposed_jacobian_anchor(x):
-    jinv_t = so3.left_jacobian_inv(x).T
-    return np.hstack([-jinv_t, jinv_t @ so3.exp_rotation(x)])
+    jinv_t = so3.left_jacobian_inv(x).swapaxes(-1, -2)
+    return np.concatenate([-jinv_t, jinv_t @ so3.exp_rotation(x)], axis=-1)
 
 
 # (replacement for the dressing anchor, construction gate it must trip), at
@@ -461,7 +461,7 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         chart=chart,
         rank=4,
         gram=np.eye(4),
-        anchor=nm.per_point(lambda x: np.zeros((3, 4))),
+        anchor=helpers.per_point(lambda x: np.zeros((3, 4))),
         bracket_at=lambda e1, e2, x: np.zeros(4),
         step=1e-4,
     )
@@ -471,7 +471,7 @@ def test_splitting_requires_an_exact_onto_anchor(flat3):
         chart=chart,
         rank=6,
         gram=np.eye(6),
-        anchor=nm.per_point(lambda x: np.zeros((3, 6))),
+        anchor=helpers.per_point(lambda x: np.zeros((3, 6))),
         bracket_at=lambda e1, e2, x: np.zeros(6),
         step=1e-4,
     )
@@ -653,6 +653,49 @@ def test_the_closed_form_cayley_freeze_is_the_inverse_form():
         assert rat.mat_mul(frozen, rat.transpose(frozen)) == rat.identity(3)
 
 
+REFERENCE_ANCHOR = helpers.per_point(helpers.reference_rotation_double_anchor)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("samples", [1, 3, 20, 74])
+def test_the_stacked_rotation_anchor_is_the_one_point_anchor_bit_for_bit(samples, seed):
+    xs = np.array(so3.sample_chart_points(samples, seed))
+    ys = nm._stencil_points(xs, helpers.STEP)
+    for stack in (xs, ys):
+        assert nm.rotation_double_anchor(stack).tobytes() == REFERENCE_ANCHOR(stack).tobytes()
+
+
+def test_the_stacked_rotation_anchor_takes_each_small_angle_branch_per_point():
+    # theta = 0 (both series), theta in (0, 1e-8) (both series), theta in
+    # [1e-8, 1e-6) (the closed rotation and the series Jacobian), among
+    # points with both closed forms
+    rng = np.random.default_rng(0)
+    unit = rng.normal(size=(12, 3))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    # the last point's angle underflows to 0
+    zero = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], 1e-300 * unit[0]])
+    tiny = unit[:4] * np.array([[1e-150], [1e-12], [3e-9], [9.9e-9]])
+    small = np.vstack([[1e-8, 0.0, 0.0], unit[4:8] * np.array([[2e-8], [1e-7], [5e-7], [9.9e-7]])])
+    wide = unit[8:] * np.array([[1e-6], [0.1], [1.0], [np.pi - 0.2]])
+    theta = lambda x: np.linalg.norm(x, axis=-1)
+    assert np.all(theta(zero) == 0.0)
+    assert np.all(theta(tiny) < 1e-8) and np.all(theta(tiny) > 0.0)
+    assert np.all((1e-8 <= theta(small)) & (theta(small) < 1e-6))
+    stack = np.vstack([wide[:2], zero, tiny, wide[2:], small])
+    assert nm.rotation_double_anchor(stack).tobytes() == REFERENCE_ANCHOR(stack).tobytes()
+    for x in stack:
+        assert nm.rotation_double_anchor(x).tobytes() == REFERENCE_ANCHOR(x).tobytes()
+
+
+def test_the_frozen_rotation_anchor_is_the_one_point_anchor_frozen():
+    for seed in (0, 1, 2):
+        for x in so3.sample_chart_points(50, seed):
+            jinv = so3.rationalize_matrix(helpers.reference_left_jacobian_inv(x))
+            rotation = so3.rationalize_rotation(helpers.reference_exp_rotation(x))
+            want = rat.mat_mul(jinv, rat.hstack(rat.mat_neg(rat.identity(3)), rotation))
+            assert nm.rotation_double_exact_anchor(x) == want
+
+
 def test_the_frozen_rotation_anchor_is_near_the_float_one_over_a_short_denominator():
     # each rounded entry moves by at most 2^-53 on the 2^-52 grid; the
     # frozen anchor's common denominator is the Jacobian's 2^52 times the
@@ -765,7 +808,7 @@ def test_a_strong_map_check_that_measures_nothing_is_refused(flat3):
         nm.check_strong_dirac(_graph_of_x0_dx1_dx2, pts, h=helpers.STEP, tol=helpers.TOL)
 
 
-@nm.per_point
+@helpers.per_point
 def _graph_of_x0_dx1_dx2(x):
     # rows (e_i, omega[i, :]) of the graph of omega = x0 dx1 ^ dx2, d omega = vol
     omega = np.zeros((3, 3))
@@ -974,7 +1017,7 @@ def test_a_non_poisson_term_fails_the_jacobiator():
     qd = derive_quasi_data(pair, sp)
     pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
     base = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
-    mutated = nm.per_point(lambda x: pi(x) + helpers.not_poisson_bivector(x))
+    mutated = helpers.per_point(lambda x: pi(x) + helpers.not_poisson_bivector(x))
     rep = nm.check_quasi_poisson(mutated, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     assert base.passed
     assert rep.quantities["jacobiator"] == pytest.approx(1.40, abs=0.01)
@@ -1024,9 +1067,9 @@ def test_a_quasi_poisson_check_without_points_is_refused():
 
 def test_linear_rotation_poisson_satisfies_jacobi(flat3):
     _, pts = flat3
-    no_action = nm.per_point(lambda x: np.zeros((3, 0)))
+    no_action = helpers.per_point(lambda x: np.zeros((3, 0)))
     rep = nm.check_quasi_poisson(
-        nm.per_point(helpers.so3_linear_poisson),
+        helpers.per_point(helpers.so3_linear_poisson),
         no_action,
         (),
         (),
@@ -1093,7 +1136,7 @@ def test_per_point_wrappers_keep_their_own_values():
         calls.append("negate")
         return -x
 
-    f, g = nm.per_point(double), nm.per_point(negate)
+    f, g = helpers.per_point(double), helpers.per_point(negate)
     x = np.array([0.5, -1.0, 2.0])
     assert np.array_equal(f(x), 2.0 * x)
     assert np.array_equal(g(x), -x)
@@ -1113,8 +1156,13 @@ def test_the_dressing_anchor_is_computed_once_per_point(monkeypatch):
     assert verify.run_example(
         "rotation_dressing_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
     ).passed
-    # each sample point and its six central-difference neighbours
-    assert len(calls) == 21
+    # one call per stack: the gate's points, the stencils of the gate's
+    # commutator, and the check's stencil stack; 21 calls of one point each
+    # while the anchor was taken point by point
+    assert [points_in(x) for x in calls] == [3, 18, 21]
+    # all at the 21 points, each sample point and its six central-difference
+    # neighbours
+    assert len({p.tobytes() for x in calls for p in np.reshape(x, (-1, 3))}) == 21
 
 
 def test_shared_constant_values_are_read_only():
@@ -1128,7 +1176,7 @@ def test_shared_constant_values_are_read_only():
 
 def _wavy_section():
     wavy = lambda y: np.array([math.sin(y[0]), y[1] * y[2], 0.0, math.cos(y[2]), y[0] ** 3, 1.0])
-    return nm.SectionField(6, nm.per_point(wavy))
+    return nm.SectionField(6, helpers.per_point(wavy))
 
 
 def test_a_section_jet_is_its_value_and_partial_table_bit_for_bit(twisted3, flat3, dressing, so3_points):
@@ -1276,7 +1324,7 @@ def _probe_sections(c):
     scaled = lib[-1].scaled_by(nm.scalar_library(c.chart.dim)[-1])
     rng = np.random.default_rng(5)
     w, b = rng.normal(size=(c.rank, c.chart.dim)), rng.normal(size=c.rank)
-    dense = nm.SectionField(c.rank, nm.per_point(lambda y: np.sin(w @ y + b)))
+    dense = nm.SectionField(c.rank, helpers.per_point(lambda y: np.sin(w @ y + b)))
     inner = c.bracket(dense, lib[c.rank])
     return lib + [scaled, dense, inner, c.bracket(lib[-1], dense), c.bracket(inner, lib[1])]
 
@@ -1366,7 +1414,7 @@ SIGNED_ZEROS = np.array([-0.0, 0.0, 1.0])
         lambda y: math.sin(y[0]) * y[1] + y[2] ** 3,
         lambda y: np.array([y[0] * y[1], math.cos(y[2]), -0.0, 1.0]),
         lambda y: np.outer(np.sin(y), y)[:, :2],
-        nm.SectionField(3, nm.per_point(lambda y: y * y[::-1])),
+        nm.SectionField(3, helpers.per_point(lambda y: y * y[::-1])),
     ],
     ids=["scalar", "vector", "matrix", "section"],
 )
@@ -1374,7 +1422,7 @@ def test_partial_table_is_the_per_column_reference_bit_for_bit(f, flat3):
     # at each point and at every point of a stack
     _, pts = flat3
     points = list(pts[:3]) + [SIGNED_ZEROS]
-    stacked = nm.per_point(f)
+    stacked = helpers.per_point(f)
     for h in (1e-4, 1e-2):
         table = nm.partial_table(stacked, np.array(points), h)
         assert table.flags.c_contiguous
