@@ -8,11 +8,11 @@ freeze floating rotations into exactly orthogonal rational matrices.
 ``(3,)``, giving a ``(3, 3)`` matrix, or a stack of points ``(..., 3)``,
 giving the stack of matrices ``(..., 3, 3)``.  Each stacked matrix is the
 single-point one bit for bit: the angle is the square root of a matmul dot
-product, as ``np.linalg.norm`` takes it of one point, each point picks its
-small-angle series by ``np.where``, and the closed forms are elementwise.
-The angle's square goes through Python's float power, the C ``pow``,
-element by element: numpy's array square and ``np.power`` round some
-angles' squares differently, and the closed forms divide by it.
+product, which is a point's ``np.linalg.norm`` bit for bit, each point
+picks its small-angle series by ``np.where``, and the closed forms are
+elementwise.  The angle's square goes through Python's float power, the C
+``pow``, element by element: numpy's array square and ``np.power`` round
+some angles' squares differently, and the closed forms divide by it.
 
 The bridge rounds the Cayley preimage of the rotation, a skew matrix S
 with axis vector q, and maps it back by the closed form
@@ -47,8 +47,7 @@ def hat(x):
 
 def _angle(x):
     """|x| of each point of ``x`` ``(..., 3)``, shaped ``(..., 1, 1)`` to
-    scale its matrix: the square root of ``x . x`` as a matmul, which is
-    how ``np.linalg.norm`` takes it of one point."""
+    scale its matrix: the square root of ``x . x`` as a matmul."""
     return np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))
 
 
