@@ -15,7 +15,9 @@ each stacked value the single-point one bit for bit: sections
 bivector and its action.  The rotation double's anchor is stacked too, down
 to ``so3``'s exponential chart.  An anchor, frame, splitting or twist that
 several sections or pairs read is shared by the stack (``_shared``), so it
-is computed once per stack.
+is computed once per stack; the rotation double's anchor, read at a chunk's
+points and at their stencils, is shared by the point as well
+(``_shared_by_point``), so it is computed once per point.
 
 Every derivative here, and in ``reduction``, is a central difference
 ``(f(x + h e_m) - f(x - h e_m)) / 2h`` along the coordinate axes, taken by
@@ -62,7 +64,8 @@ from .report import Report, worse
 # keeps a long-lived field's memo from growing.  The checks run in chunks of
 # _PER_POINT_MEMO // (2n + 1) points, so a chunk's stencil stack (each point
 # and its 2n central-difference neighbours) has at most 512 points: 7 x 73 =
-# 511 on a 3-dim chart.
+# 511 on a 3-dim chart.  A memo by the point (_shared_by_point) holds that
+# many points, one whole chunk's stencil stack.
 _PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
@@ -191,6 +194,28 @@ def _shared(field):
     stack.  The value is a read-only float copy of ``field(x)``; each
     wrapper has its own bounded memo."""
     return _array_memo(lambda x: _read_only(field(x)))
+
+
+def _shared_by_point(field):
+    """``_shared`` in front of a memo by the point: a stack the stack memo
+    has not seen calls ``field`` once, on just the points that no earlier
+    stack held, so a field read at a chunk's points and then at their
+    stencils is computed once per point.  The point memo keeps the latest
+    ``_PER_POINT_MEMO`` points, a whole chunk's stencil stack; ``field``
+    must give each point of a stack its single-point value bit for bit."""
+    known = {}
+
+    def at_points(x):
+        keys = [p.tobytes() for p in x.reshape(-1, x.shape[-1])]
+        new = [k for k in dict.fromkeys(keys) if k not in known]
+        if new:
+            known.update(zip(new, field(np.frombuffer(b"".join(new)).reshape(len(new), -1))))
+        values = np.array([known[k] for k in keys])
+        for k in list(known)[: max(0, len(known) - _PER_POINT_MEMO)]:
+            del known[k]
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+
+    return _shared(at_points)
 
 
 def _at_points(fn, x):
@@ -487,10 +512,12 @@ def make_dressing_courant(chart, h):
     chart action here.
 
     The bracket and ``anchor_matrix`` read one anchor, bound here and
-    shared by the stack (``_shared``), so each stack's anchor is one call of
-    ``rotation_double_anchor`` in a memo of the bundle's own: replacing
-    ``rotation_double_anchor`` afterwards does not reach this bundle, and
-    the anchor matrices it returns are read-only.
+    shared by the stack and by the point (``_shared_by_point``), in memos
+    of the bundle's own: each new stack is one call of
+    ``rotation_double_anchor`` on just its points the bundle has not met,
+    so the gate and the checks compute the anchor once per point.
+    Replacing ``rotation_double_anchor`` afterwards does not reach this
+    bundle, and the anchor matrices it returns are read-only.
     """
     if chart.dim != 3:
         raise ValueError("dressing chart action needs the six-dimensional rotation double")
@@ -500,7 +527,7 @@ def make_dressing_courant(chart, h):
     gram = np.array(d.form.gram, dtype=float)
     structure = np.array(d.structure, dtype=float)
 
-    anchor = _shared(rotation_double_anchor)
+    anchor = _shared_by_point(rotation_double_anchor)
 
     def bracket_at(e1, e2, x):
         x = np.asarray(x, dtype=float)

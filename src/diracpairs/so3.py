@@ -56,17 +56,24 @@ def _squared(theta):
     return np.array([t**2 for t in theta.ravel().tolist()]).reshape(theta.shape)
 
 
+def _unselected_branch():
+    """Silence the closed forms where a point takes its series instead:
+    ``np.where`` evaluates both, and at a small angle the closed forms
+    divide ``0 / 0`` (theta = 0) or overflow (a subnormal square, theta
+    below about 1e-154), and go on to ``inf * 0``."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def exp_rotation(x):
     """Rodrigues rotation of a chart point, or of each point of a stack."""
     x = np.asarray(x, dtype=float)
     theta = _angle(x)
     h = hat(x)
     hh = np.matmul(h, h)
-    # the closed form's 0 / 0 at theta = 0 is never selected
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _unselected_branch():
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / _squared(theta)
-    return np.where(theta < 1e-8, np.eye(3) + h + 0.5 * hh, np.eye(3) + a * h + b * hh)
+        return np.where(theta < 1e-8, np.eye(3) + h + 0.5 * hh, np.eye(3) + a * h + b * hh)
 
 
 def left_jacobian_inv(x):
@@ -75,9 +82,9 @@ def left_jacobian_inv(x):
     theta = _angle(x)
     h = hat(x)
     hh = np.matmul(h, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _unselected_branch():
         c = 1.0 / _squared(theta) - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.where(theta < 1e-6, np.eye(3) - 0.5 * h + hh / 12.0, np.eye(3) - 0.5 * h + c * hh)
+        return np.where(theta < 1e-6, np.eye(3) - 0.5 * h + hh / 12.0, np.eye(3) - 0.5 * h + c * hh)
 
 
 def rationalize_rotation(r):

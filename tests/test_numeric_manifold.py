@@ -675,6 +675,8 @@ def test_the_stacked_rotation_anchor_takes_each_small_angle_branch_per_point():
     # the last point's angle underflows to 0
     zero = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], 1e-300 * unit[0]])
     tiny = unit[:4] * np.array([[1e-150], [1e-12], [3e-9], [9.9e-9]])
+    # angles whose squares are subnormal, so the closed forms overflow
+    tiny = np.vstack([tiny, [[1e-158, 0.0, 0.0]], 3e-156 * unit[1:2]])
     small = np.vstack([[1e-8, 0.0, 0.0], unit[4:8] * np.array([[2e-8], [1e-7], [5e-7], [9.9e-7]])])
     wide = unit[8:] * np.array([[1e-6], [0.1], [1.0], [np.pi - 0.2]])
     theta = lambda x: np.linalg.norm(x, axis=-1)
@@ -1156,13 +1158,35 @@ def test_the_dressing_anchor_is_computed_once_per_point(monkeypatch):
     assert verify.run_example(
         "rotation_dressing_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
     ).passed
-    # one call per stack: the gate's points, the stencils of the gate's
-    # commutator, and the check's stencil stack; 21 calls of one point each
-    # while the anchor was taken point by point
-    assert [points_in(x) for x in calls] == [3, 18, 21]
-    # all at the 21 points, each sample point and its six central-difference
-    # neighbours
+    # each sample point and its six central-difference neighbours, once:
+    # every stack the bundle reads calls so3 on just its points not seen
+    assert sum(points_in(x) for x in calls) == 21
     assert len({p.tobytes() for x in calls for p in np.reshape(x, (-1, 3))}) == 21
+
+
+def test_a_field_shared_by_point_is_called_once_per_point_within_its_bound():
+    calls = []
+
+    def field(x):
+        calls.append(len(x))
+        return np.stack([x, -x], axis=-2)
+
+    f = nm._shared_by_point(field)
+    xs = np.arange(12.0).reshape(4, 3)
+    stencils = nm._stencil_points(xs, 0.5)
+    assert np.array_equal(f(xs), np.stack([xs, -xs], axis=-2))
+    assert np.array_equal(f(stencils), np.stack([stencils, -stencils], axis=-2))
+    assert np.array_equal(f(xs[1]), [xs[1], -xs[1]])
+    # the stencil stack's new points are the 24 neighbours; the single
+    # point is known
+    assert calls == [4, 24]
+    # the point memo keeps the latest _PER_POINT_MEMO points
+    many = 100.0 + np.arange(3.0 * nm._PER_POINT_MEMO).reshape(-1, 3)
+    f(many)
+    calls.clear()
+    f(many[::-1])
+    f(xs[::-1])
+    assert calls == [4]
 
 
 def test_shared_constant_values_are_read_only():
