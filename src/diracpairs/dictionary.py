@@ -125,7 +125,8 @@ class ExactIdentification:
         if not rat.is_zero_product(self.rho, rho_star):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
         try:
-            c = rat.mat_mul(rho_t, rat.invert(rat.mat_mul(self.rho, rho_t)))
+            # rho rho^T is symmetric, so c is ((rho rho^T)^-1 rho)^T: one solve
+            c = rat.transpose(rat.solve_right(rat.mat_mul(self.rho, rho_t), self.rho))
         except ValueError:
             # rho rho^T has rho's rank, so it is singular exactly when rho is not onto
             raise ValueError(

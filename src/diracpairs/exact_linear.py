@@ -213,9 +213,17 @@ class SplitForm:
     @cached_property
     def integer_gram(self):
         """``(rows, d)``: the Gram matrix as integer rows over one positive
-        denominator, computed on first use and read by ``pairing`` and
-        ``is_isotropic``."""
+        denominator, computed on first use and read by ``pairing``,
+        ``sparse_gram`` and `check_quadratic_lie`."""
         return rat.over_one_denominator(self.gram)
+
+    @cached_property
+    def sparse_gram(self):
+        """``sparse[i]`` lists the pairs ``(j, v)`` of the nonzero entries of
+        row ``i`` of `integer_gram`, j increasing; computed on first use and
+        read by ``is_isotropic``."""
+        g, _ = self.integer_gram
+        return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in g)
 
     def pairing(self, u, v):
         g, d = self.integer_gram
@@ -252,9 +260,9 @@ def _require_split(form):
 
 
 def is_isotropic(form, u):
-    """Whether the form vanishes on ``u``, decided on the form's integer
-    Gram."""
-    return rat.is_zero_congruence(u.basis, form.integer_gram[0])
+    """Whether the form vanishes on ``u``, decided on the nonzero entries
+    of the form's integer Gram."""
+    return rat.is_zero_congruence(u.basis, form.sparse_gram)
 
 
 def is_lagrangian(form, u):

@@ -487,7 +487,7 @@ def rotation_double_exact_anchor(x):
     x = np.asarray(x, dtype=float)
     jq = so3.rationalize_matrix(so3.left_jacobian_inv(x))
     rq = so3.rationalize_rotation(so3.exp_rotation(x))
-    return rat.mat_mul(jq, rat.hstack(rat.mat_neg(rat.identity(3)), rq))
+    return rat.hstack(rat.mat_neg(jq), rat.mat_mul(jq, rq))
 
 
 def make_dressing_courant(chart, h):

@@ -13,13 +13,13 @@ to integer rows over one common denominator (`over_one_denominator`),
 multiply and sum Python ints, and build one normalized Fraction per output
 entry.  `is_zero_product` decides whether a product of two factors
 vanishes on the same integer rows and builds no Fraction at all, and
-`is_zero_congruence` does so for ``B G B^T`` with ``G`` already integer
-rows (a form's cached Gram).  An entry that is not an int or a Fraction (a
-float, a numpy scalar) raises `TypeError` in all of them, and factors whose
-inner dimensions disagree raise `ValueError` before any entry is read.
-`mat_sub` likewise raises `ValueError` before reading an entry when the two
-operands differ in their number of rows or in the length of a row, and
-`vstack` and `block_diag` do when their rows would be ragged.
+`is_zero_congruence` does so for ``B G B^T`` over the nonzero entries of
+``G`` (a form's cached sparse Gram).  An entry that is not an int or a
+Fraction (a float, a numpy scalar) raises `TypeError` in all of them, and
+factors whose inner dimensions disagree raise `ValueError` before any entry
+is read.  `mat_sub` likewise raises `ValueError` before reading an entry
+when the two operands differ in their number of rows or in the length of a
+row, and `vstack` and `block_diag` do when their rows would be ragged.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
@@ -27,11 +27,11 @@ denominator once; `mat_vec` is for a single vector.  Blocks are assembled
 from `identity`, `zeros` and products with `vstack` and `hstack`, which
 takes any number of blocks and skips an empty one, ``()``.
 
-Row reduction is integer through back-substitution: rows are scaled to
-primitive integers, eliminated with Bareiss one-step updates (exact integer
-divisions), and cleared above each pivot on integer rows kept primitive;
-only the output entries become Fractions, one ``Fraction(v, pivot)`` per
-nonzero entry.
+Row reduction is one integer Gauss-Jordan pass: rows are scaled to
+primitive integers, and at each pivot every other row with a nonzero entry
+in its column is cleared with gcd-reduced multipliers and made primitive
+again; rows with a zero there are skipped.  Only the output entries become
+Fractions, one ``Fraction(v, pivot)`` per nonzero entry.
 """
 
 from __future__ import annotations
@@ -116,13 +116,14 @@ def over_one_denominator(a):
     """``(rows, d)`` with integer ``rows`` and positive ``d`` such that
     ``a == rows / d`` entrywise, ``d`` being the lcm of the denominators.
     Raises `TypeError` on an entry that is not an int or a Fraction."""
-    a = [tuple(row) for row in a]
-    for row in a:
+    pairs = []
+    for row in map(tuple, a):
         for x in row:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"exact kernel got a non-rational entry {x!r}")
-    d = lcm(*{x.denominator for row in a for x in row})
-    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+        pairs.append([x.as_integer_ratio() for x in row])
+    d = lcm(*{q for row in pairs for _, q in row})
+    return [[p * (d // q) for p, q in row] for row in pairs], d
 
 
 def _int_mat_mul(a, b):
@@ -193,14 +194,26 @@ def is_zero_product(a, b):
 
 
 def is_zero_congruence(rows, gram):
-    """Whether ``rows @ G @ rows^T`` is the zero matrix, for ``G`` given as
-    integer rows (a Gram matrix over one denominator, which the verdict
-    does not see).  ``rows`` are scaled to primitive integers once and
-    serve as both outer factors.  Raises `TypeError` on an entry of
-    ``rows`` that is not an int or a Fraction."""
+    """Whether ``rows @ G @ rows^T`` is the zero matrix, for an integer
+    ``G`` given by its nonzero entries (a Gram matrix over one denominator,
+    which the verdict does not see): ``gram[i]`` lists the pairs ``(j,
+    G[i][j])`` of row ``i``.  ``rows`` are scaled to primitive integers
+    once and serve as both outer factors.  Each row ``u`` meets only the
+    entries of ``G`` in the rows where ``u`` is nonzero, so ``u G`` costs
+    12 products on the sum pairing of T + T* + E, whose Gram has 12
+    nonzero entries out of 144.  Raises `TypeError` on an entry of ``rows``
+    that is not an int or a Fraction."""
     prim = _primitive_rows(rows)
-    left = _int_mat_mul(prim, gram)
-    return not any(sum(map(mul, row, col)) for row in left for col in prim)
+    n = len(gram)
+    for u in prim:
+        left = [0] * n
+        for x, entries in zip(u, gram):
+            if x:
+                for j, g in entries:
+                    left[j] += x * g
+        if any(left) and any(sum(map(mul, left, w)) for w in prim):
+            return False
+    return True
 
 
 def hstack(*blocks):
@@ -258,9 +271,13 @@ def rref(rows):
     """Reduced row echelon form of the row span.
 
     Returns ``(rows, pivots)``: the nonzero RREF rows as Fraction tuples and
-    the pivot column indices.  The forward elimination is Bareiss and the
-    back-substitution clears on primitive integer rows; each nonzero output
-    entry is then one ``Fraction(v, pivot)``.
+    the pivot column indices.  One Gauss-Jordan pass on primitive integer
+    rows: at each pivot every other row whose entry in the pivot column is
+    nonzero becomes ``a * row - b * pivot_row``, with ``b / a`` that entry
+    over the pivot in lowest terms, and is divided by the gcd of its
+    entries again.  Rows stay integer throughout, and each nonzero output
+    entry is then one ``Fraction(v, pivot)``; RREF is unique, hence
+    canonical.
     """
     work = [r for r in _primitive_rows(rows) if any(r)]
     if not work:
@@ -269,36 +286,24 @@ def rref(rows):
 
     piv_cols = []
     r = 0
-    prev = 1
     for c in range(n):
         p = next((i for i in range(r, m) if work[i][c]), None)
         if p is None:
             continue
         work[r], work[p] = work[p], work[r]
-        piv = work[r][c]
         top = work[r]
-        for i in range(r + 1, m):
-            cur = work[i]
-            t = cur[c]
-            for j in range(c + 1, n):
-                cur[j] = (piv * cur[j] - t * top[j]) // prev
-            cur[c] = 0
-        prev = piv
+        piv = top[c]
+        for i in range(m):
+            t = work[i][c]
+            if not t or i == r:
+                continue
+            g = gcd(piv, t)
+            a, b = piv // g, t // g
+            work[i] = _primitive([a * x - b * y for x, y in zip(work[i], top)])
         piv_cols.append(c)
         r += 1
         if r == m:
             break
-
-    # Clear above each pivot on the r echelon rows, kept primitive; RREF is
-    # unique, hence canonical.
-    work = [_primitive(work[i]) for i in range(r)]
-    for i in reversed(range(r)):
-        top = work[i]
-        piv = top[piv_cols[i]]
-        for k in range(i):
-            f = work[k][piv_cols[i]]
-            if f:
-                work[k] = _primitive([piv * a - f * b for a, b in zip(work[k], top)])
     return (
         tuple(
             tuple(Fraction(v, row[c]) if v else _ZERO for v in row)

@@ -811,6 +811,65 @@ def reference_check_quasi_poisson(
     return Report(res, tol=tol, exact=exact)
 
 
+# Row reduction as it was before ``rational.rref`` became one Gauss-Jordan
+# pass: Bareiss forward elimination, then back-substitution on primitive
+# integer rows.  RREF is unique, so the two must agree bit for bit.
+
+
+def reference_rref(rows):
+    """Reduced row echelon form of the row span.
+
+    Returns ``(rows, pivots)``: the nonzero RREF rows as Fraction tuples and
+    the pivot column indices.  The forward elimination is Bareiss and the
+    back-substitution clears on primitive integer rows; each nonzero output
+    entry is then one ``Fraction(v, pivot)``.
+    """
+    work = [r for r in rat._primitive_rows(rows) if any(r)]
+    if not work:
+        return (), ()
+    m, n = len(work), len(work[0])
+
+    piv_cols = []
+    r = 0
+    prev = 1
+    for c in range(n):
+        p = next((i for i in range(r, m) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        piv = work[r][c]
+        top = work[r]
+        for i in range(r + 1, m):
+            cur = work[i]
+            t = cur[c]
+            for j in range(c + 1, n):
+                cur[j] = (piv * cur[j] - t * top[j]) // prev
+            cur[c] = 0
+        prev = piv
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+
+    # Clear above each pivot on the r echelon rows, kept primitive; RREF is
+    # unique, hence canonical.
+    work = [rat._primitive(work[i]) for i in range(r)]
+    for i in reversed(range(r)):
+        top = work[i]
+        piv = top[piv_cols[i]]
+        for k in range(i):
+            f = work[k][piv_cols[i]]
+            if f:
+                work[k] = rat._primitive([piv * a - f * b for a, b in zip(work[k], top)])
+    return (
+        tuple(
+            tuple(Fraction(v, row[c]) if v else rat._ZERO for v in row)
+            for row, c in zip(work, piv_cols)
+        ),
+        tuple(piv_cols),
+    )
+
+
 def per_point(fn):
     """The field of stacks of a pure function ``fn`` of one chart point: at
     a point ``(n,)`` its value, and at a stack ``(..., n)`` the stack of its

@@ -5,9 +5,10 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from diracpairs import rational as rat
 
 ints = st.integers(min_value=-9, max_value=9)
@@ -374,6 +375,7 @@ def test_mat_mul_and_mat_vec_match_fraction_loops(m, k, n, data):
 def test_rref_matches_gauss_jordan(rows):
     red, piv = rat.rref(rows)
     assert (red, piv) == naive_rref(rows)
+    assert (red, piv) == helpers.reference_rref(rows)
     assert_normalized(x for row in red for x in row)
 
 
@@ -429,6 +431,7 @@ def test_rref_matches_gauss_jordan_on_wide_rank_deficient_rows(r, n, extra, data
     )
     red, piv = rat.rref(rows)
     assert (red, piv) == naive_rref(rows)
+    assert (red, piv) == helpers.reference_rref(rows)
     assert len(red) <= r
     assert_normalized(x for row in red for x in row)
 
@@ -455,6 +458,42 @@ def test_rref_matches_gauss_jordan_on_frozen_fiber_rows(monkeypatch):
         red, piv = rat.rref(rows)
         assert (red, piv) == naive_rref(rows)
         assert_normalized(x for row in red for x in row)
+
+
+@st.composite
+def negative_pivot_rows(draw):
+    """Rows whose first nonzero entry is negative, so the first pivot is."""
+    rows = draw(fraction_matrix())
+    return tuple(
+        tuple(-x for x in row) if next((x for x in row if x), 0) > 0 else row
+        for row in rows
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_pivot_rows())
+@example(((-2, 4, 1), (-3, -1, 0)))
+def test_rref_matches_the_bareiss_reference_on_negative_pivots(rows):
+    assert rat.rref(rows) == helpers.reference_rref(rows)
+
+
+def test_rref_matches_the_bareiss_reference_on_the_strong_section_rows(monkeypatch):
+    from diracpairs import verify
+
+    captured = []
+    rref = rat.rref
+
+    def capture(rows):
+        captured.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(rat, "rref", capture)
+    assert verify.run_example(
+        "rotation_strong_section", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    ).passed
+    assert {(3, 6), (6, 6), (6, 12)} <= {(len(rows), len(rows[0])) for rows in captured if rows}
+    for rows in captured:
+        assert rref(rows) == helpers.reference_rref(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,3 +538,58 @@ def test_zero_product_rejects_floats(bad):
     for factors in [(odd, one), (one, odd)]:
         with pytest.raises(TypeError, match=named):
             rat.is_zero_product(*factors)
+
+
+def sparse_rows(g):
+    """``g``'s nonzero entries by row, as `SplitForm.sparse_gram` lists them."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in g)
+
+
+@st.composite
+def integer_gram(draw):
+    """An integer Gram matrix: dense, sparse (mostly zeros), or degenerate
+    (``C^T D C`` with fewer rows in ``C`` than columns and signs in ``D``)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dense", "sparse", "degenerate"]))
+    if kind == "degenerate":
+        k = draw(st.integers(0, n - 1))
+        c = [[draw(ints) for _ in range(n)] for _ in range(k)]
+        d = [draw(st.sampled_from([-1, 1])) for _ in range(k)]
+        return tuple(
+            tuple(sum(d[r] * c[r][i] * c[r][j] for r in range(k)) for j in range(n))
+            for i in range(n)
+        )
+    entries = ints if kind == "dense" else st.sampled_from([0, 0, 0, 0, 0, -3, -1, 1, 2])
+    return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+
+
+def triple_product_vanishes(rows, g):
+    return all(x == 0 for row in naive_mat_mul(naive_mat_mul(rows, g), rat.transpose(rows)) for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_gram(), st.data())
+def test_zero_congruence_matches_the_fraction_triple_product(g, data):
+    # fraction_matrix zeroes some rows and draws negative entries
+    rows = data.draw(fraction_matrix(None, len(g)))
+    assert rat.is_zero_congruence(rows, sparse_rows(g)) == triple_product_vanishes(rows, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_gram(), st.data())
+def test_a_non_isotropic_row_flips_the_zero_congruence(g, data):
+    n = len(g)
+    # the kernel of G and zero rows are isotropic for G
+    rows = rat.kernel(g) + ((Fraction(0),) * n,) * data.draw(st.integers(0, 2))
+    assert rat.is_zero_congruence(rows, sparse_rows(g))
+    assert triple_product_vanishes(rows, g)
+    units = rat.identity(n)
+    candidates = list(units) + [
+        tuple(a + b for a, b in zip(units[i], units[j])) for i in range(n) for j in range(i)
+    ]
+    bad = [v for v in candidates if not triple_product_vanishes((v,), g)]
+    assume(bad)
+    v = data.draw(st.sampled_from(bad))
+    grown = rows + (v,)
+    assert not triple_product_vanishes(grown, g)
+    assert not rat.is_zero_congruence(grown, sparse_rows(g))

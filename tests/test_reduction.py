@@ -214,12 +214,11 @@ def test_the_planar_bracket_laws_solve_each_flow_once_per_point(monkeypatch):
 
     monkeypatch.setattr(red, "hamiltonian_vector", counted)
     assert laws(*args, **kwargs).quantities.items() <= example.quantities.items()
-    # per point: f and g for the skew values, the commutator of flows at the
-    # point (f and g again) and at its four stencil points for each, and
-    # the bracket's flow, whose gradient solves f at the commutator's
-    # stencil points again; 76 while conservation solved f and g once more
-    assert len(solves) == 4 * (2 + 10 + 5)
-    assert len(set(solves)) == 4 * (2 + 8 + 1)
+    # per point: f and g at the point, read by the skew values, the
+    # commutator of flows and conservation; f and g at the commutator's four
+    # stencil points each, whose f solves also serve the bracket's
+    # finite-difference gradient; and the bracket's own flow at the point
+    assert len(solves) == len(set(solves)) == 4 * (2 + 8 + 1)
 
 
 @pytest.mark.parametrize(
