@@ -26,8 +26,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from . import __version__, verify
+from . import dictionary as dc
 from .dictionary import RecordError
 from .scene_dsl import ParseError, SceneError, parse_scene, validate_scene
+from .splitting import make_isotropic_splitting
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -212,9 +214,6 @@ def run_check(args, out, err):
 def _convert_fiber(mode, record):
     """Convert over a point: the pair is the zero-dimensional double, so
     both conversions go through a Hamiltonian fiber with no algebra leg."""
-    from . import dictionary as dc
-    from .splitting import make_isotropic_splitting
-
     pair = dc.abstract_double(0)
     splitting = make_isotropic_splitting(pair)
     ident = dc.identification_from_anchor(pair, ())

@@ -15,7 +15,7 @@ each stacked value the single-point one bit for bit: sections
 bivector and its action.  The rotation double's anchor is stacked too, down
 to ``so3``'s exponential chart.  An anchor, frame, splitting or twist that
 several sections or pairs read is shared by the stack (``_shared``), so it
-is computed once per stack; the rotation double's anchor, read at a chunk's
+is computed once per stack; the rotation double's anchor, read at a check's
 points and at their stencils, is shared by the point as well
 (``_shared_by_point``), so it is computed once per point.
 
@@ -30,7 +30,7 @@ section by the stack and the step.  A constant section's jet is exact and
 never evaluates the section.  The jet is the seam where exact jets replace
 finite differences.  Each bundle has one bracket kernel,
 ``CourantNumeric.bracket_at``, at a point or over a stack; the checks run
-every probe and every pair of frame rows over a chunk of points at once.
+every probe and every pair of frame rows over all their points at once.
 
 The step ``h`` and the gate ``tol`` have no defaults here or in
 ``reduction``: callers pass them, so a check runs at the step and tolerance
@@ -59,13 +59,10 @@ from .morphism import HamiltonianFiber
 from .quadratic_lie import ManinPairPoint, catalog, first_unclosed_pair
 from .report import Report, worse
 
-# Stacks one memo holds, for a jet or a shared field.  A check reads a few
-# stacks of each field per chunk of points, far under the bound, which only
-# keeps a long-lived field's memo from growing.  The checks run in chunks of
-# _PER_POINT_MEMO // (2n + 1) points, so a chunk's stencil stack (each point
-# and its 2n central-difference neighbours) has at most 512 points: 7 x 73 =
-# 511 on a 3-dim chart.  A memo by the point (_shared_by_point) holds that
-# many points, one whole chunk's stencil stack.
+# Stacks one memo holds, for a jet or a shared field, and points the memo by
+# the point (_shared_by_point) keeps.  A check reads a few stacks of each
+# field, its points and their stencil stack, far under the bound, which only
+# keeps a long-lived field's memo from growing.
 _PER_POINT_MEMO = 512
 
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
@@ -199,10 +196,11 @@ def _shared(field):
 def _shared_by_point(field):
     """``_shared`` in front of a memo by the point: a stack the stack memo
     has not seen calls ``field`` once, on just the points that no earlier
-    stack held, so a field read at a chunk's points and then at their
+    stack held, so a field read at a check's points and then at their
     stencils is computed once per point.  The point memo keeps the latest
-    ``_PER_POINT_MEMO`` points, a whole chunk's stencil stack; ``field``
-    must give each point of a stack its single-point value bit for bit."""
+    ``_PER_POINT_MEMO`` points; a later stack's points older than that are
+    computed again.  ``field`` must give each point of a stack its
+    single-point value bit for bit."""
     known = {}
 
     def at_points(x):
@@ -586,6 +584,11 @@ def scalar_library(dim):
     return funcs
 
 
+def _fold(res, key, readings):
+    """Fold the largest of a stack of ``readings`` into ``res[key]``."""
+    res[key] = worse(res[key], float(np.max(readings)))
+
+
 def check_axioms_numeric(c, tol):
     """Worst residual of each of the five bracket axioms, and of anchor
     coisotropy, over the section library at the chart's sample points, by
@@ -597,13 +600,12 @@ def check_axioms_numeric(c, tol):
     sweep wider.
 
     Each library bracket section is built once, and every probe runs over
-    a whole chunk of points at once: the probe brackets in one
+    all the sample points at once: the probe brackets in one
     ``bracket_at`` call each, the norm, anchored-field and scalar
-    gradients from one evaluation of the chunk's stencils, and the metric
-    axiom against the metric dual of its section at each point, a stack of
-    constant sections.  Every stacked reading equals the point-by-point one
-    bit for bit.  A chunk holds at most ``_PER_POINT_MEMO // (2n + 1)``
-    points.
+    gradients from one evaluation of the points' stencil stack, and the
+    metric axiom against the metric dual of its section at each point, a
+    stack of constant sections.  Every stacked reading equals the
+    point-by-point one bit for bit.
     """
     h = c.step
     pts = c.chart.sample_points
@@ -646,44 +648,37 @@ def check_axioms_numeric(c, tol):
     scaled = [e2.scaled_by(f) for _, e2, f in leibniz]
 
     g = c.gram
+    xs = np.array(pts)
+    ys = _stencil_points(xs, h)
+    over = lambda pair: c.bracket_at(*pair, xs)
+    anchor, rho_star = c.anchor_matrix(xs), c.rho_star(xs)
+    for lhs, r1, r2 in jacobi:
+        _fold(res, "c1_jacobi", np.abs(over(lhs) - (over(r1) + over(r2))))
 
-    def fold(key, readings):
-        res[key] = worse(res[key], float(np.max(readings)))
+    for e in pair_probes:
+        v = e(ys)
+        want = 0.5 * _mv(rho_star, _jet(_quad(v, g, v), 1, h)[1])
+        _fold(res, "c2_selfpairing", np.abs(over((e, e)) - want))
 
-    stack = np.array(pts)
-    chunk = max(1, _PER_POINT_MEMO // (2 * n + 1))
-    for start in range(0, len(stack), chunk):
-        xs = stack[start : start + chunk]
-        ys = _stencil_points(xs, h)
-        over = lambda pair: c.bracket_at(*pair, xs)
-        anchor, rho_star = c.anchor_matrix(xs), c.rho_star(xs)
-        for lhs, r1, r2 in jacobi:
-            fold("c1_jacobi", np.abs(over(lhs) - (over(r1) + over(r2))))
+    for e1, e2 in metric:
+        b12 = over((e1, e2))
+        v1, t1 = _jet(c.anchor_vector_field(e1)(ys), 1, h)
+        v2, t2 = _jet(c.anchor_vector_field(e2)(ys), 1, h)
+        # the metric dual of e2 at each point, so <e2, e3> varies wherever
+        # e2 does and the metric axiom has a derivative to match
+        e2x = e2(xs)
+        w3 = _mv(g, e2x)
+        scalar = lambda y, e2=e2, w3=w3: _quad(e2(y), g, w3)
+        lhs = np.where(np.any(v1, axis=-1), directional_derivative(scalar, xs, v1, h), 0.0)
+        rhs = _quad(b12, g, w3) + _quad(e2x, g, c.bracket_at(e1, SectionField.constant(w3), xs))
+        _fold(res, "c3_metric", np.abs(lhs - rhs))
+        _fold(res, "c4_anchor", np.abs(_mv(anchor, b12) - (_mv(t2, v1) - _mv(t1, v2))))
 
-        for e in pair_probes:
-            v = e(ys)
-            want = 0.5 * _mv(rho_star, _jet(_quad(v, g, v), 1, h)[1])
-            fold("c2_selfpairing", np.abs(over((e, e)) - want))
-
-        for e1, e2 in metric:
-            b12 = over((e1, e2))
-            v1, t1 = _jet(c.anchor_vector_field(e1)(ys), 1, h)
-            v2, t2 = _jet(c.anchor_vector_field(e2)(ys), 1, h)
-            # the metric dual of e2 at each point, so <e2, e3> varies wherever
-            # e2 does and the metric axiom has a derivative to match
-            e2x = e2(xs)
-            w3 = _mv(g, e2x)
-            scalar = lambda y, e2=e2, w3=w3: _quad(e2(y), g, w3)
-            lhs = np.where(np.any(v1, axis=-1), directional_derivative(scalar, xs, v1, h), 0.0)
-            rhs = _quad(b12, g, w3) + _quad(e2x, g, c.bracket_at(e1, SectionField.constant(w3), xs))
-            fold("c3_metric", np.abs(lhs - rhs))
-            fold("c4_anchor", np.abs(_mv(anchor, b12) - (_mv(t2, v1) - _mv(t1, v2))))
-
-        for (e1, e2, f), s in zip(leibniz, scaled):
-            fx, df = _jet(f(ys), 1, h)
-            v = _mv(anchor, e1(xs))
-            rhs5 = fx[..., None] * over((e1, e2)) + _dot(df, v)[..., None] * e2(xs)
-            fold("c5_leibniz", np.abs(over((e1, s)) - rhs5))
+    for (e1, e2, f), s in zip(leibniz, scaled):
+        fx, df = _jet(f(ys), 1, h)
+        v = _mv(anchor, e1(xs))
+        rhs5 = fx[..., None] * over((e1, e2)) + _dot(df, v)[..., None] * e2(xs)
+        _fold(res, "c5_leibniz", np.abs(over((e1, s)) - rhs5))
 
     return Report(res, tol=tol, data={"step": h})
 
@@ -879,8 +874,9 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
     and target fibers as exact ``Subspace``s, which the supplier has
     validated (``l_x`` Lagrangian), and the map's differential as a
     rational matrix.  From them ``inclusion`` (the target fiber lies in the
-    forward image of the source fiber) and ``transversality`` (``dj`` is
-    injective on the source fiber's tangent part) are exact 0/1 quantities.
+    forward image of the source fiber) and ``transversality`` (ker dj meets
+    ker L, the intersection of the source fiber with the tangents, only in
+    0) are exact 0/1 quantities.
     ``phi``, a twist on the source chart, adds the finite-difference
     ``integrability`` defect of ``l_x``, a smooth float row-basis field over
     that chart; a caller whose map is not the identity pulls its target
@@ -992,7 +988,12 @@ def check_quasi_poisson(
     maps that tensor to sum_{k,l} F[i][k][l] a_k (x) a_l.  The sharp-map
     identity ``pi^T = rho_x rho_astar^T`` is algebraic: it runs only on the
     frozen rational fibers ``exact_fibers`` (the dicts of
-    ``make_exact_quasi_pi``), so ``sharp_compat`` is an exact quantity.
+    ``make_exact_quasi_pi``), so ``sharp_compat`` is an exact quantity.  On
+    those fibers it is the frozen anchor's coisotropy: the split frame of
+    any isotropic splitting gives A J^T + J A^T = G^-1, so pi^T - rho_x
+    rho_astar^T = -rho G^-1 rho^T, which ``rotation_double_exact_anchor``
+    makes zero by construction; only an anchor that is not coisotropic
+    fails it.
     ``chi`` and ``cobracket`` use the exact splitting module's component
     conventions (nested tuples, possibly empty for the ordinary Poisson
     case).  An identity that is not measured is absent from the report:
@@ -1001,15 +1002,14 @@ def check_quasi_poisson(
     least one point is needed.
 
     ``pi``, ``rho_x`` and each probe of ``funcs`` (``scalar_library`` by
-    default) take stacks, as ``SectionField.fn`` does.  The points run in
-    chunks of at most ``_PER_POINT_MEMO // (2n + 1)``; per chunk ``pi``,
-    ``rho_x`` and each probe's gradient are one call on the chunk's stencil
-    stack ``ys`` ``(P, 2n + 1, n)``.
+    default) take stacks, as ``SectionField.fn`` does.  ``pi``, ``rho_x``
+    and each probe's gradient are one call on the points' stencil stack
+    ``ys`` ``(P, 2n + 1, n)``.
     """
     if not len(points):
         raise ValueError("quasi-Poisson check needs at least one point")
-    stack = np.array(points, dtype=float)
-    n = stack.shape[-1]
+    xs = np.array(points, dtype=float)
+    n = xs.shape[-1]
     funcs = funcs if funcs is not None else scalar_library(n)
     chi_f = np.array(chi, dtype=float)
     cob_f = np.array(cobracket, dtype=float)
@@ -1020,43 +1020,37 @@ def check_quasi_poisson(
     if exact_fibers is not None:
         res["sharp_compat"] = 0.0
 
-    def fold(key, readings):
-        res[key] = worse(res[key], float(np.max(readings)))
+    ys = _stencil_points(xs, h)
+    pis, rhos = np.asarray(pi(ys), dtype=float), np.asarray(rho_x(ys), dtype=float)
+    px, rx = pis[:, 0], rhos[:, 0]
+    grads = [partial_table(f, ys, h) for f in funcs]
+    # the gradient of each inner bracket {f_b, f_c} = df_c(pi^T df_b)
+    inner = {
+        (b, c): _jet(_quad(grads[c], _tr(pis), grads[b]), 1, h)[1]
+        for b, c in permutations(range(len(funcs)), 2)
+    }
+    for i, j, k in combinations(range(len(funcs)), 3):
+        total = 0.0
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            total += _quad(inner[b, c], _tr(px), grads[a][:, 0])
+        rhs = 0.0
+        if chi_f.size:
+            vf, vg, vk = (_mv(_tr(rx), grads[m][:, 0]) for m in (i, j, k))
+            rhs = JACOBIATOR_SIGN * np.einsum("ijk,...i,...j,...k->...", chi_f, vf, vg, vk)
+        _fold(res, "jacobiator", np.abs(total - rhs))
 
-    chunk = max(1, _PER_POINT_MEMO // (2 * n + 1))
-    for start in range(0, len(stack), chunk):
-        xs = stack[start : start + chunk]
-        ys = _stencil_points(xs, h)
-        pis, rhos = np.asarray(pi(ys), dtype=float), np.asarray(rho_x(ys), dtype=float)
-        px, rx = pis[:, 0], rhos[:, 0]
-        grads = [partial_table(f, ys, h) for f in funcs]
-        # the gradient of each inner bracket {f_b, f_c} = df_c(pi^T df_b)
-        inner = {
-            (b, c): _jet(_quad(grads[c], _tr(pis), grads[b]), 1, h)[1]
-            for b, c in permutations(range(len(funcs)), 2)
-        }
-        for i, j, k in combinations(range(len(funcs)), 3):
-            total = 0.0
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                total += _quad(inner[b, c], _tr(px), grads[a][:, 0])
-            rhs = 0.0
-            if chi_f.size:
-                vf, vg, vk = (_mv(_tr(rx), grads[m][:, 0]) for m in (i, j, k))
-                rhs = JACOBIATOR_SIGN * np.einsum("ijk,...i,...j,...k->...", chi_f, vf, vg, vk)
-            fold("jacobiator", np.abs(total - rhs))
-
-        if "lie_compat" in res:
-            dpi = _jet(pis, 1, h)[1]
-            for a in np.eye(cob_f.shape[0]):
-                vx, vt = _jet(_mv(rhos, a), 1, h)
-                lie = np.einsum("...klm,...m->...kl", dpi, vx)
-                lie -= np.einsum("...ml,...km->...kl", px, vt)
-                lie -= np.einsum("...km,...lm->...kl", px, vt)
-                want = -(rx @ np.einsum("ikl,i->kl", cob_f, a) @ _tr(rx))
-                fold("lie_compat", np.abs(lie - want))
+    if "lie_compat" in res:
+        dpi = _jet(pis, 1, h)[1]
+        for a in np.eye(cob_f.shape[0]):
+            vx, vt = _jet(_mv(rhos, a), 1, h)
+            lie = np.einsum("...klm,...m->...kl", dpi, vx)
+            lie -= np.einsum("...ml,...km->...kl", px, vt)
+            lie -= np.einsum("...km,...lm->...kl", px, vt)
+            want = -(rx @ np.einsum("ikl,i->kl", cob_f, a) @ _tr(rx))
+            _fold(res, "lie_compat", np.abs(lie - want))
 
     if exact_fibers is not None:
-        for x in stack:
+        for x in xs:
             fb = exact_fibers(x)
             lhs = rat.transpose(fb["pi"])
             rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))

@@ -20,9 +20,13 @@ from functools import reduce
 
 import numpy as np
 
+from . import dictionary as dc
 from . import numeric_manifold as nm
+from . import rational as rat
 from . import reduction as red
 from . import so3
+from . import splitting as sp_mod
+from .exact_linear import canonicalize
 from .quadratic_lie import catalog
 from .report import Report, worse
 
@@ -84,10 +88,6 @@ def rotation_strong_section(samples, seed, tol, step):
     1e-10: the frame's tangent parts span only a plane.  So that gate
     checks closure under the untwisted bracket; the twist's sign is pinned
     on a flat chart instead."""
-    from . import dictionary as dc
-    from . import rational as rat
-    from .exact_linear import canonicalize
-
     pair, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
     frame = nm.dirac_of_pair(cd, pair.g, can.s)
@@ -119,8 +119,6 @@ def rotation_quasi_poisson(samples, seed, tol, step):
     """Bivector compatibility identities of the dressing chart: cyclic
     bracket sum against the anchored trivector, bivector derivative
     against the pushed cobracket, and the exact sharp identity."""
-    from . import splitting as sp_mod
-
     pair, pts, cd = _dressing(samples, seed, step)
     sp = sp_mod.make_isotropic_splitting(pair)
     qd = sp_mod.derive_quasi_data(pair, sp)

@@ -13,7 +13,12 @@ import pytest
 from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
 from diracpairs import so3, verify
-from diracpairs.dictionary import DiracPointData, dirac_from_k, identification_from_anchor
+from diracpairs.dictionary import (
+    DiracPointData,
+    dirac_from_k,
+    forward_dirac,
+    identification_from_anchor,
+)
 from diracpairs.exact_linear import canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
 from diracpairs.quadratic_lie import catalog
@@ -790,6 +795,14 @@ def test_strong_map_fails_for_a_collapsing_target(flat3):
     assert rep.quantities["transversality"] == 1
     assert "integrability" not in rep.quantities
     assert rep.passed is False
+    # the condition is ker dJ n ker L = 0, with ker L = L n T = span e_3,
+    # not dJ injective on T: onto its own forward image, diag(0, 1, 1)
+    # keeps e_3 and passes, and diag(1, 1, 0) collapses just e_3 and fails
+    source = DiracPointData(canonicalize(GRAPH_OF_OMEGA, 6)).L
+    for diagonal, reading in (((0, 1, 1), 0), ((1, 1, 0), 1)):
+        dj = rat.matrix([[d if i == j else 0 for j in range(3)] for i, d in enumerate(diagonal)])
+        rep = exact_strong_map(GRAPH_OF_OMEGA, forward_dirac(source, dj).basis, dj, pts[0])
+        assert rep.quantities == {"inclusion": 0.0, "transversality": reading}
 
 
 def test_strong_map_fails_for_a_target_outside_the_image(flat3):
@@ -882,7 +895,7 @@ def test_quasi_poisson_takes_each_gradient_once_per_point(monkeypatch):
     assert verify.run_example(
         "rotation_quasi_poisson", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
     ).passed
-    # one call per probe function over the chunk of three points, and two
+    # one call per probe function over the stack of three points, and two
     # for the construction gate's commutator; 168 while the check
     # differentiated one point at a time, 630 when each inner bracket
     # retook both library gradients at every central-difference point
@@ -997,7 +1010,8 @@ def _quasi_poisson_case(case, so3_pair, so3_splitting, cd):
 
 @pytest.mark.parametrize("case", ["default", "group_trace", "no_cobracket", "twist"])
 def test_the_stacked_quasi_poisson_check_is_the_reference_repr_for_repr(case, so3_pair, so3_splitting):
-    # 73 points fill one chunk on a 3-dim chart and 74 cross into a second
+    # on a 3-dim chart the stencil stack of 73 points fits the point memo
+    # and that of 74 points outgrows it
     _, pts, cd = verify._dressing(74, 0, helpers.STEP)
     args, kwargs = _quasi_poisson_case(case, so3_pair, so3_splitting, cd)
     assert nm._PER_POINT_MEMO // 7 == 73
@@ -1155,13 +1169,18 @@ def test_the_dressing_anchor_is_computed_once_per_point(monkeypatch):
         return exp_rotation(x)
 
     monkeypatch.setattr(so3, "exp_rotation", counted)
-    assert verify.run_example(
-        "rotation_dressing_axioms", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
-    ).passed
-    # each sample point and its six central-difference neighbours, once:
-    # every stack the bundle reads calls so3 on just its points not seen
-    assert sum(points_in(x) for x in calls) == 21
-    assert len({p.tobytes() for x in calls for p in np.reshape(x, (-1, 3))}) == 21
+    # 150 points' stencil stack, 1,050 points, outgrows the point memo's
+    # _PER_POINT_MEMO: the check reads it whole, so no point is evicted
+    # before its last reading
+    for samples in (3, 150):
+        calls.clear()
+        assert verify.run_example(
+            "rotation_dressing_axioms", samples=samples, seed=0, tol=helpers.TOL, step=helpers.STEP
+        ).passed
+        # each sample point and its six central-difference neighbours, once:
+        # every stack the bundle reads calls so3 on just its points not seen
+        assert sum(points_in(x) for x in calls) == 7 * samples
+        assert len({p.tobytes() for x in calls for p in np.reshape(x, (-1, 3))}) == 7 * samples
 
 
 def test_a_field_shared_by_point_is_called_once_per_point_within_its_bound():
@@ -1419,8 +1438,9 @@ def _axiom_bundle(kind, samples):
     return nm.make_dressing_courant(nm.Chart(3, tuple(so3.sample_chart_points(samples, seed=0))), h=helpers.STEP)
 
 
-# 73 points of a three-dimensional chart fill one chunk of
-# _PER_POINT_MEMO // 7 points, so 74 spill into a second
+# on a three-dimensional chart the stencil stack of 73 points, 7 each,
+# fits the _PER_POINT_MEMO points of a memo by the point, and that of 74
+# points outgrows it
 @pytest.mark.parametrize("samples", [1, 3, 20, 73, 74])
 @pytest.mark.parametrize("kind", ["flat", "varying", "dressing"])
 def test_stacked_axiom_probes_give_the_per_point_report(kind, samples):
