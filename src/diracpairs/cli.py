@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import __version__, verify
 from . import dictionary as dc
-from .dictionary import RecordError
 from .scene_dsl import ParseError, SceneError, parse_scene, validate_scene
 from .splitting import make_isotropic_splitting
 
@@ -258,7 +257,7 @@ def run_dict(args, out, err):
         return EXIT_INPUT
     try:
         result = _convert_fiber(args.mode, record)
-    except RecordError as e:
+    except dc.RecordError as e:
         print(f"malformed fiber file: {e}", file=err)
         return EXIT_INPUT
     except ValueError as e:
