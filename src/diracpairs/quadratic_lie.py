@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 from . import rational as rat
 from .exact_linear import (
     SplitForm,
-    SplitSignatureError,
     Subspace,
     canonicalize,
     is_lagrangian,
@@ -191,7 +190,8 @@ def first_unclosed_pair(bracket, space):
 
 def is_manin_pair(d, g):
     """True iff ``g`` is Lagrangian for the pairing and closed under the
-    bracket.  Raises `SplitSignatureError` when the pairing is not split."""
+    bracket.  Raises `exact_linear.SplitSignatureError` when the pairing is
+    not split."""
     return is_lagrangian(d.form, g) and first_unclosed_pair(d.bracket, g) is None
 
 

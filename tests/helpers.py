@@ -10,7 +10,6 @@ the samples are not all transverse to the covector factor.
 import json
 import math
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
 from pathlib import Path
 
@@ -645,12 +644,20 @@ def dressing_bracket_at_point(c, e1, e2, x):
     return val
 
 
+# Points per block of probe brackets in ``reference_check_axioms_numeric``.
+# Each stacked bracket is its single-point value bit for bit, so any block
+# size gives the same report; one smaller than the tests' 73 and 74 samples
+# makes them cross a block boundary.
+REFERENCE_BLOCK = 32
+
+
 def reference_check_axioms_numeric(c, tol):
     """``numeric_manifold.check_axioms_numeric`` as it was before its
     probes ran over stacks: the c2 to c5 readings are taken point by point,
     by ``reference_partial_table``, ``directional_derivative`` and the
-    commutator of those tables, and only the probe brackets over the chunk.  The
-    stacked check must give the same report, repr for repr."""
+    commutator of those tables, and only the probe brackets over blocks of
+    ``REFERENCE_BLOCK`` points.  The stacked check must give the same
+    report, repr for repr."""
     h = c.step
     pts = c.chart.sample_points
     n = c.chart.dim
@@ -692,9 +699,8 @@ def reference_check_axioms_numeric(c, tol):
     scaled = [e2.scaled_by(f) for _, e2, f in leibniz]
 
     pts = [np.asarray(x, dtype=float) for x in pts]
-    chunk = max(1, nm._PER_POINT_MEMO // (2 * n + 1))
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
+    for start in range(0, len(pts), REFERENCE_BLOCK):
+        block = pts[start : start + REFERENCE_BLOCK]
         xs = np.array(block)
         over = lambda pair: c.bracket_at(*pair, xs)
         c1 = [(over(lhs), over(r1) + over(r2)) for lhs, r1, r2 in jacobi]
@@ -738,12 +744,13 @@ def reference_check_axioms_numeric(c, tol):
 
 
 def reference_check_quasi_poisson(
-    pi, rho_x, chi, cobracket, points, exact_fibers=None, funcs=None, *, h, tol
+    pi, rho_x, chi, cobracket, points, rho_astar=None, funcs=None, *, h, tol
 ):
     """``numeric_manifold.check_quasi_poisson`` as it was before it ran
     over stacks: one point at a time, every gradient, inner bracket and
     partial table by ``reference_partial_table``, memoized per stencil
-    point.  The stacked check must give the same report, repr for repr."""
+    point, and the sharp identity at each point.  The stacked check must
+    give the same report, repr for repr."""
     if not len(points):
         raise ValueError("quasi-Poisson check needs at least one point")
     dim = np.shape(points[0])[0]
@@ -754,7 +761,7 @@ def reference_check_quasi_poisson(
     res = {"jacobiator": 0.0}
     if cob_f.size:
         res["lie_compat"] = 0.0
-    if exact_fibers is not None:
+    if rho_astar is not None:
         res["sharp_compat"] = 0.0
 
     # the fields and each function's gradient once per point: every inner
@@ -800,15 +807,12 @@ def reference_check_quasi_poisson(
                 want = -(rx @ fa @ rx.T)
                 res["lie_compat"] = worse(res["lie_compat"], float(np.max(np.abs(lie - want))))
 
-        if exact_fibers is not None:
-            fb = exact_fibers(x)
-            lhs = rat.transpose(fb["pi"])
-            rhs_m = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
-            diff = (abs(v) for row in rat.mat_sub(lhs, rhs_m) for v in row)
-            res["sharp_compat"] = reduce(worse, diff, res["sharp_compat"])
+        if rho_astar is not None:
+            ra = np.asarray(rho_astar(x), float)
+            diff = float(np.max(np.abs(px.T - rx @ ra.T)))
+            res["sharp_compat"] = worse(res["sharp_compat"], diff)
 
-    exact = () if exact_fibers is None else ("sharp_compat",)
-    return Report(res, tol=tol, exact=exact)
+    return Report(res, tol=tol)
 
 
 # Row reduction as it was before ``rational.rref`` became one Gauss-Jordan

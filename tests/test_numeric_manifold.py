@@ -272,7 +272,7 @@ CONTROL_TESTS = {
     "integrability": ("test_numeric_manifold", "test_integrability_sees_the_twist_and_its_sign"),
     "jacobiator": ("test_numeric_manifold", "test_a_non_poisson_term_fails_the_jacobiator"),
     "lie_compat": ("test_numeric_manifold", "test_lie_compat_pins_the_cobracket_sign"),
-    "sharp_compat": ("test_numeric_manifold", "test_a_wrong_exact_sharp_identity_fails_the_report"),
+    "sharp_compat": ("test_numeric_manifold", "test_a_shifted_complement_anchor_fails_the_sharp_identity"),
     "coordinate_bracket": ("test_reduction", "test_a_mutated_planar_fiber_fails_its_control"),
     "skew": ("test_reduction", "test_a_mutated_planar_fiber_fails_its_control"),
     "conservation": ("test_reduction", "test_a_mutated_planar_fiber_fails_its_control"),
@@ -583,8 +583,9 @@ def test_every_built_field_at_a_stencil_stack_is_its_point_by_point_value(
     kind, standard3, so3_splitting
 ):
     # the splitting, its twist, the Dirac frame, and on the dressing bundle
-    # the canonical fiber rows, the bivector and the action of the shipped
-    # complement and of the COBRACKET_TWIST one, each at the stencil stack
+    # the canonical fiber rows, the bivector, the action and the
+    # complement's anchor of the shipped complement and of the
+    # COBRACKET_TWIST one, each at the stencil stack
     # (P, 2n + 1, n) of 20 points, bit for bit
     if kind == "standard":
         c, pts = standard3, verify._flat_points(20, seed=0)
@@ -598,7 +599,9 @@ def test_every_built_field_at_a_stencil_stack_is_its_point_by_point_value(
         fields["fiber_rows"] = nm.CanonicalSpace(courant=c, s=s, phi=phi).fiber_rows
         twisted = helpers.twist(so3_splitting, rat.matrix(COBRACKET_TWIST))
         for name, sp in (("shipped", so3_splitting), ("twisted", twisted)):
-            fields[f"pi {name}"], fields[f"rho_x {name}"] = nm.make_quasi_pi_field(c, sp.j)
+            fields[f"pi {name}"], fields[f"rho_x {name}"], fields[f"rho_astar {name}"] = (
+                nm.make_quasi_pi_field(c, sp.j)
+            )
     ys = nm._stencil_points(np.array(pts), helpers.STEP)
     assert ys.shape == (20, 7, 3)
     for name, field in fields.items():
@@ -723,8 +726,8 @@ def points_in(x):
 def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(
     dressing, so3_splitting, so3_quasi_data, so3_points
 ):
-    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
-    seen = {"pi": 0, "rho_x": 0}
+    pi, rho_x, rho_astar = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    seen = {"pi": 0, "rho_x": 0, "rho_astar": 0}
 
     def counted(name, fn):
         def at(x):
@@ -740,13 +743,15 @@ def test_quasi_poisson_evaluates_its_fields_once_per_stencil_point(
         so3_quasi_data.chi,
         so3_quasi_data.F,
         pts,
+        rho_astar=counted("rho_astar", rho_astar),
         h=helpers.STEP,
         tol=1e-4,
     )
     assert rep.passed
     # each point and its six central-difference neighbours once; 291 and
-    # 66 when every inner bracket and partial table evaluated them afresh
-    assert seen == {"pi": 7 * len(pts), "rho_x": 7 * len(pts)}
+    # 66 when every inner bracket and partial table evaluated them afresh.
+    # The sharp identity takes no derivative: the points only.
+    assert seen == {"pi": 7 * len(pts), "rho_x": 7 * len(pts), "rho_astar": len(pts)}
 
 
 def test_strong_map_report_on_frozen_exact_fibers(
@@ -919,34 +924,22 @@ def test_the_strong_map_frame_is_read_once_per_point():
 def test_quasi_bivector_field_is_antisymmetric_and_sharp_compatible(
     dressing, so3_splitting, so3_points
 ):
-    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    pi, rho_x, rho_astar = nm.make_quasi_pi_field(dressing, so3_splitting.j)
     j = np.array([[float(v) for v in row] for row in so3_splitting.j])
     for x in so3_points[:4]:
         x = np.asarray(x, float)
         p = pi(x)
         assert p.shape == (3, 3)
         assert np.allclose(p, -p.T, atol=1e-10)
-        rho_astar = dressing.anchor_matrix(x) @ j
-        assert np.allclose(p.T, rho_x(x) @ rho_astar.T, atol=1e-10)
-
-
-def test_exact_quasi_fibers_satisfy_the_sharp_identity_exactly(
-    dressing, so3_splitting, so3_points
-):
-    fibers = nm.make_exact_quasi_pi(dressing, so3_splitting.j)
-    fb = fibers(np.asarray(so3_points[0], float))
-    pi = fb["pi"]
-    assert pi == rat.mat_neg(rat.transpose(pi))
-    lhs = rat.transpose(pi)
-    rhs = rat.mat_mul(fb["rho_x"], rat.transpose(fb["rho_astar"]))
-    assert lhs == rhs
+        # the returned field is the complement's anchor rho j
+        assert np.array_equal(rho_astar(x), dressing.anchor_matrix(x) @ j)
+        assert np.allclose(p.T, rho_x(x) @ rho_astar(x).T, atol=1e-14)
 
 
 def test_quasi_poisson_identities_hold_along_the_dressing_chart(
     dressing, so3_splitting, so3_quasi_data, so3_points
 ):
-    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
-    fibers = nm.make_exact_quasi_pi(dressing, so3_splitting.j)
+    pi, rho_x, rho_astar = nm.make_quasi_pi_field(dressing, so3_splitting.j)
     funcs = list(nm.scalar_library(3)[:4]) + [helpers.group_trace_function]
     rep = nm.check_quasi_poisson(
         pi,
@@ -954,14 +947,15 @@ def test_quasi_poisson_identities_hold_along_the_dressing_chart(
         so3_quasi_data.chi,
         so3_quasi_data.F,
         [np.asarray(x, float) for x in so3_points[:2]],
-        exact_fibers=fibers,
+        rho_astar=rho_astar,
         funcs=funcs,
         h=helpers.STEP,
         tol=1e-4,
     )
     assert rep.passed
-    assert "sharp_compat" in rep.exact
-    assert rep.quantities["sharp_compat"] == 0
+    assert rep.exact == frozenset()
+    # algebraic, so roundoff only
+    assert rep.quantities["sharp_compat"] < 1e-14
     assert rep.quantities["jacobiator"] < 1e-6
     assert rep.quantities["lie_compat"] < 1e-4
 
@@ -976,7 +970,7 @@ def test_lie_compat_pins_the_cobracket_sign(dressing, so3_pair, so3_splitting):
     twisted = helpers.twist(so3_splitting, rat.matrix(COBRACKET_TWIST))
     qd = derive_quasi_data(so3_pair, twisted)
     assert any(v for f in qd.F for row in f for v in row)
-    pi, rho_x = nm.make_quasi_pi_field(dressing, twisted.j)
+    pi, rho_x, _ = nm.make_quasi_pi_field(dressing, twisted.j)
     pts = so3.sample_chart_points(6, seed=0)
     right = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     flipped = tuple(rat.mat_neg(f) for f in qd.F)
@@ -991,18 +985,18 @@ def test_lie_compat_pins_the_cobracket_sign(dressing, so3_pair, so3_splitting):
 
 def _quasi_poisson_case(case, so3_pair, so3_splitting, cd):
     """The arguments of one quasi-Poisson check on the dressing bundle
-    ``cd``: the shipped complement with the default probes and exact
-    fibers, with the group-trace probe, or with its cobracket left out (no
-    ``lie_compat``), or the ``COBRACKET_TWIST`` complement, whose cobracket
-    is not zero, without exact fibers."""
+    ``cd``: the shipped complement with the default probes and the
+    complement's anchor, with the group-trace probe, or with its cobracket
+    left out (no ``lie_compat``), or the ``COBRACKET_TWIST`` complement,
+    whose cobracket is not zero, without the complement's anchor (no
+    ``sharp_compat``)."""
     sp = helpers.twist(so3_splitting, rat.matrix(COBRACKET_TWIST)) if case == "twist" else so3_splitting
     qd = derive_quasi_data(so3_pair, sp)
-    pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
+    pi, rho_x, rho_astar = nm.make_quasi_pi_field(cd, sp.j)
     args = (pi, rho_x, qd.chi, () if case == "no_cobracket" else qd.F)
     kwargs = {"h": helpers.STEP, "tol": 1e-4}
     if case != "twist":
-        # frozen once per point for both checks and every count
-        kwargs["exact_fibers"] = nm._array_memo(nm.make_exact_quasi_pi(cd, sp.j))
+        kwargs["rho_astar"] = rho_astar
     if case == "group_trace":
         kwargs["funcs"] = list(nm.scalar_library(3)[:4]) + [helpers.group_trace_function]
     return args, kwargs
@@ -1031,7 +1025,7 @@ def test_a_non_poisson_term_fails_the_jacobiator():
     pair, pts, cd = verify._dressing(6, 0, helpers.STEP)
     sp = make_isotropic_splitting(pair)
     qd = derive_quasi_data(pair, sp)
-    pi, rho_x = nm.make_quasi_pi_field(cd, sp.j)
+    pi, rho_x, _ = nm.make_quasi_pi_field(cd, sp.j)
     base = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
     mutated = helpers.per_point(lambda x: pi(x) + helpers.not_poisson_bivector(x))
     rep = nm.check_quasi_poisson(mutated, rho_x, qd.chi, qd.F, pts, h=helpers.STEP, tol=1e-4)
@@ -1041,31 +1035,45 @@ def test_a_non_poisson_term_fails_the_jacobiator():
     assert not rep.holds("jacobiator")
 
 
-def test_a_wrong_exact_sharp_identity_fails_the_report(
+def test_a_shifted_complement_anchor_fails_the_sharp_identity(
     dressing, so3_splitting, so3_quasi_data, so3_points
 ):
-    pi, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
-    fibers = nm.make_exact_quasi_pi(dressing, so3_splitting.j)
-
-    def broken(x):
-        fb = fibers(x)
-        shifted = tuple(tuple(v + 1 for v in row) for row in fb["rho_astar"])
-        return {**fb, "rho_astar": shifted}
-
+    pi, rho_x, rho_astar = nm.make_quasi_pi_field(dressing, so3_splitting.j)
     rep = nm.check_quasi_poisson(
         pi,
         rho_x,
         so3_quasi_data.chi,
         so3_quasi_data.F,
         [np.asarray(so3_points[0], float)],
-        exact_fibers=broken,
+        rho_astar=lambda x: rho_astar(x) + 1.0,
         funcs=nm.scalar_library(3)[:3],
         h=helpers.STEP,
         tol=1e-4,
     )
     assert not rep.passed
-    assert rep.quantities["sharp_compat"] != 0
+    assert rep.quantities["sharp_compat"] > 1e-4
     assert not rep.holds("sharp_compat")
+    # the other two identities do not read rho_astar
+    assert rep.holds("jacobiator") and rep.holds("lie_compat")
+
+
+def test_a_perturbed_bivector_fails_the_sharp_identity():
+    # rotation_quasi_poisson's own setup at the command line's tolerance,
+    # with eps * B added to pi: the sharp identity reads the perturbed
+    # bivector itself, whose largest entry of B is 2, so it reads 2 eps
+    pair, pts, cd = verify._dressing(6, 0, helpers.STEP)
+    sp = make_isotropic_splitting(pair)
+    qd = derive_quasi_data(pair, sp)
+    pi, rho_x, rho_astar = nm.make_quasi_pi_field(cd, sp.j)
+    b = np.array(COBRACKET_TWIST, dtype=float)
+    eps, tol = 1e-5, verify.DEFAULTS["tol"]
+    kwargs = {"rho_astar": rho_astar, "h": helpers.STEP, "tol": tol}
+    clean = nm.check_quasi_poisson(pi, rho_x, qd.chi, qd.F, pts, **kwargs)
+    perturbed = nm.check_quasi_poisson(lambda x: pi(x) + eps * b, rho_x, qd.chi, qd.F, pts, **kwargs)
+    assert clean.passed
+    assert clean.quantities["sharp_compat"] < 1e-14
+    assert perturbed.quantities["sharp_compat"] == pytest.approx(2 * eps, rel=1e-6)
+    assert not perturbed.holds("sharp_compat")
 
 
 def test_a_quasi_poisson_check_without_points_is_refused():

@@ -20,6 +20,10 @@ sets is a constant, or a seam that only tests use.  The other way round, an
 optional parameter that every call in the package and the tests passes is a
 required one written as an option, unless ``ALWAYS_PASSED_ALLOWED`` names
 it.  Calls are matched by the callee's name, in the same way.
+
+Every top-level import of a package module is used by that module's code,
+or listed in its ``__all__``: a name that only a docstring or comment
+mentions is no use.
 """
 
 import ast
@@ -240,6 +244,59 @@ def test_what_only_an_allowed_definition_uses_is_not_allowed():
     assert found == ["a.Kept", "a.Kept.member", "a.Step", "a.Step.apply", "a.construction"]
     allowed = {"a.construction": "a construction", "a.Kept": "a construction"}
     assert not_allowed(found, allowed) == ["a.Step", "a.Step.apply"]
+
+
+def _exported(tree):
+    """The names a module's top-level ``__all__`` lists."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return names
+
+
+def unused_imports(sources):
+    """Names that a top-level import of ``sources`` (module name -> source
+    text) binds and that the module neither uses nor lists in ``__all__``,
+    as sorted ``module.name`` strings.  ``from __future__`` imports bind
+    no name."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_every_package_import_is_used():
+    assert unused_imports(package_sources()) == []
+
+
+def test_the_scan_finds_an_unused_import():
+    sources = {
+        "a": (
+            "from __future__ import annotations\n\n"
+            "import math\nimport os\nimport xml.dom\n"
+            "from functools import partial, reduce\n"
+            "from .b import Error, helper\n"
+            "from .c import tool as kit\n\n"
+            "__all__ = ['helper']\n\n\n"
+            "def f(x):\n"
+            "    \"\"\"Raises `Error` through `reduce`.\"\"\"\n"
+            "    return partial(math.floor, x), xml.dom, x.kit\n"
+        ),
+    }
+    # a docstring mention or an attribute of the same name is no use
+    assert unused_imports(sources) == ["a.Error", "a.kit", "a.os", "a.reduce"]
 
 
 def _callee(func):

@@ -49,7 +49,7 @@ def canonical_fiber_map(canonical_space):
 
 @pytest.fixture(scope="module")
 def dressing_action(dressing, so3_splitting):
-    _, rho_x = nm.make_quasi_pi_field(dressing, so3_splitting.j)
+    _, rho_x, _ = nm.make_quasi_pi_field(dressing, so3_splitting.j)
     return rho_x
 
 
