@@ -43,6 +43,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _positive_float(text):
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -87,7 +94,7 @@ def build_parser():
     v.add_argument("name")
     defaults = verify.DEFAULTS
     v.add_argument("--samples", type=_positive_int, default=defaults["samples"])
-    v.add_argument("--seed", type=int, default=defaults["seed"])
+    v.add_argument("--seed", type=_nonnegative_int, default=defaults["seed"])
     v.add_argument("--tol", type=_positive_float, default=defaults["tol"])
     v.add_argument("--fd-step", type=_positive_float, default=defaults["step"], dest="fd_step")
 

@@ -32,7 +32,9 @@ def canonicalize(rows, ambient_dim):
     """Span of ``rows``, each of length ``ambient_dim``, as a canonical
     `Subspace`; no rows give the zero subspace of that space."""
     rows = rat.matrix(rows)
-    if rows and len(rows[0]) != ambient_dim:
+    if not rows:
+        return Subspace(ambient_dim, (), ())
+    if len(rows[0]) != ambient_dim:
         raise ValueError(f"rows have width {len(rows[0])}, ambient is {ambient_dim}")
     basis, pivots = rat.rref(rows)
     return Subspace(ambient_dim, basis, pivots)

@@ -340,8 +340,8 @@ def kernel(a, ncols=None):
             raise ValueError("kernel of an empty matrix needs ncols")
         return identity(ncols)
     red, pivots = rref(a)
-    rows, _ = rref(_null_rows(red, pivots, len(a[0])))
-    return rows
+    null = _null_rows(red, pivots, len(a[0]))
+    return rref(null)[0] if null else ()
 
 
 def solve_right(a, b):

@@ -35,9 +35,12 @@ DEFAULTS = {"samples": 50, "seed": 0, "tol": 1e-6, "step": 1e-4}
 
 
 def _flat_points(samples, seed, dim=3):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(samples, dim))
-    return tuple(pts)
+    """``samples`` points of the cube [-1, 1)^dim as row views of one
+    array: ``so3.uniform_stream`` read row by row, which is numpy's
+    ``default_rng(seed).uniform(-1, 1, (samples, dim))`` bit for bit (tier-1
+    pins it) without the 7-10 ms import of ``numpy.random``."""
+    stream = so3.uniform_stream(seed, -1.0, 1.0)
+    return tuple(np.fromiter(stream, float, samples * dim).reshape(samples, dim))
 
 
 def _dressing(samples, seed, step):

@@ -54,6 +54,26 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def reference_flat_points(samples, seed, dim=3):
+    """``verify._flat_points`` as it drew from ``numpy.random``."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(samples, dim))
+    return tuple(pts)
+
+
+def reference_sample_chart_points(count, seed):
+    """``so3.sample_chart_points`` as it drew from ``numpy.random``."""
+    radius = np.pi - 0.2
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < count:
+        p = rng.uniform(-radius, radius, size=3)
+        r = float(np.linalg.norm(p))
+        if 0.15 < r < radius:
+            pts.append(p)
+    return pts
+
+
 def random_fraction(rng, lo=-4, hi=5, den=4):
     return Fraction(int(rng.integers(lo, hi)), int(rng.integers(1, den)))
 

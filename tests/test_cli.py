@@ -414,6 +414,7 @@ BAD_ARGUMENTS = [
     # argparse rejects these before any example runs
     ("planar_symplectic_reduction", "--samples", "0", "argument --samples"),
     ("planar_symplectic_reduction", "--samples", "-3", "argument --samples"),
+    ("flat_twisted_axioms", "--seed", "-1", "argument --seed: must be at least 0, got -1"),
     ("planar_symplectic_reduction", "--fd-step", "0", "argument --fd-step"),
     ("planar_symplectic_reduction", "--tol", "inf", "argument --tol"),
     ("planar_symplectic_reduction", "--tol", "nan", "argument --tol"),
@@ -572,6 +573,28 @@ def test_module_entry_point_lists_examples():
         "rotation_quasi_poisson",
         "rotation_strong_section",
     ]
+
+
+def test_no_command_imports_numpy_random():
+    # the sample points come from so3.uniform_stream; importing numpy.random
+    # would cost every process 7-10 ms for a few hundred numbers
+    code = (
+        "import io, sys\n"
+        "from diracpairs import cli, verify\n"
+        "def run(*argv):\n"
+        "    assert cli.run(list(argv), out=io.StringIO(), err=io.StringIO()) == 0, argv\n"
+        "for name in verify.EXAMPLES:\n"
+        "    run('verify-example', name, '--samples', '2')\n"
+        f"run('check', {str(FIXTURES / 'registry-example.mp')!r})\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -54,6 +54,19 @@ def test_project_and_embed():
     assert e.contains_vector((0, 1, 2, 0, 3))
 
 
+def test_a_zero_intersection_reduces_no_empty_matrix(monkeypatch):
+    # transverse planes meet in zero: the kernel of the stacked bases has
+    # no free column, and neither it, the zero span nor its projection is
+    # handed to rref
+    rref, calls = rat.rref, []
+    monkeypatch.setattr(rat, "rref", lambda rows: calls.append(tuple(rows)) or rref(rows))
+    u = canonicalize([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
+    w = canonicalize([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
+    calls.clear()
+    assert u.intersection(w).project((0, 1, 2)) == Subspace(3, (), ()) == Subspace.zero(3)
+    assert len(calls) == 1 and calls[0]
+
+
 def test_orthogonal_complement_examples():
     form = SplitForm.diagonal((1, -1))
     line = canonicalize([[1, 1]], 2)
