@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from . import rational as rat
 from .exact_linear import (
@@ -106,47 +108,73 @@ class ExactIdentification:
     splitting is s = c - 1/2 rho_star B.  Then rho s = I - 1/2 (rho
     rho_star) B and s^T G s = 1/4 B (rho rho_star) B, so exactness makes
     ``s`` a right inverse with isotropic image.  Over a point the anchor is
-    empty and so are ``s``, ``s_star`` and ``rho_star``."""
+    empty and so are ``s``, ``s_star`` and ``rho_star``.
+
+    The anchor and the three legs are kept as integer rows over one
+    denominator in lowest terms, ``integer_rho`` and so on, which is what
+    the per-point freeze reads; ``rho``, ``s``, ``s_star`` and ``rho_star``
+    are their Fraction matrices, built on first read."""
 
     pair: ManinPairPoint
-    rho: tuple
-    s: tuple = field(init=False, repr=False, compare=False)
-    s_star: tuple = field(init=False, repr=False, compare=False)
-    rho_star: tuple = field(init=False, repr=False, compare=False)
+    integer_rho: tuple
+    integer_s: tuple = field(init=False, repr=False, compare=False)
+    integer_s_star: tuple = field(init=False, repr=False, compare=False)
+    integer_rho_star: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", rat.matrix(self.rho))
+        rows, d = rat.lowest_terms(*self.integer_rho)
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "integer_rho", (rows, d))
         # an empty anchor has width 0: over a point only the zero fiber is exact
-        if (len(self.rho[0]) if self.rho else 0) != self.pair.d.dim:
+        if (len(rows[0]) if rows else 0) != self.pair.d.dim:
             raise ValueError("anchor has wrong shape")
         form = self.pair.d.form
-        rho_t = rat.transpose(self.rho)
-        rho_star = rat.mat_mul(form.gram_inv, rho_t)
-        if not rat.is_zero_product(self.rho, rho_star):
+        rho_star = form.adjoint((rows, d))
+        if not rat.int_zero_pairing(rows, rat.transpose(rho_star[0])):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
+        # c = rho^T (rho rho^T)^-1 = d R^T (R R^T)^-1 for rho = R / d, and
+        # R R^T is symmetric, so c^T is d (R R^T)^-1 R: one solve
         try:
-            # rho rho^T is symmetric, so c is ((rho rho^T)^-1 rho)^T: one solve
-            c = rat.transpose(rat.solve_right(rat.mat_mul(self.rho, rho_t), self.rho))
+            sol, e = rat.int_solve([g + list(r) for g, r in zip(rat.int_mat_mul(rows, rat.transpose(rows)), rows)], len(rows))
         except ValueError:
             # rho rho^T has rho's rank, so it is singular exactly when rho is not onto
             raise ValueError(
-                f"anchor is not onto: rank {rat.rank(self.rho)} "
+                f"anchor is not onto: rank {len(rat.int_rref(rows)[0])} "
                 f"below the base dimension {self.base_dim}"
             ) from None
-        s = absorb_self_pairing(form, c, rho_star)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_star", rat.mat_mul(rat.transpose(s), form.gram))
-        object.__setattr__(self, "rho_star", rho_star)
+        c = rat.lowest_terms([[d * v for v in col] for col in zip(*sol)], e)
+        s_rows, ds = absorb_self_pairing(form, c, rho_star)
+        g, dg = form.integer_gram
+        s_star = rat.lowest_terms(rat.int_mat_mul(rat.transpose(s_rows), g), ds * dg)
+        object.__setattr__(self, "integer_s", (s_rows, ds))
+        object.__setattr__(self, "integer_s_star", s_star)
+        object.__setattr__(self, "integer_rho_star", rho_star)
 
     @property
     def base_dim(self):
-        return len(self.rho)
+        return len(self.integer_rho[0])
+
+    @cached_property
+    def rho(self):
+        return rat.fractions(*self.integer_rho)
+
+    @cached_property
+    def s(self):
+        return rat.fractions(*self.integer_s)
+
+    @cached_property
+    def s_star(self):
+        return rat.fractions(*self.integer_s_star)
+
+    @cached_property
+    def rho_star(self):
+        return rat.fractions(*self.integer_rho_star)
 
 
 def identification_from_anchor(pair, rho):
-    """Canonical splitting of an exact anchor: start from the Gram right
-    inverse and absorb half of its self pairing."""
-    return ExactIdentification(pair, rho)
+    """Canonical splitting of an exact rational anchor ``rho``: start from
+    the Gram right inverse and absorb half of its self pairing."""
+    return ExactIdentification(pair, rat.over_one_denominator(rat.matrix(rho)))
 
 
 def k_from_quasi(q, dJ=(), rho=(), realization=None):
@@ -219,13 +247,19 @@ def k_from_dirac(d, dJ, ident):
 def dirac_from_k(h, ident):
     """Lagrangian at a point out of a Hamiltonian fiber: keep the tangent
     and covector parts, adding the pulled-back base covector leg."""
-    t, n = h.t_dim, h.pair.d.dim
-    # (u, alpha, e) -> (u, alpha + dJ^T s_star e): one product with
-    # [[I, 0], [0, I], [0, s_star^T dJ]]; without a moment map the last block is 0
-    pull = rat.mat_mul(rat.transpose(ident.s_star), h.dJ) or rat.zeros(n, t)
-    rows = rat.mat_mul(
-        h.K.basis, rat.vstack(rat.identity(2 * t), rat.hstack(rat.zeros(n, t), pull))
-    )
+    t = h.t_dim
+    # (u, alpha, e) -> (u, alpha + dJ^T s_star e), on K's integer rows
+    # scaled by the denominator of the pulled-back leg s_star^T dJ; without
+    # a moment map that leg is 0
+    rows = [r[: 2 * t] for r in h.K.rows]
+    if h.dJ:
+        (star, ds), (dj, dd) = ident.integer_s_star, rat.over_one_denominator(h.dJ)
+        pull = rat.int_mat_mul(rat.transpose(star), dj)
+        lifts = rat.int_mat_mul([r[2 * t :] for r in h.K.rows], pull)
+        rows = [
+            [ds * dd * v for v in r[:t]] + [ds * dd * v + w for v, w in zip(r[t:], lift)]
+            for r, lift in zip(rows, lifts)
+        ]
     return DiracPointData(canonicalize(rows, 2 * t))
 
 
@@ -251,18 +285,24 @@ def _transport(l, f, forward):
     is injective on it because the basis of ``l`` is independent."""
     f = rat.matrix(f)
     m, qd = len(f), len(f[0]) if f else 0
-    f_t = rat.transpose(f)
+    # f = F / df over the integers; the system and the rows below are
+    # scaled by df, which keeps their kernels and spans
+    fi, df = rat.over_one_denominator(f)
+    fi_t = rat.transpose(fi)
     src, out = (qd, m) if forward else (m, qd)
     if l.ambient_dim != 2 * src:
         raise ValueError("Lagrangian has wrong ambient for the map")
-    tan = [row[:src] for row in l.basis]
-    cov = [row[src:] for row in l.basis]
-    # unknowns (v, c), v the read-out leg kept as it is: beta or u
-    lhs, given, carried, carry_map = (f_t, cov, tan, f_t) if forward else (f, tan, cov, f)
-    sols = rat.kernel(rat.hstack(lhs, rat.mat_neg(rat.transpose(given))), ncols=out + len(tan))
+    tan = [row[:src] for row in l.rows]
+    cov = [row[src:] for row in l.rows]
+    # unknowns (v, c), v the read-out leg kept as it is: beta or u; the
+    # read-out map's columns are the rows of ``cols``
+    lhs, given, carried, cols = (fi_t, cov, tan, fi) if forward else (fi, tan, cov, fi_t)
+    system = [list(lhs[i]) + [-df * g[i] for g in given] for i in range(src)]
+    sols = rat.int_kernel(system, out + len(tan))
     coeffs = [s[out:] for s in sols]
-    read = rat.mat_mul(coeffs, rat.mat_mul(carried, carry_map)) or rat.zeros(len(sols), out)
-    rows = [r + s[:out] if forward else s[:out] + r for r, s in zip(read, sols)]
+    read = [[sum(map(mul, w, col)) for col in cols] for w in rat.int_mat_mul(coeffs, carried)]
+    kept = [[df * v for v in s[:out]] for s in sols]
+    rows = [r + k if forward else k + r for r, k in zip(read, kept)]
     return canonicalize(rows, 2 * out)
 
 

@@ -1,9 +1,15 @@
 """Exact subspace calculus: split pairings, Lagrangian predicates, relations.
 
-`Subspace` stores the reduced-echelon basis of a rational subspace, which is
-unique, so equality of subspaces is equality of tuples.  Everything downstream
-(quadratic Lie algebras, morphism fibers, the fiberwise dictionary) trades in
-these values.
+`Subspace` stores the primitive integer rows of the reduced-echelon basis
+of a rational subspace, each with a positive pivot (`rational.int_rref`).
+They are unique, so equality of subspaces is equality of tuples, and every
+operation on subspaces (membership, intersection, sum, projection,
+embedding, isotropy) runs on them in the integer kernel.  The Fraction
+basis, the rows divided by their pivots, is built on first read of
+``Subspace.basis``, for the readers that want rationals: scenes, JSON,
+printing and the Fraction-matrix algebra.  Everything downstream
+(quadratic Lie algebras, morphism fibers, the fiberwise dictionary) trades
+in these values.
 
 Conventions used package-wide:
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul
 
 from . import rational as rat
@@ -30,19 +37,22 @@ class SplitSignatureError(ValueError):
 
 def canonicalize(rows, ambient_dim):
     """Span of ``rows``, each of length ``ambient_dim``, as a canonical
-    `Subspace`; no rows give the zero subspace of that space."""
-    rows = rat.matrix(rows)
+    `Subspace`; no rows give the zero subspace of that space.  The rows are
+    rational; integer rows go to the kernel as they are."""
+    rows, _ = rat.over_one_denominator(rows)
     if not rows:
         return Subspace(ambient_dim, (), ())
-    if len(rows[0]) != ambient_dim:
-        raise ValueError(f"rows have width {len(rows[0])}, ambient is {ambient_dim}")
-    basis, pivots = rat.rref(rows)
-    return Subspace(ambient_dim, basis, pivots)
+    for r in rows:
+        if len(r) != ambient_dim:
+            raise ValueError(f"rows have width {len(r)}, ambient is {ambient_dim}")
+    return Subspace(ambient_dim, *rat.int_rref(rows))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Canonical reduced-echelon basis of a rational subspace.
+    """Canonical basis of a rational subspace: the primitive integer rows of
+    its reduced echelon form, each with a positive pivot, and the pivot
+    columns.
 
     Do not build directly; go through `canonicalize` (or the helpers below),
     which guarantee the canonical-form invariant that makes ``==`` decide
@@ -50,66 +60,77 @@ class Subspace:
     """
 
     ambient_dim: int
-    basis: tuple
+    rows: tuple
     pivots: tuple
 
     @staticmethod
     def zero(ambient_dim):
-        return canonicalize((), ambient_dim)
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim):
-        return canonicalize(rat.identity(ambient_dim), ambient_dim)
+        return canonicalize(rat.unit_rows(ambient_dim), ambient_dim)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
-    def contains_vector(self, v):
-        v = list(rat.vec(v))
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong length")
-        for row, p in zip(self.basis, self.pivots):
+    @cached_property
+    def basis(self):
+        """The reduced-echelon basis as Fraction rows, built on first read."""
+        return rat.over_pivots(self.rows)
+
+    def _holds(self, v):
+        """Whether the integer vector ``v`` lies in the span: each row
+        clears ``v``'s entry at its pivot, which no other row touches."""
+        for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                for j in range(self.ambient_dim):
-                    v[j] -= c * row[j]
-        return all(x == 0 for x in v)
+                g = gcd(row[p], c)
+                a, b = row[p] // g, c // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+        return not any(v)
+
+    def contains_vector(self, v):
+        v = rat.vec(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector has wrong length")
+        return self._holds(rat.over_one_denominator((v,))[0][0])
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return all(self.contains_vector(r) for r in other.basis)
+        return all(map(self._holds, other.rows))
 
     def intersection(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        if not self.basis or not other.basis:
+        if not self.rows or not other.rows:
             return Subspace.zero(self.ambient_dim)
         # Solve c . A - d . B = 0 over stacked coefficients (c, d); each
         # solution row recombines A into a vector of the intersection.
-        a_t = rat.transpose(self.basis)
-        b_t = rat.transpose(other.basis)
-        coeffs = rat.kernel(rat.hstack(a_t, rat.mat_neg(b_t)))
-        rows = rat.mat_mul([c[: self.dim] for c in coeffs], self.basis)
+        stacked = [a + tuple(-x for x in b) for a, b in zip(zip(*self.rows), zip(*other.rows))]
+        coeffs = rat.int_kernel(stacked, self.dim + other.dim)
+        rows = rat.int_mat_mul([c[: self.dim] for c in coeffs], self.rows)
         return canonicalize(rows, self.ambient_dim)
 
     def __add__(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return canonicalize(self.basis + other.basis, self.ambient_dim)
+        return canonicalize(self.rows + other.rows, self.ambient_dim)
 
     def project(self, cols):
         """Image under the coordinate projection keeping ``cols`` (in order)."""
-        rows = [tuple(r[c] for c in cols) for r in self.basis]
+        cols = tuple(cols)
+        rows = [[r[c] for c in cols] for r in self.rows]
         return canonicalize(rows, len(cols))
 
     def embed(self, positions, ambient_dim):
         """Image under the coordinate inclusion sending axis i to
         ``positions[i]`` of a larger space."""
         rows = []
-        for r in self.basis:
-            v = [Fraction(0)] * ambient_dim
+        for r in self.rows:
+            v = [0] * ambient_dim
             for x, p in zip(r, positions):
                 v[p] = x
             rows.append(v)
@@ -220,6 +241,19 @@ class SplitForm:
         return rat.over_one_denominator(self.gram)
 
     @cached_property
+    def integer_gram_inv(self):
+        """`gram_inv` as ``(rows, d)``, computed on first use and read by
+        ``adjoint``."""
+        return rat.over_one_denominator(self.gram_inv)
+
+    def adjoint(self, anchor):
+        """``G^{-1} rho^T`` of an anchor ``rho`` given as integer rows over
+        one denominator, ``(rows, d)``, in the same form: the anchor's
+        adjoint through the pairing."""
+        (rows, d), (inv, dinv) = anchor, self.integer_gram_inv
+        return rat.lowest_terms(rat.int_mat_mul(inv, rat.transpose(rows)), dinv * d)
+
+    @cached_property
     def sparse_gram(self):
         """``sparse[i]`` lists the pairs ``(j, v)`` of the nonzero entries of
         row ``i`` of `integer_gram`, j increasing; computed on first use and
@@ -262,9 +296,9 @@ def _require_split(form):
 
 
 def is_isotropic(form, u):
-    """Whether the form vanishes on ``u``, decided on the nonzero entries
-    of the form's integer Gram."""
-    return rat.is_zero_congruence(u.basis, form.sparse_gram)
+    """Whether the form vanishes on ``u``, decided on ``u``'s integer rows
+    and the nonzero entries of the form's integer Gram."""
+    return rat.int_zero_congruence(u.rows, form.sparse_gram)
 
 
 def is_lagrangian(form, u):

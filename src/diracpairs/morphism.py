@@ -173,10 +173,12 @@ class HamiltonianFiber:
             raise ValueError("moment differential or anchor has wrong width")
         if not is_lagrangian(_sum_pairing(t, self.pair.d.form), self.K):
             raise ValueError("not Lagrangian for the sum pairing")
-        # dJ u = rho e on every row (u, alpha, e): [dJ | -rho] kills each (u, e)
-        readout = rat.hstack(self.dJ, rat.mat_neg(self.rho))
-        ue = [row[:t] + row[2 * t :] for row in self.K.basis]
-        if not rat.is_zero_product(readout, rat.transpose(ue)):
+        # dJ u = rho e on every row (u, alpha, e): [dJ | -rho] kills each
+        # (u, e), decided on integer rows over one denominator
+        both, _ = rat.over_one_denominator(rat.hstack(self.dJ, self.rho))
+        readout = [row[:t] + [-v for v in row[t:]] for row in both]
+        ue = [row[:t] + row[2 * t :] for row in self.K.rows]
+        if not rat.int_zero_pairing(readout, ue):
             raise ValueError("support condition fails: tangents do not match")
 
     @property
@@ -212,7 +214,7 @@ class HamiltonianFiber:
         t = self.t_dim
         rows = [
             row[:t] + tuple(-x for x in row[t : 2 * t]) + row[2 * t :]
-            for row in self.K.basis
+            for row in self.K.rows
         ]
         return MorphismFiber(
             abstract_double(t),

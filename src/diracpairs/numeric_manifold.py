@@ -334,7 +334,8 @@ class CourantNumeric:
     its Lagrangian half), when the bundle has one.  ``exact_anchor(x)``
     freezes the anchor at a point to a rational matrix with exactly zero
     coisotropy defect, rounding through ``rational.rationalize`` onto the
-    grid of multiples of 2^-52, each rounded entry within 2^-53."""
+    grid of multiples of 2^-52, each rounded entry within 2^-53, and
+    returns it as integer rows over one denominator, ``(rows, d)``."""
 
     chart: Chart
     rank: int
@@ -479,16 +480,24 @@ def rotation_double_anchor(x):
     return np.concatenate([-jinv, np.matmul(jinv, r)], axis=-1)
 
 
-def rotation_double_exact_anchor(x):
+def rotation_double_integer_anchor(x):
     """Rational anchor near the float one whose coisotropy defect vanishes
-    identically: the rotation block is frozen through the Cayley chart, so
-    orthogonality survives the rounding, and the Jacobian factor is a free
-    left multiplier.  Both round their entries onto the grid of multiples
-    of 2^-52, each within 2^-53."""
+    identically, as integer rows over one denominator, ``(rows, d)``: the
+    rotation block is frozen through the Cayley chart, so orthogonality
+    survives the rounding, and the Jacobian factor is a free left
+    multiplier.  Both round their entries onto the grid of multiples of
+    2^-52, each within 2^-53.  The anchor is ``[-jq | jq rq]``, over the
+    product of the two denominators."""
     x = np.asarray(x, dtype=float)
-    jq = so3.rationalize_matrix(so3.left_jacobian_inv(x))
-    rq = so3.rationalize_rotation(so3.exp_rotation(x))
-    return rat.hstack(rat.mat_neg(jq), rat.mat_mul(jq, rq))
+    jq, dj = rat.over_one_denominator(so3.rationalize_matrix(so3.left_jacobian_inv(x)))
+    rq, dr = so3.rationalize_rotation(so3.exp_rotation(x))
+    rows = [[-v * dr for v in j] + jr for j, jr in zip(jq, rat.int_mat_mul(jq, rq))]
+    return rows, dj * dr
+
+
+def rotation_double_exact_anchor(x):
+    """`rotation_double_integer_anchor` as a Fraction matrix."""
+    return rat.fractions(*rotation_double_integer_anchor(x))
 
 
 def make_dressing_courant(chart, h):
@@ -547,7 +556,7 @@ def make_dressing_courant(chart, h):
         gram=gram,
         anchor=anchor,
         bracket_at=bracket_at,
-        exact_anchor=rotation_double_exact_anchor,
+        exact_anchor=rotation_double_integer_anchor,
         pair=pair,
         step=h,
     )
@@ -820,8 +829,8 @@ class CanonicalSpace:
         if self.courant.exact_anchor is None:
             raise ValueError("bundle has no exact anchor to freeze")
         pair = self.courant.pair
-        rho_q = self.courant.exact_anchor(np.asarray(x, float))
-        return canonical_fiber(pair, rho_q, rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho_q)))
+        anchor = self.courant.exact_anchor(np.asarray(x, float))
+        return canonical_fiber(pair, anchor, pair.d.form.adjoint(anchor))
 
     def generator_residuals(self, x):
         """Distances from the brackets of the fiber generators, the rows of
@@ -849,18 +858,20 @@ class CanonicalSpace:
         )
 
 
-def canonical_fiber(pair, rho, rho_star):
+def canonical_fiber(pair, anchor, adjoint):
     """The canonical Hamiltonian fiber K = {((rho(a), -beta), a + rho*
-    beta)} of an exact rational anchor ``rho`` with its adjoint ``rho_star``
+    beta)} of an exact rational anchor ``rho`` with its adjoint ``rho*``
     (G^{-1} rho^T, as ``ExactIdentification`` carries it), identity moment
-    map; ``HamiltonianFiber`` checks it is Lagrangian and supported."""
-    n, a = len(rho), pair.g.basis
-    rows = rat.vstack(
-        rat.hstack(rat.mat_mul(a, rat.transpose(rho)), rat.zeros(len(a), n), a),
-        rat.hstack(rat.zeros(n, n), rat.mat_neg(rat.identity(n)), rat.transpose(rho_star)),
-    )
-    k_space = canonicalize(rows, 2 * n + pair.d.dim)
-    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
+    map; ``HamiltonianFiber`` checks it is Lagrangian and supported.  Both
+    come as integer rows over one denominator, ``anchor = (R, d)`` and
+    ``adjoint = (S, e)``, and K is spanned by their rows scaled to integers:
+    [A R^T | 0 | d A] over [0 | -e I | S^T], A the half's integer rows."""
+    (r, d), (s, e) = anchor, adjoint
+    n, a = len(r), pair.g.rows
+    top = [ar + [0] * n + [d * v for v in row] for ar, row in zip(rat.int_mat_mul(a, rat.transpose(r)), a)]
+    bottom = [[0] * n + unit + list(col) for unit, col in zip(rat.unit_rows(n, -e), zip(*s))]
+    k_space = canonicalize(top + bottom, 2 * n + pair.d.dim)
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rat.fractions(r, d))
 
 
 def canonical_hamiltonian(c):
@@ -904,7 +915,8 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
             dj = rat.matrix(dj_q)
             included = forward_dirac(fiber, dj).contains(target)
             tangent = fiber.intersection(tangents).project(range(q))
-            transversal = rat.rank(rat.mat_mul(tangent.basis, rat.transpose(dj))) == tangent.dim
+            image = rat.int_mat_mul(tangent.rows, rat.transpose(rat.over_one_denominator(dj)[0]))
+            transversal = len(rat.int_rref(image)[0]) == tangent.dim
             res["inclusion"] = worse(res["inclusion"], 0.0 if included else 1.0)
             res["transversality"] = worse(res["transversality"], 0 if transversal else 1)
     if phi is not None:

@@ -1,25 +1,36 @@
 """Exact rational scalars and dense matrix helpers.
 
-Scalars are `fractions.Fraction` throughout.  Matrices are immutable tuples
-of row tuples, so they hash and compare structurally.  Floats are
-rejected unless they go through `rationalize`, the single explicit float
--> rational gate and the only code here that rounds.  It rounds onto the
-grid of multiples of 2^-52, each entry within 2^-53, so rounded entries
-share one power-of-two denominator and their products stop multiplying
-coprime denominators.
+Scalars are `fractions.Fraction` throughout the public matrix functions.
+Matrices are immutable tuples of row tuples, so they hash and compare
+structurally.  Floats are rejected unless they go through `rationalize`,
+the single explicit float -> rational gate and the only code here that
+rounds.  It rounds onto the grid of multiples of 2^-52, each entry within
+2^-53, so rounded entries share one power-of-two denominator and their
+products stop multiplying coprime denominators.
 
-Products are integer products: `mat_mul` and `mat_vec` scale each operand
-to integer rows over one common denominator (`over_one_denominator`),
-multiply and sum Python ints, and build one normalized Fraction per output
-entry.  `is_zero_product` decides whether a product of two factors
-vanishes on the same integer rows and builds no Fraction at all, and
-`is_zero_congruence` does so for ``B G B^T`` over the nonzero entries of
-``G`` (a form's cached sparse Gram).  An entry that is not an int or a
-Fraction (a float, a numpy scalar) raises `TypeError` in all of them, and
-factors whose inner dimensions disagree raise `ValueError` before any entry
-is read.  `mat_sub` likewise raises `ValueError` before reading an entry
-when the two operands differ in their number of rows or in the length of a
-row, and `vstack` and `block_diag` do when their rows would be ragged.
+The arithmetic itself runs on one integer kernel.  A matrix there is a pair
+``(rows, d)``: integer rows over one positive denominator, standing for
+``rows / d``, as `over_one_denominator` gives it; row reduction needs no
+denominator, as scaling a row keeps its span.  The kernel's functions are
+``int_*``: `int_mat_mul`, `int_rref` (the primitive integer rows of the
+reduced echelon form, each scaled to make its pivot positive, which is
+canonical), `int_kernel`, `int_solve`, and the zero tests `int_zero_pairing`
+and `int_zero_congruence`; `lowest_terms` keeps a pair short.  No Fraction
+is built in them.
+
+Fractions are built only at the boundary, by the Fraction-tuple functions
+that scenes, JSON, printing and tests read: `mat_mul`, `mat_vec`, `rref`,
+`kernel`, `solve_right`, `invert`, `rank` and `solve_linear` convert their
+arguments with `over_one_denominator`, run the kernel, and build one
+normalized Fraction per nonzero output entry (`fractions`).  The per-point
+freeze of the numeric tier stays in the kernel end to end, and its objects
+(`exact_linear.Subspace`, `dictionary.ExactIdentification`) build their
+Fraction views on first read.  `is_zero_product` decides on the same integer
+rows and builds no Fraction at all.  An entry that
+is not an int or a Fraction (a float, a numpy scalar) raises `TypeError` at
+the boundary, and factors whose inner dimensions disagree raise
+`ValueError` before any entry is read, as `vstack` and `block_diag` do
+when their rows would be ragged.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
@@ -30,8 +41,7 @@ takes any number of blocks and skips an empty one, ``()``.
 Row reduction is one integer Gauss-Jordan pass: rows are scaled to
 primitive integers, and at each pivot every other row with a nonzero entry
 in its column is cleared with gcd-reduced multipliers and made primitive
-again; rows with a zero there are skipped.  Only the output entries become
-Fractions, one ``Fraction(v, pivot)`` per nonzero entry.
+again; rows with a zero there are skipped.
 """
 
 from __future__ import annotations
@@ -114,10 +124,14 @@ def transpose(a):
 
 def over_one_denominator(a):
     """``(rows, d)`` with integer ``rows`` and positive ``d`` such that
-    ``a == rows / d`` entrywise, ``d`` being the lcm of the denominators.
-    Raises `TypeError` on an entry that is not an int or a Fraction."""
+    ``a == rows / d`` entrywise, ``d`` being the lcm of the denominators:
+    the way into the integer kernel.  Raises `TypeError` on an entry that
+    is not an int or a Fraction."""
+    rows = [tuple(row) for row in a]
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows], 1
     pairs = []
-    for row in map(tuple, a):
+    for row in rows:
         for x in row:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"exact kernel got a non-rational entry {x!r}")
@@ -126,7 +140,29 @@ def over_one_denominator(a):
     return [[p * (d // q) for p, q in row] for row in pairs], d
 
 
-def _int_mat_mul(a, b):
+def fractions(rows, d=1):
+    """The Fraction matrix ``rows / d`` of integer ``rows``: the way out of
+    the integer kernel, one normalized Fraction per nonzero entry."""
+    return tuple(tuple(Fraction(v, d) if v else _ZERO for v in row) for row in rows)
+
+
+def lowest_terms(rows, d):
+    """``(rows, d)`` divided by the gcd of ``d`` and every entry, so that
+    the pair is the unique one of its matrix with coprime entries."""
+    g = gcd(d, *chain.from_iterable(rows))
+    if g == 1:
+        return rows, d
+    return [[v // g for v in row] for row in rows], d // g
+
+
+def unit_rows(n, scale=1):
+    """The integer rows of ``scale`` times the n x n identity."""
+    return [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def int_mat_mul(a, b):
+    """The product of integer matrices ``a`` and ``b``; a pair's product
+    lies over the product of the two denominators."""
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
@@ -143,10 +179,7 @@ def mat_mul(a, b):
     _check_inner(a, b)
     ia, da = over_one_denominator(a)
     ib, db = over_one_denominator(b)
-    d = da * db
-    return tuple(
-        tuple(Fraction(v, d) if v else _ZERO for v in row) for row in _int_mat_mul(ia, ib)
-    )
+    return fractions(int_mat_mul(ia, ib), da * db)
 
 
 def mat_vec(a, v):
@@ -155,26 +188,17 @@ def mat_vec(a, v):
         _check_inner(a, v)
     ia, da = over_one_denominator(a)
     (iv,), dv = over_one_denominator((v,))
-    d = da * dv
-    sums = (sum(map(mul, row, iv)) for row in ia)
-    return tuple(Fraction(s, d) if s else _ZERO for s in sums)
-
-
-def mat_sub(a, b):
-    """``a - b``; raises `ValueError` before reading an entry unless the two
-    have the same rows of the same lengths."""
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        raise ValueError("matrices have different shapes")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    c = scalar(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    return fractions(([sum(map(mul, row, iv)) for row in ia],), da * dv)[0]
 
 
 def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
+
+
+def int_zero_pairing(rows, cols):
+    """Whether each integer row of ``rows`` has a zero dot product with each
+    of ``cols``, i.e. whether ``rows @ cols^T`` is the zero matrix."""
+    return not any(sum(map(mul, row, col)) for row in rows for col in cols)
 
 
 def is_zero_product(a, b):
@@ -188,30 +212,25 @@ def is_zero_product(a, b):
     """
     if a and b:
         _check_inner(a, b)
-    rows = _primitive_rows(a)
-    cols = _primitive_rows(transpose(b))
-    return not any(sum(map(mul, row, col)) for row in rows for col in cols)
+    return int_zero_pairing(_primitive_rows(a), _primitive_rows(transpose(b)))
 
 
-def is_zero_congruence(rows, gram):
-    """Whether ``rows @ G @ rows^T`` is the zero matrix, for an integer
-    ``G`` given by its nonzero entries (a Gram matrix over one denominator,
-    which the verdict does not see): ``gram[i]`` lists the pairs ``(j,
-    G[i][j])`` of row ``i``.  ``rows`` are scaled to primitive integers
-    once and serve as both outer factors.  Each row ``u`` meets only the
-    entries of ``G`` in the rows where ``u`` is nonzero, so ``u G`` costs
-    12 products on the sum pairing of T + T* + E, whose Gram has 12
-    nonzero entries out of 144.  Raises `TypeError` on an entry of ``rows``
-    that is not an int or a Fraction."""
-    prim = _primitive_rows(rows)
+def int_zero_congruence(rows, gram):
+    """Whether ``rows @ G @ rows^T`` is the zero matrix, for integer
+    ``rows`` and an integer ``G`` given by its nonzero entries (a Gram
+    matrix over one denominator, which the verdict does not see):
+    ``gram[i]`` lists the pairs ``(j, G[i][j])`` of row ``i``.  Each row
+    ``u`` meets only the entries of ``G`` in the rows where ``u`` is
+    nonzero, so ``u G`` costs 12 products on the sum pairing of T + T* + E,
+    whose Gram has 12 nonzero entries out of 144."""
     n = len(gram)
-    for u in prim:
+    for u in rows:
         left = [0] * n
         for x, entries in zip(u, gram):
             if x:
                 for j, g in entries:
                     left[j] += x * g
-        if any(left) and any(sum(map(mul, left, w)) for w in prim):
+        if any(left) and any(sum(map(mul, left, w)) for w in rows):
             return False
     return True
 
@@ -267,19 +286,19 @@ def _primitive_rows(rows):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form of the row span.
+def int_rref(rows):
+    """Reduced row echelon form of the span of integer ``rows``.
 
-    Returns ``(rows, pivots)``: the nonzero RREF rows as Fraction tuples and
-    the pivot column indices.  One Gauss-Jordan pass on primitive integer
-    rows: at each pivot every other row whose entry in the pivot column is
-    nonzero becomes ``a * row - b * pivot_row``, with ``b / a`` that entry
-    over the pivot in lowest terms, and is divided by the gcd of its
-    entries again.  Rows stay integer throughout, and each nonzero output
-    entry is then one ``Fraction(v, pivot)``; RREF is unique, hence
-    canonical.
+    Returns ``(rows, pivots)``: the nonzero RREF rows, each as the
+    primitive integer row with a positive pivot, and the pivot column
+    indices.  One Gauss-Jordan pass on primitive integer rows: at each
+    pivot every other row whose entry in the pivot column is nonzero
+    becomes ``a * row - b * pivot_row``, with ``b / a`` that entry over the
+    pivot in lowest terms, and is divided by the gcd of its entries again.
+    RREF is unique, and so is its primitive integer form with positive
+    pivots, hence canonical.
     """
-    work = [r for r in _primitive_rows(rows) if any(r)]
+    work = [r for r in map(_primitive, rows) if any(r)]
     if not work:
         return (), ()
     m, n = len(work), len(work[0])
@@ -306,28 +325,56 @@ def rref(rows):
             break
     return (
         tuple(
-            tuple(Fraction(v, row[c]) if v else _ZERO for v in row)
+            tuple(row) if row[c] > 0 else tuple(-v for v in row)
             for row, c in zip(work, piv_cols)
         ),
         tuple(piv_cols),
     )
 
 
-def _null_rows(red, pivots, n):
-    """One vector of ``{x : a @ x = 0}`` per free column of ``a``'s RREF
-    ``red`` (pivot columns ``pivots``, ``n`` columns): 1 at the free
-    column, minus that column of ``red`` at the pivots."""
+def rref(rows):
+    """Reduced row echelon form of the row span: `int_rref` of the rows
+    over one denominator, each row divided by its pivot.
+
+    Returns ``(rows, pivots)``: the nonzero RREF rows as Fraction tuples and
+    the pivot column indices; RREF is unique, hence canonical.
+    """
+    red, pivots = int_rref(over_one_denominator(rows)[0])
+    return over_pivots(red), pivots
+
+
+def over_pivots(red):
+    """Integer RREF rows as Fraction rows, each divided by its pivot, its
+    first nonzero entry."""
+    return tuple(fractions((row,), next(filter(None, row)))[0] for row in red)
+
+
+def _int_null_rows(red, pivots, n):
+    """One integer vector of ``{x : a @ x = 0}`` per free column ``f`` of
+    ``a``'s integer RREF ``red`` (pivot columns ``pivots``, ``n``
+    columns): ``L`` at ``f`` and ``-L`` times that column of the reduced
+    rows at the pivots, ``L`` the lcm of the pivots it meets."""
     pivot_set = set(pivots)
     rows = []
     for f in range(n):
         if f in pivot_set:
             continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        rows.append(tuple(v))
-    return tuple(rows)
+        hits = [(row, p) for row, p in zip(red, pivots) if row[f]]
+        scale = lcm(*(row[p] for row, p in hits))
+        v = [0] * n
+        v[f] = scale
+        for row, p in hits:
+            v[p] = -row[f] * (scale // row[p])
+        rows.append(v)
+    return rows
+
+
+def int_kernel(rows, ncols):
+    """Canonical rows of ``{x : rows @ x = 0}`` (as `int_rref` gives them)
+    for integer ``rows`` of ``ncols`` columns."""
+    red, pivots = int_rref(rows)
+    null = _int_null_rows(red, pivots, ncols)
+    return int_rref(null)[0] if null else ()
 
 
 def kernel(a, ncols=None):
@@ -339,19 +386,23 @@ def kernel(a, ncols=None):
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs ncols")
         return identity(ncols)
-    red, pivots = rref(a)
-    null = _null_rows(red, pivots, len(a[0]))
-    return rref(null)[0] if null else ()
+    return over_pivots(int_kernel(over_one_denominator(a)[0], len(a[0])))
+
+
+def int_solve(aug, n):
+    """``(x, d)`` with ``a @ (x / d) = b``, from the integer rows of the
+    augmented matrix ``[a | b]`` of a square invertible ``a`` of ``n``
+    rows; raises `ValueError` when ``a`` is singular."""
+    red, pivots = int_rref(aug)
+    if pivots[:n] != tuple(range(n)) or len(red) != n:
+        raise ValueError("matrix is singular")
+    d = lcm(*(row[i] for i, row in enumerate(red)))
+    return [[v * (d // row[i]) for v in row[n:]] for i, row in enumerate(red)], d
 
 
 def solve_right(a, b):
     """Solve ``a @ x = b`` for square invertible ``a`` (``b`` a matrix)."""
-    n = len(a)
-    aug = hstack(a, b)
-    red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(red) != n:
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in red)
+    return fractions(*int_solve(over_one_denominator(hstack(a, b))[0], len(a)))
 
 
 def invert(a):
@@ -361,7 +412,7 @@ def invert(a):
 def rank(a):
     if not a:
         return 0
-    return len(rref(a)[0])
+    return len(int_rref(over_one_denominator(a)[0])[0])
 
 
 def solve_linear(a, rhs, ncols=None):
@@ -381,7 +432,8 @@ def solve_linear(a, rhs, ncols=None):
             raise ValueError("solve with no equations needs ncols")
         return [(_ZERO,) * ncols for _ in rhs], identity(ncols)
     n = len(a[0])
-    red, pivots = rref(tuple(row + tuple(bs) for row, *bs in zip(a, *rhs)))
+    aug, _ = over_one_denominator(tuple(row + tuple(bs) for row, *bs in zip(a, *rhs)))
+    red, pivots = int_rref(aug)
     # rows past the pivots of ``a`` read 0 = b': nonzero means inconsistent
     k = sum(1 for p in pivots if p < n)
     parts = []
@@ -390,7 +442,10 @@ def solve_linear(a, rhs, ncols=None):
             parts.append(None)
             continue
         x = [_ZERO] * n
-        for i in range(k):
-            x[pivots[i]] = red[i][j]
+        for row, p in zip(red[:k], pivots):
+            if row[j]:
+                x[p] = Fraction(row[j], row[p])
         parts.append(tuple(x))
-    return parts, _null_rows(red, pivots[:k], n)
+    free = [f for f in range(n) if f not in pivots[:k]]
+    null = _int_null_rows(red, pivots[:k], n)
+    return parts, tuple(fractions((v,), v[f])[0] for v, f in zip(null, free))

@@ -26,7 +26,6 @@ matrix inversion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -88,7 +87,8 @@ def left_jacobian_inv(x):
 
 
 def rationalize_rotation(r):
-    """Exactly orthogonal rational matrix near the rotation ``r``.
+    """Exactly orthogonal rational matrix near the rotation ``r``, as
+    integer rows over one positive denominator, ``(rows, den)``.
 
     Round the Cayley preimage S (a skew matrix, kept exactly skew by
     mirroring the strict upper triangle) and map back; requires the rotation
@@ -111,17 +111,14 @@ def rationalize_rotation(r):
     a, b, c = (v.numerator * (d // v.denominator) for v in upper)
     t = ((0, a, b), (-a, 0, c), (-b, -c, 0))
     den = d * d + a * a + b * b + c * c
-    return tuple(
-        tuple(
-            Fraction(
-                (den if i == j else 0)
-                + 2 * (d * t[i][j] + sum(t[i][k] * t[k][j] for k in range(3))),
-                den,
-            )
+    rows = [
+        [
+            (den if i == j else 0) + 2 * (d * t[i][j] + sum(t[i][k] * t[k][j] for k in range(3)))
             for j in range(3)
-        )
+        ]
         for i in range(3)
-    )
+    ]
+    return rows, den
 
 
 def rationalize_matrix(m):

@@ -90,9 +90,18 @@ class IsotropicSplitting:
 def absorb_self_pairing(form, c, adjoint):
     """``c - 1/2 adjoint (c^T G c)``: the columns of ``c`` with half their
     self pairing absorbed through ``adjoint``.  The image is isotropic when
-    ``adjoint`` has isotropic image and ``adjoint^T G c`` is the identity."""
-    b = rat.mat_mul(rat.mat_mul(rat.transpose(c), form.gram), c)
-    return rat.mat_sub(c, rat.mat_scale(Fraction(1, 2), rat.mat_mul(adjoint, b)))
+    ``adjoint`` has isotropic image and ``adjoint^T G c`` is the identity.
+
+    ``c = C / dc``, ``adjoint = A / da`` and the result are integer rows
+    over one denominator: with G = H / dg, the result is
+    ``(2 da dc dg C - A C^T H C) / (2 da dc^2 dg)``, in lowest terms."""
+    (cr, dc), (ar, da) = c, adjoint
+    h, dg = form.integer_gram
+    ab = rat.int_mat_mul(ar, rat.int_mat_mul(rat.int_mat_mul(rat.transpose(cr), h), cr))
+    k = 2 * da * dc * dg
+    return rat.lowest_terms(
+        [[k * x - y for x, y in zip(row, sub)] for row, sub in zip(cr, ab)], k * dc
+    )
 
 
 def make_isotropic_splitting(pair):
@@ -112,8 +121,12 @@ def make_isotropic_splitting(pair):
     # normalize: rows c_k with <c_k, a_i> = delta_{ki}; row c of G A^T pairs e_c with the half
     m = rat.mat_mul([d.form.gram[c] for c in free], rat.transpose(a_rows))
     c_rows = rat.mat_mul(rat.invert(m), [eye[c] for c in free])
-    j = absorb_self_pairing(d.form, rat.transpose(c_rows), rat.transpose(a_rows))
-    return IsotropicSplitting(pair, j)
+    j = absorb_self_pairing(
+        d.form,
+        rat.over_one_denominator(rat.transpose(c_rows)),
+        rat.over_one_denominator(rat.transpose(a_rows)),
+    )
+    return IsotropicSplitting(pair, rat.fractions(*j))
 
 
 @dataclass(frozen=True)

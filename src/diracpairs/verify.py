@@ -97,11 +97,13 @@ def rotation_strong_section(samples, seed, tol, step):
 
     def exact_fibers(x):
         # one anchor adjoint per point: the frozen fiber reuses the identification's
-        ident = dc.identification_from_anchor(pair, cd.exact_anchor(x))
-        hf = nm.canonical_fiber(pair, ident.rho, ident.rho_star)
+        ident = dc.ExactIdentification(pair, cd.exact_anchor(x))
+        hf = nm.canonical_fiber(pair, ident.integer_rho, ident.integer_rho_star)
         lx = dc.dirac_from_k(hf, ident).L
-        # each half vector a read out as (rho a, s_star a)
-        ls_rows = rat.mat_mul(pair.g.basis, rat.transpose(rat.vstack(ident.rho, ident.s_star)))
+        # each half vector a read out as (rho a, s_star a), scaled to integers
+        (rho, d), (star, ds) = ident.integer_rho, ident.integer_s_star
+        legs = (rat.int_mat_mul(pair.g.rows, rat.transpose(m)) for m in (rho, star))
+        ls_rows = [[ds * v for v in ra] + [d * v for v in sa] for ra, sa in zip(*legs)]
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 
     fibers, frozen = _freeze(pts, exact_fibers)

@@ -132,7 +132,7 @@ def cayley_rotation(rng, den=4):
     """Exact rational orthogonal 3x3 matrix with determinant one."""
     s = random_antisymmetric(rng, 3)
     i3 = rat.identity(3)
-    return rat.mat_mul(rat.mat_sub(i3, s), rat.invert(add_tensors(i3, s)))
+    return rat.mat_mul(add_tensors(i3, rat.mat_neg(s)), rat.invert(add_tensors(i3, s)))
 
 
 def rotation_cayley_ident(rng):
@@ -974,7 +974,7 @@ def reference_rationalize_rotation(r):
             q[j][i] = -v
     sq = rat.matrix(q)
     eye = rat.identity(3)
-    return rat.mat_mul(rat.invert(rat.mat_sub(eye, sq)), add_tensors(eye, sq))
+    return rat.mat_mul(rat.invert(add_tensors(eye, rat.mat_neg(sq))), add_tensors(eye, sq))
 
 
 def reference_bracket(d, u, v):

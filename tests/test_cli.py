@@ -454,12 +454,13 @@ def test_help_goes_to_the_given_output_stream(capsys):
 def test_a_broken_frozen_fiber_fails_its_check(monkeypatch, name, message):
     # doubling the first three columns of every exact anchor row breaks the
     # geometry of each frozen fiber, not the example's arguments
-    exact = nm.rotation_double_exact_anchor
+    exact = nm.rotation_double_integer_anchor
 
     def broken(x):
-        return tuple(tuple(2 * v if k < 3 else v for k, v in enumerate(row)) for row in exact(x))
+        rows, d = exact(x)
+        return [[2 * v if k < 3 else v for k, v in enumerate(row)] for row in rows], d
 
-    monkeypatch.setattr(nm, "rotation_double_exact_anchor", broken)
+    monkeypatch.setattr(nm, "rotation_double_integer_anchor", broken)
     code, out, err = run_cli("verify-example", name, "--samples", "2", "--json")
     assert (code, err) == (1, "")
     (check,) = json.loads(out)["checks"]

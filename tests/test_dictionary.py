@@ -161,7 +161,7 @@ def test_block_builders_match_their_row_by_row_references():
     idents.append(helpers.rotation_cayley_ident(rng))
     pulled_back = (dirac_from_k, helpers.reference_dirac_from_k)
     for ident in idents + [helpers.abstract_ident(0)]:
-        got = nm.canonical_fiber(ident.pair, ident.rho, ident.rho_star)
+        got = nm.canonical_fiber(ident.pair, ident.integer_rho, ident.integer_rho_star)
         assert got.K == helpers.reference_canonical_fiber(ident.pair, ident.rho, ident.rho_star).K
     for _ in range(6):
         for t in range(4):
@@ -461,12 +461,10 @@ def frozen_rotation_lagrangians(count=20, seed=0):
     sample points: the canonical fiber of each frozen anchor, read back
     through the anchor's identification."""
     pair = catalog()["so3-double"]
-    pts = so3.sample_chart_points(count, seed)
-    cd = nm.make_dressing_courant(nm.Chart(3, tuple(pts)), h=helpers.STEP)
     out = []
-    for x in pts:
-        ident = identification_from_anchor(pair, cd.exact_anchor(np.asarray(x, float)))
-        hf = nm.canonical_fiber(pair, ident.rho, ident.rho_star)
+    for x in so3.sample_chart_points(count, seed):
+        ident = identification_from_anchor(pair, nm.rotation_double_exact_anchor(x))
+        hf = nm.canonical_fiber(pair, ident.integer_rho, ident.integer_rho_star)
         out.append(dirac_from_k(hf, ident).L)
     return out
 

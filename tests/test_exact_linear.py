@@ -57,9 +57,9 @@ def test_project_and_embed():
 def test_a_zero_intersection_reduces_no_empty_matrix(monkeypatch):
     # transverse planes meet in zero: the kernel of the stacked bases has
     # no free column, and neither it, the zero span nor its projection is
-    # handed to rref
-    rref, calls = rat.rref, []
-    monkeypatch.setattr(rat, "rref", lambda rows: calls.append(tuple(rows)) or rref(rows))
+    # handed to the integer row reduction
+    rref, calls = rat.int_rref, []
+    monkeypatch.setattr(rat, "int_rref", lambda rows: calls.append(tuple(rows)) or rref(rows))
     u = canonicalize([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
     w = canonicalize([[0, 0, 1, 0], [0, 0, 0, 1]], 4)
     calls.clear()

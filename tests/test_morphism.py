@@ -184,13 +184,13 @@ def test_morphism_criteria_agree_on_random_relations(seed):
 def test_tangent_lifts_reduce_the_fiber_constraint_once(monkeypatch, canonical_space, so3_points):
     h = canonical_space.frozen_fiber(np.asarray(so3_points[0], float))
     calls = []
-    rref = rat.rref
+    int_rref = rat.int_rref
 
     def counted(rows):
         calls.append(len(rows))
-        return rref(rows)
+        return int_rref(rows)
 
-    monkeypatch.setattr(rat, "rref", counted)
+    monkeypatch.setattr(rat, "int_rref", counted)
     action = extract_action(h)
     # 9 when each of the three basis vectors of the half reduced the
     # constraint with its right-hand side and recomputed its kernel twice

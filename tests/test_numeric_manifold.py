@@ -19,7 +19,7 @@ from diracpairs.dictionary import (
     forward_dirac,
     identification_from_anchor,
 )
-from diracpairs.exact_linear import canonicalize
+from diracpairs.exact_linear import SplitForm, canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
 from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import derive_quasi_data, make_isotropic_splitting
@@ -656,7 +656,7 @@ def test_the_closed_form_cayley_freeze_is_the_inverse_form():
     assert len(pts) >= 100
     for x in pts:
         r = so3.exp_rotation(x)
-        frozen = so3.rationalize_rotation(r)
+        frozen = rat.fractions(*so3.rationalize_rotation(r))
         assert frozen == helpers.reference_rationalize_rotation(r)
         assert rat.mat_mul(frozen, rat.transpose(frozen)) == rat.identity(3)
 
@@ -701,7 +701,7 @@ def test_the_frozen_rotation_anchor_is_the_one_point_anchor_frozen():
     for seed in (0, 1, 2):
         for x in so3.sample_chart_points(50, seed):
             jinv = so3.rationalize_matrix(helpers.reference_left_jacobian_inv(x))
-            rotation = so3.rationalize_rotation(helpers.reference_exp_rotation(x))
+            rotation = rat.fractions(*so3.rationalize_rotation(helpers.reference_exp_rotation(x)))
             want = rat.mat_mul(jinv, rat.hstack(rat.mat_neg(rat.identity(3)), rotation))
             assert nm.rotation_double_exact_anchor(x) == want
 
@@ -761,7 +761,7 @@ def test_strong_map_report_on_frozen_exact_fibers(
     field = nm.dirac_of_pair(dressing, so3_pair.g, s)
 
     def exact_fibers(x):
-        rho_q = dressing.exact_anchor(np.asarray(x, float))
+        rho_q = nm.rotation_double_exact_anchor(x)
         ident = identification_from_anchor(so3_pair, rho_q)
         lx = dirac_from_k(canonical_space.frozen_fiber(x), ident).L
         ls_rows = [
@@ -870,16 +870,16 @@ def test_the_pulled_twist_is_evaluated_once_per_point():
 
 
 def test_the_strong_section_takes_the_anchor_adjoint_once_per_point(monkeypatch, so3_pair):
-    gram_inv = so3_pair.d.form.gram_inv
+    form = so3_pair.d.form
     adjoints = []
-    mat_mul = rat.mat_mul
+    adjoint = SplitForm.adjoint
 
-    def counted(a, b):
-        if a is gram_inv:
-            adjoints.append(b)
-        return mat_mul(a, b)
+    def counted(self, anchor):
+        if self is form:
+            adjoints.append(anchor)
+        return adjoint(self, anchor)
 
-    monkeypatch.setattr(rat, "mat_mul", counted)
+    monkeypatch.setattr(SplitForm, "adjoint", counted)
     assert verify.run_example(
         "rotation_strong_section", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
     ).passed

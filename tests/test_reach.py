@@ -59,6 +59,14 @@ ALLOWED = {
     "dictionary.dirac_is_form_graph": _DICTIONARY,
     "dictionary.k_spans_tangents": _DICTIONARY,
     "dictionary.quasi_spans_tangents": _DICTIONARY,
+    "rational.rref": (
+        "the Fraction boundary of the integer row reduction, which the tests compare with "
+        "their references and the benchmark traces"
+    ),
+    "rational.kernel": "the Fraction boundary of the integer kernel, which the tests read",
+    "numeric_manifold.rotation_double_exact_anchor": (
+        "the Fraction form of the frozen anchor, which the frozen-rationals digest pins"
+    ),
 }
 
 # Optional parameters that no command passes but that stay, each with the
@@ -76,6 +84,7 @@ UNPASSED_ALLOWED = {
     "reduction.reduce_to_orbit.action_field": (
         "the tangency probe of the allowlisted reduction"
     ),
+    "rational.kernel.ncols": "the width of a kernel of no rows, for the allowlisted kernel",
 }
 
 # Optional parameters that every call passes but that stay optional, each
