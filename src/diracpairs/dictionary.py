@@ -350,14 +350,23 @@ def _enc_matrix(mat):
     return [[_enc_scalar(x) for x in row] for row in mat]
 
 
+def _dec_scalar(x):
+    """A record entry as a rational: an integer, or a string such as
+    '3/4'.  A float or a boolean is refused, as `rational.rationalize` is
+    the only place a float becomes a rational."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"{x!r} is not an integer or a string")
+    return Fraction(x)
+
+
 def _dec_matrix(rows):
     if isinstance(rows, str) or any(isinstance(row, str) for row in rows):
         raise TypeError("a matrix is a list of rows of entries, not a string")
-    return rat.matrix([[Fraction(x) for x in row] for row in rows])
+    return rat.matrix([[_dec_scalar(x) for x in row] for row in rows])
 
 
 def _dec_int(x):
-    v = Fraction(x)
+    v = _dec_scalar(x)
     if v.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")
     if v < 0:

@@ -26,7 +26,7 @@ matrix inversion.
 
 from __future__ import annotations
 
-from math import lcm
+import math
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def rationalize_rotation(r):
     r = np.asarray(r, dtype=float)
     s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T
     upper = [rat.rationalize(0.5 * (s[i, j] - s[j, i])) for i, j in ((0, 1), (0, 2), (1, 2))]
-    d = lcm(*(v.denominator for v in upper))
+    d = math.lcm(*(v.denominator for v in upper))
     a, b, c = (v.numerator * (d // v.denominator) for v in upper)
     t = ((0, a, b), (-a, 0, c), (-b, -c, 0))
     den = d * d + a * a + b * b + c * c
@@ -194,7 +194,8 @@ def sample_chart_points(count, seed):
     pts = []
     while len(pts) < count:
         p = np.fromiter(stream, float, 3)
-        r = float(np.linalg.norm(p))
+        # numpy's norm of a 1-D float vector is sqrt(x . x), bit for bit
+        r = math.sqrt(p.dot(p))
         if 0.15 < r < radius:
             pts.append(p)
     return pts

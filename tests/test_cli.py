@@ -326,6 +326,11 @@ MALFORMED_RECORDS = [
     ("dirac-to-qp", {"kind": "dirac", "t_dim": 1, "basis": [[float("inf"), 0]]}, "basis"),
     ("qp-to-dirac", {"kind": "quasi", "t_dim": 0, "a_dim": -1, "pi": [], "rho_x": []}, "a_dim"),
     ("dirac-to-qp", {"kind": "dirac", "t_dim": -1, "basis": []}, "t_dim"),
+    # a float or a boolean is no rational: rational.rationalize is the only float gate
+    ("qp-to-dirac", {"kind": "quasi", "t_dim": 2, "a_dim": 0, "pi": [["0", 0.1], [-0.1, "0"]], "rho_x": [[], []]}, "pi"),
+    ("dirac-to-qp", {"kind": "dirac", "t_dim": 1, "basis": [[True, "0"]]}, "basis"),
+    ("qp-to-dirac", {"kind": "quasi", "t_dim": 0, "a_dim": False, "pi": [], "rho_x": []}, "a_dim"),
+    ("dirac-to-qp", {"kind": "dirac", "t_dim": 1.0, "basis": [["1", "0"]]}, "t_dim"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -580,3 +581,93 @@ def test_a_non_isotropic_row_flips_the_zero_congruence(g, data):
     grown = rows + (v,)
     assert not triple_product_vanishes(grown, g)
     assert not zero_congruence(grown, g)
+
+
+# Denominators of the seeded matrices: small ones and ones near 10^9,
+# where a product of two already passes 60 bits.
+SEEDED_DENOMINATORS = (1, 2, 3, 12, 10**9 - 63, 10**9 + 7, 999999937)
+
+
+def seeded_entry(rng):
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-(10**9), 10**9), rng.choice(SEEDED_DENOMINATORS))
+
+
+def seeded_rational_matrices(rng, count=60):
+    """``()`` and ``count`` random rational matrices: plain ones, ones with
+    a zero row, ones whose every row leads with a negative entry, and wide
+    rank-deficient ones (rows past the first one or two are combinations)."""
+    out = [()]
+    kinds = ("plain", "zero row", "negative leads", "wide rank-deficient")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        if kind == "wide rank-deficient":
+            n = rng.randint(6, 9)
+            base = [[seeded_entry(rng) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            combos = [[seeded_entry(rng) for _ in base] for _ in range(rng.randint(1, 3))]
+            rows = base + [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)] for cs in combos]
+        else:
+            rows = [[seeded_entry(rng) for _ in range(n)] for _ in range(m)]
+        if kind == "zero row":
+            rows[rng.randrange(len(rows))] = [Fraction(0)] * n
+        if kind == "negative leads":
+            rows = [[-x for x in row] if next((x for x in row if x), 0) > 0 else row for row in rows]
+        out.append(tuple(map(tuple, rows)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_integer_kernel_matches_the_references(seed):
+    rng = random.Random(seed)
+    for a in seeded_rational_matrices(rng):
+        red, piv = rat.rref(a)
+        assert (red, piv) == helpers.reference_rref(a)
+        # the kernel's own form: primitive rows with positive pivots
+        ired, ipiv = rat.int_rref(rat.over_one_denominator(a)[0])
+        assert ipiv == piv and rat.over_pivots(ired) == red
+        for row, p in zip(ired, ipiv):
+            assert row[p] > 0 and math.gcd(*row) == 1
+        assert rat.rank(a) == len(red)
+        if not a:
+            assert red == rat.mat_mul(a, ((1,),)) == ()
+            continue
+        n = len(a[0])
+        null = rat.kernel(a)
+        assert len(null) == n - len(red) and null == helpers.reference_rref(null)[0]
+        assert all(x == 0 for row in naive_mat_mul(a, rat.transpose(null)) for x in row)
+        b = tuple(tuple(seeded_entry(rng) for _ in range(3)) for _ in range(n))
+        assert rat.mat_mul(a, b) == naive_mat_mul(a, b)
+        assert rat.mat_vec(a, rat.transpose(b)[0]) == rat.transpose(naive_mat_mul(a, b))[0]
+        if len(red) == n == len(a):
+            eye = rat.identity(n)
+            assert rat.invert(a) == tuple(row[n:] for row in naive_rref(rat.hstack(a, eye))[0])
+
+
+def test_the_freeze_builds_no_fraction_product(monkeypatch):
+    # the anchor, its identification, the canonical fiber and both strong
+    # section Lagrangians, and the exact part of the strong-map check, run
+    # on integer rows: no Fraction product, row reduction or negation
+    from diracpairs import numeric_manifold as nm
+    from diracpairs import verify
+
+    _, pts, cd = verify._dressing(3, 0, helpers.STEP)
+    can = nm.canonical_hamiltonian(cd)
+    check_strong_dirac = nm.check_strong_dirac
+
+    def exact_part(l_x, points, phi=None, *, h, tol, exact_fibers=None):
+        return check_strong_dirac(l_x, points, h=h, tol=tol, exact_fibers=exact_fibers)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the freeze built a Fraction matrix")
+
+    for name in ("mat_mul", "rref", "mat_neg"):
+        monkeypatch.setattr(rat, name, refuse)
+    monkeypatch.setattr(nm, "check_strong_dirac", exact_part)
+    for x in pts:
+        assert can.frozen_fiber(x).K.dim == 6
+    report = verify.run_example(
+        "rotation_strong_section", samples=3, seed=0, tol=helpers.TOL, step=helpers.STEP
+    )
+    assert report.passed and set(report.quantities) == {"inclusion", "transversality", "frozen_fiber"}
