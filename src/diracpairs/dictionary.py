@@ -134,8 +134,9 @@ class ExactIdentification:
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
         # c = rho^T (rho rho^T)^-1 = d R^T (R R^T)^-1 for rho = R / d, and
         # R R^T is symmetric, so c^T is d (R R^T)^-1 R: one solve
+        aug = [g + list(r) for g, r in zip(rat.int_mat_mul(rows, rat.transpose(rows)), rows)]
         try:
-            sol, e = rat.int_solve([g + list(r) for g, r in zip(rat.int_mat_mul(rows, rat.transpose(rows)), rows)], len(rows))
+            sol, e = rat.int_solve(aug, len(rows))
         except ValueError:
             # rho rho^T has rho's rank, so it is singular exactly when rho is not onto
             raise ValueError(

@@ -205,6 +205,16 @@ class SplitForm:
         if g != rat.transpose(g):
             raise ValueError("gram is not symmetric")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The dataclass hash, taken once: the per-point freeze looks a
+        form up in caches once per fiber, and the Gram's Fractions would
+        hash every time."""
+        return hash((self.dim, self.gram))
+
     @staticmethod
     @lru_cache(maxsize=32)
     def standard_double(n):

@@ -868,10 +868,12 @@ def canonical_fiber(pair, anchor, adjoint):
     [A R^T | 0 | d A] over [0 | -e I | S^T], A the half's integer rows."""
     (r, d), (s, e) = anchor, adjoint
     n, a = len(r), pair.g.rows
-    top = [ar + [0] * n + [d * v for v in row] for ar, row in zip(rat.int_mat_mul(a, rat.transpose(r)), a)]
+    images = rat.int_mat_mul(a, rat.transpose(r))
+    top = [ar + [0] * n + [d * v for v in row] for ar, row in zip(images, a)]
     bottom = [[0] * n + unit + list(col) for unit, col in zip(rat.unit_rows(n, -e), zip(*s))]
     k_space = canonicalize(top + bottom, 2 * n + pair.d.dim)
-    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rat.fractions(r, d))
+    rho = rat.fractions(r, d)
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
 
 
 def canonical_hamiltonian(c):
