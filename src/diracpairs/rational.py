@@ -140,7 +140,7 @@ def over_one_denominator(a):
     return [[p * (d // q) for p, q in row] for row in pairs], d
 
 
-def fractions(rows, d=1):
+def fractions(rows, d):
     """The Fraction matrix ``rows / d`` of integer ``rows``: the way out of
     the integer kernel, one normalized Fraction per nonzero entry."""
     return tuple(tuple(Fraction(v, d) if v else _ZERO for v in row) for row in rows)
