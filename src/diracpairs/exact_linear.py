@@ -121,7 +121,6 @@ class Subspace:
 
     def project(self, cols):
         """Image under the coordinate projection keeping ``cols`` (in order)."""
-        cols = tuple(cols)
         rows = [[r[c] for c in cols] for r in self.rows]
         return canonicalize(rows, len(cols))
 

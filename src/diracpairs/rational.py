@@ -25,12 +25,12 @@ arguments with `over_one_denominator`, run the kernel, and build one
 normalized Fraction per nonzero output entry (`fractions`).  The per-point
 freeze of the numeric tier stays in the kernel end to end, and its objects
 (`exact_linear.Subspace`, `dictionary.ExactIdentification`) build their
-Fraction views on first read.  `is_zero_product` decides on the same integer
-rows and builds no Fraction at all.  An entry that
-is not an int or a Fraction (a float, a numpy scalar) raises `TypeError` at
-the boundary, and factors whose inner dimensions disagree raise
-`ValueError` before any entry is read, as `vstack` and `block_diag` do
-when their rows would be ragged.
+Fraction views on first read.  `is_zero_product` decides on the same
+integer rows and builds no Fraction at all.  An entry that is not an int or
+a Fraction (a float, a numpy scalar) raises `TypeError` at the boundary,
+and factors whose inner dimensions disagree raise `ValueError` before any
+entry is read, as `vstack` and `block_diag` do when their rows would be
+ragged.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
