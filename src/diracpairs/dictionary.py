@@ -43,7 +43,7 @@ from .exact_linear import (
     is_graph_over_factor,
     is_lagrangian,
 )
-from .morphism import HamiltonianFiber, extract_action
+from .morphism import HamiltonianFiber, extract_action, integer_legs
 from .quadratic_lie import ManinPairPoint, abstract_double
 from .splitting import absorb_self_pairing, make_isotropic_splitting
 
@@ -196,7 +196,7 @@ def k_from_quasi(q, dJ=(), rho=(), realization=None):
         rat.hstack(q.Pi, rat.identity(t), rat.mat_neg(rat.mat_mul(q.rho_X, j_t))),
     )
     K = canonicalize(rows, 2 * t + pair.d.dim)
-    return HamiltonianFiber(t_dim=t, pair=pair, K=K, dJ=dJ, rho=rho)
+    return HamiltonianFiber(t_dim=t, pair=pair, K=K, legs=integer_legs(dJ, rho))
 
 
 def pi_from_k(h, splitting):
@@ -208,19 +208,28 @@ def pi_from_k(h, splitting):
     product of the bivector with alpha.  By linearity these elements span
     the composite of the Lagrangian with the dual image, which is the graph
     of the bivector.
+
+    The half component of e = A^T a + j xi is a = j^T G e: the half A is
+    Lagrangian, j is isotropic and j^T G A^T = I, so j^T G is the half's
+    block of the inverse split frame.  The constraint is solved on the
+    integer rows of K, scaled by the denominator of j^T G, and reads no
+    Fraction basis.
     """
     t, r = h.t_dim, h.pair.g.dim
     rho_x = extract_action(h)
 
-    a_part = rat.invert(splitting.frame())[:r]
+    a_part, da = rat.over_one_denominator(
+        rat.mat_mul(rat.transpose(splitting.j), splitting.pair.d.form.gram)
+    )
     bt = h.coordinates
-    constraint = bt[t : 2 * t] + rat.mat_mul(a_part, bt[2 * t :])
-    pi = h.tangent_lift(
-        constraint,
-        rat.hstack(rat.identity(t), rat.zeros(t, r)),
+    covectors = [[da * v for v in row] for row in bt[t : 2 * t]]
+    lifts = h.tangent_lift(
+        covectors + rat.int_mat_mul(a_part, bt[2 * t :]),
+        [unit + [0] * r for unit in rat.unit_rows(t, da)],
         "no fiber element over this covector",
         "bivector element is not unique: invalid fiber",
     )
+    pi = [rat.fractions((u,), d)[0] for u, d in lifts]
     return QuasiPoissonPointData(t_dim=t, a_dim=r, Pi=pi, rho_X=rho_x)
 
 
@@ -236,13 +245,14 @@ def k_from_dirac(d, dJ, ident):
             raise ValueError("moment differential has wrong shape")
     elif s_dim:
         raise ValueError("moment differential has wrong shape")
-    tangents = [row[:t] for row in d.L.basis]
+    # L's integer rows span it as its basis does
+    tangents = [row[:t] for row in d.L.rows]
     rows = rat.vstack(
-        rat.hstack(d.L.basis, rat.mat_mul(tangents, rat.transpose(rat.mat_mul(ident.s, dJ)))),
+        rat.hstack(d.L.rows, rat.mat_mul(tangents, rat.transpose(rat.mat_mul(ident.s, dJ)))),
         rat.hstack(rat.zeros(s_dim, t), rat.mat_neg(dJ), rat.transpose(ident.rho_star)),
     )
     K = canonicalize(rows, 2 * t + ident.pair.d.dim)
-    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, dJ=dJ, rho=ident.rho)
+    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, legs=integer_legs(dJ, ident.rho))
 
 
 def dirac_from_k(h, ident):
@@ -253,8 +263,8 @@ def dirac_from_k(h, ident):
     # scaled by the denominator of the pulled-back leg s_star^T dJ; without
     # a moment map that leg is 0
     rows = [r[: 2 * t] for r in h.K.rows]
-    if h.dJ:
-        (star, ds), (dj, dd) = ident.integer_s_star, rat.over_one_denominator(h.dJ)
+    if h.legs[0]:
+        (star, ds), (dj, dd) = ident.integer_s_star, h.integer_dJ
         pull = rat.int_mat_mul(rat.transpose(star), dj)
         lifts = rat.int_mat_mul([r[2 * t :] for r in h.K.rows], pull)
         rows = [
@@ -283,12 +293,15 @@ def _transport(l, f, forward):
     parts: forward solves f^T beta = L_cov^T c and reads out
     (f L_tan^T c, beta); backward solves f u = L_tan^T c and reads out
     (u, f^T L_cov^T c).  Each solution space is one kernel, and the readout
-    is injective on it because the basis of ``l`` is independent."""
-    f = rat.matrix(f)
-    m, qd = len(f), len(f[0]) if f else 0
+    is injective on it because the basis of ``l`` is independent.  ``f``
+    is a matrix of ints and Fractions, read into the integer kernel as it
+    is."""
     # f = F / df over the integers; the system and the rows below are
     # scaled by df, which keeps their kernels and spans
     fi, df = rat.over_one_denominator(f)
+    m, qd = len(fi), len(fi[0]) if fi else 0
+    if any(len(row) != qd for row in fi):
+        raise ValueError("ragged rows")
     fi_t = rat.transpose(fi)
     src, out = (qd, m) if forward else (m, qd)
     if l.ambient_dim != 2 * src:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import rational as rat
 from .exact_linear import (
@@ -144,39 +145,52 @@ def _sum_pairing(t, form):
     return SplitForm.standard_double(t).direct_sum(form)
 
 
+def integer_legs(dJ, rho):
+    """``[dJ | rho]`` of a moment differential and an anchor given as
+    matrices of ints and Fractions, as the integer pair ``(rows, d)`` that
+    a `HamiltonianFiber` keeps: the way Fraction legs enter it.  The two
+    must have one row per base direction."""
+    dJ, rho = rat.matrix(dJ), rat.matrix(rho)
+    if len(dJ) != len(rho):
+        raise ValueError("moment differential and anchor disagree on the base")
+    return rat.over_one_denominator([a + b for a, b in zip(dJ, rho)])
+
+
 @dataclass(frozen=True)
 class HamiltonianFiber:
     """Pointwise Hamiltonian data: a Lagrangian in (T + T*) + E for the sum
     pairing, a moment differential into the base of the pair bundle, and the
     fiber anchor used by the support condition.
 
-    ``dJ`` has one row per base direction (possibly none) and ``rho`` maps
-    the pair fiber to the same base directions; the support condition says
-    the two readouts agree on every element of the Lagrangian.
+    ``legs`` is ``[dJ | rho]`` as integer rows over one positive
+    denominator, ``(rows, d)``, kept in lowest terms: ``dJ`` has one row per
+    base direction (possibly none) and ``rho`` maps the pair fiber to the
+    same base directions; the support condition says the two readouts agree
+    on every element of the Lagrangian.  The support check and
+    ``dictionary.dirac_from_k`` read the integer rows; ``dJ`` and ``rho``
+    are their Fraction matrices, built on first read.  Callers holding
+    Fraction legs convert them once, through `integer_legs`.
     """
 
     t_dim: int
     pair: ManinPairPoint
     K: Subspace
-    dJ: tuple = ()
-    rho: tuple = ()
+    legs: tuple = ((), 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "dJ", rat.matrix(self.dJ))
-        object.__setattr__(self, "rho", rat.matrix(self.rho))
+        rows, d = rat.lowest_terms(*self.legs)
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "legs", (rows, d))
         t, n = self.t_dim, self.pair.d.dim
         if self.K.ambient_dim != 2 * t + n:
             raise ValueError("Lagrangian lives in the wrong ambient space")
-        if len(self.dJ) != len(self.rho):
-            raise ValueError("moment differential and anchor disagree on the base")
-        if self.dJ and (len(self.dJ[0]) != t or len(self.rho[0]) != n):
+        if any(len(row) != t + n for row in rows):
             raise ValueError("moment differential or anchor has wrong width")
         if not is_lagrangian(_sum_pairing(t, self.pair.d.form), self.K):
             raise ValueError("not Lagrangian for the sum pairing")
         # dJ u = rho e on every row (u, alpha, e): [dJ | -rho] kills each
-        # (u, e), decided on integer rows over one denominator
-        both, _ = rat.over_one_denominator(rat.hstack(self.dJ, self.rho))
-        readout = [row[:t] + [-v for v in row[t:]] for row in both]
+        # (u, e), decided on the integer rows
+        readout = [row[:t] + tuple(-v for v in row[t:]) for row in rows]
         ue = [row[:t] + row[2 * t :] for row in self.K.rows]
         if not rat.int_zero_pairing(readout, ue):
             raise ValueError("support condition fails: tangents do not match")
@@ -186,27 +200,49 @@ class HamiltonianFiber:
         return 2 * self.t_dim + self.pair.d.dim
 
     @cached_property
+    def integer_dJ(self):
+        """``dJ`` as integer rows over one denominator, in lowest terms."""
+        rows, d = self.legs
+        return rat.lowest_terms([row[: self.t_dim] for row in rows], d)
+
+    @cached_property
+    def dJ(self):
+        return rat.fractions(*self.integer_dJ)
+
+    @cached_property
+    def rho(self):
+        rows, d = self.legs
+        return rat.fractions([row[self.t_dim :] for row in rows], d)
+
+    @cached_property
     def coordinates(self):
-        """``K.basis`` transposed: one row per ambient coordinate, one
-        column per basis vector of ``K``."""
-        return rat.transpose(self.K.basis)
+        """``K.rows`` transposed: one integer row per ambient coordinate,
+        one column per row of ``K``."""
+        return rat.transpose(self.K.rows)
 
     def tangent_lift(self, constraint, rhs, missing, ambiguous):
         """Tangent parts of the elements of ``K`` whose coordinates ``c`` in
-        its basis solve ``constraint c = b``, one for each ``b`` of ``rhs``,
-        from one row reduction of the constraint.  Raises ValueError with
-        the text ``missing`` at the first ``b`` that no element solves, and
-        ``ambiguous`` at the first that one does when solutions differ in
-        their tangent part."""
-        parts, null = rat.solve_linear(constraint, rhs, ncols=self.K.dim)
+        its integer rows ``K.rows`` solve ``constraint c = b``, one for each
+        ``b`` of ``rhs``, as integer vectors over one positive denominator,
+        ``(u, d)``, from one row reduction of the constraint beside every
+        ``b`` in the integer kernel.  ``constraint`` and ``rhs`` hold ints
+        and Fractions.  Raises ValueError with the text ``missing`` at the
+        first ``b`` that no element solves, and ``ambiguous`` at the first
+        that one does when solutions differ in their tangent part.
+
+        A basis vector of ``K`` is its integer row over the row's pivot, so
+        coordinates in the rows and in the basis differ by those pivots
+        alone: the same elements solve, with the same tangent parts."""
+        aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(constraint)]
+        parts, null = rat.int_solve_linear(rat.over_one_denominator(aug)[0], self.K.dim, len(rhs))
         tangent = self.coordinates[: self.t_dim]
-        unique = rat.is_zero_product(tangent, rat.transpose(null))
+        unique = rat.int_zero_pairing(null, tangent)
         for part in parts:
             if part is None:
                 raise ValueError(missing)
             if not unique:
                 raise ValueError(ambiguous)
-        return [rat.mat_vec(tangent, part) for part in parts]
+        return [([sum(map(mul, x, col)) for col in tangent], d) for x, d in parts]
 
     def morphism_fiber(self):
         """Underlying morphism from the abelian double of T, in the
@@ -240,13 +276,15 @@ def check_hamiltonian_fiber(h):
 def extract_action(h):
     """Matrix of the induced action of the pair's half on tangents: for each
     basis vector a of the half, the unique tangent u with ((u, 0), a) in the
-    Lagrangian."""
-    t = h.t_dim
-    constraint = h.coordinates[t:]
+    Lagrangian.  Solved for the half's integer rows, each its basis vector
+    times its pivot, so each lift is divided by that pivot."""
+    t, g = h.t_dim, h.pair.g
     columns = h.tangent_lift(
-        constraint,
-        rat.hstack(rat.zeros(h.pair.g.dim, t), h.pair.g.basis),
+        h.coordinates[t:],
+        [(0,) * t + row for row in g.rows],
         "no tangent lift: fiber violates transversality",
         "tangent lift is not unique",
     )
-    return rat.transpose(columns)
+    return rat.transpose(
+        [rat.fractions((u,), d * row[p])[0] for (u, d), row, p in zip(columns, g.rows, g.pivots)]
+    )

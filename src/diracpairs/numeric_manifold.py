@@ -16,7 +16,8 @@ Every field here takes a point ``(n,)`` or a stack of points ``(..., n)``,
 each stacked value the single-point one bit for bit: sections
 (``SectionField.fn``), anchors, twists, splittings, Dirac frames, the
 bivector and its action.  The rotation double's anchor is stacked too, down
-to ``so3``'s exponential chart.  An anchor, frame, splitting or twist that
+to ``so3``'s exponential chart, and so is its exact anchor, which a freeze
+calls once on all its points.  An anchor, frame, splitting or twist that
 several sections or pairs read is shared by the stack (``_shared``), so it
 is computed once per stack; the rotation double's anchor, read at a check's
 points and at their stencils, is shared by the point as well
@@ -332,10 +333,14 @@ class CourantNumeric:
 
     ``pair`` is the Manin pair every fiber carries (the fiber algebra with
     its Lagrangian half), when the bundle has one.  ``exact_anchor(x)``
-    freezes the anchor at a point to a rational matrix with exactly zero
-    coisotropy defect, rounding through ``rational.rationalize`` onto the
-    grid of multiples of 2^-52, each rounded entry within 2^-53, and
-    returns it as integer rows over one denominator, ``(rows, d)``."""
+    freezes the anchor at a point ``(n,)`` to a rational matrix with
+    exactly zero coisotropy defect, rounding through
+    ``rational.rationalize_rows`` onto the grid of multiples of 2^-52, each
+    rounded entry within 2^-53, and returns it as integer rows over one
+    denominator, ``(rows, d)``.  At a stack of points ``(P, n)`` it returns
+    the list of the ``P`` pairs, each the single-point one, from one pass
+    of stacked float fields, so a freeze makes one call for all its
+    points."""
 
     chart: Chart
     rank: int
@@ -482,17 +487,27 @@ def rotation_double_anchor(x):
 
 def rotation_double_integer_anchor(x):
     """Rational anchor near the float one whose coisotropy defect vanishes
-    identically, as integer rows over one denominator, ``(rows, d)``: the
-    rotation block is frozen through the Cayley chart, so orthogonality
+    identically, as integer rows over one denominator, ``(rows, d)``, at a
+    point ``(3,)``; at a stack of points ``(P, 3)``, the list of their ``P``
+    pairs, each the single-point one.
+
+    The rotation block is frozen through the Cayley chart, so orthogonality
     survives the rounding, and the Jacobian factor is a free left
     multiplier.  Both round their entries onto the grid of multiples of
-    2^-52, each within 2^-53.  The anchor is ``[-jq | jq rq]``, over the
-    product of the two denominators."""
+    2^-52, each within 2^-53, straight into integers
+    (``rational.rationalize_rows``).  The anchor is ``[-jq | jq rq]``, over
+    the product of the two denominators.  A stack takes one stacked
+    ``left_jacobian_inv``, one stacked ``exp_rotation`` and one stacked
+    Cayley solve, each of whose values is the single-point one bit for
+    bit."""
     x = np.asarray(x, dtype=float)
-    jq, dj = rat.over_one_denominator(so3.rationalize_matrix(so3.left_jacobian_inv(x)))
-    rq, dr = so3.rationalize_rotation(so3.exp_rotation(x))
-    rows = [[-v * dr for v in j] + jr for j, jr in zip(jq, rat.int_mat_mul(jq, rq))]
-    return rows, dj * dr
+    pts = x.reshape(-1, 3)
+    jacobians = map(rat.rationalize_rows, so3.left_jacobian_inv(pts).tolist())
+    anchors = []
+    for (jq, dj), (rq, dr) in zip(jacobians, so3.rationalize_rotation(so3.exp_rotation(pts))):
+        rows = [[-v * dr for v in j] + jr for j, jr in zip(jq, rat.int_mat_mul(jq, rq))]
+        anchors.append((rows, dj * dr))
+    return anchors if x.ndim > 1 else anchors[0]
 
 
 def rotation_double_exact_anchor(x):
@@ -528,6 +543,9 @@ def make_dressing_courant(chart, h):
     so the gate and the checks compute the anchor once per point.
     Replacing ``rotation_double_anchor`` afterwards does not reach this
     bundle, and the anchor matrices it returns are read-only.
+
+    The bundle's ``exact_anchor`` is ``rotation_double_integer_anchor`` as
+    bound here, a field of stacks: a freeze calls it once on all its points.
     """
     if chart.dim != 3:
         raise ValueError("dressing chart action needs the six-dimensional rotation double")
@@ -823,14 +841,20 @@ class CanonicalSpace:
         return np.stack(rows, axis=-2)
 
     def frozen_fiber(self, x):
-        """Exact Hamiltonian fiber at ``x``: the anchor is frozen to a
-        rational matrix with exact coisotropy, so the Lagrangian and
-        support conditions hold on the nose, not within a tolerance."""
+        """Exact Hamiltonian fiber at a point ``(n,)``; at a stack of points
+        ``(P, n)``, an iterator over the fibers at its points in order.
+        The anchor is frozen to a rational matrix with exact coisotropy, so
+        the Lagrangian and support conditions hold on the nose, not within
+        a tolerance.  A stack freezes the anchors of all its points in one
+        call of the bundle's ``exact_anchor``, and the iterator builds, and
+        so validates, each fiber when it reaches it."""
         if self.courant.exact_anchor is None:
             raise ValueError("bundle has no exact anchor to freeze")
         pair = self.courant.pair
-        anchor = self.courant.exact_anchor(np.asarray(x, float))
-        return canonical_fiber(pair, anchor, pair.d.form.adjoint(anchor))
+        x = np.asarray(x, float)
+        anchors = self.courant.exact_anchor(x.reshape(-1, x.shape[-1]))
+        fibers = (canonical_fiber(pair, a, pair.d.form.adjoint(a)) for a in anchors)
+        return fibers if x.ndim > 1 else next(fibers)
 
     def generator_residuals(self, x):
         """Distances from the brackets of the fiber generators, the rows of
@@ -865,15 +889,16 @@ def canonical_fiber(pair, anchor, adjoint):
     map; ``HamiltonianFiber`` checks it is Lagrangian and supported.  Both
     come as integer rows over one denominator, ``anchor = (R, d)`` and
     ``adjoint = (S, e)``, and K is spanned by their rows scaled to integers:
-    [A R^T | 0 | d A] over [0 | -e I | S^T], A the half's integer rows."""
+    [A R^T | 0 | d A] over [0 | -e I | S^T], A the half's integer rows.
+    The fiber's legs [dJ | rho] are [d I | R] over d: no Fraction is built."""
     (r, d), (s, e) = anchor, adjoint
     n, a = len(r), pair.g.rows
     images = rat.int_mat_mul(a, rat.transpose(r))
     top = [ar + [0] * n + [d * v for v in row] for ar, row in zip(images, a)]
     bottom = [[0] * n + unit + list(col) for unit, col in zip(rat.unit_rows(n, -e), zip(*s))]
     k_space = canonicalize(top + bottom, 2 * n + pair.d.dim)
-    rho = rat.fractions(r, d)
-    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
+    legs = [unit + list(row) for unit, row in zip(rat.unit_rows(n, d), r)]
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=(legs, d))
 
 
 def canonical_hamiltonian(c):
@@ -889,7 +914,9 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
     ``exact_fibers`` maps a point to ``(l_x, l_s, dj)``: the frozen source
     and target fibers as exact ``Subspace``s, which the supplier has
     validated (``l_x`` Lagrangian), and the map's differential as a
-    rational matrix.  From them ``inclusion`` (the target fiber lies in the
+    matrix of ints and Fractions, which goes into the integer kernel as it
+    is: an integer one, such as the strong section's identity, builds no
+    Fraction.  From them ``inclusion`` (the target fiber lies in the
     forward image of the source fiber) and ``transversality`` (ker dj meets
     ker L, the intersection of the source fiber with the tangents, only in
     0) are exact 0/1 quantities.
@@ -913,8 +940,7 @@ def check_strong_dirac(l_x, points, phi=None, *, h, tol, exact_fibers=None):
         res.update(inclusion=0.0, transversality=0)
         tangents = Subspace.full(q).embed(range(q), 2 * q)
         for x in points:
-            fiber, target, dj_q = exact_fibers(np.asarray(x, dtype=float))
-            dj = rat.matrix(dj_q)
+            fiber, target, dj = exact_fibers(np.asarray(x, dtype=float))
             included = forward_dirac(fiber, dj).contains(target)
             tangent = fiber.intersection(tangents).project(range(q))
             image = rat.int_mat_mul(tangent.rows, rat.transpose(rat.over_one_denominator(dj)[0]))

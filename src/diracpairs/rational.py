@@ -2,11 +2,12 @@
 
 Scalars are `fractions.Fraction` throughout the public matrix functions.
 Matrices are immutable tuples of row tuples, so they hash and compare
-structurally.  Floats are rejected unless they go through `rationalize`,
-the single explicit float -> rational gate and the only code here that
-rounds.  It rounds onto the grid of multiples of 2^-52, each entry within
-2^-53, so rounded entries share one power-of-two denominator and their
-products stop multiplying coprime denominators.
+structurally.  Floats are rejected unless they go through the float gate,
+the only code here that rounds: `rationalize` for one float as a Fraction,
+and `rationalize_rows` for float rows as an integer pair (below), both
+rounding by one body, `_on_grid`.  It rounds onto the grid of multiples of
+2^-52, each entry within 2^-53, so rounded entries share one power-of-two
+denominator and their products stop multiplying coprime denominators.
 
 The arithmetic itself runs on one integer kernel.  A matrix there is a pair
 ``(rows, d)``: integer rows over one positive denominator, standing for
@@ -14,17 +15,18 @@ The arithmetic itself runs on one integer kernel.  A matrix there is a pair
 denominator, as scaling a row keeps its span.  The kernel's functions are
 ``int_*``: `int_mat_mul`, `int_rref` (the primitive integer rows of the
 reduced echelon form, each scaled to make its pivot positive, which is
-canonical), `int_kernel`, `int_solve`, and the zero tests `int_zero_pairing`
-and `int_zero_congruence`; `lowest_terms` keeps a pair short.  No Fraction
-is built in them.
+canonical), `int_kernel`, `int_solve`, `int_solve_linear`, and the zero
+tests `int_zero_pairing` and `int_zero_congruence`; `lowest_terms` keeps a
+pair short.  No Fraction is built in them.
 
 Fractions are built only at the boundary, by the Fraction-tuple functions
 that scenes, JSON, printing and tests read: `mat_mul`, `mat_vec`, `rref`,
 `kernel`, `solve_right`, `invert`, `rank` and `solve_linear` convert their
 arguments with `over_one_denominator`, run the kernel, and build one
 normalized Fraction per nonzero output entry (`fractions`).  The per-point
-freeze of the numeric tier stays in the kernel end to end, and its objects
-(`exact_linear.Subspace`, `dictionary.ExactIdentification`) build their
+freeze of the numeric tier stays in the kernel end to end, from
+`rationalize_rows` on, and its objects (`exact_linear.Subspace`,
+`dictionary.ExactIdentification`, `morphism.HamiltonianFiber`) build their
 Fraction views on first read.  `is_zero_product` decides on the same
 integer rows and builds no Fraction at all.  An entry that is not an int or
 a Fraction (a float, a numpy scalar) raises `TypeError` at the boundary,
@@ -68,29 +70,43 @@ def scalar(x):
     raise TypeError(f"cannot make an exact rational from {x!r}")
 
 
-def rationalize(x):
-    """Round a float to the nearest multiple of 2^-52.  The only float entry
-    point.
+def _on_grid(x):
+    """The integer ``n`` of the multiple ``n / 2^52`` of 2^-52 nearest the
+    float ``x``, ties to the even multiple: the one rounding body.
 
-    Ties go to the even multiple, and the error is at most 2^-53; a float
-    already on the grid comes back exact.  The rounding runs on the integers
-    of ``float(x).as_integer_ratio()``, whose denominator is a power of two,
-    so no float is multiplied and 1e300 does not overflow.  Ints and
-    Fractions pass through.  NaN raises ValueError and an infinity
-    OverflowError.
-    """
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    num, den = float(x).as_integer_ratio()
+    It runs on the integers of ``x.as_integer_ratio()``, whose denominator
+    is a power of two, so no float is multiplied and 1e300 does not
+    overflow.  NaN raises ValueError and an infinity OverflowError."""
+    num, den = x.as_integer_ratio()
     if den <= _GRID:
-        return Fraction(num, den)
-    # den = 2^(52 + s): num / 2^s rounded half to even, over 2^52
+        return num * (_GRID // den)
+    # den = 2^(52 + s): num / 2^s rounded half to even
     s = den.bit_length() - _GRID.bit_length()
     q, r = divmod(num, 1 << s)
     half = 1 << (s - 1)
     if r > half or (r == half and q & 1):
         q += 1
-    return Fraction(q, _GRID)
+    return q
+
+
+def rationalize(x):
+    """Round a float to the nearest multiple of 2^-52, as a Fraction.
+
+    Ties go to the even multiple, and the error is at most 2^-53; a float
+    already on the grid comes back exact.  Ints and Fractions pass through.
+    NaN raises ValueError and an infinity OverflowError.
+    """
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return Fraction(_on_grid(float(x)), _GRID)
+
+
+def rationalize_rows(rows):
+    """Float ``rows`` rounded entry by entry as `rationalize` rounds them,
+    as the integer pair ``(rows, d)`` in lowest terms: the way floats enter
+    the integer kernel, with no Fraction built.  ``d`` is the lcm of the
+    rounded entries' denominators, a power of two up to 2^52."""
+    return lowest_terms([[_on_grid(float(v)) for v in row] for row in rows], _GRID)
 
 
 def vec(values):
@@ -415,9 +431,37 @@ def rank(a):
     return len(int_rref(over_one_denominator(a)[0])[0])
 
 
+def int_solve_linear(aug, n, m):
+    """Exact solves of ``a @ x = b`` for the ``m`` right-hand sides ``b``
+    beside the ``n`` columns of ``a`` in the integer rows ``aug = [a | b_1
+    ... b_m]``, from one row reduction (`int_rref`) of them all.
+
+    Returns ``(particulars, null)``: ``particulars[j]`` is ``(x, d)``, the
+    integer solution ``x / d`` of the system of ``b_j`` with every free
+    coordinate zero, or None when that system is inconsistent; ``null``
+    holds one integer row per free column, spanning the solutions of
+    ``a @ x = 0``.  With no rows, every ``b`` is empty and solved by 0."""
+    red, pivots = int_rref(aug)
+    # rows past the pivots of ``a`` read 0 = b': nonzero means inconsistent
+    k = sum(1 for p in pivots if p < n)
+    parts = []
+    for j in range(n, n + m):
+        if any(row[j] for row in red[k:]):
+            parts.append(None)
+            continue
+        hits = [(row, p) for row, p in zip(red[:k], pivots) if row[j]]
+        d = lcm(*(row[p] for row, p in hits))
+        x = [0] * n
+        for row, p in hits:
+            x[p] = row[j] * (d // row[p])
+        parts.append((x, d))
+    return parts, _int_null_rows(red, pivots[:k], n)
+
+
 def solve_linear(a, rhs, ncols=None):
     """Exact solves of ``a @ x = b`` for every vector ``b`` of ``rhs``, from
-    one row reduction of ``a`` beside all of them.
+    one row reduction of ``a`` beside all of them: `int_solve_linear` of
+    the augmented rows over one denominator.
 
     Returns ``(particulars, nullspace_rows)``: ``particulars[j]`` solves the
     system of ``rhs[j]`` with every free coordinate zero, or is None when
@@ -433,19 +477,7 @@ def solve_linear(a, rhs, ncols=None):
         return [(_ZERO,) * ncols for _ in rhs], identity(ncols)
     n = len(a[0])
     aug, _ = over_one_denominator(tuple(row + tuple(bs) for row, *bs in zip(a, *rhs)))
-    red, pivots = int_rref(aug)
-    # rows past the pivots of ``a`` read 0 = b': nonzero means inconsistent
-    k = sum(1 for p in pivots if p < n)
-    parts = []
-    for j in range(n, n + len(rhs)):
-        if any(row[j] for row in red[k:]):
-            parts.append(None)
-            continue
-        x = [_ZERO] * n
-        for row, p in zip(red[:k], pivots):
-            if row[j]:
-                x[p] = Fraction(row[j], row[p])
-        parts.append(tuple(x))
-    free = [f for f in range(n) if f not in pivots[:k]]
-    null = _int_null_rows(red, pivots[:k], n)
-    return parts, tuple(fractions((v,), v[f])[0] for v, f in zip(null, free))
+    parts, null = int_solve_linear(aug, n, len(rhs))
+    parts = [None if part is None else fractions((part[0],), part[1])[0] for part in parts]
+    # each null row is scaled to 1 at its free column, its last nonzero entry
+    return parts, tuple(fractions((v,), next(filter(None, reversed(v))))[0] for v in null)

@@ -26,7 +26,7 @@ from typing import Callable
 from . import rational as rat
 from .dictionary import k_from_quasi, pi_from_k
 from .exact_linear import SplitForm, SplitSignatureError, canonicalize, is_lagrangian
-from .morphism import HamiltonianFiber, check_hamiltonian_fiber
+from .morphism import HamiltonianFiber, check_hamiltonian_fiber, integer_legs
 from .quadratic_lie import (
     ManinPairPoint,
     QuadraticLieAlgebra,
@@ -637,7 +637,8 @@ def _build_splitting(built, d):
 def _build_fiber(built, d):
     pair = built[d.pair]
     k = canonicalize(d.k_rows, 2 * d.t_dim + pair.d.dim)
-    return HamiltonianFiber(t_dim=d.t_dim, pair=pair, K=k, dJ=d.dj_rows, rho=d.rho_rows)
+    legs = integer_legs(d.dj_rows, d.rho_rows)
+    return HamiltonianFiber(t_dim=d.t_dim, pair=pair, K=k, legs=legs)
 
 
 # declaration kind -> its builder; an example is looked up in the registry

@@ -87,15 +87,18 @@ def left_jacobian_inv(x):
 
 
 def rationalize_rotation(r):
-    """Exactly orthogonal rational matrix near the rotation ``r``, as
-    integer rows over one positive denominator, ``(rows, den)``.
+    """Exactly orthogonal rational matrix near the rotation ``r`` ``(3, 3)``,
+    as integer rows over one positive denominator, ``(rows, den)``; for a
+    stack of rotations ``(P, 3, 3)``, the list of their ``P`` pairs, each
+    the single-rotation one.
 
     Round the Cayley preimage S (a skew matrix, kept exactly skew by
     mirroring the strict upper triangle) and map back; requires the rotation
     angle to stay away from a half turn, where the Cayley chart blows up.
-    Entries are rounded by ``rational.rationalize`` onto the grid of
-    multiples of 2^-52, each within 2^-53, so they share a power-of-two
-    denominator.
+    The preimages of a stack come from one stacked ``np.linalg.solve``,
+    which runs the single-matrix LAPACK solve on each, bit for bit.  Entries
+    are rounded by ``rational.rationalize_rows`` onto the grid of multiples
+    of 2^-52, each within 2^-53, so they share a power-of-two denominator.
 
     The map back is the closed form R = I + 2 (S + S^2) / (1 + |q|^2), q
     being the axis vector of S, evaluated over one integer denominator: with
@@ -105,24 +108,26 @@ def rationalize_rotation(r):
     - 1) S, which is I + S exactly when c = 2 / (1 + |q|^2).
     """
     r = np.asarray(r, dtype=float)
-    s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T
-    upper = [rat.rationalize(0.5 * (s[i, j] - s[j, i])) for i, j in ((0, 1), (0, 2), (1, 2))]
-    d = math.lcm(*(v.denominator for v in upper))
-    a, b, c = (v.numerator * (d // v.denominator) for v in upper)
-    t = ((0, a, b), (-a, 0, c), (-b, -c, 0))
-    den = d * d + a * a + b * b + c * c
-    rows = [
-        [
-            (den if i == j else 0) + 2 * (d * t[i][j] + sum(t[i][k] * t[k][j] for k in range(3)))
-            for j in range(3)
+    stack = r.reshape(-1, 3, 3)
+    eye = np.eye(3)
+    s = np.linalg.solve(np.swapaxes(stack + eye, -1, -2), np.swapaxes(stack - eye, -1, -2))
+    # s is the stack of S^T: its (j, i) entry is S's (i, j)
+    upper = 0.5 * (s[:, (1, 2, 2), (0, 0, 1)] - s[:, (0, 0, 1), (1, 2, 2)])
+    out = []
+    for q in upper.tolist():
+        ((a, b, c),), d = rat.rationalize_rows([q])
+        t = ((0, a, b), (-a, 0, c), (-b, -c, 0))
+        den = d * d + a * a + b * b + c * c
+        rows = [
+            [
+                (den if i == j else 0)
+                + 2 * (d * t[i][j] + sum(t[i][k] * t[k][j] for k in range(3)))
+                for j in range(3)
+            ]
+            for i in range(3)
         ]
-        for i in range(3)
-    ]
-    return rows, den
-
-
-def rationalize_matrix(m):
-    return rat.matrix([[rat.rationalize(float(v)) for v in row] for row in np.asarray(m, dtype=float)])
+        out.append((rows, den))
+    return out if r.ndim > 2 else out[0]
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -49,14 +49,19 @@ def _dressing(samples, seed, step):
     return catalog()["so3-double"], pts, cd
 
 
-def _freeze(points, freeze):
-    """``freeze(x)`` by the point's bytes, and the exact ``frozen_fiber``
-    report: 0 when every frozen fiber validates, else 1 at the first point
-    whose constructor raised, the fibers then being None."""
-    frozen = {}
+def _freeze(points, fibers):
+    """The frozen fibers of ``points``, by the point's bytes, and the exact
+    ``frozen_fiber`` report: 0 when every frozen fiber validates, else 1 at
+    the first point whose constructor raised, the fibers then being None.
+
+    ``fibers`` yields the points' fibers in order, each built, and so
+    validated, when it is reached: the caller freezes the exact anchors of
+    all the points in one call and builds the fibers from them one by one,
+    so a failing point ends the freeze where it fails."""
+    frozen, fibers = {}, iter(fibers)
     for i, x in enumerate(points):
         try:
-            frozen[x.tobytes()] = freeze(x)
+            frozen[x.tobytes()] = next(fibers)
         except ValueError as e:
             return None, Report.verdict("frozen_fiber", False, f"point {i}: {e}")
     return frozen, Report.verdict("frozen_fiber", True, None)
@@ -95,18 +100,22 @@ def rotation_strong_section(samples, seed, tol, step):
     can = nm.canonical_hamiltonian(cd)
     frame = nm.dirac_of_pair(cd, pair.g, can.s)
 
-    def exact_fibers(x):
-        # one anchor adjoint per point: the frozen fiber reuses the identification's
-        ident = dc.ExactIdentification(pair, cd.exact_anchor(x))
-        hf = nm.canonical_fiber(pair, ident.integer_rho, ident.integer_rho_star)
-        lx = dc.dirac_from_k(hf, ident).L
-        # each half vector a read out as (rho a, s_star a), scaled to integers
-        (rho, d), (star, ds) = ident.integer_rho, ident.integer_s_star
-        legs = (rat.int_mat_mul(pair.g.rows, rat.transpose(m)) for m in (rho, star))
-        ls_rows = [[ds * v for v in ra] + [d * v for v in sa] for ra, sa in zip(*legs)]
-        return lx, canonicalize(ls_rows, 6), rat.identity(3)
+    # dj is the identity, an integer matrix the strong-map check reads as it is
+    dj = tuple(map(tuple, rat.unit_rows(3)))
 
-    fibers, frozen = _freeze(pts, exact_fibers)
+    def exact_fibers(anchors):
+        for anchor in anchors:
+            # one anchor adjoint per point: the frozen fiber reuses the identification's
+            ident = dc.ExactIdentification(pair, anchor)
+            hf = nm.canonical_fiber(pair, ident.integer_rho, ident.integer_rho_star)
+            lx = dc.dirac_from_k(hf, ident).L
+            # each half vector a read out as (rho a, s_star a), scaled to integers
+            (rho, d), (star, ds) = ident.integer_rho, ident.integer_s_star
+            legs = (rat.int_mat_mul(pair.g.rows, rat.transpose(m)) for m in (rho, star))
+            ls_rows = [[ds * v for v in ra] + [d * v for v in sa] for ra, sa in zip(*legs)]
+            yield lx, canonicalize(ls_rows, 6), dj
+
+    fibers, frozen = _freeze(pts, exact_fibers(cd.exact_anchor(np.array(pts))))
     if fibers is None:
         return frozen
     rep = nm.check_strong_dirac(
@@ -143,7 +152,7 @@ def rotation_canonical_fibers(samples, seed, tol, step):
     families land back in the fiber within tolerance."""
     _, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
-    fibers, frozen = _freeze(pts, can.frozen_fiber)
+    fibers, frozen = _freeze(pts, can.frozen_fiber(np.array(pts)))
     if fibers is None:
         return frozen
     res = can.generator_residuals(np.array(pts))

@@ -17,6 +17,7 @@ import numpy as np
 
 from diracpairs import rational as rat
 from diracpairs import scene_dsl as sd
+from diracpairs import so3
 from diracpairs import splitting as sp
 from diracpairs import numeric_manifold as nm
 from diracpairs import verify
@@ -30,7 +31,7 @@ from diracpairs.dictionary import (
     pi_from_k,
 )
 from diracpairs.exact_linear import LinearRelation, Subspace, canonicalize, compose
-from diracpairs.morphism import HamiltonianFiber, equiv_failures
+from diracpairs.morphism import HamiltonianFiber, equiv_failures, integer_legs
 from diracpairs.numeric_manifold import SectionField, directional_derivative
 from diracpairs.quadratic_lie import catalog
 from diracpairs.reduction import PointFiber, hamiltonian_vector, observable
@@ -977,6 +978,45 @@ def reference_rationalize_rotation(r):
     return rat.mat_mul(rat.invert(add_tensors(eye, rat.mat_neg(sq))), add_tensors(eye, sq))
 
 
+# The exact anchor as it was before it took stacks: one point at a time,
+# each entry rounded to a Fraction by ``rational.rationalize`` and brought
+# back to integers.  The stacked anchor must give the same rationals.
+
+
+def rationalize_matrix(m):
+    return rat.matrix([[rat.rationalize(float(v)) for v in row] for row in np.asarray(m, dtype=float)])
+
+
+def reference_closed_form_rotation(r):
+    """The Cayley freeze of one rotation by the closed form, as integer rows
+    over one denominator: ``so3.rationalize_rotation`` at one point."""
+    r = np.asarray(r, dtype=float)
+    s = np.linalg.solve((r + np.eye(3)).T, (r - np.eye(3)).T).T
+    upper = [rat.rationalize(0.5 * (s[i, j] - s[j, i])) for i, j in ((0, 1), (0, 2), (1, 2))]
+    d = math.lcm(*(v.denominator for v in upper))
+    a, b, c = (v.numerator * (d // v.denominator) for v in upper)
+    t = ((0, a, b), (-a, 0, c), (-b, -c, 0))
+    den = d * d + a * a + b * b + c * c
+    rows = [
+        [
+            (den if i == j else 0) + 2 * (d * t[i][j] + sum(t[i][k] * t[k][j] for k in range(3)))
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    return rows, den
+
+
+def reference_rotation_double_integer_anchor(x):
+    """The exact anchor at one point ``(3,)``: ``[-jq | jq rq]`` over the
+    product of the two denominators."""
+    x = np.asarray(x, dtype=float)
+    jq, dj = rat.over_one_denominator(rationalize_matrix(so3.left_jacobian_inv(x)))
+    rq, dr = reference_closed_form_rotation(so3.exp_rotation(x))
+    rows = [[-v * dr for v in j] + jr for j, jr in zip(jq, rat.int_mat_mul(jq, rq))]
+    return rows, dj * dr
+
+
 def reference_bracket(d, u, v):
     """The dense Fraction triple loop over the structure constants: the
     reference that ``QuadraticLieAlgebra.bracket`` must equal."""
@@ -1116,7 +1156,7 @@ def reference_k_from_quasi(q, dJ=(), rho=(), realization=None):
         u = rat.mat_vec(rat.transpose(q.Pi), alpha)
         rows.append(u + alpha + rat.mat_vec(frame, zr + back))
     K = canonicalize(rows, 2 * t + pair.d.dim)
-    return HamiltonianFiber(t_dim=t, pair=pair, K=K, dJ=dJ, rho=rho)
+    return HamiltonianFiber(t_dim=t, pair=pair, K=K, legs=integer_legs(dJ, rho))
 
 
 def reference_k_from_dirac(d, dJ, ident):
@@ -1144,7 +1184,7 @@ def reference_k_from_dirac(d, dJ, ident):
         e = rat.mat_vec(ident.rho_star, beta)
         rows.append((Fraction(0),) * t + tuple(alpha) + tuple(e))
     K = canonicalize(rows, 2 * t + n)
-    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, dJ=dJ, rho=ident.rho)
+    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, legs=integer_legs(dJ, ident.rho))
 
 
 def reference_dirac_from_k(h, ident):
@@ -1190,7 +1230,7 @@ def reference_canonical_fiber(pair, rho, rho_star):
         col = tuple(rho_star[i][k] for i in range(len(rho_star)))
         rows.append(zero_t + tuple(-e for e in eps) + col)
     k_space = canonicalize(rows, 2 * n + pair.d.dim)
-    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=integer_legs(rat.identity(n), rho))
 
 
 # the canonical scene printer: its text reparses to the same scene IR

@@ -461,9 +461,11 @@ def test_a_broken_frozen_fiber_fails_its_check(monkeypatch, name, message):
     # geometry of each frozen fiber, not the example's arguments
     exact = nm.rotation_double_integer_anchor
 
-    def broken(x):
-        rows, d = exact(x)
-        return [[2 * v if k < 3 else v for k, v in enumerate(row)] for row in rows], d
+    def broken(xs):
+        return [
+            ([[2 * v if k < 3 else v for k, v in enumerate(row)] for row in rows], d)
+            for rows, d in exact(xs)
+        ]
 
     monkeypatch.setattr(nm, "rotation_double_integer_anchor", broken)
     code, out, err = run_cli("verify-example", name, "--samples", "2", "--json")
@@ -471,6 +473,42 @@ def test_a_broken_frozen_fiber_fails_its_check(monkeypatch, name, message):
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "fail"
     assert check["witness"] == f"frozen_fiber = 1, witness point 0: {message}"
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("rotation_canonical_fibers", "not Lagrangian for the sum pairing"),
+        ("rotation_strong_section", "fiber is not exact: anchor adjoint is not isotropic"),
+    ],
+)
+def test_the_witness_is_the_first_point_whose_frozen_fiber_fails(monkeypatch, name, message):
+    # the stacked anchor is exact at points 0, 1, 2 and 4 of 5 and moved off
+    # exactness at point 3 alone, so the witness names point 3, and no
+    # fiber past it is built
+    exact = nm.rotation_double_integer_anchor
+    built = []
+
+    def broken_at_3(xs):
+        anchors = exact(xs)
+        rows, d = anchors[3]
+        anchors[3] = ([[v + (k == 0) for k, v in enumerate(row)] for row in rows], d)
+        return anchors
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return canonical_fiber(*args, **kwargs)
+
+    canonical_fiber = nm.canonical_fiber
+    monkeypatch.setattr(nm, "rotation_double_integer_anchor", broken_at_3)
+    monkeypatch.setattr(nm, "canonical_fiber", counted)
+    code, out, err = run_cli("verify-example", name, "--samples", "5", "--json")
+    assert (code, err) == (1, "")
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == f"frozen_fiber = 1, witness point 3: {message}"
+    # the strong section's identification refuses point 3 before its fiber
+    assert len(built) == (4 if name == "rotation_canonical_fibers" else 3)
 
 
 REUSE_SEQUENCE = [

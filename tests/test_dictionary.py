@@ -32,7 +32,7 @@ from diracpairs.dictionary import (
     quasi_spans_tangents,
     quasi_to_dict,
 )
-from diracpairs.exact_linear import canonicalize
+from diracpairs.exact_linear import Subspace, canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
 from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import make_isotropic_splitting
@@ -95,6 +95,26 @@ def test_round_trip_quasi_fiber_quasi_without_base():
         h = k_from_quasi(q)
         sp = make_isotropic_splitting(h.pair)
         assert pi_from_k(h, sp) == q
+
+
+def test_pi_from_k_reads_no_fraction_basis(monkeypatch, so3_splitting):
+    # the bivector and the action are solved on the integer rows of K and of
+    # the half: neither K's nor the half's Fraction basis is built or read,
+    # for the planar fixture over a point and for a fiber with an action leg
+    planar = quasi_from_dict(json.loads((FIXTURES / "planar-quasi.json").read_text()))
+    over_point = make_isotropic_splitting(abstract_double(0))
+    acting = helpers.random_quasi(helpers.rng_for(5), 3, 3)
+    cases = [
+        (planar, k_from_quasi(planar, realization=over_point), over_point),
+        (acting, k_from_quasi(acting, realization=so3_splitting), so3_splitting),
+    ]
+
+    def refuse(self):
+        raise AssertionError("pi_from_k read a Fraction basis")
+
+    monkeypatch.setattr(Subspace, "basis", property(refuse))
+    for q, h, splitting in cases:
+        assert pi_from_k(h, splitting) == q
 
 
 def test_identification_validation():

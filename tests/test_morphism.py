@@ -19,6 +19,7 @@ from diracpairs.morphism import (
     extract_action,
     graph_morphism,
     identity_morphism,
+    integer_legs,
     product_algebra,
 )
 from diracpairs.quadratic_lie import catalog
@@ -130,8 +131,7 @@ def test_hamiltonian_fiber_validation_errors():
             t_dim=2,
             pair=h.pair,
             K=h.K,
-            dJ=rat.matrix([[1, 0], [0, 1]]),
-            rho=rat.zeros(2, 2),
+            legs=integer_legs([[1, 0], [0, 1]], rat.zeros(2, 2)),
         )
     # a readout [dJ | -rho] that kills the (u, e) part of every K row but
     # the last, so the condition must be checked on all rows
@@ -139,7 +139,12 @@ def test_hamiltonian_fiber_validation_errors():
     w = next(v for v in rat.kernel(ue[:-1]) if any(rat.mat_vec((v,), ue[-1])))
     dj, rho = (w[:2],), rat.mat_neg((w[2:],))
     with pytest.raises(ValueError, match="support condition"):
-        HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, dJ=dj, rho=rho)
+        HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, legs=integer_legs(dj, rho))
+    # legs that disagree on the base, or an integer pair one column short
+    with pytest.raises(ValueError, match="disagree on the base"):
+        integer_legs([[1, 0]], ())
+    with pytest.raises(ValueError, match="wrong width"):
+        HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, legs=([[1, 0, 0]], 1))
 
 
 def test_extract_action_returns_the_action_matrix():

@@ -20,7 +20,7 @@ from diracpairs.dictionary import (
     identification_from_anchor,
 )
 from diracpairs.exact_linear import SplitForm, canonicalize
-from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
+from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber, integer_legs
 from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import derive_quasi_data, make_isotropic_splitting
 
@@ -557,7 +557,8 @@ def test_a_nudged_frozen_anchor_is_not_lagrangian(canonical_space, so3_points):
             eps = tuple(Fraction(-1 if i == k else 0) for i in range(n))
             rows.append(zero_t + eps + tuple(r[k] for r in rho_star))
         k_space = canonicalize(rows, 2 * n + pair.d.dim)
-        return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, dJ=rat.identity(n), rho=rho)
+        legs = integer_legs(rat.identity(n), rho)
+        return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=legs)
 
     assert fiber(frozen.rho).K == frozen.K
     nudged = [list(r) for r in frozen.rho]
@@ -697,10 +698,40 @@ def test_the_stacked_rotation_anchor_takes_each_small_angle_branch_per_point():
         assert nm.rotation_double_anchor(x).tobytes() == REFERENCE_ANCHOR(x).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("samples", [1, 20, 74])
+def test_the_stacked_exact_anchor_is_the_one_point_reference(samples, seed):
+    # one stacked pass, straight to integers, against the anchor frozen one
+    # point at a time through Fractions: the same rationals at every point
+    pts = so3.sample_chart_points(samples, seed)
+    anchors = nm.rotation_double_integer_anchor(np.array(pts))
+    assert len(anchors) == samples
+    for x, anchor in zip(pts, anchors):
+        want = helpers.reference_rotation_double_integer_anchor(x)
+        assert rat.fractions(*anchor) == rat.fractions(*want)
+        assert nm.rotation_double_integer_anchor(x) == anchor
+
+
+@pytest.mark.parametrize("name", ["rotation_strong_section", "rotation_canonical_fibers"])
+def test_each_freezing_example_calls_the_exact_anchor_once(monkeypatch, name):
+    # one call on the stack of all 20 points, not one call per point
+    calls = []
+    exact = nm.rotation_double_integer_anchor
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return exact(x)
+
+    monkeypatch.setattr(nm, "rotation_double_integer_anchor", counted)
+    report = verify.run_example(name, samples=20, seed=0, tol=helpers.TOL, step=helpers.STEP)
+    assert report.passed
+    assert calls == [(20, 3)]
+
+
 def test_the_frozen_rotation_anchor_is_the_one_point_anchor_frozen():
     for seed in (0, 1, 2):
         for x in so3.sample_chart_points(50, seed):
-            jinv = so3.rationalize_matrix(helpers.reference_left_jacobian_inv(x))
+            jinv = helpers.rationalize_matrix(helpers.reference_left_jacobian_inv(x))
             rotation = rat.fractions(*so3.rationalize_rotation(helpers.reference_exp_rotation(x)))
             want = rat.mat_mul(jinv, rat.hstack(rat.mat_neg(rat.identity(3)), rotation))
             assert nm.rotation_double_exact_anchor(x) == want

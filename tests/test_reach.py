@@ -64,6 +64,17 @@ ALLOWED = {
         "their references and the benchmark traces"
     ),
     "rational.kernel": "the Fraction boundary of the integer kernel, which the tests read",
+    "rational.solve_linear": (
+        "the Fraction boundary of the integer solve, which the tests compare with their references"
+    ),
+    "rational.mat_vec": (
+        "the Fraction boundary of one matrix-vector product, which the tests read and the "
+        "benchmark traces"
+    ),
+    "rational.rationalize": (
+        "the Fraction form of the float gate, which shares its rounding with the integer form, "
+        "and which the tests read and the benchmark traces"
+    ),
     "numeric_manifold.rotation_double_exact_anchor": (
         "the Fraction form of the frozen anchor, which the frozen-rationals digest pins"
     ),
@@ -85,6 +96,9 @@ UNPASSED_ALLOWED = {
         "the tangency probe of the allowlisted reduction"
     ),
     "rational.kernel.ncols": "the width of a kernel of no rows, for the allowlisted kernel",
+    "rational.solve_linear.ncols": (
+        "the number of unknowns of a solve with no equations, for the allowlisted solve"
+    ),
 }
 
 # Optional parameters that every call passes but that stay optional, each
