@@ -2,12 +2,13 @@
 
 A quadratic Lie algebra is the point case of the package's ambient bracket
 geometry: bracket structure constants plus an invariant split pairing.  A
-Manin pair adds a Lagrangian subalgebra.  The catalog at the bottom collects
-the small instances the rest of the package (and its tests) lean on.
+Manin pair adds a Lagrangian subalgebra.  The catalog at the bottom holds
+the rotation double, the one pair that commands read; every other pair a
+command checks comes from a scene file.
 
 Validation runs once per distinct algebra per process: `check_quadratic_lie`
-is memoized on the frozen algebra, and each catalog entry is built once, on
-its first lookup.
+is memoized on the frozen algebra, and the catalog is built once, on its
+first call.
 
 Each algebra keeps one integer form of its structure constants
 (`QuadraticLieAlgebra.integer_structure`): the constants over one common
@@ -25,18 +26,13 @@ output entry.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from . import rational as rat
-from .exact_linear import (
-    SplitForm,
-    Subspace,
-    canonicalize,
-    is_lagrangian,
-)
+from .exact_linear import SplitForm, Subspace, canonicalize, is_lagrangian
 from .report import Report
 
 
@@ -251,24 +247,6 @@ def so3_constants():
     )
 
 
-def sl2_constants():
-    """Basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    return structure_from_table(
-        3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}
-    )
-
-
-def sl2_trace_form():
-    return rat.matrix([[2, 0, 0], [0, 0, 1], [0, 1, 0]])
-
-
-def abelian_pair(n):
-    """Sum of two abelian copies with the difference of dot pairings and the
-    diagonal line family as the Lagrangian half: the group-pair double of
-    the n-dimensional abelian algebra."""
-    return make_group_pair_double((rat.zeros(n, n),) * n, rat.identity(n))
-
-
 def make_cotangent_double(constants):
     """Semidirect sum of a Lie algebra with its coadjoint dual, carrying the
     canonical duality pairing; the base algebra is the Lagrangian half.
@@ -303,69 +281,14 @@ def abstract_double(n):
     return make_cotangent_double((rat.zeros(n, n),) * n)
 
 
-def solvable_constants():
-    """Line acting on a plane by rotation plus dilation: [a0, a1] = a1 + a2,
-    [a0, a2] = -a1 + a2, [a1, a2] = 0.  Not unimodular."""
-    return structure_from_table(
-        3, {(0, 1): (0, 1, 1), (0, 2): (0, -1, 1)}
-    )
-
-
-def bialgebra_double_pair():
-    """Double of the 2-dim nonabelian Lie bialgebra.
-
-    Base algebra: [x, y] = y with cobracket sending y to x^y; the dual
-    algebra is again 2-dim nonabelian, and the mixed brackets are the
-    coadjoint ones.  Pairing is the canonical duality pairing.
-    """
-    table = {
-        (0, 1): (0, 1, 0, 0),  # [x, y] = y
-        (2, 3): (0, 0, 0, 1),  # dual bracket of (x*, y*) is y*
-        (0, 3): (0, 0, 0, -1),  # [x, y*] = -y*
-        (1, 2): (0, 1, 0, 0),  # [y, x*] = y
-        (1, 3): (-1, 0, 1, 0),  # [y, y*] = x* - x
-    }
-    structure = structure_from_table(4, table)
-    gram = rat.matrix(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    )
-    d = QuadraticLieAlgebra(4, structure, SplitForm(4, gram))
-    g = canonicalize([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
-    return ManinPairPoint(d, g)
-
-
-class _LazyCatalog(Mapping):
-    """Read-only mapping from names to Manin pairs; each pair is built and
-    validated on its first lookup."""
-
-    def __init__(self, builders):
-        self._builders = builders
-        self._built = {}
-
-    def __getitem__(self, name):
-        if name not in self._built:
-            self._built[name] = self._builders[name]()
-        return self._built[name]
-
-    def __contains__(self, name):
-        return name in self._builders
-
-    def __iter__(self):
-        return iter(self._builders)
-
-    def __len__(self):
-        return len(self._builders)
-
-
 @lru_cache(maxsize=None)
 def catalog():
-    """Named Manin pairs used across the package and its test suite, as one
-    read-only mapping per process whose entries are built on first lookup."""
-    return _LazyCatalog({
-        "abelian-r2": lambda: abelian_pair(1),
-        "abelian-r4": lambda: abelian_pair(2),
-        "so3-double": lambda: make_group_pair_double(so3_constants(), rat.identity(3)),
-        "sl2-double": lambda: make_group_pair_double(sl2_constants(), sl2_trace_form()),
-        "bialgebra-double": bialgebra_double_pair,
-        "solvable-cotangent": lambda: make_cotangent_double(solvable_constants()),
-    })
+    """The named Manin pairs that commands read, as one read-only mapping
+    per process.  It holds the rotation double ``so3-double``, on which the
+    rotation examples build their bundle; scene files declare every other
+    pair a command checks.  It stays a mapping under this name because
+    `perfbench/tracing.py` wraps ``quadratic_lie.catalog`` and the
+    benchmark's tests check that `verify` and `numeric_manifold` bind it."""
+    return MappingProxyType(
+        {"so3-double": make_group_pair_double(so3_constants(), rat.identity(3))}
+    )

@@ -50,7 +50,8 @@ def tensor_from_function(dim, degree, fn):
 # ad_a(chi).  On a 3-dim unimodular half (so3, sl2) ad_a(chi) = tr(ad_a) chi
 # is zero, so those doubles cannot tell the signs apart.  The solvable
 # cotangent half has traces: twisted by e_0 ^ e_1 it passes coherence only
-# with this sign (tests/test_splitting.py pins it).
+# with this sign (tests/test_splitting.py pins it on the solvable cotangent
+# double of tests/helpers.py).
 TOP_BRACKET_SIGN = Fraction(-1)
 
 

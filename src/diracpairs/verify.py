@@ -89,7 +89,12 @@ def rotation_strong_section(samples, seed, tol, step):
     The exact gates hold by construction: the target fiber ``ls`` equals
     the source fiber ``lx`` at every point (20 of 20 at seed 0, 20 samples)
     and ``dj`` is the identity, so ``inclusion`` and ``transversality``
-    cannot fail; only ``frozen_fiber`` carries exact evidence.  Nor can
+    cannot fail.  Nor does ``frozen_fiber`` test the sample point: the
+    anchor ``[-J | J R(q)]`` has R(q) exactly orthogonal for every rational
+    q, so its fiber validates whatever J is (200 of 200 random integer J
+    pass `canonical_fiber`), and anchors frozen at the wrong points pass.
+    Its verdict proves the construction, not the sample point, until a gate
+    compares each frozen anchor with the float anchor at its point.  Nor can
     ``integrability`` see the twist: with ``can.phi`` scaled by 0, 2 or -1
     it reads at most 5.8e-10 (20 samples, seed 0), as the twist term
     phi(X, Y, .) of two rows (up to 1.9) lies in the frame's span within

@@ -10,8 +10,10 @@ the samples are not all transverse to the covector factor.
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from diracpairs import scene_dsl as sd
 from diracpairs import so3
 from diracpairs import splitting as sp
 from diracpairs import numeric_manifold as nm
+from diracpairs import quadratic_lie as ql
 from diracpairs import verify
 from diracpairs.dictionary import (
     DiracPointData,
@@ -30,10 +33,15 @@ from diracpairs.dictionary import (
     k_from_dirac,
     pi_from_k,
 )
-from diracpairs.exact_linear import LinearRelation, Subspace, canonicalize, compose
+from diracpairs.exact_linear import LinearRelation, SplitForm, Subspace, canonicalize, compose
 from diracpairs.morphism import HamiltonianFiber, equiv_failures, integer_legs
 from diracpairs.numeric_manifold import SectionField, directional_derivative
-from diracpairs.quadratic_lie import catalog
+from diracpairs.quadratic_lie import (
+    ManinPairPoint,
+    QuadraticLieAlgebra,
+    make_cotangent_double,
+    structure_from_table,
+)
 from diracpairs.reduction import PointFiber, hamiltonian_vector, observable
 from diracpairs.report import Report, worse
 from diracpairs.splitting import (
@@ -43,6 +51,8 @@ from diracpairs.splitting import (
     tensor_get,
 )
 
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # The finite-difference step and the gate the tests run at where they pin no
 # other.  They equal the step and tol of ``verify.DEFAULTS`` but are pinned
@@ -1400,9 +1410,61 @@ def golden_scenes():
     """The validated golden scenes of ``tests/fixtures`` by file stem; the
     malformed one is left out."""
     scenes = {}
-    for path in sorted((Path(__file__).parent / "fixtures").glob("*.mp")):
+    for path in sorted(FIXTURES.glob("*.mp")):
         try:
             scenes[path.stem] = sd.validate_scene(sd.parse_scene(path.read_text()), verify.EXAMPLES)
         except (sd.ParseError, sd.SceneError):
             continue
     return scenes
+
+
+def scene_object(stem, name):
+    """The object ``name`` of the validated golden scene ``stem``."""
+    ir = sd.parse_scene((FIXTURES / f"{stem}.mp").read_text())
+    return sd.validate_scene(ir, {}).objects[name]
+
+
+def solvable_constants():
+    """Line acting on a plane by rotation plus dilation: [a0, a1] = a1 + a2,
+    [a0, a2] = -a1 + a2, [a1, a2] = 0.  Not unimodular."""
+    return structure_from_table(
+        3, {(0, 1): (0, 1, 1), (0, 2): (0, -1, 1)}
+    )
+
+
+def bialgebra_double_pair():
+    """Double of the 2-dim nonabelian Lie bialgebra.
+
+    Base algebra: [x, y] = y with cobracket sending y to x^y; the dual
+    algebra is again 2-dim nonabelian, and the mixed brackets are the
+    coadjoint ones.  Pairing is the canonical duality pairing.
+    """
+    table = {
+        (0, 1): (0, 1, 0, 0),  # [x, y] = y
+        (2, 3): (0, 0, 0, 1),  # dual bracket of (x*, y*) is y*
+        (0, 3): (0, 0, 0, -1),  # [x, y*] = -y*
+        (1, 2): (0, 1, 0, 0),  # [y, x*] = y
+        (1, 3): (-1, 0, 1, 0),  # [y, y*] = x* - x
+    }
+    structure = structure_from_table(4, table)
+    gram = rat.matrix(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    )
+    d = QuadraticLieAlgebra(4, structure, SplitForm(4, gram))
+    g = canonicalize([[1, 0, 0, 0], [0, 1, 0, 0]], 4)
+    return ManinPairPoint(d, g)
+
+
+@lru_cache(maxsize=None)
+def catalog():
+    """The six named Manin pairs the tests iterate, as one read-only mapping:
+    the rotation double is the object commands read, three pairs are read
+    from the golden scenes that declare them, and two are built here."""
+    return MappingProxyType({
+        "abelian-r2": scene_object("minimal-abelian", "p"),
+        "abelian-r4": scene_object("duality-plane", "flat"),
+        "so3-double": ql.catalog()["so3-double"],
+        "sl2-double": scene_object("split-traceless", "tr0"),
+        "bialgebra-double": bialgebra_double_pair(),
+        "solvable-cotangent": make_cotangent_double(solvable_constants()),
+    })

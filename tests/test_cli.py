@@ -57,14 +57,18 @@ def test_check_json_report_is_deterministic():
     assert timeless == json.dumps(cli._strip_elapsed(stripped2), sort_keys=True)
 
 
+# a line that is a subalgebra but not Lagrangian: one check fails, one passes
+TILTED_SCENE = (
+    "algebra a { dim 2; pairing diag(1, -1); }\n"
+    "subspace tilt in a { span e1; }\n"
+    "check lagrangian tilt;\n"
+    "check subalgebra tilt;\n"
+)
+
+
 def test_check_reports_failures_with_exit_one(tmp_path):
     scene = tmp_path / "tilted.mp"
-    scene.write_text(
-        "algebra a { dim 2; pairing diag(1, -1); }\n"
-        "subspace tilt in a { span e1; }\n"
-        "check lagrangian tilt;\n"
-        "check subalgebra tilt;\n"
-    )
+    scene.write_text(TILTED_SCENE)
     code, out, err = run_cli("check", str(scene))
     assert code == 1
     assert "FAIL" in out
@@ -176,13 +180,13 @@ def test_check_rejects_unreadable_and_unparseable_input(tmp_path):
     assert "1:41" in err or "expected" in err
 
 
-@pytest.mark.parametrize(
-    "text, position",
-    [
-        ("algebra a { dim ²; pairing diag(); }\n", "line 1, col 17"),
-        ("example e { tol 1²; }\n", "line 1, col 18"),
-    ],
-)
+NON_ASCII_DIGITS = [
+    ("algebra a { dim ²; pairing diag(); }\n", "line 1, col 17"),
+    ("example e { tol 1²; }\n", "line 1, col 18"),
+]
+
+
+@pytest.mark.parametrize("text, position", NON_ASCII_DIGITS)
 def test_check_reports_a_non_ascii_digit_as_bad_input(tmp_path, text, position):
     scene = tmp_path / "digit.mp"
     scene.write_text(text, encoding="utf-8")
@@ -194,16 +198,14 @@ def test_check_reports_a_non_ascii_digit_as_bad_input(tmp_path, text, position):
 
 LONG_LITERAL = "1" * 5000
 
+LONG_INTEGERS = [
+    (f"algebra a {{ dim {LONG_LITERAL}; pairing diag(1); }}\n", "line 1, col 17"),
+    (f"algebra a {{ dim 1; pairing diag({LONG_LITERAL}); }}\n", "line 1, col 33"),
+    (f"example e {{ seed {LONG_LITERAL}; }}\n", "line 1, col 18"),
+]
 
-@pytest.mark.parametrize(
-    "text, position",
-    [
-        (f"algebra a {{ dim {LONG_LITERAL}; pairing diag(1); }}\n", "line 1, col 17"),
-        (f"algebra a {{ dim 1; pairing diag({LONG_LITERAL}); }}\n", "line 1, col 33"),
-        (f"example e {{ seed {LONG_LITERAL}; }}\n", "line 1, col 18"),
-    ],
-    ids=["dim", "pairing", "seed"],
-)
+
+@pytest.mark.parametrize("text, position", LONG_INTEGERS, ids=["dim", "pairing", "seed"])
 def test_check_reports_an_over_long_integer_as_bad_input(tmp_path, monkeypatch, text, position):
     # past Python's default digit limit for int(); the limit itself stays
     (tmp_path / "long.mp").write_text(text)
@@ -216,14 +218,13 @@ def test_check_reports_an_over_long_integer_as_bad_input(tmp_path, monkeypatch, 
     assert len(err.encode()) < 200
 
 
-@pytest.mark.parametrize(
-    "record",
-    [
-        f'{{"kind": "quasi", "t_dim": {LONG_LITERAL}, "a_dim": 0, "pi": [], "rho_x": []}}',
-        f'{{"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [[{LONG_LITERAL}]], "rho_x": [[]]}}',
-    ],
-    ids=["t_dim", "entry"],
-)
+LONG_NUMBERS = [
+    f'{{"kind": "quasi", "t_dim": {LONG_LITERAL}, "a_dim": 0, "pi": [], "rho_x": []}}',
+    f'{{"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [[{LONG_LITERAL}]], "rho_x": [[]]}}',
+]
+
+
+@pytest.mark.parametrize("record", LONG_NUMBERS, ids=["t_dim", "entry"])
 def test_dict_reports_an_over_long_number_as_bad_input(tmp_path, record):
     path = tmp_path / "fiber.json"
     path.write_text(record)
@@ -344,20 +345,26 @@ def test_dict_reports_a_malformed_record_as_bad_input(tmp_path, mode, record, fi
     assert repr(field) in err
 
 
+# a 0 x 1 action matrix is well formed; file conversion refuses the action
+# leg, as it does in higher dimensions
+ACTION_ON_A_POINT = {"kind": "quasi", "t_dim": 0, "a_dim": 1, "pi": [], "rho_x": []}
+
+
 def test_dict_takes_an_action_on_a_zero_dimensional_tangent_space(tmp_path):
-    # a 0 x 1 action matrix is well formed; file conversion refuses the
-    # action leg, as it does in higher dimensions
     path = tmp_path / "fiber.json"
-    path.write_text(json.dumps({"kind": "quasi", "t_dim": 0, "a_dim": 1, "pi": [], "rho_x": []}))
+    path.write_text(json.dumps(ACTION_ON_A_POINT))
     for mode in ("qp-to-dirac", "roundtrip"):
         code, out, err = run_cli("dict", "--mode", mode, "--fiber", str(path))
         assert code == 1
         assert "action leg" in out and err == ""
 
 
+NOT_ANTISYMMETRIC = {"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [["1"]], "rho_x": [[]]}
+
+
 def test_dict_keeps_exit_one_for_a_well_formed_record_that_fails(tmp_path):
     path = tmp_path / "fiber.json"
-    path.write_text(json.dumps({"kind": "quasi", "t_dim": 1, "a_dim": 0, "pi": [["1"]], "rho_x": [[]]}))
+    path.write_text(json.dumps(NOT_ANTISYMMETRIC))
     code, out, err = run_cli("dict", "--mode", "qp-to-dirac", "--fiber", str(path))
     assert code == 1
     assert "not antisymmetric" in out
@@ -523,6 +530,7 @@ REUSE_SEQUENCE = [
     ["verify-example", "planar_symplectic_reduction", "--samples", "2", "--json"],
     ["check", str(FIXTURES / "rotation-double.mp")],
 ]
+REUSE_EXITS = [2, 0, 0, 2, 2, 2, 0, 0, 0, 0]
 
 
 def _timeless(out):
@@ -541,7 +549,7 @@ def test_reusing_the_parser_keeps_no_state():
         first = (first[0], _timeless(first[1]), first[2])
         again = (again[0], _timeless(again[1]), again[2])
         assert first == again, argv
-    assert [code for code, _, _ in forward] == [2, 0, 0, 2, 2, 2, 0, 0, 0, 0]
+    assert [code for code, _, _ in forward] == REUSE_EXITS
 
 
 def test_no_parser_action_has_a_mutable_default():
@@ -656,13 +664,16 @@ def test_scene_example_checks_share_the_registry():
     assert rep["summary"]["pass"] == 1
 
 
+# the same rejection verify-example reports for --fd-step 1e-12
+TINY_STEP_SCENE = (
+    "example rotation_dressing_axioms { samples 2; step 1e-12; }\n"
+    "check example rotation_dressing_axioms;\n"
+)
+
+
 def test_a_scene_example_that_rejects_its_arguments_is_bad_input(tmp_path):
-    # the same rejection verify-example reports for --fd-step 1e-12
     scene = tmp_path / "tiny-step.mp"
-    scene.write_text(
-        "example rotation_dressing_axioms { samples 2; step 1e-12; }\n"
-        "check example rotation_dressing_axioms;\n"
-    )
+    scene.write_text(TINY_STEP_SCENE)
     code, out, err = run_cli("check", "--json", str(scene))
     assert code == 2
     assert out == ""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import pi_from_dirac
+from helpers import catalog, pi_from_dirac
 from diracpairs import numeric_manifold as nm
 from diracpairs import rational as rat
 from diracpairs import so3
@@ -34,7 +34,6 @@ from diracpairs.dictionary import (
 )
 from diracpairs.exact_linear import Subspace, canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
-from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import make_isotropic_splitting
 
 FIXTURES = Path(__file__).parent / "fixtures"

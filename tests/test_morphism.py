@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import catalog
 from diracpairs import rational as rat
 from diracpairs.dictionary import abstract_double, k_from_quasi
 from diracpairs.exact_linear import Subspace, canonicalize
@@ -22,7 +23,6 @@ from diracpairs.morphism import (
     integer_legs,
     product_algebra,
 )
-from diracpairs.quadratic_lie import catalog
 
 
 def test_identity_morphism_passes_both_criteria():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import helpers
+from helpers import catalog
 import numpy as np
 import pytest
 
@@ -21,7 +22,6 @@ from diracpairs.dictionary import (
 )
 from diracpairs.exact_linear import SplitForm, canonicalize
 from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber, integer_legs
-from diracpairs.quadratic_lie import catalog
 from diracpairs.splitting import derive_quasi_data, make_isotropic_splitting
 
 

@@ -1,17 +1,36 @@
 """Reach guards.
 
 Only what a command reaches stays in the package.  A definition is a
-top-level function, class or assigned name of a package module, or a method
-or property of a package class.  It is reached when code reached from
-``cli.run`` or ``cli.main`` uses its name, as a name or an attribute, so
-reach is transitive; the dunder methods of a reached class are reached with
-it, because the interpreter calls them.  Every other definition is named in
-``ALLOWED`` with the reason it stays, and the members of an allowed class
-are allowed with it.  An allowed definition is no root: what only it uses
-is unreached, and stays only if it is allowed too.  Test code is no caller:
-a definition that only tests use belongs in ``tests/helpers.py``.  Uses are
-found by identifier, so a definition whose name reached code also uses for
-another object can hide from the scan; an unused one cannot.
+function or method of a package module, nested ones included, a class, or a
+name that a module assigns at its top level.  Reach is read from a trace:
+one fresh interpreter runs a fixed corpus of command lines through
+``cli.run`` under ``sys.setprofile`` (``tests/reach_trace.py``) and records
+what ran.  The corpus is every invocation of the benchmark's workloads, read
+from ``perfbench/workloads.py`` at the benchmark's default 20 samples and
+seed 0, and the failing, bad-input and option-passing invocations that
+``tests/test_cli.py`` makes; each must exit as there.  The process is fresh
+because a warm ``lru_cache`` answers without calling what it caches.
+
+- A function or method is reached when its code runs.
+- A class is reached when it is instantiated (a constructor named
+  ``__init__``, generated for a dataclass or written out, runs on an
+  instance of it or of a subclass), when one of its methods runs, or when a
+  function that ran reads its name, as for any module-level name.
+- A module-level name is reached when a function that ran reads it: as a
+  global of its module, imported from the module that assigns it, or as an
+  attribute of that module (``rat.rref``).  Module and class bodies run at
+  every import, so what only they read is not reached.
+- Dunder definitions are not reported: the interpreter calls them, so those
+  of a reached class are reached with it, and those of an unreached one go
+  with their class.
+
+A name that reached code uses for another object, as a local variable or an
+attribute, reaches nothing.  Every definition the trace does not reach is
+named in ``ALLOWED`` with the reason it stays, and what an allowed
+definition encloses (a class's members, a function's inner functions) is
+allowed with it.  An allowed definition is no root: what only it calls is
+not reached either, and stays only if it is allowed too.  Test code is no
+caller: a definition that only tests call belongs in ``tests/helpers.py``.
 
 Every optional parameter of a package function, method or class constructor
 is passed by some call in the package or in ``perfbench/``, or is named in
@@ -19,7 +38,7 @@ is passed by some call in the package or in ``perfbench/``, or is named in
 sets is a constant, or a seam that only tests use.  The other way round, an
 optional parameter that every call in the package and the tests passes is a
 required one written as an option, unless ``ALWAYS_PASSED_ALLOWED`` names
-it.  Calls are matched by the callee's name, in the same way.
+it.  Calls are matched by the callee's name.
 
 Every top-level import of a package module is used by that module's code,
 or listed in its ``__all__``: a name that only a docstring or comment
@@ -27,26 +46,34 @@ mentions is no use.
 """
 
 import ast
+import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
+
+import test_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "diracpairs"
 TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
-# The command line's entry points.
-ROOTS = ("cli.run", "cli.main")
+# The benchmark's default round (perfbench/run.py): 20 samples, seed 0.
+SAMPLES, SEED = 20, 0
 
 _COMPOSITION = "composition of Courant morphisms, with its identity morphism"
 _REDUCTION = "the reduction procedure: orbit description and reduction"
 _DICTIONARY = "the dictionary's backward transport and its predicates on a fiber"
 
-# Paper constructions that no command reaches yet, each with the reason it
-# stays: a scene kind or example can wire it in.
+# Definitions that no command reaches, each with the reason it stays: paper
+# constructions that a scene kind or example can wire in, Fraction forms
+# that tests and the benchmark read, and entry and failure paths that the
+# corpus does not run.
 ALLOWED = {
     "morphism.compose_morphisms": _COMPOSITION,
     "morphism.identity_morphism": _COMPOSITION,
@@ -78,6 +105,19 @@ ALLOWED = {
     "numeric_manifold.rotation_double_exact_anchor": (
         "the Fraction form of the frozen anchor, which the frozen-rationals digest pins"
     ),
+    "dictionary.ExactIdentification.s_star": (
+        "the Fraction form of the identification's s*, which only tests and the "
+        "frozen-rationals digest read"
+    ),
+    "rational.rank": "the rank of a Fraction matrix, for the allowlisted quasi_spans_tangents",
+    "exact_linear.SplitForm.pairing": (
+        "bound only by the benchmark's TARGETS; it goes with that list's next change"
+    ),
+    "cli.main": "the console entry point, which runs cli.run on the process arguments",
+    "quadratic_lie.check_quadratic_lie.violated": (
+        "counts an axiom's failure; no command's input declares an algebra that fails one, "
+        "and the negative controls of tests/test_quadratic_lie.py reach it"
+    ),
 }
 
 # Optional parameters that no command passes but that stay, each with the
@@ -106,79 +146,144 @@ UNPASSED_ALLOWED = {
 ALWAYS_PASSED_ALLOWED = {}
 
 
-def _uses(nodes):
-    """Identifiers used anywhere in ``nodes``: names and attribute names."""
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-    return out
-
-
 def _is_dunder(key):
     name = key.rsplit(".", 1)[-1]
     return name.startswith("__") and name.endswith("__")
 
 
-def _definitions(sources):
-    """``(uses, named, dunders)`` over the package ``sources`` (module name
-    -> source text).  ``uses`` maps each definition, ``module.name`` or
-    ``module.Class.member``, to the identifiers its code uses; a class's own
-    code is its bases, decorators and the statements of its body that are
-    not methods.  ``named`` maps an identifier to the definitions it names,
-    and ``dunders`` a class to its dunder methods."""
-    uses, named, dunders = {}, defaultdict(set), defaultdict(set)
+def definitions(package):
+    """``{key: (kind, file name, first line)}`` over the modules of the
+    package directory ``package``.  ``key`` is ``module.name``,
+    ``module.Class.member`` or ``module.function.inner``; ``kind`` is
+    ``function``, ``class`` or ``name``; the first line, that of a
+    function's first decorator if it has one, is None but for functions."""
+    found = {}
 
-    def define(key, name, code):
-        uses[key] = _uses(code)
-        named[name].add(key)
-
-    for module, text in sources.items():
-        for node in ast.parse(text).body:
+    def visit(prefix, nodes, file):
+        for node in nodes:
             if isinstance(node, ast.FunctionDef):
-                define(f"{module}.{node.name}", node.name, [node])
+                key = f"{prefix}.{node.name}"
+                found[key] = ("function", file, min(n.lineno for n in [node, *node.decorator_list]))
+                visit(key, node.body, file)
             elif isinstance(node, ast.ClassDef):
-                cls = f"{module}.{node.name}"
-                body = []
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef):
-                        define(f"{cls}.{sub.name}", sub.name, [sub])
-                        if _is_dunder(sub.name):
-                            dunders[cls].add(f"{cls}.{sub.name}")
-                    else:
-                        body.append(sub)
-                define(cls, node.name, node.bases + node.decorator_list + body)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                value = [node.value] if node.value else []
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        define(f"{module}.{target.id}", target.id, value)
-    return uses, named, dunders
+                found[f"{prefix}.{node.name}"] = ("class", file, None)
+                visit(f"{prefix}.{node.name}", node.body, file)
+            elif isinstance(node, ast.Assign):
+                if "." in prefix:
+                    continue
+                for target in node.targets:
+                    for name in getattr(target, "elts", [target]):
+                        if isinstance(name, ast.Name):
+                            found[f"{prefix}.{name.id}"] = ("name", file, None)
+            else:
+                children = ast.iter_child_nodes(node)
+                visit(prefix, [c for c in children if isinstance(c, (ast.stmt, ast.excepthandler))], file)
+
+    for path in sorted(package.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()).body, path.name)
+    return found
 
 
-def unreached(sources, roots=ROOTS):
-    """Definitions of ``sources`` (module name -> source text) that no code
-    reached from ``roots`` uses, as sorted ``module.name`` or
-    ``module.Class.member`` strings.  Dunder definitions are skipped: the
-    interpreter uses them, and those of a reached class are reached."""
-    uses, named, dunders = _definitions(sources)
-    reached, todo = set(roots), list(roots)
-    while todo:
-        key = todo.pop()
-        for nxt in set().union(dunders[key], *(named[name] for name in uses[key])) - reached:
-            reached.add(nxt)
-            todo.append(nxt)
-    return sorted(key for key in uses if key not in reached and not _is_dunder(key))
+def trace(package, corpus, tmp, cwd):
+    """Run ``corpus``, a list of ``(argv, exit code)``, through the ``cli.run``
+    of the package directory ``package`` in one fresh traced interpreter
+    started in ``cwd``, check each exit code, and return what ran (the
+    object ``tests/reach_trace.py`` writes)."""
+    result = tmp / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    proc = subprocess.run(
+        [sys.executable, str(TESTS / "reach_trace.py"), package.name, str(result)],
+        input=json.dumps([argv for argv, _ in corpus]),
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ran = json.loads(result.read_text())
+    wrong = [(argv, code, got) for (argv, code), got in zip(corpus, ran["codes"]) if got != code]
+    assert wrong == []
+    return ran
 
 
-def not_allowed(names, allowed):
-    """``names`` that ``allowed`` does not name, directly or through the
-    class they are a member of."""
-    return [n for n in names if n not in allowed and n.rsplit(".", 1)[0] not in allowed]
+def untraced(package, ran):
+    """Definitions of the package directory ``package`` that the trace
+    ``ran`` did not reach, as sorted keys; dunder definitions are left
+    out."""
+    found = definitions(package)
+    calls = {tuple(c) for c in ran["calls"]}
+    reached = {
+        key for key, (_, file, line) in found.items() if (file, line, key.rsplit(".", 1)[-1]) in calls
+    }
+    reached |= {key.rsplit(".", 1)[0] for key in reached}  # a class whose method ran
+    reached |= set(ran["instances"])
+    # a read reaches a class or a name; a function must run
+    reached |= {key for key in ran["reads"] if key in found and found[key][0] != "function"}
+    return sorted(key for key in found if key not in reached and not _is_dunder(key))
+
+
+def unexplained(keys, allowed):
+    """``keys`` that ``allowed`` names neither directly nor through a
+    definition that encloses them."""
+    return [k for k in keys if not any(k == a or k.startswith(f"{a}.") for a in allowed)]
+
+
+def command_corpus(tmp):
+    """``(argv, exit code)`` of each invocation of the corpus; the inputs
+    that ``tests/test_cli.py`` writes to a file are written under ``tmp``."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    corpus = [
+        (argv, code)
+        for workload in workloads["WHY"]
+        for _, argv, code in workloads["invocations"](workload, SAMPLES, SEED)
+    ]
+
+    def written(name, text):
+        (tmp / name).write_text(text, encoding="utf-8")
+        return str(tmp / name)
+
+    fixtures = test_cli.FIXTURES
+    scene = written("tilted.mp", test_cli.TILTED_SCENE)
+    corpus += [(["check", scene], 1), (["check", "--json", scene], 1)]
+    corpus += [(["check", str(tmp / "missing.mp")], 2)]
+    for i, (text, _) in enumerate(test_cli.NON_ASCII_DIGITS + test_cli.LONG_INTEGERS):
+        corpus.append((["check", written(f"bad-{i}.mp", text)], 2))
+    corpus.append((["check", "--json", written("tiny-step.mp", test_cli.TINY_STEP_SCENE)], 2))
+    corpus.append((["check", "--quiet", str(fixtures / "minimal-abelian.mp")], 0))
+
+    def dict_call(mode, path, code, *flags):
+        corpus.append((["dict", "--mode", mode, *flags, "--fiber", str(path)], code))
+
+    for i, text in enumerate(test_cli.LONG_NUMBERS):
+        dict_call("qp-to-dirac", written(f"long-{i}.json", text), 2)
+    for i, (mode, record, _) in enumerate(test_cli.MALFORMED_RECORDS):
+        dict_call(mode, written(f"malformed-{i}.json", json.dumps(record)), 2, "--json")
+    point = written("point.json", json.dumps(test_cli.ACTION_ON_A_POINT))
+    dict_call("qp-to-dirac", point, 1)
+    dict_call("roundtrip", point, 1)
+    dict_call("qp-to-dirac", written("not-antisymmetric.json", json.dumps(test_cli.NOT_ANTISYMMETRIC)), 1)
+    # text output, where the workloads ask for JSON
+    dict_call("qp-to-dirac", fixtures / "planar-quasi.json", 0)
+    dict_call("dirac-to-qp", fixtures / "covector-dirac.json", 0)
+    dict_call("roundtrip", fixtures / "planar-quasi.json", 0)
+    dict_call("qp-to-dirac", fixtures / "action-quasi.json", 1)
+    dict_call("dirac-to-qp", fixtures / "tangent-dirac.json", 1)
+    dict_call("roundtrip", fixtures / "bad-kind.json", 2)
+    dict_call("roundtrip", fixtures / "garbage.json", 2)
+
+    example = ["verify-example"]
+    corpus += [
+        (example + ["planar_symplectic_reduction", "--samples", "4", "--seed", "1"], 0),
+        (example + ["rotation_quasi_poisson", "--json", "--samples", "2", "--seed", "3", "--tol", "1e-4"], 0),
+        (example + ["flat_twisted_axioms", "--samples", "2", "--fd-step", "1e200", "--json"], 1),
+        (example + ["no_such_example"], 2),
+    ]
+    corpus += [(example + [name, flag, value], 2) for name, flag, value, _ in test_cli.BAD_ARGUMENTS]
+    corpus += list(zip(test_cli.REUSE_SEQUENCE, test_cli.REUSE_EXITS))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def package_untraced(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reach")
+    return untraced(PACKAGE, trace(PACKAGE, command_corpus(tmp), tmp, ROOT))
 
 
 def package_sources():
@@ -190,13 +295,13 @@ def command_callers():
     return [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
 
 
-def test_every_package_definition_is_reached_or_allowed():
-    assert not_allowed(unreached(package_sources()), ALLOWED) == []
+def test_every_package_definition_is_reached_or_allowed(package_untraced):
+    assert unexplained(package_untraced, ALLOWED) == []
 
 
-def test_the_allowlist_names_only_unreached_definitions():
+def test_the_allowlist_names_only_unreached_definitions(package_untraced):
     # a construction that gets wired in leaves the list
-    assert sorted(ALLOWED.keys() - set(unreached(package_sources()))) == []
+    assert sorted(ALLOWED.keys() - set(package_untraced)) == []
 
 
 def test_every_allowlist_entry_states_its_reason():
@@ -220,53 +325,102 @@ def test_the_package_exports_every_module_lazily():
     assert out == [repr(modules), repr([f"diracpairs.{m}" for m in modules])]
 
 
-CLI = "def main():\n    run()\n\n\n"
+def _untraced(tmp_path, modules):
+    """What a trace of one empty command line leaves unreached in a package
+    ``pkg`` of ``modules`` (module name -> source text) written under
+    ``tmp_path``; its ``cli.run`` must return 0."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    for name, text in modules.items():
+        (package / f"{name}.py").write_text(text)
+    return untraced(package, trace(package, [([], 0)], tmp_path, tmp_path))
 
 
-def test_the_scan_finds_an_unused_definition():
-    sources = {
-        "cli": CLI + "def run():\n    return used()\n",
+def test_the_trace_finds_an_unused_definition(tmp_path):
+    modules = {
+        "cli": (
+            "from . import b\nfrom .a import used\n\n\n"
+            "def run(argv, out, err):\n    used()\n    b.SCALE\n    return 0\n"
+        ),
         "a": (
             "LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
-            "def recursive(n):\n    return recursive(n - 1)\n\n\n"
-            "SPARE = recursive(LIMIT)\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n\n"
+            "SPARE = LIMIT + 1\n"
         ),
-        "b": "class Orphan:\n    pass\n",
+        "b": "SCALE = 2\n\n\nclass Orphan:\n    pass\n",
     }
-    assert unreached(sources) == ["a.SPARE", "a.recursive", "b.Orphan"]
+    # SPARE is read only by the module body, at import
+    assert _untraced(tmp_path, modules) == ["a.SPARE", "a.recursive", "b.Orphan"]
 
 
-def test_the_scan_finds_an_unused_method():
-    sources = {
-        "cli": CLI + "def run():\n    return Box(1).size\n",
+def test_the_trace_finds_an_unused_method(tmp_path):
+    modules = {
+        "cli": (
+            "from .a import MAKERS, Box\n\n\n"
+            "def run(argv, out, err):\n    return Box(1).size - MAKERS['point'](1).x\n"
+        ),
         "a": (
+            "from dataclasses import dataclass\n\n\n"
             "class Box:\n"
             "    def __init__(self, n):\n        self.n = self._checked(n)\n\n"
             "    def _checked(self, n):\n        return n\n\n"
             "    @property\n    def size(self):\n        return self.n\n\n"
             "    def unused(self):\n        return self.helper()\n\n"
             "    def helper(self):\n        return 0\n\n\n"
+            "@dataclass(frozen=True)\nclass Point:\n    x: int\n\n\n"
+            "MAKERS = {'point': Point}\n\n\n"
+            "@dataclass(frozen=True)\nclass Idle:\n    x: int\n\n\n"
             "class Unreached:\n"
             "    def __call__(self):\n        return self.n\n"
         ),
     }
-    # __init__ is reached with Box, and reaches _checked in turn
-    assert unreached(sources) == ["a.Box.helper", "a.Box.unused", "a.Unreached"]
+    # Box's __init__ runs and calls _checked; only the module body reads
+    # Point, which its generated constructor reaches
+    assert _untraced(tmp_path, modules) == [
+        "a.Box.helper", "a.Box.unused", "a.Idle", "a.Unreached",
+    ]
 
 
-def test_what_only_an_allowed_definition_uses_is_not_allowed():
-    sources = {
-        "cli": CLI + "def run():\n    return 0\n",
+def test_what_only_an_allowed_definition_uses_is_not_allowed(tmp_path):
+    modules = {
+        "cli": "def run(argv, out, err):\n    return 0\n",
         "a": (
             "def construction():\n    return Step().apply()\n\n\n"
             "class Step:\n    def apply(self):\n        return 1\n\n\n"
             "class Kept:\n    def member(self):\n        return 2\n"
         ),
     }
-    found = unreached(sources)
+    found = _untraced(tmp_path, modules)
     assert found == ["a.Kept", "a.Kept.member", "a.Step", "a.Step.apply", "a.construction"]
     allowed = {"a.construction": "a construction", "a.Kept": "a construction"}
-    assert not_allowed(found, allowed) == ["a.Step", "a.Step.apply"]
+    assert unexplained(found, allowed) == ["a.Step", "a.Step.apply"]
+
+
+def test_a_definition_only_a_test_calls_is_unreached(tmp_path):
+    modules = {
+        "cli": "from .a import used\n\n\ndef run(argv, out, err):\n    return used()\n",
+        "a": "def used():\n    return 0\n\n\ndef for_tests():\n    return 1\n",
+    }
+    # a test calls it, but the trace runs commands only
+    (tmp_path / "test_a.py").write_text("from pkg.a import for_tests\n\n\nassert for_tests() == 1\n")
+    assert _untraced(tmp_path, modules) == ["a.for_tests"]
+
+
+def test_a_name_reached_code_uses_for_another_object_is_unreached(tmp_path):
+    # the reached constructor binds a local and an attribute named like two
+    # definitions that nothing calls; a scan of identifiers counts both used
+    modules = {
+        "cli": "from .a import Ident\n\n\ndef run(argv, out, err):\n    return Ident([1, 2]).rank - 2\n",
+        "a": (
+            "def rank(rows):\n    return len(rows)\n\n\n"
+            "class Ident:\n"
+            "    def __init__(self, rho):\n"
+            "        s_star = [-x for x in rho]\n        self.rank = len(s_star)\n\n"
+            "    @property\n    def s_star(self):\n        return [-x for x in self.rho]\n"
+        ),
+    }
+    assert _untraced(tmp_path, modules) == ["a.Ident.s_star", "a.rank"]
 
 
 def _exported(tree):

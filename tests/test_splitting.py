@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import catalog
 from diracpairs import rational as rat
 from diracpairs import splitting as sp
 from diracpairs.exact_linear import SplitForm
-from diracpairs.quadratic_lie import catalog
 
 
 def unit(n, i):
