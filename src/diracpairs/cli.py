@@ -25,6 +25,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, verify
 from . import dictionary as dc
 from .scene_dsl import ParseError, SceneError, parse_scene, validate_scene
@@ -34,6 +36,14 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+
+def _quiet_floats():
+    """numpy's float warnings off, for the examples and scene plans a
+    command runs: a non-finite reading is a quantity of the report, named
+    in its witness, so a warning on stderr would only repeat it as
+    interpreter noise.  The library and its tests keep numpy's defaults."""
+    return np.errstate(all="ignore")
 
 
 def _positive_int(text):
@@ -200,7 +210,9 @@ def run_check(args, out, err):
         return EXIT_INPUT
     try:
         ir = parse_scene(text)
-        checks = _run_plan(validate_scene(ir, verify.EXAMPLES).plan)
+        plan = validate_scene(ir, verify.EXAMPLES).plan
+        with _quiet_floats():
+            checks = _run_plan(plan)
     except (ParseError, SceneError) as e:
         print(f"{path}: {e}", file=err)
         return EXIT_INPUT
@@ -290,13 +302,14 @@ def run_verify_example(args, out, err):
         return EXIT_INPUT
     t0 = time.perf_counter()
     try:
-        result = verify.run_example(
-            args.name,
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
-            step=args.fd_step,
-        )
+        with _quiet_floats():
+            result = verify.run_example(
+                args.name,
+                samples=args.samples,
+                seed=args.seed,
+                tol=args.tol,
+                step=args.fd_step,
+            )
     except ValueError as e:
         print(f"example {args.name} rejected its arguments: {e}", file=err)
         return EXIT_INPUT

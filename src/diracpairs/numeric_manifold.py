@@ -69,6 +69,11 @@ from .report import Report, worse
 # keeps a long-lived field's memo from growing.
 _PER_POINT_MEMO = 512
 
+# Spread of a frame's singular values beyond which ``_closure`` counts the
+# frame as rank deficient and leaves its distances to lstsq, which
+# tolerates a deficient frame where a QR screen cannot bound one.
+_DEFICIENT = 1e8
+
 # Scale of the pushed-trivector term in the Jacobiator identity, i.e.
 # sum_cyc {f,{g,h}} = JACOBIATOR_SIGN * chi(rho_X^T df, rho_X^T dg, rho_X^T dh).
 # Convention-fixed: on every chart action this package can build (3-dim
@@ -714,7 +719,14 @@ def check_axioms_numeric(c, tol):
 
 
 def lstsq_distance(rows, w):
-    """Distance from ``w`` to the row span of ``rows``."""
+    """Distance from ``w`` to the row span of ``rows``, by LAPACK's SVD
+    least-squares solver.  It is the value every closure reading reports;
+    ``_closure`` solves it only where its QR screen cannot rule out a
+    family's worst, and that screen's estimate agrees with it within
+    2 (1 + 2 kappa_2) sqrt(k) m k u |w| for a ``(k, m)`` frame of
+    condition number kappa_2, u = 2^-53 (the derivation is in
+    ``_closure``).  The largest disagreement measured, over both rotation
+    examples at seeds 0-29 and 50 samples, was 1.2 % of that margin."""
     rows = np.asarray(rows, dtype=float)
     w = np.asarray(w, dtype=float)
     sol, *_ = np.linalg.lstsq(rows.T, w, rcond=None)
@@ -775,12 +787,80 @@ def _closure(generators, bracket, frames, out, family):
     ``generators`` to the row span of the frame, at every point of a
     stack: ``bracket(g1, g2)`` is the pair's stack of values, ``frames``
     the frame at each point, and ``family(i, j)`` the key of the pair of
-    indices ``i < j`` in ``out``."""
-    for (i, g1), (j, g2) in combinations(enumerate(generators), 2):
-        key = family(i, j)
-        for rows, w in zip(frames, bracket(g1, g2)):
-            out[key] = worse(out[key], lstsq_distance(rows, w))
+    indices ``i < j`` in ``out``.
+
+    Every reading is ``lstsq_distance``'s value bit for bit, but lstsq
+    solves only the distances that may be a family's worst.  All pairs'
+    brackets are computed first, in pair order (the jets' memos read that
+    order).  One stacked Householder QR of the transposed frames
+    ``(P, m, k)`` then estimates every distance as the norm of
+    w - Q Q^T w, and ``_screen`` bounds lstsq's value within ``slack`` of
+    it.  A family's worst lies at an entry whose estimate plus slack
+    reaches the family's largest estimate minus slack; only those entries
+    are solved and folded with ``worse``.
+
+    The margin.  Both routes are backward stable (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 19-20): each computed
+    residual is the exact residual of a problem whose frame and w carry a
+    relative 2-norm perturbation eps <= sqrt(k) m k u, u = 2^-53
+    (Higham's gamma~_mk with its unnamed constant taken as 1).  Such a
+    perturbation moves a least-squares residual by at most
+    (1 + 2 kappa_2) eps |w| (Wedin's bound, Theorem 20.1), kappa_2 the
+    frame's condition number, read from the singular values of R.  So the
+    two routes differ by at most slack = 2 (1 + 2 kappa_2) eps |w|.  Over
+    every distance of both rotation examples at seeds 0-29 and 50 samples,
+    the largest disagreement was 1.2 % of its slack.  Were a bound ever
+    violated, the reading would still be a distance lstsq measured, so it
+    could not rise; it could fall below the family's worst only by the
+    amount by which the two routes' disagreements, at the worst entry and
+    at the entry with the largest lower bound, exceed their slacks.
+
+    When ``_screen`` gives no bounds (a non-finite frame or bracket, a
+    rank-deficient frame, an overflowing estimate), lstsq solves every
+    distance of the call, with its NaN and its exceptions."""
+    pairs = list(combinations(range(len(generators)), 2))
+    stacks = [bracket(generators[i], generators[j]) for i, j in pairs]
+    keys = [family(i, j) for i, j in pairs]
+    bounds = _screen(frames, stacks)
+    if bounds is None:
+        solve = np.ones((len(stacks), len(frames)), dtype=bool)
+    else:
+        low, high = bounds
+        floor = {}
+        for key, row in zip(keys, low.max(axis=1)):
+            floor[key] = max(floor.get(key, row), row)
+        solve = high >= np.array([floor[key] for key in keys])[:, None]
+    # pair by pair, point by point, as the brackets came
+    for q, p in zip(*np.nonzero(solve)):
+        out[keys[q]] = worse(out[keys[q]], lstsq_distance(frames[p], stacks[q][p]))
     return out
+
+
+def _screen(frames, stacks):
+    """``_closure``'s bounds ``(low, high)``, of shape (pairs, points), on
+    lstsq's distance from each stack's value to the frame at its point:
+    the QR estimate minus and plus its slack.  None when a frame or a value
+    is not finite (tested before the QR), when a frame has more rows than
+    entries per row or singular values spread by more than ``_DEFICIENT``,
+    or when an estimate overflows."""
+    a = np.swapaxes(np.asarray(frames, dtype=float), -1, -2)
+    w = np.asarray(stacks, dtype=float)
+    if not w.size or not (np.isfinite(a).all() and np.isfinite(w).all()):
+        return None
+    m, k = a.shape[-2:]
+    if k > m:
+        return None
+    q, r = np.linalg.qr(a)
+    sv = np.linalg.svd(r, compute_uv=False)
+    if not np.all(sv[:, -1] * _DEFICIENT > sv[:, 0]):
+        return None
+    res = w - _mv(q, _mv(_tr(q), w))
+    est = np.sqrt(_dot(res, res))
+    eps = math.sqrt(k) * m * k * 2.0**-53
+    slack = 2 * (1 + 2 * sv[:, 0] / sv[:, -1]) * eps * np.sqrt(_dot(w, w))
+    if not (np.isfinite(est).all() and np.isfinite(slack).all()):
+        return None
+    return est - slack, est + slack
 
 
 def dirac_of_pair(c, half, s):

@@ -151,10 +151,20 @@ def rotation_quasi_poisson(samples, seed, tol, step):
 
 
 def rotation_canonical_fibers(samples, seed, tol, step):
-    """Canonical moment geometry of the dressing chart: frozen fibers are
-    exactly Lagrangian with exact support (their constructor is the
-    proof, read as ``frozen_fiber``), and the three generator-bracket
-    families land back in the fiber within tolerance."""
+    """Canonical moment geometry of the dressing chart: the fibers frozen
+    at the points, read as the exact ``frozen_fiber``, and the three
+    generator-bracket families, whose brackets must land back in the fiber
+    within tolerance.
+
+    ``frozen_fiber`` proves the construction, not the sample point.  The
+    frozen anchor ``[-J | J R(q)]`` has R(q) exactly orthogonal for every
+    rational q, so its fiber is Lagrangian and supported whatever J is
+    (200 of 200 random integer J pass `canonical_fiber`), and anchors
+    frozen at the wrong points (0.5 x, in reverse order) pass with every
+    reading unchanged.  It fails only on an anchor that is not coisotropic.
+    The generator families read float frames alone, so nothing here
+    compares a frozen anchor with the float anchor at its point until a
+    gate does."""
     _, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
     fibers, frozen = _freeze(pts, can.frozen_fiber(np.array(pts)))

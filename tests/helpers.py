@@ -1243,6 +1243,17 @@ def reference_canonical_fiber(pair, rho, rho_star):
     return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=integer_legs(rat.identity(n), rho))
 
 
+def reference_closure(generators, bracket, frames, out, family):
+    """``numeric_manifold._closure`` as it solved every distance by lstsq:
+    one ``lstsq_distance`` per pair of generators and point, folded into
+    ``out`` with ``worse`` as each pair's brackets come."""
+    for (i, g1), (j, g2) in combinations(enumerate(generators), 2):
+        key = family(i, j)
+        for rows, w in zip(frames, bracket(g1, g2)):
+            out[key] = worse(out[key], nm.lstsq_distance(rows, w))
+    return out
+
+
 # the canonical scene printer: its text reparses to the same scene IR
 
 

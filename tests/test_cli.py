@@ -66,6 +66,24 @@ TILTED_SCENE = (
 )
 
 
+# a pairing that ad_h does not preserve: [h, x] = x, so <[h, x], x> + <x, [h, x]> = 2
+NOT_AD_INVARIANT = (
+    "algebra bent { dim 2; basis h x; bracket [h, x] = x; pairing diag(1, 1); }\n"
+    "check quadratic bent;\n"
+)
+
+
+def test_an_algebra_failing_the_bracket_axioms_is_refused_with_its_witness(tmp_path):
+    # the declaration is built and checked before any check runs, so the
+    # failing quadratic check is a refused input, exit 2, naming its witness
+    scene = tmp_path / "bent.mp"
+    scene.write_text(NOT_AD_INVARIANT)
+    code, out, err = run_cli("check", str(scene))
+    assert code == 2
+    assert out == ""
+    assert err == f"{scene}: bent: bracket axioms fail: ad_invariance = 3, witness (0, 1, 1)\n"
+
+
 def test_check_reports_failures_with_exit_one(tmp_path):
     scene = tmp_path / "tilted.mp"
     scene.write_text(TILTED_SCENE)
@@ -406,16 +424,17 @@ def test_verify_example_json_is_deterministic():
     assert rep1["samples"] == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_non_finite_residual_is_valid_json():
     def no_constants(name):
         raise ValueError(f"non-JSON constant {name}")
 
-    code, out, _ = run_cli(
+    # the overflow is a NaN quantity of the report, not a warning on stderr
+    code, out, err = run_cli(
         "verify-example", "flat_twisted_axioms", "--samples", "2",
         "--fd-step", "1e200", "--json",
     )
     assert code == 1
+    assert err == ""
     (check,) = json.loads(out, parse_constant=no_constants)["checks"]
     assert check["status"] == "fail"
     assert check["residual"] is None
@@ -679,6 +698,24 @@ def test_a_scene_example_that_rejects_its_arguments_is_bad_input(tmp_path):
     assert out == ""
     assert err.startswith(f"{scene}: rotation_dressing_axioms: ")
     assert "rejected its arguments: anchor is not bracket-compatible" in err
+
+
+# the overflow of verify-example's --fd-step 1e200, from a scene's plan
+OVERFLOW_STEP_SCENE = (
+    "example flat_twisted_axioms { samples 2; step 1e200; }\n"
+    "check example flat_twisted_axioms;\n"
+)
+
+
+def test_a_scene_example_that_overflows_fails_without_a_warning(tmp_path):
+    scene = tmp_path / "overflow.mp"
+    scene.write_text(OVERFLOW_STEP_SCENE)
+    code, out, err = run_cli("check", "--json", str(scene))
+    assert code == 1
+    assert err == ""
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "fail" and check["residual"] is None
+    assert "c1_jacobi = nan" in check["witness"]
 
 
 # Lexemes of the scene and fiber fixtures: a JSON string, a number, a word,

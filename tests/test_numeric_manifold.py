@@ -639,6 +639,89 @@ def test_stacked_integrability_is_the_worst_per_point_reading(
     assert 0.0 < per_point < helpers.TOL
 
 
+CLOSURE_EXAMPLES = ("rotation_strong_section", "rotation_canonical_fibers")
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", CLOSURE_EXAMPLES)
+def test_screened_closure_reports_are_the_lstsq_fold_bit_for_bit(monkeypatch, name, seed):
+    run = lambda: repr(verify.run_example(name, 50, seed, helpers.TOL, helpers.STEP))
+    screened = run()
+    monkeypatch.setattr(nm, "_closure", helpers.reference_closure)
+    assert screened == run()
+
+
+def counted_solves(monkeypatch):
+    """The distances ``_closure`` hands to lstsq from now on, as they come."""
+    solves, solve = [], nm.lstsq_distance
+
+    def counted(rows, w):
+        solves.append(float(w @ w))
+        return solve(rows, w)
+
+    monkeypatch.setattr(nm, "lstsq_distance", counted)
+    return solves
+
+
+def test_the_closure_solves_only_candidates_for_a_familys_worst(monkeypatch):
+    solves = counted_solves(monkeypatch)
+    for name in CLOSURE_EXAMPLES:
+        assert verify.run_example(name, 20, 0, helpers.TOL, helpers.STEP).passed
+    # one family in the strong section and three in the canonical space, each
+    # solved at least once; lstsq on every distance made 60 + 300 solves
+    assert 4 <= len(solves) <= 8
+
+
+def synthetic_closure(closure, frames, values):
+    """``closure`` over three generators in one family ``"f"``, the pairs'
+    bracket stacks ``values`` in pair order: the folded worst, or the
+    exception raised, as its type and message."""
+    stacks = dict(zip(itertools.combinations(range(3), 2), np.asarray(values, dtype=float)))
+    frames = np.asarray(frames, dtype=float)
+    try:
+        return closure(range(3), lambda i, j: stacks[i, j], frames, {"f": 0.0}, lambda i, j: "f")
+    except Exception as e:
+        return type(e), str(e)
+
+
+# two points of the plane, each framed by the first axis: a value's distance
+# is the absolute value of its second entry
+PLANE_FRAMES = [[[1.0, 0.0]], [[1.0, 0.0]]]
+
+
+def test_distances_tied_within_the_margin_are_both_solved(monkeypatch):
+    # 1 and the next float above it tie within the margin; 0.5 and 0.25 do not
+    tied = [[[0, 1.0], [0, 0.5]], [[0, 0.25], [0, np.nextafter(1.0, 2.0)]], [[0, 0.5], [0, 0.5]]]
+    solves = counted_solves(monkeypatch)
+    assert synthetic_closure(nm._closure, PLANE_FRAMES, tied) == {"f": np.nextafter(1.0, 2.0)}
+    assert sorted(solves) == [1.0, np.nextafter(1.0, 2.0) ** 2]
+    apart = [[[0, 1.0], [0, 0.5]], [[0, 0.25], [0, 1.0 - 1e-9]], [[0, 0.5], [0, 0.5]]]
+    solves.clear()
+    assert synthetic_closure(nm._closure, PLANE_FRAMES, apart) == {"f": 1.0}
+    assert solves == [1.0]
+
+
+@pytest.mark.parametrize(
+    "frames,values",
+    [
+        # a rank-one frame of two rows at the first point
+        (
+            [[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+            [[[0, 1, 2], [3, 0, 1]], [[1, 1, 1], [0, 0, 2]], [[0, 3, 0], [1, 2, 3]]],
+        ),
+        # a NaN bracket value
+        (PLANE_FRAMES, [[[0, 1], [0, np.nan]], [[0, 2], [0, 0]], [[0, 0], [0, 3]]]),
+    ],
+    ids=["rank-deficient-frame", "nan-bracket"],
+)
+def test_an_unscreenable_closure_solves_every_distance_as_lstsq_did(monkeypatch, frames, values):
+    want = synthetic_closure(helpers.reference_closure, frames, values)
+    solves = counted_solves(monkeypatch)
+    got = synthetic_closure(nm._closure, frames, values)
+    assert repr(got) == repr(want)
+    assert len(solves) == 3 * len(frames)
+
+
 def cayley_probe_points():
     """Chart points for the frozen rotation: 40 samples at each of three
     seeds, points within 1e-6 of the origin, and points just inside the

@@ -114,10 +114,6 @@ ALLOWED = {
         "bound only by the benchmark's TARGETS; it goes with that list's next change"
     ),
     "cli.main": "the console entry point, which runs cli.run on the process arguments",
-    "quadratic_lie.check_quadratic_lie.violated": (
-        "counts an axiom's failure; no command's input declares an algebra that fails one, "
-        "and the negative controls of tests/test_quadratic_lie.py reach it"
-    ),
 }
 
 # Optional parameters that no command passes but that stay, each with the
@@ -243,9 +239,11 @@ def command_corpus(tmp):
     scene = written("tilted.mp", test_cli.TILTED_SCENE)
     corpus += [(["check", scene], 1), (["check", "--json", scene], 1)]
     corpus += [(["check", str(tmp / "missing.mp")], 2)]
+    corpus += [(["check", written("bent.mp", test_cli.NOT_AD_INVARIANT)], 2)]
     for i, (text, _) in enumerate(test_cli.NON_ASCII_DIGITS + test_cli.LONG_INTEGERS):
         corpus.append((["check", written(f"bad-{i}.mp", text)], 2))
     corpus.append((["check", "--json", written("tiny-step.mp", test_cli.TINY_STEP_SCENE)], 2))
+    corpus.append((["check", "--json", written("overflow.mp", test_cli.OVERFLOW_STEP_SCENE)], 1))
     corpus.append((["check", "--quiet", str(fixtures / "minimal-abelian.mp")], 0))
 
     def dict_call(mode, path, code, *flags):
