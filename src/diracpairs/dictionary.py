@@ -17,8 +17,9 @@ the i-th and j-th coordinate covectors, so i_alpha P = P^T alpha.
 Each fiber is assembled as one block matrix of spanning rows, every map
 applied to its whole block by one product, in the columns (T | T* | E) or
 (T | T*).  With A the canonical basis rows of the half, j the splitting,
-s and rho_star the identification's legs and L_T the tangent columns of
-a Lagrangian's basis L:
+s and rho_star the identification's legs (s and j both built by
+`splitting.isotropic_right_inverse`) and L_T the tangent columns of a
+Lagrangian's basis L:
 
 * ``k_from_quasi``: [rho_X^T | 0 | A] over [Pi | I | -rho_X j^T];
 * ``k_from_dirac``: [L | L_T (s dJ)^T] over [0 | -dJ | rho_star^T];
@@ -45,7 +46,7 @@ from .exact_linear import (
 )
 from .morphism import HamiltonianFiber, extract_action, integer_legs
 from .quadratic_lie import ManinPairPoint, abstract_double
-from .splitting import absorb_self_pairing, make_isotropic_splitting
+from .splitting import isotropic_right_inverse, make_isotropic_splitting
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,10 @@ class ExactIdentification:
     ``rho_star`` is beta -> G^{-1} rho^T beta and ``s_star`` is
     e -> s^T G e.
 
-    The one gate is exactness, rho rho_star = 0.  With c = rho^T (rho
-    rho^T)^{-1}, the Gram right inverse of rho, and B = c^T G c, the
-    splitting is s = c - 1/2 rho_star B.  Then rho s = I - 1/2 (rho
-    rho_star) B and s^T G s = 1/4 B (rho rho_star) B, so exactness makes
-    ``s`` a right inverse with isotropic image.  Over a point the anchor is
-    empty and so are ``s``, ``s_star`` and ``rho_star``.
+    The one gate is exactness, rho rho_star = 0, which makes ``s``, built
+    by `splitting.isotropic_right_inverse` on rho and rho_star, a right
+    inverse with isotropic image.  Over a point the anchor is empty and so
+    are ``s``, ``s_star`` and ``rho_star``.
 
     The anchor and the three legs are kept as integer rows over one
     denominator in lowest terms, ``integer_rho`` and so on, which is what
@@ -132,19 +131,13 @@ class ExactIdentification:
         rho_star = form.adjoint((rows, d))
         if not rat.int_zero_pairing(rows, rat.transpose(rho_star[0])):
             raise ValueError("fiber is not exact: anchor adjoint is not isotropic")
-        # c = rho^T (rho rho^T)^-1 = d R^T (R R^T)^-1 for rho = R / d, and
-        # R R^T is symmetric, so c^T is d (R R^T)^-1 R: one solve
-        aug = [g + list(r) for g, r in zip(rat.int_mat_mul(rows, rat.transpose(rows)), rows)]
         try:
-            sol, e = rat.int_solve(aug, len(rows))
+            s_rows, ds = isotropic_right_inverse(form, (rows, d), rho_star)
         except ValueError:
-            # rho rho^T has rho's rank, so it is singular exactly when rho is not onto
             raise ValueError(
                 f"anchor is not onto: rank {len(rat.int_rref(rows)[0])} "
                 f"below the base dimension {self.base_dim}"
             ) from None
-        c = rat.lowest_terms([[d * v for v in col] for col in zip(*sol)], e)
-        s_rows, ds = absorb_self_pairing(form, c, rho_star)
         g, dg = form.integer_gram
         s_star = rat.lowest_terms(rat.int_mat_mul(rat.transpose(s_rows), g), ds * dg)
         object.__setattr__(self, "integer_s", (s_rows, ds))
@@ -173,8 +166,7 @@ class ExactIdentification:
 
 
 def identification_from_anchor(pair, rho):
-    """Canonical splitting of an exact rational anchor ``rho``: start from
-    the Gram right inverse and absorb half of its self pairing."""
+    """Canonical splitting of an exact rational anchor ``rho``."""
     return ExactIdentification(pair, rat.over_one_denominator(rat.matrix(rho)))
 
 

@@ -1,10 +1,11 @@
 """Isotropic splittings over a point and the induced cobracket data.
 
 A splitting embeds the dual of the Lagrangian half back into the ambient
-algebra with isotropic image.  Pushing the ambient bracket through it yields
-cobracket structure constants and a top-degree defect tensor; the coherence
-checks below verify the square of the induced differential against that
-defect, exactly.
+algebra with isotropic image; `isotropic_right_inverse` builds it, and the
+splitting of an exact anchor in `dictionary.ExactIdentification`.  Pushing
+the ambient bracket through it yields cobracket structure constants and a
+top-degree defect tensor; the coherence checks below verify the square of
+the induced differential against that defect, exactly.
 
 Multivectors over the Lagrangian half A are stored as dense antisymmetric
 component arrays: the entries of a k-vector are its evaluations on k-tuples
@@ -88,16 +89,34 @@ class IsotropicSplitting:
         return rat.hstack(a_cols, self.j)
 
 
-def absorb_self_pairing(form, c, adjoint):
-    """``c - 1/2 adjoint (c^T G c)``: the columns of ``c`` with half their
-    self pairing absorbed through ``adjoint``.  The image is isotropic when
-    ``adjoint`` has isotropic image and ``adjoint^T G c`` is the identity.
+def isotropic_right_inverse(form, p, adjoint):
+    """Right inverse ``s`` of the onto map ``p`` with isotropic image, built
+    through its ``adjoint`` p* = G^{-1} p^T; it builds every exact
+    isotropic splitting, `make_isotropic_splitting`'s and
+    `dictionary.ExactIdentification`'s.  Maps and result are integer rows
+    over one denominator, ``(rows, d)``.
 
-    ``c = C / dc``, ``adjoint = A / da`` and the result are integer rows
-    over one denominator: with G = H / dg, the result is
-    ``(2 da dc dg C - A C^T H C) / (2 da dc^2 dg)``, in lowest terms."""
-    (cr, dc), (ar, da) = c, adjoint
-    h, dg = form.integer_gram
+    With c = p^T (p p^T)^{-1}, the Gram right inverse of p, and B = c^T G
+    c, s = c - 1/2 p* B.  As p*^T G = p, p s = I - 1/2 (p p*) B and s^T G
+    s = 1/4 B (p p*) B: s is a right inverse with isotropic image when p p*
+    = 0, that is when p* has isotropic image, which the caller ensures.
+    When that image is Lagrangian it is the kernel of p, so any such right
+    inverse is s + p* K, with K skew, as its self pairing K + K^T is 0.
+    K = 0 is the choice of this c, p's right inverse of least coordinate
+    norm; a coordinate complement of the kernel in its place gives K != 0
+    in general once p has two rows or more.
+
+    For p = R / d, c^T = d (R R^T)^{-1} R is one solve, and R R^T is
+    singular, raising `ValueError`, exactly when p is not onto.  With p* =
+    A / da, G = H / dg and c = C / dc, s = (2 da dc dg C - A C^T H C) /
+    (2 da dc^2 dg)."""
+    (rows, d), (ar, da), (h, dg) = p, adjoint, form.integer_gram
+    aug = [g + list(r) for g, r in zip(rat.int_mat_mul(rows, rat.transpose(rows)), rows)]
+    try:
+        sol, e = rat.int_solve(aug, len(rows))
+    except ValueError:
+        raise ValueError("map is not onto") from None
+    cr, dc = rat.lowest_terms([[d * row[i] for row in sol] for i in range(len(h))], e)
     ab = rat.int_mat_mul(ar, rat.int_mat_mul(rat.int_mat_mul(rat.transpose(cr), h), cr))
     k = 2 * da * dc * dg
     return rat.lowest_terms(
@@ -106,27 +125,15 @@ def absorb_self_pairing(form, c, adjoint):
 
 
 def make_isotropic_splitting(pair):
-    """Construct a splitting for any split Manin pair.
-
-    Start from the coordinate complement of the Lagrangian half, normalize it
-    to pair dually with the chosen basis, then subtract half of its self
-    pairing (absorbed into A); the result has exactly isotropic image.
-    """
-    d = pair.d
-    n, r = d.dim, pair.g.dim
+    """Construct a splitting for any split Manin pair: the isotropic right
+    inverse of p = A G, which pairs with the half's canonical basis rows A,
+    through its adjoint A^T, whose image is the Lagrangian half."""
+    d, r = pair.d, pair.g.dim
     if r == 0:
-        return IsotropicSplitting(pair, rat.zeros(n, 0))
-    a_rows = pair.g.basis
-    eye = rat.identity(n)
-    free = [c for c in range(n) if c not in pair.g.pivots]
-    # normalize: rows c_k with <c_k, a_i> = delta_{ki}; row c of G A^T pairs e_c with the half
-    m = rat.mat_mul([d.form.gram[c] for c in free], rat.transpose(a_rows))
-    c_rows = rat.mat_mul(rat.invert(m), [eye[c] for c in free])
-    j = absorb_self_pairing(
-        d.form,
-        rat.over_one_denominator(rat.transpose(c_rows)),
-        rat.over_one_denominator(rat.transpose(a_rows)),
-    )
+        return IsotropicSplitting(pair, rat.zeros(d.dim, 0))
+    (a_rows, da), (h, dg) = rat.over_one_denominator(pair.g.basis), d.form.integer_gram
+    p = (rat.int_mat_mul(a_rows, h), da * dg)
+    j = isotropic_right_inverse(d.form, p, (rat.transpose(a_rows), da))
     return IsotropicSplitting(pair, rat.fractions(*j))
 
 

@@ -86,21 +86,22 @@ def rotation_strong_section(samples, seed, tol, step):
     identity: exact inclusion and transversality from frozen fibers, FD
     integrability against the induced twist.
 
-    The exact gates hold by construction: the target fiber ``ls`` equals
-    the source fiber ``lx`` at every point (20 of 20 at seed 0, 20 samples)
-    and ``dj`` is the identity, so ``inclusion`` and ``transversality``
-    cannot fail.  Nor does ``frozen_fiber`` test the sample point: the
-    anchor ``[-J | J R(q)]`` has R(q) exactly orthogonal for every rational
-    q, so its fiber validates whatever J is (200 of 200 random integer J
-    pass `canonical_fiber`), and anchors frozen at the wrong points pass.
-    Its verdict proves the construction, not the sample point, until a gate
-    compares each frozen anchor with the float anchor at its point.  Nor can
-    ``integrability`` see the twist: with ``can.phi`` scaled by 0, 2 or -1
-    it reads at most 5.8e-10 (20 samples, seed 0), as the twist term
-    phi(X, Y, .) of two rows (up to 1.9) lies in the frame's span within
-    1e-10: the frame's tangent parts span only a plane.  So that gate
-    checks closure under the untwisted bracket; the twist's sign is pinned
-    on a flat chart instead."""
+    The exact gates hold by construction, so ``inclusion`` and
+    ``transversality`` cannot fail: ``dj`` is the identity and ``ls`` is
+    ``lx`` at every point, as the canonical fiber's covector rows (0, -eps,
+    rho_star eps) pull back to (0, -eps + (rho s)^T eps) = 0, rho s being I,
+    and its half rows to (rho a, s_star a), ``ls``'s rows.  Nor does
+    ``frozen_fiber`` test the sample point: the anchor ``[-J | J R(q)]`` has
+    R(q) exactly orthogonal for every rational q, so its fiber validates
+    whatever J is (200 of 200 random integer J pass `canonical_fiber`), and
+    anchors frozen at the wrong points pass.  Its verdict proves the
+    construction, not the sample point, until a gate compares each frozen
+    anchor with the float anchor at its point.  Nor can ``integrability``
+    see the twist: with ``can.phi`` scaled by 0, 2 or -1 it reads at most
+    5.8e-10 (20 samples, seed 0), as the twist term phi(X, Y, .) of two rows
+    (up to 1.9) lies in the frame's span within 1e-10: the frame's tangent
+    parts span only a plane.  So that gate checks closure under the
+    untwisted bracket; the twist's sign is pinned on a flat chart instead."""
     pair, pts, cd = _dressing(samples, seed, step)
     can = nm.canonical_hamiltonian(cd)
     frame = nm.dirac_of_pair(cd, pair.g, can.s)

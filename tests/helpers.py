@@ -1140,6 +1140,83 @@ def _unit(n, k):
     return tuple(Fraction(1 if j == k else 0) for j in range(n))
 
 
+def reference_absorb_self_pairing(form, c, adjoint):
+    """``c - 1/2 adjoint (c^T G c)``: the columns of ``c`` with half their
+    self pairing absorbed through ``adjoint``.  The image is isotropic when
+    ``adjoint`` has isotropic image and ``adjoint^T G c`` is the identity.
+
+    ``c = C / dc``, ``adjoint = A / da`` and the result are integer rows
+    over one denominator: with G = H / dg, the result is
+    ``(2 da dc dg C - A C^T H C) / (2 da dc^2 dg)``, in lowest terms."""
+    (cr, dc), (ar, da) = c, adjoint
+    h, dg = form.integer_gram
+    ab = rat.int_mat_mul(ar, rat.int_mat_mul(rat.int_mat_mul(rat.transpose(cr), h), cr))
+    k = 2 * da * dc * dg
+    return rat.lowest_terms(
+        [[k * x - y for x, y in zip(row, sub)] for row, sub in zip(cr, ab)], k * dc
+    )
+
+
+def reference_isotropic_splitting(pair):
+    """Construct a splitting for any split Manin pair.
+
+    Start from the coordinate complement of the Lagrangian half, normalize it
+    to pair dually with the chosen basis, then subtract half of its self
+    pairing (absorbed into A); the result has exactly isotropic image.
+    """
+    d = pair.d
+    n, r = d.dim, pair.g.dim
+    if r == 0:
+        return IsotropicSplitting(pair, rat.zeros(n, 0))
+    a_rows = pair.g.basis
+    eye = rat.identity(n)
+    free = [c for c in range(n) if c not in pair.g.pivots]
+    # normalize: rows c_k with <c_k, a_i> = delta_{ki}; row c of G A^T pairs e_c with the half
+    m = rat.mat_mul([d.form.gram[c] for c in free], rat.transpose(a_rows))
+    c_rows = rat.mat_mul(rat.invert(m), [eye[c] for c in free])
+    j = reference_absorb_self_pairing(
+        d.form,
+        rat.over_one_denominator(rat.transpose(c_rows)),
+        rat.over_one_denominator(rat.transpose(a_rows)),
+    )
+    return IsotropicSplitting(pair, rat.fractions(*j))
+
+
+def changed_basis(pair, p):
+    """The Manin pair in the basis of the columns of the invertible ``p``:
+    constants P^{-1} [P e_i, P e_j], Gram P^T G P and half rows A P^{-T}."""
+    n = pair.d.dim
+    p_inv, p_cols = rat.invert(p), rat.transpose(p)
+    structure = [
+        [rat.mat_vec(p_inv, pair.d.bracket(p_cols[i], p_cols[j])) for j in range(n)]
+        for i in range(n)
+    ]
+    gram = rat.mat_mul(rat.mat_mul(rat.transpose(p), pair.d.form.gram), p)
+    d = QuadraticLieAlgebra(n, structure, SplitForm(n, gram))
+    return ManinPairPoint(d, canonicalize(rat.mat_mul(pair.g.basis, rat.transpose(p_inv)), n))
+
+
+def random_invertible(rng, n):
+    while True:
+        p = random_matrix(rng, n, n)
+        if rat.rank(p) == n:
+            return p
+
+
+def random_splitting_pairs(rng, count):
+    """``count`` random changes of basis of the catalog pairs, in turn, then
+    ``count`` abelian doubles of rank 1 to 4 with a random Lagrangian half."""
+    pairs = list(catalog().values())
+    out = []
+    for k in range(count):
+        pair = pairs[k % len(pairs)]
+        out.append(changed_basis(pair, random_invertible(rng, pair.d.dim)))
+    for k in range(count):
+        r = 1 + k % 4
+        out.append(ManinPairPoint(abstract_double(r).d, random_lagrangian(rng, r)))
+    return out
+
+
 def reference_k_from_quasi(q, dJ=(), rho=(), realization=None):
     """Hamiltonian fiber of a bivector with action.
 

@@ -72,16 +72,34 @@ NOT_AD_INVARIANT = (
     "check quadratic bent;\n"
 )
 
+# a Manin pair declared on that algebra: the pair validates its algebra
+PAIR_ON_BENT = (
+    "algebra bent { dim 2; basis h x; bracket [h, x] = x; pairing diag(1, 1); }\n"
+    "subspace l in bent { span h; }\n"
+    "maninpair p (bent, l);\n"
+)
 
-def test_an_algebra_failing_the_bracket_axioms_is_refused_with_its_witness(tmp_path):
-    # the declaration is built and checked before any check runs, so the
-    # failing quadratic check is a refused input, exit 2, naming its witness
+
+def test_an_algebra_failing_the_bracket_axioms_fails_its_check_with_its_witness(tmp_path):
+    # the algebra is built as declared, so its quadratic check runs and fails
     scene = tmp_path / "bent.mp"
     scene.write_text(NOT_AD_INVARIANT)
     code, out, err = run_cli("check", str(scene))
+    assert code == 1
+    assert out == (
+        "FAIL  quadratic bent [ad_invariance = 3, witness (0, 1, 1)]\n"
+        "0 passed, 1 failed, 0 errored\n"
+    )
+    assert err == ""
+
+
+def test_a_manin_pair_on_an_algebra_failing_the_axioms_is_refused(tmp_path):
+    scene = tmp_path / "bent-pair.mp"
+    scene.write_text(PAIR_ON_BENT)
+    code, out, err = run_cli("check", str(scene))
     assert code == 2
     assert out == ""
-    assert err == f"{scene}: bent: bracket axioms fail: ad_invariance = 3, witness (0, 1, 1)\n"
+    assert err == f"{scene}: p: ambient algebra fails checks: ad_invariance = 3, witness (0, 1, 1)\n"
 
 
 def test_check_reports_failures_with_exit_one(tmp_path):

@@ -239,7 +239,8 @@ def command_corpus(tmp):
     scene = written("tilted.mp", test_cli.TILTED_SCENE)
     corpus += [(["check", scene], 1), (["check", "--json", scene], 1)]
     corpus += [(["check", str(tmp / "missing.mp")], 2)]
-    corpus += [(["check", written("bent.mp", test_cli.NOT_AD_INVARIANT)], 2)]
+    corpus += [(["check", written("bent.mp", test_cli.NOT_AD_INVARIANT)], 1)]
+    corpus += [(["check", written("bent-pair.mp", test_cli.PAIR_ON_BENT)], 2)]
     for i, (text, _) in enumerate(test_cli.NON_ASCII_DIGITS + test_cli.LONG_INTEGERS):
         corpus.append((["check", written(f"bad-{i}.mp", text)], 2))
     corpus.append((["check", "--json", written("tiny-step.mp", test_cli.TINY_STEP_SCENE)], 2))

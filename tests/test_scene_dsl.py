@@ -181,11 +181,14 @@ algebra bad {
   bracket [e4, e5] = e3;
   pairing diag(1, 1, 1, -1, -1, -1);
 }
+subspace l in bad { span e1 + e4; span e2 + e5; span e3 + e6; }
+maninpair pair (bad, l);
 """
+    # the algebra is built as declared; the pair on it is refused
     with pytest.raises(sd.SceneError) as info:
         sd.validate_scene(sd.parse_scene(bad), {})
-    assert info.value.decl == "bad"
-    assert "jacobi" in info.value.reason
+    assert info.value.decl == "pair"
+    assert "ambient algebra fails checks: jacobi" in info.value.reason
 
 
 def test_every_declaration_kind_has_a_builder():
@@ -202,10 +205,12 @@ PAIR_PREFIX = (
 
 # (scene, declaration refused, fragment of the reason), one per refusal kind
 REFUSED_DECLARATIONS = {
-    "algebra": (
-        "algebra bad { dim 3; bracket [e1, e2] = e1; pairing diag(1, 1, -1); }\n",
-        "bad",
-        "bracket axioms fail: ad_invariance",
+    "maninpair-on-bad-algebra": (
+        "algebra bad { dim 3; bracket [e1, e2] = e1; pairing diag(1, 1, -1); }\n"
+        "subspace l in bad { span e1 + e3; }\n"
+        "maninpair p (bad, l);\n",
+        "p",
+        "ambient algebra fails checks: ad_invariance",
     ),
     "maninpair": (
         "algebra a { dim 2; pairing diag(1, -1); }\n"

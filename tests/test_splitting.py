@@ -8,7 +8,9 @@ import helpers
 from helpers import catalog
 from diracpairs import rational as rat
 from diracpairs import splitting as sp
+from diracpairs.dictionary import ExactIdentification
 from diracpairs.exact_linear import SplitForm
+from diracpairs.quadratic_lie import ManinPairPoint
 
 
 def unit(n, i):
@@ -50,6 +52,71 @@ def test_the_split_frame_carries_the_pairing_to_the_standard_double():
         frame = sp.make_isotropic_splitting(pair).frame()
         gram = rat.mat_mul(rat.mat_mul(rat.transpose(frame), pair.d.form.gram), frame)
         assert gram == SplitForm.standard_double(pair.g.dim).gram, name
+
+
+def golden_pairs():
+    return {
+        f"{stem}:{name}": obj
+        for stem, scene in helpers.golden_scenes().items()
+        for name, obj in scene.objects.items()
+        if isinstance(obj, ManinPairPoint)
+    }
+
+
+def test_the_gram_splitting_is_the_coordinate_complement_one_on_named_pairs():
+    pairs = {**catalog(), **golden_pairs()}
+    assert len(pairs) == 13
+    for name, pair in pairs.items():
+        assert sp.make_isotropic_splitting(pair).j == helpers.reference_isotropic_splitting(pair).j, name
+
+
+def test_off_the_named_pairs_the_two_splittings_differ_by_a_skew_form():
+    # both are isotropic right inverses of p = A G, whose kernel is the
+    # Lagrangian half, so j - j_ref = A^T K with K skew; K = D[pivots] as A
+    # is the identity at its pivot columns.  K is 0 on every named pair, but
+    # not on a random change of basis or a random half of rank 2 or more
+    moved = 0
+    for pair in helpers.random_splitting_pairs(helpers.rng_for(0), 18):
+        j, ref = sp.make_isotropic_splitting(pair).j, helpers.reference_isotropic_splitting(pair).j
+        diff = [[x - y for x, y in zip(row, ref_row)] for row, ref_row in zip(j, ref)]
+        k = [diff[c] for c in pair.g.pivots]
+        assert rat.mat_mul(rat.transpose(pair.g.basis), k) == rat.matrix(diff)
+        assert rat.matrix(k) == rat.mat_neg(rat.transpose(k))
+        moved += any(map(any, k))
+    assert moved > 0
+
+
+def test_the_one_routine_gives_isotropic_right_inverses():
+    # p = A G through A^T for random pairs, and p = rho through rho_star for
+    # random exact anchors rho = M L G, L a random Lagrangian, M invertible
+    rng = helpers.rng_for(1)
+    cases = []
+    for pair in helpers.random_splitting_pairs(rng, 6):
+        form, r = pair.d.form, pair.g.dim
+        (a, da), (h, dg) = rat.over_one_denominator(pair.g.basis), form.integer_gram
+        cases.append((form, (rat.int_mat_mul(a, h), da * dg), (rat.transpose(a), da)))
+        lag = helpers.random_lagrangian_for_pair(rng, pair)
+        m = helpers.random_invertible(rng, r)
+        rho = rat.over_one_denominator(rat.mat_mul(rat.mat_mul(m, lag.basis), form.gram))
+        cases.append((form, rho, form.adjoint(rho)))
+    for form, p, adjoint in cases:
+        s = rat.fractions(*sp.isotropic_right_inverse(form, p, adjoint))
+        assert rat.mat_mul(rat.fractions(*p), s) == rat.identity(len(p[0]))
+        assert helpers.is_zero_matrix(rat.mat_mul(rat.mat_mul(rat.transpose(s), form.gram), s))
+
+
+def test_an_adjoint_with_isotropic_image_is_what_makes_the_inverse_isotropic():
+    # negative control: rho = [I | 0] on the rotation double is onto, but
+    # rho G^-1 rho^T = I, so s misses isotropy; the identification refuses it
+    pair = catalog()["so3-double"]
+    form = pair.d.form
+    rho = ([[1 if c == r else 0 for c in range(6)] for r in range(3)], 1)
+    rho_star = form.adjoint(rho)
+    assert rat.mat_mul(rat.fractions(*rho), rat.fractions(*rho_star)) == rat.identity(3)
+    s = rat.fractions(*sp.isotropic_right_inverse(form, rho, rho_star))
+    assert not helpers.is_zero_matrix(rat.mat_mul(rat.mat_mul(rat.transpose(s), form.gram), s))
+    with pytest.raises(ValueError, match="fiber is not exact: anchor adjoint is not isotropic"):
+        ExactIdentification(pair, rho)
 
 
 def test_quasi_data_of_abelian_pairs_vanishes():
