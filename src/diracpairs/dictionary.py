@@ -22,7 +22,10 @@ s and rho_star the identification's legs (s and j both built by
 Lagrangian's basis L:
 
 * ``k_from_quasi``: [rho_X^T | 0 | A] over [Pi | I | -rho_X j^T];
-* ``k_from_dirac``: [L | L_T (s dJ)^T] over [0 | -dJ | rho_star^T];
+* ``k_from_dirac``: [L | L_T (s dJ)^T] over [0 | -dJ | rho_star^T], built
+  in the integer kernel as [dd ds L | L_T DJ^T S^T] over [0 | -dr DJ | dd
+  R*^T], each block row scaled to integers, for dJ = DJ / dd, s = S / ds
+  and rho_star = R* / dr, with L the integer rows of the Lagrangian;
 * ``dirac_from_k``: K times [[I, 0], [0, I], [0, s_star^T dJ]];
 * ``numeric_manifold.canonical_fiber``: [A rho^T | 0 | A] over
   [0 | -I | rho_star^T].
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from . import rational as rat
@@ -109,10 +111,10 @@ class ExactIdentification:
     inverse with isotropic image.  Over a point the anchor is empty and so
     are ``s``, ``s_star`` and ``rho_star``.
 
-    The anchor and the three legs are kept as integer rows over one
-    denominator in lowest terms, ``integer_rho`` and so on, which is what
-    the per-point freeze reads; ``rho``, ``s``, ``s_star`` and ``rho_star``
-    are their Fraction matrices, built on first read."""
+    The anchor and the three legs are kept only as integer rows over one
+    denominator in lowest terms, ``integer_rho``, ``integer_s``,
+    ``integer_s_star`` and ``integer_rho_star``, which the per-point freeze
+    and the dictionary read in the integer kernel."""
 
     pair: ManinPairPoint
     integer_rho: tuple
@@ -148,29 +150,13 @@ class ExactIdentification:
     def base_dim(self):
         return len(self.integer_rho[0])
 
-    @cached_property
-    def rho(self):
-        return rat.fractions(*self.integer_rho)
-
-    @cached_property
-    def s(self):
-        return rat.fractions(*self.integer_s)
-
-    @cached_property
-    def s_star(self):
-        return rat.fractions(*self.integer_s_star)
-
-    @cached_property
-    def rho_star(self):
-        return rat.fractions(*self.integer_rho_star)
-
 
 def identification_from_anchor(pair, rho):
     """Canonical splitting of an exact rational anchor ``rho``."""
     return ExactIdentification(pair, rat.over_one_denominator(rat.matrix(rho)))
 
 
-def k_from_quasi(q, dJ=(), rho=(), realization=None):
+def k_from_quasi(q, legs=((), 1), realization=None):
     """Hamiltonian fiber of a bivector with action.
 
     Rows are the images of the half basis, ((rho_X(a), 0), (a, 0)), and of
@@ -178,6 +164,8 @@ def k_from_quasi(q, dJ=(), rho=(), realization=None):
     The fiber side (a, xi) embeds into the pair of the ``realization``
     splitting through its split frame, as a + j(xi); without one, into the
     abstract double of the half, whose split frame is the identity.
+    ``legs`` is the fiber's ``[dJ | rho]`` as the integer pair that
+    `morphism.integer_legs` gives; by default there is no base.
     """
     t, r = q.t_dim, q.a_dim
     if realization is None:
@@ -188,7 +176,7 @@ def k_from_quasi(q, dJ=(), rho=(), realization=None):
         rat.hstack(q.Pi, rat.identity(t), rat.mat_neg(rat.mat_mul(q.rho_X, j_t))),
     )
     K = canonicalize(rows, 2 * t + pair.d.dim)
-    return HamiltonianFiber(t_dim=t, pair=pair, K=K, legs=integer_legs(dJ, rho))
+    return HamiltonianFiber(t_dim=t, pair=pair, K=K, legs=legs)
 
 
 def pi_from_k(h, splitting):
@@ -203,16 +191,16 @@ def pi_from_k(h, splitting):
 
     The half component of e = A^T a + j xi is a = j^T G e: the half A is
     Lagrangian, j is isotropic and j^T G A^T = I, so j^T G is the half's
-    block of the inverse split frame.  The constraint is solved on the
-    integer rows of K, scaled by the denominator of j^T G, and reads no
-    Fraction basis.
+    block of the inverse split frame.  It is the integer product of j's
+    rows transposed and the form's integer Gram, and the constraint is
+    solved on the integer rows of K, scaled by its denominator; no Fraction
+    is read.
     """
     t, r = h.t_dim, h.pair.g.dim
     rho_x = extract_action(h)
 
-    a_part, da = rat.over_one_denominator(
-        rat.mat_mul(rat.transpose(splitting.j), splitting.pair.d.form.gram)
-    )
+    (j, dj), (g, dg) = rat.over_one_denominator(splitting.j), splitting.pair.d.form.integer_gram
+    a_part, da = rat.lowest_terms(rat.int_mat_mul(rat.transpose(j), g), dj * dg)
     bt = h.coordinates
     covectors = [[da * v for v in row] for row in bt[t : 2 * t]]
     lifts = h.tangent_lift(
@@ -228,23 +216,22 @@ def pi_from_k(h, splitting):
 def k_from_dirac(d, dJ, ident):
     """Hamiltonian fiber of a Lagrangian at a point with a moment
     differential: push tangents through the splitting and sweep the base
-    covectors through both legs."""
+    covectors through both legs, in the integer kernel."""
     t = d.t_dim
-    dJ = rat.matrix(dJ)
-    s_dim = ident.base_dim
-    if dJ:
-        if len(dJ) != s_dim or len(dJ[0]) != t:
-            raise ValueError("moment differential has wrong shape")
-    elif s_dim:
+    (dj, dd), s_dim = rat.over_one_denominator(rat.matrix(dJ)), ident.base_dim
+    if len(dj) != s_dim or any(len(row) != t for row in dj):
         raise ValueError("moment differential has wrong shape")
-    # L's integer rows span it as its basis does
+    (s, ds), (rho_star, dr) = ident.integer_s, ident.integer_rho_star
     tangents = [row[:t] for row in d.L.rows]
-    rows = rat.vstack(
-        rat.hstack(d.L.rows, rat.mat_mul(tangents, rat.transpose(rat.mat_mul(ident.s, dJ)))),
-        rat.hstack(rat.zeros(s_dim, t), rat.mat_neg(dJ), rat.transpose(ident.rho_star)),
-    )
+    pushed = rat.int_mat_mul(tangents, rat.transpose(rat.int_mat_mul(s, dj)))
+    rows = [[dd * ds * v for v in row] + w for row, w in zip(d.L.rows, pushed)]
+    rows += [
+        [0] * t + [-dr * v for v in u] + [dd * v for v in w]
+        for u, w in zip(dj, rat.transpose(rho_star))
+    ]
     K = canonicalize(rows, 2 * t + ident.pair.d.dim)
-    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, legs=integer_legs(dJ, ident.rho))
+    legs = integer_legs(dJ, ident.integer_rho)
+    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, legs=legs)
 
 
 def dirac_from_k(h, ident):
@@ -271,7 +258,7 @@ def l_from_quasi(q, splitting, ident, dJ):
     ``dirac_from_k`` of ``k_from_quasi`` realized by ``splitting``."""
     if splitting.pair != ident.pair:
         raise ValueError("splitting and identification live on different pairs")
-    fiber = k_from_quasi(q, dJ=dJ, rho=ident.rho, realization=splitting)
+    fiber = k_from_quasi(q, integer_legs(dJ, ident.integer_rho), realization=splitting)
     return dirac_from_k(fiber, ident)
 
 
@@ -341,7 +328,7 @@ def quasi_spans_tangents(q):
     """Action images and interior products together fill the tangent space."""
     cols = list(rat.transpose(q.rho_X)) if q.a_dim else []
     cols += list(q.Pi)
-    return rat.rank(rat.matrix(cols)) == q.t_dim if cols else q.t_dim == 0
+    return len(rat.int_rref(rat.over_one_denominator(cols)[0])[0]) == q.t_dim
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,6 @@ class SplitForm:
         )
 
     @cached_property
-    def gram_inv(self):
-        """Inverse Gram matrix, computed on first use: a degenerate form is
-        legal (`check_quadratic_lie` reports it) and raises only here."""
-        return rat.invert(self.gram)
-
-    @cached_property
     def integer_gram(self):
         """``(rows, d)``: the Gram matrix as integer rows over one positive
         denominator, computed on first use and read by ``pairing``,
@@ -251,9 +245,15 @@ class SplitForm:
 
     @cached_property
     def integer_gram_inv(self):
-        """`gram_inv` as ``(rows, d)``, computed on first use and read by
-        ``adjoint``."""
-        return rat.over_one_denominator(self.gram_inv)
+        """The inverse Gram matrix as ``(rows, d)`` in lowest terms, computed
+        on first use and read by ``adjoint``: for G = G' / d, G^{-1} is d
+        times the solve of one `rational.int_solve` on [G' | I].  A
+        degenerate form is legal (`check_quadratic_lie` reports it) and
+        raises ValueError only here."""
+        g, d = self.integer_gram
+        aug = [list(row) + unit for row, unit in zip(g, rat.unit_rows(self.dim))]
+        inv, e = rat.int_solve(aug, self.dim)
+        return rat.lowest_terms([[d * v for v in row] for row in inv], e)
 
     def adjoint(self, anchor):
         """``G^{-1} rho^T`` of an anchor ``rho`` given as integer rows over

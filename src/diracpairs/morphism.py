@@ -146,14 +146,15 @@ def _sum_pairing(t, form):
 
 
 def integer_legs(dJ, rho):
-    """``[dJ | rho]`` of a moment differential and an anchor given as
-    matrices of ints and Fractions, as the integer pair ``(rows, d)`` that
-    a `HamiltonianFiber` keeps: the way Fraction legs enter it.  The two
-    must have one row per base direction."""
-    dJ, rho = rat.matrix(dJ), rat.matrix(rho)
-    if len(dJ) != len(rho):
+    """``[dJ | rho]`` as the integer pair ``(rows, d)`` that a
+    `HamiltonianFiber` keeps, the one way legs enter it: ``dJ`` is a moment
+    differential given as a matrix of ints and Fractions, ``rho`` an anchor
+    given as an integer pair, as `dictionary.ExactIdentification` keeps it.
+    The two must have one row per base direction."""
+    (dj, dd), (rows, dr) = rat.over_one_denominator(rat.matrix(dJ)), rho
+    if len(dj) != len(rows):
         raise ValueError("moment differential and anchor disagree on the base")
-    return rat.over_one_denominator([a + b for a, b in zip(dJ, rho)])
+    return [[dr * v for v in a] + [dd * v for v in b] for a, b in zip(dj, rows)], dd * dr
 
 
 @dataclass(frozen=True)
@@ -166,10 +167,10 @@ class HamiltonianFiber:
     denominator, ``(rows, d)``, kept in lowest terms: ``dJ`` has one row per
     base direction (possibly none) and ``rho`` maps the pair fiber to the
     same base directions; the support condition says the two readouts agree
-    on every element of the Lagrangian.  The support check and
-    ``dictionary.dirac_from_k`` read the integer rows; ``dJ`` and ``rho``
-    are their Fraction matrices, built on first read.  Callers holding
-    Fraction legs convert them once, through `integer_legs`.
+    on every element of the Lagrangian.  The legs are kept only as these
+    integer rows, which the support check and ``dictionary.dirac_from_k``
+    read; callers join a Fraction ``dJ`` to an integer anchor once, through
+    `integer_legs`.
     """
 
     t_dim: int
@@ -204,15 +205,6 @@ class HamiltonianFiber:
         """``dJ`` as integer rows over one denominator, in lowest terms."""
         rows, d = self.legs
         return rat.lowest_terms([row[: self.t_dim] for row in rows], d)
-
-    @cached_property
-    def dJ(self):
-        return rat.fractions(*self.integer_dJ)
-
-    @cached_property
-    def rho(self):
-        rows, d = self.legs
-        return rat.fractions([row[self.t_dim :] for row in rows], d)
 
     @cached_property
     def coordinates(self):

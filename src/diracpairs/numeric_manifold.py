@@ -515,11 +515,6 @@ def rotation_double_integer_anchor(x):
     return anchors if x.ndim > 1 else anchors[0]
 
 
-def rotation_double_exact_anchor(x):
-    """`rotation_double_integer_anchor` as a Fraction matrix."""
-    return rat.fractions(*rotation_double_integer_anchor(x))
-
-
 def make_dressing_courant(chart, h):
     """Bracket bundle of the split rotation double ``catalog()["so3-double"]``
     over its three-dimensional dressing chart.

@@ -21,18 +21,17 @@ pair short.  No Fraction is built in them.
 
 Fractions are built only at the boundary, by the Fraction-tuple functions
 that scenes, JSON, printing and tests read: `mat_mul`, `mat_vec`, `rref`,
-`kernel`, `solve_right`, `invert`, `rank` and `solve_linear` convert their
-arguments with `over_one_denominator`, run the kernel, and build one
-normalized Fraction per nonzero output entry (`fractions`).  The per-point
-freeze of the numeric tier stays in the kernel end to end, from
-`rationalize_rows` on, and its objects (`exact_linear.Subspace`,
-`dictionary.ExactIdentification`, `morphism.HamiltonianFiber`) build their
-Fraction views on first read.  `is_zero_product` decides on the same
-integer rows and builds no Fraction at all.  An entry that is not an int or
-a Fraction (a float, a numpy scalar) raises `TypeError` at the boundary,
-and factors whose inner dimensions disagree raise `ValueError` before any
-entry is read, as `vstack` and `block_diag` do when their rows would be
-ragged.
+`solve_right` and `invert` convert their arguments with
+`over_one_denominator`, run the kernel, and build one normalized Fraction
+per nonzero output entry (`fractions`).  The per-point freeze of the
+numeric tier stays in the kernel end to end, from `rationalize_rows` on:
+`dictionary.ExactIdentification` and `morphism.HamiltonianFiber` keep only
+integer pairs, and `exact_linear.Subspace` builds its Fraction basis on
+first read.  `is_zero_product` decides on the same integer rows and builds
+no Fraction at all.  An entry that is not an int or a Fraction (a float, a
+numpy scalar) raises `TypeError` at the boundary, and factors whose inner
+dimensions disagree raise `ValueError` before any entry is read, as
+`vstack` and `block_diag` do when their rows would be ragged.
 
 A map ``A`` applies to a whole block of vectors, stacked as the rows of
 ``V``, through one `mat_mul` (``V @ A^T``), so ``A`` goes over one
@@ -393,18 +392,6 @@ def int_kernel(rows, ncols):
     return int_rref(null)[0] if null else ()
 
 
-def kernel(a, ncols=None):
-    """Canonical basis rows of ``{x : a @ x = 0}``.
-
-    ``ncols`` is required when ``a`` has no rows (kernel of a zero map).
-    """
-    if not a:
-        if ncols is None:
-            raise ValueError("kernel of an empty matrix needs ncols")
-        return identity(ncols)
-    return over_pivots(int_kernel(over_one_denominator(a)[0], len(a[0])))
-
-
 def int_solve(aug, n):
     """``(x, d)`` with ``a @ (x / d) = b``, from the integer rows of the
     augmented matrix ``[a | b]`` of a square invertible ``a`` of ``n``
@@ -423,12 +410,6 @@ def solve_right(a, b):
 
 def invert(a):
     return solve_right(a, identity(len(a)))
-
-
-def rank(a):
-    if not a:
-        return 0
-    return len(int_rref(over_one_denominator(a)[0])[0])
 
 
 def int_solve_linear(aug, n, m):
@@ -456,28 +437,3 @@ def int_solve_linear(aug, n, m):
             x[p] = row[j] * (d // row[p])
         parts.append((x, d))
     return parts, _int_null_rows(red, pivots[:k], n)
-
-
-def solve_linear(a, rhs, ncols=None):
-    """Exact solves of ``a @ x = b`` for every vector ``b`` of ``rhs``, from
-    one row reduction of ``a`` beside all of them: `int_solve_linear` of
-    the augmented rows over one denominator.
-
-    Returns ``(particulars, nullspace_rows)``: ``particulars[j]`` solves the
-    system of ``rhs[j]`` with every free coordinate zero, or is None when
-    that system is inconsistent; the solutions of a consistent one are
-    ``particulars[j] + span(nullspace_rows)``, one null row per free
-    column.  ``ncols`` is required when ``a`` has no rows (no constraints).
-    """
-    a = matrix(a)
-    rhs = [vec(b) for b in rhs]
-    if not a:
-        if ncols is None:
-            raise ValueError("solve with no equations needs ncols")
-        return [(_ZERO,) * ncols for _ in rhs], identity(ncols)
-    n = len(a[0])
-    aug, _ = over_one_denominator(tuple(row + tuple(bs) for row, *bs in zip(a, *rhs)))
-    parts, null = int_solve_linear(aug, n, len(rhs))
-    parts = [None if part is None else fractions((part[0],), part[1])[0] for part in parts]
-    # each null row is scaled to 1 at its free column, its last nonzero entry
-    return parts, tuple(fractions((v,), next(filter(None, reversed(v))))[0] for v in null)

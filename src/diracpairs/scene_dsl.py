@@ -633,7 +633,7 @@ def _build_splitting(built, d):
 def _build_fiber(built, d):
     pair = built[d.pair]
     k = canonicalize(d.k_rows, 2 * d.t_dim + pair.d.dim)
-    legs = integer_legs(d.dj_rows, d.rho_rows)
+    legs = integer_legs(d.dj_rows, rat.over_one_denominator(d.rho_rows))
     return HamiltonianFiber(t_dim=d.t_dim, pair=pair, K=k, legs=legs)
 
 
@@ -672,7 +672,7 @@ def _roundtrip(built, d):
     except ValueError as e:
         # a fiber with no bivector picture fails the round trip
         return Report.verdict("roundtrip", False, str(e))
-    back = k_from_quasi(q, dJ=fib.dJ, rho=fib.rho, realization=sp)
+    back = k_from_quasi(q, fib.legs, realization=sp)
     return Report.verdict("roundtrip", back.K == fib.K, "round trip moved the Lagrangian")
 
 

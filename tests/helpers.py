@@ -61,6 +61,58 @@ STEP = 1e-4
 TOL = 1e-6
 
 
+# ---------------------------------------------------------------------------
+# Fraction forms of the integer kernel that only the tests read
+
+
+def kernel(a, ncols=None):
+    """Canonical basis rows of ``{x : a @ x = 0}``.
+
+    ``ncols`` is required when ``a`` has no rows (kernel of a zero map).
+    """
+    if not a:
+        if ncols is None:
+            raise ValueError("kernel of an empty matrix needs ncols")
+        return rat.identity(ncols)
+    return rat.over_pivots(rat.int_kernel(rat.over_one_denominator(a)[0], len(a[0])))
+
+
+def rank(a):
+    if not a:
+        return 0
+    return len(rat.int_rref(rat.over_one_denominator(a)[0])[0])
+
+
+def solve_linear(a, rhs, ncols=None):
+    """Exact solves of ``a @ x = b`` for every vector ``b`` of ``rhs``, from
+    one row reduction of ``a`` beside all of them: `int_solve_linear` of
+    the augmented rows over one denominator.
+
+    Returns ``(particulars, nullspace_rows)``: ``particulars[j]`` solves the
+    system of ``rhs[j]`` with every free coordinate zero, or is None when
+    that system is inconsistent; the solutions of a consistent one are
+    ``particulars[j] + span(nullspace_rows)``, one null row per free
+    column.  ``ncols`` is required when ``a`` has no rows (no constraints).
+    """
+    a = rat.matrix(a)
+    rhs = [rat.vec(b) for b in rhs]
+    if not a:
+        if ncols is None:
+            raise ValueError("solve with no equations needs ncols")
+        return [(Fraction(0),) * ncols for _ in rhs], rat.identity(ncols)
+    n = len(a[0])
+    aug, _ = rat.over_one_denominator(tuple(row + tuple(bs) for row, *bs in zip(a, *rhs)))
+    parts, null = rat.int_solve_linear(aug, n, len(rhs))
+    parts = [None if part is None else rat.fractions((part[0],), part[1])[0] for part in parts]
+    # each null row is scaled to 1 at its free column, its last nonzero entry
+    return parts, tuple(rat.fractions((v,), next(filter(None, reversed(v))))[0] for v in null)
+
+
+def rotation_double_exact_anchor(x):
+    """`rotation_double_integer_anchor` as a Fraction matrix."""
+    return rat.fractions(*nm.rotation_double_integer_anchor(x))
+
+
 def rng_for(seed):
     return np.random.default_rng(seed)
 
@@ -126,7 +178,7 @@ def random_injective(rng, m, q):
     """Random m x q matrix of full column rank (q <= m)."""
     while True:
         f = random_matrix(rng, m, q)
-        if rat.rank(f) == q:
+        if rank(f) == q:
             return f
 
 
@@ -172,7 +224,7 @@ def moment_compatible_quasi(rng, t, r):
     assert t >= r
     while True:
         d = random_matrix(rng, r, r)
-        if rat.rank(d) == r:
+        if rank(d) == r:
             break
     dj = rat.hstack(d, rat.zeros(r, t - r))
     pi = [[Fraction(0)] * t for _ in range(t)]
@@ -198,9 +250,9 @@ def direct_lagrangian(q, splitting, ident, dJ):
 
     # rho_bar = (dual readout of the half) o s : base tangents -> half coords
     jg = rat.mat_mul(rat.transpose(splitting.j), splitting.pair.d.form.gram)
-    rho_bar = rat.mat_mul(jg, ident.s)
+    rho_bar = rat.mat_mul(jg, rat.fractions(*ident.integer_s))
     rho_bar_star = rat.transpose(rho_bar)
-    s_star = ident.s_star
+    s_star = rat.fractions(*ident.integer_s_star)
 
     rows = []
     for i in range(r):
@@ -580,7 +632,7 @@ def exact_flow_vector(t_dim, e_dim, rows, df):
         raise ValueError("fiber rows do not match the declared block widths")
     a = rat.transpose([r[t_dim:] for r in rows_q])
     rhs = tuple(rat.vec(df)) + (Fraction(0),) * e_dim
-    (coef,), null = rat.solve_linear(a, [rhs], ncols=len(rows_q))
+    (coef,), null = solve_linear(a, [rhs], ncols=len(rows_q))
     if coef is None:
         return None
     u_map = rat.transpose([r[:t_dim] for r in rows_q])
@@ -601,7 +653,7 @@ def orthogonal_complement(form, u):
             f"gram is degenerate (signature {form.signature()}); "
             "orthogonal complements need a nondegenerate pairing"
         )
-    rows = rat.kernel(rat.mat_mul(u.basis, form.gram), ncols=form.dim)
+    rows = kernel(rat.mat_mul(u.basis, form.gram), ncols=form.dim)
     return canonicalize(rows, form.dim)
 
 
@@ -1124,8 +1176,8 @@ def reference_transport(l, f, forward):
     lift, readout = (covector_leg, tangent_leg) if forward else (tangent_leg, covector_leg)
     if l.ambient_dim != len(lift):
         raise ValueError("Lagrangian has wrong ambient for the map")
-    ann = rat.kernel(l.basis, ncols=len(lift))
-    sols = rat.kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
+    ann = kernel(l.basis, ncols=len(lift))
+    sols = kernel(rat.mat_mul(ann, lift) if ann else (), ncols=qd + m)
     return canonicalize([rat.mat_vec(readout, s) for s in sols], len(readout))
 
 
@@ -1199,7 +1251,7 @@ def changed_basis(pair, p):
 def random_invertible(rng, n):
     while True:
         p = random_matrix(rng, n, n)
-        if rat.rank(p) == n:
+        if rank(p) == n:
             return p
 
 
@@ -1243,7 +1295,8 @@ def reference_k_from_quasi(q, dJ=(), rho=(), realization=None):
         u = rat.mat_vec(rat.transpose(q.Pi), alpha)
         rows.append(u + alpha + rat.mat_vec(frame, zr + back))
     K = canonicalize(rows, 2 * t + pair.d.dim)
-    return HamiltonianFiber(t_dim=t, pair=pair, K=K, legs=integer_legs(dJ, rho))
+    legs = integer_legs(dJ, rat.over_one_denominator(rho))
+    return HamiltonianFiber(t_dim=t, pair=pair, K=K, legs=legs)
 
 
 def reference_k_from_dirac(d, dJ, ident):
@@ -1259,31 +1312,32 @@ def reference_k_from_dirac(d, dJ, ident):
     elif s_dim:
         raise ValueError("moment differential has wrong shape")
     n = ident.pair.d.dim
+    s, rho_star = rat.fractions(*ident.integer_s), rat.fractions(*ident.integer_rho_star)
     rows = []
     for row in d.L.basis:
         u, alpha = row[:t], row[t:]
-        e = rat.mat_vec(ident.s, rat.mat_vec(dJ, u)) if dJ else (Fraction(0),) * n
+        e = rat.mat_vec(s, rat.mat_vec(dJ, u)) if dJ else (Fraction(0),) * n
         rows.append(tuple(u) + tuple(alpha) + tuple(e))
     dj_t = rat.transpose(dJ)
     for kk in range(s_dim):
         beta = _unit(s_dim, kk)
         alpha = tuple(-x for x in rat.mat_vec(dj_t, beta)) if dJ else (Fraction(0),) * t
-        e = rat.mat_vec(ident.rho_star, beta)
+        e = rat.mat_vec(rho_star, beta)
         rows.append((Fraction(0),) * t + tuple(alpha) + tuple(e))
     K = canonicalize(rows, 2 * t + n)
-    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, legs=integer_legs(dJ, ident.rho))
+    return HamiltonianFiber(t_dim=t, pair=ident.pair, K=K, legs=integer_legs(dJ, ident.integer_rho))
 
 
 def reference_dirac_from_k(h, ident):
     """Lagrangian at a point out of a Hamiltonian fiber: keep the tangent
     and covector parts, adding the pulled-back base covector leg."""
     t = h.t_dim
-    dJ = h.dJ
+    dJ, s_star = rat.fractions(*h.integer_dJ), rat.fractions(*ident.integer_s_star)
     dj_t = rat.transpose(dJ)
     rows = []
     for row in h.K.basis:
         u, alpha, e = row[:t], row[t : 2 * t], row[2 * t :]
-        beta = rat.mat_vec(ident.s_star, e)
+        beta = rat.mat_vec(s_star, e)
         pulled = rat.mat_vec(dj_t, beta) if dJ else (Fraction(0),) * t
         rows.append(tuple(u) + tuple(x + y for x, y in zip(alpha, pulled)))
     return DiracPointData(canonicalize(rows, 2 * t))
@@ -1317,7 +1371,8 @@ def reference_canonical_fiber(pair, rho, rho_star):
         col = tuple(rho_star[i][k] for i in range(len(rho_star)))
         rows.append(zero_t + tuple(-e for e in eps) + col)
     k_space = canonicalize(rows, 2 * n + pair.d.dim)
-    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=integer_legs(rat.identity(n), rho))
+    legs = integer_legs(rat.identity(n), rat.over_one_denominator(rho))
+    return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=legs)
 
 
 def reference_closure(generators, bracket, frames, out, family):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -33,7 +33,7 @@ from diracpairs.dictionary import (
     quasi_to_dict,
 )
 from diracpairs.exact_linear import Subspace, canonicalize
-from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber
+from diracpairs.morphism import HamiltonianFiber, check_hamiltonian_fiber, integer_legs
 from diracpairs.splitting import make_isotropic_splitting
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -121,7 +121,8 @@ def test_identification_validation():
     rho = rat.hstack(rat.zeros(2, 2), rat.identity(2))
     ident = identification_from_anchor(pair, rho)
     assert ident.base_dim == 2
-    assert rat.mat_mul(ident.rho, ident.s) == rat.identity(2)
+    rho, s = rat.fractions(*ident.integer_rho), rat.fractions(*ident.integer_s)
+    assert rat.mat_mul(rho, s) == rat.identity(2)
     # [I | I] has an isotropic right inverse, but its adjoint pairs to 2 I:
     # the fiber cannot be exact
     with pytest.raises(ValueError, match="not exact"):
@@ -135,11 +136,13 @@ def test_the_canonical_splitting_is_an_isotropic_right_inverse():
     idents = [helpers.abstract_ident(r) for r in range(3)]
     for seed in range(3):
         for x in so3.sample_chart_points(50, seed):
-            idents.append(identification_from_anchor(pair, nm.rotation_double_exact_anchor(x)))
+            idents.append(identification_from_anchor(pair, helpers.rotation_double_exact_anchor(x)))
     assert len(idents) == 153
     for ident in idents:
-        assert rat.mat_mul(ident.rho, ident.s) == rat.identity(ident.base_dim)
-        assert helpers.is_zero_matrix(rat.mat_mul(ident.s_star, ident.s))
+        legs = (ident.integer_rho, ident.integer_s, ident.integer_s_star)
+        rho, s, s_star = (rat.fractions(*m) for m in legs)
+        assert rat.mat_mul(rho, s) == rat.identity(ident.base_dim)
+        assert helpers.is_zero_matrix(rat.mat_mul(s_star, s))
 
 
 def test_an_empty_anchor_identifies_a_point():
@@ -147,7 +150,8 @@ def test_an_empty_anchor_identifies_a_point():
     # rho_star are empty, which is what file conversion runs on
     ident = identification_from_anchor(abstract_double(0), ())
     assert ident.base_dim == 0
-    assert ident.s == ident.s_star == ident.rho_star == ()
+    legs = (ident.integer_s, ident.integer_s_star, ident.integer_rho_star)
+    assert [rat.fractions(*m) for m in legs] == [()] * 3
     # a nonzero fiber over a point is not exact
     with pytest.raises(ValueError, match="anchor has wrong shape"):
         identification_from_anchor(abstract_double(1), ())
@@ -181,7 +185,8 @@ def test_block_builders_match_their_row_by_row_references():
     pulled_back = (dirac_from_k, helpers.reference_dirac_from_k)
     for ident in idents + [helpers.abstract_ident(0)]:
         got = nm.canonical_fiber(ident.pair, ident.integer_rho, ident.integer_rho_star)
-        assert got.K == helpers.reference_canonical_fiber(ident.pair, ident.rho, ident.rho_star).K
+        rho, rho_star = rat.fractions(*ident.integer_rho), rat.fractions(*ident.integer_rho_star)
+        assert got.K == helpers.reference_canonical_fiber(ident.pair, rho, rho_star).K
     for _ in range(6):
         for t in range(4):
             for a_dim in range(4):
@@ -198,7 +203,8 @@ def test_block_builders_match_their_row_by_row_references():
             for r in range(1, min(t, 2) + 1):
                 q, dj = helpers.moment_compatible_quasi(rng, t, r)
                 ident = helpers.abstract_ident(r)
-                h = k_from_quasi(q, dJ=dj, rho=ident.rho, realization=make_isotropic_splitting(ident.pair))
+                legs = integer_legs(dj, ident.integer_rho)
+                h = k_from_quasi(q, legs, realization=make_isotropic_splitting(ident.pair))
                 assert dirac_from_k(h, ident).L == helpers.reference_dirac_from_k(h, ident).L
             d = DiracPointData(helpers.random_lagrangian(rng, t))
             for ident in idents:
@@ -289,15 +295,19 @@ def test_rotation_anchor_identification():
     rng = helpers.rng_for(31)
     ident = helpers.rotation_cayley_ident(rng)
     gram = ident.pair.d.form.gram
-    sg = rat.mat_mul(rat.transpose(ident.s), gram)
-    assert helpers.is_zero_matrix(rat.mat_mul(sg, ident.s))
+    rho, s, s_star, rho_star = (
+        rat.fractions(*m)
+        for m in (ident.integer_rho, ident.integer_s, ident.integer_s_star, ident.integer_rho_star)
+    )
+    sg = rat.mat_mul(rat.transpose(s), gram)
+    assert helpers.is_zero_matrix(rat.mat_mul(sg, s))
     # the legs (v, beta) -> s v + rho_star beta and e -> (rho e, s_star e)
     # invert each other
     eye = rat.identity(3)
-    assert rat.mat_mul(ident.rho, ident.s) == eye
-    assert rat.mat_mul(ident.s_star, ident.rho_star) == eye
-    assert helpers.is_zero_matrix(rat.mat_mul(ident.rho, ident.rho_star))
-    assert helpers.is_zero_matrix(rat.mat_mul(ident.s_star, ident.s))
+    assert rat.mat_mul(rho, s) == eye
+    assert rat.mat_mul(s_star, rho_star) == eye
+    assert helpers.is_zero_matrix(rat.mat_mul(rho, rho_star))
+    assert helpers.is_zero_matrix(rat.mat_mul(s_star, s))
 
 
 def test_dirac_fiber_round_trips_on_both_identifications():
@@ -444,14 +454,18 @@ def test_nondegeneracy_predicates_on_model_fibers():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**20))
+@example(11)  # t = 0, r = 0
+@example(14)  # t = 0, r = 2
 def test_nondegeneracy_predicates_agree_on_random_fibers(seed):
     rng = helpers.rng_for(seed)
-    t = int(rng.integers(1, 4))
+    t = int(rng.integers(0, 4))
     r = int(rng.integers(0, 3))
     q = helpers.random_quasi(rng, t, r)
     h = k_from_quasi(q)
     expected = quasi_spans_tangents(q)
     assert k_spans_tangents(h) == expected
+    # the zero tangent space is spanned by nothing
+    assert expected or t
 
 
 def test_json_round_trip_is_exact():
@@ -482,7 +496,7 @@ def frozen_rotation_lagrangians(count=20, seed=0):
     pair = catalog()["so3-double"]
     out = []
     for x in so3.sample_chart_points(count, seed):
-        ident = identification_from_anchor(pair, nm.rotation_double_exact_anchor(x))
+        ident = identification_from_anchor(pair, helpers.rotation_double_exact_anchor(x))
         hf = nm.canonical_fiber(pair, ident.integer_rho, ident.integer_rho_star)
         out.append(dirac_from_k(hf, ident).L)
     return out

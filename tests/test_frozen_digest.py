@@ -51,9 +51,10 @@ def test_the_frozen_rationals_keep_their_digest(monkeypatch):
         pts = so3.sample_chart_points(50, seed)
         can = nm.canonical_hamiltonian(nm.make_dressing_courant(nm.Chart(3, tuple(pts)), h=helpers.STEP))
         for x in pts:
-            anchor = nm.rotation_double_exact_anchor(x)
+            anchor = helpers.rotation_double_exact_anchor(x)
             ident = identification_from_anchor(pair, anchor)
-            for matrix in (anchor, ident.s, ident.s_star, ident.rho_star, can.frozen_fiber(x).K.basis):
+            legs = (ident.integer_s, ident.integer_s_star, ident.integer_rho_star)
+            for matrix in (anchor, *(rat.fractions(*m) for m in legs), can.frozen_fiber(x).K.basis):
                 note(matrix)
         fibers = strong_section_fibers(monkeypatch, 50, seed)
         assert len(fibers) == 50

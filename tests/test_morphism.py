@@ -131,18 +131,18 @@ def test_hamiltonian_fiber_validation_errors():
             t_dim=2,
             pair=h.pair,
             K=h.K,
-            legs=integer_legs([[1, 0], [0, 1]], rat.zeros(2, 2)),
+            legs=integer_legs([[1, 0], [0, 1]], rat.over_one_denominator(rat.zeros(2, 2))),
         )
     # a readout [dJ | -rho] that kills the (u, e) part of every K row but
     # the last, so the condition must be checked on all rows
     ue = [row[:2] + row[4:] for row in h.K.basis]
-    w = next(v for v in rat.kernel(ue[:-1]) if any(rat.mat_vec((v,), ue[-1])))
-    dj, rho = (w[:2],), rat.mat_neg((w[2:],))
+    w = next(v for v in helpers.kernel(ue[:-1]) if any(rat.mat_vec((v,), ue[-1])))
+    legs = integer_legs((w[:2],), rat.over_one_denominator(rat.mat_neg((w[2:],))))
     with pytest.raises(ValueError, match="support condition"):
-        HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, legs=integer_legs(dj, rho))
+        HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, legs=legs)
     # legs that disagree on the base, or an integer pair one column short
     with pytest.raises(ValueError, match="disagree on the base"):
-        integer_legs([[1, 0]], ())
+        integer_legs([[1, 0]], rat.over_one_denominator(()))
     with pytest.raises(ValueError, match="wrong width"):
         HamiltonianFiber(t_dim=2, pair=h.pair, K=h.K, legs=([[1, 0, 0]], 1))
 
@@ -200,7 +200,9 @@ def test_tangent_lifts_reduce_the_fiber_constraint_once(monkeypatch, canonical_s
     # 9 when each of the three basis vectors of the half reduced the
     # constraint with its right-hand side and recomputed its kernel twice
     assert len(calls) == 1
-    assert action == rat.transpose([rat.mat_vec(h.rho, a) for a in h.pair.g.basis])
+    legs, d = h.legs
+    rho = rat.fractions([row[h.t_dim :] for row in legs], d)
+    assert action == rat.transpose([rat.mat_vec(rho, a) for a in h.pair.g.basis])
 
 
 def test_a_missing_lift_is_reported_before_an_ambiguous_one():

@@ -534,7 +534,7 @@ def test_canonical_fibers_freeze_to_exact_hamiltonian_data(canonical_space, so3_
     assert rows.shape == (6, 12)
     frozen = canonical_space.frozen_fiber(x)
     assert frozen.pair is canonical_space.courant.pair
-    assert frozen.dJ == rat.identity(3)
+    assert rat.fractions(*frozen.integer_dJ) == rat.identity(3)
     rep = check_hamiltonian_fiber(frozen)
     assert rep.quantities == {"definition": 0, "equivalent": 0}
 
@@ -546,22 +546,24 @@ def test_a_nudged_frozen_anchor_is_not_lagrangian(canonical_space, so3_points):
     # times the Cayley denominator, has over 150 bits.
     frozen = canonical_space.frozen_fiber(np.asarray(so3_points[0], float))
     pair, n = frozen.pair, frozen.t_dim
-    den = frozen.rho[0][3].denominator
+    legs, d = frozen.legs
+    frozen_rho = rat.fractions([row[n:] for row in legs], d)
+    den = frozen_rho[0][3].denominator
     assert den % 2**52 == 0 and den.bit_length() > 150
 
     def fiber(rho):
-        rho_star = rat.mat_mul(pair.d.form.gram_inv, rat.transpose(rho))
+        rho_star = rat.mat_mul(rat.fractions(*pair.d.form.integer_gram_inv), rat.transpose(rho))
         zero_t = (Fraction(0),) * n
         rows = [tuple(rat.mat_vec(rho, a)) + zero_t + tuple(a) for a in pair.g.basis]
         for k in range(n):
             eps = tuple(Fraction(-1 if i == k else 0) for i in range(n))
             rows.append(zero_t + eps + tuple(r[k] for r in rho_star))
         k_space = canonicalize(rows, 2 * n + pair.d.dim)
-        legs = integer_legs(rat.identity(n), rho)
+        legs = integer_legs(rat.identity(n), rat.over_one_denominator(rho))
         return HamiltonianFiber(t_dim=n, pair=pair, K=k_space, legs=legs)
 
-    assert fiber(frozen.rho).K == frozen.K
-    nudged = [list(r) for r in frozen.rho]
+    assert fiber(frozen_rho).K == frozen.K
+    nudged = [list(r) for r in frozen_rho]
     nudged[0][3] += Fraction(1, 10**8)
     with pytest.raises(ValueError, match="not Lagrangian"):
         fiber(nudged)
@@ -817,7 +819,7 @@ def test_the_frozen_rotation_anchor_is_the_one_point_anchor_frozen():
             jinv = helpers.rationalize_matrix(helpers.reference_left_jacobian_inv(x))
             rotation = rat.fractions(*so3.rationalize_rotation(helpers.reference_exp_rotation(x)))
             want = rat.mat_mul(jinv, rat.hstack(rat.mat_neg(rat.identity(3)), rotation))
-            assert nm.rotation_double_exact_anchor(x) == want
+            assert helpers.rotation_double_exact_anchor(x) == want
 
 
 def test_the_frozen_rotation_anchor_is_near_the_float_one_over_a_short_denominator():
@@ -826,7 +828,7 @@ def test_the_frozen_rotation_anchor_is_near_the_float_one_over_a_short_denominat
     # Cayley denominator
     for seed in (0, 1, 2):
         for x in so3.sample_chart_points(50, seed):
-            exact = nm.rotation_double_exact_anchor(x)
+            exact = helpers.rotation_double_exact_anchor(x)
             gap = np.array(exact, dtype=float) - nm.rotation_double_anchor(x)
             assert np.max(np.abs(gap)) < 2e-15
             assert math.lcm(*(v.denominator for row in exact for v in row)).bit_length() <= 170
@@ -875,12 +877,12 @@ def test_strong_map_report_on_frozen_exact_fibers(
     field = nm.dirac_of_pair(dressing, so3_pair.g, s)
 
     def exact_fibers(x):
-        rho_q = nm.rotation_double_exact_anchor(x)
+        rho_q = helpers.rotation_double_exact_anchor(x)
         ident = identification_from_anchor(so3_pair, rho_q)
         lx = dirac_from_k(canonical_space.frozen_fiber(x), ident).L
+        s_star = rat.fractions(*ident.integer_s_star)
         ls_rows = [
-            tuple(rat.mat_vec(rho_q, a)) + tuple(rat.mat_vec(ident.s_star, a))
-            for a in so3_pair.g.basis
+            tuple(rat.mat_vec(rho_q, a)) + tuple(rat.mat_vec(s_star, a)) for a in so3_pair.g.basis
         ]
         return lx, canonicalize(ls_rows, 6), rat.identity(3)
 

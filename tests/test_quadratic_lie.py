@@ -364,6 +364,27 @@ def test_integer_check_matches_the_fraction_product_check():
     assert max(denominators) > 1
 
 
+def test_the_inverse_gram_is_one_integer_solve():
+    # the integer pair from one solve on [G' | I] is the Fraction inverse in
+    # lowest terms; a degenerate Gram raises where the adjoint reads it
+    rng = helpers.rng_for(43)
+    seen = {"nondegenerate": 0, "degenerate": 0}
+    for trial in range(300):
+        form = _random_gram(rng, 1 + trial % 5)
+        try:
+            want = rat.invert(form.gram)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                form.adjoint(([[1] * form.dim], 1))
+            seen["degenerate"] += 1
+            continue
+        inv = form.integer_gram_inv
+        assert rat.fractions(*inv) == want
+        assert rat.lowest_terms(*inv) == inv
+        seen["nondegenerate"] += 1
+    assert all(seen.values()), seen
+
+
 def test_integer_structure_is_one_denominator_over_the_nonzero_constants():
     d = QuadraticLieAlgebra(
         2, structure_from_table(2, {(0, 1): ("1/2", "-3/7")}), SplitForm.diagonal((1, -1))

@@ -90,10 +90,6 @@ ALLOWED = {
         "the Fraction boundary of the integer row reduction, which the tests compare with "
         "their references and the benchmark traces"
     ),
-    "rational.kernel": "the Fraction boundary of the integer kernel, which the tests read",
-    "rational.solve_linear": (
-        "the Fraction boundary of the integer solve, which the tests compare with their references"
-    ),
     "rational.mat_vec": (
         "the Fraction boundary of one matrix-vector product, which the tests read and the "
         "benchmark traces"
@@ -102,14 +98,6 @@ ALLOWED = {
         "the Fraction form of the float gate, which shares its rounding with the integer form, "
         "and which the tests read and the benchmark traces"
     ),
-    "numeric_manifold.rotation_double_exact_anchor": (
-        "the Fraction form of the frozen anchor, which the frozen-rationals digest pins"
-    ),
-    "dictionary.ExactIdentification.s_star": (
-        "the Fraction form of the identification's s*, which only tests and the "
-        "frozen-rationals digest read"
-    ),
-    "rational.rank": "the rank of a Fraction matrix, for the allowlisted quasi_spans_tangents",
     "exact_linear.SplitForm.pairing": (
         "bound only by the benchmark's TARGETS; it goes with that list's next change"
     ),
@@ -130,10 +118,6 @@ UNPASSED_ALLOWED = {
     ),
     "reduction.reduce_to_orbit.action_field": (
         "the tangency probe of the allowlisted reduction"
-    ),
-    "rational.kernel.ncols": "the width of a kernel of no rows, for the allowlisted kernel",
-    "rational.solve_linear.ncols": (
-        "the number of unknowns of a solve with no equations, for the allowlisted solve"
     ),
 }
 
